@@ -34,15 +34,14 @@ reference for ``benchmarks/test_bench_serving_fleet.py``).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
 import shutil
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -448,6 +447,9 @@ class FleetPhaseResult:
     duration_seconds: float
     requests: int
     errors: int
+    #: TCP connections opened per completed request (1.0 without
+    #: keep-alive; towards 0 on persistent connections).
+    connects_per_request: float
     queries_per_second: float
     p50_ms: float
     p95_ms: float
@@ -469,6 +471,7 @@ class FleetPhaseResult:
             "duration_seconds": round(self.duration_seconds, 3),
             "requests": self.requests,
             "errors": self.errors,
+            "connects_per_request": round(self.connects_per_request, 5),
             "queries_per_second": round(self.queries_per_second, 1),
             "p50_ms": round(self.p50_ms, 4),
             "p95_ms": round(self.p95_ms, 4),
@@ -629,26 +632,43 @@ def _closed_loop_phase(
     per_client_latencies: List[List[float]] = [[] for _ in range(clients)]
     per_client_errors = [0] * clients
     per_client_snapshots: List[set] = [set() for _ in range(clients)]
+    per_client_connects = [0] * clients
     deadline = time.perf_counter() + duration
 
     def client_loop(client_id: int) -> None:
+        # One persistent connection per client, re-opened (and counted)
+        # whenever the server closed it: the window measures the server,
+        # not TCP set-up.
         cursor = client_id * 7919  # co-prime stride: clients diverge
         latencies = per_client_latencies[client_id]
         snapshots = per_client_snapshots[client_id]
+        connection: Optional[http.client.HTTPConnection] = None
         while time.perf_counter() < deadline:
             query = urllib.parse.quote(queries[cursor % len(queries)])
             cursor += 1
             started = time.perf_counter()
             try:
-                with urllib.request.urlopen(
-                    f"http://{host}:{port}/search?q={query}&k={top_k}", timeout=30
-                ) as response:
-                    payload = json.load(response)
-            except (urllib.error.URLError, OSError, ValueError):
+                if connection is None:
+                    connection = http.client.HTTPConnection(host, port, timeout=30)
+                    connection.connect()
+                    per_client_connects[client_id] += 1
+                connection.request("GET", f"/search?q={query}&k={top_k}")
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                if response.status != 200:
+                    raise ValueError(f"status {response.status}")
+                closed = response.will_close
+            except (http.client.HTTPException, OSError, ValueError):
                 per_client_errors[client_id] += 1
-                continue
-            latencies.append(time.perf_counter() - started)
-            snapshots.add(payload["snapshot_commit_count"])
+                closed = True
+            else:
+                latencies.append(time.perf_counter() - started)
+                snapshots.add(payload["snapshot_commit_count"])
+            if closed and connection is not None:
+                connection.close()
+                connection = None
+        if connection is not None:
+            connection.close()
 
     writer_thread = threading.Thread(target=write_live_batches, daemon=True)
     client_threads = [
@@ -684,6 +704,7 @@ def _closed_loop_phase(
         duration_seconds=window_seconds,
         requests=requests,
         errors=sum(per_client_errors),
+        connects_per_request=sum(per_client_connects) / max(1, requests),
         queries_per_second=requests / window_seconds if window_seconds > 0 else 0.0,
         p50_ms=percentile(latencies, 0.50) * 1000.0,
         p95_ms=percentile(latencies, 0.95) * 1000.0,

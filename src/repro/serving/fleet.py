@@ -285,8 +285,8 @@ class ServingFleet:
             self._failovers += 1
 
     def _run(self, operation: str, runner):
-        """Execute ``runner(service)`` on a healthy replica, routing around
-        failures; returns ``(replica_id, outcome)``."""
+        """Execute ``runner(service, replica_id)`` on a healthy replica,
+        routing around failures; returns ``(replica_id, outcome)``."""
         last_error: Optional[BaseException] = None
         for _ in range(len(self._replicas) + 1):
             try:
@@ -298,7 +298,7 @@ class ServingFleet:
             try:
                 if replica.fault_hook is not None:
                     replica.fault_hook(operation)
-                outcome = runner(service)
+                outcome = runner(service, replica.replica_id)
                 served = True
             except Exception as error:  # noqa: BLE001 - any failure fails over
                 # A handle that lost a concurrent restart_replica race
@@ -329,7 +329,7 @@ class ServingFleet:
         """Ranked top-k search on one replica, pinned to its snapshot."""
         replica_id, (snapshot, results) = self._run(
             "search",
-            lambda service: service.search_pinned(
+            lambda service, _: service.search_pinned(
                 query,
                 top_k=top_k,
                 category=category,
@@ -343,16 +343,45 @@ class ServingFleet:
         """Point lookup; returns ``(replica_id, snapshot, product-or-None)``."""
         replica_id, (snapshot, product) = self._run(
             "get_product",
-            lambda service: service.get_product_pinned(
+            lambda service, _: service.get_product_pinned(
                 product_id, max_lag_commits=self._max_lag_commits
             ),
         )
         return replica_id, snapshot, product
 
+    def search_body(
+        self,
+        query: str,
+        top_k: int = 10,
+        category: Optional[str] = None,
+        attributes: Optional[Dict[str, str]] = None,
+    ) -> bytes:
+        """The ``/search`` body from one replica's response cache."""
+        return self._run(
+            "search",
+            lambda service, replica_id: service.search_body(
+                query,
+                top_k=top_k,
+                category=category,
+                attributes=attributes,
+                max_lag_commits=self._max_lag_commits,
+                replica=replica_id,
+            ),
+        )[1]
+
+    def product_body(self, product_id: str) -> Optional[bytes]:
+        """The ``/product/<id>`` body (``None``: no such product)."""
+        return self._run(
+            "get_product",
+            lambda service, replica_id: service.product_body(
+                product_id, max_lag_commits=self._max_lag_commits, replica=replica_id
+            ),
+        )[1]
+
     def count_by_category(self) -> Dict[str, int]:
         """Category facet of one replica's served snapshot."""
         return self._run(
-            "count_by_category", lambda service: service.count_by_category()
+            "count_by_category", lambda service, _: service.count_by_category()
         )[1]
 
     # -- maintenance -----------------------------------------------------------
@@ -546,23 +575,21 @@ class ServingFleet:
         refresh is in flight).  Each entry also carries the replica's
         resync-mode counters under the nested ``resync`` key (the same
         shape a single service's ``/stats`` uses), so operators can tell
-        journal-delta catch-ups apart from full index rebuilds; the flat
-        per-entry copies are deprecated aliases kept for one release.
+        journal-delta catch-ups apart from full index rebuilds.
         """
         head = self._head()
         replicas = []
         for replica in self._replicas:
             snapshot = replica.service.snapshot_commit_count
-            resync = replica.service.resync_stats()
-            entry = {
-                "replica_id": replica.replica_id,
-                "healthy": replica.healthy,
-                "snapshot_commit_count": snapshot,
-                "lag": max(0, head - snapshot),
-                "resync": resync,
-            }
-            entry.update(resync)  # deprecated flat aliases (one release)
-            replicas.append(entry)
+            replicas.append(
+                {
+                    "replica_id": replica.replica_id,
+                    "healthy": replica.healthy,
+                    "snapshot_commit_count": snapshot,
+                    "lag": max(0, head - snapshot),
+                    "resync": replica.service.resync_stats(),
+                }
+            )
         return {
             "head_commit_count": head,
             "max_lag_commits": self._max_lag_commits,

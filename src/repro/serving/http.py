@@ -1,8 +1,9 @@
 """JSON-over-HTTP serving endpoints (stdlib ``http.server`` only).
 
 The ``runtime-serve`` CLI command and the tests/examples both run this
-tiny server: a :class:`CatalogHTTPServer` (threading, optionally with a
-bounded worker pool) that answers
+tiny server: a :class:`CatalogHTTPServer` (HTTP/1.1 keep-alive; a thread
+per connection, or a bounded worker pool that idle connections do not
+occupy) that answers
 
 * ``GET /search?q=<text>&k=<top-k>&category=<id>&attr=<Name=Value>`` —
   ranked top-k search (``attr`` may repeat; every pair must match),
@@ -21,24 +22,26 @@ labelled by endpoint.
 
 The server fronts either a single
 :class:`~repro.serving.service.CatalogSearchService` or a whole
-:class:`~repro.serving.fleet.ServingFleet` — the handler only branches
-on which endpoints attribute extra routing metadata (``replica``).  All
+:class:`~repro.serving.fleet.ServingFleet`; both hand ``/search`` and
+``/product`` back as serialised bodies (from the service's response
+cache when the pinned snapshot already answered the request).  All
 query semantics (ranking, filters, snapshot discipline, load balancing,
-route-around) live below the HTTP layer, which therefore needs no
-locking of its own.
+route-around) live below the HTTP layer.
 """
 
 from __future__ import annotations
 
 import json
 import queue
+import selectors
+import socket
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
-from repro.model.persistence import product_to_dict
 from repro.obs import MetricsRegistry, get_registry
 from repro.serving.fleet import FleetUnavailableError, ServingFleet
 from repro.serving.service import CatalogSearchService
@@ -51,9 +54,22 @@ _MAX_TOP_K = 1000
 #: Either back end the server can front.
 ServingTarget = Union[CatalogSearchService, ServingFleet]
 
+#: Seconds a pool worker that just answered waits on the same connection
+#: for the client's next request before parking the connection.
+_LINGER_SECONDS = 0.002
+
+_JSON = "application/json"
+
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
-    """Route table for the serving endpoints."""
+    """One client connection and the route table for its requests."""
+
+    protocol_version = "HTTP/1.1"
+    #: Seconds a connection may idle between requests, or stall inside
+    #: one, before the server closes it.
+    timeout = 5.0
+    #: Responses are one small write each; never wait to coalesce them.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Quiet by default; benchmark traffic would spam one line per request.
@@ -68,18 +84,26 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
     def _target(self) -> ServingTarget:
         return self.server.service  # type: ignore[attr-defined]
 
-    @property
-    def _fleet(self) -> Optional[ServingFleet]:
-        target = self._target
-        return target if isinstance(target, ServingFleet) else None
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Count the request, then write status line, headers and body in one send."""
+        self._registry.histogram(
+            "http_request_seconds",
+            help="Serving endpoint latency, by endpoint.",
+            labels={"endpoint": self._endpoint},
+        ).observe(time.perf_counter() - self._started)
+        if self.request_version != "HTTP/1.1":
+            self.close_connection = True  # keep-alive is offered to 1.1 clients only
+        closing = "Connection: close\r\n" if self.close_connection else ""
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n{closing}\r\n"
+        )
+        self.log_request(status, len(body))
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _reply(self, status: int, payload: Dict[str, object]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, _JSON, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
@@ -96,12 +120,12 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         # Bounded label cardinality: known endpoints by literal path,
         # point lookups collapse to "/product", everything else "other".
         if parsed.path in self._ENDPOINTS:
-            endpoint = parsed.path
+            self._endpoint = parsed.path
         elif parsed.path.startswith("/product/"):
-            endpoint = "/product"
+            self._endpoint = "/product"
         else:
-            endpoint = "other"
-        started = time.perf_counter()
+            self._endpoint = "other"
+        self._started = time.perf_counter()
         try:
             if parsed.path == "/search":
                 self._do_search(parse_qs(parsed.query))
@@ -114,26 +138,26 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             elif parsed.path == "/stats":
                 self._reply(200, self._target.stats())
             elif parsed.path == "/metrics":
-                self._do_metrics()
+                self._send(
+                    200,
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    self._registry.render().encode("utf-8"),
+                )
             elif parsed.path == "/metrics.json":
                 self._reply(200, self._registry.snapshot())
             else:
                 self._error(404, f"unknown endpoint {parsed.path!r}")
-        finally:
-            self._registry.histogram(
-                "http_request_seconds",
-                help="Serving endpoint latency, by endpoint.",
-                labels={"endpoint": endpoint},
-            ).observe(time.perf_counter() - started)
-
-    def _do_metrics(self) -> None:
-        """The registry in Prometheus text exposition format."""
-        body = self._registry.render().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        except FleetUnavailableError as error:
+            self._error(503, str(error))
+        except Exception as error:  # noqa: BLE001 - answered, counted, worker lives
+            self._registry.counter(
+                "http_requests_failed_total",
+                help="Requests answered 500 because the endpoint raised.",
+                labels={"endpoint": self._endpoint},
+            ).inc()
+            self.log_error("GET %s raised:\n%s", self.path, traceback.format_exc())
+            self.close_connection = True
+            self._error(500, f"{type(error).__name__}: {error}")
 
     def _parse_search_params(
         self, params: Dict[str, list]
@@ -166,58 +190,24 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._error(400, str(error))
             return
-        payload: Dict[str, object] = {"query": query, "top_k": top_k}
-        fleet = self._fleet
-        try:
-            if fleet is not None:
-                response = fleet.search(
-                    query, top_k=top_k, category=category, attributes=attributes
-                )
-                snapshot, results = response.snapshot_commit_count, response.results
-                payload["replica"] = response.replica_id
-            else:
-                snapshot, results = self._target.search_pinned(  # type: ignore[union-attr]
-                    query, top_k=top_k, category=category, attributes=attributes
-                )
-        except FleetUnavailableError as error:
-            self._error(503, str(error))
-            return
-        payload.update(
-            {
-                "snapshot_commit_count": snapshot,
-                "num_results": len(results),
-                "results": [result.to_dict() for result in results],
-            }
+        body = self._target.search_body(
+            query, top_k=top_k, category=category, attributes=attributes
         )
-        self._reply(200, payload)
+        self._send(200, _JSON, body)
 
     def _do_product(self, product_id: str) -> None:
         if not product_id:
             self._error(400, "missing product id")
             return
-        fleet = self._fleet
-        try:
-            if fleet is not None:
-                replica_id, snapshot, product = fleet.get_product(product_id)
-            else:
-                replica_id = None
-                snapshot, product = self._target.get_product_pinned(product_id)  # type: ignore[union-attr]
-        except FleetUnavailableError as error:
-            self._error(503, str(error))
-            return
-        if product is None:
+        body = self._target.product_body(product_id)
+        if body is None:
             self._error(404, f"no product with id {product_id!r}")
             return
-        payload = product_to_dict(product)
-        payload["snapshot_commit_count"] = snapshot
-        if replica_id is not None:
-            payload["replica"] = replica_id
-        self._reply(200, payload)
+        self._send(200, _JSON, body)
 
     def _do_health(self) -> None:
-        fleet = self._fleet
-        if fleet is not None:
-            payload = fleet.health()
+        if isinstance(self._target, ServingFleet):
+            payload = self._target.health()
             self._reply(200 if payload["healthy"] else 503, payload)
             return
         service = self._target
@@ -232,22 +222,19 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _do_lag(self) -> None:
-        fleet = self._fleet
-        if fleet is not None:
-            self._reply(200, fleet.lag())
+        if isinstance(self._target, ServingFleet):
+            self._reply(200, self._target.lag())
             return
         service = self._target
-        snapshot = service.snapshot_commit_count  # type: ignore[union-attr]
-        head = service.head_commit_count()  # type: ignore[union-attr]
-        resync = service.resync_stats()  # type: ignore[union-attr]
+        snapshot = service.snapshot_commit_count
+        head = service.head_commit_count()
         entry: Dict[str, object] = {
             "replica_id": 0,
             "healthy": True,
             "snapshot_commit_count": snapshot,
             "lag": max(0, head - snapshot),
-            "resync": resync,
+            "resync": service.resync_stats(),
         }
-        entry.update(resync)  # deprecated flat aliases (one release)
         self._reply(
             200,
             {
@@ -259,24 +246,51 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         )
 
 
+def _next_request_within(handler: CatalogRequestHandler, wait: float) -> bool:
+    """Whether more input is here already or arrives within ``wait`` seconds.
+
+    "Here" includes what a pipelining client sent behind the last request:
+    it sits in ``rfile``'s buffer, where no selector would ever see it.
+    """
+    connection = handler.connection
+    try:
+        connection.settimeout(0)  # peek at what has arrived without waiting
+        if handler.rfile.peek(1):
+            return True
+        if wait <= 0:
+            return False
+        connection.settimeout(wait)
+        connection.recv(1, socket.MSG_PEEK)  # returns on data or end of stream
+        return True
+    except socket.timeout:
+        return False
+    except (OSError, ValueError):
+        return True  # broken: let the next read close it
+    finally:
+        connection.settimeout(handler.timeout)
+
+
 class CatalogHTTPServer(ThreadingHTTPServer):
-    """A threaded HTTP server bound to one service or serving fleet.
+    """An HTTP/1.1 keep-alive server bound to one service or serving fleet.
 
     ``port=0`` binds an ephemeral port (tests and examples);
     ``server_address`` reports the actual one after construction.
     Start it with ``serve_forever()`` (blocking) or on a daemon thread.
 
-    By default every connection gets its own thread (the stdlib
-    ``ThreadingHTTPServer`` behaviour).  ``max_workers=N`` switches to a
-    **bounded worker pool**: accepted connections queue up and exactly
-    ``N`` pre-started workers drain them, so a traffic burst degrades
-    into queueing delay instead of thousands of threads — the shape a
-    replica fleet wants, since more threads than replicas only adds
-    lock contention.
+    By default every connection gets its own thread while it stays open
+    (the stdlib ``ThreadingHTTPServer`` behaviour).  ``max_workers=N``
+    switches to a **bounded worker pool** with one worker per *ready
+    request*, not per connection: open connections wait in a selector,
+    one that turns readable is queued, and one of ``N`` pre-started
+    workers answers that request and parks the connection again.  Idle
+    keep-alive connections cost no worker, and a burst degrades into
+    queueing delay instead of thousands of threads.  Either way a
+    connection that idles (or stalls mid-request) longer than
+    ``CatalogRequestHandler.timeout`` is closed.
     """
 
-    #: Worker threads die with the process; a hung client never blocks
-    #: shutdown of a drill or test run.
+    #: Connection threads die with the process; a hung client never
+    #: blocks shutdown of a drill or test run.
     daemon_threads = True
 
     def __init__(
@@ -293,47 +307,118 @@ class CatalogHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.registry = registry if registry is not None else get_registry()
         self.log_requests = log_requests
-        self._max_workers = max_workers
-        self._work_queue: Optional["queue.Queue[Optional[Tuple[object, object]]]"] = None
-        self._workers: List[threading.Thread] = []
+        self._accepted = self.registry.counter(
+            "http_connections_accepted_total", help="Client connections accepted."
+        )
+        self._open = self.registry.gauge(
+            "http_connections_open", help="Client connections currently open."
+        )
+        self._ready: Optional["queue.SimpleQueue[Optional[CatalogRequestHandler]]"] = None
+        self._pool: List[threading.Thread] = []
         if max_workers is not None:
-            self._work_queue = queue.Queue()
-            for worker_id in range(max_workers):
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"http-worker-{worker_id}",
-                    daemon=True,
-                )
-                worker.start()
-                self._workers.append(worker)
+            self._ready = queue.SimpleQueue()
+            self._parked = selectors.DefaultSelector()
+            self._park_lock = threading.Lock()
+            self._closing = False
+            loops = [self._worker_loop] * max_workers + [self._selector_loop]
+            self._pool = [
+                threading.Thread(target=loop, name=f"http{loop.__name__}-{n}", daemon=True)
+                for n, loop in enumerate(loops)
+            ]
+            for thread in self._pool:
+                thread.start()
 
     def process_request(self, request, client_address) -> None:  # noqa: ANN001
-        """Hand the accepted connection to the pool (or a fresh thread)."""
-        if self._work_queue is None:
+        """Give the accepted connection a thread, or park it for the pool."""
+        self._accepted.inc()
+        self._open.inc()
+        if self._ready is None:
             super().process_request(request, client_address)
-        else:
-            self._work_queue.put((request, client_address))
+            return
+        # Set up but not served (the constructor would serve it to the
+        # end): workers call handle_one_request() as requests arrive.
+        handler = CatalogRequestHandler.__new__(CatalogRequestHandler)
+        handler.request, handler.client_address, handler.server = request, client_address, self
+        handler.setup()
+        self._park(handler)
+
+    def shutdown_request(self, request) -> None:  # noqa: ANN001
+        """Close one client connection (every mode ends a connection here)."""
+        self._open.dec()
+        super().shutdown_request(request)
+
+    def _close(self, handler: CatalogRequestHandler) -> None:
+        handler.finish()
+        self.shutdown_request(handler.request)
+
+    def _park(self, handler: CatalogRequestHandler) -> None:
+        """Wait for the connection's next request in the selector."""
+        handler.parked_at = time.monotonic()
+        with self._park_lock:
+            if not self._closing:
+                self._parked.register(handler.request, selectors.EVENT_READ, handler)
+                return
+        self._close(handler)
+
+    def _selector_loop(self) -> None:
+        """Queue parked connections that turned readable; close overdue ones."""
+        next_sweep = 0.0
+        while not self._closing:
+            ready = self._parked.select(timeout=0.1)
+            now = time.monotonic()
+            overdue: List[CatalogRequestHandler] = []
+            with self._park_lock:
+                for key, _ in ready:
+                    self._parked.unregister(key.fileobj)
+                    self._ready.put(key.data)
+                if now >= next_sweep:
+                    next_sweep, cutoff = now + 0.5, now - CatalogRequestHandler.timeout
+                    parked = self._parked.get_map().values()
+                    overdue = [key.data for key in parked if key.data.parked_at < cutoff]
+                    for handler in overdue:
+                        self._parked.unregister(handler.request)
+            for handler in overdue:
+                self._close(handler)
 
     def _worker_loop(self) -> None:
-        assert self._work_queue is not None
+        """Answer one ready request at a time, then park its connection.
+
+        While nothing else is queued the worker lingers on the connection
+        it just answered: a closed-loop client's next request is a fraction
+        of a millisecond away, and taking it here saves the selector ->
+        queue -> worker hand-off.
+        """
         while True:
-            item = self._work_queue.get()
-            if item is None:
+            handler = self._ready.get()
+            if handler is None:
                 return
-            request, client_address = item
-            # Same finish/shutdown/error handling a per-request thread
-            # would run, minus the thread churn.
-            self.process_request_thread(request, client_address)
+            try:
+                handler.handle_one_request()
+                while not handler.close_connection and _next_request_within(
+                    handler, _LINGER_SECONDS if self._ready.empty() else 0.0
+                ):
+                    handler.handle_one_request()
+                if not handler.close_connection:
+                    self._park(handler)
+                    continue
+            except Exception:  # noqa: BLE001 - reported like a connection thread's; worker lives
+                self.handle_error(handler.request, handler.client_address)
+            self._close(handler)
 
     def server_close(self) -> None:
-        """Stop the listener, then drain and join the worker pool."""
+        """Stop the listener and the pool; close every parked connection."""
         super().server_close()
-        if self._work_queue is not None:
-            for _ in self._workers:
-                self._work_queue.put(None)
-            for worker in self._workers:
-                worker.join(timeout=5)
-            self._workers = []
+        if self._ready is None or self._closing:
+            return
+        self._closing = True
+        self._pool.pop().join(timeout=5)  # the selector: nothing is queued after it
+        for _ in self._pool:
+            self._ready.put(None)  # behind every queued request, which is still answered
+        for worker in self._pool:
+            worker.join(timeout=5)
+        for key in list(self._parked.get_map().values()):
+            self._close(key.data)
+        self._parked.close()
 
 
 def serve(

@@ -27,14 +27,23 @@ Either way the service guarantees **snapshot isolation**: every query
 runs under the service lock against an index state that corresponds to
 exactly one committed prefix of the ingest stream (reported as
 ``snapshot_commit_count``), never to a half-applied batch.
+
+The HTTP front asks for serialised bodies (:meth:`search_body`,
+:meth:`product_body`), which go through one bounded **response cache**
+read and written under the service lock and emptied by the assignment
+that moves ``snapshot_commit_count`` — a cached body can never describe
+a snapshot other than the one it reports.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import weakref
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.model.persistence import product_to_dict
 from repro.model.products import Product
 from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.runtime.engine import CommitEvent, SynthesisEngine
@@ -45,6 +54,9 @@ from repro.serving.reader import CatalogReader
 from repro.synthesis.pipeline import stable_product_id
 
 __all__ = ["CatalogSearchService"]
+
+#: Bound on the bytes of response bodies one service keeps cached.
+RESPONSE_CACHE_MAX_BYTES = 2 * 1024 * 1024
 
 
 class CatalogSearchService:
@@ -70,6 +82,13 @@ class CatalogSearchService:
         self._delta_resyncs = 0
         self._full_resyncs = 0
         self._journal_truncations = 0
+        # Response cache: request key -> serialised body, least recently
+        # used first; valid for ``_snapshot_commit_count`` only.
+        self._bodies: "OrderedDict[tuple, bytes]" = OrderedDict()
+        self._body_bytes = 0
+        self._cache_hits = 0
+        self._cache_misses = 0
+        self._cache_evictions = 0
         # Observability: the per-instance counters above stay the source
         # of truth for stats(); the registry reads them through a weakref
         # provider, so N replicas naturally sum into fleet-wide series.
@@ -82,6 +101,10 @@ class CatalogSearchService:
         self._obs_index_removes = registry.counter(
             "serving_index_removes_total",
             help="Products removed from serving indexes (feed or delta).",
+        )
+        self._obs_cache_bytes = registry.gauge(
+            "serving_response_cache_bytes",
+            help="Bytes of serialised response bodies cached, all replicas.",
         )
         service_ref = weakref.ref(self)
 
@@ -112,7 +135,7 @@ class CatalogSearchService:
         service._engine = engine
         with service._lock:
             service._index.rebuild(engine.products())
-            service._snapshot_commit_count = engine.store.commit_count
+            service._move_snapshot(engine.store.commit_count)
         engine.add_commit_listener(service._on_commit)
         return service
 
@@ -142,6 +165,8 @@ class CatalogSearchService:
     def close(self) -> None:
         """Detach from the feed / close the reader and index (idempotent)."""
         self._obs.remove_provider(self._obs_provider)
+        with self._lock:
+            self._move_snapshot(self._snapshot_commit_count)  # drop cached bodies
         if self._engine is not None:
             self._engine.remove_commit_listener(self._on_commit)
             self._engine = None
@@ -160,11 +185,22 @@ class CatalogSearchService:
 
     # -- maintenance -----------------------------------------------------------
 
+    def _move_snapshot(self, commit_count: int) -> None:
+        """Pin the index state just applied; caller holds the lock.
+
+        The only place the served snapshot changes, and therefore the
+        only place the response cache is emptied.
+        """
+        self._snapshot_commit_count = commit_count
+        self._obs_cache_bytes.dec(self._body_bytes)
+        self._bodies.clear()
+        self._body_bytes = 0
+
     def _on_commit(self, event: CommitEvent) -> None:
         """Feed-driven maintenance: apply one committed batch atomically."""
         with self._lock:
             self._index.apply_commit(event)
-            self._snapshot_commit_count = event.commit_count
+            self._move_snapshot(event.commit_count)
         upserts = sum(1 for _, product in event.changed if product is not None)
         removes = len(event.changed) - upserts
         if upserts:
@@ -226,7 +262,7 @@ class CatalogSearchService:
                         # for us.
                         if self._snapshot_commit_count == since and head > since:
                             self._apply_delta(delta)
-                            self._snapshot_commit_count = head
+                            self._move_snapshot(head)
                             self._resyncs += 1
                             self._delta_resyncs += 1
                         return self._snapshot_commit_count
@@ -242,7 +278,7 @@ class CatalogSearchService:
                     snapshot == self._snapshot_commit_count and self._resyncs == 0
                 ):
                     self._index.rebuild(products)
-                    self._snapshot_commit_count = snapshot
+                    self._move_snapshot(snapshot)
                     self._resyncs += 1
                     self._full_resyncs += 1
                 return self._snapshot_commit_count
@@ -331,6 +367,87 @@ class CatalogSearchService:
             self._queries_served += 1
             return self._snapshot_commit_count, self._index.get_product(product_id)
 
+    def _body(
+        self, key: tuple, render, max_lag_commits: int, replica: Optional[int]
+    ) -> Optional[bytes]:
+        """``render()``'s payload at the pinned snapshot, serialised and cached.
+
+        Lookup, render and insert share one lock hold, so a body is
+        rendered from, stored for and served at exactly one snapshot.
+        ``None`` (no such product) is never stored; eviction is least
+        recently used, by total body bytes.
+        """
+        self.maybe_resync(max_lag_commits)
+        key += (replica,)
+        with self._lock:
+            self._queries_served += 1
+            body = self._bodies.get(key)
+            if body is not None:
+                self._cache_hits += 1
+                self._bodies.move_to_end(key)
+                return body
+            self._cache_misses += 1
+            payload = render()
+            if payload is None:
+                return None
+            payload["snapshot_commit_count"] = self._snapshot_commit_count
+            if replica is not None:
+                payload["replica"] = replica
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            before = self._body_bytes
+            self._bodies[key] = body
+            self._body_bytes += len(body)
+            while self._body_bytes > RESPONSE_CACHE_MAX_BYTES:
+                _, evicted = self._bodies.popitem(last=False)
+                self._body_bytes -= len(evicted)
+                self._cache_evictions += 1
+            self._obs_cache_bytes.inc(self._body_bytes - before)
+            return body
+
+    def search_body(
+        self,
+        query: str,
+        top_k: int = 10,
+        category: Optional[str] = None,
+        attributes: Optional[Dict[str, str]] = None,
+        max_lag_commits: int = 0,
+        replica: Optional[int] = None,
+    ) -> bytes:
+        """The ``/search`` response body: :meth:`search_pinned`, serialised.
+
+        ``json.dumps(..., sort_keys=True)`` of the query, the pinned
+        snapshot and the ranked hits (plus ``replica`` when a fleet
+        names the replica answering).  A request the pinned snapshot
+        already answered comes from the response cache — no search, no
+        ``to_dict``, no ``json.dumps`` — byte-identical to a fresh render.
+        """
+
+        def render() -> Dict[str, object]:
+            results = self._index.search(
+                query, top_k=top_k, category=category, attributes=attributes
+            )
+            return {
+                "query": query,
+                "top_k": top_k,
+                "num_results": len(results),
+                "results": [result.to_dict() for result in results],
+            }
+
+        filters = tuple(sorted(attributes.items())) if attributes else ()
+        key = ("search", query, top_k, category, filters)
+        return self._body(key, render, max_lag_commits, replica)  # type: ignore[return-value]
+
+    def product_body(
+        self, product_id: str, max_lag_commits: int = 0, replica: Optional[int] = None
+    ) -> Optional[bytes]:
+        """The ``/product/<id>`` response body (``None``: no such product)."""
+
+        def render() -> Optional[Dict[str, object]]:
+            product = self._index.get_product(product_id)
+            return None if product is None else product_to_dict(product)
+
+        return self._body(("product", product_id), render, max_lag_commits, replica)
+
     def count_by_category(self) -> Dict[str, int]:
         """The category facet of the served snapshot."""
         self.maybe_resync()
@@ -388,6 +505,18 @@ class CatalogSearchService:
                 "journal_truncations": self._journal_truncations,
             }
 
+    def response_cache_stats(self) -> Dict[str, int]:
+        """Response-cache counters and current size (``/stats`` reports them)."""
+        with self._lock:
+            return {
+                "hits": self._cache_hits,
+                "misses": self._cache_misses,
+                "evictions": self._cache_evictions,
+                "entries": len(self._bodies),
+                "bytes": self._body_bytes,
+                "max_bytes": RESPONSE_CACHE_MAX_BYTES,
+            }
+
     def _metrics_fragment(self) -> Dict[str, object]:
         """Service counters as a registry snapshot fragment.
 
@@ -405,6 +534,9 @@ class CatalogSearchService:
                     self._full_resyncs
                 ),
                 "serving_journal_truncations_total": float(self._journal_truncations),
+                "serving_response_cache_hits_total": float(self._cache_hits),
+                "serving_response_cache_misses_total": float(self._cache_misses),
+                "serving_response_cache_evictions_total": float(self._cache_evictions),
             }
         counters = {key: value for key, value in values.items() if value}
         families = {
@@ -421,29 +553,30 @@ class CatalogSearchService:
                 "help": "Resyncs forced onto the full rebuild by a truncated journal.",
             },
         }
+        for event in ("hits", "misses", "evictions"):
+            families[f"serving_response_cache_{event}_total"] = {
+                "type": "counter",
+                "help": f"Response-cache {event} (see docs/observability.md).",
+            }
         return snapshot_fragment(counters=counters, families=families)
 
     def stats(self) -> Dict[str, object]:
         """JSON-compatible service + index statistics (the ``/stats`` body).
 
         Resync counters live under the nested ``resync`` key — the same
-        shape the fleet reports per replica.  The flat top-level copies
-        (``resyncs``, ``delta_resyncs``, ``full_resyncs``,
-        ``journal_truncations``) are deprecated aliases kept for one
-        release; consumers should move to ``payload["resync"]``.
+        shape the fleet reports per replica.
         """
-        resync = self.resync_stats()
         with self._lock:
             payload: Dict[str, object] = {
                 "mode": "reader" if self._reader is not None else "feed",
                 "snapshot_commit_count": self._snapshot_commit_count,
                 "queries_served": self._queries_served,
-                "resync": resync,
+                "resync": self.resync_stats(),
+                "response_cache": self.response_cache_stats(),
                 "index_backend": getattr(self._index, "backend_name", "memory"),
                 "index": self._index.stats(),
                 "count_by_category": self._index.count_by_category(),
             }
-        payload.update(resync)  # deprecated flat aliases (one release)
         if self._reader is not None:
             payload["reader"] = self._reader.cache_stats()
             payload["store_path"] = self._reader.path

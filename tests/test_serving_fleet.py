@@ -363,9 +363,9 @@ class TestResyncModeReporting:
         engine, fleet, second = sqlite_fleet
         # Construction primes every replica with one full rebuild.
         for entry in fleet.lag()["replicas"]:
-            assert entry["full_resyncs"] == 1
-            assert entry["delta_resyncs"] == 0
-            assert entry["journal_truncations"] == 0
+            assert entry["resync"]["full_resyncs"] == 1
+            assert entry["resync"]["delta_resyncs"] == 0
+            assert entry["resync"]["journal_truncations"] == 0
 
         # An intact journal turns the refresh into a delta application.
         engine.ingest(second)
@@ -374,10 +374,10 @@ class TestResyncModeReporting:
         lag = fleet.lag()
         assert lag["max_lag"] == 0
         for entry in lag["replicas"]:
-            assert entry["delta_resyncs"] == 1
-            assert entry["full_resyncs"] == 1
-            assert entry["journal_truncations"] == 0
-            assert entry["resyncs"] == 2
+            assert entry["resync"]["delta_resyncs"] == 1
+            assert entry["resync"]["full_resyncs"] == 1
+            assert entry["resync"]["journal_truncations"] == 0
+            assert entry["resync"]["resyncs"] == 2
 
         # A journal compacted past the replicas' snapshots forces the
         # full-rebuild fallback — reported distinctly.
@@ -389,9 +389,9 @@ class TestResyncModeReporting:
         lag = fleet.lag()
         assert lag["max_lag"] == 0
         for entry in lag["replicas"]:
-            assert entry["journal_truncations"] == 1
-            assert entry["full_resyncs"] == 2
-            assert entry["delta_resyncs"] == 1
+            assert entry["resync"]["journal_truncations"] == 1
+            assert entry["resync"]["full_resyncs"] == 2
+            assert entry["resync"]["delta_resyncs"] == 1
 
     def test_single_service_lag_endpoint_reports_resync_modes(
         self, tiny_harness, tmp_path
@@ -410,15 +410,15 @@ class TestResyncModeReporting:
             status, payload = TestFleetHTTP.get_json(f"{base}/lag")
             assert status == 200
             entry = payload["replicas"][0]
-            assert entry["full_resyncs"] == 1
-            assert entry["delta_resyncs"] == 0
+            assert entry["resync"]["full_resyncs"] == 1
+            assert entry["resync"]["delta_resyncs"] == 0
             engine.ingest(second)
             service.resync()
             status, payload = TestFleetHTTP.get_json(f"{base}/lag")
             entry = payload["replicas"][0]
-            assert entry["delta_resyncs"] == 1
-            assert entry["full_resyncs"] == 1
-            assert entry["journal_truncations"] == 0
+            assert entry["resync"]["delta_resyncs"] == 1
+            assert entry["resync"]["full_resyncs"] == 1
+            assert entry["resync"]["journal_truncations"] == 0
             assert entry["lag"] == 0
         finally:
             server.shutdown()

@@ -145,6 +145,16 @@ class TestStatsAndRouting:
         }
         assert payload["queries_served"] >= 1
 
+    def test_stats_reports_the_response_cache(self, server_url):
+        query = urllib.parse.quote("raptor drive")
+        get_json(f"{server_url}/search?q={query}")
+        get_json(f"{server_url}/search?q={query}")
+        _, payload = get_json(f"{server_url}/stats")
+        cache = payload["response_cache"]
+        assert set(cache) == {"hits", "misses", "evictions", "entries", "bytes", "max_bytes"}
+        assert cache["hits"] >= 1 and cache["misses"] >= 1
+        assert 0 < cache["bytes"] <= cache["max_bytes"] == 2 * 1024 * 1024
+
     def test_unknown_route_is_404(self, server_url):
         code, payload = get_error(f"{server_url}/nope")
         assert code == 404
@@ -173,28 +183,25 @@ class TestStatsAndRouting:
 
 
 class TestNestedResyncShape:
-    """Satellite: /stats and /lag nest resync counters under "resync".
+    """/stats and /lag report resync counters under "resync" only.
 
-    The flat top-level keys stay for one release as deprecated aliases;
-    both shapes must agree until the aliases are dropped.
+    The flat top-level copies were deprecated aliases for one release
+    and are gone.
     """
 
     RESYNC_KEYS = ("resyncs", "delta_resyncs", "full_resyncs", "journal_truncations")
 
-    def test_stats_nests_resync_with_flat_aliases(self, server_url):
+    def test_stats_nests_resync(self, server_url):
         _, payload = get_json(f"{server_url}/stats")
-        assert isinstance(payload["resync"], dict)
         assert set(payload["resync"]) == set(self.RESYNC_KEYS)
-        for key in self.RESYNC_KEYS:
-            assert payload[key] == payload["resync"][key]
+        assert not set(self.RESYNC_KEYS) & set(payload)
 
-    def test_lag_replicas_nest_resync_with_flat_aliases(self, server_url):
+    def test_lag_replicas_nest_resync(self, server_url):
         _, payload = get_json(f"{server_url}/lag")
         assert payload["replicas"]
         for entry in payload["replicas"]:
             assert set(entry["resync"]) == set(self.RESYNC_KEYS)
-            for key in self.RESYNC_KEYS:
-                assert entry[key] == entry["resync"][key]
+            assert not set(self.RESYNC_KEYS) & set(entry)
 
 
 class TestMetricsEndpoints:
@@ -231,6 +238,17 @@ class TestMetricsEndpoints:
         assert parsed.types["http_request_seconds"] == "histogram"
         for endpoint in ("/health", "/stats", "/search"):
             assert parsed.value("http_request_seconds_count", endpoint=endpoint) >= 1
+
+    def test_metrics_count_connections(self, metrics_server):
+        base, _ = metrics_server
+        get_json(f"{base}/health")
+        get_json(f"{base}/health")  # urllib: one connection per request
+        with urllib.request.urlopen(f"{base}/metrics") as response:
+            parsed = parse(response.read().decode("utf-8"))
+        assert parsed.types["http_connections_accepted_total"] == "counter"
+        assert parsed.types["http_connections_open"] == "gauge"
+        assert parsed.value("http_connections_accepted_total") == 3
+        assert parsed.value("http_connections_open") >= 1  # this scrape's own
 
     def test_metrics_json_is_the_registry_snapshot(self, metrics_server):
         base, registry = metrics_server

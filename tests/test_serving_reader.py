@@ -221,7 +221,7 @@ class TestReaderDrivenService:
         assert sum(service.count_by_category().values()) >= sum(prefix_1.values())
         stats = service.stats()
         assert stats["mode"] == "reader"
-        assert stats["resyncs"] >= 2
+        assert stats["resync"]["resyncs"] >= 2
         service.close()
         engine.close()
 
@@ -232,10 +232,10 @@ class TestReaderDrivenService:
         engine = make_engine(tiny_harness, store="sqlite", store_path=path)
         engine.ingest(tiny_harness.unmatched_offers[:10])
         service = CatalogSearchService.from_store_path(path)
-        resyncs_after_init = service.stats()["resyncs"]
+        resyncs_after_init = service.stats()["resync"]["resyncs"]
         # Re-applying the current snapshot changes nothing.
         assert service.resync() == service.snapshot_commit_count == 1
-        assert service.stats()["resyncs"] == resyncs_after_init
+        assert service.stats()["resync"]["resyncs"] == resyncs_after_init
         # Advance to snapshot 2 for real...
         engine.ingest(tiny_harness.unmatched_offers[10:20])
         assert service.maybe_resync()

@@ -1,0 +1,478 @@
+"""The snapshot-keyed response cache: never stale, never over its bound.
+
+The hypothesis suite drives random ingest streams through the HTTP front
+(one service and a 2-replica fleet; feed-driven memory stores and
+reader-driven SQLite stores) with requests interleaved between commits
+and racing them.  Every body must be byte-equal to an **uncached**
+render of the committed prefix it reports, a request repeated after a
+commit misses exactly once per cache, and the cached bytes never exceed
+the bound.  The deterministic tests pin the cache key, every way a
+snapshot can move, and eviction accounting.
+"""
+
+import http.client
+import itertools
+import json
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.model.attributes import Specification
+from repro.model.persistence import product_to_dict
+from repro.model.products import Product
+from repro.obs import get_registry
+from repro.runtime import SynthesisEngine
+from repro.runtime.store.sqlite import SqliteCatalogStore
+from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
+from repro.serving import service as service_module
+from repro.text.tokenize import tokenize_title
+
+_STORE_COUNTER = itertools.count(1)
+TOP_K = 5
+
+
+def engine_kwargs(harness):
+    return dict(
+        catalog=harness.corpus.catalog,
+        correspondences=harness.offline_result.correspondences,
+        extractor=harness.extractor,
+        category_classifier=harness.category_classifier,
+        num_shards=4,
+    )
+
+
+def uncached_search_body(products, snapshot, query, top_k, replica, category=None, attributes=None):
+    """What the front served before there was a cache, for this snapshot."""
+    results = CatalogIndex(products).search(
+        query, top_k=top_k, category=category, attributes=attributes
+    )
+    payload = {
+        "query": query,
+        "top_k": top_k,
+        "snapshot_commit_count": snapshot,
+        "num_results": len(results),
+        "results": [result.to_dict() for result in results],
+    }
+    if replica is not None:
+        payload["replica"] = replica
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def uncached_product_body(products, snapshot, product_id, replica):
+    product = CatalogIndex(products).get_product(product_id)
+    if product is None:
+        return None
+    payload = product_to_dict(product)
+    payload["snapshot_commit_count"] = snapshot
+    if replica is not None:
+        payload["replica"] = replica
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+class Served:
+    """An HTTP front over ``target`` and one keep-alive client connection."""
+
+    def __init__(self, target):
+        self.target = target
+        self.server = CatalogHTTPServer(("127.0.0.1", 0), target, max_workers=2)
+        self.port = self.server.server_address[1]
+        threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        ).start()
+        self.connection = self.connect()
+
+    def connect(self):
+        return http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
+
+    def get(self, path, connection=None):
+        connection = connection or self.connection
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+
+    def caches(self):
+        """Response-cache stats of every service behind the front."""
+        if isinstance(self.target, ServingFleet):
+            stats = self.target.stats()["replicas"]
+            return [entry["stats"]["response_cache"] for entry in stats]
+        return [self.target.response_cache_stats()]
+
+    def close(self):
+        self.connection.close()
+        self.server.shutdown()
+        self.server.server_close()
+        self.target.close()
+
+
+def search_path(query):
+    return f"/search?q={query.replace(' ', '+')}&k={TOP_K}"
+
+
+def split_batches(stream, cut_points):
+    cuts = [0] + sorted(cut_points) + [len(stream)]
+    return [stream[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+@st.composite
+def stream_and_cuts(draw, max_offers):
+    indices = draw(st.lists(st.integers(0, max_offers - 1), min_size=4, max_size=16))
+    cut_points = draw(st.lists(st.integers(1, len(indices) - 1), max_size=3, unique=True))
+    return indices, cut_points
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_bodies_through_http_equal_an_uncached_render_of_their_snapshot(
+    tiny_harness, tmp_path_factory, data
+):
+    offers = tiny_harness.unmatched_offers
+    indices, cut_points = data.draw(stream_and_cuts(len(offers)))
+    stream = [offers[index] for index in indices]
+    batches = split_batches(stream, cut_points)
+    backend = data.draw(st.sampled_from(["memory", "sqlite"]))
+    fleet = data.draw(st.booleans())
+    # A bound small enough that these few queries overflow it, so the
+    # property also covers bodies that were evicted and rendered again.
+    default_bound = service_module.RESPONSE_CACHE_MAX_BYTES
+    bound = data.draw(st.sampled_from([700, 4096, default_bound]))
+    service_module.RESPONSE_CACHE_MAX_BYTES = bound
+
+    queries = [
+        " ".join(tokens[:2]) for tokens in (tokenize_title(o.title) for o in stream[:4]) if tokens
+    ] or ["hard drive"]
+    store_path = None
+    if backend == "sqlite":
+        store_dir = tmp_path_factory.mktemp("cache")
+        store_path = str(store_dir / f"cache-{next(_STORE_COUNTER)}.sqlite3")
+    engine = SynthesisEngine(store=backend, store_path=store_path, **engine_kwargs(tiny_harness))
+    if backend == "sqlite":
+        target = (
+            ServingFleet.from_store_path(store_path, num_replicas=2, max_lag_commits=1)
+            if fleet
+            else CatalogSearchService.from_store_path(store_path)
+        )
+    else:
+        target = (
+            ServingFleet.from_engine(engine, num_replicas=2)
+            if fleet
+            else CatalogSearchService.from_engine(engine)
+        )
+    served = Served(target)
+    prefix_products = {engine.store.commit_count: list(engine.products())}
+    #: (path, query-or-product-id, body) of every response, racing or not.
+    observed = []
+    failures = []
+
+    def paths():
+        known = [p.product_id for p in prefix_products[max(prefix_products)]][:2]
+        for query in queries:
+            yield search_path(query), ("search", query)
+        for product_id in known + ["no-such-product"]:
+            yield f"/product/{product_id}", ("product", product_id)
+
+    def wave(connection=None):
+        for path, request in list(paths()):
+            status, body = served.get(path, connection)
+            assert status in (200, 404), (path, status, body)
+            observed.append((request, status, body))
+
+    def racing_wave():
+        connection = served.connect()
+        try:
+            wave(connection)
+            wave(connection)
+        except Exception as error:  # pragma: no cover - surfaced below
+            failures.append(error)
+        finally:
+            connection.close()
+
+    try:
+        for position, batch in enumerate(batches):
+            wave()  # fills the caches at the current snapshot
+            racer = threading.Thread(target=racing_wave, daemon=True)
+            racer.start()
+            engine.ingest(batch)
+            prefix_products[engine.store.commit_count] = list(engine.products())
+            racer.join(timeout=60)
+            assert not racer.is_alive()
+            if fleet:
+                while target.refresh_once() is not None:
+                    pass
+            # The writer is quiet and every cache has caught up: a
+            # request nobody sent before, repeated now, reports the head
+            # and misses exactly once in each cache that sees it.
+            head = engine.store.commit_count
+            # No hit outlives the move: everything cached before (and
+            # during) the commit is answered from the head now.
+            settled = len(observed)
+            wave()
+            for _, status, body in observed[settled:]:
+                assert status == 404 or json.loads(body)["snapshot_commit_count"] == head
+            fresh = f"{queries[0]} {position}"
+            before = served.caches()
+            bodies = [served.get(search_path(fresh))[1] for _ in range(6)]
+            after = served.caches()
+            assert {json.loads(body)["snapshot_commit_count"] for body in bodies} == {head}
+            caches_seen = len({json.loads(body).get("replica") for body in bodies})
+            misses = [new["misses"] - old["misses"] for old, new in zip(before, after)]
+            hits = [new["hits"] - old["hits"] for old, new in zip(before, after)]
+            if bound >= 4096:  # at 700 a body does not even fit: all misses
+                assert max(misses) == 1 and sum(misses) == caches_seen
+                assert sum(hits) == 6 - caches_seen
+            else:
+                assert sum(misses) + sum(hits) == 6
+            observed.extend((("search", fresh), 200, body) for body in bodies)
+            for cache in after:
+                assert cache["bytes"] <= bound
+        wave()
+    finally:
+        served.close()
+        engine.close()
+        service_module.RESPONSE_CACHE_MAX_BYTES = default_bound
+
+    assert not failures, failures[0]
+    for (kind, subject), status, body in observed:
+        if status == 404:
+            assert kind == "product"
+            continue
+        parsed = json.loads(body)
+        snapshot, replica = parsed["snapshot_commit_count"], parsed.get("replica")
+        assert (replica is not None) == fleet
+        assert snapshot in prefix_products
+        products = prefix_products[snapshot]
+        if kind == "search":
+            assert body == uncached_search_body(products, snapshot, subject, TOP_K, replica)
+        else:
+            assert body == uncached_product_body(products, snapshot, subject, replica)
+
+
+def test_cache_accounting_survives_more_threads_than_cores(tiny_harness):
+    """Eight keep-alive clients on a 3-worker front, a 10 us switch
+    interval and a committing engine: no request is lost or double
+    counted, no body is stale, and the byte total matches the bodies."""
+    offers = tiny_harness.unmatched_offers
+    engine = SynthesisEngine(**engine_kwargs(tiny_harness))
+    engine.ingest(offers[:10])
+    service = CatalogSearchService.from_engine(engine)
+    served = Served(service)
+    prefix_products = {engine.store.commit_count: list(engine.products())}
+    queries = [" ".join(tokenize_title(offer.title)[:2]) for offer in offers[:5]]
+    clients, rounds = 8, 30
+    bodies = [[] for _ in range(clients)]
+    failures = []
+
+    def client(number):
+        connection = served.connect()
+        try:
+            for turn in range(rounds):
+                query = queries[(number + turn) % len(queries)]
+                status, body = served.get(search_path(query), connection)
+                assert status == 200
+                bodies[number].append((query, body))
+        except Exception as error:  # pragma: no cover - surfaced below
+            failures.append(error)
+        finally:
+            connection.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(n,), daemon=True) for n in range(clients)]
+        for thread in threads:
+            thread.start()
+        for start in range(10, 40, 10):
+            engine.ingest(offers[start : start + 10])
+            prefix_products[engine.store.commit_count] = list(engine.products())
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        stats = service.response_cache_stats()
+        cached = sum(len(body) for body in service._bodies.values())
+    finally:
+        sys.setswitchinterval(interval)
+        served.close()
+        engine.close()
+
+    assert not failures, failures[0]
+    assert stats["hits"] + stats["misses"] == clients * rounds
+    assert stats["bytes"] == cached <= stats["max_bytes"]
+    assert stats["hits"] > 0
+    for query, body in itertools.chain.from_iterable(bodies):
+        snapshot = json.loads(body)["snapshot_commit_count"]
+        assert body == uncached_search_body(prefix_products[snapshot], snapshot, query, TOP_K, None)
+
+
+def make_product(pid, title, pairs=()):
+    return Product(
+        product_id=pid,
+        category_id="computing.hdd",
+        title=title,
+        specification=Specification(list(pairs)),
+    )
+
+
+PRODUCTS = [
+    make_product(
+        "p-1", "Seagate Barracuda 500GB hard drive", [("Brand", "Seagate"), ("Size", "500GB")]
+    ),
+    make_product("p-2", "WD Raptor 150GB hard drive", [("Brand", "WD")]),
+]
+
+
+def put(store, key, title):
+    cluster_id = ("computing.hdd", key)
+    if store.get_cluster(cluster_id) is None:
+        store.create_cluster(0, cluster_id)
+    store.set_product(cluster_id, make_product(f"id-{key}", title))
+
+
+class TestCacheKey:
+    @pytest.fixture
+    def service(self):
+        with CatalogSearchService(CatalogIndex(PRODUCTS)) as service:
+            yield service
+
+    def test_second_identical_request_is_a_hit_with_the_same_bytes(self, service):
+        first = service.search_body("hard drive", top_k=3)
+        assert service.search_body("hard drive", top_k=3) is first
+        stats = service.response_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
+        assert stats["bytes"] == len(first)
+        assert first == uncached_search_body(PRODUCTS, 0, "hard drive", 3, None)
+
+    def test_attribute_order_does_not_split_the_entry(self, service):
+        first = service.search_body("drive", attributes={"Brand": "Seagate", "Size": "500GB"})
+        again = service.search_body("drive", attributes={"Size": "500GB", "Brand": "Seagate"})
+        assert again is first
+        assert [hit["product_id"] for hit in json.loads(first)["results"]] == ["p-1"]
+
+    def test_everything_that_can_change_the_body_is_in_the_key(self, service):
+        requests = [
+            dict(query="hard drive"),
+            dict(query="hard  drive"),  # echoed verbatim in the body
+            dict(query="hard drive", top_k=1),
+            dict(query="hard drive", category="computing.hdd"),
+            dict(query="hard drive", category="cameras"),
+            dict(query="hard drive", attributes={"Brand": "WD"}),
+            dict(query="hard drive", replica=1),
+        ]
+        for request in requests:
+            replica = request.get("replica")
+            expected = dict(request, top_k=request.get("top_k", 10), snapshot=0, replica=replica)
+            assert service.search_body(**request) == uncached_search_body(PRODUCTS, **expected)
+        stats = service.response_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 7, 7)
+
+    def test_url_encodings_of_one_query_share_an_entry(self, service):
+        server = CatalogHTTPServer(("127.0.0.1", 0), service)
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        ).start()
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+        try:
+            bodies = []
+            for query in ("q=hard+drive&k=10", "k=10&q=hard%20drive", "q=hard+drive"):
+                connection.request("GET", f"/search?{query}")
+                bodies.append(connection.getresponse().read())
+            assert len(set(bodies)) == 1
+            stats = service.response_cache_stats()
+            assert (stats["hits"], stats["misses"]) == (2, 1)
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_unknown_product_is_not_cached(self, service):
+        assert service.product_body("p-404") is None
+        assert service.product_body("p-404") is None
+        stats = service.response_cache_stats()
+        assert (stats["entries"], stats["bytes"], stats["misses"]) == (0, 0, 2)
+        body = service.product_body("p-1")
+        assert body == uncached_product_body(PRODUCTS, 0, "p-1", None)
+        assert service.product_body("p-1") is body
+
+
+class TestInvalidation:
+    def test_feed_commit_empties_the_cache(self, tiny_harness):
+        engine = SynthesisEngine(**engine_kwargs(tiny_harness))
+        service = CatalogSearchService.from_engine(engine)
+        try:
+            offers = tiny_harness.unmatched_offers
+            engine.ingest(offers[:10])
+            stale = service.search_body("hard drive")
+            assert service.response_cache_stats()["entries"] == 1
+            engine.ingest(offers[10:20])
+            assert service.response_cache_stats()["entries"] == 0
+            assert service.response_cache_stats()["bytes"] == 0
+            fresh = service.search_body("hard drive")
+            assert json.loads(fresh)["snapshot_commit_count"] == engine.store.commit_count
+            assert json.loads(stale)["snapshot_commit_count"] < engine.store.commit_count
+            assert fresh == uncached_search_body(
+                engine.products(), engine.store.commit_count, "hard drive", 10, None
+            )
+        finally:
+            service.close()
+            engine.close()
+
+    def test_delta_and_full_resync_both_empty_the_cache(self, tmp_path):
+        path = str(tmp_path / "resync.sqlite3")
+        store = SqliteCatalogStore(path)
+        put(store, "a", "alpha seed product")
+        store.commit()
+        service = CatalogSearchService.from_store_path(path)
+        try:
+            assert json.loads(service.search_body("product"))["num_results"] == 1
+            put(store, "b", "beta second product")
+            store.commit()
+            body = service.search_body("product")  # journal-delta resync on the way
+            assert service.resync_stats()["delta_resyncs"] == 1
+            assert json.loads(body)["num_results"] == 2
+            put(store, "c", "gamma third product")
+            store.commit()
+            store.compact_journal()
+            body = service.search_body("product")  # full rebuild on the way
+            assert service.resync_stats()["full_resyncs"] == 2
+            assert json.loads(body)["num_results"] == 3
+            stats = service.response_cache_stats()
+            assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 3, 1)
+        finally:
+            service.close()
+            store.close()
+
+
+class TestBound:
+    def test_bytes_never_exceed_the_bound_and_evictions_are_counted(self, monkeypatch):
+        gauge = get_registry().gauge("serving_response_cache_bytes")
+        baseline = gauge.value
+        with CatalogSearchService(CatalogIndex(PRODUCTS)) as service:
+            one = len(service.search_body("drive 0"))
+            bound = 3 * one + one // 2
+            monkeypatch.setattr(service_module, "RESPONSE_CACHE_MAX_BYTES", bound)
+            for number in range(1, 20):
+                service.search_body(f"drive {number}")
+                stats = service.response_cache_stats()
+                assert stats["bytes"] <= bound
+                assert stats["bytes"] == sum(len(body) for body in service._bodies.values())
+                assert gauge.value - baseline == stats["bytes"]
+            assert stats["entries"] == 3
+            assert stats["evictions"] == 20 - 3
+            # Least recently *used* goes first: touch the oldest survivor,
+            # add one, and the untouched middle one is the victim.
+            service.search_body("drive 17")
+            service.search_body("drive 20")
+            assert service.response_cache_stats()["hits"] == 1
+            assert [key[1] for key in service._bodies] == ["drive 19", "drive 17", "drive 20"]
+        assert gauge.value == baseline  # close() gave the bytes back
+
+    def test_cache_counters_reach_stats_and_the_registry(self):
+        with CatalogSearchService(CatalogIndex(PRODUCTS)) as service:
+            service.search_body("hard drive")
+            service.search_body("hard drive")
+            assert service.stats()["response_cache"]["hits"] == 1
+            fragment = service._metrics_fragment()
+            assert fragment["counters"]["serving_response_cache_hits_total"] == 1
+            assert fragment["counters"]["serving_response_cache_misses_total"] == 1
+            assert "serving_response_cache_evictions_total" in fragment["families"]
