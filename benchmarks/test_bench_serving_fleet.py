@@ -13,8 +13,11 @@ committing batches — and asserts the tentpole's acceptance criteria:
 * clients hold persistent connections (``connects_per_request`` near
   0), so the windows measure the server, not TCP set-up;
 * fleet throughput stays within 20% of the committed
-  ``BENCH_serving_fleet.json`` (fleet vs single is reported only: the
-  whole harness shares one GIL, so it cannot show replica scaling).
+  ``BENCH_serving_fleet.json``;
+* on a multi-core box the fleet's aggregate QPS beats the single
+  replica — a **known failure** (``xfail``, checked last so every guard
+  above still runs): 0.73x at the commit before ISSUE 12 on the 2-core
+  box, 0.57x after it.  See the open item in ROADMAP.md.
 
 Writes ``BENCH_serving_fleet.json`` next to the repo root, or into
 ``$BENCH_OUTPUT_DIR`` when set — CI uploads it as an artifact.
@@ -23,6 +26,7 @@ Writes ``BENCH_serving_fleet.json`` next to the repo root, or into
 import json
 import os
 
+import pytest
 from conftest import run_once
 
 from repro.corpus.config import CorpusPreset
@@ -115,14 +119,6 @@ def test_bench_serving_fleet_closed_loop(benchmark, tmp_path):
     # Replica divergence stays inside the configured bound.
     assert result.fleet.max_lag_observed <= MAX_LAG_COMMITS
 
-    # Fleet vs single is reported, not asserted: clients, writer, front
-    # and every replica share this process's one GIL, so the harness
-    # cannot show replica scaling on any core count (0.82x on the 2-core
-    # box that failed the old ``> 1.0`` check before ISSUE 12, 0.57x
-    # after it — two replica caches each miss what one cache misses
-    # once).  Cross-process numbers come from ``bench/`` (serve_mixed).
-    assert result.fleet_speedup > 0
-
     # Regression guard vs the committed BENCH_serving_fleet.json.
     committed_fleet = committed.get("fleet", {})
     committed_throughput = committed_fleet.get("queries_per_second")
@@ -134,4 +130,17 @@ def test_bench_serving_fleet_closed_loop(benchmark, tmp_path):
             f"fleet throughput regressed more than 20%: "
             f"{result.fleet.queries_per_second:.1f} queries/s now vs "
             f"{committed_throughput:.1f} committed"
+        )
+
+    # The headline claim needs real parallelism underneath: replica
+    # threads on one core just time-slice it, so the fleet-beats-single
+    # check only applies on multi-core hardware.  It is a known failure
+    # there too (clients, writer, front and both replicas share one GIL,
+    # and since ISSUE 12 each replica's response cache misses what the
+    # single service's one cache misses once), so it is an expected
+    # failure, not a silent pass: it starts passing the day it holds.
+    if (os.cpu_count() or 1) >= 2 and not result.fleet_speedup > 1.0:
+        pytest.xfail(
+            f"fleet aggregate QPS did not beat the single replica on a "
+            f"{os.cpu_count()}-core box: {result.fleet_speedup:.2f}x"
         )

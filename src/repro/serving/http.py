@@ -60,6 +60,17 @@ _LINGER_SECONDS = 0.002
 
 _JSON = "application/json"
 
+#: What an endpoint hands back to be sent: status, content type, body.
+Response = Tuple[int, str, bytes]
+
+
+def _json(status: int, payload: Dict[str, object]) -> Response:
+    return status, _JSON, json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _error(status: int, message: str) -> Response:
+    return _json(status, {"error": message})
+
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
     """One client connection and the route table for its requests."""
@@ -102,12 +113,6 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         self.log_request(status, len(body))
         self.wfile.write(head.encode("latin-1") + body)
 
-    def _reply(self, status: int, payload: Dict[str, object]) -> None:
-        self._send(status, _JSON, json.dumps(payload, sort_keys=True).encode("utf-8"))
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
     _ENDPOINTS = ("/search", "/health", "/lag", "/stats", "/metrics", "/metrics.json")
 
     @property
@@ -115,7 +120,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         return self.server.registry  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler contract
-        """Dispatch one GET request to its endpoint (timed per endpoint)."""
+        """Route one GET request, then send its one response (timed per endpoint)."""
         parsed = urlparse(self.path)
         # Bounded label cardinality: known endpoints by literal path,
         # point lookups collapse to "/product", everything else "other".
@@ -127,28 +132,9 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             self._endpoint = "other"
         self._started = time.perf_counter()
         try:
-            if parsed.path == "/search":
-                self._do_search(parse_qs(parsed.query))
-            elif parsed.path.startswith("/product/"):
-                self._do_product(parsed.path[len("/product/") :])
-            elif parsed.path == "/health":
-                self._do_health()
-            elif parsed.path == "/lag":
-                self._do_lag()
-            elif parsed.path == "/stats":
-                self._reply(200, self._target.stats())
-            elif parsed.path == "/metrics":
-                self._send(
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    self._registry.render().encode("utf-8"),
-                )
-            elif parsed.path == "/metrics.json":
-                self._reply(200, self._registry.snapshot())
-            else:
-                self._error(404, f"unknown endpoint {parsed.path!r}")
+            response = self._route(parsed.path, parsed.query)
         except FleetUnavailableError as error:
-            self._error(503, str(error))
+            response = _error(503, str(error))
         except Exception as error:  # noqa: BLE001 - answered, counted, worker lives
             self._registry.counter(
                 "http_requests_failed_total",
@@ -157,7 +143,26 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             ).inc()
             self.log_error("GET %s raised:\n%s", self.path, traceback.format_exc())
             self.close_connection = True
-            self._error(500, f"{type(error).__name__}: {error}")
+            response = _error(500, f"{type(error).__name__}: {error}")
+        self._send(*response)  # outside the try: a client that went away is not a 500
+
+    def _route(self, path: str, query: str) -> Response:
+        if path == "/search":
+            return self._search(parse_qs(query))
+        if path.startswith("/product/"):
+            return self._product(path[len("/product/") :])
+        if path == "/health":
+            return self._health()
+        if path == "/lag":
+            return self._lag()
+        if path == "/stats":
+            return _json(200, self._target.stats())
+        if path == "/metrics":
+            body = self._registry.render().encode("utf-8")
+            return 200, "text/plain; version=0.0.4; charset=utf-8", body
+        if path == "/metrics.json":
+            return _json(200, self._registry.snapshot())
+        return _error(404, f"unknown endpoint {path!r}")
 
     def _parse_search_params(
         self, params: Dict[str, list]
@@ -184,47 +189,41 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             attributes[name] = value
         return query, top_k, category, attributes
 
-    def _do_search(self, params: Dict[str, list]) -> None:
+    def _search(self, params: Dict[str, list]) -> Response:
         try:
             query, top_k, category, attributes = self._parse_search_params(params)
         except ValueError as error:
-            self._error(400, str(error))
-            return
+            return _error(400, str(error))
         body = self._target.search_body(
             query, top_k=top_k, category=category, attributes=attributes
         )
-        self._send(200, _JSON, body)
+        return 200, _JSON, body
 
-    def _do_product(self, product_id: str) -> None:
+    def _product(self, product_id: str) -> Response:
         if not product_id:
-            self._error(400, "missing product id")
-            return
+            return _error(400, "missing product id")
         body = self._target.product_body(product_id)
         if body is None:
-            self._error(404, f"no product with id {product_id!r}")
-            return
-        self._send(200, _JSON, body)
+            return _error(404, f"no product with id {product_id!r}")
+        return 200, _JSON, body
 
-    def _do_health(self) -> None:
+    def _health(self) -> Response:
         if isinstance(self._target, ServingFleet):
             payload = self._target.health()
-            self._reply(200 if payload["healthy"] else 503, payload)
-            return
-        service = self._target
-        self._reply(
+            return _json(200 if payload["healthy"] else 503, payload)
+        return _json(
             200,
             {
                 "healthy": True,
                 "num_replicas": 1,
                 "healthy_replicas": 1,
-                "snapshot_commit_count": service.snapshot_commit_count,  # type: ignore[union-attr]
+                "snapshot_commit_count": self._target.snapshot_commit_count,
             },
         )
 
-    def _do_lag(self) -> None:
+    def _lag(self) -> Response:
         if isinstance(self._target, ServingFleet):
-            self._reply(200, self._target.lag())
-            return
+            return _json(200, self._target.lag())
         service = self._target
         snapshot = service.snapshot_commit_count
         head = service.head_commit_count()
@@ -235,7 +234,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             "lag": max(0, head - snapshot),
             "resync": service.resync_stats(),
         }
-        self._reply(
+        return _json(
             200,
             {
                 "head_commit_count": head,
@@ -247,11 +246,8 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
 
 
 def _next_request_within(handler: CatalogRequestHandler, wait: float) -> bool:
-    """Whether more input is here already or arrives within ``wait`` seconds.
-
-    "Here" includes what a pipelining client sent behind the last request:
-    it sits in ``rfile``'s buffer, where no selector would ever see it.
-    """
+    """Whether more input is here already (``rfile``'s buffer included, where a
+    pipelined request hides from any selector) or arrives within ``wait`` seconds."""
     connection = handler.connection
     try:
         connection.settimeout(0)  # peek at what has arrived without waiting
@@ -381,12 +377,13 @@ class CatalogHTTPServer(ThreadingHTTPServer):
                 self._close(handler)
 
     def _worker_loop(self) -> None:
-        """Answer one ready request at a time, then park its connection.
+        """Answer one ready request at a time, then hand its connection back.
 
-        While nothing else is queued the worker lingers on the connection
-        it just answered: a closed-loop client's next request is a fraction
-        of a millisecond away, and taking it here saves the selector ->
-        queue -> worker hand-off.
+        Only while nothing else is queued does the worker linger on the
+        connection it just answered (a closed-loop client's next request is
+        a fraction of a millisecond away; taking it here saves the selector
+        -> queue -> worker hand-off).  Otherwise it moves on after one
+        request, and a pipelining client's buffered input queues last.
         """
         while True:
             handler = self._ready.get()
@@ -394,12 +391,17 @@ class CatalogHTTPServer(ThreadingHTTPServer):
                 return
             try:
                 handler.handle_one_request()
-                while not handler.close_connection and _next_request_within(
-                    handler, _LINGER_SECONDS if self._ready.empty() else 0.0
+                while (
+                    not handler.close_connection
+                    and self._ready.empty()
+                    and _next_request_within(handler, _LINGER_SECONDS)
                 ):
                     handler.handle_one_request()
                 if not handler.close_connection:
-                    self._park(handler)
+                    if _next_request_within(handler, 0.0):
+                        self._ready.put(handler)  # pipelined: no selector sees rfile's buffer
+                    else:
+                        self._park(handler)
                     continue
             except Exception:  # noqa: BLE001 - reported like a connection thread's; worker lives
                 self.handle_error(handler.request, handler.client_address)
@@ -416,6 +418,8 @@ class CatalogHTTPServer(ThreadingHTTPServer):
             self._ready.put(None)  # behind every queued request, which is still answered
         for worker in self._pool:
             worker.join(timeout=5)
+        while not self._ready.empty():  # pipelining connections re-queued behind the sentinels
+            self._close(self._ready.get())
         for key in list(self._parked.get_map().values()):
             self._close(key.data)
         self._parked.close()

@@ -29,10 +29,9 @@ exactly one committed prefix of the ingest stream (reported as
 ``snapshot_commit_count``), never to a half-applied batch.
 
 The HTTP front asks for serialised bodies (:meth:`search_body`,
-:meth:`product_body`), which go through one bounded **response cache**
-read and written under the service lock and emptied by the assignment
-that moves ``snapshot_commit_count`` — a cached body can never describe
-a snapshot other than the one it reports.
+:meth:`product_body`); they go through one bounded **response cache**,
+used under the service lock and emptied by whatever moves
+``snapshot_commit_count``, so no cached body outlives its snapshot.
 """
 
 from __future__ import annotations
@@ -55,8 +54,13 @@ from repro.synthesis.pipeline import stable_product_id
 
 __all__ = ["CatalogSearchService"]
 
-#: Bound on the bytes of response bodies one service keeps cached.
+#: Bound on the bytes (bodies plus keys) one service keeps cached.
 RESPONSE_CACHE_MAX_BYTES = 2 * 1024 * 1024
+
+
+def _entry_bytes(key: tuple, body: bytes) -> int:
+    """What the cache charges an entry: the key (filters as typed) can outweigh the body."""
+    return len(body) + len(repr(key))
 
 
 class CatalogSearchService:
@@ -186,11 +190,8 @@ class CatalogSearchService:
     # -- maintenance -----------------------------------------------------------
 
     def _move_snapshot(self, commit_count: int) -> None:
-        """Pin the index state just applied; caller holds the lock.
-
-        The only place the served snapshot changes, and therefore the
-        only place the response cache is emptied.
-        """
+        """Pin the index state just applied (caller holds the lock): the only
+        place the served snapshot moves, so the only place the cache empties."""
         self._snapshot_commit_count = commit_count
         self._obs_cache_bytes.dec(self._body_bytes)
         self._bodies.clear()
@@ -375,7 +376,7 @@ class CatalogSearchService:
         Lookup, render and insert share one lock hold, so a body is
         rendered from, stored for and served at exactly one snapshot.
         ``None`` (no such product) is never stored; eviction is least
-        recently used, by total body bytes.
+        recently used, by total :func:`_entry_bytes`.
         """
         self.maybe_resync(max_lag_commits)
         key += (replica,)
@@ -396,10 +397,9 @@ class CatalogSearchService:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             before = self._body_bytes
             self._bodies[key] = body
-            self._body_bytes += len(body)
+            self._body_bytes += _entry_bytes(key, body)
             while self._body_bytes > RESPONSE_CACHE_MAX_BYTES:
-                _, evicted = self._bodies.popitem(last=False)
-                self._body_bytes -= len(evicted)
+                self._body_bytes -= _entry_bytes(*self._bodies.popitem(last=False))
                 self._cache_evictions += 1
             self._obs_cache_bytes.inc(self._body_bytes - before)
             return body

@@ -283,6 +283,35 @@ class TestMultiplexedPool:
         finally:
             front.close()
 
+    def test_a_pipelining_flood_does_not_starve_other_connections(self, monkeypatch):
+        """Input already buffered is no licence to keep the worker: with
+        another connection queued, the flood goes to the back of the line."""
+        flood, answered = 60, []
+
+        def slow_stats():
+            answered.append(time.monotonic())
+            time.sleep(0.01)
+            return {}
+
+        front = Front(1)
+        monkeypatch.setattr(front.service, "stats", slow_stats)
+        try:
+            flooder, replies = front.raw(), []
+            reader = threading.Thread(target=lambda: replies.append(read_until_closed(flooder)))
+            request = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+            closing = b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            flooder.sendall(request * (flood - 1) + closing)
+            reader.start()
+            while not answered:  # the only worker is on the flood now
+                time.sleep(0.001)
+            response, _ = get(front.connect(), "/health")
+            assert response.status == 200
+            assert len(answered) < flood // 2  # old pool: all of them came first
+            reader.join(timeout=10)
+            assert replies and replies[0].count(b"HTTP/1.1 200 OK") == flood  # none lost
+        finally:
+            front.close()
+
     def test_a_stalled_client_does_not_hold_the_only_worker_forever(self, monkeypatch):
         monkeypatch.setattr(CatalogRequestHandler, "timeout", 0.3)
         front = Front(1)
@@ -322,6 +351,34 @@ class TestBoundedRefusal:
         # Same (single) worker, next connection: still serving.
         response, _ = get(front.connect(), "/health")
         assert response.status == 200
+
+    def test_a_client_gone_before_the_reply_is_not_a_failed_request(self, front, monkeypatch):
+        """The send is outside the endpoint's try: no 500, no second write,
+        one latency observation, and the worker lives."""
+        writes = []
+        setup = CatalogRequestHandler.setup
+
+        def broken_setup(handler):
+            setup(handler)
+
+            def gone(data):
+                writes.append(data)
+                raise BrokenPipeError("client went away")
+
+            if not writes:
+                handler.wfile.write = gone
+
+        monkeypatch.setattr(CatalogRequestHandler, "setup", broken_setup)
+        monkeypatch.setattr(front.server, "handle_error", lambda *_: None)  # no traceback
+        with front.raw() as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert read_until_closed(sock) == b""
+        assert len(writes) == 1
+        assert front.counter("http_requests_failed_total") == 0
+        response, _ = get(front.connect(), "/health")
+        assert response.status == 200
+        timed = front.registry.snapshot()["histograms"]
+        assert timed['http_request_seconds{endpoint="/health"}']["count"] == 2
 
     def test_unsupported_method_is_refused_and_closed(self, front):
         with front.raw() as sock:

@@ -290,7 +290,7 @@ def test_cache_accounting_survives_more_threads_than_cores(tiny_harness):
             thread.join(timeout=60)
             assert not thread.is_alive()
         stats = service.response_cache_stats()
-        cached = sum(len(body) for body in service._bodies.values())
+        cached = sum(itertools.starmap(service_module._entry_bytes, service._bodies.items()))
     finally:
         sys.setswitchinterval(interval)
         served.close()
@@ -340,7 +340,7 @@ class TestCacheKey:
         assert service.search_body("hard drive", top_k=3) is first
         stats = service.response_cache_stats()
         assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
-        assert stats["bytes"] == len(first)
+        assert stats["bytes"] == len(first) + len(repr(("search", "hard drive", 3, None, (), None)))
         assert first == uncached_search_body(PRODUCTS, 0, "hard drive", 3, None)
 
     def test_attribute_order_does_not_split_the_entry(self, service):
@@ -448,14 +448,17 @@ class TestBound:
         gauge = get_registry().gauge("serving_response_cache_bytes")
         baseline = gauge.value
         with CatalogSearchService(CatalogIndex(PRODUCTS)) as service:
-            one = len(service.search_body("drive 0"))
+            service.search_body("drive 0")
+            one = service.response_cache_stats()["bytes"]
             bound = 3 * one + one // 2
             monkeypatch.setattr(service_module, "RESPONSE_CACHE_MAX_BYTES", bound)
             for number in range(1, 20):
                 service.search_body(f"drive {number}")
                 stats = service.response_cache_stats()
                 assert stats["bytes"] <= bound
-                assert stats["bytes"] == sum(len(body) for body in service._bodies.values())
+                assert stats["bytes"] == sum(
+                    itertools.starmap(service_module._entry_bytes, service._bodies.items())
+                )
                 assert gauge.value - baseline == stats["bytes"]
             assert stats["entries"] == 3
             assert stats["evictions"] == 20 - 3
@@ -466,6 +469,22 @@ class TestBound:
             assert service.response_cache_stats()["hits"] == 1
             assert [key[1] for key in service._bodies] == ["drive 19", "drive 17", "drive 20"]
         assert gauge.value == baseline  # close() gave the bytes back
+
+    def test_long_unique_filters_are_charged_for_their_keys(self):
+        """A zero-hit body is ~85 bytes whatever the filters say; the key
+        holds every filter as typed, so the key is what must be bounded."""
+        with CatalogSearchService(CatalogIndex(PRODUCTS)) as service:
+            key_bytes = 0
+            for number in range(64):
+                filters = {"Brand": f"{number:04d}" + "x" * 65536}
+                body = service.search_body("drive", attributes=filters)
+                assert json.loads(body)["num_results"] == 0 and len(body) < 200
+                key_bytes += 65536
+                stats = service.response_cache_stats()
+                assert stats["bytes"] <= stats["max_bytes"]
+                held = sum(len(value) for key in service._bodies for _, value in key[4])
+                assert held <= stats["bytes"]
+            assert key_bytes > stats["max_bytes"] and stats["evictions"] > 0
 
     def test_cache_counters_reach_stats_and_the_registry(self):
         with CatalogSearchService(CatalogIndex(PRODUCTS)) as service:
