@@ -4,7 +4,7 @@ Runs :func:`repro.experiments.serving_bench.run_fleet` — N concurrent
 HTTP clients hammering a threaded front while a writer engine keeps
 committing batches — and asserts the tentpole's acceptance criteria:
 
-* both phases (single-replica baseline, replicated fleet) finish their
+* both phases (a fleet of one replica, then the replicated fleet) finish their
   measurement window with zero request errors and populated p50/p95/p99
   latency percentiles;
 * the mixed workload really was mixed: commits landed during both
@@ -17,7 +17,9 @@ committing batches — and asserts the tentpole's acceptance criteria:
 * on a multi-core box the fleet's aggregate QPS beats the single
   replica — a **known failure** (``xfail``, checked last so every guard
   above still runs): 0.73x at the commit before ISSUE 12 on the 2-core
-  box, 0.57x after it.  See the open item in ROADMAP.md.
+  box, 0.57x after it, 0.62-0.89x (median 0.71x of five runs) with
+  ISSUE 13's one shared response cache.
+  See "Replica sizing" in docs/serving.md for what a fleet buys instead.
 
 Writes ``BENCH_serving_fleet.json`` next to the repo root, or into
 ``$BENCH_OUTPUT_DIR`` when set — CI uploads it as an artifact.
@@ -136,8 +138,7 @@ def test_bench_serving_fleet_closed_loop(benchmark, tmp_path):
     # threads on one core just time-slice it, so the fleet-beats-single
     # check only applies on multi-core hardware.  It is a known failure
     # there too (clients, writer, front and both replicas share one GIL,
-    # and since ISSUE 12 each replica's response cache misses what the
-    # single service's one cache misses once), so it is an expected
+    # and every commit is applied once per replica), so it is an expected
     # failure, not a silent pass: it starts passing the day it holds.
     if (os.cpu_count() or 1) >= 2 and not result.fleet_speedup > 1.0:
         pytest.xfail(

@@ -85,9 +85,11 @@ def main() -> None:
     print(f"GET /product/{top['product_id']} -> {product['title']!r}")
     with urllib.request.urlopen(f"{base}/stats") as response:
         stats = json.loads(response.read())
+    replica = stats["replicas"][0]["stats"]
     print(
-        f"GET /stats -> {stats['index']['num_products']} products, "
-        f"{stats['queries_served']} queries served, mode={stats['mode']}"
+        f"GET /stats -> {stats['num_replicas']} replica, "
+        f"{replica['index']['num_products']} products, "
+        f"{stats['queries_served']} queries served, mode={replica['mode']}"
     )
 
     server.shutdown()

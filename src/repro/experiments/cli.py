@@ -50,7 +50,7 @@ clients under mixed ingest (see :func:`repro.experiments.serving_bench.run_fleet
 
 Serve a catalog store over HTTP (read-only; queries run concurrently
 with whatever engine or cluster is writing the file), optionally as a
-replicated fleet with ``/health`` and ``/lag``::
+fleet of several replicas (``/health`` and ``/lag`` report each one)::
 
     repro-synthesize runtime-serve --store-path catalog.sqlite3 --port 8080
     repro-synthesize runtime-serve --store-path catalog.sqlite3 --replicas 2
@@ -364,13 +364,6 @@ def _parse_serving_bench_args(argv: Sequence[str]) -> argparse.Namespace:
         help="SQLite store file (default: BENCH_serving_catalog.sqlite3)",
     )
     parser.add_argument(
-        "--index-backend",
-        choices=["memory", "fts"],
-        default="memory",
-        help="serving index implementation: in-process inverted index or "
-        "SQLite FTS5 (default: memory; rankings are identical either way)",
-    )
-    parser.add_argument(
         "--clients",
         type=int,
         default=0,
@@ -440,21 +433,9 @@ def _parse_serving_bench_args(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-def _fts5_available() -> bool:
-    """Whether this interpreter's SQLite can back ``--index-backend fts``."""
-    # Imported here: the tables/figures paths must not drag serving in.
-    from repro.serving.fts import fts5_available
-
-    return fts5_available()
-
-
 def _run_serving_bench(argv: Sequence[str]) -> int:
     """Dispatch the ``serving-bench`` subcommand (classic or closed-loop)."""
     args = _parse_serving_bench_args(argv)
-    if args.index_backend == "fts" and not _fts5_available():
-        print("serving-bench: this SQLite build lacks FTS5; --index-backend fts "
-              "is unavailable")
-        return 2
     if args.clients:
         fleet_result = serving_bench.run_fleet(
             num_offers=args.offers,
@@ -466,7 +447,6 @@ def _run_serving_bench(argv: Sequence[str]) -> int:
             duration=args.duration,
             replicas=args.replicas,
             threads=args.threads,
-            index_backend=args.index_backend,
         )
         print(fleet_result.to_text())
         if args.json:
@@ -482,7 +462,6 @@ def _run_serving_bench(argv: Sequence[str]) -> int:
         seed=args.seed,
         store=args.store,
         store_path=args.store_path,
-        index_backend=args.index_backend,
     )
     print(result.to_text())
     if args.json:
@@ -519,31 +498,24 @@ def _parse_runtime_serve_args(argv: Sequence[str]) -> argparse.Namespace:
         type=int,
         default=1,
         metavar="N",
-        help="serve a replicated fleet of N snapshot-pinned readers with "
-        "load balancing, /health and /lag (default: 1 = single service)",
+        help="serve N snapshot-pinned replicas of the index behind one "
+        "load-balancing front (default: 1)",
     )
     parser.add_argument(
         "--threads",
         type=int,
         default=None,
         metavar="N",
-        help="bounded HTTP worker pool size (default: one thread per "
-        "connection; with --replicas > 1 defaults to 2*replicas)",
+        help="bounded HTTP worker pool size (default: 2*replicas)",
     )
     parser.add_argument(
         "--max-lag-commits",
         type=int,
         default=2,
         metavar="N",
-        help="fleet divergence bound: replicas may trail the store head "
-        "by up to N commits between refreshes (default: 2)",
-    )
-    parser.add_argument(
-        "--index-backend",
-        choices=["memory", "fts"],
-        default="memory",
-        help="serving index implementation: in-process inverted index or "
-        "SQLite FTS5 (default: memory; rankings are identical either way)",
+        help="divergence bound: a replica may trail the store head by up "
+        "to N commits between refreshes; 0 makes every request read the "
+        "last commit (default: 2)",
     )
     args = parser.parse_args(argv)
     if not 0 <= args.port <= 65_535:
@@ -556,7 +528,7 @@ def _parse_runtime_serve_args(argv: Sequence[str]) -> argparse.Namespace:
         parser.error("--threads must be >= 1")
     if args.max_lag_commits < 0:
         parser.error("--max-lag-commits must be >= 0")
-    if args.threads is None and args.replicas > 1:
+    if args.threads is None:
         args.threads = 2 * args.replicas
     _validate_store_path(parser, args.store_path, must_exist=True)
     return args
@@ -568,39 +540,21 @@ def _run_runtime_serve(argv: Sequence[str]) -> int:
     # stack in for the tables/figures paths.
     from repro.serving.fleet import ServingFleet
     from repro.serving.http import serve
-    from repro.serving.service import CatalogSearchService
 
     args = _parse_runtime_serve_args(argv)
-    if args.index_backend == "fts" and not _fts5_available():
-        print("runtime-serve: this SQLite build lacks FTS5; --index-backend fts "
-              "is unavailable")
-        return 2
-    if args.replicas > 1:
-        fleet = ServingFleet.from_store_path(
-            args.store_path,
-            num_replicas=args.replicas,
-            page_size=args.page_size,
-            max_lag_commits=args.max_lag_commits,
-            refresh_interval=0.1,
-            index_backend=args.index_backend,
-        )
-        lag = fleet.lag()
-        print(
-            f"runtime-serve: fleet of {args.replicas} replicas over "
-            f"{args.store_path} (snapshot {lag['head_commit_count']}, "
-            f"lag bound {args.max_lag_commits}, {args.index_backend} index)"
-        )
-        serve(fleet, host=args.host, port=args.port, max_workers=args.threads)
-        return 0
-    service = CatalogSearchService.from_store_path(
-        args.store_path, page_size=args.page_size, index_backend=args.index_backend
+    fleet = ServingFleet.from_store_path(
+        args.store_path,
+        num_replicas=args.replicas,
+        page_size=args.page_size,
+        max_lag_commits=args.max_lag_commits,
+        refresh_interval=0.1,
     )
     print(
-        f"runtime-serve: {service.num_products:,} products from "
-        f"{args.store_path} (snapshot {service.snapshot_commit_count}, "
-        f"{args.index_backend} index)"
+        f"runtime-serve: {args.replicas} replica(s) over {args.store_path} "
+        f"(snapshot {fleet.lag()['head_commit_count']}, "
+        f"lag bound {args.max_lag_commits})"
     )
-    serve(service, host=args.host, port=args.port, max_workers=args.threads)
+    serve(fleet, host=args.host, port=args.port, max_workers=args.threads)
     return 0
 
 

@@ -26,7 +26,7 @@ A third, **closed-loop** mode (:func:`run_fleet`, CLI ``serving-bench
 real HTTP: N client threads issue back-to-back searches against a
 :class:`~repro.serving.fleet.ServingFleet` behind the worker-pool
 server while a writer keeps committing ingest batches, and the same
-workload is replayed against a single-replica baseline on an identical
+workload is replayed against a fleet of one replica on an identical
 copy of the store.  It reports aggregate QPS plus p50/p95/p99 latency
 under mixed ingest and writes ``BENCH_serving_fleet.json`` (regression
 reference for ``benchmarks/test_bench_serving_fleet.py``).
@@ -102,8 +102,6 @@ class ServingBenchResult:
     num_batches: int
     seed: int
     store: str
-    #: Which index backend served the queries (``memory`` or ``fts``).
-    index_backend: str
     num_products: int
     num_queries: int
     top_k: int
@@ -134,7 +132,6 @@ class ServingBenchResult:
             "num_batches": self.num_batches,
             "seed": self.seed,
             "store": self.store,
-            "index_backend": self.index_backend,
             "num_products": self.num_products,
             "num_queries": self.num_queries,
             "top_k": self.top_k,
@@ -164,8 +161,7 @@ class ServingBenchResult:
             f"(seed {self.seed}) -> {self.num_products:,} products, "
             f"{self.index_vocabulary:,} index tokens",
             f"  build           : {self.build_seconds:8.2f}s "
-            f"(ingest + incremental index maintenance, {self.store} store, "
-            f"{self.index_backend} index)",
+            f"(ingest + incremental index maintenance, {self.store} store)",
             f"  queries         : {self.num_queries:,} top-{self.top_k} searches "
             f"({self.queries_with_hits:,} with hits)",
             f"  throughput      : {self.queries_per_second:8,.0f} queries/s",
@@ -231,14 +227,8 @@ def _mixed_run(
     store: str,
     store_path: Optional[str],
     queries_per_batch: int,
-    index_backend: str = "memory",
 ) -> MixedRunResult:
-    """Interleave ingest and queries on one backend; verify isolation.
-
-    The reference index of the proof below is always the memory
-    :class:`CatalogIndex`, so with ``index_backend="fts"`` this doubles
-    as a cross-backend equivalence check under live ingest.
-    """
+    """Interleave ingest and queries on one backend; verify isolation."""
     clear_text_caches()
     if store == "sqlite":
         _remove_sqlite_files(store_path)  # type: ignore[arg-type]
@@ -252,12 +242,9 @@ def _mixed_run(
     # SQLite backend: reader-driven service over the live WAL file — a
     # second connection querying concurrently with the writer.
     if store == "sqlite":
-        service = CatalogSearchService.from_store_path(
-            store_path,  # type: ignore[arg-type]
-            index_backend=index_backend,
-        )
+        service = CatalogSearchService.from_store_path(store_path)  # type: ignore[arg-type]
     else:
-        service = CatalogSearchService.from_engine(engine, index_backend=index_backend)
+        service = CatalogSearchService.from_engine(engine)
 
     #: commit_count -> products of that committed prefix.
     prefix_products: Dict[int, List[Product]] = {}
@@ -316,24 +303,16 @@ def run(
     store_path: Optional[str] = None,
     harness: Optional[ExperimentHarness] = None,
     mixed_queries_per_batch: int = 25,
-    index_backend: str = "memory",
 ) -> ServingBenchResult:
     """Run both serving-benchmark phases and return the measurements.
 
     Parameters mirror :func:`repro.experiments.runtime_bench.run` where
     they overlap; ``num_queries`` sizes the throughput workload, and
     ``mixed_queries_per_batch`` the per-commit query burst of the mixed
-    phase (which always runs on both backends).  ``index_backend``
-    selects the serving index implementation (``memory`` or ``fts``);
-    the mixed-phase proof always checks against the memory reference, so
-    an ``fts`` run proves cross-backend ranking equivalence at scale.
+    phase (which always runs on both backends).
     """
     if store not in ("memory", "sqlite"):
         raise ValueError(f"store must be 'memory' or 'sqlite', got {store!r}")
-    if index_backend not in ("memory", "fts"):
-        raise ValueError(
-            f"index_backend must be 'memory' or 'fts', got {index_backend!r}"
-        )
     if store == "sqlite" and store_path is None:
         raise ValueError("store='sqlite' requires store_path")
     # The artifact's metrics section should cover this run only.
@@ -351,7 +330,7 @@ def run(
     if store == "sqlite":
         _remove_sqlite_files(store_path)  # type: ignore[arg-type]
     engine = _engine(harness, executor="serial", store=store, store_path=store_path)
-    service = CatalogSearchService.from_engine(engine, index_backend=index_backend)
+    service = CatalogSearchService.from_engine(engine)
     build_start = time.perf_counter()
     for batch in batches:
         engine.ingest(batch)
@@ -384,7 +363,6 @@ def run(
         num_batches=len(batches),
         seed=seed,
         store=store,
-        index_backend=index_backend,
         num_products=len(products),
         num_queries=len(queries),
         top_k=top_k,
@@ -403,28 +381,12 @@ def run(
     # -- phase 2: mixed ingest+query isolation proof on both backends
     mixed_path = None if store_path is None else store_path + ".mixed"
     result.mixed.append(
-        _mixed_run(
-            harness,
-            batches,
-            queries,
-            top_k,
-            "memory",
-            None,
-            mixed_queries_per_batch,
-            index_backend=index_backend,
-        )
+        _mixed_run(harness, batches, queries, top_k, "memory", None, mixed_queries_per_batch)
     )
     if mixed_path is not None:
         result.mixed.append(
             _mixed_run(
-                harness,
-                batches,
-                queries,
-                top_k,
-                "sqlite",
-                mixed_path,
-                mixed_queries_per_batch,
-                index_backend=index_backend,
+                harness, batches, queries, top_k, "sqlite", mixed_path, mixed_queries_per_batch
             )
         )
     return result
@@ -435,9 +397,9 @@ def run(
 
 @dataclass
 class FleetPhaseResult:
-    """One closed-loop phase: N clients hammering one serving target."""
+    """One closed-loop phase: N clients hammering one serving fleet."""
 
-    #: ``"single"`` (one replica, the PR-5 serving shape) or ``"fleet"``.
+    #: ``"single"`` (a fleet of one replica) or ``"fleet"``.
     mode: str
     replicas: int
     #: HTTP worker-pool size.
@@ -577,16 +539,14 @@ def _closed_loop_phase(
     replicas: int,
     threads: int,
     max_lag_commits: int,
-    index_backend: str = "memory",
 ) -> Tuple[FleetPhaseResult, Dict[str, object]]:
-    """One measurement window: clients vs one serving target over HTTP.
+    """One measurement window: clients vs one serving fleet over HTTP.
 
-    ``mode="single"`` serves a lone reader-driven service (every request
-    checks the head and resyncs inline — the PR-5 shape); ``"fleet"``
-    serves ``replicas`` lag-bounded replicas with a background refresher
-    so rebuilds stay off the request path.  The writer engine ingests
-    ``live_batches`` paced across the window either way, so both phases
-    face the same commit pressure on identical store copies.
+    The fleet serves ``replicas`` lag-bounded replicas with a background
+    refresher, so rebuilds stay off the request path; ``mode`` only
+    labels the phase (``"single"`` is the run with one replica).  The
+    writer engine ingests ``live_batches`` paced across the window, so
+    every phase faces the same commit pressure on identical store copies.
 
     Returns the phase measurements plus the metrics-registry snapshot of
     the window (the registry is cleared on entry, so the snapshot covers
@@ -596,19 +556,13 @@ def _closed_loop_phase(
     registry = get_registry()
     registry.clear()
     writer = _engine(harness, executor="serial", store="sqlite", store_path=store_path)
-    if mode == "fleet":
-        target = ServingFleet.from_store_path(
-            store_path,
-            num_replicas=replicas,
-            max_lag_commits=max_lag_commits,
-            refresh_interval=0.05,
-            index_backend=index_backend,
-        )
-    else:
-        target = CatalogSearchService.from_store_path(
-            store_path, index_backend=index_backend
-        )
-    server = CatalogHTTPServer(("127.0.0.1", 0), target, max_workers=threads)
+    fleet = ServingFleet.from_store_path(
+        store_path,
+        num_replicas=replicas,
+        max_lag_commits=max_lag_commits,
+        refresh_interval=0.05,
+    )
+    server = CatalogHTTPServer(("127.0.0.1", 0), fleet, max_workers=threads)
     host, port = server.server_address[:2]
     server_thread = threading.Thread(target=server.serve_forever, daemon=True)
     server_thread.start()
@@ -622,12 +576,8 @@ def _closed_loop_phase(
             if stop.wait(interval):
                 return
             writer.ingest(batch)
-            lag = (
-                target.lag()["max_lag"]  # type: ignore[index]
-                if mode == "fleet"
-                else target.lag()
-            )
-            max_lag_observed[0] = max(max_lag_observed[0], int(lag))  # type: ignore[arg-type]
+            lag = fleet.lag()["max_lag"]
+            max_lag_observed[0] = max(max_lag_observed[0], int(lag))  # type: ignore[call-overload]
 
     per_client_latencies: List[List[float]] = [[] for _ in range(clients)]
     per_client_errors = [0] * clients
@@ -685,11 +635,11 @@ def _closed_loop_phase(
     writer_thread.join()
     window_seconds = time.perf_counter() - window_start
 
-    # Snapshot while the target and writer still bridge their counters.
+    # Snapshot while the fleet and writer still bridge their counters.
     metrics_snapshot = registry.snapshot()
     server.shutdown()
     server.server_close()
-    target.close()
+    fleet.close()
     writer.close()
 
     latencies = sorted(
@@ -698,7 +648,7 @@ def _closed_loop_phase(
     requests = len(latencies)
     phase = FleetPhaseResult(
         mode=mode,
-        replicas=replicas if mode == "fleet" else 1,
+        replicas=replicas,
         threads=threads,
         clients=clients,
         duration_seconds=window_seconds,
@@ -728,9 +678,8 @@ def run_fleet(
     threads: Optional[int] = None,
     max_lag_commits: int = 2,
     harness: Optional[ExperimentHarness] = None,
-    index_backend: str = "memory",
 ) -> FleetBenchResult:
-    """Closed-loop fleet stress: single-replica baseline vs the fleet.
+    """Closed-loop fleet stress: a fleet of one replica vs the fleet.
 
     Builds one catalog store from the first ~2/3 of the stream, then
     runs two measurement windows of ``duration`` seconds each on
@@ -771,7 +720,7 @@ def run_fleet(
 
     phases: Dict[str, FleetPhaseResult] = {}
     phase_metrics: Dict[str, Dict[str, object]] = {}
-    for mode in ("single", "fleet"):
+    for mode, phase_replicas in (("single", 1), ("fleet", replicas)):
         phase_path = f"{store_path}.{mode}"
         _copy_store(store_path, phase_path)
         try:
@@ -784,10 +733,9 @@ def run_fleet(
                 top_k,
                 clients,
                 duration,
-                replicas,
+                phase_replicas,
                 threads,
                 max_lag_commits,
-                index_backend=index_backend,
             )
         finally:
             _remove_sqlite_files(phase_path)

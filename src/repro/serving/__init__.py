@@ -12,12 +12,6 @@ propagation from the transactional side):
     ranked search, category/attribute filters, and faceted counts;
     maintained incrementally from the engine's commit feed with a
     full-rebuild fallback.
-``fts``
-    :class:`~repro.serving.fts.FtsCatalogIndex` — the SQLite FTS5
-    backend behind the same index surface: documents, postings and the
-    ``product_search`` virtual table live in SQLite instead of Python
-    dicts, with rankings provably bit-identical to the memory index
-    (select with ``--index-backend fts``).
 ``reader``
     :class:`~repro.serving.reader.CatalogReader` — a read-only WAL
     connection onto the shared store file, so queries run concurrently
@@ -33,16 +27,16 @@ propagation from the transactional side):
     :class:`~repro.serving.fleet.ServingFleet` — N replicated services
     over one shared store behind a least-in-flight front: per-request
     snapshot pinning, bounded divergence (``max_lag_commits``) with a
-    background refresher, fault route-around, and replica restart.
+    background refresher, fault route-around, replica restart, and the
+    one response cache every replica shares.
 ``http``
     Stdlib JSON endpoints (``/search``, ``/product/<id>``, ``/health``,
     ``/lag``, ``/stats``) behind the ``runtime-serve`` CLI command,
-    fronting either a single service or a fleet, optionally with a
-    bounded worker pool.
+    fronting a fleet (a single service is a fleet of one), optionally
+    with a bounded worker pool.
 """
 
 from repro.serving.fleet import FleetSearchResponse, FleetUnavailableError, ServingFleet
-from repro.serving.fts import FtsCatalogIndex, create_catalog_index, fts5_available
 from repro.serving.http import CatalogHTTPServer, serve
 from repro.serving.index import CatalogIndex, SearchResult
 from repro.serving.reader import CatalogReader, StaleSnapshotError
@@ -50,9 +44,6 @@ from repro.serving.service import CatalogSearchService
 
 __all__ = [
     "CatalogIndex",
-    "FtsCatalogIndex",
-    "create_catalog_index",
-    "fts5_available",
     "SearchResult",
     "CatalogReader",
     "StaleSnapshotError",

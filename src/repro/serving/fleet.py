@@ -26,24 +26,40 @@ load-balances queries across them:
   time, fleet-wide), so a busy writer never stalls every replica at
   once.  :meth:`refresh_once` is the same step, callable
   deterministically.
+* **Response cache** — the HTTP front asks for serialised bodies
+  (:meth:`ServingFleet.search_body`, :meth:`ServingFleet.product_body`);
+  they go through one bounded cache per fleet, keyed by ``(snapshot,
+  request)``.  A snapshot names one committed prefix, so an entry never
+  goes stale and replicas pinned to the same snapshot share it.
 
-The fleet exposes the same query surface as a single service, so the
-HTTP layer serves either interchangeably.
+The fleet is the only thing the HTTP layer serves: a single service is
+a fleet of one.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.model.persistence import product_to_dict
 from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.runtime.engine import SynthesisEngine
 from repro.serving.index import SearchResult
 from repro.serving.service import CatalogSearchService
 
 __all__ = ["FleetSearchResponse", "FleetUnavailableError", "ServingFleet"]
+
+#: Bound on the bytes (bodies plus keys) one fleet keeps cached.
+RESPONSE_CACHE_MAX_BYTES = 2 * 1024 * 1024
+
+
+def _entry_bytes(key: tuple, body: bytes) -> int:
+    """What the cache charges an entry: the key (filters as typed) can outweigh the body."""
+    return len(body) + len(repr(key))
 
 
 class FleetUnavailableError(RuntimeError):
@@ -103,7 +119,6 @@ class ServingFleet:
         max_cached_pages: int = 64,
         max_lag_commits: int = 0,
         refresh_interval: Optional[float] = None,
-        index_backend: str = "memory",
     ) -> None:
         if not services:
             raise ValueError("a serving fleet needs at least one replica service")
@@ -119,11 +134,17 @@ class ServingFleet:
         self._page_size = page_size
         self._max_cached_pages = max_cached_pages
         self._max_lag_commits = max_lag_commits
-        self._index_backend = index_backend
         self._lock = threading.Lock()
         self._cursor = 0
         self._failovers = 0
         self._closed = False
+        # Response cache: (snapshot, request) -> serialised body minus its
+        # replica field, least recently used first (guarded by ``_lock``).
+        self._bodies: "OrderedDict[tuple, bytes]" = OrderedDict()
+        self._body_bytes = 0
+        self._cache_hits = 0
+        self._cache_misses = 0
+        self._cache_evictions = 0
         self._head = head if head is not None else self._default_head
         # Observability: per-replica pinned-snapshot lag rides the
         # registry as labelled gauges, read through a weakref provider
@@ -159,7 +180,6 @@ class ServingFleet:
         max_cached_pages: int = 64,
         max_lag_commits: int = 0,
         refresh_interval: Optional[float] = None,
-        index_backend: str = "memory",
     ) -> "ServingFleet":
         """N reader-driven replicas over one shared WAL store file.
 
@@ -170,10 +190,7 @@ class ServingFleet:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
         services = [
             CatalogSearchService.from_store_path(
-                path,
-                page_size=page_size,
-                max_cached_pages=max_cached_pages,
-                index_backend=index_backend,
+                path, page_size=page_size, max_cached_pages=max_cached_pages
             )
             for _ in range(num_replicas)
         ]
@@ -184,16 +201,10 @@ class ServingFleet:
             max_cached_pages=max_cached_pages,
             max_lag_commits=max_lag_commits,
             refresh_interval=refresh_interval,
-            index_backend=index_backend,
         )
 
     @classmethod
-    def from_engine(
-        cls,
-        engine: SynthesisEngine,
-        num_replicas: int = 2,
-        index_backend: str = "memory",
-    ) -> "ServingFleet":
+    def from_engine(cls, engine: SynthesisEngine, num_replicas: int = 2) -> "ServingFleet":
         """N feed-driven replicas subscribed to one live engine.
 
         Feed replicas are maintained synchronously at each commit, so
@@ -202,11 +213,8 @@ class ServingFleet:
         """
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        services = [
-            CatalogSearchService.from_engine(engine, index_backend=index_backend)
-            for _ in range(num_replicas)
-        ]
-        return cls(services, engine=engine, index_backend=index_backend)
+        services = [CatalogSearchService.from_engine(engine) for _ in range(num_replicas)]
+        return cls(services, engine=engine)
 
     def _default_head(self) -> int:
         """Store-head commit counter when no explicit ``head`` was given."""
@@ -285,8 +293,8 @@ class ServingFleet:
             self._failovers += 1
 
     def _run(self, operation: str, runner):
-        """Execute ``runner(service, replica_id)`` on a healthy replica,
-        routing around failures; returns ``(replica_id, outcome)``."""
+        """Execute ``runner(service)`` on a healthy replica, routing around
+        failures; returns ``(replica_id, outcome)``."""
         last_error: Optional[BaseException] = None
         for _ in range(len(self._replicas) + 1):
             try:
@@ -298,7 +306,7 @@ class ServingFleet:
             try:
                 if replica.fault_hook is not None:
                     replica.fault_hook(operation)
-                outcome = runner(service, replica.replica_id)
+                outcome = runner(service)
                 served = True
             except Exception as error:  # noqa: BLE001 - any failure fails over
                 # A handle that lost a concurrent restart_replica race
@@ -329,7 +337,7 @@ class ServingFleet:
         """Ranked top-k search on one replica, pinned to its snapshot."""
         replica_id, (snapshot, results) = self._run(
             "search",
-            lambda service, _: service.search_pinned(
+            lambda service: service.search_pinned(
                 query,
                 top_k=top_k,
                 category=category,
@@ -343,11 +351,51 @@ class ServingFleet:
         """Point lookup; returns ``(replica_id, snapshot, product-or-None)``."""
         replica_id, (snapshot, product) = self._run(
             "get_product",
-            lambda service, _: service.get_product_pinned(
+            lambda service: service.get_product_pinned(
                 product_id, max_lag_commits=self._max_lag_commits
             ),
         )
         return replica_id, snapshot, product
+
+    def _body(self, operation: str, request: tuple, pinned, render) -> Optional[bytes]:
+        """The serialised body for ``request``, rendered once per snapshot.
+
+        ``pinned(service)`` returns ``(snapshot, result)`` atomically and
+        ``render(result)`` the JSON payload (``None``: nothing to serve,
+        never cached).  The body is stored under the snapshot it was
+        rendered from and without a replica, so every replica pinned to
+        that snapshot is answered from the one entry; the ``replica``
+        field goes in front when the body is handed out.
+        """
+
+        def runner(service: CatalogSearchService) -> Optional[bytes]:
+            service.maybe_resync(self._max_lag_commits)
+            key = (service.snapshot_commit_count,) + request
+            with self._lock:
+                body = self._bodies.get(key)
+                if body is not None:
+                    self._cache_hits += 1
+                    self._bodies.move_to_end(key)
+                    return body
+                self._cache_misses += 1
+            snapshot, result = pinned(service)
+            payload = render(result)
+            if payload is None:
+                return None
+            payload["snapshot_commit_count"] = snapshot
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")[1:]
+            key = (snapshot,) + request
+            with self._lock:
+                if key not in self._bodies:  # a racing miss may have stored it
+                    self._bodies[key] = body
+                    self._body_bytes += _entry_bytes(key, body)
+                    while self._body_bytes > RESPONSE_CACHE_MAX_BYTES:
+                        self._body_bytes -= _entry_bytes(*self._bodies.popitem(last=False))
+                        self._cache_evictions += 1
+            return body
+
+        replica_id, body = self._run(operation, runner)
+        return None if body is None else b'{"replica": %d, ' % replica_id + body
 
     def search_body(
         self,
@@ -356,32 +404,42 @@ class ServingFleet:
         category: Optional[str] = None,
         attributes: Optional[Dict[str, str]] = None,
     ) -> bytes:
-        """The ``/search`` body from one replica's response cache."""
-        return self._run(
+        """The ``/search`` response body: :meth:`search`, serialised.
+
+        ``json.dumps(..., sort_keys=True)`` of the query, the pinned
+        snapshot and the ranked hits, behind the ``replica`` that
+        answered.  A request its snapshot already answered comes from
+        the response cache — no search, no ``to_dict``, no
+        ``json.dumps`` — byte-identical to a fresh render.
+        """
+        filters = tuple(sorted(attributes.items())) if attributes else ()
+        return self._body(  # type: ignore[return-value]
             "search",
-            lambda service, replica_id: service.search_body(
-                query,
-                top_k=top_k,
-                category=category,
-                attributes=attributes,
-                max_lag_commits=self._max_lag_commits,
-                replica=replica_id,
+            ("search", query, top_k, category, filters),
+            lambda service: service.search_pinned(
+                query, top_k=top_k, category=category, attributes=attributes, auto_resync=False
             ),
-        )[1]
+            lambda results: {
+                "query": query,
+                "top_k": top_k,
+                "num_results": len(results),
+                "results": [result.to_dict() for result in results],
+            },
+        )
 
     def product_body(self, product_id: str) -> Optional[bytes]:
-        """The ``/product/<id>`` body (``None``: no such product)."""
-        return self._run(
+        """The ``/product/<id>`` response body (``None``: no such product)."""
+        return self._body(
             "get_product",
-            lambda service, replica_id: service.product_body(
-                product_id, max_lag_commits=self._max_lag_commits, replica=replica_id
-            ),
-        )[1]
+            ("product", product_id),
+            lambda service: service.get_product_pinned(product_id, auto_resync=False),
+            lambda product: None if product is None else product_to_dict(product),
+        )
 
     def count_by_category(self) -> Dict[str, int]:
         """Category facet of one replica's served snapshot."""
         return self._run(
-            "count_by_category", lambda service, _: service.count_by_category()
+            "count_by_category", lambda service: service.count_by_category()
         )[1]
 
     # -- maintenance -----------------------------------------------------------
@@ -449,12 +507,9 @@ class ServingFleet:
                 self._store_path,
                 page_size=self._page_size,
                 max_cached_pages=self._max_cached_pages,
-                index_backend=self._index_backend,
             )
         elif self._engine is not None:
-            fresh = CatalogSearchService.from_engine(
-                self._engine, index_backend=self._index_backend
-            )
+            fresh = CatalogSearchService.from_engine(self._engine)
         else:
             raise RuntimeError(
                 "this fleet was built from detached services; there is no "
@@ -476,7 +531,8 @@ class ServingFleet:
 
         Per-replica pinned-snapshot lag (against the store head, one
         cheap ``meta`` row read on reader fleets) plus health flags as
-        labelled gauges, and failover/restart counters.
+        labelled gauges, failover/restart counters, and the response
+        cache's counters and size.
         """
         try:
             head = self._head()
@@ -485,8 +541,16 @@ class ServingFleet:
         with self._lock:
             replicas = list(self._replicas)
             failovers = self._failovers
-        gauges: Dict[str, float] = {"serving_fleet_head_commit_count": float(head)}
-        counters: Dict[str, float] = {}
+        cache = self.response_cache_stats()
+        gauges: Dict[str, float] = {
+            "serving_fleet_head_commit_count": float(head),
+            "serving_response_cache_bytes": float(cache["bytes"]),
+        }
+        counters: Dict[str, float] = {
+            f"serving_response_cache_{event}_total": float(cache[event])
+            for event in ("hits", "misses", "evictions")
+            if cache[event]
+        }
         restarts = 0
         for replica in replicas:
             try:
@@ -533,7 +597,16 @@ class ServingFleet:
                 "type": "counter",
                 "help": "Replica services replaced via restart_replica.",
             },
+            "serving_response_cache_bytes": {
+                "type": "gauge",
+                "help": "Bytes of serialised response bodies (and keys) cached.",
+            },
         }
+        for event in ("hits", "misses", "evictions"):
+            families[f"serving_response_cache_{event}_total"] = {
+                "type": "counter",
+                "help": f"Response-cache {event} (see docs/observability.md).",
+            }
         return snapshot_fragment(counters=counters, gauges=gauges, families=families)
 
     def health(self) -> Dict[str, object]:
@@ -564,6 +637,18 @@ class ServingFleet:
             "replicas": replicas,
         }
 
+    def response_cache_stats(self) -> Dict[str, int]:
+        """Response-cache counters and current size (``/stats`` reports them)."""
+        with self._lock:
+            return {
+                "hits": self._cache_hits,
+                "misses": self._cache_misses,
+                "evictions": self._cache_evictions,
+                "entries": len(self._bodies),
+                "bytes": self._body_bytes,
+                "max_bytes": RESPONSE_CACHE_MAX_BYTES,
+            }
+
     def lag(self) -> Dict[str, object]:
         """Per-replica divergence from the store head (the ``/lag`` body).
 
@@ -573,9 +658,9 @@ class ServingFleet:
         path enforces, so ``lag <= max_lag_commits`` is the invariant
         an operator alerts on (modulo the one-resync race while a
         refresh is in flight).  Each entry also carries the replica's
-        resync-mode counters under the nested ``resync`` key (the same
-        shape a single service's ``/stats`` uses), so operators can tell
-        journal-delta catch-ups apart from full index rebuilds.
+        resync-mode counters under the nested ``resync`` key, so
+        operators can tell journal-delta catch-ups apart from full
+        index rebuilds.
         """
         head = self._head()
         replicas = []
@@ -600,9 +685,9 @@ class ServingFleet:
     def stats(self) -> Dict[str, object]:
         """JSON-compatible fleet statistics (the ``/stats`` body).
 
-        The nested ``resync`` key aggregates the replicas' resync-mode
-        counters — the same normalized shape a single service's
-        ``/stats`` reports, so dashboards read one path for both.
+        The nested ``resync`` key sums the replicas' resync-mode
+        counters; each replica's own service statistics (index, page
+        cache, category facet) sit under ``replicas[i]["stats"]``.
         """
         health = self.health()
         with self._lock:
@@ -613,12 +698,12 @@ class ServingFleet:
                 resync_totals[key] = resync_totals.get(key, 0) + value
         payload: Dict[str, object] = {
             "mode": "fleet",
-            "index_backend": self._index_backend,
             "num_replicas": len(self._replicas),
             "healthy_replicas": health["healthy_replicas"],
             "failovers": health["failovers"],
             "queries_served": total_queries,
             "resync": resync_totals,
+            "response_cache": self.response_cache_stats(),
             "max_lag_commits": self._max_lag_commits,
             "refresh_interval": self._refresh_interval,
             "replicas": [

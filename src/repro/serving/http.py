@@ -20,13 +20,14 @@ occupy) that answers
 Every request is timed into the ``http_request_seconds`` histogram,
 labelled by endpoint.
 
-The server fronts either a single
-:class:`~repro.serving.service.CatalogSearchService` or a whole
-:class:`~repro.serving.fleet.ServingFleet`; both hand ``/search`` and
-``/product`` back as serialised bodies (from the service's response
-cache when the pinned snapshot already answered the request).  All
-query semantics (ranking, filters, snapshot discipline, load balancing,
-route-around) live below the HTTP layer.
+The server fronts a :class:`~repro.serving.fleet.ServingFleet` (a bare
+:class:`~repro.serving.service.CatalogSearchService` becomes a fleet of
+one when the server is built), which hands ``/search`` and ``/product``
+back as serialised bodies (from its response cache when the pinned
+snapshot already answered the request) and builds the ``/health``,
+``/lag`` and ``/stats`` payloads.  All query semantics (ranking,
+filters, snapshot discipline, load balancing, route-around) live below
+the HTTP layer.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.obs import MetricsRegistry, get_registry
 from repro.serving.fleet import FleetUnavailableError, ServingFleet
@@ -50,9 +51,6 @@ __all__ = ["CatalogHTTPServer", "CatalogRequestHandler", "serve"]
 
 #: Hard cap on ``k`` so a typo cannot ask the index for a million hits.
 _MAX_TOP_K = 1000
-
-#: Either back end the server can front.
-ServingTarget = Union[CatalogSearchService, ServingFleet]
 
 #: Seconds a pool worker that just answered waits on the same connection
 #: for the client's next request before parking the connection.
@@ -92,8 +90,8 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     @property
-    def _target(self) -> ServingTarget:
-        return self.server.service  # type: ignore[attr-defined]
+    def _fleet(self) -> ServingFleet:
+        return self.server.fleet  # type: ignore[attr-defined]
 
     def _send(self, status: int, content_type: str, body: bytes) -> None:
         """Count the request, then write status line, headers and body in one send."""
@@ -150,13 +148,14 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         if path == "/search":
             return self._search(parse_qs(query))
         if path.startswith("/product/"):
-            return self._product(path[len("/product/") :])
+            return self._product(unquote(path[len("/product/") :]))
         if path == "/health":
-            return self._health()
+            health = self._fleet.health()
+            return _json(200 if health["healthy"] else 503, health)
         if path == "/lag":
-            return self._lag()
+            return _json(200, self._fleet.lag())
         if path == "/stats":
-            return _json(200, self._target.stats())
+            return _json(200, self._fleet.stats())
         if path == "/metrics":
             body = self._registry.render().encode("utf-8")
             return 200, "text/plain; version=0.0.4; charset=utf-8", body
@@ -194,7 +193,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             query, top_k, category, attributes = self._parse_search_params(params)
         except ValueError as error:
             return _error(400, str(error))
-        body = self._target.search_body(
+        body = self._fleet.search_body(
             query, top_k=top_k, category=category, attributes=attributes
         )
         return 200, _JSON, body
@@ -202,47 +201,10 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
     def _product(self, product_id: str) -> Response:
         if not product_id:
             return _error(400, "missing product id")
-        body = self._target.product_body(product_id)
+        body = self._fleet.product_body(product_id)
         if body is None:
             return _error(404, f"no product with id {product_id!r}")
         return 200, _JSON, body
-
-    def _health(self) -> Response:
-        if isinstance(self._target, ServingFleet):
-            payload = self._target.health()
-            return _json(200 if payload["healthy"] else 503, payload)
-        return _json(
-            200,
-            {
-                "healthy": True,
-                "num_replicas": 1,
-                "healthy_replicas": 1,
-                "snapshot_commit_count": self._target.snapshot_commit_count,
-            },
-        )
-
-    def _lag(self) -> Response:
-        if isinstance(self._target, ServingFleet):
-            return _json(200, self._target.lag())
-        service = self._target
-        snapshot = service.snapshot_commit_count
-        head = service.head_commit_count()
-        entry: Dict[str, object] = {
-            "replica_id": 0,
-            "healthy": True,
-            "snapshot_commit_count": snapshot,
-            "lag": max(0, head - snapshot),
-            "resync": service.resync_stats(),
-        }
-        return _json(
-            200,
-            {
-                "head_commit_count": head,
-                "max_lag_commits": 0,
-                "max_lag": max(0, head - snapshot),
-                "replicas": [entry],
-            },
-        )
 
 
 def _next_request_within(handler: CatalogRequestHandler, wait: float) -> bool:
@@ -267,7 +229,12 @@ def _next_request_within(handler: CatalogRequestHandler, wait: float) -> bool:
 
 
 class CatalogHTTPServer(ThreadingHTTPServer):
-    """An HTTP/1.1 keep-alive server bound to one service or serving fleet.
+    """An HTTP/1.1 keep-alive server bound to one serving fleet.
+
+    A bare :class:`CatalogSearchService` is wrapped as a fleet of one
+    (lag bound 0, no refresher: every request reads its last commit);
+    the wrapper, and the service with it, is closed by
+    :meth:`server_close`.  A fleet handed in stays the caller's to close.
 
     ``port=0`` binds an ephemeral port (tests and examples);
     ``server_address`` reports the actual one after construction.
@@ -292,7 +259,7 @@ class CatalogHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        service: ServingTarget,
+        service: Union[CatalogSearchService, ServingFleet],
         log_requests: bool = False,
         max_workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -300,7 +267,10 @@ class CatalogHTTPServer(ThreadingHTTPServer):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         super().__init__(address, CatalogRequestHandler)
-        self.service = service
+        self._wrapper: Optional[ServingFleet] = None
+        if isinstance(service, CatalogSearchService):
+            service = self._wrapper = ServingFleet([service])
+        self.fleet = service
         self.registry = registry if registry is not None else get_registry()
         self.log_requests = log_requests
         self._accepted = self.registry.counter(
@@ -410,6 +380,11 @@ class CatalogHTTPServer(ThreadingHTTPServer):
     def server_close(self) -> None:
         """Stop the listener and the pool; close every parked connection."""
         super().server_close()
+        self._stop_pool()
+        if self._wrapper is not None:
+            self._wrapper.close()  # after the pool answered what was queued
+
+    def _stop_pool(self) -> None:
         if self._ready is None or self._closing:
             return
         self._closing = True
@@ -426,7 +401,7 @@ class CatalogHTTPServer(ThreadingHTTPServer):
 
 
 def serve(
-    service: ServingTarget,
+    service: Union[CatalogSearchService, ServingFleet],
     host: str = "127.0.0.1",
     port: int = 8080,
     log_requests: bool = True,
@@ -442,13 +417,11 @@ def serve(
         registry=registry,
     )
     bound_host, bound_port = server.server_address[:2]
-    mode = (
-        f"fleet of {service.num_replicas} replicas"
-        if isinstance(service, ServingFleet)
-        else "single service"
-    )
     pool = f", {max_workers} workers" if max_workers is not None else ""
-    print(f"runtime-serve: listening on http://{bound_host}:{bound_port} ({mode}{pool})")
+    print(
+        f"runtime-serve: listening on http://{bound_host}:{bound_port} "
+        f"({server.fleet.num_replicas} replica(s){pool})"
+    )
     print(
         "  endpoints: /search?q=...&k=10  /product/<id>  /health  /lag  /stats"
         "  /metrics  /metrics.json"

@@ -88,9 +88,6 @@ class CatalogIndex:
     :meth:`apply_commit`) with a full :meth:`rebuild` fallback.
     """
 
-    #: Stats/CLI label distinguishing this backend from the FTS one.
-    backend_name = "memory"
-
     def __init__(self, products: Iterable[Product] = ()) -> None:
         self._documents: Dict[str, _IndexedDocument] = {}
         #: token -> {product_id -> term frequency}.

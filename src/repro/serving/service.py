@@ -18,65 +18,34 @@ and keeps it current through one of two maintenance modes:
   and the two paths are reported distinctly (``delta_resyncs`` /
   ``full_resyncs`` / ``journal_truncations`` in :meth:`stats`).
 
-The index backend is pluggable (``index_backend="memory"`` or
-``"fts"`` — see :mod:`repro.serving.fts`); both enforce the same
-ranking semantics, so the choice is operational (RAM vs disk), not
-behavioural.
-
 Either way the service guarantees **snapshot isolation**: every query
 runs under the service lock against an index state that corresponds to
 exactly one committed prefix of the ingest stream (reported as
 ``snapshot_commit_count``), never to a half-applied batch.
-
-The HTTP front asks for serialised bodies (:meth:`search_body`,
-:meth:`product_body`); they go through one bounded **response cache**,
-used under the service lock and emptied by whatever moves
-``snapshot_commit_count``, so no cached body outlives its snapshot.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.model.persistence import product_to_dict
 from repro.model.products import Product
 from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.runtime.engine import CommitEvent, SynthesisEngine
 from repro.runtime.state import ClusterId
-from repro.serving.fts import create_catalog_index
 from repro.serving.index import CatalogIndex, SearchResult
 from repro.serving.reader import CatalogReader
 from repro.synthesis.pipeline import stable_product_id
 
 __all__ = ["CatalogSearchService"]
 
-#: Bound on the bytes (bodies plus keys) one service keeps cached.
-RESPONSE_CACHE_MAX_BYTES = 2 * 1024 * 1024
-
-
-def _entry_bytes(key: tuple, body: bytes) -> int:
-    """What the cache charges an entry: the key (filters as typed) can outweigh the body."""
-    return len(body) + len(repr(key))
-
 
 class CatalogSearchService:
     """Thread-safe query front end over an incrementally maintained index."""
 
-    def __init__(
-        self,
-        index: Optional[CatalogIndex] = None,
-        index_backend: str = "memory",
-        index_path: Optional[str] = None,
-    ) -> None:
-        self._index = (
-            index
-            if index is not None
-            else create_catalog_index(index_backend, path=index_path)
-        )
+    def __init__(self, index: Optional[CatalogIndex] = None) -> None:
+        self._index = index if index is not None else CatalogIndex()
         self._lock = threading.RLock()
         self._engine: Optional[SynthesisEngine] = None
         self._reader: Optional[CatalogReader] = None
@@ -86,13 +55,6 @@ class CatalogSearchService:
         self._delta_resyncs = 0
         self._full_resyncs = 0
         self._journal_truncations = 0
-        # Response cache: request key -> serialised body, least recently
-        # used first; valid for ``_snapshot_commit_count`` only.
-        self._bodies: "OrderedDict[tuple, bytes]" = OrderedDict()
-        self._body_bytes = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_evictions = 0
         # Observability: the per-instance counters above stay the source
         # of truth for stats(); the registry reads them through a weakref
         # provider, so N replicas naturally sum into fleet-wide series.
@@ -105,10 +67,6 @@ class CatalogSearchService:
         self._obs_index_removes = registry.counter(
             "serving_index_removes_total",
             help="Products removed from serving indexes (feed or delta).",
-        )
-        self._obs_cache_bytes = registry.gauge(
-            "serving_response_cache_bytes",
-            help="Bytes of serialised response bodies cached, all replicas.",
         )
         service_ref = weakref.ref(self)
 
@@ -123,23 +81,18 @@ class CatalogSearchService:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_engine(
-        cls,
-        engine: SynthesisEngine,
-        index_backend: str = "memory",
-        index_path: Optional[str] = None,
-    ) -> "CatalogSearchService":
+    def from_engine(cls, engine: SynthesisEngine) -> "CatalogSearchService":
         """Serve a live engine's catalog, maintained by its commit feed.
 
         The initial index is built from the engine's current product
         listing; afterwards every committed ingest batch is folded in
         incrementally.  Call :meth:`close` to unsubscribe.
         """
-        service = cls(index_backend=index_backend, index_path=index_path)
+        service = cls()
         service._engine = engine
         with service._lock:
             service._index.rebuild(engine.products())
-            service._move_snapshot(engine.store.commit_count)
+            service._snapshot_commit_count = engine.store.commit_count
         engine.add_commit_listener(service._on_commit)
         return service
 
@@ -149,8 +102,6 @@ class CatalogSearchService:
         path: str,
         page_size: int = 256,
         max_cached_pages: int = 64,
-        index_backend: str = "memory",
-        index_path: Optional[str] = None,
     ) -> "CatalogSearchService":
         """Serve a store file written by another process (read-only).
 
@@ -159,7 +110,7 @@ class CatalogSearchService:
         Queries transparently resync when a writer commits — see
         :meth:`maybe_resync`.
         """
-        service = cls(index_backend=index_backend, index_path=index_path)
+        service = cls()
         service._reader = CatalogReader(
             path, page_size=page_size, max_cached_pages=max_cached_pages
         )
@@ -167,19 +118,14 @@ class CatalogSearchService:
         return service
 
     def close(self) -> None:
-        """Detach from the feed / close the reader and index (idempotent)."""
+        """Detach from the feed / close the reader (idempotent)."""
         self._obs.remove_provider(self._obs_provider)
-        with self._lock:
-            self._move_snapshot(self._snapshot_commit_count)  # drop cached bodies
         if self._engine is not None:
             self._engine.remove_commit_listener(self._on_commit)
             self._engine = None
         if self._reader is not None:
             self._reader.close()
             self._reader = None
-        index_close = getattr(self._index, "close", None)
-        if callable(index_close):
-            index_close()
 
     def __enter__(self) -> "CatalogSearchService":
         return self
@@ -189,19 +135,11 @@ class CatalogSearchService:
 
     # -- maintenance -----------------------------------------------------------
 
-    def _move_snapshot(self, commit_count: int) -> None:
-        """Pin the index state just applied (caller holds the lock): the only
-        place the served snapshot moves, so the only place the cache empties."""
-        self._snapshot_commit_count = commit_count
-        self._obs_cache_bytes.dec(self._body_bytes)
-        self._bodies.clear()
-        self._body_bytes = 0
-
     def _on_commit(self, event: CommitEvent) -> None:
         """Feed-driven maintenance: apply one committed batch atomically."""
         with self._lock:
             self._index.apply_commit(event)
-            self._move_snapshot(event.commit_count)
+            self._snapshot_commit_count = event.commit_count
         upserts = sum(1 for _, product in event.changed if product is not None)
         removes = len(event.changed) - upserts
         if upserts:
@@ -263,7 +201,7 @@ class CatalogSearchService:
                         # for us.
                         if self._snapshot_commit_count == since and head > since:
                             self._apply_delta(delta)
-                            self._move_snapshot(head)
+                            self._snapshot_commit_count = head
                             self._resyncs += 1
                             self._delta_resyncs += 1
                         return self._snapshot_commit_count
@@ -279,7 +217,7 @@ class CatalogSearchService:
                     snapshot == self._snapshot_commit_count and self._resyncs == 0
                 ):
                     self._index.rebuild(products)
-                    self._move_snapshot(snapshot)
+                    self._snapshot_commit_count = snapshot
                     self._resyncs += 1
                     self._full_resyncs += 1
                 return self._snapshot_commit_count
@@ -368,86 +306,6 @@ class CatalogSearchService:
             self._queries_served += 1
             return self._snapshot_commit_count, self._index.get_product(product_id)
 
-    def _body(
-        self, key: tuple, render, max_lag_commits: int, replica: Optional[int]
-    ) -> Optional[bytes]:
-        """``render()``'s payload at the pinned snapshot, serialised and cached.
-
-        Lookup, render and insert share one lock hold, so a body is
-        rendered from, stored for and served at exactly one snapshot.
-        ``None`` (no such product) is never stored; eviction is least
-        recently used, by total :func:`_entry_bytes`.
-        """
-        self.maybe_resync(max_lag_commits)
-        key += (replica,)
-        with self._lock:
-            self._queries_served += 1
-            body = self._bodies.get(key)
-            if body is not None:
-                self._cache_hits += 1
-                self._bodies.move_to_end(key)
-                return body
-            self._cache_misses += 1
-            payload = render()
-            if payload is None:
-                return None
-            payload["snapshot_commit_count"] = self._snapshot_commit_count
-            if replica is not None:
-                payload["replica"] = replica
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            before = self._body_bytes
-            self._bodies[key] = body
-            self._body_bytes += _entry_bytes(key, body)
-            while self._body_bytes > RESPONSE_CACHE_MAX_BYTES:
-                self._body_bytes -= _entry_bytes(*self._bodies.popitem(last=False))
-                self._cache_evictions += 1
-            self._obs_cache_bytes.inc(self._body_bytes - before)
-            return body
-
-    def search_body(
-        self,
-        query: str,
-        top_k: int = 10,
-        category: Optional[str] = None,
-        attributes: Optional[Dict[str, str]] = None,
-        max_lag_commits: int = 0,
-        replica: Optional[int] = None,
-    ) -> bytes:
-        """The ``/search`` response body: :meth:`search_pinned`, serialised.
-
-        ``json.dumps(..., sort_keys=True)`` of the query, the pinned
-        snapshot and the ranked hits (plus ``replica`` when a fleet
-        names the replica answering).  A request the pinned snapshot
-        already answered comes from the response cache — no search, no
-        ``to_dict``, no ``json.dumps`` — byte-identical to a fresh render.
-        """
-
-        def render() -> Dict[str, object]:
-            results = self._index.search(
-                query, top_k=top_k, category=category, attributes=attributes
-            )
-            return {
-                "query": query,
-                "top_k": top_k,
-                "num_results": len(results),
-                "results": [result.to_dict() for result in results],
-            }
-
-        filters = tuple(sorted(attributes.items())) if attributes else ()
-        key = ("search", query, top_k, category, filters)
-        return self._body(key, render, max_lag_commits, replica)  # type: ignore[return-value]
-
-    def product_body(
-        self, product_id: str, max_lag_commits: int = 0, replica: Optional[int] = None
-    ) -> Optional[bytes]:
-        """The ``/product/<id>`` response body (``None``: no such product)."""
-
-        def render() -> Optional[Dict[str, object]]:
-            product = self._index.get_product(product_id)
-            return None if product is None else product_to_dict(product)
-
-        return self._body(("product", product_id), render, max_lag_commits, replica)
-
     def count_by_category(self) -> Dict[str, int]:
         """The category facet of the served snapshot."""
         self.maybe_resync()
@@ -505,18 +363,6 @@ class CatalogSearchService:
                 "journal_truncations": self._journal_truncations,
             }
 
-    def response_cache_stats(self) -> Dict[str, int]:
-        """Response-cache counters and current size (``/stats`` reports them)."""
-        with self._lock:
-            return {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "evictions": self._cache_evictions,
-                "entries": len(self._bodies),
-                "bytes": self._body_bytes,
-                "max_bytes": RESPONSE_CACHE_MAX_BYTES,
-            }
-
     def _metrics_fragment(self) -> Dict[str, object]:
         """Service counters as a registry snapshot fragment.
 
@@ -534,9 +380,6 @@ class CatalogSearchService:
                     self._full_resyncs
                 ),
                 "serving_journal_truncations_total": float(self._journal_truncations),
-                "serving_response_cache_hits_total": float(self._cache_hits),
-                "serving_response_cache_misses_total": float(self._cache_misses),
-                "serving_response_cache_evictions_total": float(self._cache_evictions),
             }
         counters = {key: value for key, value in values.items() if value}
         families = {
@@ -553,11 +396,6 @@ class CatalogSearchService:
                 "help": "Resyncs forced onto the full rebuild by a truncated journal.",
             },
         }
-        for event in ("hits", "misses", "evictions"):
-            families[f"serving_response_cache_{event}_total"] = {
-                "type": "counter",
-                "help": f"Response-cache {event} (see docs/observability.md).",
-            }
         return snapshot_fragment(counters=counters, families=families)
 
     def stats(self) -> Dict[str, object]:
@@ -572,8 +410,6 @@ class CatalogSearchService:
                 "snapshot_commit_count": self._snapshot_commit_count,
                 "queries_served": self._queries_served,
                 "resync": self.resync_stats(),
-                "response_cache": self.response_cache_stats(),
-                "index_backend": getattr(self._index, "backend_name", "memory"),
                 "index": self._index.stats(),
                 "count_by_category": self._index.count_by_category(),
             }

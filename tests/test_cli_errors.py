@@ -160,3 +160,14 @@ class TestRuntimeServeErrors:
             ["runtime-serve", "--store-path", str(store), "--page-size", "0"],
             "--page-size",
         )
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_defaults_do_not_depend_on_the_replica_count(self, tmp_path, replicas):
+        store = tmp_path / "cat.sqlite3"
+        store.touch()
+        argv = ["--store-path", str(store)] + (["--replicas", "3"] if replicas == 3 else [])
+        args = cli._parse_runtime_serve_args(argv)
+        assert args.replicas == replicas
+        assert args.threads == 2 * replicas
+        assert args.max_lag_commits == 2
+        assert not hasattr(args, "index_backend")

@@ -343,12 +343,20 @@ class TestFleetHTTP:
         thread.start()
         base = f"http://{host}:{port}"
         try:
+            # A bare service is served as a fleet of one: the payloads are
+            # the fleet's own, key for key.
             status, payload = self.get_json(f"{base}/health")
-            assert (status, payload["healthy"]) == (200, True)
-            assert payload["num_replicas"] == 1
+            assert status == 200
+            assert payload == server.fleet.health()
+            assert (payload["healthy"], payload["num_replicas"]) == (True, 1)
+            assert [entry["replica_id"] for entry in payload["replicas"]] == [0]
             status, payload = self.get_json(f"{base}/lag")
             assert status == 200
-            assert payload["replicas"][0]["lag"] == 0
+            assert payload == server.fleet.lag()
+            assert payload["max_lag_commits"] == 0
+            assert [entry["lag"] for entry in payload["replicas"]] == [0]
+            status, payload = self.get_json(f"{base}/search?q=hard+drive")
+            assert (status, payload["replica"]) == (200, 0)
         finally:
             server.shutdown()
             server.server_close()

@@ -44,6 +44,7 @@ PRODUCTS = [
         [("Brand", "Western Digital")],
     ),
     make_product("p-3", "cameras.digital", "Kodak EasyShare digital camera"),
+    make_product("p 0/x", "cameras.digital", "Leica rangefinder body"),
 ]
 
 
@@ -123,6 +124,20 @@ class TestProductEndpoint:
             list(pair) for pair in payload["specification"]
         ]
 
+    def test_product_id_is_percent_decoded_like_a_query(self, server_url):
+        """An id /search hands out must be fetchable, whatever it contains."""
+        _, found = get_json(f"{server_url}/search?q=leica")
+        product_id = found["results"][0]["product_id"]
+        assert product_id == "p 0/x"
+        path = urllib.parse.quote(product_id, safe="")
+        assert path == "p%200%2Fx"
+        status, payload = get_json(f"{server_url}/product/{path}")
+        assert status == 200
+        assert payload["product_id"] == product_id
+        code, payload = get_error(f"{server_url}/product/p%200%2Fy")
+        assert code == 404
+        assert "p 0/y" in payload["error"]
+
     def test_unknown_product_is_404(self, server_url):
         code, payload = get_error(f"{server_url}/product/p-999")
         assert code == 404
@@ -137,13 +152,16 @@ class TestStatsAndRouting:
     def test_stats_shape(self, server_url):
         status, payload = get_json(f"{server_url}/stats")
         assert status == 200
-        assert payload["mode"] == "feed"
-        assert payload["index"]["num_products"] == 3
-        assert payload["count_by_category"] == {
-            "cameras.digital": 1,
+        assert (payload["num_replicas"], payload["healthy_replicas"]) == (1, 1)
+        assert (payload["max_lag_commits"], payload["refresh_interval"]) == (0, None)
+        assert payload["queries_served"] >= 1
+        (replica,) = payload["replicas"]
+        assert replica["stats"]["mode"] == "feed"
+        assert replica["stats"]["index"]["num_products"] == len(PRODUCTS)
+        assert replica["stats"]["count_by_category"] == {
+            "cameras.digital": 2,
             "computing.hdd": 2,
         }
-        assert payload["queries_served"] >= 1
 
     def test_stats_reports_the_response_cache(self, server_url):
         query = urllib.parse.quote("raptor drive")

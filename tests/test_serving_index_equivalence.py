@@ -1,17 +1,21 @@
-"""Property-based proof: the FTS5 backend ranks exactly like memory.
+"""Property-based conformance: incremental maintenance equals a rebuild.
 
-ISSUE 9 tentpole acceptance.  For random document sets drawn from the
-corpus generator's own synthesized products (plus hand-built edge cases:
-diacritics, decimal sizes, untokenisable titles), an identical stream of
-operations — interleaved upserts and removes — is applied to both a
-memory :class:`~repro.serving.index.CatalogIndex` and an SQLite-backed
-:class:`~repro.serving.fts.FtsCatalogIndex`, and after every step an
-identical query stream (plain searches, category filters, attribute
-filters, varying ``top_k``) must return byte-identical ranked results:
+For random document sets drawn from the corpus generator's own
+synthesized products (plus hand-built edge cases: diacritics, decimal
+sizes, untokenisable titles), a stream of maintenance operations —
+interleaved ``upsert``, ``remove`` and ``apply_commit`` — is applied to
+one long-lived :class:`~repro.serving.index.CatalogIndex`, and after
+every step it must be indistinguishable from a fresh
+``CatalogIndex(products)`` built from the products it should now hold:
+an identical query stream (plain searches, category filters, attribute
+filters, varying ``top_k``) returns byte-identical ranked results —
 same product ids, same scores, same order.  Facets, point lookups and
-statistics must agree too, and shrinking ``top_k`` must be a pure
-prefix of the longer ranking on both backends (the pagination
-contract).
+statistics must agree too, and shrinking ``top_k`` must be a pure prefix
+of the longer ranking (the pagination contract).
+
+This is the invariant every resync path leans on: a replica that caught
+up by journal delta serves exactly what one that rebuilt from the
+snapshot serves.
 """
 
 import pytest
@@ -21,44 +25,38 @@ from hypothesis import strategies as st
 from repro.model.attributes import Specification
 from repro.model.products import Product
 from repro.runtime import SynthesisEngine
-from repro.serving import CatalogIndex, FtsCatalogIndex, fts5_available
+from repro.runtime.engine import CommitEvent, IngestReport
+from repro.serving import CatalogIndex
+from repro.synthesis.pipeline import stable_product_id
 from repro.text.tokenize import tokenize_title
 
-pytestmark = pytest.mark.skipif(
-    not fts5_available(), reason="this SQLite build lacks FTS5"
-)
 
-
-def make_product(pid, category, title, pairs=()):
-    return Product(
-        product_id=pid,
+def make_edge(key, category, title, pairs=()):
+    """A ``(cluster id, product)`` entry with the id the engine would give it."""
+    product = Product(
+        product_id=stable_product_id(category, key),
         category_id=category,
         title=title,
         specification=Specification(list(pairs)),
     )
+    return (category, key), product
 
 
-#: Hand-built adversarial documents: tokenisation edge cases where a
-#: naive FTS mapping (raw text + unicode61) would diverge from the
-#: shared tokeniser.
-EDGE_PRODUCTS = [
-    make_product(
-        "edge-cafe", "edge.kitchen", "Café crème brûlée maker", [("Brand", "Café")]
-    ),
-    make_product(
-        "edge-decimal", "edge.hdd", 'Drive 3.5" bay 3 5 adapter', [("Size", '3.5"')]
-    ),
-    make_product("edge-empty", "edge.misc", "", []),
-    make_product("edge-punct", "edge.misc", "??? --- !!!", [("Brand", "---")]),
-    make_product(
-        "edge-dup", "edge.hdd", "drive drive drive 500 gb drive", [("Capacity", "500 GB")]
-    ),
+#: Hand-built adversarial documents: tokenisation edge cases (diacritics
+#: the tokeniser folds, decimal tokens, titles that yield no token at
+#: all, one token repeated).
+EDGE_ENTRIES = [
+    make_edge("edge-cafe", "edge.kitchen", "Café crème brûlée maker", [("Brand", "Café")]),
+    make_edge("edge-decimal", "edge.hdd", 'Drive 3.5" bay 3 5 adapter', [("Size", '3.5"')]),
+    make_edge("edge-empty", "edge.misc", "", []),
+    make_edge("edge-punct", "edge.misc", "??? --- !!!", [("Brand", "---")]),
+    make_edge("edge-dup", "edge.hdd", "drive drive drive 500 gb drive", [("Capacity", "500 GB")]),
 ]
 
 
 @pytest.fixture(scope="module")
-def product_pool(tiny_harness):
-    """Synthesized products from the corpus generator, plus edge cases."""
+def entry_pool(tiny_harness):
+    """``(cluster id, product)`` per synthesized cluster, plus edge cases."""
     engine = SynthesisEngine(
         catalog=tiny_harness.corpus.catalog,
         correspondences=tiny_harness.offline_result.correspondences,
@@ -66,12 +64,21 @@ def product_pool(tiny_harness):
         category_classifier=tiny_harness.category_classifier,
         num_shards=4,
     )
+    events = []
+    engine.add_commit_listener(events.append)
     try:
         engine.ingest(tiny_harness.unmatched_offers)
-        products = list(engine.products())
     finally:
         engine.close()
-    return products + EDGE_PRODUCTS
+    emitted = {
+        cluster_id: product
+        for event in events
+        for cluster_id, product in event.changed
+        if product is not None
+    }
+    assert emitted
+    assert all(product.product_id == stable_product_id(*cid) for cid, product in emitted.items())
+    return sorted(emitted.items()) + EDGE_ENTRIES
 
 
 def result_fingerprint(results):
@@ -82,7 +89,7 @@ def pool_queries(pool, seeds, include_unknown):
     """The query stream: title spans of the seed products + a miss."""
     queries = []
     for index in seeds:
-        product = pool[index]
+        product = pool[index][1]
         tokens = tokenize_title(product.title)
         if tokens:
             queries.append(" ".join(tokens[:2]))
@@ -95,122 +102,123 @@ def pool_queries(pool, seeds, include_unknown):
 
 def pool_filters(pool, seeds):
     """Category and attribute filters drawn from the seed products."""
-    categories = {pool[index].category_id for index in seeds}
+    categories = {pool[index][1].category_id for index in seeds}
     categories.add("no.such.category")
     attribute_filters = [{"Brand": "NoSuchBrand"}]
     for index in seeds:
-        for pair in list(pool[index].specification)[:1]:
+        for pair in list(pool[index][1].specification)[:1]:
             attribute_filters.append({pair.name: pair.value})
     return sorted(categories), attribute_filters
 
 
-def assert_backends_agree(memory, fts, queries, categories, attribute_filters):
-    """The full equivalence battery for one shared state."""
-    assert fts.num_products == memory.num_products
-    assert fts.vocabulary_size == memory.vocabulary_size
-    assert fts.count_by_category() == memory.count_by_category()
-    assert fts.stats() == memory.stats()
+def assert_equals_a_rebuild(maintained, held, queries, categories, attribute_filters):
+    """The full conformance battery: ``maintained`` vs ``CatalogIndex(held)``."""
+    fresh = CatalogIndex(held.values())
+    assert maintained.num_products == fresh.num_products == len(held)
+    assert maintained.vocabulary_size == fresh.vocabulary_size
+    assert maintained.count_by_category() == fresh.count_by_category()
+    assert maintained.stats() == fresh.stats()
     for query in queries:
-        full_memory = result_fingerprint(memory.search(query, top_k=10))
-        full_fts = result_fingerprint(fts.search(query, top_k=10))
-        assert full_fts == full_memory
+        full = result_fingerprint(maintained.search(query, top_k=10))
+        assert full == result_fingerprint(fresh.search(query, top_k=10))
+        # Deterministic order: descending score, product id breaks ties.
+        assert list(full) == sorted(full, key=lambda hit: (-hit[1], hit[0]))
         for top_k in (1, 3):
-            page_memory = result_fingerprint(memory.search(query, top_k=top_k))
-            page_fts = result_fingerprint(fts.search(query, top_k=top_k))
-            assert page_fts == page_memory
+            page = result_fingerprint(maintained.search(query, top_k=top_k))
+            assert page == result_fingerprint(fresh.search(query, top_k=top_k))
             # Pagination contract: a shorter page is a pure prefix of
-            # the longer ranking (deterministic tie-breaks) — on both.
-            assert page_memory == full_memory[:top_k]
-            assert page_fts == full_fts[:top_k]
+            # the longer ranking (deterministic tie-breaks).
+            assert page == full[:top_k]
         for category in categories:
             assert result_fingerprint(
-                fts.search(query, top_k=10, category=category)
-            ) == result_fingerprint(memory.search(query, top_k=10, category=category))
+                maintained.search(query, top_k=10, category=category)
+            ) == result_fingerprint(fresh.search(query, top_k=10, category=category))
         for attributes in attribute_filters:
             assert result_fingerprint(
-                fts.search(query, top_k=10, attributes=attributes)
-            ) == result_fingerprint(
-                memory.search(query, top_k=10, attributes=attributes)
-            )
+                maintained.search(query, top_k=10, attributes=attributes)
+            ) == result_fingerprint(fresh.search(query, top_k=10, attributes=attributes))
 
 
 @st.composite
 def scenario(draw, pool_size):
     """An initial document set, an op stream, and query seeds."""
-    initial = draw(
-        st.lists(st.integers(0, pool_size - 1), max_size=12, unique=True)
-    )
+    member = st.integers(0, pool_size - 1)
+    initial = draw(st.lists(member, max_size=12, unique=True))
     operations = draw(
         st.lists(
-            st.tuples(
-                st.sampled_from(["upsert", "remove"]),
-                st.integers(0, pool_size - 1),
+            st.one_of(
+                st.tuples(st.sampled_from(["upsert", "remove"]), member),
+                # One commit event: clusters (re-)emitting a product, and
+                # clusters the batch left without one.
+                st.tuples(
+                    st.just("commit"),
+                    st.lists(st.tuples(member, st.booleans()), max_size=4),
+                ),
             ),
             max_size=8,
         )
     )
-    seeds = draw(
-        st.lists(st.integers(0, pool_size - 1), min_size=1, max_size=3, unique=True)
-    )
+    seeds = draw(st.lists(member, min_size=1, max_size=3, unique=True))
     include_unknown = draw(st.booleans())
     return initial, operations, seeds, include_unknown
 
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_fts_backend_is_byte_identical_to_memory(product_pool, data):
-    pool = product_pool
+def test_incremental_maintenance_is_byte_identical_to_a_rebuild(entry_pool, data):
+    pool = entry_pool
     initial, operations, seeds, include_unknown = data.draw(scenario(len(pool)))
     queries = pool_queries(pool, seeds, include_unknown)
     categories, attribute_filters = pool_filters(pool, seeds)
 
-    memory = CatalogIndex(pool[index] for index in initial)
-    fts = FtsCatalogIndex(products=(pool[index] for index in initial))
-    try:
-        assert_backends_agree(memory, fts, queries, categories, attribute_filters)
-        for action, index in operations:
-            product = pool[index]
-            if action == "upsert":
-                memory.upsert(product)
-                fts.upsert(product)
-            else:
-                # Both backends must agree on whether the id was present.
-                assert fts.remove(product.product_id) == memory.remove(
-                    product.product_id
-                )
-            assert_backends_agree(
-                memory, fts, queries, categories, attribute_filters
-            )
-        # Point lookups agree for present and absent ids alike.
-        for index in seeds:
-            pid = pool[index].product_id
-            memory_hit = memory.get_product(pid)
-            fts_hit = fts.get_product(pid)
-            assert (memory_hit is None) == (fts_hit is None)
-            if memory_hit is not None:
-                assert fts_hit.product_id == memory_hit.product_id
-                assert fts_hit.title == memory_hit.title
-        assert fts.get_product("no-such-id") is None
-    finally:
-        fts.close()
+    #: product id -> product the index must hold after each step.
+    held = {pool[index][1].product_id: pool[index][1] for index in initial}
+    maintained = CatalogIndex(pool[index][1] for index in initial)
+    assert_equals_a_rebuild(maintained, held, queries, categories, attribute_filters)
+    for commit_count, (action, argument) in enumerate(operations, start=1):
+        if action == "upsert":
+            product = pool[argument][1]
+            maintained.upsert(product)
+            held[product.product_id] = product
+        elif action == "remove":
+            product_id = pool[argument][1].product_id
+            # The index must agree on whether the id was present.
+            assert maintained.remove(product_id) == (held.pop(product_id, None) is not None)
+        else:
+            changed = [
+                (pool[index][0], pool[index][1] if emits else None) for index, emits in argument
+            ]
+            event = CommitEvent(commit_count=commit_count, changed=changed, report=IngestReport())
+            upserted = maintained.apply_commit(event)
+            assert upserted == sum(1 for _, product in changed if product is not None)
+            for cluster_id, product in changed:  # in order: the last entry wins
+                if product is None:
+                    held.pop(stable_product_id(*cluster_id), None)
+                else:
+                    held[product.product_id] = product
+        assert_equals_a_rebuild(maintained, held, queries, categories, attribute_filters)
+    # Point lookups agree for present and absent ids alike.
+    for index in seeds:
+        product = pool[index][1]
+        hit = maintained.get_product(product.product_id)
+        assert (hit is None) == (product.product_id not in held)
+        if hit is not None:
+            assert hit.product_id == product.product_id
+            assert hit.title == product.title
+    assert maintained.get_product("no-such-id") is None
 
 
-def test_rebuild_matches_incremental_builds_across_backends(product_pool):
-    """A rebuilt FTS index equals an incrementally grown one — and memory."""
-    pool = product_pool[: min(20, len(product_pool))]
-    grown = FtsCatalogIndex()
-    rebuilt = FtsCatalogIndex()
-    memory = CatalogIndex(pool)
-    try:
-        for product in pool:
-            grown.upsert(product)
-        rebuilt.rebuild(pool)
-        queries = pool_queries(pool, range(min(4, len(pool))), True)
-        for query in queries:
-            expected = result_fingerprint(memory.search(query, top_k=10))
-            assert result_fingerprint(grown.search(query, top_k=10)) == expected
-            assert result_fingerprint(rebuilt.search(query, top_k=10)) == expected
-        assert grown.stats() == rebuilt.stats() == memory.stats()
-    finally:
-        grown.close()
-        rebuilt.close()
+def test_rebuild_matches_an_incrementally_grown_index(entry_pool):
+    """``rebuild`` over a dirty index equals growing a clean one."""
+    pool = [product for _, product in entry_pool[: min(20, len(entry_pool))]]
+    grown = CatalogIndex()
+    for product in pool:
+        grown.upsert(product)
+    rebuilt = CatalogIndex(product for _, product in EDGE_ENTRIES)
+    rebuilt.rebuild(pool)
+    reference = CatalogIndex(pool)
+    for query in pool_queries(entry_pool, range(min(4, len(pool))), True):
+        expected = result_fingerprint(reference.search(query, top_k=10))
+        assert result_fingerprint(grown.search(query, top_k=10)) == expected
+        assert result_fingerprint(rebuilt.search(query, top_k=10)) == expected
+    assert grown.stats() == rebuilt.stats() == reference.stats()
