@@ -83,6 +83,7 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments.harness import ExperimentHarness
+from repro.runtime.procnode import validate_node_executor
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -254,12 +255,10 @@ def _parse_runtime_bench_args(argv: Sequence[str]) -> argparse.Namespace:
                 "--processes shares state through the SQLite WAL file; "
                 "--store memory cannot back a multi-process cluster"
             )
-        if args.executor == "process":
-            parser.error(
-                "--executor process cannot run inside node processes "
-                "(daemonic nodes cannot spawn worker pools); with "
-                "--processes use --executor serial or thread"
-            )
+        try:
+            validate_node_executor(args.executor)
+        except ValueError as error:
+            parser.error(f"--executor {args.executor}: {error}")
         # Process nodes share state through the WAL file only.
         args.store = "sqlite"
     if args.store is None:

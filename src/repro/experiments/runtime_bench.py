@@ -551,11 +551,12 @@ def run_multinode(
     required; each node count runs against its own ``.procN`` file).
     ``executor`` then selects the engine executor *inside* each node —
     ``None`` defaults to ``"serial"`` there (and to ``"process"`` in
-    threads mode); ``"process"`` is rejected, daemonic node processes
-    cannot spawn worker pools.  Here the per-run ``wall_speedup``
-    against the serial single engine *is* realised multi-core scaling —
-    on a multi-core box it approaches the scaling bound; on fewer cores
-    the bound still reports the parallelism available.
+    threads mode); the engine's constructor rejects ``"process"``,
+    daemonic node processes cannot spawn worker pools.  Here the
+    per-run ``wall_speedup`` against the serial single engine *is*
+    realised multi-core scaling — on a multi-core box it approaches the
+    scaling bound; on fewer cores the bound still reports the
+    parallelism available.
 
     After the first micro-batch each cluster rebalances by observed
     load: the deterministic modulo layout ignores category skew, and the
@@ -594,13 +595,6 @@ def run_multinode(
     # wall-clock scaling.
     if executor is None:
         executor = "serial" if mode == "processes" else "process"
-    if mode == "processes" and (
-        executor == "process" or getattr(executor, "supports_pinning", False)
-    ):
-        raise ValueError(
-            "mode='processes' cannot use a process-pool executor inside the "
-            "node processes; pass executor='serial' or 'thread'"
-        )
     pipeline_kwargs = dict(
         catalog=harness.corpus.catalog,
         correspondences=harness.offline_result.correspondences,
@@ -669,12 +663,11 @@ def run_multinode(
         transport = cluster.transport_stats()
         coordinator_seconds = cluster.coordinator_seconds
         # Snapshot before close() — close detaches the cluster's metric
-        # providers.  Process mode first pulls every node process's
-        # registry over the pipe so the merged view includes node-side
-        # engine counters and spans; the last (largest) cluster's
-        # snapshot is the one the artifact keeps.
-        if mode == "processes":
-            cluster.node_metrics()
+        # providers.  node_metrics() first pulls in what the nodes hold
+        # outside this process's registry (a node process's engine
+        # counters and spans; nothing for in-process nodes); the last
+        # (largest) cluster's snapshot is the one the artifact keeps.
+        cluster.node_metrics()
         result.metrics = registry.snapshot()
         cluster.close()
         if cluster_path is not None:

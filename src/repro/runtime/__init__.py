@@ -12,17 +12,23 @@ that practical at scale:
     Horizontal scaling: a :class:`~repro.runtime.cluster.ShardCoordinator`
     partitions category shards across N engine nodes over one shared
     store, with per-shard epoch fencing so a lagging or crashed node can
-    never commit stale cluster state;
-    :class:`~repro.runtime.cluster.MultiNodeEngine` is the single-engine-
-    compatible facade (join/leave/fence, crash recovery via rollback),
-    and :class:`~repro.runtime.cluster.LoadSkewWatcher` closes the loop
-    with automatic load-aware rebalancing.
+    never commit stale cluster state.
+    :class:`~repro.runtime.cluster.ClusterEngine` is the one cluster
+    coordinator behind the single-engine-compatible facade (routing,
+    commit barrier, join/leave/fence, crash recovery, automatic
+    load-aware rebalancing via
+    :class:`~repro.runtime.cluster.LoadSkewWatcher`); it reaches its
+    nodes through a :class:`~repro.runtime.cluster.NodeTransport`.
+    :class:`~repro.runtime.cluster.MultiNodeEngine` selects the
+    in-process transport: the test-and-debug double of the process
+    cluster, not a second scaling tier.
 ``procnode``
-    True multi-*process* nodes: :class:`~repro.runtime.procnode.MultiProcessEngine`
-    runs each node in its own OS process with a private store connection
-    and mirror over the shared WAL file, coordinated through a small
-    message protocol (ingest, commit-barrier vote, fence/handoff,
-    shutdown) — same byte-identity contract, real multi-core scaling.
+    The process transport: :class:`~repro.runtime.procnode.MultiProcessEngine`
+    is the same coordinator with each node in its own OS process, with a
+    private store connection and mirror over the shared WAL file,
+    reached through a small pipe protocol (ingest, commit-barrier vote,
+    fence/handoff, shutdown) — same byte-identity contract, real
+    multi-core scaling.
 ``state`` / ``store``
     The pluggable catalog state layer: a
     :class:`~repro.runtime.state.CatalogStore` protocol with an
@@ -43,12 +49,13 @@ from repro.runtime.cluster import (
     FencedStoreView,
     LoadSkewWatcher,
     MultiNodeEngine,
+    NodeDeadError,
     NodeStats,
     ShardCoordinator,
     ShardLease,
 )
 from repro.runtime.delta import TransportStats
-from repro.runtime.procnode import MultiProcessEngine, NodeDeadError, ProcessNode
+from repro.runtime.procnode import MultiProcessEngine, ProcessNode
 from repro.runtime.engine import CommitEvent, EngineSnapshot, IngestReport, SynthesisEngine
 from repro.runtime.executors import (
     ProcessPoolShardExecutor,

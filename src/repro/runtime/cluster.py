@@ -20,34 +20,41 @@ that lags, restarts, or loses a shard to reassignment therefore cannot
 commit stale cluster state: its next write (or at latest its commit)
 raises :class:`~repro.runtime.state.StaleEpochError`.
 
-:class:`MultiNodeEngine` is the facade: it exposes the same ``ingest`` /
-``products`` / ``snapshot`` API as a single engine, routes each batch to
-the owning nodes (category -> shard -> node), and handles membership:
+:class:`ClusterEngine` is the one coordinator: it exposes the same
+``ingest`` / ``products`` / ``snapshot`` API as a single engine, routes
+each batch to the owning nodes (category -> shard -> node), runs the
+commit barrier, and handles membership:
 
-* **join** (:meth:`MultiNodeEngine.add_node`) — the coordinator
-  rebalances; moved shards get fresh epochs and the new node's workers
-  resync cluster state through the existing delta protocol (from the
-  durable store, or via a one-time full re-ship).
-* **leave** (:meth:`MultiNodeEngine.remove_node`) — drain (ingest is a
+* **join** (:meth:`ClusterEngine.add_node`) — the coordinator
+  rebalances; moved shards get fresh epochs and their new owners pick
+  the cluster state up from the shared store.
+* **leave** (:meth:`ClusterEngine.remove_node`) — drain (ingest is a
   batch barrier, so the node is quiescent between batches and its state
-  already lives in the shared store), reassign with fresh epochs, release
-  the node's workers.
-* **crash** (:meth:`MultiNodeEngine.fence_node`, or automatic when a
-  node dies mid-batch) — the store is rolled back to the last commit
+  already lives in the shared store), reassign with fresh epochs, shut
+  the node down.
+* **crash** (:meth:`ClusterEngine.fence_node`, or automatic when a node
+  fails mid-batch) — the wave is aborted back to the last commit
   barrier, the dead node's epochs are fenced, its shards are reassigned,
   and the in-flight batch is replayed on the survivors.  With a durable
   store the resumed catalog is byte-identical to an uninterrupted run.
 
+Where the nodes live is a :class:`NodeTransport`, chosen by the public
+class that is constructed: :class:`MultiNodeEngine` keeps them in this
+process (:class:`InProcessTransport`: engines over fenced views of one
+store, messages as direct calls);
+:class:`~repro.runtime.procnode.MultiProcessEngine` runs each in its own
+OS process over a shared WAL file.  The node half of the protocol
+(:class:`NodeProtocol`) is the same code under both.
+
 Determinism: batches commit through a single barrier per cluster ingest,
 offers of one category always land on one node in stream order, and
 fusion is content-deterministic — so the product set is byte-identical
-to a single engine's for any node count, dispatch mode, and store
-backend (the property-based equivalence suite pins this down).
+to a single engine's for any node count, transport, and store backend
+(the property-based equivalence suite pins this down).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import threading
 import time
@@ -60,7 +67,7 @@ from repro.matching.correspondence import CorrespondenceSet
 from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
-from repro.obs import get_registry
+from repro.obs import get_registry, merge_snapshot
 from repro.runtime.delta import TransportStats
 from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine
 from repro.runtime.executors import ShardExecutor
@@ -85,9 +92,14 @@ __all__ = [
     "CategoryHinter",
     "LoadSkewWatcher",
     "NodeStats",
+    "NodeDeadError",
+    "NodeVote",
+    "NodeProtocol",
+    "ClusterNode",
+    "NodeTransport",
+    "ClusterEngine",
+    "InProcessTransport",
     "MultiNodeEngine",
-    "ProcessNode",
-    "MultiProcessEngine",
 ]
 
 
@@ -127,7 +139,7 @@ class FencedStoreView(CatalogStore):
     Global writes are fenced at the commit barrier: ``commit`` validates
     the whole lease before anything is flushed.
 
-    With ``deferred_commit=True`` (how :class:`MultiNodeEngine` mounts
+    With ``deferred_commit=True`` (how every cluster node mounts
     it) the view's ``commit`` only validates — the cluster engine flushes
     the base store once per cluster batch, giving all nodes one shared
     commit barrier.
@@ -523,49 +535,6 @@ class ShardCoordinator:
             self._grant(shard_index, nodes[shard_index % len(nodes)])
 
 
-def assign_routing_categories(
-    offers: Sequence[Offer], classifier: Optional[TitleCategoryClassifier]
-) -> List[Offer]:
-    """Assign categories for routing (shared by both cluster facades).
-
-    The classifier is per-offer and deterministic, and node engines keep
-    pre-assigned categories, so classification happens once per offer no
-    matter how many nodes the batch fans out to.  Raises ``ValueError``
-    when offers lack categories and no trained classifier is available.
-    """
-    needs_classification = [offer for offer in offers if offer.category_id is None]
-    if not needs_classification:
-        return list(offers)
-    if classifier is None or not classifier.is_trained:
-        raise ValueError("offers without a category require a trained category classifier")
-    return classifier.assign_categories(list(offers))
-
-
-def partition_offers_by_node(
-    categorised: Sequence[Offer],
-    num_shards: int,
-    node_for_shard,
-    fallback_node_id: str,
-) -> Dict[str, List[Offer]]:
-    """Group offers by owning node, preserving stream order per node.
-
-    Offers without a category have no shard: they only need global
-    bookkeeping (seen-set, reconciliation counters), which lands the
-    same wherever it runs — they go to the stable ``fallback_node_id``.
-    Shared by both cluster facades so their routing can never diverge
-    (the byte-identity contract hangs on identical placement).
-    """
-    routed: Dict[str, List[Offer]] = {}
-    for offer in categorised:
-        if offer.category_id is None:
-            node_id = fallback_node_id
-        else:
-            shard_index = shard_for_category(offer.category_id, num_shards)
-            node_id = node_for_shard(shard_index)
-        routed.setdefault(node_id, []).append(offer)
-    return routed
-
-
 class CategoryHinter:
     """Cheap per-offer routing hints derived from the real classifier.
 
@@ -621,33 +590,6 @@ class CategoryHinter:
         if not votes:
             return None
         return min(votes.items(), key=lambda item: (-item[1], item[0]))[0]
-
-
-def partition_offers_by_hint(
-    offers: Sequence[Offer],
-    num_shards: int,
-    node_for_shard,
-    fallback_node_id: str,
-    hinter: CategoryHinter,
-) -> Dict[str, List[Tuple[int, Offer]]]:
-    """Group *unclassified* offers by hinted owner, tagging each with its
-    batch position.
-
-    The position tag is what keeps hint routing byte-identical: after
-    nodes classify their hinted sub-batches and re-ship misroutes, every
-    true owner sorts its merged offers by position, recovering exactly
-    the per-node stream order coordinator-side routing would have
-    produced.  Shared by both cluster facades.
-    """
-    routed: Dict[str, List[Tuple[int, Offer]]] = {}
-    for position, offer in enumerate(offers):
-        category = hinter.hint(offer)
-        if category is None:
-            node_id = fallback_node_id
-        else:
-            node_id = node_for_shard(shard_for_category(category, num_shards))
-        routed.setdefault(node_id, []).append((position, offer))
-    return routed
 
 
 class LoadSkewWatcher:
@@ -710,7 +652,7 @@ class LoadSkewWatcher:
 
 @dataclass
 class NodeStats:
-    """Per-node accounting of one :class:`MultiNodeEngine`."""
+    """Per-node accounting of one cluster engine."""
 
     node_id: str
     shards: List[int]
@@ -729,35 +671,276 @@ class NodeStats:
         }
 
 
+class NodeDeadError(RuntimeError):
+    """A node died (or stopped answering) mid-conversation."""
+
+    def __init__(self, node_id: str, reason: str) -> None:
+        """Record which node failed and how the failure was observed."""
+        super().__init__(f"node {node_id!r} is dead: {reason}")
+        self.node_id = node_id
+        self.reason = reason
+
+
 @dataclass
-class _EngineNode:
-    """One cluster member: its lease, fenced view, and engine."""
+class NodeVote:
+    """A node's answer to one ``ingest`` / ``apply`` message (its barrier vote)."""
 
-    node_id: str
-    lease: ShardLease
-    view: FencedStoreView
-    engine: SynthesisEngine
-    offers_routed: int = 0
-    batches: int = 0
+    #: Whether the sub-batch was absorbed (into the node's journal, or
+    #: the shared store for an in-process node).
+    ready: bool
+    #: ``repr`` of the node-side exception when ``ready`` is false.
+    error: Optional[str] = None
+    #: The node engine's report for the sub-batch (when ready).
+    report: Optional[IngestReport] = None
+    #: Seconds the node spent in ``engine.ingest`` for this sub-batch.
     busy_seconds: float = 0.0
+    #: The node engine's *cumulative* executor-payload accounting.
+    transport: TransportStats = field(default_factory=TransportStats)
+    #: The live node-side exception: what an in-process cluster
+    #: re-raises.  Never crosses a pipe — only ``error`` does.
+    cause: Optional[BaseException] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["cause"]
+        return state
 
 
-class _NodeFailure(Exception):
-    """Internal: a node died mid-batch; carries who and why."""
+# Votes have always crossed the node pipes pickled under this path
+# (procnode re-exports the class, so the lookup resolves); moving it
+# with the class would change every vote frame's bytes, which the
+# gating benchmark pins as the proof the wire protocol is unchanged.
+NodeVote.__module__ = "repro.runtime.procnode"
 
-    def __init__(self, node_id: str, cause: BaseException) -> None:
-        super().__init__(f"node {node_id!r} failed mid-batch: {cause}")
+
+class NodeProtocol:
+    """The node half of the cluster's message protocol, written once.
+
+    ``ingest`` absorbs a routed sub-batch and answers with a
+    :class:`NodeVote`.  The hint-routing rounds: ``classify`` runs the
+    real classifier over a hinted, position-tagged sub-batch, retains
+    what this node truly owns and answers with the misrouted remainder;
+    ``apply`` merges the retained offers with the misroutes other nodes
+    sent back, in original batch order, and ingests — so placement and
+    order (and every output byte) match coordinator-side classification.
+
+    A process node's pipe loop calls :meth:`handle` once per frame; an
+    in-process node calls it directly.  Both clusters therefore run the
+    same node-side code, whatever carries the messages.
+    """
+
+    def __init__(self, node_id: str, num_shards: int, engine: SynthesisEngine) -> None:
+        self._node_id = node_id
+        self._num_shards = num_shards
+        self._engine = engine
+        # Offers retained from a ``classify`` round, position-tagged,
+        # until the following ``apply`` (or a :meth:`discard`).
+        self._retained: List[Tuple[int, Offer]] = []
+
+    def handle(self, kind: str, payload: object) -> Tuple[str, object]:
+        """Answer one protocol message with its ``(reply kind, reply)``."""
+        if kind == "ingest":
+            return "vote", self._vote(payload)
+        if kind == "classify":
+            return self._classify(payload["offers"], payload["assignment"], payload["fallback"])
+        if kind == "apply":
+            merged = self._retained + list(payload["incoming"])
+            self._retained = []
+            merged.sort(key=lambda item: item[0])
+            return "vote", self._vote([offer for _, offer in merged])
+        return "error", f"unknown message kind {kind!r}"
+
+    def discard(self) -> None:
+        """Drop the retained offers of an aborted batch."""
+        self._retained = []
+
+    def _vote(self, sub_batch: Sequence[Offer]) -> NodeVote:
+        """Ingest one routed sub-batch and build the vote reply."""
+        started = time.perf_counter()
+        report = cause = None
+        try:
+            report = self._engine.ingest(sub_batch)
+        except Exception as exc:  # noqa: BLE001 - shipped to the coordinator
+            cause = exc
+        return NodeVote(
+            ready=cause is None,
+            error=None if cause is None else repr(cause),
+            report=report,
+            busy_seconds=time.perf_counter() - started,
+            transport=self._engine.transport_stats(),
+            cause=cause,
+        )
+
+    def _classify(
+        self,
+        positioned: Sequence[Tuple[int, Offer]],
+        assignment: Dict[int, str],
+        fallback: str,
+    ) -> Tuple[str, object]:
+        """Classify a hinted sub-batch; keep what is owned, return the rest."""
+        started = time.perf_counter()
+        try:
+            categorised = self._engine.classify_offers([offer for _, offer in positioned])
+            owned: List[Tuple[int, Offer]] = []
+            outgoing: Dict[str, List[Tuple[int, Offer]]] = {}
+            for (position, _), offer in zip(positioned, categorised):
+                if offer.category_id is None:
+                    destination = fallback
+                else:
+                    destination = assignment[
+                        shard_for_category(offer.category_id, self._num_shards)
+                    ]
+                if destination == self._node_id:
+                    owned.append((position, offer))
+                else:
+                    outgoing.setdefault(destination, []).append((position, offer))
+        except Exception as exc:  # noqa: BLE001 - shipped to the coordinator
+            self._retained = []
+            return "classify-error", repr(exc)
+        self._retained = owned
+        return "classified", {
+            "outgoing": outgoing,
+            "busy_seconds": time.perf_counter() - started,
+        }
+
+
+class ClusterNode:
+    """Coordinator-side handle of one cluster member.
+
+    Carries the routing/timing accounting the coordinator keeps per
+    node; a transport subclasses it with how a message reaches the node
+    and how the node is told about leases and taken down.
+    """
+
+    def __init__(self, node_id: str, lease: ShardLease) -> None:
+        self.node_id = node_id
+        self.lease = lease
+        self.offers_routed = 0
+        self.batches = 0
+        self.busy_seconds = 0.0
+        #: The node engine's cumulative executor-payload accounting, as
+        #: of its last vote.
+        self.transport = TransportStats()
+
+    def send(self, kind: str, payload: object = None) -> None:
+        """Ship one protocol message; :class:`NodeDeadError` if the node is gone."""
+        raise NotImplementedError
+
+    def recv(self) -> Tuple[str, object]:
+        """The reply to the last :meth:`send`; :class:`NodeDeadError` on death."""
+        raise NotImplementedError
+
+    def push_lease(self, gained: List[int]) -> None:
+        """Tell the node its lease changed and which shards it ``gained``.
+
+        Raises :class:`NodeDeadError` when the node cannot be told (the
+        coordinator then fences it).
+        """
+        raise NotImplementedError
+
+    def metrics(self) -> Dict[str, object]:
+        """The node's metrics that this process's registry does not already hold."""
+        return {}
+
+    def shutdown(self) -> bool:
+        """Graceful leave; ``False`` when the node did not acknowledge.
+
+        A node that need not be asked is simply taken down.
+        """
+        self.destroy()
+        return True
+
+    def destroy(self) -> None:
+        """Take the node down without asking (crash/fence path)."""
+        raise NotImplementedError
+
+
+class NodeTransport:
+    """Where a cluster's nodes live — everything the coordinator cannot decide.
+
+    One instance per cluster engine.  It opens the coordinator's store,
+    starts nodes (:class:`ClusterNode` handles), and implements the
+    commit barrier and the two consequences of the coordinator's store
+    not being the nodes' store (aborting a failed wave, refreshing a
+    stale mirror).  Constructors take ``(num_shards, engine_kwargs,
+    **options)``; the options are the transport-specific constructor
+    arguments of the public engine class that selects the transport.
+    """
+
+    #: The coordinator's store: epochs, dedup and the view surface.
+    store: CatalogStore
+
+    def __init__(self) -> None:
+        #: Frame accounting of the transport's own wire (stays zero when
+        #: messages are direct calls).
+        self.stats = TransportStats()
+
+    def start_node(
+        self, node_id: str, lease: ShardLease, peers: Sequence[ClusterNode]
+    ) -> ClusterNode:
+        """Bring up the node that holds ``lease``; ``peers`` already run."""
+        raise NotImplementedError
+
+    def abort(self, answered: Sequence[ClusterNode], failures: Dict[str, BaseException]) -> bool:
+        """Return a failed wave's nodes to the last commit barrier.
+
+        ``answered`` are the nodes that replied in the wave (a ready
+        voter and a failed-but-alive node alike hold partial state);
+        nodes found dead while aborting are added to ``failures``.
+        Returns whether the barrier state was restored — without that
+        the batch cannot be replayed.
+        """
+        raise NotImplementedError
+
+    def barrier_begin(self, voters: Sequence[ClusterNode], fresh: Sequence[Offer]) -> None:
+        """Start committing the batch ``fresh`` that ``voters`` absorbed."""
+        raise NotImplementedError
+
+    def barrier_end(self) -> Dict[str, str]:
+        """Finish the begun barrier; returns ``{node id: error}`` of lost voters.
+
+        An empty result means the batch is durably committed.  With no
+        barrier begun it only settles what a replay found already done.
+        Raises when the store itself fails (nothing was committed).
+        """
+        raise NotImplementedError
+
+    def leftover_batch(self) -> Optional[List[Offer]]:
+        """The batch of a barrier a previous coordinator died in, if any."""
+        raise NotImplementedError
+
+    def refresh_mirror(self) -> None:
+        """Fold what the nodes committed into the coordinator's store."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the coordinator's store (the nodes are already down)."""
+        raise NotImplementedError
+
+
+class _BatchFailure(Exception):
+    """Internal: one dispatch wave failed; carries the node to fence."""
+
+    def __init__(self, node_id: str, cause: BaseException, recoverable: bool) -> None:
+        """Record the first failed node (id order), its cause, and
+        whether the wave was rolled back to the barrier."""
+        super().__init__(f"batch failed on node {node_id!r}: {cause}")
         self.node_id = node_id
         self.cause = cause
+        self.recoverable = recoverable
 
 
-class MultiNodeEngine:
-    """N cooperating synthesis engines over one shared, fenced store.
+class ClusterEngine:
+    """The cluster coordinator: N synthesis engines behind one engine's API.
 
-    Exposes the same ``ingest`` / ``products`` / ``snapshot`` surface as
-    :class:`~repro.runtime.engine.SynthesisEngine`; behind it, each batch
-    is routed by category shard to the owning node and every node writes
-    through its :class:`FencedStoreView`.
+    Same ``ingest`` / ``products`` / ``snapshot`` surface as
+    :class:`~repro.runtime.engine.SynthesisEngine` (the module docstring
+    describes what happens behind it).  Everything that depends on
+    *where* the nodes live goes through a :class:`NodeTransport`,
+    selected by the public subclass that is constructed
+    (:class:`MultiNodeEngine`,
+    :class:`~repro.runtime.procnode.MultiProcessEngine`); this class is
+    not instantiated directly.
 
     Parameters mirror the single engine's; the additional ones:
 
@@ -765,16 +948,10 @@ class MultiNodeEngine:
         Initial cluster size (nodes are named ``node-1`` ... ``node-N``;
         membership can change later via :meth:`add_node` /
         :meth:`remove_node` / :meth:`fence_node`).
-    concurrent:
-        Dispatch the per-node sub-batches on one thread per node instead
-        of sequentially.  Store access is serialised by the cluster lock
-        either way, and the product set is identical — concurrency only
-        overlaps the nodes' compute (which pays off when nodes run
-        process executors, whose fusion work leaves the interpreter).
     auto_recover:
-        When a node raises mid-batch and the store supports rollback,
-        roll back to the commit barrier, fence the node, reassign its
-        shards, and replay the batch on the survivors (default on).
+        When a node fails mid-batch (or at the barrier) and the state of
+        the last barrier can be restored, fence the node, reassign its
+        shards and replay the batch on the survivors (default on).
     auto_rebalance_skew, auto_rebalance_patience:
         Automatic load-aware rebalancing: when set, a
         :class:`LoadSkewWatcher` observes every batch's per-node busy
@@ -784,25 +961,26 @@ class MultiNodeEngine:
         (default) keeps rebalancing manual.  Rebalancing never changes
         the synthesized products, only the layout.
     pipeline_depth:
-        ``1`` (default) commits every batch before ``ingest`` returns —
-        today's semantics.  ``2`` defers the commit barrier of batch N
-        until batch N+1 (or any view/membership call) via :meth:`flush`,
-        the in-process twin of the multi-process engine's pipelined
-        commit window.  Products are byte-identical either way.
+        ``1`` (default) finishes every batch's commit barrier before
+        ``ingest`` returns.  ``2`` leaves it open until the next ingest
+        (after that batch's dedup and routing) or any view/membership
+        call — see :meth:`flush` — so a barrier that takes real time
+        overlaps the coordinator's serial work.  Products are
+        byte-identical either way.
     hint_routing:
         Route each batch on a cheap :class:`CategoryHinter` guess and
-        run the real classifier on the nodes instead of the
-        coordinator, re-shipping misrouted offers to their true owner
-        before ingest (position-tagged, so per-node stream order — and
-        therefore every output byte — is preserved).  In this
-        in-process facade the "node-side" classification still runs on
-        the coordinator thread; the knob exists so equivalence tests
-        can pin the routing protocol itself against coordinator-side
-        classification.
-
-    The ``executor`` argument is built *per node* when given as a name,
-    so ``executor="process"`` gives every node its own worker pool.
+        run the real per-offer classifier on the nodes instead of the
+        coordinator.  Misrouted offers are re-shipped to their true
+        owner before ingest with their batch positions, so per-node
+        stream order — and every output byte — matches coordinator
+        routing.
+    **transport_options:
+        The constructor arguments of the selected transport (store and
+        executor choices; documented on the public subclasses).
     """
+
+    #: The :class:`NodeTransport` subclass this engine's nodes live in.
+    _transport_class: type
 
     def __init__(
         self,
@@ -815,19 +993,21 @@ class MultiNodeEngine:
         min_cluster_size: int = 1,
         num_nodes: int = 2,
         num_shards: int = 8,
-        executor: Union[str, ShardExecutor, None] = "serial",
         max_workers: Optional[int] = None,
         track_category_statistics: bool = True,
-        store: Union[str, CatalogStore, None] = None,
-        store_path: Optional[str] = None,
-        delta_refusion: Optional[bool] = None,
-        concurrent: bool = False,
         auto_recover: bool = True,
         auto_rebalance_skew: Optional[float] = None,
         auto_rebalance_patience: int = 2,
         pipeline_depth: int = 1,
         hint_routing: bool = False,
+        **transport_options: object,
     ) -> None:
+        """Open the store, compute the layout, start the nodes.
+
+        Replays the batch of a barrier a previous coordinator died in
+        (where the transport keeps one) before returning, so the resumed
+        catalog equals an uninterrupted run's.
+        """
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         if num_shards < 1:
@@ -835,94 +1015,128 @@ class MultiNodeEngine:
         if pipeline_depth not in (1, 2):
             raise ValueError(f"pipeline_depth must be 1 or 2, got {pipeline_depth}")
         self._classifier = category_classifier
-        self._engine_kwargs = dict(
-            catalog=catalog,
-            correspondences=correspondences,
-            extractor=extractor,
-            category_classifier=category_classifier,
-            clusterer=clusterer,
-            fusion=fusion,
-            min_cluster_size=min_cluster_size,
-            executor=executor,
-            max_workers=max_workers,
-            track_category_statistics=track_category_statistics,
-            delta_refusion=delta_refusion,
-        )
         self._num_shards = num_shards
-        self._owns_store = not isinstance(store, CatalogStore)
-        self._store = resolve_store(store, path=store_path)
-        self._store.bind(num_shards)
-        self._lock = threading.RLock()
-        self._coordinator = ShardCoordinator(self._store, num_shards)
-        self._concurrent = concurrent
         self._auto_recover = auto_recover
         self._skew_watcher: Optional[LoadSkewWatcher] = None
         if auto_rebalance_skew is not None:
             self._skew_watcher = LoadSkewWatcher(
                 threshold=auto_rebalance_skew, patience=auto_rebalance_patience
             )
-        self._nodes: Dict[str, _EngineNode] = {}
-        self._node_counter = itertools.count(1)
-        self._retired_transport = TransportStats()
         self._pipeline_depth = pipeline_depth
         self._hint_routing = hint_routing
         self._hinter: Optional[CategoryHinter] = None
-        self._pending_commit = False
-        # Coordinator-side accounting: misroute counters for hint mode,
-        # and the routing / barrier-wait split the cluster bench reports.
-        self._coordinator_transport = TransportStats()
+        self._transport: NodeTransport = self._transport_class(
+            num_shards,
+            dict(
+                catalog=catalog,
+                correspondences=correspondences,
+                extractor=extractor,
+                category_classifier=category_classifier,
+                clusterer=clusterer,
+                fusion=fusion,
+                min_cluster_size=min_cluster_size,
+                max_workers=max_workers,
+                track_category_statistics=track_category_statistics,
+            ),
+            **transport_options,
+        )
+        self._store = self._transport.store
+        self._coordinator = ShardCoordinator(self._store, num_shards)
+        self._nodes: Dict[str, ClusterNode] = {}
+        self._node_counter = itertools.count(1)
+        self._retired_transport = TransportStats()
+        # Hint/misroute counters, and the routing / barrier-wait split
+        # of the coordinator's serial overhead the cluster bench reports.
+        self._hint_stats = TransportStats()
         self._routing_seconds = 0.0
         self._barrier_seconds = 0.0
+        # Coordinator-side dedup: offers absorbed since the store last
+        # reflected every node commit.  Updated only once a batch's
+        # barrier began, so a recovered or replayed batch is never
+        # half-seen; the store's own seen set covers the rest.
+        self._seen = set()
+        self._dirty = False
+        # The batch whose commit barrier is begun but not finished.
+        self._pending: Optional[List[Offer]] = None
         self._closed = False
-        # Observability: the coordinator publishes only its *own*
-        # accounting (coordinator + retired transport) — each node engine
-        # bridges its transport itself, and counters sum at collection,
-        # so the merged view equals transport_stats() without double
-        # counting.  Callback gauges hold a weakref only.
-        registry = get_registry()
-        self._obs = registry
+        # Observability: the coordinator publishes its *own* accounting
+        # (retired nodes, hint counters, wire frames) plus the cached
+        # fragments node_metrics() fetched — an in-process node engine
+        # bridges its transport into the registry itself, and a scrape
+        # must never talk to a node, so the cache is only as fresh as
+        # the last explicit fetch.  Callback gauges hold a weakref only.
+        registry = self._obs = get_registry()
         self._obs_cluster_batches = registry.counter(
             "cluster_batches_total",
             help="Micro-batches absorbed by cluster coordinators.",
         )
+        self._node_metrics: Dict[str, object] = {}
         cluster_ref = weakref.ref(self)
 
         def _coordinator_provider() -> Dict[str, object]:
             cluster = cluster_ref()
             if cluster is None:
                 return {}
-            stats = TransportStats()
-            stats.merge(cluster._retired_transport)
-            stats.merge(cluster._coordinator_transport)
-            return stats.metrics_fragment()
+            fragment = cluster._coordinator_stats().metrics_fragment()
+            merge_snapshot(fragment, cluster._node_metrics)
+            return fragment
 
         self._obs_provider = registry.add_provider(_coordinator_provider)
-        registry.gauge(
+
+        def _gauge(name: str, help_text: str, read) -> None:
+            def callback() -> float:
+                cluster = cluster_ref()
+                return 0.0 if cluster is None else read(cluster)
+
+            registry.gauge(name, help=help_text, callback=callback)
+
+        _gauge(
             "cluster_routing_seconds",
-            help="Coordinator time spent deduplicating and routing batches.",
-            callback=lambda: (lambda c: 0.0 if c is None else c._routing_seconds)(
-                cluster_ref()
-            ),
+            "Coordinator time spent deduplicating and routing batches.",
+            lambda cluster: cluster._routing_seconds,
         )
-        registry.gauge(
+        _gauge(
             "cluster_barrier_wait_seconds",
-            help="Coordinator time spent waiting on commit barriers.",
-            callback=lambda: (lambda c: 0.0 if c is None else c._barrier_seconds)(
-                cluster_ref()
-            ),
+            "Coordinator time spent waiting on commit barriers.",
+            lambda cluster: cluster._barrier_seconds,
         )
-        registry.gauge(
-            "cluster_nodes",
-            help="Live cluster members.",
-            callback=lambda: (lambda c: 0 if c is None else len(c._nodes))(cluster_ref()),
+        _gauge("cluster_nodes", "Live cluster members.", lambda cluster: len(cluster._nodes))
+        try:
+            # One layout pass for the whole initial membership, then
+            # start each node with its final epochs: granting shards
+            # once avoids fencing every shard through N-1 intermediate
+            # layouts (on sqlite, one durable epoch flush per move).
+            node_ids = [f"node-{next(self._node_counter)}" for _ in range(num_nodes)]
+            for node_id in node_ids:
+                self._coordinator.register_node(node_id, rebalance=False)
+            self._coordinator.apply_layout()
+            for node_id in node_ids:
+                self._start(node_id)
+            leftover = self._transport.leftover_batch()
+            if leftover is not None:
+                # Replay is idempotent — only the offers absent from
+                # the store are re-dispatched.
+                self._replay_offers(leftover)
+        except BaseException:
+            # Nothing started may outlive a failed constructor; what the
+            # store durably holds (a commit intent) stays for the next open.
+            self._closed = True
+            self._teardown()
+            raise
+
+    def _start(self, node_id: str) -> None:
+        """Start the node for an already-registered lease."""
+        self._nodes[node_id] = self._transport.start_node(
+            node_id, self._coordinator.lease_for(node_id), list(self._nodes.values())
         )
-        # Bootstrap membership in one layout pass: registering the nodes
-        # first and granting shards once avoids fencing every shard
-        # through N-1 intermediate layouts (and, on sqlite, one durable
-        # epoch flush per intermediate move).
-        for _ in range(num_nodes):
-            self.add_node(defer_layout=True)
-        self._coordinator.apply_layout()
+
+    def _ensure_open(self) -> None:
+        """Refuse API calls after :meth:`close` or on a closed store."""
+        if self._closed or self._store.closed:
+            raise RuntimeError(
+                "cannot use this cluster: it is closed "
+                "(reopen the store path with a new cluster to resume)"
+            )
 
     # -- membership ------------------------------------------------------------
 
@@ -937,160 +1151,199 @@ class MultiNodeEngine:
 
     @property
     def store(self) -> CatalogStore:
-        """The shared catalog store holding the cluster's state."""
+        """The coordinator's catalog store (the shared one, or its connection to it)."""
         return self._store
 
     @property
-    def skew_watcher(self) -> Optional["LoadSkewWatcher"]:
+    def skew_watcher(self) -> Optional[LoadSkewWatcher]:
         """The automatic-rebalance trigger, or ``None`` when manual."""
         return self._skew_watcher
 
-    def node_view(self, node_id: str) -> FencedStoreView:
-        """The fenced store view of one live node (tests, diagnostics)."""
-        return self._nodes[node_id].view
+    def _push_layout(self, before: Dict[int, str], exclude: Optional[str] = None) -> List[str]:
+        """Tell the members what a layout change means for each of them.
 
-    def add_node(self, node_id: Optional[str] = None, defer_layout: bool = False) -> str:
-        """Join a node: rebalance, grant a lease, build its engine.
+        ``before`` is the shard assignment prior to the change; each
+        node learns which shards it *gained* — state their previous
+        owner committed, which a node with a private mirror has never
+        seen.  ``exclude`` skips a node that is already current (a
+        freshly started joiner).  Returns the ids of nodes that could
+        not be told, for :meth:`_fence_unreachable`.
+        """
+        after = self._coordinator.assignment()
+        dead: List[str] = []
+        for node_id, node in sorted(self._nodes.items()):
+            if node_id == exclude:
+                continue
+            gained = [
+                shard
+                for shard, owner in after.items()
+                if owner == node_id and before.get(shard) != node_id
+            ]
+            try:
+                node.push_lease(sorted(gained))
+            except NodeDeadError:
+                dead.append(node_id)
+        return dead
+
+    def _fence_unreachable(self, pending: List[str]) -> None:
+        """Fence every listed node, cascading onto newly found corpses.
+
+        Each fence reassigns shards and pushes the new layout; a push
+        can itself discover another dead node, which joins the queue —
+        so one call settles the membership no matter how many nodes
+        died together.  Raises ``RuntimeError`` if fencing would remove
+        the last member.
+        """
+        queue = list(pending)
+        while queue:
+            target = queue.pop(0)
+            if target not in self._nodes:
+                continue
+            node = self._retire(target)
+            before = self._coordinator.assignment()
+            self._coordinator.retire_node(target, fence=True)
+            node.destroy()
+            queue.extend(self._push_layout(before))
+
+    def add_node(self, node_id: Optional[str] = None) -> str:
+        """Join a node: rebalance, re-fence, start it, resync the others.
 
         The moved shards' cluster state needs no explicit transfer — it
-        already lives in the shared store, and the new node's delta
-        workers resync from it (or get a one-time full re-ship) exactly
-        as after a worker restart.  ``defer_layout`` is the bootstrap
-        path: leases stay empty until the coordinator applies one final
-        layout for the whole initial membership.
+        lives in the shared store, which the newcomer opens (or, in
+        process, shares) *after* the epochs were bumped, so it starts
+        current.  The survivors learn their new leases: the modulo
+        layout can move shards *between* survivors on a join (shard i ->
+        node i mod N reshuffles most owners).
         """
+        self._ensure_open()
+        self.flush()
         if node_id is None:
             node_id = f"node-{next(self._node_counter)}"
-        self.flush()
-        lease = self._coordinator.register_node(node_id, rebalance=not defer_layout)
-        view = FencedStoreView(self._store, lease, self._lock, deferred_commit=True)
-        engine = SynthesisEngine(num_shards=self._num_shards, store=view, **self._engine_kwargs)
-        self._nodes[node_id] = _EngineNode(node_id=node_id, lease=lease, view=view, engine=engine)
+        before = self._coordinator.assignment()
+        self._coordinator.register_node(node_id)
+        self._start(node_id)
+        self._fence_unreachable(self._push_layout(before, exclude=node_id))
         return node_id
 
-    def _retire(self, node_id: str, fence: bool) -> _EngineNode:
+    def _member(self, node_id: str) -> ClusterNode:
+        """The live member ``node_id`` (``ValueError`` when there is none)."""
         if node_id not in self._nodes:
             raise ValueError(f"node {node_id!r} is not a cluster member")
+        return self._nodes[node_id]
+
+    def _retire(self, node_id: str) -> ClusterNode:
+        """Drop a member from the books (shared by leave/fence paths)."""
+        self._member(node_id)
         if len(self._nodes) == 1:
             raise RuntimeError(
                 f"cannot retire {node_id!r}: it is the last node of the cluster"
             )
-        self.flush()
         node = self._nodes.pop(node_id)
-        self._coordinator.retire_node(node_id, fence=fence)
-        self._retired_transport.merge(node.engine.transport_stats())
-        # The retired totals now carry this engine's counters; its own
-        # provider has to go, or the frames would be counted twice.
-        node.engine.detach_metrics_provider()
-        node.engine.release_workers()
+        self._retired_transport.merge(node.transport)
         return node
 
     def remove_node(self, node_id: str) -> None:
-        """Gracefully leave: drain, reassign with fresh epochs, release.
+        """Gracefully leave: shut the node down, reassign, resync.
 
-        Ingest is a batch barrier, so between batches the node is
-        quiescent and everything it produced is in the shared store
-        (committed at the last barrier for durable backends) — the
-        "drain + snapshot via the store" half of the handoff protocol.
+        Between barriers the node is quiescent and everything it
+        produced is committed in the shared store, so the handoff is
+        pure bookkeeping: fresh epochs for its shards, and each new
+        owner learns which shards it gained.  A node that does not
+        acknowledge the shutdown is not trusted to be quiescent: removal
+        then degrades to the fence path (stale lease, store-side write
+        rejection), exactly as :meth:`fence_node`.
         """
-        self._retire(node_id, fence=False)
+        self._ensure_open()
+        self.flush()
+        node = self._retire(node_id)
+        graceful = node.shutdown()
+        before = self._coordinator.assignment()
+        self._coordinator.retire_node(node_id, fence=not graceful)
+        self._fence_unreachable(self._push_layout(before))
 
     def fence_node(self, node_id: str) -> None:
         """Forcibly fence a node (crash path, or an operator evicting it).
 
-        The node's shards get fresh epochs and new owners; its lease is
-        left stale, so any write the zombie still attempts raises
-        :class:`~repro.runtime.state.StaleEpochError`.
+        The node's shards get fresh epochs — durable and immediate on a
+        durable store — and new owners; its lease is left stale, so any
+        write a zombie still attempts raises
+        :class:`~repro.runtime.state.StaleEpochError`.  Cascades:
+        another node found dead while the new layout is pushed is fenced
+        in the same call.
         """
-        self._retire(node_id, fence=True)
+        self._ensure_open()
+        self._member(node_id)
+        # Finish an open barrier first: no commit ack may be in flight
+        # when the survivors are told their new leases.  If that
+        # barrier's own recovery already fenced the target, the fence
+        # below is a no-op.
+        self.flush()
+        self._fence_unreachable([node_id])
 
     def rebalance(self, loads: Optional[Dict[int, float]] = None) -> Dict[int, str]:
         """Reassign shards by load between batches; returns the layout.
 
         With ``loads=None`` the observed load is read from the shared
-        store (offers held per shard) — the modulo layout membership
-        starts from ignores how skewed the category distribution is, and
-        a warm cluster can pull its busiest shards apart this way.
-        Moved shards are re-fenced and their new owners resync through
-        the delta protocol, exactly like a membership handoff.
+        store (offers held per shard, including everything the nodes
+        committed) — the modulo layout membership starts from ignores
+        how skewed the category distribution is, and a warm cluster can
+        pull its busiest shards apart this way.  Moved shards are
+        re-fenced and handed over exactly like a membership change.
         """
+        self._ensure_open()
         self.flush()
         if loads is None:
             loads = {}
-            for _, state in self._store.iter_clusters():
+            for _, state in self._view().iter_clusters():
                 loads[state.shard_index] = loads.get(state.shard_index, 0.0) + state.size()
-        return self._coordinator.rebalance_by_load(loads)
+        before = self._coordinator.assignment()
+        layout = self._coordinator.rebalance_by_load(loads)
+        self._fence_unreachable(self._push_layout(before))
+        return layout
 
     # -- routing ---------------------------------------------------------------
 
+    def _require_classifier(self, offers: Sequence[Offer]) -> None:
+        """Raise ``ValueError`` when offers lack categories nothing can assign."""
+        if any(offer.category_id is None for offer in offers) and (
+            self._classifier is None or not self._classifier.is_trained
+        ):
+            raise ValueError("offers without a category require a trained category classifier")
+
     def _route_categories(self, offers: Sequence[Offer]) -> List[Offer]:
-        """Assign categories for routing (mirrors the engine's stage)."""
-        return assign_routing_categories(offers, self._classifier)
+        """Assign categories for routing, once per offer.
+
+        The classifier is per-offer and deterministic, and node engines
+        keep pre-assigned categories, so classification happens once per
+        offer no matter how many nodes the batch fans out to.
+        """
+        started = time.perf_counter()
+        with self._obs.span("cluster.route"):
+            self._require_classifier(offers)
+            categorised = list(offers)
+            if any(offer.category_id is None for offer in offers):
+                categorised = self._classifier.assign_categories(categorised)
+        self._routing_seconds += time.perf_counter() - started
+        return categorised
+
+    def _owner(self, category_id: Optional[str], fallback: str) -> str:
+        """The node owning a category's shard.
+
+        Offers without a category have no shard: they only need global
+        bookkeeping (seen-set, reconciliation counters), which lands the
+        same wherever it runs — they go to the stable ``fallback`` node.
+        """
+        if category_id is None:
+            return fallback
+        return self._coordinator.node_for_shard(shard_for_category(category_id, self._num_shards))
 
     def _partition(self, categorised: Sequence[Offer]) -> Dict[str, List[Offer]]:
         """Group offers by owning node, preserving stream order per node."""
-        return partition_offers_by_node(
-            categorised,
-            self._num_shards,
-            self._coordinator.node_for_shard,
-            fallback_node_id=self.node_ids()[0],
-        )
-
-    def _hint_route(self, fresh: Sequence[Offer]) -> Dict[str, List[Offer]]:
-        """Route ``fresh`` via hints, classifying on the hinted nodes.
-
-        The in-process emulation of the multi-process classify round:
-        each hinted node runs the real classifier over its guessed
-        sub-batch (billed to that node's busy time), misroutes are
-        counted and re-homed, and every true owner's final sub-batch is
-        re-sorted by batch position — byte-identical placement and order
-        to coordinator-side classification.
-        """
-        if any(offer.category_id is None for offer in fresh) and (
-            self._classifier is None or not self._classifier.is_trained
-        ):
-            # Same error contract as assign_routing_categories — checked
-            # up front so no node sees a half-routed batch.
-            raise ValueError(
-                "offers without a category require a trained category classifier"
-            )
-        if self._hinter is None:
-            self._hinter = CategoryHinter.from_classifier(self._classifier)
         fallback = self.node_ids()[0]
-        hinted = partition_offers_by_hint(
-            fresh, self._num_shards, self._coordinator.node_for_shard, fallback, self._hinter
-        )
-        # Every fresh offer is routed by hint here; together with the
-        # misroute counter below this yields the hint_accuracy gauge.
-        self._coordinator_transport.hinted_offers += len(fresh)
-        merged: Dict[str, List[Tuple[int, Offer]]] = {}
-        for node_id in sorted(hinted):
-            node = self._nodes[node_id]
-            started = time.perf_counter()
-            categorised = node.engine.classify_offers(
-                [offer for _, offer in hinted[node_id]]
-            )
-            node.busy_seconds += time.perf_counter() - started
-            for (position, _), offer in zip(hinted[node_id], categorised):
-                if offer.category_id is None:
-                    owner = fallback
-                else:
-                    owner = self._coordinator.node_for_shard(
-                        shard_for_category(offer.category_id, self._num_shards)
-                    )
-                if owner != node_id:
-                    self._coordinator_transport.misrouted_offers += 1
-                merged.setdefault(owner, []).append((position, offer))
-        return {
-            node_id: [offer for _, offer in sorted(items, key=lambda item: item[0])]
-            for node_id, items in merged.items()
-        }
-
-    def _route(self, fresh: Sequence[Offer]) -> Dict[str, List[Offer]]:
-        """One batch's node -> fully-categorised sub-batch map."""
-        if self._hint_routing:
-            return self._hint_route(fresh)
-        return self._partition(self._route_categories(fresh))
+        routed: Dict[str, List[Offer]] = {}
+        for offer in categorised:
+            routed.setdefault(self._owner(offer.category_id, fallback), []).append(offer)
+        return routed
 
     # -- ingest ----------------------------------------------------------------
 
@@ -1098,229 +1351,398 @@ class MultiNodeEngine:
         """Absorb one micro-batch across the cluster.
 
         Same contract as the single engine's ``ingest``: idempotent per
-        offer id, and one commit barrier at the end — a crash loses at
-        most the cluster batch in flight.  If a node dies mid-batch (and
-        ``auto_recover`` holds), the store rolls back to the barrier,
-        the node is fenced, and the batch replays on the survivors.
+        offer id, one commit barrier per batch — a crash loses at most
+        the cluster batch in flight.  A node that fails before voting
+        (killed, crashed, engine error) triggers recovery when
+        ``auto_recover`` holds and the barrier state can be restored:
+        the wave is aborted, the node is fenced, and the batch replays
+        on the new layout — products stay byte-identical to an
+        uninterrupted run.  Raises the node-side error when recovery is
+        disabled or impossible; the store is still returned to the
+        barrier where the backend allows, so the caller can retry.
+
+        With ``pipeline_depth=2`` the previous batch's barrier is
+        finished here, *after* this batch's dedup and routing — the
+        overlap that hides the coordinator's serial work behind it.
         """
+        self._ensure_open()
         report = IngestReport(offers_in_batch=len(offers))
-        if self._store.closed:
-            raise RuntimeError(
-                "cannot ingest: the cluster's catalog store is closed "
-                "(reopen the store path with a new cluster to resume)"
-            )
-        self._closed = False
-        # A deferred commit from the previous pipelined batch must land
-        # before this batch mutates the store: crash recovery rolls back
-        # to the last commit barrier, and that barrier must never
-        # straddle two batches.
-        self.flush()
         routing_started = time.perf_counter()
         fresh: List[Offer] = []
         batch_ids = set()
         for offer in offers:
-            if self._store.is_seen(offer.offer_id) or offer.offer_id in batch_ids:
+            if (
+                offer.offer_id in self._seen
+                or offer.offer_id in batch_ids
+                or self._store.is_seen(offer.offer_id)
+            ):
                 continue
             batch_ids.add(offer.offer_id)
             fresh.append(offer)
         report.offers_duplicate = report.offers_in_batch - len(fresh)
         self._routing_seconds += time.perf_counter() - routing_started
         if not fresh:
-            self._store.commit()
             return report
 
+        # Classify before finishing the previous batch's barrier: this
+        # is the pipelining overlap.  (In hint mode there is nothing
+        # heavy to overlap here; classification runs on the nodes.)
+        categorised = None if self._hint_routing else self._route_categories(fresh)
+        # The previous barrier must land before this batch mutates any
+        # node: recovery returns to the last barrier, and that barrier
+        # must never straddle two batches.
+        self.flush()
         busy_before = {node_id: node.busy_seconds for node_id, node in self._nodes.items()}
+        reports = self._dispatch_with_retry(fresh, categorised)
+
+        for _, node_report in sorted(reports.items()):
+            report.merge(node_report)
+        # merge() summed the sub-batch sizes; the batch is the caller's.
+        report.offers_in_batch = len(offers)
+        self._begin_barrier(sorted(reports), fresh)
+        if self._pipeline_depth == 1:
+            self.flush()
+        self._obs_cluster_batches.inc()
+        if self._skew_watcher is not None:
+            # Strictly after the barrier began: a triggered rebalance
+            # behaves exactly like a manual between-batches one.
+            busy = {
+                node_id: node.busy_seconds - busy_before.get(node_id, 0.0)
+                for node_id, node in self._nodes.items()
+            }
+            if self._skew_watcher.observe(busy):
+                self.rebalance()
+        return report
+
+    def _dispatch_with_retry(
+        self, fresh: Sequence[Offer], categorised: Optional[List[Offer]] = None
+    ) -> Dict[str, IngestReport]:
+        """Dispatch one batch, fencing and re-dispatching on node failure.
+
+        Returns the voters' reports by node id.  ``categorised`` carries
+        a pre-computed classification (the pipelined overlap); it stays
+        valid across retries because classification does not depend on
+        the layout — only the partition is recomputed against the
+        post-fence assignment (deterministic, so an un-fenced replay
+        routes identically).
+        """
         attempts = 0
+        max_attempts = len(self._nodes) + 1
         while True:
             try:
-                # Routing sits inside the retry loop: a recovery replay
-                # re-routes against the post-fence layout (deterministic,
-                # so an un-fenced replay routes identically).
-                routing_started = time.perf_counter()
-                with self._obs.span("cluster.route"):
-                    routed = self._route(fresh)
-                self._routing_seconds += time.perf_counter() - routing_started
-                node_reports = self._dispatch(routed)
-                break
-            except _NodeFailure as failure:
+                if self._hint_routing:
+                    return self._dispatch_hint(fresh)
+                if categorised is None:
+                    categorised = self._route_categories(fresh)
+                routed = self._partition(categorised)
+                return self._vote_round(
+                    "ingest", routed, {node_id: len(batch) for node_id, batch in routed.items()}
+                )
+            except _BatchFailure as failure:
                 attempts += 1
                 if (
                     not self._auto_recover
-                    or not self._store.supports_rollback
+                    or not failure.recoverable
                     or len(self._nodes) <= 1
-                    or attempts >= len(self._nodes) + 1
+                    or attempts >= max_attempts
                 ):
-                    # Unrecoverable: still return the store to the commit
-                    # barrier where possible, so the caller can retry the
-                    # batch without its offers being half-absorbed.
-                    if self._store.supports_rollback and not self._store.closed:
-                        self._store.rollback()
                     raise failure.cause
-                # Crash recovery: back to the commit barrier, fence the
-                # dead node, replay the whole batch on the survivors
-                # (rollback un-saw the batch's offers, so the replay is
-                # not deduplicated away).
-                self._store.rollback()
-                self.fence_node(failure.node_id)
+                self._fence_unreachable([failure.node_id])
 
-        aggregate = IngestReport()
-        for node_report in node_reports:
-            aggregate.merge(node_report)
-        report.offers_new = aggregate.offers_new
-        report.offers_duplicate += aggregate.offers_duplicate
-        report.offers_clustered = aggregate.offers_clustered
-        report.offers_without_key = aggregate.offers_without_key
-        report.offers_uncategorised = aggregate.offers_uncategorised
-        report.clusters_touched = aggregate.clusters_touched
-        report.products_refreshed = aggregate.products_refreshed
-        # The single commit barrier of this cluster batch.  A failed
-        # flush is a *store* failure, not a node crash: fencing cannot
-        # help, so discard the batch (where the backend allows it) and
-        # surface the error — the caller may then retry the whole batch.
-        # At pipeline_depth 2 the barrier is deferred to the next batch
-        # (or the next view/membership call) via :meth:`flush`.
-        if self._pipeline_depth > 1:
-            self._pending_commit = True
-        else:
-            barrier_started = time.perf_counter()
+    def _round(
+        self, kind: str, payloads: Dict[str, object], expected: str
+    ) -> Tuple[Dict[str, object], List[str], Dict[str, BaseException]]:
+        """One message round: ``kind`` to every listed node, one reply each.
+
+        All sends go out before any receive, so nodes that run on their
+        own genuinely overlap.  Returns the ``expected``-kind replies by
+        node id, the ids of every node that answered at all, and the
+        failures (dead nodes, wrong reply kinds) by node id.
+        """
+        failures: Dict[str, BaseException] = {}
+        dispatched: List[str] = []
+        for node_id in sorted(payloads):
             try:
-                with self._obs.span("cluster.commit_barrier"):
-                    self._store.commit()
-            except Exception:
-                if self._store.supports_rollback and not self._store.closed:
-                    self._store.rollback()
-                raise
-            finally:
-                self._barrier_seconds += time.perf_counter() - barrier_started
-        self._obs_cluster_batches.inc()
-        self._maybe_auto_rebalance(busy_before)
-        return report
+                self._nodes[node_id].send(kind, payloads[node_id])
+                dispatched.append(node_id)
+            except NodeDeadError as exc:
+                failures[node_id] = exc
+        replies: Dict[str, object] = {}
+        answered: List[str] = []
+        for node_id in dispatched:
+            try:
+                reply_kind, reply = self._nodes[node_id].recv()
+            except NodeDeadError as exc:
+                failures[node_id] = exc
+                continue
+            answered.append(node_id)
+            if reply_kind == expected:
+                replies[node_id] = reply
+            else:
+                failures[node_id] = RuntimeError(
+                    f"node {node_id!r} answered {reply_kind!r} to {kind!r}: {reply}"
+                )
+        return replies, answered, failures
 
-    def flush(self) -> None:
-        """Land the deferred commit barrier of a pipelined batch.
+    def _fail_round(self, answered: List[str], failures: Dict[str, BaseException]) -> None:
+        """Abort a failed wave and raise its first failure (node-id order)."""
+        nodes = [self._nodes[node_id] for node_id in answered]
+        recoverable = self._transport.abort(nodes, failures)
+        first = sorted(failures)[0]
+        raise _BatchFailure(first, failures[first], recoverable)
 
-        No-op unless ``pipeline_depth`` is 2 and a batch is pending.
-        Runs at the start of the next ingest and before any view or
-        membership operation, so the deferred window is invisible to
-        callers — reads always observe fully committed state.
+    def _vote_round(
+        self, kind: str, payloads: Dict[str, object], routed_counts: Dict[str, int]
+    ) -> Dict[str, IngestReport]:
+        """The ingesting round of a wave: collect one vote per node.
+
+        Returns the voters' reports on success; on any failure the wave
+        is aborted and :class:`_BatchFailure` carries the first failed
+        node for the recovery loop.
         """
-        if not self._pending_commit:
-            return
-        self._pending_commit = False
-        barrier_started = time.perf_counter()
-        try:
-            with self._obs.span("cluster.commit_barrier"):
-                self._store.commit()
-        except Exception:
-            if self._store.supports_rollback and not self._store.closed:
-                self._store.rollback()
-            raise
-        finally:
-            self._barrier_seconds += time.perf_counter() - barrier_started
-
-    def _maybe_auto_rebalance(self, busy_before: Dict[str, float]) -> None:
-        """Feed the skew watcher one batch; rebalance when it fires.
-
-        Runs strictly *after* the commit barrier, so a triggered
-        rebalance behaves exactly like a manual between-batches
-        :meth:`rebalance` (re-fence moved shards, resync new owners).
-        """
-        if self._skew_watcher is None:
-            return
-        busy = {
-            node_id: node.busy_seconds - busy_before.get(node_id, 0.0)
-            for node_id, node in self._nodes.items()
-        }
-        if self._skew_watcher.observe(busy):
-            self.rebalance()
-
-    def _ingest_on(self, node: _EngineNode, sub_batch: List[Offer]) -> IngestReport:
-        started = time.perf_counter()
-        try:
-            return node.engine.ingest(sub_batch)
-        except Exception as exc:  # noqa: BLE001 - re-raised via recovery
-            raise _NodeFailure(node.node_id, exc) from exc
-        finally:
+        votes, answered, failures = self._round(kind, payloads, "vote")
+        for node_id, vote in votes.items():
+            node = self._nodes[node_id]
             # Busy time accrues even for an attempt that is later rolled
             # back (the node really did spend it); the routing counters
             # below are applied only once the whole wave succeeded, so a
             # recovery replay never double-counts offers.
-            node.busy_seconds += time.perf_counter() - started
-
-    def _dispatch(self, routed: Dict[str, List[Offer]]) -> List[IngestReport]:
-        """Run one batch's routed sub-batches on their nodes; first failure wins."""
-        ordered = [(node_id, routed[node_id]) for node_id in sorted(routed)]
-        if not self._concurrent or len(ordered) == 1:
-            results = [
-                self._ingest_on(self._nodes[node_id], sub_batch)
-                for node_id, sub_batch in ordered
-            ]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=len(ordered), thread_name_prefix="cluster-node"
-            ) as pool:
-                futures = [
-                    pool.submit(self._ingest_on, self._nodes[node_id], sub_batch)
-                    for node_id, sub_batch in ordered
-                ]
-                results = []
-                failure: Optional[_NodeFailure] = None
-                for future in futures:
-                    try:
-                        results.append(future.result())
-                    except _NodeFailure as exc:
-                        # Deterministic pick: first failed node in id order.
-                        if failure is None:
-                            failure = exc
-                if failure is not None:
-                    raise failure
-        for node_id, sub_batch in ordered:
+            node.busy_seconds += vote.busy_seconds
+            node.transport = vote.transport
+            if not vote.ready:
+                failures[node_id] = vote.cause or RuntimeError(
+                    f"node {node_id!r} failed mid-batch: {vote.error}"
+                )
+        if failures:
+            self._fail_round(answered, failures)
+        for node_id, count in routed_counts.items():
             node = self._nodes[node_id]
-            node.offers_routed += len(sub_batch)
+            node.offers_routed += count
             node.batches += 1
-        return results
+        return {node_id: vote.report for node_id, vote in votes.items()}
+
+    def _dispatch_hint(self, fresh: Sequence[Offer]) -> Dict[str, IngestReport]:
+        """Hint-routed dispatch: nodes classify, misroutes re-ship, owners apply.
+
+        Two rounds instead of one (the node half is
+        :class:`NodeProtocol`): ``classify`` ships each hinted,
+        position-tagged sub-batch plus the shard assignment to its
+        guessed owner and collects the offers that belong elsewhere;
+        ``apply`` delivers those to their true owners, which ingest.
+        The per-offer classification sweep — the dominant serial cost
+        of coordinator routing — thus runs on the nodes, and only
+        misrouted offers are shipped twice.
+        """
+        # Same error contract as coordinator routing, checked up front
+        # so no node sees a doomed batch.
+        self._require_classifier(fresh)
+        if self._hinter is None:
+            self._hinter = CategoryHinter.from_classifier(self._classifier)
+        routing_started = time.perf_counter()
+        fallback = self.node_ids()[0]
+        # The position tag is what keeps hint routing byte-identical:
+        # every true owner re-sorts its merged offers by position,
+        # recovering exactly the per-node stream order coordinator-side
+        # routing would have produced.
+        hinted: Dict[str, List[Tuple[int, Offer]]] = {}
+        for position, offer in enumerate(fresh):
+            owner = self._owner(self._hinter.hint(offer), fallback)
+            hinted.setdefault(owner, []).append((position, offer))
+        # Every fresh offer is hint-routed; with the misroute counter
+        # below this feeds the hint_accuracy gauge.
+        self._hint_stats.hinted_offers += len(fresh)
+        assignment = {
+            shard: self._coordinator.node_for_shard(shard) for shard in range(self._num_shards)
+        }
+        self._routing_seconds += time.perf_counter() - routing_started
+        classified, answered, failures = self._round(
+            "classify",
+            {
+                node_id: {"offers": positioned, "assignment": assignment, "fallback": fallback}
+                for node_id, positioned in hinted.items()
+            },
+            "classified",
+        )
+        incoming: Dict[str, List[Tuple[int, Offer]]] = {}
+        owned_counts: Dict[str, int] = {}
+        for node_id, reply in classified.items():
+            self._nodes[node_id].busy_seconds += reply["busy_seconds"]
+            moved = 0
+            for destination, items in reply["outgoing"].items():
+                incoming.setdefault(destination, []).extend(items)
+                moved += len(items)
+            self._hint_stats.misrouted_offers += moved
+            owned_counts[node_id] = len(hinted[node_id]) - moved
+        if failures:
+            self._fail_round(answered, failures)
+        payloads: Dict[str, object] = {}
+        routed_counts: Dict[str, int] = {}
+        for node_id in {n for n, count in owned_counts.items() if count} | set(incoming):
+            items = sorted(incoming.get(node_id, ()), key=lambda item: item[0])
+            payloads[node_id] = {"incoming": items}
+            routed_counts[node_id] = owned_counts.get(node_id, 0) + len(items)
+        return self._vote_round("apply", payloads, routed_counts)
+
+    # -- commit barrier --------------------------------------------------------
+
+    def _begin_barrier(self, voters: List[str], fresh: Sequence[Offer]) -> None:
+        """Start the commit barrier of a batch its ``voters`` absorbed."""
+        self._transport.barrier_begin([self._nodes[node_id] for node_id in voters], fresh)
+        self._pending = list(fresh)
+        self._seen.update(offer.offer_id for offer in fresh)
+        self._dirty = True
+
+    def flush(self) -> None:
+        """Finish the begun commit barrier (no-op when none is open).
+
+        After this returns, every previously ingested batch is durably
+        committed.  ``ingest`` at ``pipeline_depth=1``, the next ingest
+        at depth 2, and every view or membership operation flush
+        implicitly, so the open window is invisible to callers — reads
+        always observe fully committed state.  A failed store flush is
+        a *store* failure, not a node crash: fencing cannot help, so the
+        batch is discarded (where the backend allows) and the error
+        surfaces — the caller may retry the whole batch.  Voters lost
+        at the barrier are fenced and what they did not commit replays.
+        """
+        if self._pending is None:
+            return
+        offers, self._pending = self._pending, None
+        try:
+            barrier_started = time.perf_counter()
+            try:
+                with self._obs.span("cluster.commit_barrier"):
+                    lost = self._transport.barrier_end()
+            finally:
+                self._barrier_seconds += time.perf_counter() - barrier_started
+            if lost:
+                self._recover_barrier(offers, lost)
+        except Exception:
+            # The batch did not (provably) land: a retry must not be
+            # deduplicated away coordinator-side.
+            self._seen.difference_update(offer.offer_id for offer in offers)
+            raise
+
+    def _recover_barrier(self, offers: List[Offer], lost: Dict[str, str]) -> None:
+        """A commit round lost voters: fence them and replay what is missing.
+
+        Only possible because the transport made the batch durable
+        before the round and every node's commit is atomic: after
+        fencing, the coordinator refreshes its store — the only
+        authority on which sub-batches landed — and re-runs the batch's
+        *unseen* offers through a normal dispatch + barrier.  Node-side
+        dedup could not replace the refresh: fencing just moved shards,
+        and a surviving node's mirror may predate another node's
+        committed sub-batch.
+        """
+        if not self._auto_recover:
+            raise RuntimeError(
+                "cluster commit barrier failed partway — the shared store "
+                "holds the last fully-voted state of the nodes that "
+                "flushed, plus this batch's durable commit intent; reopen "
+                "the store path (or keep auto_recover on) to replay it: "
+                + "; ".join(lost.values())
+            )
+        self._fence_unreachable([node_id for node_id in lost if node_id in self._nodes])
+        self._refresh_store()
+        self._replay_offers(offers)
+
+    def _replay_offers(self, offers: Sequence[Offer]) -> None:
+        """Re-dispatch and durably commit whichever offers never landed.
+
+        Shared by barrier recovery and the startup replay of a leftover
+        batch; idempotent because the store's seen set filters first.
+        """
+        remainder = [offer for offer in offers if not self._store.is_seen(offer.offer_id)]
+        if not remainder:
+            self._transport.barrier_end()
+            return
+        reports = self._dispatch_with_retry(remainder)
+        self._begin_barrier(sorted(reports), remainder)
+        self.flush()
 
     # -- views ----------------------------------------------------------------
 
+    def _refresh_store(self) -> None:
+        """Make the coordinator's store reflect every node commit.
+
+        Once refreshed, the store's own seen set covers everything the
+        side set accumulated, so the side set is dropped — the
+        coordinator never holds the stream's offer ids twice.
+        """
+        self._transport.refresh_mirror()
+        self._dirty = False
+        self._seen.clear()
+
+    def _view(self) -> CatalogStore:
+        """The coordinator's store, open, flushed and current."""
+        self._ensure_open()
+        self.flush()
+        if self._dirty:
+            self._refresh_store()
+        return self._store
+
     def products(self) -> List[Product]:
         """All current synthesized products (same order as a single engine)."""
-        self.flush()
-        return self._store.sorted_products()
+        return self._view().sorted_products()
 
     def num_clusters(self) -> int:
         """Number of clusters tracked so far (including sub-threshold ones)."""
-        self.flush()
-        return self._store.num_clusters()
+        return self._view().num_clusters()
 
     def category_statistics(self, category_id: str) -> Optional[IncrementalTfIdf]:
         """The incremental TF-IDF statistics of one category (or ``None``)."""
-        self.flush()
-        return self._store.category_stats(category_id)
+        return self._view().category_stats(category_id)
 
     def snapshot(self) -> EngineSnapshot:
         """A consistent summary of everything ingested so far."""
-        self.flush()
+        store = self._view()
         return EngineSnapshot(
-            products=self.products(),
-            num_clusters=self.num_clusters(),
-            offers_ingested=self._store.num_seen(),
-            reconciliation_stats=self._store.reconciliation_stats(),
-            assigned_categories=self._store.assigned_categories(),
-            category_vocabulary=self._store.category_vocabulary(),
+            products=store.sorted_products(),
+            num_clusters=store.num_clusters(),
+            offers_ingested=store.num_seen(),
+            reconciliation_stats=store.reconciliation_stats(),
+            assigned_categories=store.assigned_categories(),
+            category_vocabulary=store.category_vocabulary(),
         )
 
-    def transport_stats(self) -> TransportStats:
-        """Cluster-wide executor-payload accounting (all nodes, ever)."""
+    def _coordinator_stats(self) -> TransportStats:
+        """The coordinator's own accounting: retired nodes, hints, wire frames."""
         merged = TransportStats()
-        merged.merge(self._retired_transport)
-        merged.merge(self._coordinator_transport)
+        for part in (self._retired_transport, self._hint_stats, self._transport.stats):
+            merged.merge(part)
+        return merged
+
+    def transport_stats(self) -> TransportStats:
+        """Cluster-wide transport accounting: executor payloads (all
+        nodes, ever), hint counters and wire frames."""
+        merged = self._coordinator_stats()
         for node in self._nodes.values():
-            merged.merge(node.engine.transport_stats())
+            merged.merge(node.transport)
+        return merged
+
+    def node_metrics(self) -> Dict[str, object]:
+        """Fetch and merge the metrics the live nodes hold outside this process.
+
+        One explicit round per node, after finishing an open barrier so
+        it can never race a pending commit ack — which is also why this
+        runs on demand (the benches call it right before ``close``)
+        rather than at scrape time: the merged result is cached, and
+        the registry provider serves the cache.  In-process nodes
+        contribute nothing (their counters already live in this
+        registry); dead nodes simply drop out of the merge.
+        """
+        self._ensure_open()
+        self.flush()
+        merged: Dict[str, object] = {}
+        for _, node in sorted(self._nodes.items()):
+            merge_snapshot(merged, node.metrics())
+        self._node_metrics = merged
         return merged
 
     @property
     def routing_seconds(self) -> float:
-        """Coordinator time spent deduplicating and routing batches."""
+        """Coordinator time spent deduplicating, classifying and routing."""
         return self._routing_seconds
 
     @property
@@ -1348,39 +1770,175 @@ class MultiNodeEngine:
 
     # -- lifecycle -------------------------------------------------------------
 
+    def _teardown(self) -> None:
+        """Stop every node and release the store and the metrics provider."""
+        self._obs.remove_provider(self._obs_provider)
+        for _, node in sorted(self._nodes.items()):
+            node.shutdown()
+        self._nodes = {}
+        self._transport.close()
+
     def close(self) -> None:
-        """Release every node's workers and flush/close the shared store."""
+        """Finish the open barrier, shut every node down, release the store.
+
+        Idempotent.  Every later ``ingest``, view or membership call
+        raises ``RuntimeError``.  A final barrier that fails is
+        reported, but teardown proceeds regardless; what the store
+        durably holds of it is replayed by the next cluster opened over
+        the same store path.
+        """
         if self._closed:
             return
         self._closed = True
-        self._obs.remove_provider(self._obs_provider)
-        if not self._store.closed:
-            self.flush()
-        for node in self._nodes.values():
-            node.engine.detach_metrics_provider()
-            node.engine.release_workers()
-        if self._owns_store:
-            self._store.close()
-        else:
-            self._store.commit()
+        try:
+            if not self._store.closed:
+                self.flush()
+        finally:
+            self._teardown()
 
-    def __enter__(self) -> "MultiNodeEngine":
+    def __enter__(self) -> "ClusterEngine":
+        """Context-manager entry (returns self)."""
         return self
 
     def __exit__(self, exc_type: object, exc: object, traceback: object) -> None:
+        """Context-manager exit: tear the cluster down."""
         self.close()
 
 
-def __getattr__(name: str):
-    """Lazily re-export the multi-process members from their module.
+class _EngineNode(ClusterNode):
+    """An in-process member: an engine over a fenced view of the shared store."""
 
-    ``ProcessNode`` / ``MultiProcessEngine`` live in
-    :mod:`repro.runtime.procnode` (which imports the fencing primitives
-    from here); resolving them on attribute access keeps
-    ``repro.runtime.cluster`` their import home without a cycle.
+    def __init__(
+        self, node_id: str, lease: ShardLease, view: FencedStoreView, engine: SynthesisEngine
+    ) -> None:
+        super().__init__(node_id, lease)
+        self.view = view
+        self.engine = engine
+        self.protocol = NodeProtocol(node_id, view.num_shards, engine)
+        self._reply: Optional[Tuple[str, object]] = None
+
+    def send(self, kind: str, payload: object = None) -> None:
+        """Run the message on the node right away; the reply waits for :meth:`recv`."""
+        self._reply = self.protocol.handle(kind, payload)
+
+    def recv(self) -> Tuple[str, object]:
+        """Hand over the reply the last :meth:`send` produced."""
+        reply, self._reply = self._reply, None
+        return reply
+
+    def push_lease(self, gained: List[int]) -> None:
+        """Nothing to push: the lease object is shared and so is the store."""
+
+    def destroy(self) -> None:
+        """Release the engine's workers and its metrics provider.
+
+        The coordinator's retired totals carry the engine's counters
+        from here on; a provider left registered would count the same
+        frames twice.
+        """
+        self.engine.detach_metrics_provider()
+        self.engine.release_workers()
+
+
+class InProcessTransport(NodeTransport):
+    """Nodes as engines in this process, writing through fenced views.
+
+    Every node writes straight into the one shared store (under one
+    cluster lock, through its :class:`FencedStoreView`), so a message is
+    a direct call, the barrier is one store commit, and the
+    coordinator's store is always current.  Dispatch is sequential: a
+    ``send`` runs the node to completion.
     """
-    if name in ("ProcessNode", "MultiProcessEngine"):
-        from repro.runtime import procnode
 
-        return getattr(procnode, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    def __init__(
+        self,
+        num_shards: int,
+        engine_kwargs: Dict[str, object],
+        store: Union[str, CatalogStore, None] = None,
+        store_path: Optional[str] = None,
+        executor: Union[str, ShardExecutor, None] = "serial",
+        delta_refusion: Optional[bool] = None,
+    ) -> None:
+        super().__init__()
+        self._owns_store = not isinstance(store, CatalogStore)
+        self.store = resolve_store(store, path=store_path)
+        self.store.bind(num_shards)
+        self._num_shards = num_shards
+        self._engine_kwargs = dict(engine_kwargs, executor=executor, delta_refusion=delta_refusion)
+        self._lock = threading.RLock()
+
+    def start_node(
+        self, node_id: str, lease: ShardLease, peers: Sequence[ClusterNode]
+    ) -> _EngineNode:
+        """Build the node's fenced view and engine."""
+        view = FencedStoreView(self.store, lease, self._lock, deferred_commit=True)
+        engine = SynthesisEngine(num_shards=self._num_shards, store=view, **self._engine_kwargs)
+        return _EngineNode(node_id, lease, view, engine)
+
+    def _restore_barrier(self) -> bool:
+        """Roll the shared store back to the last commit, where the backend can."""
+        if self.store.supports_rollback and not self.store.closed:
+            self.store.rollback()
+            return True
+        return False
+
+    def abort(self, answered: Sequence[ClusterNode], failures: Dict[str, BaseException]) -> bool:
+        """Drop the wave's retained offers and roll the shared store back."""
+        for node in answered:
+            node.protocol.discard()
+        return self._restore_barrier()
+
+    def barrier_begin(self, voters: Sequence[ClusterNode], fresh: Sequence[Offer]) -> None:
+        """Nothing to start: the voters already wrote into the shared store."""
+
+    def barrier_end(self) -> Dict[str, str]:
+        """The barrier itself: one commit of the shared store."""
+        try:
+            self.store.commit()
+        except Exception:
+            self._restore_barrier()
+            raise
+        return {}
+
+    def leftover_batch(self) -> Optional[List[Offer]]:
+        """Never: a store commit is atomic, no barrier is left half-done."""
+        return None
+
+    def refresh_mirror(self) -> None:
+        """Nothing to refresh: the nodes write into the coordinator's store."""
+
+    def close(self) -> None:
+        """Close an owned store; commit (and leave open) a caller's."""
+        if self._owns_store:
+            self.store.close()
+        elif not self.store.closed:
+            self.store.commit()
+
+
+class MultiNodeEngine(ClusterEngine):
+    """The in-process cluster: N engines over one shared, fenced store.
+
+    The double of :class:`~repro.runtime.procnode.MultiProcessEngine`
+    that needs no processes and no durable store: the same coordinator
+    and the same node-side protocol code, with messages as direct calls
+    and every node writing through its :class:`FencedStoreView` into one
+    store.  Nodes run one after the other under one cluster lock, so it
+    buys no throughput — it is what the fencing, routing, recovery and
+    equivalence properties are tested (and debugged) against.
+
+    Parameters are :class:`ClusterEngine`'s, plus:
+
+    store, store_path:
+        The shared store, as for the single engine (a backend name, an
+        instance the caller keeps owning, or ``None`` for memory).
+    executor, delta_refusion:
+        As for the single engine; an executor given by name is built
+        *per node*, so ``executor="process"`` gives every node its own
+        worker pool.
+    """
+
+    _transport_class = InProcessTransport
+
+    def node_view(self, node_id: str) -> FencedStoreView:
+        """The fenced store view of one live node (tests, diagnostics)."""
+        return self._member(node_id).view

@@ -25,13 +25,6 @@ engine re-ships their full contents once.
 Everything here is module-level and pickle-friendly on purpose: tasks
 travel to worker processes, and the worker cache must live in module
 state so it survives between ``map_pinned`` calls.
-
-The protocol is also what makes worker lifecycle inside *cluster node
-processes* (:mod:`repro.runtime.procnode`) self-healing: store tokens
-embed the owning PID, so two nodes' worker pools can never cross-feed
-caches, and after a crash-recovery rollback the version/``base_size``
-guards catch every stale cache and resync it from the shared WAL file —
-which reflects exactly the commit barrier the cluster rolled back to.
 """
 
 from __future__ import annotations

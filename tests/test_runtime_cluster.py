@@ -15,6 +15,7 @@ from repro.runtime import (
     LoadSkewWatcher,
     MemoryCatalogStore,
     MultiNodeEngine,
+    MultiProcessEngine,
     ShardCoordinator,
     StaleEpochError,
     SynthesisEngine,
@@ -39,6 +40,36 @@ def make_cluster(harness, **kwargs):
         category_classifier=harness.category_classifier,
         **kwargs,
     )
+
+
+@pytest.fixture(params=["threads", "processes"])
+def any_cluster(request, tiny_harness, tmp_path):
+    """A factory for either public cluster engine (closed at teardown).
+
+    The facade is one coordinator class under both; every case below
+    must hold whichever transport carries the messages.
+    """
+    made = []
+
+    def factory(**kwargs):
+        if request.param == "processes":
+            kwargs["store_path"] = str(tmp_path / f"cluster-{len(made)}.sqlite3")
+            cluster = MultiProcessEngine(
+                catalog=tiny_harness.corpus.catalog,
+                correspondences=tiny_harness.offline_result.correspondences,
+                extractor=tiny_harness.extractor,
+                category_classifier=tiny_harness.category_classifier,
+                **kwargs,
+            )
+        else:
+            cluster = make_cluster(tiny_harness, **kwargs)
+        made.append(cluster)
+        return cluster
+
+    factory.kind = request.param
+    yield factory
+    for cluster in made:
+        cluster.close()
 
 
 def feed_stream(harness, num_batches=4):
@@ -396,14 +427,6 @@ class TestMembership:
         assert sorted(fingerprint(cluster.products())) == feed_expected
         cluster.close()
 
-    def test_cannot_remove_last_node(self, tiny_harness):
-        cluster = make_cluster(tiny_harness, num_nodes=1, num_shards=4)
-        with pytest.raises(RuntimeError, match="last node"):
-            cluster.remove_node(cluster.node_ids()[0])
-        with pytest.raises(ValueError, match="not a cluster member"):
-            cluster.remove_node("node-99")
-        cluster.close()
-
 
 class _SimulatedCrash(Exception):
     """Raised by the fault hook to cut a node down mid-batch."""
@@ -545,10 +568,71 @@ class TestCrashInjection:
         cluster.close()
 
 
+#: The 26 members MultiNodeEngine and MultiProcessEngine each used to
+#: define for themselves (862 lines counting both copies).
+SHARED_MEMBERS = [
+    "__enter__",
+    "__exit__",
+    "__init__",
+    "_partition",
+    "_retire",
+    "_route_categories",
+    "add_node",
+    "barrier_wait_seconds",
+    "category_statistics",
+    "close",
+    "coordinator",
+    "coordinator_seconds",
+    "fence_node",
+    "flush",
+    "ingest",
+    "node_ids",
+    "node_stats",
+    "num_clusters",
+    "products",
+    "rebalance",
+    "remove_node",
+    "routing_seconds",
+    "skew_watcher",
+    "snapshot",
+    "store",
+    "transport_stats",
+]
+
+
+class TestOneCoordinator:
+    @pytest.mark.parametrize("name", SHARED_MEMBERS)
+    def test_shared_member_is_defined_once(self, name):
+        """Both public engines resolve every shared member to one object."""
+        assert getattr(MultiNodeEngine, name) is getattr(MultiProcessEngine, name)
+
+    def test_cluster_module_does_not_depend_on_procnode(self):
+        import repro.runtime.cluster as cluster_module
+
+        assert "__getattr__" not in vars(cluster_module)
+        assert not hasattr(cluster_module, "MultiProcessEngine")
+
+    @pytest.mark.parametrize(
+        "engine,option",
+        [
+            (MultiNodeEngine, {"concurrent": True}),
+            (MultiProcessEngine, {"delta_refusion": True, "store_path": "unused.sqlite3"}),
+            (MultiNodeEngine, {"node_timeout": 5.0}),
+        ],
+    )
+    def test_removed_and_foreign_options_are_rejected(self, tiny_harness, engine, option):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            engine(
+                catalog=tiny_harness.corpus.catalog,
+                correspondences=tiny_harness.offline_result.correspondences,
+                **option,
+            )
+
+
 class TestClusterFacade:
-    def test_reports_and_snapshot_match_single_engine(self, tiny_harness):
+    def test_reports_and_snapshot_match_single_engine(self, tiny_harness, any_cluster):
         single = make_single(tiny_harness, num_shards=8)
-        cluster = make_cluster(tiny_harness, num_nodes=3, num_shards=8)
+        cluster = any_cluster(num_nodes=3, num_shards=8)
         batches = feed_stream(tiny_harness)
         for batch in batches:
             single_report = single.ingest(batch)
@@ -567,10 +651,9 @@ class TestClusterFacade:
         assert cluster_snapshot.category_vocabulary == single_snapshot.category_vocabulary
         assert cluster_snapshot.reconciliation_stats == single_snapshot.reconciliation_stats
         single.close()
-        cluster.close()
 
-    def test_node_stats_account_for_every_routed_offer(self, tiny_harness):
-        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8)
+    def test_node_stats_account_for_every_routed_offer(self, tiny_harness, any_cluster):
+        cluster = any_cluster(num_nodes=2, num_shards=8)
         batches = feed_stream(tiny_harness)
         for batch in batches:
             cluster.ingest(batch)
@@ -578,29 +661,61 @@ class TestClusterFacade:
         assert [s.node_id for s in stats] == cluster.node_ids()
         assert sum(s.offers_routed for s in stats) == sum(len(b) for b in batches)
         assert {shard for s in stats for shard in s.shards} == set(range(8))
+        assert sum(s.busy_seconds for s in stats) > 0.0
         payload = stats[0].to_dict()
         assert payload["node_id"] == stats[0].node_id
         assert payload["offers_routed"] == stats[0].offers_routed
-        cluster.close()
 
-    def test_concurrent_dispatch_byte_identical(self, tiny_harness, feed_expected):
-        cluster = make_cluster(tiny_harness, num_nodes=4, num_shards=8, concurrent=True)
-        for batch in feed_stream(tiny_harness):
-            cluster.ingest(batch)
-        assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
+    def test_cannot_remove_last_node(self, any_cluster):
+        cluster = any_cluster(num_nodes=1, num_shards=4)
+        with pytest.raises(RuntimeError, match="last node"):
+            cluster.remove_node(cluster.node_ids()[0])
+        with pytest.raises(ValueError, match="not a cluster member"):
+            cluster.remove_node("node-99")
 
-    def test_ingest_after_store_close_fails_fast(self, tmp_path, tiny_harness):
-        path = str(tmp_path / "closed.sqlite3")
-        cluster = make_cluster(
-            tiny_harness, num_nodes=2, num_shards=4, store="sqlite", store_path=path
-        )
+    def test_ingest_after_store_close_fails_fast(self, tiny_harness, any_cluster, tmp_path):
+        options = {}
+        if any_cluster.kind == "threads":
+            options = dict(store="sqlite", store_path=str(tmp_path / "closed.sqlite3"))
+        cluster = any_cluster(num_nodes=2, num_shards=4, **options)
         batches = feed_stream(tiny_harness)
         cluster.ingest(batches[0])
         cluster.store.close()
         with pytest.raises(RuntimeError, match="closed"):
             cluster.ingest(batches[1])
+
+    def test_closed_cluster_refuses_every_call(self, tiny_harness, any_cluster):
+        """One rule for both engines: ``close`` is final (and idempotent).
+
+        A thread cluster over a caller-owned store used to come back to
+        life on the next ``ingest`` — with its metrics provider gone.
+        """
+        options = {}
+        if any_cluster.kind == "threads":
+            # Caller-owned, so the store itself survives the close.
+            options = dict(store=MemoryCatalogStore())
+        cluster = any_cluster(num_nodes=2, num_shards=4, **options)
+        batches = feed_stream(tiny_harness)
+        cluster.ingest(batches[0])
         cluster.close()
+        cluster.close()
+        calls = [
+            lambda: cluster.ingest(batches[1]),
+            cluster.products,
+            cluster.num_clusters,
+            cluster.snapshot,
+            lambda: cluster.category_statistics("computing.hdd"),
+            cluster.add_node,
+            lambda: cluster.remove_node("node-2"),
+            lambda: cluster.fence_node("node-1"),
+            cluster.rebalance,
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(RuntimeError, match="closed") as excinfo:
+                call()
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1  # the same error, whatever was called
 
 
 class TestHintAccuracyGauge:
@@ -621,15 +736,13 @@ class TestHintAccuracyGauge:
         assert stats.hint_accuracy == 0.80
         assert stats.to_dict()["hinted_offers"] == 100
 
-    def test_hint_accuracy_pinned_on_fixed_stream(self, tiny_harness):
+    def test_hint_accuracy_pinned_on_fixed_stream(self, tiny_harness, feed_expected, any_cluster):
         """The gauge equals an independent replay of the hint decisions."""
         from repro.runtime import shard_for_category
         from repro.runtime.cluster import CategoryHinter
 
         batches = feed_stream(tiny_harness)
-        cluster = make_cluster(
-            tiny_harness, num_nodes=2, num_shards=8, hint_routing=True
-        )
+        cluster = any_cluster(num_nodes=2, num_shards=8, hint_routing=True)
         probe = make_single(tiny_harness, num_shards=8)
         hinter = CategoryHinter.from_classifier(tiny_harness.category_classifier)
         assignment = cluster.coordinator.assignment()
@@ -659,6 +772,7 @@ class TestHintAccuracyGauge:
             stats = cluster.transport_stats()
             assert stats.hinted_offers == expected_hinted
             assert stats.misrouted_offers == expected_misrouted
+            assert 0 <= stats.misrouted_offers <= stats.hinted_offers
             assert stats.hint_accuracy == 1.0 - expected_misrouted / expected_hinted
             assert stats.to_dict()["hint_accuracy"] == stats.hint_accuracy
             # The stream is fixed (tiny corpus, feed order), so the gauge
@@ -666,16 +780,15 @@ class TestHintAccuracyGauge:
             # hint routing would be all re-ship traffic.
             assert expected_hinted == sum(len(batch) for batch in batches)
             assert stats.hint_accuracy >= 0.5
+            assert sorted(fingerprint(cluster.products())) == feed_expected
         finally:
             probe.close()
-            cluster.close()
 
-    def test_coordinator_routing_reports_no_hinted_offers(self, tiny_harness):
+    def test_coordinator_routing_reports_no_hinted_offers(self, tiny_harness, any_cluster):
         """Without hint routing the gauge must stay None, not fake 1.0."""
-        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8)
+        cluster = any_cluster(num_nodes=2, num_shards=8)
         for batch in feed_stream(tiny_harness):
             cluster.ingest(batch)
         stats = cluster.transport_stats()
         assert stats.hinted_offers == 0
         assert stats.hint_accuracy is None
-        cluster.close()

@@ -10,11 +10,18 @@ automatic load-skew rebalance, and kill-and-resume of the whole cluster
 against the shared WAL file.
 """
 
+import multiprocessing
+import pickle
+
 import pytest
 
 from conftest import product_fingerprint as fingerprint
-from repro.runtime import MultiProcessEngine, StaleEpochError, SynthesisEngine
-from repro.runtime.cluster import MultiProcessEngine as ReexportedEngine
+from repro.runtime import (
+    MultiProcessEngine,
+    SqliteCatalogStore,
+    StaleEpochError,
+    SynthesisEngine,
+)
 
 
 def make_single(harness, **kwargs):
@@ -64,9 +71,6 @@ class TestMultiProcessBasics:
                 correspondences=tiny_harness.offline_result.correspondences,
             )
 
-    def test_reexported_from_cluster_module(self):
-        assert ReexportedEngine is MultiProcessEngine
-
     def test_rejects_process_node_executor(self, tmp_path, tiny_harness):
         """Daemonic node processes cannot spawn worker pools; the
         constructor must say so instead of failing opaquely mid-ingest."""
@@ -105,48 +109,6 @@ class TestMultiProcessBasics:
         assert replay.offers_duplicate == replay.offers_in_batch
         cluster.close()
 
-    def test_reports_and_snapshot_match_single_engine(self, tmp_path, tiny_harness):
-        single = make_single(tiny_harness, num_shards=8)
-        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=3, num_shards=8)
-        for batch in feed_stream(tiny_harness):
-            single_report = single.ingest(batch)
-            cluster_report = cluster.ingest(batch)
-            assert cluster_report.offers_in_batch == single_report.offers_in_batch
-            assert cluster_report.offers_new == single_report.offers_new
-            assert cluster_report.offers_duplicate == single_report.offers_duplicate
-            assert cluster_report.offers_clustered == single_report.offers_clustered
-            assert cluster_report.clusters_touched == single_report.clusters_touched
-        single_snapshot = single.snapshot()
-        cluster_snapshot = cluster.snapshot()
-        assert fingerprint(cluster_snapshot.products) == fingerprint(single_snapshot.products)
-        assert cluster_snapshot.num_clusters == single_snapshot.num_clusters
-        assert cluster_snapshot.offers_ingested == single_snapshot.offers_ingested
-        assert cluster_snapshot.assigned_categories == single_snapshot.assigned_categories
-        assert cluster_snapshot.category_vocabulary == single_snapshot.category_vocabulary
-        assert cluster_snapshot.reconciliation_stats == single_snapshot.reconciliation_stats
-        single.close()
-        cluster.close()
-
-    def test_node_stats_account_for_every_routed_offer(self, tmp_path, tiny_harness):
-        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
-        batches = feed_stream(tiny_harness)
-        for batch in batches:
-            cluster.ingest(batch)
-        stats = cluster.node_stats()
-        assert [s.node_id for s in stats] == cluster.node_ids()
-        assert sum(s.offers_routed for s in stats) == sum(len(b) for b in batches)
-        assert {shard for s in stats for shard in s.shards} == set(range(8))
-        assert sum(s.busy_seconds for s in stats) > 0.0
-        cluster.close()
-
-    def test_ingest_after_close_fails_fast(self, tmp_path, tiny_harness):
-        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=4)
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        cluster.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            cluster.ingest(batches[1])
-
 
 class TestMembership:
     def test_join_leave_and_rebalance_mid_stream(self, tmp_path, tiny_harness, feed_expected):
@@ -161,14 +123,6 @@ class TestMembership:
         for batch in batches[2:]:
             cluster.ingest(batch)
         assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
-
-    def test_cannot_remove_last_node(self, tmp_path, tiny_harness):
-        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=1, num_shards=4)
-        with pytest.raises(RuntimeError, match="last node"):
-            cluster.remove_node(cluster.node_ids()[0])
-        with pytest.raises(ValueError, match="not a cluster member"):
-            cluster.remove_node("node-99")
         cluster.close()
 
     def test_fence_node_durably_advances_epochs(self, tmp_path, tiny_harness):
@@ -431,6 +385,38 @@ class TestCommitIntent:
         finally:
             reopened.close()
 
+    def test_failed_startup_replay_leaves_nothing_running(self, tmp_path, tiny_harness):
+        """A constructor that fails after spawning (here: the replay of
+        a leftover intent cannot be routed) must stop its node processes
+        and release the store, and leave the intent for the next open."""
+        path = str(tmp_path / "leak.sqlite3")
+        offers = feed_stream(tiny_harness)[0]
+        assert all(offer.category_id is None for offer in offers)
+        store = SqliteCatalogStore(path)
+        store.write_commit_intent(1, pickle.dumps(offers))
+        store.close()
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="trained category classifier"):
+            MultiProcessEngine(
+                catalog=tiny_harness.corpus.catalog,
+                correspondences=tiny_harness.offline_result.correspondences,
+                extractor=tiny_harness.extractor,
+                category_classifier=None,
+                store_path=path,
+                num_nodes=2,
+                num_shards=8,
+            )
+        leaked = [child for child in multiprocessing.active_children() if child not in before]
+        assert leaked == [], f"node processes outlived the failed constructor: {leaked}"
+        # The intent is still there, and a cluster that *can* route it
+        # replays it on open.
+        reopened = make_cluster(tiny_harness, tmp_path, name="leak.sqlite3", num_nodes=2)
+        try:
+            assert reopened.store.pending_commit_intent() is None
+            assert reopened.snapshot().offers_ingested == len({o.offer_id for o in offers})
+        finally:
+            reopened.close()
+
     def test_crash_without_auto_recover_names_the_intent(self, tmp_path, tiny_harness):
         """Without auto-recovery the barrier failure still leaves the
         durable intent behind and the error says how to replay it."""
@@ -463,34 +449,4 @@ class TestAutoRebalance:
             cluster.ingest(batch)
         assert cluster.skew_watcher is not None
         assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
-
-
-class TestHintTransportStats:
-    def test_hint_routing_reports_accuracy_gauge(self, tmp_path, tiny_harness, feed_expected):
-        """Hint mode counts every routed offer as hinted, and the
-        accuracy gauge is exactly 1 - misrouted/hinted after the run."""
-        cluster = make_cluster(
-            tiny_harness, tmp_path, num_nodes=2, num_shards=8, hint_routing=True
-        )
-        batches = feed_stream(tiny_harness)
-        total = sum(len(batch) for batch in batches)
-        for batch in batches:
-            cluster.ingest(batch)
-        stats = cluster.transport_stats()
-        assert stats.hinted_offers == total
-        assert 0 <= stats.misrouted_offers <= stats.hinted_offers
-        assert stats.hint_accuracy == 1.0 - stats.misrouted_offers / stats.hinted_offers
-        assert stats.to_dict()["hint_accuracy"] == stats.hint_accuracy
-        assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
-
-    def test_coordinator_routing_reports_no_hints(self, tmp_path, tiny_harness):
-        """Without hint routing the gauge stays undefined, not zero."""
-        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
-        for batch in feed_stream(tiny_harness, num_batches=2):
-            cluster.ingest(batch)
-        stats = cluster.transport_stats()
-        assert stats.hinted_offers == 0
-        assert stats.hint_accuracy is None
         cluster.close()
