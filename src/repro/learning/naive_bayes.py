@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["MultinomialNaiveBayes"]
+
+#: One class's scoring table: (log prior, token -> log likelihood, the
+#: log likelihood of a token the class never saw).
+_ClassTable = Tuple[float, Dict[str, float], float]
 
 
 class MultinomialNaiveBayes:
@@ -51,12 +55,25 @@ class MultinomialNaiveBayes:
         self._vocabulary: set = set()
         self._total_documents = 0
         self._finalized = False
+        # Derived from the counts above: dropped by every update(), rebuilt
+        # on the next read, never pickled.
+        self._tables: Optional[Dict[str, _ClassTable]] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_tables"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._tables = None
 
     # -- training ---------------------------------------------------------
 
     def update(self, label: str, tokens: Sequence[str]) -> None:
         """Add one training document for class ``label``."""
         self._finalized = False
+        self._tables = None
         self._class_document_counts[label] += 1
         self._total_documents += 1
         counts = self._token_counts[label]
@@ -73,15 +90,47 @@ class MultinomialNaiveBayes:
         return self
 
     def fit_finalize(self) -> None:
-        """Mark training as complete.
+        """Mark training as complete and build the scoring tables.
 
         Calling predict before any training data was seen raises; calling
         it after :meth:`update` without :meth:`fit_finalize` is allowed (the
-        flag only exists to catch obviously empty models early).
+        flag only exists to catch obviously empty models early, and the
+        tables are rebuilt by the first read after an update).
         """
         if not self._class_document_counts:
             raise RuntimeError("cannot finalise a Naive Bayes model with no training data")
         self._finalized = True
+        self._class_tables()
+
+    def _class_tables(self) -> Dict[str, _ClassTable]:
+        """The per-class scoring tables, in training order of the classes.
+
+        Every entry is the float the smoothed estimate evaluates to for
+        that (class, token), so scoring is a dictionary lookup per token
+        and sums exactly the terms it always summed.
+        """
+        tables = self._tables
+        if tables is None:
+            vocabulary = max(self.vocabulary_size, 1)
+            tables = {}
+            for label, documents in self._class_document_counts.items():
+                denominator = self._class_token_totals.get(label, 0) + self.alpha * vocabulary
+                tables[label] = (
+                    math.log(documents / self._total_documents),
+                    {
+                        token: math.log((count + self.alpha) / denominator)
+                        for token, count in self._token_counts[label].items()
+                    },
+                    math.log(self.alpha / denominator),
+                )
+            self._tables = tables
+        return tables
+
+    def _class_table(self, label: str) -> _ClassTable:
+        try:
+            return self._class_tables()[label]
+        except KeyError:
+            raise KeyError(f"class label {label!r} was never trained") from None
 
     # -- inference --------------------------------------------------------
 
@@ -96,17 +145,18 @@ class MultinomialNaiveBayes:
         return len(self._vocabulary)
 
     def log_prior(self, label: str) -> float:
-        """log P(class)."""
+        """log P(class); an untrained ``label`` raises :class:`KeyError`."""
         if self._total_documents == 0:
             raise RuntimeError("model has no training data")
-        return math.log(self._class_document_counts[label] / self._total_documents)
+        return self._class_table(label)[0]
 
     def token_log_likelihood(self, label: str, token: str) -> float:
-        """log P(token | class) with add-alpha smoothing."""
-        count = self._token_counts[label].get(token, 0)
-        total = self._class_token_totals[label]
-        vocabulary = max(self.vocabulary_size, 1)
-        return math.log((count + self.alpha) / (total + self.alpha * vocabulary))
+        """log P(token | class) with add-alpha smoothing.
+
+        An untrained ``label`` raises :class:`KeyError`.
+        """
+        _, likelihoods, unseen = self._class_table(label)
+        return likelihoods.get(token, unseen)
 
     def token_probability(self, label: str, token: str) -> float:
         """P(token | class), smoothed."""
@@ -117,10 +167,11 @@ class MultinomialNaiveBayes:
         if not self._class_document_counts:
             raise RuntimeError("model has no training data")
         scores: Dict[str, float] = {}
-        for label in self._class_document_counts:
-            score = self.log_prior(label)
+        for label, (score, likelihoods, unseen) in self._class_tables().items():
+            # An explicit left-to-right loop: sum() compensates its float
+            # additions on newer interpreters, which would move the last ulp.
             for token in tokens:
-                score += self.token_log_likelihood(label, token)
+                score += likelihoods.get(token, unseen)
             scores[label] = score
         return scores
 

@@ -118,10 +118,12 @@ class MatchedValueIndex:
                 for group in groups:
                     self._group_products.setdefault(group, set()).update(category_product_ids)
 
-        # Second pass: accumulate product-side bags per group.
+        # Second pass: accumulate product-side bags per group.  Sorted, not
+        # set order: the order terms enter a bag is the order every JS
+        # feature sums them in, and set order changes with the hash seed.
         for group, product_ids in self._group_products.items():
             grouping, key = group
-            for product_id in product_ids:
+            for product_id in sorted(product_ids):
                 product = self._catalog.product(product_id)
                 self._index_product_specification(grouping, key, product.specification)
 

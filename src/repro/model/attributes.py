@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.text.normalize import normalize_attribute_name, normalize_value
+from repro.text.memo import cached_normalize_attribute_name
+from repro.text.normalize import normalize_value
 
 __all__ = ["AttributeValue", "Specification"]
 
@@ -37,7 +38,7 @@ class AttributeValue:
 
     def normalized_name(self) -> str:
         """The attribute name canonicalised for identity comparison."""
-        return normalize_attribute_name(self.name)
+        return cached_normalize_attribute_name(self.name)
 
     def normalized_value(self) -> str:
         """The value canonicalised for loose comparison."""
@@ -102,7 +103,7 @@ class Specification:
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """First value for ``name`` (case/punctuation-insensitive)."""
-        wanted = normalize_attribute_name(name)
+        wanted = cached_normalize_attribute_name(name)
         for pair in self._pairs:
             if pair.normalized_name() == wanted:
                 return pair.value
@@ -110,7 +111,7 @@ class Specification:
 
     def get_all(self, name: str) -> List[str]:
         """All values recorded for ``name``."""
-        wanted = normalize_attribute_name(name)
+        wanted = cached_normalize_attribute_name(name)
         return [pair.value for pair in self._pairs if pair.normalized_name() == wanted]
 
     def has(self, name: str) -> bool:
@@ -150,7 +151,7 @@ class Specification:
         correspondence.
         """
         normalized_mapping = {
-            normalize_attribute_name(source): target for source, target in mapping.items()
+            cached_normalize_attribute_name(source): target for source, target in mapping.items()
         }
         renamed = Specification()
         for pair in self._pairs:
@@ -161,7 +162,7 @@ class Specification:
 
     def filter_names(self, names: Iterable[str]) -> "Specification":
         """Return a new specification keeping only the listed attribute names."""
-        allowed = {normalize_attribute_name(name) for name in names}
+        allowed = {cached_normalize_attribute_name(name) for name in names}
         return Specification(
             [pair for pair in self._pairs if pair.normalized_name() in allowed]
         )

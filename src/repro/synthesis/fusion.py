@@ -21,7 +21,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.model.attributes import Specification
 from repro.synthesis.clustering import OfferCluster
-from repro.text.memo import cached_normalize_value, cached_tokenize_value
+from repro.text.memo import (
+    cached_normalize_attribute_name,
+    cached_normalize_value,
+    cached_tokenize_value,
+)
 
 __all__ = [
     "MajorityValueFusion",
@@ -193,11 +197,17 @@ def fuse_cluster(
         :class:`CentroidValueFusion`.
     """
     strategy = fusion or CentroidValueFusion()
+    # One pass over the cluster's pairs: per normalised name, its values in
+    # offer order then pair order (the order a per-attribute ``get_all``
+    # sweep over the offers would produce).
+    normalise = cached_normalize_attribute_name
+    values_by_name: Dict[str, List[str]] = {}
+    for offer in cluster.offers:
+        for pair in offer.specification:
+            values_by_name.setdefault(normalise(pair.name), []).append(pair.value)
     fused = Specification()
     for attribute_name in attribute_names:
-        values: List[str] = []
-        for offer in cluster.offers:
-            values.extend(offer.specification.get_all(attribute_name))
+        values = values_by_name.get(normalise(attribute_name), [])
         representative = strategy.select(values)
         if representative is not None:
             fused.add(attribute_name, representative)

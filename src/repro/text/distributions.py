@@ -14,7 +14,7 @@ which the Jensen-Shannon and Jaccard features are computed.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.text.tokenize import tokenize_value
 
@@ -39,11 +39,14 @@ class BagOfWords:
     4
     """
 
-    __slots__ = ("_counts", "_total")
+    __slots__ = ("_counts", "_total", "_distribution", "_term_set")
 
     def __init__(self, terms: Iterable[str] = ()) -> None:
         self._counts: Counter = Counter()
         self._total = 0
+        # Memoised views of the counts; add_terms drops them.
+        self._distribution: Optional[TermDistribution] = None
+        self._term_set: Optional[frozenset] = None
         self.add_terms(terms)
 
     # -- construction -----------------------------------------------------
@@ -62,6 +65,8 @@ class BagOfWords:
         for term in terms:
             self._counts[term] += 1
             self._total += 1
+        self._distribution = None
+        self._term_set = None
 
     def merge(self, other: "BagOfWords") -> "BagOfWords":
         """Return a new bag containing the terms of both operands."""
@@ -87,7 +92,9 @@ class BagOfWords:
 
     def term_set(self) -> frozenset:
         """Distinct terms as a frozenset (used by Jaccard)."""
-        return frozenset(self._counts.keys())
+        if self._term_set is None:
+            self._term_set = frozenset(self._counts.keys())
+        return self._term_set
 
     def counts(self) -> Dict[str, int]:
         """A copy of the term -> count mapping."""
@@ -121,8 +128,10 @@ class BagOfWords:
     # -- conversion -------------------------------------------------------
 
     def distribution(self) -> "TermDistribution":
-        """Convert the bag into a :class:`TermDistribution`."""
-        return TermDistribution.from_counts(self._counts)
+        """The bag as a :class:`TermDistribution` (shared until the bag grows)."""
+        if self._distribution is None:
+            self._distribution = TermDistribution.from_counts(self._counts)
+        return self._distribution
 
 
 class TermDistribution:

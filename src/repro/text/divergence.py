@@ -73,10 +73,12 @@ def kl_divergence(
 
     log_base = math.log(base)
     total = 0.0
+    # The operand's own dict: one lookup per term, no method call.
+    q_probability = q_dist._probs.get
     for term, p_t in p_dist.items():
         if p_t <= 0.0:
             continue
-        q_t = q_dist.probability(term)
+        q_t = q_probability(term, 0.0)
         if q_t <= 0.0:
             return math.inf
         total += p_t * (math.log(p_t / q_t) / log_base)

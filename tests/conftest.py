@@ -6,6 +6,10 @@ are session-scoped so the whole suite pays for them once.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.corpus.config import CorpusPreset
@@ -25,6 +29,24 @@ from repro.model.taxonomy import Taxonomy
 
 # Re-exported so test modules share the canonical byte-identity oracle.
 from repro.model.products import product_fingerprint  # noqa: E402,F401
+
+
+def run_in_fresh_interpreter(code: str, **environment: str) -> str:
+    """Run ``code`` in a new interpreter over this checkout's ``src``; returns stdout.
+
+    For what only a fresh process can show: what importing the package
+    pulls in, and results that must not depend on ``PYTHONHASHSEED``.
+    """
+    source_root = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=source_root, **environment),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
 
 
 @pytest.fixture(scope="session")

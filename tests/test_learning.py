@@ -1,5 +1,10 @@
 """Tests for the ML substrate: logistic regression, Naive Bayes, metrics, matching."""
 
+import math
+import pickle
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +175,104 @@ class TestNaiveBayes:
         assert set(nb.classes) == {"a", "b"}
         assert nb.vocabulary_size == 2
 
+    def test_reading_an_untrained_label_does_not_corrupt_the_model(self):
+        # The read accessors used to index defaultdicts: asking about a
+        # label inserted it, and every later predict() raised a math
+        # domain error on the class with zero documents.
+        nb = self._trained()
+        document = ["seagate", "zoom", "never-seen"]
+        scores_before = nb.log_scores(document)
+        for read in (nb.token_log_likelihood, nb.token_probability):
+            with pytest.raises(KeyError, match="tv"):
+                read("tv", "seagate")
+        with pytest.raises(KeyError, match="tv"):
+            nb.log_prior("tv")
+        assert nb.classes == ["hdd", "camera"]
+        assert nb.log_scores(document) == scores_before
+        assert nb.predict(["seagate", "rpm"]) == "hdd"
+
+
+_TRAINING_TOKENS = ["seagate", "rpm", "sata", "canon", "zoom", "megapixels", "500", "gb"]
+_DOCUMENTS = st.lists(st.sampled_from(_TRAINING_TOKENS + ["unseen-1", "unseen-2"]), max_size=10)
+_TRAINING = st.lists(
+    st.tuples(
+        st.sampled_from(["hdd", "camera", "tv"]),
+        st.lists(st.sampled_from(_TRAINING_TOKENS), max_size=6),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _reference_log_scores(training, alpha, tokens):
+    """The smoothed estimate written out from the raw training documents."""
+    documents = Counter(label for label, _ in training)
+    counts = {label: Counter() for label in documents}
+    for label, document in training:
+        counts[label].update(document)
+    vocabulary = max(len({token for _, document in training for token in document}), 1)
+    scores = {}
+    for label in documents:
+        score = math.log(documents[label] / len(training))
+        total = sum(counts[label].values())
+        for token in tokens:
+            score += math.log((counts[label][token] + alpha) / (total + alpha * vocabulary))
+        scores[label] = score
+    return scores
+
+
+def _assert_scores_exact(nb, training, document):
+    scores = nb.log_scores(document)
+    # == on floats, not approx: the tables hold the very floats the
+    # estimate evaluates to and are summed in the same order.
+    assert scores == _reference_log_scores(training, nb.alpha, document)
+    assert list(scores) == nb.classes
+    for label, score in scores.items():
+        expected = nb.log_prior(label)
+        for token in document:
+            expected += nb.token_log_likelihood(label, token)
+        assert score == expected
+
+
+class TestNaiveBayesScoringTables:
+    @given(
+        training=_TRAINING,
+        extra=_TRAINING,
+        alpha=st.sampled_from([1.0, 0.5, 0.1]),
+        documents=st.lists(_DOCUMENTS, min_size=1, max_size=4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_log_scores_exact_before_and_after_update(self, training, extra, alpha, documents):
+        nb = MultinomialNaiveBayes(alpha=alpha).fit(training)
+        for document in documents + [[]]:
+            _assert_scores_exact(nb, training, document)
+        # A further update() without fit_finalize(): the tables built
+        # above are stale and must not be what scores the next read.
+        for label, tokens in extra:
+            nb.update(label, tokens)
+        for document in documents + [[]]:
+            _assert_scores_exact(nb, training + extra, document)
+
+    def test_tables_are_not_pickled(self):
+        training = [("hdd", ["seagate", "rpm"]), ("camera", ["canon", "zoom"])]
+        cold = MultinomialNaiveBayes().fit(training)
+        payload = pickle.dumps(cold)
+        assert set(cold.__getstate__()) == {
+            "alpha",
+            "_token_counts",
+            "_class_token_totals",
+            "_class_document_counts",
+            "_vocabulary",
+            "_total_documents",
+            "_finalized",
+        }
+        restored = pickle.loads(payload)
+        assert restored.log_scores(["seagate", "zoom", "x"]) == cold.log_scores(
+            ["seagate", "zoom", "x"]
+        )
+        # Scoring (which builds the tables) adds nothing to the pickle.
+        assert len(pickle.dumps(restored)) == len(payload)
+
 
 class TestMetrics:
     def test_confusion_counts(self):
@@ -207,11 +310,21 @@ class TestBipartiteMatching:
 
     def test_prefers_global_optimum_over_greedy(self):
         # Greedy would take (0,0)=0.9 then be forced into (1,1)=0.0;
-        # the optimum pairs (0,1)+(1,0) for a total of 1.6.
+        # the optimum pairs (0,1)+(1,0) for a total of 1.6.  The exact
+        # solver is the ``exact`` extra: chosen whenever scipy imports.
+        pytest.importorskip("scipy.optimize")
         weights = [[0.9, 0.8], [0.8, 0.0]]
         matching = max_weight_bipartite_matching(weights)
         total = sum(weight for _, _, weight in matching)
         assert total == pytest.approx(1.6)
+
+    def test_falls_back_to_greedy_without_scipy(self, monkeypatch):
+        # A None entry makes ``from scipy.optimize import ...`` raise
+        # ImportError, which is what a numpy-only install does.
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        weights = [[0.9, 0.8], [0.8, 0.0]]
+        assert max_weight_bipartite_matching(weights) == greedy_bipartite_matching(weights)
+        assert max_weight_bipartite_matching(weights) == [(0, 0, 0.9)]
 
     def test_min_weight_filters(self):
         matching = max_weight_bipartite_matching([[0.9, 0.0], [0.0, 0.05]], min_weight=0.1)

@@ -1,8 +1,11 @@
 """Tests for attribute-value pairs and specifications."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.attributes import AttributeValue, Specification
+from repro.text.normalize import normalize_attribute_name
 
 
 class TestAttributeValue:
@@ -94,3 +97,92 @@ class TestSpecification:
         spec = Specification([("A", "1")])
         assert spec
         assert [pair.name for pair in spec] == ["A"]
+
+
+# --- memoised lookups equal the uncached normalisation -----------------------
+
+# Names that collide after normalisation in every way the normaliser
+# folds: case, punctuation, runs of whitespace, and the empty string.
+_NAMES = st.one_of(
+    st.sampled_from(
+        [
+            "",
+            " ",
+            "Brand",
+            "brand",
+            "BRAND.",
+            "  Brand  ",
+            "Mfr. Part #",
+            "mfr part",
+            "MFR   PART",
+            "Hard-Disk Size",
+            "hard disk\tsize",
+            "Capacity",
+            "#",
+        ]
+    ),
+    st.text(alphabet="aAbB #.-\t", max_size=6),
+)
+_PAIRS = st.tuples(_NAMES, st.sampled_from(["1", "2", "500 GB", ""]))
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _PAIRS),
+        st.tuples(st.just("extend"), st.lists(_PAIRS, max_size=3)),
+        st.tuples(st.just("lookup"), _NAMES),
+    ),
+    max_size=12,
+)
+
+
+def _reference_get_all(pairs, name):
+    wanted = normalize_attribute_name(name)
+    return [value for pair_name, value in pairs if normalize_attribute_name(pair_name) == wanted]
+
+
+def _reference_names(pairs):
+    seen, names = set(), []
+    for pair_name, _ in pairs:
+        key = normalize_attribute_name(pair_name)
+        if key not in seen:
+            seen.add(key)
+            names.append(pair_name)
+    return names
+
+
+def _assert_matches_reference(spec, pairs, name):
+    values = _reference_get_all(pairs, name)
+    assert spec.get_all(name) == values
+    assert spec.get(name) == (values[0] if values else None)
+    assert spec.get(name, "fallback") == (values[0] if values else "fallback")
+    assert spec.has(name) == bool(values)
+    assert spec.attribute_names() == _reference_names(pairs)
+    assert [pair.normalized_name() for pair in spec] == [
+        normalize_attribute_name(pair_name) for pair_name, _ in pairs
+    ]
+    assert spec.filter_names([name]).pairs() == [
+        AttributeValue(pair_name, value)
+        for pair_name, value in pairs
+        if normalize_attribute_name(pair_name) == normalize_attribute_name(name)
+    ]
+    assert spec.rename({name: "Target"}).pairs() == [
+        AttributeValue("Target", value) for value in values
+    ]
+
+
+class TestLookupsEqualUncachedNormalisation:
+    @given(initial=st.lists(_PAIRS, max_size=4), steps=_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_every_accessor_equals_the_reference(self, initial, steps):
+        spec = Specification(initial)
+        pairs = list(initial)
+        for kind, argument in steps:
+            if kind == "add":
+                spec.add(*argument)
+                pairs.append(argument)
+            elif kind == "extend":
+                spec.extend([AttributeValue(*pair) for pair in argument])
+                pairs.extend(argument)
+            else:
+                _assert_matches_reference(spec, pairs, argument)
+        for name in {pair_name for pair_name, _ in pairs} | {"Brand", ""}:
+            _assert_matches_reference(spec, pairs, name)

@@ -1,5 +1,7 @@
 """Tests for the top-level public API (`repro.synthesize_catalog`)."""
 
+from conftest import run_in_fresh_interpreter
+
 import repro
 from repro.corpus.config import CorpusPreset
 
@@ -27,3 +29,12 @@ class TestPublicApi:
         second = repro.synthesize_catalog(preset=CorpusPreset.TINY, seed=5)
         assert first.synthesis.num_products() == second.synthesis.num_products()
         assert first.evaluation.attribute_precision == second.evaluation.attribute_precision
+
+    def test_importing_the_package_does_not_import_scipy(self):
+        # scipy.optimize is ~50 MiB resident and only the DUMAS baseline's
+        # exact matcher needs it; every CLI start, cluster node and serving
+        # child imports these modules, so it must stay a call-time import.
+        run_in_fresh_interpreter(
+            "import sys; import repro.experiments.cli, repro.runtime, repro.serving; "
+            "assert 'scipy' not in sys.modules, 'scipy imported at package import'"
+        )

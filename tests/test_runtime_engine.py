@@ -362,6 +362,36 @@ class TestTextMemo:
         clear_text_caches()
         assert text_cache_info()["cached_tokenize_value"]["size"] == 0
 
+    def test_ingest_normalises_each_attribute_name_once(self, tiny_harness, monkeypatch):
+        # Work on the offer path is per distinct name, not per pair and
+        # schema attribute: every module's reference to the uncached
+        # normaliser is counted while a stream is ingested from cold caches.
+        import sys
+
+        import repro.text.normalize as normalize_module
+        from repro.text.memo import clear_text_caches
+
+        # Learning and extraction run here, before the counter goes in.
+        offers = tiny_harness.unmatched_offers[:120]
+        engine = make_engine(tiny_harness, num_shards=4)
+
+        original = normalize_module.normalize_attribute_name
+        calls = []
+
+        def counted(name):
+            calls.append(name)
+            return original(name)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "normalize_attribute_name", None) is original:
+                monkeypatch.setattr(module, "normalize_attribute_name", counted)
+        clear_text_caches()
+        for batch in stream(offers, 6):
+            engine.ingest(batch)
+        assert engine.products()
+        pairs = sum(len(offer.specification) for offer in offers)
+        assert 0 < len(calls) == len(set(calls)) < pairs
+
 
 class TestIncrementalTfIdf:
     def test_incremental_matches_batch_statistics(self):

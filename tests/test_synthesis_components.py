@@ -1,15 +1,25 @@
 """Tests for the run-time pipeline components: classification, reconciliation,
 clustering and value fusion."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matching.correspondence import AttributeCorrespondence, CorrespondenceSet
 from repro.model.attributes import Specification
 from repro.model.offers import Offer
 from repro.synthesis.category_classifier import TitleCategoryClassifier
 from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster, TitleClusterer
-from repro.synthesis.fusion import CentroidValueFusion, MajorityValueFusion, fuse_cluster
+from repro.synthesis.fusion import (
+    CentroidValueFusion,
+    MajorityValueFusion,
+    MemoizedValueFusion,
+    fuse_cluster,
+)
 from repro.synthesis.reconciliation import SchemaReconciler
+from repro.text.normalize import normalize_attribute_name
 
 
 def _offer(offer_id, merchant, category, pairs, title="an offer"):
@@ -56,6 +66,25 @@ class TestCategoryClassifier:
             hdd_catalog, [], MatchStore()
         )
         assert classifier.is_trained
+
+    def test_pickle_round_trip_scores_identically(self, tiny_harness):
+        # What a spawned cluster node receives: the counts, never the
+        # scoring tables derived from them (those are rebuilt node-side).
+        classifier = tiny_harness.category_classifier
+        titles = [offer.title for offer in tiny_harness.unmatched_offers[:40]] + ["", "zzz qqq"]
+        scored = [
+            classifier._model.log_scores(classifier.routing_features(title)) for title in titles
+        ]
+        payload = pickle.dumps(classifier)
+        restored = pickle.loads(payload)
+        assert restored._model._tables is None
+        assert [
+            restored._model.log_scores(restored.routing_features(title)) for title in titles
+        ] == scored
+        assert [restored.classify(title) for title in titles] == [
+            classifier.classify(title) for title in titles
+        ]
+        assert len(pickle.dumps(restored)) == len(payload)
 
 
 class TestSchemaReconciler:
@@ -214,3 +243,95 @@ class TestValueFusion:
         assert fused.has("Capacity")
         assert not fused.has("Junk")
         assert not fused.has("Spindle Speed")
+
+
+# --- the one-pass gather equals the per-attribute get_all sweep ---------------
+
+# Schema names and the spellings merchants (or a sloppy reconciler) might
+# deliver them in: same name repeated, case/punctuation/whitespace variants.
+_SCHEMA = ["Capacity", "Spindle Speed", "Brand", "Mfr. Part #", "Never Carried"]
+_SPELLINGS = st.sampled_from(
+    [
+        "Capacity",
+        "capacity",
+        "CAPACITY.",
+        "Spindle Speed",
+        "spindle-speed",
+        "Spindle   Speed",
+        "Brand",
+        "brand!",
+        "Mfr. Part #",
+        "mfr part",
+        "Junk",
+        "",
+    ]
+)
+_VALUES = st.sampled_from(
+    ["500 GB", "500GB", "7200", "7200 rpm", "Seagate", "seagate technology", "Black", "", "-"]
+)
+_CLUSTER_OFFERS = st.lists(st.lists(st.tuples(_SPELLINGS, _VALUES), max_size=6), max_size=5)
+
+
+class _RecordingFusion:
+    """Delegates to a real strategy and keeps every value list it was given."""
+
+    def __init__(self, base):
+        self.base = base
+        self.seen = []
+
+    def select(self, values):
+        self.seen.append(list(values))
+        return self.base.select(values)
+
+
+def _reference_fuse(cluster, attribute_names, fusion):
+    """The gather written against the uncached normaliser, attribute by attribute."""
+    fused = Specification()
+    for attribute_name in attribute_names:
+        wanted = normalize_attribute_name(attribute_name)
+        values = [
+            pair.value
+            for offer in cluster.offers
+            for pair in offer.specification
+            if normalize_attribute_name(pair.name) == wanted
+        ]
+        representative = fusion.select(values)
+        if representative is not None:
+            fused.add(attribute_name, representative)
+    return fused
+
+
+class TestFuseClusterGather:
+    @pytest.mark.parametrize("make_fusion", [CentroidValueFusion, MemoizedValueFusion])
+    @given(offer_pairs=_CLUSTER_OFFERS, schema=st.permutations(_SCHEMA + ["capacity"]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_attribute_sweep(self, make_fusion, offer_pairs, schema):
+        cluster = OfferCluster(
+            category_id="hdd",
+            key="mpn:x",
+            offers=[
+                _offer(f"o-{index}", "m-1", "hdd", pairs)
+                for index, pairs in enumerate(offer_pairs)
+            ],
+        )
+        expected_fusion = _RecordingFusion(make_fusion())
+        expected = _reference_fuse(cluster, schema, expected_fusion)
+        actual_fusion = _RecordingFusion(make_fusion())
+        actual = fuse_cluster(cluster, schema, fusion=actual_fusion)
+        assert actual == expected
+        # Same value lists in the same order: the memo's keys are unchanged.
+        assert actual_fusion.seen == expected_fusion.seen
+
+    def test_multi_valued_and_variant_names_keep_offer_then_pair_order(self):
+        cluster = OfferCluster(
+            category_id="hdd",
+            key="mpn:x",
+            offers=[
+                _offer("o-1", "m-1", "hdd", [("Color", "Black"), ("COLOR.", "Silver")]),
+                _offer("o-2", "m-2", "hdd", [("Brand", "Seagate"), ("color", "Black")]),
+            ],
+        )
+        fusion = _RecordingFusion(CentroidValueFusion())
+        fused = fuse_cluster(cluster, ["Color", "Brand", "Capacity"], fusion=fusion)
+        assert fusion.seen == [["Black", "Silver", "Black"], ["Seagate"], []]
+        assert fused.pairs() == Specification([("Color", "Black"), ("Brand", "Seagate")]).pairs()

@@ -56,6 +56,26 @@ class TestBagOfWords:
     def test_term_set(self):
         assert BagOfWords(["a", "a", "b"]).term_set() == frozenset({"a", "b"})
 
+    def test_distribution_and_term_set_memoised_until_the_bag_grows(self):
+        bag = BagOfWords(["a", "a", "b"])
+        distribution, terms = bag.distribution(), bag.term_set()
+        assert bag.distribution() is distribution
+        assert bag.term_set() is terms
+        bag.add_value("b c")
+        assert bag.term_set() == frozenset({"a", "b", "c"})
+        assert bag.distribution().as_dict() == TermDistribution.from_counts(bag.counts()).as_dict()
+        assert list(bag.distribution().items()) == [("a", 2 / 5), ("b", 2 / 5), ("c", 1 / 5)]
+        # The views handed out earlier still describe the bag as it was.
+        assert distribution.as_dict() == {"a": 2 / 3, "b": 1 / 3}
+        assert terms == frozenset({"a", "b"})
+
+    def test_merge_does_not_share_memoised_views(self):
+        left, right = BagOfWords(["a"]), BagOfWords(["b"])
+        left.distribution(), left.term_set()
+        merged = left.merge(right)
+        assert merged.term_set() == frozenset({"a", "b"})
+        assert merged.distribution().as_dict() == {"a": 0.5, "b": 0.5}
+
 
 class TestTermDistribution:
     def test_from_counts_normalises(self):

@@ -97,6 +97,21 @@ class TestJensenShannon:
         assert jensen_shannon_similarity(left, right) == pytest.approx(1.0 - divergence)
 
 
+class TestKlDivergenceReadsTheSameTerms:
+    @given(left=value_lists, right=value_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_sum_over_probability_calls(self, left, right):
+        # == on floats: same terms, same order, same expression per term.
+        p = TermDistribution.from_values(left)
+        q = p.mixture(TermDistribution.from_values(right))
+        if p.is_empty():
+            return
+        expected = 0.0
+        for term, p_t in p.items():
+            expected += p_t * (math.log(p_t / q.probability(term)) / math.log(2.0))
+        assert kl_divergence(p, q) == max(expected, 0.0)
+
+
 class TestJensenShannonProperties:
     @given(left=value_lists, right=value_lists)
     @settings(max_examples=80, deadline=None)
