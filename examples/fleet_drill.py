@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -58,9 +59,9 @@ def main() -> None:
     engine.ingest(offers[:half])
 
     # Three read-only replicas over the same WAL file, each pinned to a
-    # committed prefix, with a background refresher chasing the head.
+    # committed prefix, with the fleet's head watcher chasing the head.
     fleet = ServingFleet.from_store_path(
-        store_path, num_replicas=3, max_lag_commits=1, refresh_interval=0.05
+        store_path, num_replicas=3, max_lag_commits=1, watch_head=True
     )
     server = CatalogHTTPServer(("127.0.0.1", 0), fleet, max_workers=4)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -82,12 +83,17 @@ def main() -> None:
     print(f"6 queries served by replicas {sorted(served_by)}")
     assert served_by == {0, 1, 2}, "rotation should cover every replica"
 
-    # Ingest the rest of the stream; /lag shows replicas chasing head.
+    # Ingest the rest of the stream; the head watcher has every replica
+    # on the new commit a few milliseconds later, without any query.
     engine.ingest(offers[half:])
+    committed = time.monotonic()
     lag = get_json(base, "/lag")
+    while lag["head_commit_count"] < engine.store.commit_count or lag["max_lag"]:
+        assert time.monotonic() - committed < 1.0, f"replicas still behind: {lag}"
+        lag = get_json(base, "/lag")
     print(
-        f"GET /lag after ingest -> head {lag['head_commit_count']}, "
-        f"max lag {lag['max_lag']} (bound {lag['max_lag_commits']})"
+        f"GET /lag after ingest -> head {lag['head_commit_count']}, max lag 0 "
+        f"within {(time.monotonic() - committed) * 1000:.0f} ms (bound {lag['max_lag_commits']})"
     )
 
     # Kill replica 0 with a fault hook: the fleet routes around it.

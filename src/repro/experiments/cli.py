@@ -512,9 +512,11 @@ def _parse_runtime_serve_args(argv: Sequence[str]) -> argparse.Namespace:
         type=int,
         default=2,
         metavar="N",
-        help="divergence bound: a replica may trail the store head by up "
-        "to N commits between refreshes; 0 makes every request read the "
-        "last commit (default: 2)",
+        help="divergence bound: a replica may trail the store head, as "
+        "the fleet's head watcher last read it (every few milliseconds, "
+        "resyncing lagging replicas at once), by up to N commits before a request "
+        "resyncs it inline; 0 makes every request read the last commit "
+        "from the store file (default: 2)",
     )
     args = parser.parse_args(argv)
     if not 0 <= args.port <= 65_535:
@@ -546,7 +548,7 @@ def _run_runtime_serve(argv: Sequence[str]) -> int:
         num_replicas=args.replicas,
         page_size=args.page_size,
         max_lag_commits=args.max_lag_commits,
-        refresh_interval=0.1,
+        watch_head=True,
     )
     print(
         f"runtime-serve: {args.replicas} replica(s) over {args.store_path} "

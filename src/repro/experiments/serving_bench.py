@@ -542,8 +542,8 @@ def _closed_loop_phase(
 ) -> Tuple[FleetPhaseResult, Dict[str, object]]:
     """One measurement window: clients vs one serving fleet over HTTP.
 
-    The fleet serves ``replicas`` lag-bounded replicas with a background
-    refresher, so rebuilds stay off the request path; ``mode`` only
+    The fleet serves ``replicas`` lag-bounded replicas with a head
+    watcher, so rebuilds stay off the request path; ``mode`` only
     labels the phase (``"single"`` is the run with one replica).  The
     writer engine ingests ``live_batches`` paced across the window, so
     every phase faces the same commit pressure on identical store copies.
@@ -560,7 +560,7 @@ def _closed_loop_phase(
         store_path,
         num_replicas=replicas,
         max_lag_commits=max_lag_commits,
-        refresh_interval=0.05,
+        watch_head=True,
     )
     server = CatalogHTTPServer(("127.0.0.1", 0), fleet, max_workers=threads)
     host, port = server.server_address[:2]

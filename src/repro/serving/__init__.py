@@ -26,9 +26,9 @@ propagation from the transactional side):
 ``fleet``
     :class:`~repro.serving.fleet.ServingFleet` — N replicated services
     over one shared store behind a least-in-flight front: per-request
-    snapshot pinning, bounded divergence (``max_lag_commits``) with a
-    background refresher, fault route-around, replica restart, and the
-    one response cache every replica shares.
+    snapshot pinning, bounded divergence (``max_lag_commits``) kept by
+    a head watcher, fault route-around, replica restart, and the one
+    response cache every replica shares.
 ``http``
     Stdlib JSON endpoints (``/search``, ``/product/<id>``, ``/health``,
     ``/lag``, ``/stats``) behind the ``runtime-serve`` CLI command,

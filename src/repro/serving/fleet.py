@@ -21,11 +21,16 @@ load-balances queries across them:
   :meth:`health` (and the HTTP ``/health`` endpoint) flips immediately.
   :meth:`restart_replica` stands a dead replica back up from the store
   file (or the engine feed) and re-admits it.
-* **Background refresh** — an optional refresher thread resyncs the
-  most-lagged replica once per interval (one rebuild in flight at a
-  time, fleet-wide), so a busy writer never stalls every replica at
-  once.  :meth:`refresh_once` is the same step, callable
-  deterministically.
+* **Head watcher** — an optional thread (``watch_head=True``) probes
+  the store head every :data:`HEAD_WATCH_TICK_SECONDS`, publishes it,
+  and the moment it moves resyncs every lagging healthy replica,
+  most-lagged first (one resync in flight at a time, fleet-wide).  A
+  sweep that took *t* seconds is followed by a wait of at least *t*, so
+  a back-to-back writer costs about half of one thread and each journal
+  delta covers several commits.  With a positive lag bound the request
+  path then compares a replica's snapshot with the published head and
+  reads no store file.  :meth:`refresh_once` is one replica's step,
+  callable deterministically.
 * **Response cache** — the HTTP front asks for serialised bodies
   (:meth:`ServingFleet.search_body`, :meth:`ServingFleet.product_body`);
   they go through one bounded cache per fleet, keyed by ``(snapshot,
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -55,6 +61,10 @@ __all__ = ["FleetSearchResponse", "FleetUnavailableError", "ServingFleet"]
 
 #: Bound on the bytes (bodies plus keys) one fleet keeps cached.
 RESPONSE_CACHE_MAX_BYTES = 2 * 1024 * 1024
+
+#: Seconds between two probes of the store head by a fleet's watcher (a
+#: sweep that resynced replicas for longer than this waits that long instead).
+HEAD_WATCH_TICK_SECONDS = 0.002
 
 
 def _entry_bytes(key: tuple, body: bytes) -> int:
@@ -94,8 +104,9 @@ class _Replica:
         self.restarts = 0
         self.last_error: Optional[str] = None
         #: Test/drill hook invoked (with the operation name) before each
-        #: request this replica serves; raising simulates a replica
-        #: crash, blocking simulates a hang.
+        #: request this replica serves and each ``"resync"`` the fleet
+        #: drives on it; raising simulates a replica crash, blocking
+        #: simulates a hang.
         self.fault_hook: Optional[Callable[[str], None]] = None
 
 
@@ -107,6 +118,11 @@ class ServingFleet:
     :meth:`from_engine` (feed-driven replicas co-located with a live
     engine).  The direct constructor accepts pre-built services, with
     ``head`` supplying the store-head commit counter for lag reporting.
+
+    ``watch_head=True`` starts the head watcher (see the module
+    docstring).  A watching fleet with ``max_lag_commits > 0`` bounds
+    lag against the head *as of the watcher's last probe*; with bound 0,
+    or without a watcher, every request reads the head from the store.
     """
 
     def __init__(
@@ -118,14 +134,12 @@ class ServingFleet:
         page_size: int = 256,
         max_cached_pages: int = 64,
         max_lag_commits: int = 0,
-        refresh_interval: Optional[float] = None,
+        watch_head: bool = False,
     ) -> None:
         if not services:
             raise ValueError("a serving fleet needs at least one replica service")
         if max_lag_commits < 0:
             raise ValueError(f"max_lag_commits must be >= 0, got {max_lag_commits}")
-        if refresh_interval is not None and refresh_interval <= 0:
-            raise ValueError(f"refresh_interval must be > 0, got {refresh_interval}")
         self._replicas = [
             _Replica(replica_id, service) for replica_id, service in enumerate(services)
         ]
@@ -146,6 +160,12 @@ class ServingFleet:
         self._cache_misses = 0
         self._cache_evictions = 0
         self._head = head if head is not None else self._default_head
+        # The watcher's published state: plain attributes only it writes
+        # (after the constructor's first probe), read without a lock.
+        self._published_head = 0
+        self._head_probed_at = self._head_changed_at = time.monotonic()
+        self._stop_watcher = threading.Event()
+        self._watcher: Optional[threading.Thread] = None
         # Observability: per-replica pinned-snapshot lag rides the
         # registry as labelled gauges, read through a weakref provider
         # (the replica services bridge their own query/resync counters).
@@ -160,14 +180,20 @@ class ServingFleet:
             return fleet._metrics_fragment()
 
         self._obs_provider = registry.add_provider(_fleet_provider)
-        self._refresh_interval = refresh_interval
-        self._stop_refresher = threading.Event()
-        self._refresher: Optional[threading.Thread] = None
-        if refresh_interval is not None:
-            self._refresher = threading.Thread(
-                target=self._refresh_loop, name="fleet-refresher", daemon=True
+        if watch_head:
+            self._obs_refresh_seconds = registry.histogram(
+                "serving_refresh_seconds",
+                help="New head first seen by the watcher to a replica pinned at it.",
             )
-            self._refresher.start()
+            self._obs_head_changes = registry.counter(
+                "serving_head_changes_total",
+                help="Times the head watcher saw the store head move.",
+            )
+            self._probe_head()
+            self._watcher = threading.Thread(
+                target=self._watch_loop, name="fleet-head-watcher", daemon=True
+            )
+            self._watcher.start()
 
     # -- construction ----------------------------------------------------------
 
@@ -179,7 +205,7 @@ class ServingFleet:
         page_size: int = 256,
         max_cached_pages: int = 64,
         max_lag_commits: int = 0,
-        refresh_interval: Optional[float] = None,
+        watch_head: bool = False,
     ) -> "ServingFleet":
         """N reader-driven replicas over one shared WAL store file.
 
@@ -200,7 +226,7 @@ class ServingFleet:
             page_size=page_size,
             max_cached_pages=max_cached_pages,
             max_lag_commits=max_lag_commits,
-            refresh_interval=refresh_interval,
+            watch_head=watch_head,
         )
 
     @classmethod
@@ -241,14 +267,18 @@ class ServingFleet:
         return self._store_path
 
     def close(self) -> None:
-        """Stop the refresher and close every replica (idempotent)."""
+        """Stop the watcher and close every replica (idempotent).
+
+        A sweep in progress finishes the one resync it is in and drops
+        the rest.
+        """
         if self._closed:
             return
         self._closed = True
         self._obs.remove_provider(self._obs_provider)
-        self._stop_refresher.set()
-        if self._refresher is not None:
-            self._refresher.join(timeout=5)
+        self._stop_watcher.set()
+        if self._watcher is not None:
+            self._watcher.join(timeout=5)
         for replica in self._replicas:
             replica.service.close()
 
@@ -292,9 +322,22 @@ class ServingFleet:
             replica.last_error = f"{type(error).__name__}: {error}"
             self._failovers += 1
 
+    def _hold_to_bound(self, service: CatalogSearchService) -> None:
+        """Resync ``service`` inline if it trails the head by more than the bound.
+
+        A watching fleet with a positive bound compares against the head
+        the watcher published — an attribute read, no store access.
+        Bound 0 and fleets without a watcher read the head from the
+        store file on every request.
+        """
+        if self._watcher is None or self._max_lag_commits == 0:
+            service.maybe_resync(self._max_lag_commits)
+        elif self._published_head - service.snapshot_commit_count > self._max_lag_commits:
+            service.resync()
+
     def _run(self, operation: str, runner):
-        """Execute ``runner(service)`` on a healthy replica, routing around
-        failures; returns ``(replica_id, outcome)``."""
+        """Execute ``runner(service)`` on a healthy replica held to the lag
+        bound, routing around failures; returns ``(replica_id, outcome)``."""
         last_error: Optional[BaseException] = None
         for _ in range(len(self._replicas) + 1):
             try:
@@ -306,6 +349,7 @@ class ServingFleet:
             try:
                 if replica.fault_hook is not None:
                     replica.fault_hook(operation)
+                self._hold_to_bound(service)
                 outcome = runner(service)
                 served = True
             except Exception as error:  # noqa: BLE001 - any failure fails over
@@ -338,11 +382,7 @@ class ServingFleet:
         replica_id, (snapshot, results) = self._run(
             "search",
             lambda service: service.search_pinned(
-                query,
-                top_k=top_k,
-                category=category,
-                attributes=attributes,
-                max_lag_commits=self._max_lag_commits,
+                query, top_k=top_k, category=category, attributes=attributes, auto_resync=False
             ),
         )
         return FleetSearchResponse(replica_id, snapshot, results)
@@ -351,9 +391,7 @@ class ServingFleet:
         """Point lookup; returns ``(replica_id, snapshot, product-or-None)``."""
         replica_id, (snapshot, product) = self._run(
             "get_product",
-            lambda service: service.get_product_pinned(
-                product_id, max_lag_commits=self._max_lag_commits
-            ),
+            lambda service: service.get_product_pinned(product_id, auto_resync=False),
         )
         return replica_id, snapshot, product
 
@@ -369,7 +407,6 @@ class ServingFleet:
         """
 
         def runner(service: CatalogSearchService) -> Optional[bytes]:
-            service.maybe_resync(self._max_lag_commits)
             key = (service.snapshot_commit_count,) + request
             with self._lock:
                 body = self._bodies.get(key)
@@ -444,40 +481,90 @@ class ServingFleet:
 
     # -- maintenance -----------------------------------------------------------
 
+    def _lagging(self, head: int) -> List[_Replica]:
+        """Healthy replicas pinned behind ``head``, most-lagged first."""
+        with self._lock:
+            healthy = [replica for replica in self._replicas if replica.healthy]
+        # Snapshots are read outside the fleet lock: a replica applying a
+        # delta holds its own lock, and routing must not wait for that.
+        behind = [
+            (head - replica.service.snapshot_commit_count, replica.replica_id)
+            for replica in healthy
+        ]
+        return [
+            self._replicas[replica_id]
+            for lag, replica_id in sorted(behind, reverse=True)
+            if lag > 0
+        ]
+
+    def _resync(self, replica: _Replica) -> bool:
+        """Pull one replica to the store head; a failure marks it unhealthy.
+
+        A resync goes all the way to the current head — intermediate
+        commits are skipped, which is where a lag-bounded fleet does
+        strictly less index work than per-request resyncing.
+        """
+        service = replica.service
+        try:
+            if replica.fault_hook is not None:
+                replica.fault_hook("resync")
+            service.resync()
+        except Exception as error:  # noqa: BLE001 - a broken replica is routed around
+            if service is replica.service:  # not one restart_replica just retired
+                self._mark_unhealthy(replica, error)
+            return False
+        return True
+
     def refresh_once(self) -> Optional[int]:
         """Resync the most-lagged healthy replica; returns its id (or None).
 
-        One replica rebuilds at a time, fleet-wide, so a commit burst
-        never stalls the whole fleet.  A resync pulls the replica all
-        the way to the current head — intermediate commits are skipped,
-        which is where a lag-bounded fleet does strictly less rebuild
-        work than per-request resyncing.
+        One step of the watcher's sweep, against a head read now.
         """
         try:
             head = self._head()
         except Exception:  # noqa: BLE001 - head unreadable: nothing to refresh to
             return None
-        with self._lock:
-            candidates = [
-                (head - replica.service.snapshot_commit_count, replica.replica_id)
-                for replica in self._replicas
-                if replica.healthy
-            ]
-        candidates = [entry for entry in candidates if entry[0] > 0]
-        if not candidates:
-            return None
-        _, replica_id = max(candidates)
-        replica = self._replicas[replica_id]
-        try:
-            replica.service.resync()
-        except Exception as error:  # noqa: BLE001 - a broken replica is routed around
-            self._mark_unhealthy(replica, error)
-            return None
-        return replica_id
+        lagging = self._lagging(head)
+        if lagging and self._resync(lagging[0]):
+            return lagging[0].replica_id
+        return None
 
-    def _refresh_loop(self) -> None:
-        while not self._stop_refresher.wait(self._refresh_interval):
-            self.refresh_once()
+    def _probe_head(self) -> bool:
+        """Read the store head and publish it; returns whether it moved.
+
+        Only the watcher thread calls this (and the constructor, once,
+        before the thread starts).
+        """
+        try:
+            head = self._head()
+        except Exception:  # noqa: BLE001 - unreadable now: keep the last head, try next tick
+            return False
+        self._head_probed_at = now = time.monotonic()
+        if head == self._published_head:
+            return False
+        self._published_head = head
+        self._head_changed_at = now
+        return True
+
+    def _watch_loop(self) -> None:
+        """Probe, sweep, then wait one tick or as long as the sweep took.
+
+        Sweeps are sequential, so at most one watcher resync is in
+        flight fleet-wide; pacing by the measured sweep time keeps
+        maintenance near half of this thread however fast the writer
+        commits.
+        """
+        wait = HEAD_WATCH_TICK_SECONDS
+        while not self._stop_watcher.wait(wait):
+            started = time.monotonic()
+            if self._probe_head():
+                self._obs_head_changes.inc()
+            for replica in self._lagging(self._published_head):
+                if self._stop_watcher.is_set():
+                    return
+                if self._resync(replica):
+                    self._obs_refresh_seconds.observe(time.monotonic() - self._head_changed_at)
+            wait = max(HEAD_WATCH_TICK_SECONDS, time.monotonic() - started)
 
     def set_fault_hook(
         self, replica_id: int, hook: Optional[Callable[[str], None]]
@@ -529,13 +616,12 @@ class ServingFleet:
     def _metrics_fragment(self) -> Dict[str, object]:
         """Fleet gauges and counters as a registry snapshot fragment.
 
-        Per-replica pinned-snapshot lag (against the store head, one
-        cheap ``meta`` row read on reader fleets) plus health flags as
-        labelled gauges, failover/restart counters, and the response
-        cache's counters and size.
+        Per-replica pinned-snapshot lag (against :meth:`_lag_head`)
+        plus health flags as labelled gauges, failover/restart
+        counters, and the response cache's counters and size.
         """
         try:
-            head = self._head()
+            head = self._lag_head()
         except Exception:  # noqa: BLE001 - a scrape must never fail
             head = 0
         with self._lock:
@@ -649,12 +735,18 @@ class ServingFleet:
                 "max_bytes": RESPONSE_CACHE_MAX_BYTES,
             }
 
+    def _lag_head(self) -> int:
+        """The head lag is reported against: the watcher's, else read from the store now."""
+        return self._published_head if self._watcher is not None else self._head()
+
     def lag(self) -> Dict[str, object]:
         """Per-replica divergence from the store head (the ``/lag`` body).
 
         Each replica reports the commit prefix it is pinned to
-        (``snapshot_commit_count``) against the head read from the
-        store; ``max_lag_commits`` is the configured bound the request
+        (``snapshot_commit_count``) against the head — the one the
+        watcher published, ``head_age_ms`` ago, or without a watcher the
+        one read from the store for this call (``head_age_ms`` 0);
+        ``max_lag_commits`` is the configured bound the request
         path enforces, so ``lag <= max_lag_commits`` is the invariant
         an operator alerts on (modulo the one-resync race while a
         refresh is in flight).  Each entry also carries the replica's
@@ -662,7 +754,10 @@ class ServingFleet:
         operators can tell journal-delta catch-ups apart from full
         index rebuilds.
         """
-        head = self._head()
+        head = self._lag_head()
+        head_age_ms = 0.0
+        if self._watcher is not None:
+            head_age_ms = round((time.monotonic() - self._head_probed_at) * 1000.0, 3)
         replicas = []
         for replica in self._replicas:
             snapshot = replica.service.snapshot_commit_count
@@ -677,6 +772,7 @@ class ServingFleet:
             )
         return {
             "head_commit_count": head,
+            "head_age_ms": head_age_ms,
             "max_lag_commits": self._max_lag_commits,
             "max_lag": max((entry["lag"] for entry in replicas), default=0),
             "replicas": replicas,
@@ -705,7 +801,7 @@ class ServingFleet:
             "resync": resync_totals,
             "response_cache": self.response_cache_stats(),
             "max_lag_commits": self._max_lag_commits,
-            "refresh_interval": self._refresh_interval,
+            "watch_head": self._watcher is not None,
             "replicas": [
                 dict(entry, **{"stats": self._replicas[entry["replica_id"]].service.stats()})  # type: ignore[index]
                 for entry in health["replicas"]  # type: ignore[union-attr]

@@ -43,7 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import Histogram, MetricsRegistry, get_registry
 from repro.serving.fleet import FleetUnavailableError, ServingFleet
 from repro.serving.service import CatalogSearchService
 
@@ -95,11 +95,9 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, content_type: str, body: bytes) -> None:
         """Count the request, then write status line, headers and body in one send."""
-        self._registry.histogram(
-            "http_request_seconds",
-            help="Serving endpoint latency, by endpoint.",
-            labels={"endpoint": self._endpoint},
-        ).observe(time.perf_counter() - self._started)
+        self.server.request_seconds(self._endpoint).observe(  # type: ignore[attr-defined]
+            time.perf_counter() - self._started
+        )
         if self.request_version != "HTTP/1.1":
             self.close_connection = True  # keep-alive is offered to 1.1 clients only
         closing = "Connection: close\r\n" if self.close_connection else ""
@@ -232,7 +230,7 @@ class CatalogHTTPServer(ThreadingHTTPServer):
     """An HTTP/1.1 keep-alive server bound to one serving fleet.
 
     A bare :class:`CatalogSearchService` is wrapped as a fleet of one
-    (lag bound 0, no refresher: every request reads its last commit);
+    (lag bound 0, no head watcher: every request reads its last commit);
     the wrapper, and the service with it, is closed by
     :meth:`server_close`.  A fleet handed in stays the caller's to close.
 
@@ -279,6 +277,7 @@ class CatalogHTTPServer(ThreadingHTTPServer):
         self._open = self.registry.gauge(
             "http_connections_open", help="Client connections currently open."
         )
+        self._request_seconds: Dict[str, Histogram] = {}
         self._ready: Optional["queue.SimpleQueue[Optional[CatalogRequestHandler]]"] = None
         self._pool: List[threading.Thread] = []
         if max_workers is not None:
@@ -293,6 +292,22 @@ class CatalogHTTPServer(ThreadingHTTPServer):
             ]
             for thread in self._pool:
                 thread.start()
+
+    def request_seconds(self, endpoint: str) -> Histogram:
+        """The ``http_request_seconds`` series of one endpoint label.
+
+        Resolved through the registry on the label's first request and
+        kept: the handler's label set is bounded, and a series that was
+        never requested stays out of ``/metrics``.
+        """
+        histogram = self._request_seconds.get(endpoint)
+        if histogram is None:
+            histogram = self._request_seconds[endpoint] = self.registry.histogram(
+                "http_request_seconds",
+                help="Serving endpoint latency, by endpoint.",
+                labels={"endpoint": endpoint},
+            )
+        return histogram
 
     def process_request(self, request, client_address) -> None:  # noqa: ANN001
         """Give the accepted connection a thread, or park it for the pool."""

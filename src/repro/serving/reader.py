@@ -168,21 +168,23 @@ class CatalogReader:
         """
         with self._lock:
             head = self._read_commit_count(self._require_open())
-            if head != self._cache_snapshot:
-                self._evict_dead_pages(head)
+            self._evict_dead_pages(head)
             return head
 
     # -- reads -----------------------------------------------------------------
 
     def _evict_dead_pages(self, snapshot: int) -> None:
         """Drop every cached page that belongs to a snapshot other than
-        ``snapshot`` (the caller holds the lock).
+        ``snapshot`` (the caller holds the lock; a no-op while the
+        observed snapshot has not changed).
 
         The cache key carries the snapshot, so without this sweep the
         pages of superseded snapshots would linger until LRU pressure
         pushed them out — across many resyncs that is memory held for
         catalogs nobody can read any more.
         """
+        if snapshot == self._cache_snapshot:
+            return
         dead = [key for key in self._page_cache if key[0] != snapshot]
         for key in dead:
             del self._page_cache[key]
@@ -196,8 +198,7 @@ class CatalogReader:
         after: Optional[ClusterId],
     ) -> _Page:
         """One page of ``snapshot``, via the LRU cache."""
-        if snapshot != self._cache_snapshot:
-            self._evict_dead_pages(snapshot)
+        self._evict_dead_pages(snapshot)
         key = (snapshot, after)
         page = self._page_cache.get(key)
         if page is not None:
@@ -295,13 +296,18 @@ class CatalogReader:
         compacted past ``since``, or ``since`` is from another store's
         history (ahead of this head).  The caller must then fall back to
         :meth:`read_products` + a full index rebuild.  ``head == since``
-        returns an empty delta (nothing to apply).
+        returns an empty delta (nothing to apply).  Like
+        :meth:`commit_count`, observing a head other than the cached
+        snapshot evicts that snapshot's pages.
         """
         with self._lock:
             connection = self._require_open()
             connection.execute("BEGIN")
             try:
                 head = self._read_commit_count(connection)
+                # A replica kept current by deltas alone never calls
+                # commit_count(); its priming read's pages die here.
+                self._evict_dead_pages(head)
                 if head == since:
                     return head, {}
                 try:

@@ -230,8 +230,10 @@ class CatalogSearchService:
         positive bound lets the service keep answering from a snapshot
         at most that many commits behind, which is what a fleet replica
         runs with so index rebuilds stay off the request path.  Cheap
-        when within bound — one ``meta`` row read.  Feed-driven services
-        are always current and return ``False``.
+        when within bound — one ``meta`` row read (a fleet with a head
+        watcher and a positive bound skips even that: it compares the
+        snapshot with the head the watcher published).  Feed-driven
+        services are always current and return ``False``.
         """
         if self._reader is None:
             return False
@@ -268,21 +270,18 @@ class CatalogSearchService:
         category: Optional[str] = None,
         attributes: Optional[Dict[str, str]] = None,
         auto_resync: bool = True,
-        max_lag_commits: int = 0,
     ) -> Tuple[int, List[SearchResult]]:
         """Like :meth:`search`, returning ``(snapshot, results)`` atomically.
 
         The snapshot is read under the same lock hold that executes the
         search, so under concurrent maintenance (commit feed, resyncs,
-        a fleet refresher) the pair is guaranteed consistent — reading
-        :attr:`snapshot_commit_count` *after* :meth:`search` is not.
-        ``auto_resync=False`` skips the head check entirely (a fleet
-        whose refresher owns maintenance pins to whatever the replica
-        currently serves); ``max_lag_commits`` bounds the staleness the
-        inline check tolerates.
+        a fleet's head watcher) the pair is guaranteed consistent —
+        reading :attr:`snapshot_commit_count` *after* :meth:`search` is
+        not.  ``auto_resync=False`` skips the head check entirely (a
+        fleet holds its replicas to its own lag bound before it calls).
         """
         if auto_resync:
-            self.maybe_resync(max_lag_commits)
+            self.maybe_resync()
         with self._lock:
             self._queries_served += 1
             return self._snapshot_commit_count, self._index.search(
@@ -297,11 +296,10 @@ class CatalogSearchService:
         self,
         product_id: str,
         auto_resync: bool = True,
-        max_lag_commits: int = 0,
     ) -> Tuple[int, Optional[Product]]:
         """Point lookup returning ``(snapshot, product)`` atomically."""
         if auto_resync:
-            self.maybe_resync(max_lag_commits)
+            self.maybe_resync()
         with self._lock:
             self._queries_served += 1
             return self._snapshot_commit_count, self._index.get_product(product_id)

@@ -2,19 +2,23 @@
 
 Covers the front's routing and failover semantics, the fault-injection
 satellite (killed and hung replicas), replica restart, lag reporting
-and the background refresher, the bounded HTTP worker pool, and the
+and the head watcher (ISSUE 18), the bounded HTTP worker pool, and the
 /health and /lag endpoints over real HTTP.
 """
 
 import json
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
+from exposition_parser import parse, validate_histograms
 
+from repro.obs import MetricsRegistry, set_registry
 from repro.runtime import SynthesisEngine
+from repro.serving.reader import CatalogReader
 from repro.serving import (
     CatalogHTTPServer,
     CatalogIndex,
@@ -242,7 +246,7 @@ class TestRestartAndRefresh:
         first, second = halves(tiny_harness.unmatched_offers)
         engine.ingest(first)
         fleet = ServingFleet.from_store_path(
-            path, num_replicas=2, max_lag_commits=0, refresh_interval=0.02
+            path, num_replicas=2, max_lag_commits=0, watch_head=True
         )
         engine.ingest(second)
         deadline = time.monotonic() + 10
@@ -258,6 +262,278 @@ class TestRestartAndRefresh:
         _, fleet, _ = sqlite_fleet
         fleet.close()
         fleet.close()
+
+    def test_refresh_interval_is_gone(self, tiny_harness, tmp_path):
+        """A fleet watches the head or it does not; there is no interval to pick."""
+        path = str(tmp_path / "removed-option.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        engine.ingest(tiny_harness.unmatched_offers[:5])
+        service = CatalogSearchService.from_store_path(path)
+        try:
+            with pytest.raises(TypeError, match="refresh_interval"):
+                ServingFleet([service], refresh_interval=0.1)
+            with pytest.raises(TypeError, match="refresh_interval"):
+                ServingFleet.from_store_path(path, refresh_interval=0.1)
+        finally:
+            service.close()
+            engine.close()
+
+
+def snapshots(fleet):
+    return [entry["snapshot_commit_count"] for entry in fleet.lag()["replicas"]]
+
+
+def wait_until(predicate, timeout):
+    """Poll ``predicate`` (sleeping, so the watcher gets the GIL) until true."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.0005)
+    return predicate()
+
+
+class TestHeadWatcher:
+    """ISSUE 18: commit -> searchable without a timer, no store read per request."""
+
+    @pytest.fixture
+    def watched(self, tiny_harness, tmp_path):
+        """A live writer plus a watching 2-replica fleet with lag bound 2."""
+        path = str(tmp_path / "watched.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        first, second = halves(tiny_harness.unmatched_offers)
+        engine.ingest(first)
+        fleet = ServingFleet.from_store_path(
+            path, num_replicas=2, max_lag_commits=2, watch_head=True
+        )
+        yield engine, fleet, second
+        fleet.close()
+        engine.close()
+
+    def test_a_commit_reaches_every_replica_within_milliseconds(self, watched):
+        engine, fleet, offers = watched
+        waits = []
+        for offer in offers[:10]:
+            engine.ingest([offer])
+            committed = time.monotonic()
+            head = engine.store.commit_count
+            assert wait_until(lambda: min(snapshots(fleet)) >= head, timeout=5)
+            waits.append(time.monotonic() - committed)
+            time.sleep(0.05)
+        # One replica per 100 ms tick measured 100-200 ms here.
+        assert statistics.median(waits) < 0.040, waits
+
+    @pytest.mark.parametrize(
+        ("watch_head", "bound", "reads_per_request"),
+        [(True, 2, 0), (True, 0, 1), (False, 2, 1)],
+    )
+    def test_only_a_watched_bound_keeps_requests_off_the_store(
+        self, tiny_harness, tmp_path, monkeypatch, watch_head, bound, reads_per_request
+    ):
+        path = str(tmp_path / "reads.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        engine.ingest(tiny_harness.unmatched_offers)
+        product_id = engine.products()[0].product_id
+        readers = []
+        original = CatalogReader.commit_count
+
+        def counting(reader):
+            readers.append(threading.current_thread())
+            return original(reader)
+
+        monkeypatch.setattr(CatalogReader, "commit_count", counting)
+        fleet = ServingFleet.from_store_path(
+            path, num_replicas=2, max_lag_commits=bound, watch_head=watch_head
+        )
+        try:
+            del readers[:]  # the constructor's own first probe
+            for number in range(50):  # 200 requests, response-cache hits and misses
+                fleet.search_body(f"hard drive {number % 10}")
+                fleet.product_body(product_id)
+                fleet.search("hard drive")
+                fleet.get_product(product_id)
+            stats = fleet.response_cache_stats()
+            assert stats["hits"] > 0 and stats["misses"] > 0
+            mine = readers.count(threading.current_thread())
+            assert mine == 200 * reads_per_request
+            if watch_head:
+                assert wait_until(lambda: len(readers) > mine, timeout=5)  # the watcher's
+        finally:
+            fleet.close()
+            engine.close()
+
+    def test_the_bound_still_bites_when_the_watcher_is_stuck(self, tiny_harness, tmp_path):
+        path = str(tmp_path / "stuck.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        first, second = halves(tiny_harness.unmatched_offers)
+        engine.ingest(first)
+        head = [engine.store.commit_count]
+        fleet = ServingFleet(
+            [CatalogSearchService.from_store_path(path)],
+            head=lambda: head[0],
+            max_lag_commits=2,
+            watch_head=True,
+        )
+        entered, release = threading.Event(), threading.Event()
+
+        def stuck(operation):
+            if operation == "resync":
+                entered.set()
+                assert release.wait(timeout=30)
+
+        try:
+            fleet.set_fault_hook(0, stuck)
+            for offer in second[:3]:  # bound + 1 commits
+                engine.ingest([offer])
+            head[0] = engine.store.commit_count
+            assert entered.wait(timeout=5)  # head published, the sweep hangs
+            lag = fleet.lag()
+            assert (lag["head_commit_count"], lag["max_lag"]) == (head[0], 3)
+            assert fleet.search("hard drive").snapshot_commit_count == head[0]
+            assert fleet.lag()["replicas"][0]["resync"]["delta_resyncs"] == 1
+        finally:
+            release.set()
+            fleet.close()
+            engine.close()
+
+    def test_back_to_back_commits_share_delta_resyncs(self, watched):
+        engine, fleet, offers = watched
+        commits = 0
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            engine.ingest([offers[commits % len(offers)]])
+            commits += 1
+        head = engine.store.commit_count
+        assert wait_until(lambda: min(snapshots(fleet)) >= head, timeout=0.1)
+        for entry in fleet.lag()["replicas"]:
+            assert entry["resync"]["full_resyncs"] == 1
+            assert 0 < entry["resync"]["delta_resyncs"] < commits
+
+    def test_close_waits_for_one_resync_not_for_the_sweep(self, tiny_harness, tmp_path):
+        path = str(tmp_path / "closing.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        first, second = halves(tiny_harness.unmatched_offers)
+        engine.ingest(first)
+        fleet = ServingFleet.from_store_path(
+            path, num_replicas=3, max_lag_commits=2, watch_head=True
+        )
+        entered = []
+
+        def slow(operation):
+            if operation == "resync":
+                entered.append(operation)
+                time.sleep(0.3)
+
+        try:
+            for replica_id in range(3):
+                fleet.set_fault_hook(replica_id, slow)
+            engine.ingest(second)
+            assert wait_until(lambda: entered, timeout=5)
+            started = time.monotonic()
+            fleet.close()
+            assert time.monotonic() - started < 0.6  # three slow resyncs take 0.9 s
+            assert len(entered) == 1
+            assert not fleet._watcher.is_alive()
+        finally:
+            fleet.close()
+            engine.close()
+
+    def test_a_replica_that_fails_in_a_sweep_is_routed_around_until_restarted(self, watched):
+        engine, fleet, offers = watched
+
+        def broken(operation):
+            if operation == "resync":
+                raise RuntimeError("injected resync failure")
+
+        fleet.set_fault_hook(0, broken)
+        before = engine.store.commit_count
+        engine.ingest(offers[:5])
+        assert wait_until(lambda: not fleet.health()["replicas"][0]["healthy"], timeout=5)
+        assert "injected resync failure" in fleet.health()["replicas"][0]["last_error"]
+        assert {fleet.search("hard drive").replica_id for _ in range(6)} == {1}
+        # The watcher keeps serving the survivor and leaves the dead one alone.
+        engine.ingest(offers[5:10])
+        head = engine.store.commit_count
+        assert wait_until(lambda: snapshots(fleet)[1] == head, timeout=5)
+        assert snapshots(fleet)[0] == before
+        fleet.restart_replica(0)
+        assert fleet.health()["healthy_replicas"] == 2
+        assert snapshots(fleet) == [head, head]
+        assert {fleet.search("hard drive").replica_id for _ in range(6)} == {0, 1}
+
+    def test_an_unreadable_head_ages_and_the_watcher_survives_it(
+        self, tiny_harness, tmp_path
+    ):
+        path = str(tmp_path / "unreadable.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        first, second = halves(tiny_harness.unmatched_offers)
+        engine.ingest(first)
+        readable = [True]
+
+        def head():
+            if not readable[0]:
+                raise OSError("store unreachable")
+            return engine.store.commit_count
+
+        fleet = ServingFleet(
+            [CatalogSearchService.from_store_path(path)],
+            head=head,
+            max_lag_commits=2,
+            watch_head=True,
+        )
+        try:
+            time.sleep(0.02)
+            assert fleet.lag()["head_age_ms"] < 20  # re-read every tick
+            readable[0] = False
+            engine.ingest(second)
+            time.sleep(0.05)
+            lag = fleet.lag()
+            assert lag["head_age_ms"] >= 40
+            assert lag["head_commit_count"] == engine.store.commit_count - 1
+            readable[0] = True
+            assert wait_until(
+                lambda: snapshots(fleet) == [engine.store.commit_count], timeout=5
+            )
+            assert fleet.lag()["head_commit_count"] == engine.store.commit_count
+        finally:
+            fleet.close()
+            engine.close()
+
+    def test_watcher_metrics_reach_the_exposition(self, tiny_harness, tmp_path):
+        path = str(tmp_path / "metrics.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        first, second = halves(tiny_harness.unmatched_offers)
+        engine.ingest(first)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            fleet = ServingFleet.from_store_path(
+                path, num_replicas=2, max_lag_commits=2, watch_head=True
+            )
+        finally:
+            set_registry(previous)
+        try:
+            assert parse(registry.render()).value("serving_head_changes_total") == 0
+            engine.ingest(second)
+            head = engine.store.commit_count
+            assert wait_until(lambda: min(snapshots(fleet)) == head, timeout=5)
+            parsed = parse(registry.render())
+            validate_histograms(parsed)
+            assert parsed.types["serving_refresh_seconds"] == "histogram"
+            assert parsed.types["serving_head_changes_total"] == "counter"
+            assert parsed.value("serving_head_changes_total") == 1
+            assert parsed.value("serving_refresh_seconds_count") == 2  # one per replica
+            assert parsed.value("serving_fleet_head_commit_count") == head
+        finally:
+            fleet.close()
+            engine.close()
+
+    def test_a_fleet_without_a_watcher_reports_a_fresh_head(self, sqlite_fleet):
+        engine, fleet, second = sqlite_fleet
+        engine.ingest(second)
+        lag = fleet.lag()
+        assert (lag["head_commit_count"], lag["head_age_ms"]) == (engine.store.commit_count, 0)
+        assert fleet.stats()["watch_head"] is False
 
 
 class TestFleetHTTP:

@@ -153,7 +153,7 @@ class TestStatsAndRouting:
         status, payload = get_json(f"{server_url}/stats")
         assert status == 200
         assert (payload["num_replicas"], payload["healthy_replicas"]) == (1, 1)
-        assert (payload["max_lag_commits"], payload["refresh_interval"]) == (0, None)
+        assert (payload["max_lag_commits"], payload["watch_head"]) == (0, False)
         assert payload["queries_served"] >= 1
         (replica,) = payload["replicas"]
         assert replica["stats"]["mode"] == "feed"
@@ -281,6 +281,32 @@ class TestMetricsEndpoints:
         key = 'http_request_seconds{endpoint="/health"}'
         assert key in payload["histograms"]
         assert payload["histograms"][key]["count"] >= 1
+
+    def test_each_endpoint_series_is_resolved_once_per_server(self, metrics_server):
+        base, registry = metrics_server
+        resolved = []
+        lookup = registry.histogram
+
+        def counting(name, **kwargs):
+            resolved.append((name, kwargs["labels"]["endpoint"]))
+            return lookup(name, **kwargs)
+
+        registry.histogram = counting
+        for _ in range(3):
+            get_json(f"{base}/health")
+            get_json(f"{base}/product/p-1")
+            get_error(f"{base}/product/p-999")
+            get_error(f"{base}/nope")
+        assert sorted(resolved) == [
+            ("http_request_seconds", "/health"),
+            ("http_request_seconds", "/product"),
+            ("http_request_seconds", "other"),
+        ]
+        histograms = registry.snapshot()["histograms"]
+        assert histograms['http_request_seconds{endpoint="/health"}']["count"] == 3
+        assert histograms['http_request_seconds{endpoint="/product"}']["count"] == 6
+        # A label nobody requested has no series: /metrics shows traffic, not the table.
+        assert 'http_request_seconds{endpoint="/search"}' not in histograms
 
     def test_label_cardinality_is_bounded(self, metrics_server):
         base, registry = metrics_server

@@ -332,3 +332,21 @@ class TestPageCacheBoundedAcrossSnapshots:
         assert stats["pages_evicted"] > 0
         reader.close()
         engine.close()
+
+    def test_a_delta_read_alone_evicts_dead_snapshot_pages(self, tiny_harness, tmp_path):
+        """A replica that primes, then only delta-resyncs, never calls commit_count()."""
+        path = str(tmp_path / "deltaonly.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        engine.ingest(tiny_harness.unmatched_offers)
+        reader = CatalogReader(path, page_size=8)
+        primed, _ = reader.read_products()
+        before = reader.cache_stats()
+        assert before["cached_pages"] > 0
+        engine.ingest([tiny_harness.unmatched_offers[0]])
+        head, delta = reader.read_delta(primed)
+        assert head == primed + 1 and delta is not None
+        stats = reader.cache_stats()
+        assert stats["cached_pages"] == 0
+        assert stats["pages_evicted"] == before["pages_evicted"] + before["cached_pages"]
+        reader.close()
+        engine.close()
