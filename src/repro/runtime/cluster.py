@@ -1857,14 +1857,13 @@ class InProcessTransport(NodeTransport):
         store: Union[str, CatalogStore, None] = None,
         store_path: Optional[str] = None,
         executor: Union[str, ShardExecutor, None] = "serial",
-        delta_refusion: Optional[bool] = None,
     ) -> None:
         super().__init__()
         self._owns_store = not isinstance(store, CatalogStore)
         self.store = resolve_store(store, path=store_path)
         self.store.bind(num_shards)
         self._num_shards = num_shards
-        self._engine_kwargs = dict(engine_kwargs, executor=executor, delta_refusion=delta_refusion)
+        self._engine_kwargs = dict(engine_kwargs, executor=executor)
         self._lock = threading.RLock()
 
     def start_node(
@@ -1931,7 +1930,7 @@ class MultiNodeEngine(ClusterEngine):
     store, store_path:
         The shared store, as for the single engine (a backend name, an
         instance the caller keeps owning, or ``None`` for memory).
-    executor, delta_refusion:
+    executor:
         As for the single engine; an executor given by name is built
         *per node*, so ``executor="process"`` gives every node its own
         worker pool.

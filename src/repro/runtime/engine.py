@@ -225,12 +225,13 @@ class SynthesisEngine:
         run.  Store choice never changes the synthesized products.
     store_path:
         Filesystem path of the SQLite store (``store="sqlite"`` only).
-    delta_refusion:
-        ``None`` (default) enables the delta protocol whenever the
-        executor supports pinned dispatch (the process pool); ``False``
-        forces full-state shipping; ``True`` requires a pinning executor.
-        Either way the products are byte-identical — only the payload
-        volume differs (see :meth:`transport_stats`).
+
+    The re-fusion protocol follows the executor: one with pinned
+    dispatch (the process pool) gets the delta protocol — workers keep
+    shard-resident clusters and a batch ships only its new offers — and
+    every other executor fuses the touched clusters' full contents in
+    this process.  Either way the products are byte-identical; only the
+    payload volume differs (see :meth:`transport_stats`).
     """
 
     def __init__(
@@ -248,7 +249,6 @@ class SynthesisEngine:
         track_category_statistics: bool = True,
         store: Union[str, CatalogStore, None] = None,
         store_path: Optional[str] = None,
-        delta_refusion: Optional[bool] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -276,15 +276,6 @@ class SynthesisEngine:
         self._store = resolve_store(store, path=store_path)
         self._store.bind(num_shards)
 
-        supports_pinning = getattr(self._executor, "supports_pinning", False)
-        if delta_refusion and not supports_pinning:
-            raise ValueError(
-                "delta_refusion=True requires an executor with pinned dispatch "
-                f"(got {self._executor.name!r}); use executor='process'"
-            )
-        self._delta_refusion = (
-            supports_pinning if delta_refusion is None else bool(delta_refusion)
-        )
         self._transport_stats = TransportStats()
         self._commit_listeners: List[Callable[[CommitEvent], None]] = []
         self._closed = False
@@ -323,17 +314,13 @@ class SynthesisEngine:
 
         self._obs_provider = registry.add_provider(_transport_provider)
 
-        # Full-state process payloads get the plain fusion (shipping a
-        # memo there is dead weight: its updates never come back); delta
-        # workers wrap the base fusion in their own shard-resident memo.
-        # Serial and thread execution share one memo across batches, so
-        # unchanged attribute-value lists are selected once.  Either way
-        # the selected values are identical — the memo is transparent.
-        base_fusion = self._pipeline.fusion
-        self._base_fusion = base_fusion
-        self._worker_fusion: CentroidValueFusion = base_fusion
-        if not supports_pinning:
-            self._worker_fusion = MemoizedValueFusion(base_fusion)
+        # Delta workers get the plain fusion and wrap it in their own
+        # shard-resident memo.  Full-state re-fusion (serial and thread
+        # execution) shares one memo across batches, so unchanged
+        # attribute-value lists are selected once.  Either way the
+        # selected values are identical — the memo is transparent.
+        self._base_fusion = self._pipeline.fusion
+        self._worker_fusion = MemoizedValueFusion(self._base_fusion)
 
     # -- streaming ingest ------------------------------------------------------
 
@@ -484,7 +471,8 @@ class SynthesisEngine:
             by_shard.setdefault(entry.shard_index, []).append(cluster_id)
         if not by_shard:
             return 0
-        if self._delta_refusion:
+        # Pinned workers keep shard-resident clusters: ship them deltas.
+        if getattr(self._executor, "supports_pinning", False):
             return self._refuse_delta(by_shard, pending)
         return self._refuse_full(by_shard)
 

@@ -72,7 +72,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.offers import Offer
 from repro.obs import get_registry
@@ -88,7 +88,6 @@ from repro.runtime.cluster import (
 )
 from repro.runtime.delta import TransportStats
 from repro.runtime.engine import SynthesisEngine
-from repro.runtime.executors import ShardExecutor
 from repro.runtime.store.sqlite import SqliteCatalogStore
 
 __all__ = [
@@ -97,23 +96,7 @@ __all__ = [
     "ProcessNode",
     "ProcessTransport",
     "MultiProcessEngine",
-    "validate_node_executor",
 ]
-
-
-def validate_node_executor(node_executor: Union[str, ShardExecutor, None]) -> None:
-    """Raise ``ValueError`` unless the executor can run inside a node process."""
-    if isinstance(node_executor, str) and node_executor not in ("serial", "thread"):
-        raise ValueError(
-            f"node_executor {node_executor!r} is not usable inside a node "
-            "process: nodes run as daemonic children, which cannot spawn "
-            "worker-pool processes of their own — use 'serial' or 'thread'"
-        )
-    if getattr(node_executor, "supports_pinning", False):
-        raise ValueError(
-            "a process-pool executor cannot run inside a node process "
-            "(daemonic children cannot spawn workers); use 'serial' or 'thread'"
-        )
 
 
 def _node_main(
@@ -415,7 +398,6 @@ class ProcessTransport(NodeTransport):
         num_shards: int,
         engine_kwargs: Dict[str, object],
         store_path: Optional[str] = None,
-        node_executor: Union[str, ShardExecutor, None] = "serial",
         node_timeout: float = 300.0,
     ) -> None:
         super().__init__()
@@ -424,11 +406,12 @@ class ProcessTransport(NodeTransport):
                 "MultiProcessEngine requires store_path: the shared WAL "
                 "file is the only state its node processes have in common"
             )
-        validate_node_executor(node_executor)
         self.store = SqliteCatalogStore(store_path)
         self.store.bind(num_shards)
         self._num_shards = num_shards
-        self._engine_kwargs = dict(engine_kwargs, executor=node_executor)
+        # The node processes are the parallelism: each runs a serial
+        # engine (daemonic children could not spawn a worker pool).
+        self._engine_kwargs = dict(engine_kwargs, executor="serial")
         self._context = _start_context()
         self._timeout = node_timeout
         self._intent_sequence = itertools.count(1)
@@ -539,12 +522,6 @@ class MultiProcessEngine(ClusterEngine):
 
     store_path:
         The shared SQLite WAL file (required).
-    node_executor:
-        Executor of the engine *inside* each node process: ``"serial"``
-        (default — the node processes themselves are the parallelism)
-        or ``"thread"``.  ``"process"`` is rejected with
-        :class:`ValueError`: node processes are daemonic and cannot
-        spawn worker-pool children.
     node_timeout:
         Seconds to wait for a node's reply before declaring it dead.
     """

@@ -1,15 +1,18 @@
-"""CLI hardening: conflicting flags and bad store paths fail clearly.
+"""CLI hardening: bad flags, store paths and artifacts fail clearly.
 
 ISSUE 5 satellite: every rejected combination exits through
 ``parser.error`` (status 2, one-line message on stderr) instead of
-surfacing as a deep traceback from the store or cluster layers.  Only
-parsing is exercised — every case here errors before any corpus or
-engine work starts.
+surfacing as a deep traceback from the store or serving layers.  Only
+parsing is exercised — every case here errors before any corpus, engine
+or socket work starts.
 """
+
+import json
 
 import pytest
 
 from repro.experiments import cli
+from repro.runtime import SqliteCatalogStore
 
 
 def expect_cli_error(capsys, argv, *fragments):
@@ -22,117 +25,43 @@ def expect_cli_error(capsys, argv, *fragments):
         assert fragment in stderr, f"{fragment!r} not in {stderr!r}"
 
 
-class TestRuntimeBenchConflicts:
-    def test_nodes_and_processes_are_mutually_exclusive(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["runtime-bench", "--nodes", "2", "--processes", "2"],
-            "mutually exclusive",
-        )
+@pytest.fixture
+def store_file(tmp_path):
+    """An empty but real catalog store, as the library's write API leaves it."""
+    path = str(tmp_path / "cat.sqlite3")
+    SqliteCatalogStore(path).close()
+    return path
 
-    def test_processes_reject_memory_store(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["runtime-bench", "--processes", "2", "--store", "memory"],
-            "WAL file",
-        )
 
-    def test_processes_reject_process_executor(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["runtime-bench", "--processes", "2", "--executor", "process"],
-            "daemonic",
-        )
-
-    def test_resume_requires_sqlite(self, capsys):
-        expect_cli_error(capsys, ["runtime-bench", "--resume"], "--store sqlite")
-
-    def test_resume_rejects_cluster_modes(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["runtime-bench", "--resume", "--store", "sqlite", "--nodes", "2"],
-            "single-engine",
-        )
-
-    def test_node_and_process_counts_must_be_positive(self, capsys):
-        expect_cli_error(capsys, ["runtime-bench", "--nodes", "0"], "--nodes")
-        expect_cli_error(capsys, ["runtime-bench", "--processes", "0"], "--processes")
-
-    def test_store_path_requires_sqlite(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["runtime-bench", "--store-path", "whatever.sqlite3"],
-            "--store-path requires",
-        )
+class TestRemovedSubcommands:
+    @pytest.mark.parametrize("command", ["runtime-bench", "serving-bench"])
+    def test_old_bench_commands_are_plain_argparse_errors(self, capsys, command):
+        """Deleted with the pre-gate harness (ISSUE 19): no half-removed dispatch."""
+        expect_cli_error(capsys, [command], "unrecognized arguments", command)
+        expect_cli_error(capsys, [command, "--offers", "600"], "unrecognized arguments")
 
 
 class TestStorePathValidation:
     def test_directory_as_store_path(self, capsys, tmp_path):
         expect_cli_error(
-            capsys,
-            ["runtime-bench", "--store", "sqlite", "--store-path", str(tmp_path)],
-            "is a directory",
+            capsys, ["runtime-serve", "--store-path", str(tmp_path)], "is a directory"
         )
 
     def test_missing_parent_directory(self, capsys, tmp_path):
         bad = str(tmp_path / "no" / "such" / "dir" / "cat.sqlite3")
         expect_cli_error(
-            capsys,
-            ["runtime-bench", "--store", "sqlite", "--store-path", bad],
-            "does not exist",
+            capsys, ["runtime-serve", "--store-path", bad], "directory that does not exist"
         )
 
-    def test_resume_requires_an_existing_file(self, capsys, tmp_path):
-        missing = str(tmp_path / "fresh.sqlite3")
+    @pytest.mark.parametrize("content", [b"", b"not a database, " * 64])
+    def test_file_that_is_not_a_catalog_store(self, capsys, tmp_path, content):
+        """An empty file and garbage bytes: one line, not a sqlite3 traceback."""
+        path = tmp_path / "junk.sqlite3"
+        path.write_bytes(content)
         expect_cli_error(
-            capsys,
-            [
-                "runtime-bench",
-                "--store",
-                "sqlite",
-                "--store-path",
-                missing,
-                "--resume",
-            ],
-            "does not exist",
+            capsys, ["runtime-serve", "--store-path", str(path)], "is not a catalog store"
         )
-
-    def test_valid_arguments_still_parse(self, tmp_path):
-        args = cli._parse_runtime_bench_args(
-            ["--store", "sqlite", "--store-path", str(tmp_path / "ok.sqlite3")]
-        )
-        assert args.store == "sqlite"
-        assert args.executor == "process"
-        args = cli._parse_runtime_bench_args(["--processes", "2"])
-        assert args.store == "sqlite"
-        assert args.executor == "serial"
-        assert args.store_path == "BENCH_catalog.sqlite3"
-
-
-class TestServingBenchErrors:
-    def test_store_path_requires_sqlite(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["serving-bench", "--store", "memory", "--store-path", "x.sqlite3"],
-            "--store-path requires",
-        )
-
-    def test_counts_must_be_positive(self, capsys):
-        expect_cli_error(capsys, ["serving-bench", "--queries", "0"], "--queries")
-        expect_cli_error(capsys, ["serving-bench", "--top-k", "0"], "--top-k")
-        expect_cli_error(capsys, ["serving-bench", "--offers", "0"], "--offers")
-
-    def test_bad_store_path(self, capsys, tmp_path):
-        expect_cli_error(
-            capsys,
-            ["serving-bench", "--store-path", str(tmp_path)],
-            "is a directory",
-        )
-
-    def test_defaults_parse(self):
-        args = cli._parse_serving_bench_args([])
-        assert args.store == "sqlite"
-        assert args.store_path == "BENCH_serving_catalog.sqlite3"
+        assert path.read_bytes() == content
 
 
 class TestRuntimeServeErrors:
@@ -143,31 +72,54 @@ class TestRuntimeServeErrors:
             "does not exist",
         )
 
-    def test_port_range(self, capsys, tmp_path):
-        store = tmp_path / "cat.sqlite3"
-        store.touch()
+    def test_port_range(self, capsys, store_file):
         expect_cli_error(
             capsys,
-            ["runtime-serve", "--store-path", str(store), "--port", "70000"],
+            ["runtime-serve", "--store-path", store_file, "--port", "70000"],
             "--port",
         )
 
-    def test_page_size_positive(self, capsys, tmp_path):
-        store = tmp_path / "cat.sqlite3"
-        store.touch()
+    def test_page_size_positive(self, capsys, store_file):
         expect_cli_error(
             capsys,
-            ["runtime-serve", "--store-path", str(store), "--page-size", "0"],
+            ["runtime-serve", "--store-path", store_file, "--page-size", "0"],
             "--page-size",
         )
 
     @pytest.mark.parametrize("replicas", [1, 3])
-    def test_defaults_do_not_depend_on_the_replica_count(self, tmp_path, replicas):
-        store = tmp_path / "cat.sqlite3"
-        store.touch()
-        argv = ["--store-path", str(store)] + (["--replicas", "3"] if replicas == 3 else [])
+    def test_defaults_do_not_depend_on_the_replica_count(self, store_file, replicas):
+        argv = ["--store-path", store_file] + (["--replicas", "3"] if replicas == 3 else [])
         args = cli._parse_runtime_serve_args(argv)
         assert args.replicas == replicas
         assert args.threads == 2 * replicas
         assert args.max_lag_commits == 2
         assert not hasattr(args, "index_backend")
+
+
+class TestRuntimeObsArtifact:
+    def test_reads_the_registry_section_of_a_bench_trace(self, capsys, tmp_path):
+        """``bench/run.py --trace 1`` keeps its per-layer floats under
+        ``metrics`` and the ``MetricsRegistry.snapshot()`` under ``registry``."""
+        trace = {
+            "metrics": {"engine.ingest_s": 0.4},
+            "registry": {
+                "counters": {"engine_batches_total": 50.0},
+                "gauges": {"serving_replica_lag_commits": 0.0},
+                "histograms": {"span_seconds": {"count": 3, "sum": 0.3, "p50": 0.1}},
+            },
+        }
+        path = tmp_path / "trace-ingest_stream.json"
+        path.write_text(json.dumps(trace), encoding="utf-8")
+        assert cli.main(["runtime-obs", "--artifact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "engine_batches_total" in out and "serving_replica_lag_commits" in out
+        assert "span_seconds" in out and "count=3" in out
+        assert "engine.ingest_s" not in out
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"metrics": {"x": 1.0}}, {"registry": {"x": 1}}])
+    def test_artifact_without_a_snapshot_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["runtime-obs", "--artifact", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "no 'registry' metrics snapshot" in out

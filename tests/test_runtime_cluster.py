@@ -618,6 +618,9 @@ class TestOneCoordinator:
             (MultiNodeEngine, {"concurrent": True}),
             (MultiProcessEngine, {"delta_refusion": True, "store_path": "unused.sqlite3"}),
             (MultiNodeEngine, {"node_timeout": 5.0}),
+            (SynthesisEngine, {"delta_refusion": False}),
+            (MultiNodeEngine, {"delta_refusion": False}),
+            (MultiProcessEngine, {"node_executor": "serial", "store_path": "unused.sqlite3"}),
         ],
     )
     def test_removed_and_foreign_options_are_rejected(self, tiny_harness, engine, option):

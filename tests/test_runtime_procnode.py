@@ -72,10 +72,13 @@ class TestMultiProcessBasics:
             )
 
     def test_rejects_process_node_executor(self, tmp_path, tiny_harness):
-        """Daemonic node processes cannot spawn worker pools; the
-        constructor must say so instead of failing opaquely mid-ingest."""
-        with pytest.raises(ValueError, match="daemonic"):
-            make_cluster(tiny_harness, tmp_path, num_nodes=2, node_executor="process")
+        """Daemonic node processes cannot spawn worker pools, so a
+        process cluster takes no executor at all: the single engine's
+        option is refused at construction, before a store file or a
+        node process exists, instead of failing opaquely mid-ingest."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_cluster(tiny_harness, tmp_path, num_nodes=2, executor="process")
+        assert not (tmp_path / "cluster.sqlite3").exists()
 
     def test_node_processes_exit_when_coordinator_vanishes(self, tmp_path, tiny_harness):
         """Closing the coordinator-side pipe ends (what a coordinator
