@@ -3,13 +3,15 @@
 Everything here talks to the server over raw sockets or ``http.client``
 connections (``urllib`` sends ``Connection: close`` and would hide the
 connection lifecycle): persistent connections, single-write responses,
-the multiplexed worker pool (idle connections hold no worker), and the
-bounded refusals — a 500 for a raising endpoint, a timeout for a stalled
-or idle client.
+the multiplexed worker pool (idle connections and half-sent requests
+hold no worker), and the bounded refusals — a 500 for a raising
+endpoint, one deadline for a request head however slowly it arrives, a
+counted JSON error for every head the reader does not accept.
 """
 
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -39,11 +41,15 @@ MODES = pytest.mark.parametrize("max_workers", [None, 2], ids=["threads", "pool"
 class Front:
     """A served catalog plus the handles the tests poke at."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, log_requests=False):
         self.registry = MetricsRegistry()
         self.service = CatalogSearchService(CatalogIndex(PRODUCTS))
         self.server = CatalogHTTPServer(
-            ("127.0.0.1", 0), self.service, max_workers=max_workers, registry=self.registry
+            ("127.0.0.1", 0),
+            self.service,
+            log_requests=log_requests,
+            max_workers=max_workers,
+            registry=self.registry,
         )
         self.port = self.server.server_address[1]
         self._clients = []
@@ -84,7 +90,10 @@ def read_until_closed(sock, limit=5.0):
     sock.settimeout(limit)
     chunks = []
     while True:
-        chunk = sock.recv(65536)
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:  # closed with bytes of ours unread
+            chunk = b""
         if not chunk:
             return b"".join(chunks)
         chunks.append(chunk)
@@ -135,19 +144,13 @@ class TestKeepAlive:
         """Headers and body leave in one send: two small sends on a
         keep-alive connection meet Nagle + delayed ACK (~40 ms each)."""
         writes = []
-        setup = CatalogRequestHandler.setup
+        write = CatalogRequestHandler._write
 
-        def counting_setup(handler):
-            setup(handler)
-            write = handler.wfile.write
+        def counted(handler, data):
+            writes.append(bytes(data))
+            return write(handler, data)
 
-            def counted(data):
-                writes.append(bytes(data))
-                return write(data)
-
-            handler.wfile.write = counted
-
-        monkeypatch.setattr(CatalogRequestHandler, "setup", counting_setup)
+        monkeypatch.setattr(CatalogRequestHandler, "_write", counted)
         connection = front.connect()
         paths = ["/search?q=seagate", "/product/p-1", "/product/p-9", "/stats", "/metrics", "/nope"]
         for path in paths:
@@ -160,15 +163,15 @@ class TestKeepAlive:
 
     def test_nodelay_is_set_on_accepted_sockets(self, front, monkeypatch):
         seen = []
-        setup = CatalogRequestHandler.setup
+        init = CatalogRequestHandler.__init__
 
-        def checking_setup(handler):
-            setup(handler)
+        def checking_init(handler, *args):
+            init(handler, *args)
             seen.append(
                 handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             )
 
-        monkeypatch.setattr(CatalogRequestHandler, "setup", checking_setup)
+        monkeypatch.setattr(CatalogRequestHandler, "__init__", checking_init)
         get(front.connect(), "/health")
         assert seen and all(seen)
 
@@ -203,6 +206,54 @@ class TestKeepAlive:
         # The front is still there for everybody else.
         response, _ = get(front.connect(), "/health")
         assert response.status == 200
+
+    def test_a_dribbled_head_has_one_deadline_from_its_first_byte(self, front, monkeypatch):
+        """Regression: every byte used to re-arm the timeout, so a client
+        sending one byte per 0.4 s was served for ever (and got a 200)."""
+        monkeypatch.setattr(CatalogRequestHandler, "timeout", 0.3)
+        with front.raw() as sock:
+            started = time.monotonic()
+            try:
+                for byte in b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n":
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.1)
+            except OSError:
+                pass  # closed on us mid-head, as it should be
+            reply = read_until_closed(sock)
+            elapsed = time.monotonic() - started
+        assert reply == b""  # unanswered
+        assert 0.3 <= elapsed < 1.5  # the pool's sweep runs every 0.5 s
+
+    def test_a_response_larger_than_the_socket_buffer_arrives_whole(self, front, monkeypatch):
+        """The one send is not the only one when the client reads slowly."""
+        monkeypatch.setattr(front.service, "stats", lambda: {"padding": "x" * 8_000_000})
+        with front.raw() as sock:
+            sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            time.sleep(0.2)  # the server has filled the socket buffers by now
+            reply = read_until_closed(sock)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"200 OK" in head.splitlines()[0]
+        assert len(body) > 8_000_000 and json.loads(body)["replicas"]
+        response, _ = get(front.connect(), "/health")
+        assert response.status == 200
+
+    def test_the_stdlib_header_parser_is_not_on_the_request_path(self, front, monkeypatch):
+        import email.feedparser
+
+        def entered(*_):
+            raise AssertionError("email.feedparser entered on the request path")
+
+        monkeypatch.setattr(email.feedparser.FeedParser, "feed", entered)
+        with front.raw() as sock:
+            for _ in range(100):
+                sock.sendall(b"GET /search?q=seagate HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n")
+                reply = b""
+                while b'"num_results": 3' not in reply:
+                    chunk = sock.recv(65536)
+                    assert chunk, reply
+                    reply += chunk
+                assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert front.counter("http_connections_accepted_total") == 1
 
     def test_connection_gauge_follows_opens_and_closes(self, front):
         connections = [front.connect() for _ in range(3)]
@@ -312,6 +363,25 @@ class TestMultiplexedPool:
         finally:
             front.close()
 
+    def test_stalled_heads_hold_no_worker(self):
+        """Regression: two sockets that sent ``GET /hea`` and stopped held both
+        workers of a pool of two until the timeout (4.8 s for the third client)."""
+        front = Front(2)
+        try:
+            stalled = [front.raw() for _ in range(2)]
+            for sock in stalled:
+                sock.sendall(b"GET /hea")
+            time.sleep(0.05)  # both half-requests were read and parked again
+            started = time.monotonic()
+            response, _ = get(front.connect(), "/health")
+            assert response.status == 200
+            assert time.monotonic() - started < 0.5
+            for sock in stalled:  # and a head that arrives in two pieces is still a request
+                sock.sendall(b"lth HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                assert read_until_closed(sock).startswith(b"HTTP/1.1 200 OK\r\n")
+        finally:
+            front.close()
+
     def test_a_stalled_client_does_not_hold_the_only_worker_forever(self, monkeypatch):
         monkeypatch.setattr(CatalogRequestHandler, "timeout", 0.3)
         front = Front(1)
@@ -356,19 +426,15 @@ class TestBoundedRefusal:
         """The send is outside the endpoint's try: no 500, no second write,
         one latency observation, and the worker lives."""
         writes = []
-        setup = CatalogRequestHandler.setup
+        write = CatalogRequestHandler._write
 
-        def broken_setup(handler):
-            setup(handler)
+        def gone_once(handler, data):
+            writes.append(data)
+            if len(writes) > 1:
+                return write(handler, data)
+            raise BrokenPipeError("client went away")
 
-            def gone(data):
-                writes.append(data)
-                raise BrokenPipeError("client went away")
-
-            if not writes:
-                handler.wfile.write = gone
-
-        monkeypatch.setattr(CatalogRequestHandler, "setup", broken_setup)
+        monkeypatch.setattr(CatalogRequestHandler, "_write", gone_once)
         monkeypatch.setattr(front.server, "handle_error", lambda *_: None)  # no traceback
         with front.raw() as sock:
             sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -376,7 +442,7 @@ class TestBoundedRefusal:
         assert len(writes) == 1
         assert front.counter("http_requests_failed_total") == 0
         response, _ = get(front.connect(), "/health")
-        assert response.status == 200
+        assert response.status == 200 and len(writes) == 2
         timed = front.registry.snapshot()["histograms"]
         assert timed['http_request_seconds{endpoint="/health"}']["count"] == 2
 
@@ -387,3 +453,110 @@ class TestBoundedRefusal:
         assert b" 501 " in reply.splitlines()[0]
         response, _ = get(front.connect(), "/health")
         assert response.status == 200
+
+    @pytest.mark.parametrize(
+        "payload, status_line, reason, fragment",
+        [
+            (b"BREW /pot HTTP/1.1\r\n\r\n", b"501 Not Implemented", "unsupported_method", "BREW"),
+            (b"GET / HTTP/2.0\r\n\r\n", b"505 HTTP Version Not Supported", "bad_version", "1.x"),
+            (b"GET /health\r\n\r\n", b"400 Bad Request", "bad_request_line", "GET /health"),
+            (b"\xff\xfe\x00 garbage\r\n\r\n", b"400 Bad Request", "bad_request_line", "garbage"),
+            (b"GET /a  HTTP/1.1\r\n\r\n", b"400 Bad Request", "bad_request_line", "/a"),
+            (
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                b"431 Request Header Fields Too Large",
+                "head_too_large",
+                "65536",
+            ),
+            (
+                b"GET / HTTP/1.1\r\n" + b"X-Filler: 1\r\n" * 101 + b"\r\n",
+                b"431 Request Header Fields Too Large",
+                "head_too_large",
+                "100 header lines",
+            ),
+            (b"GET / HTTP/1.1\r\nNo colon\r\n\r\n", b"400 Bad Request", "bad_header", "header"),
+            (b"GET / HTTP/1.1\r\n folded: x\r\n\r\n", b"400 Bad Request", "bad_header", "header"),
+            (
+                b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+                b"400 Bad Request",
+                "body_not_accepted",
+                "no request bodies",
+            ),
+        ],
+        ids=["method", "http2", "no-version", "garbage", "two-spaces", "70k-target"]
+        + ["101-headers", "no-colon", "folded", "chunked"],
+    )
+    def test_a_refusal_is_one_counted_json_error(
+        self, front, payload, status_line, reason, fragment
+    ):
+        """Regression: these were HTML pages (two of them without a status
+        line), echoed client bytes into the reason phrase and were counted
+        nowhere."""
+        with front.raw() as sock:
+            sock.sendall(payload)
+            reply = read_until_closed(sock)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 " + status_line  # a fixed phrase: no client bytes
+        assert b"Content-Type: application/json" in lines
+        assert b"Connection: close" in lines
+        assert b"Content-Length: %d" % len(body) in lines
+        assert fragment in json.loads(body)["error"]
+        snapshot = front.registry.snapshot()
+        refused = {key: n for key, n in snapshot["counters"].items() if "refused" in key}
+        assert refused == {f'http_requests_refused_total{{reason="{reason}"}}': 1}
+        assert snapshot["histograms"]['http_request_seconds{endpoint="other"}']["count"] == 1
+        assert front.counter("http_requests_failed_total") == 0
+
+    def test_a_request_body_is_refused_not_read_as_the_next_request(self, front):
+        """Regression: the body stayed in the stream, so ``hello`` + the next
+        request line became a request with method ``helloGET``."""
+        with front.raw() as sock:
+            sock.sendall(
+                b"GET /health HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+                b"GET /health HTTP/1.1\r\n\r\n"
+            )
+            reply = read_until_closed(sock)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert front.counter("http_requests_refused_total") == 1
+        with front.raw() as sock:  # an explicit empty body is not a body
+            sock.sendall(b"GET /health HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
+            assert read_until_closed(sock).startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_a_target_urlparse_rejects_is_a_400_and_the_connection_lives(self, front):
+        connection = front.connect()
+        response, body = get(connection, "//[")
+        assert response.status == 400 and not response.will_close
+        assert "malformed request target" in json.loads(body)["error"]
+        response, _ = get(connection, "/health")
+        assert response.status == 200
+
+
+class TestAccessLog:
+    """``log_requests=True`` (the CLI's default): one line per request, stdlib format."""
+
+    LINE = re.compile(
+        r'127\.0\.0\.1 - - \[\d\d/[A-Z][a-z]{2}/\d{4} \d\d:\d\d:\d\d\] "(.*)" (\d{3}) (\d+)'
+    )
+
+    @MODES
+    def test_one_line_per_request_with_control_characters_escaped(self, max_workers, capsys):
+        front = Front(max_workers, log_requests=True)
+        try:
+            with front.raw() as sock:
+                sock.sendall(b"GET /health HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\n")
+                sock.sendall(b"GET /\x1b[31m\\ \x7f\xe9\r\nX: y\r\n\r\n")
+                replies = read_until_closed(sock)
+        finally:
+            front.close()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3, lines
+        logged = [self.LINE.fullmatch(line).groups() for line in lines]
+        bodies = [reply.partition(b"\r\n\r\n")[2] for reply in replies.split(b"HTTP/1.1 ")[1:]]
+        sizes = [str(len(body)) for body in bodies]
+        assert logged == [
+            ("GET /health HTTP/1.1", "200", sizes[0]),
+            ("GET /nope HTTP/1.1", "404", sizes[1]),
+            ("GET /\\x1b[31m\\\\ \\x7f\xe9", "400", sizes[2]),
+        ]
