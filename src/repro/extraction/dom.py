@@ -10,7 +10,6 @@ does not crash extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from typing import Dict, Iterator, List, Optional
 
@@ -36,6 +35,9 @@ _VOID_ELEMENTS = frozenset(
     }
 )
 
+#: Elements whose content ``html.parser`` reports as data, unparsed.
+_RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
+
 #: Start tags that implicitly close still-open elements (a small subset of the
 #: HTML5 implied-end-tag rules, enough for messy merchant tables and lists).
 _IMPLICIT_CLOSERS = {
@@ -48,18 +50,27 @@ _IMPLICIT_CLOSERS = {
 }
 
 
-@dataclass
 class DomNode:
     """A node of the parsed DOM tree.
 
     ``tag`` is ``None`` for text nodes (whose content lives in ``text``).
     """
 
-    tag: Optional[str]
-    attributes: Dict[str, str] = field(default_factory=dict)
-    children: List["DomNode"] = field(default_factory=list)
-    text: str = ""
-    parent: Optional["DomNode"] = None
+    __slots__ = ("tag", "attributes", "children", "text", "parent")
+
+    def __init__(
+        self,
+        tag: Optional[str],
+        attributes: Optional[Dict[str, str]] = None,
+        children: Optional[List["DomNode"]] = None,
+        text: str = "",
+        parent: Optional["DomNode"] = None,
+    ) -> None:
+        self.tag = tag
+        self.attributes: Dict[str, str] = {} if attributes is None else attributes
+        self.children: List[DomNode] = [] if children is None else children
+        self.text = text
+        self.parent = parent
 
     # -- construction -------------------------------------------------------
 
@@ -84,9 +95,16 @@ class DomNode:
             stack.extend(reversed(node.children))
 
     def find_all(self, tag: str) -> List["DomNode"]:
-        """All descendant elements with the given tag name."""
+        """All descendant elements with the given tag name, in document order."""
         wanted = tag.lower()
-        return [node for node in self.iter_descendants() if node.tag == wanted]
+        found: List[DomNode] = []
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            if node.tag == wanted:
+                found.append(node)
+            stack += node.children[::-1]
+        return found
 
     def find_first(self, tag: str) -> Optional["DomNode"]:
         """The first descendant element with the given tag name, or ``None``."""
@@ -108,11 +126,12 @@ class DomNode:
     def text_content(self) -> str:
         """Concatenated, whitespace-normalised text of this subtree."""
         fragments: List[str] = []
-        if self.is_text():
-            fragments.append(self.text)
-        for node in self.iter_descendants():
-            if node.is_text():
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.tag is None:
                 fragments.append(node.text)
+            stack += node.children[::-1]
         return " ".join(" ".join(fragments).split())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -130,42 +149,50 @@ class _TreeBuilder(HTMLParser):
         self._stack: List[DomNode] = [self.root]
 
     # -- HTMLParser callbacks -------------------------------------------------
+    # ``html.parser`` lower-cases tag and attribute names before calling these.
 
     def handle_starttag(self, tag: str, attrs) -> None:  # type: ignore[override]
         """Open a tag, auto-closing siblings that cannot nest under it."""
-        tag = tag.lower()
+        stack = self._stack
         closes = _IMPLICIT_CLOSERS.get(tag)
         if closes:
-            while len(self._stack) > 1 and self._stack[-1].tag in closes:
-                self._stack.pop()
-        node = DomNode(tag=tag, attributes={name.lower(): (value or "") for name, value in attrs})
-        self._stack[-1].add_child(node)
+            while len(stack) > 1 and stack[-1].tag in closes:
+                stack.pop()
+        parent = stack[-1]
+        attributes = {name: value or "" for name, value in attrs} if attrs else {}
+        node = DomNode(tag, attributes, [], "", parent)
+        parent.children.append(node)
         if tag not in _VOID_ELEMENTS:
-            self._stack.append(node)
+            stack.append(node)
 
     def handle_startendtag(self, tag: str, attrs) -> None:  # type: ignore[override]
-        """Add a self-closing element without pushing it on the stack."""
-        tag = tag.lower()
-        node = DomNode(tag=tag, attributes={name.lower(): (value or "") for name, value in attrs})
-        self._stack[-1].add_child(node)
+        """Treat ``<x/>`` as ``<x>``: HTML5 ignores the flag on non-void elements."""
+        self.handle_starttag(tag, attrs)
 
     def handle_endtag(self, tag: str) -> None:  # type: ignore[override]
         """Close the innermost matching open tag, ignoring strays."""
-        tag = tag.lower()
         if tag in _VOID_ELEMENTS:
             return
         # Pop until the matching open tag (or leave the stack untouched when
         # the closing tag was never opened).
-        for index in range(len(self._stack) - 1, 0, -1):
-            if self._stack[index].tag == tag:
-                del self._stack[index:]
+        stack = self._stack
+        if len(stack) > 1 and stack[-1].tag == tag:
+            stack.pop()
+            return
+        for index in range(len(stack) - 2, 0, -1):
+            if stack[index].tag == tag:
+                del stack[index:]
                 return
 
     def handle_data(self, data: str) -> None:  # type: ignore[override]
-        """Attach non-blank text as a leaf node of the open element."""
-        if not data or not data.strip():
-            return
-        self._stack[-1].add_child(DomNode(tag=None, text=data.strip()))
+        """Attach non-blank text as a leaf node of the open element.
+
+        Script and style bodies are code, not page text: dropped.
+        """
+        text = data.strip()
+        parent = self._stack[-1]
+        if text and parent.tag not in _RAW_TEXT_ELEMENTS:
+            parent.children.append(DomNode(None, {}, [], text, parent))
 
 
 def parse_html(html_text: str) -> DomNode:

@@ -28,37 +28,28 @@ def find_tables(root: DomNode) -> List[DomNode]:
 
 
 def table_to_rows(table: DomNode) -> List[List[str]]:
-    """The text content of each row's cells.
+    """The text content of each row's cells, in document order.
 
     Both ``<td>`` and ``<th>`` cells are included; rows belonging to nested
-    tables are excluded.
+    tables are excluded: one depth-first walk that does not enter them.
     """
     rows: List[List[str]] = []
-    nested_tables = set(id(node) for node in table.find_all("table"))
-    for row in table.find_all("tr"):
-        if _is_inside_nested_table(row, table, nested_tables):
+    stack = table.children[::-1]
+    while stack:
+        node = stack.pop()
+        tag = node.tag
+        if tag == "table":
             continue
-        cells = [
-            cell.text_content()
-            for cell in row.children
-            if cell.tag in ("td", "th")
-        ]
-        # Some markup nests cells below intermediate elements; fall back to a
-        # full descendant scan when the direct-children scan finds nothing.
-        if not cells:
-            cells = [cell.text_content() for cell in row.find_all("td") + row.find_all("th")]
-        if cells:
-            rows.append(cells)
+        if tag == "tr":
+            cells = [cell.text_content() for cell in node.children if cell.tag in ("td", "th")]
+            # Some markup nests cells below intermediate elements; fall back to
+            # a full descendant scan when the direct-children scan finds nothing.
+            if not cells:
+                cells = [cell.text_content() for cell in node.find_all("td") + node.find_all("th")]
+            if cells:
+                rows.append(cells)
+        stack += node.children[::-1]
     return rows
-
-
-def _is_inside_nested_table(row: DomNode, table: DomNode, nested_ids: set) -> bool:
-    node = row.parent
-    while node is not None and node is not table:
-        if id(node) in nested_ids:
-            return True
-        node = node.parent
-    return False
 
 
 def extract_pairs_from_tables(root: DomNode) -> List[AttributeValue]:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from repro.model.catalog import Catalog
 from repro.model.matches import MatchStore
 from repro.model.offers import Offer
-from repro.text.normalize import normalize_attribute_name
+from repro.text.memo import cached_normalize_attribute_name
 
 __all__ = ["CandidateTuple", "generate_candidates", "observed_merchant_attributes"]
 
@@ -35,15 +35,14 @@ class CandidateTuple:
         Name-identity candidates are the seed of the automatically
         constructed training set (paper Section 3.2).
         """
-        return normalize_attribute_name(self.catalog_attribute) == normalize_attribute_name(
-            self.offer_attribute
-        )
+        normalize = cached_normalize_attribute_name
+        return normalize(self.catalog_attribute) == normalize(self.offer_attribute)
 
     def key(self) -> Tuple[str, str, str, str]:
         """A normalised identity key for deduplication."""
         return (
-            normalize_attribute_name(self.catalog_attribute),
-            normalize_attribute_name(self.offer_attribute),
+            cached_normalize_attribute_name(self.catalog_attribute),
+            cached_normalize_attribute_name(self.offer_attribute),
             self.merchant_id,
             self.category_id,
         )

@@ -59,13 +59,14 @@ NAME_FEATURE = "Name"
 #: Table 1 features plus the name-matcher extension.
 EXTENDED_FEATURE_NAMES: Tuple[str, ...] = FEATURE_NAMES + (NAME_FEATURE,)
 
-_GROUPING_OF_FEATURE: Dict[str, str] = {
-    "JS-MC": MC,
-    "JS-C": C,
-    "JS-M": M,
-    "Jaccard-MC": MC,
-    "Jaccard-C": C,
-    "Jaccard-M": M,
+#: (similarity measure, grouping) of each distributional feature.
+_MEASURE_AND_GROUPING: Dict[str, Tuple[str, str]] = {
+    "JS-MC": ("JS", MC),
+    "JS-C": ("JS", C),
+    "JS-M": ("JS", M),
+    "Jaccard-MC": ("Jaccard", MC),
+    "Jaccard-C": ("Jaccard", C),
+    "Jaccard-M": ("Jaccard", M),
 }
 
 
@@ -98,6 +99,10 @@ class DistributionalFeatureExtractor:
         Subset/order of features to compute; defaults to all six.  The
         single-feature baselines of Figure 6 pass ``("JS-MC",)`` or
         ``("Jaccard-MC",)``.
+
+    Each similarity of a (product bag, offer bag) pair is computed once per
+    extractor: the C and M features of one attribute pair repeat across
+    merchants and categories respectively.
     """
 
     def __init__(
@@ -108,7 +113,7 @@ class DistributionalFeatureExtractor:
         unknown = [
             name
             for name in feature_names
-            if name not in _GROUPING_OF_FEATURE and name != NAME_FEATURE
+            if name not in _MEASURE_AND_GROUPING and name != NAME_FEATURE
         ]
         if unknown:
             raise ValueError(f"unknown feature names: {unknown!r}")
@@ -116,6 +121,7 @@ class DistributionalFeatureExtractor:
             raise ValueError("at least one feature name is required")
         self._index = index
         self._feature_names = tuple(feature_names)
+        self._similarities: Dict[Tuple[str, ...], float] = {}
 
     @property
     def feature_names(self) -> Tuple[str, ...]:
@@ -137,15 +143,22 @@ class DistributionalFeatureExtractor:
             return attribute_name_similarity(
                 candidate.catalog_attribute, candidate.offer_attribute
             )
-        grouping = _GROUPING_OF_FEATURE[feature_name]
-        product_bag = self._index.product_bag(
-            grouping, candidate.merchant_id, candidate.category_id, candidate.catalog_attribute
-        )
-        offer_bag = self._index.offer_bag(
-            grouping, candidate.merchant_id, candidate.category_id, candidate.offer_attribute
-        )
-        if not product_bag or not offer_bag:
-            return 0.0
-        if feature_name.startswith("JS"):
-            return jensen_shannon_similarity(product_bag, offer_bag)
-        return jaccard_coefficient(product_bag, offer_bag)
+        measure, grouping = _MEASURE_AND_GROUPING[feature_name]
+        index = self._index
+        merchant_id, category_id = candidate.merchant_id, candidate.category_id
+        product_key = index.bag_key(grouping, merchant_id, category_id, candidate.catalog_attribute)
+        offer_key = index.bag_key(grouping, merchant_id, category_id, candidate.offer_attribute)
+        # The two bag keys, flattened (they share grouping and group key): a
+        # tuple of strings is all the memo keeps per pair.
+        memo_key = (measure, grouping, *product_key[1], product_key[2], offer_key[2])
+        value = self._similarities.get(memo_key)
+        if value is None:
+            product_bag, offer_bag = index.bags_at(product_key, offer_key)
+            if not product_bag or not offer_bag:
+                value = 0.0
+            elif measure == "JS":
+                value = jensen_shannon_similarity(product_bag, offer_bag)
+            else:
+                value = jaccard_coefficient(product_bag, offer_bag)
+            self._similarities[memo_key] = value
+        return value

@@ -30,12 +30,15 @@ from repro.model.catalog import Catalog
 from repro.model.matches import MatchStore
 from repro.model.offers import Offer
 from repro.text.distributions import BagOfWords
-from repro.text.normalize import normalize_attribute_name
+from repro.text.memo import cached_normalize_attribute_name
+from repro.text.tokenize import tokenize_value
 
-__all__ = ["MatchedValueIndex", "GroupKey"]
+__all__ = ["MatchedValueIndex", "GroupKey", "BagKey"]
 
 #: Keys of the three grouping levels.
 GroupKey = Tuple[str, ...]
+#: Key of one value bag: (grouping, group key, normalised attribute name).
+BagKey = Tuple[str, GroupKey, str]
 
 MC = "merchant-category"
 C = "category"
@@ -121,11 +124,16 @@ class MatchedValueIndex:
         # Second pass: accumulate product-side bags per group.  Sorted, not
         # set order: the order terms enter a bag is the order every JS
         # feature sums them in, and set order changes with the hash seed.
-        for group, product_ids in self._group_products.items():
-            grouping, key = group
+        # A product feeds several groups; its specification is tokenised once.
+        product_terms: Dict[str, List[Tuple[str, List[str]]]] = {}
+        for (grouping, key), product_ids in self._group_products.items():
             for product_id in sorted(product_ids):
-                product = self._catalog.product(product_id)
-                self._index_product_specification(grouping, key, product.specification)
+                terms = product_terms.get(product_id)
+                if terms is None:
+                    specification = self._catalog.product(product_id).specification
+                    terms = product_terms[product_id] = _tokenised(specification)
+                for name, tokens in terms:
+                    _bag(self._product_bags, (grouping, key, name)).add_terms(tokens)
 
     @staticmethod
     def _groups_for(merchant_id: str, category_id: str) -> List[Tuple[str, GroupKey]]:
@@ -138,19 +146,9 @@ class MatchedValueIndex:
     def _index_offer_specification(
         self, groups: List[Tuple[str, GroupKey]], specification: Specification
     ) -> None:
-        for pair in specification:
-            name = pair.normalized_name()
+        for name, tokens in _tokenised(specification):
             for grouping, key in groups:
-                bag = self._offer_bags.setdefault((grouping, key, name), BagOfWords())
-                bag.add_value(pair.value)
-
-    def _index_product_specification(
-        self, grouping: str, key: GroupKey, specification: Specification
-    ) -> None:
-        for pair in specification:
-            name = pair.normalized_name()
-            bag = self._product_bags.setdefault((grouping, key, name), BagOfWords())
-            bag.add_value(pair.value)
+                _bag(self._offer_bags, (grouping, key, name)).add_terms(tokens)
 
     # -- lookups --------------------------------------------------------------
 
@@ -159,19 +157,28 @@ class MatchedValueIndex:
         """Number of historical offers that contributed to the index."""
         return self._num_offers_indexed
 
+    def bag_key(self, grouping: str, merchant_id: str, category_id: str, attribute: str) -> BagKey:
+        """The key an attribute's bags are stored under at the given grouping."""
+        key = self._key_for(grouping, merchant_id, category_id)
+        return (grouping, key, cached_normalize_attribute_name(attribute))
+
     def offer_bag(
         self, grouping: str, merchant_id: str, category_id: str, attribute: str
     ) -> Optional[BagOfWords]:
         """The offer-side value bag for an attribute at the given grouping."""
-        key = self._key_for(grouping, merchant_id, category_id)
-        return self._offer_bags.get((grouping, key, normalize_attribute_name(attribute)))
+        return self._offer_bags.get(self.bag_key(grouping, merchant_id, category_id, attribute))
 
     def product_bag(
         self, grouping: str, merchant_id: str, category_id: str, attribute: str
     ) -> Optional[BagOfWords]:
         """The product-side value bag for an attribute at the given grouping."""
-        key = self._key_for(grouping, merchant_id, category_id)
-        return self._product_bags.get((grouping, key, normalize_attribute_name(attribute)))
+        return self._product_bags.get(self.bag_key(grouping, merchant_id, category_id, attribute))
+
+    def bags_at(
+        self, product_key: BagKey, offer_key: BagKey
+    ) -> Tuple[Optional[BagOfWords], Optional[BagOfWords]]:
+        """The product bag and the offer bag stored under two :meth:`bag_key` keys."""
+        return self._product_bags.get(product_key), self._offer_bags.get(offer_key)
 
     def matched_products_in_group(
         self, grouping: str, merchant_id: str, category_id: str
@@ -189,3 +196,16 @@ class MatchedValueIndex:
         if grouping == M:
             return (merchant_id,)
         raise ValueError(f"unknown grouping: {grouping!r}")
+
+
+def _bag(bags: Dict[BagKey, BagOfWords], key: BagKey) -> BagOfWords:
+    """The bag under ``key``, created empty on first use."""
+    bag = bags.get(key)
+    if bag is None:
+        bag = bags[key] = BagOfWords()
+    return bag
+
+
+def _tokenised(specification: Specification) -> List[Tuple[str, List[str]]]:
+    """(normalised name, value tokens) of each pair, in specification order."""
+    return [(pair.normalized_name(), tokenize_value(pair.value)) for pair in specification]

@@ -143,7 +143,7 @@ class OfflineLearner:
             candidates, feature_extractor, max_examples=self.max_training_examples
         )
         classifier = self._train(training_set)
-        scored = self._score_candidates(candidates, feature_extractor, classifier)
+        scored = self._score_candidates(candidates, feature_extractor, training_set, classifier)
         correspondences = self._accept(scored)
         return OfflineLearningResult(
             scored_candidates=scored,
@@ -180,11 +180,15 @@ class OfflineLearner:
         self,
         candidates: Sequence[CandidateTuple],
         feature_extractor: DistributionalFeatureExtractor,
+        training_set: LabeledDataset,
         classifier: Optional[LogisticRegressionClassifier],
     ) -> List[ScoredCandidate]:
         if not candidates:
             return []
-        features = np.asarray(feature_extractor.extract_many(list(candidates)), dtype=float)
+        # Training candidates keep the vectors the training set already holds.
+        known = dict(zip(training_set.identifiers, training_set.examples))
+        vectors = [known.get(each) or feature_extractor.extract(each) for each in candidates]
+        features = np.asarray(vectors, dtype=float)
         if classifier is not None:
             scores = classifier.predict_proba(features)
         else:

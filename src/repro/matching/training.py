@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 from repro.learning.datasets import LabeledDataset
 from repro.matching.candidates import CandidateTuple
 from repro.matching.features import DistributionalFeatureExtractor
-from repro.text.normalize import normalize_attribute_name
+from repro.text.memo import cached_normalize_attribute_name
 
 __all__ = ["label_candidates", "build_training_set"]
 
@@ -38,13 +38,13 @@ def label_candidates(candidates: Sequence[CandidateTuple]) -> Dict[CandidateTupl
         if candidate.is_name_identity():
             key = (candidate.merchant_id, candidate.category_id)
             identity_attributes.setdefault(key, set()).add(
-                normalize_attribute_name(candidate.catalog_attribute)
+                cached_normalize_attribute_name(candidate.catalog_attribute)
             )
 
     labels: Dict[CandidateTuple, int] = {}
     for candidate in candidates:
         key = (candidate.merchant_id, candidate.category_id)
-        catalog_name = normalize_attribute_name(candidate.catalog_attribute)
+        catalog_name = cached_normalize_attribute_name(candidate.catalog_attribute)
         if candidate.is_name_identity():
             labels[candidate] = 1
         elif catalog_name in identity_attributes.get(key, set()):

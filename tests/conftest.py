@@ -25,6 +25,7 @@ from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.model.schema import AttributeKind, CategorySchema
 from repro.model.taxonomy import Taxonomy
+from repro.text.divergence import MAX_JS_DIVERGENCE, _as_distribution, kl_divergence
 
 
 # Re-exported so test modules share the canonical byte-identity oracle.
@@ -47,6 +48,20 @@ def run_in_fresh_interpreter(code: str, **environment: str) -> str:
     )
     assert completed.returncode == 0, completed.stderr
     return completed.stdout
+
+
+def reference_jensen_shannon(p, q, base: float = 2.0) -> float:
+    """The JS divergence by its definition: two KLs against ``p.mixture(q)``, clamped.
+
+    The equivalence tests hold :func:`repro.text.divergence.jensen_shannon_divergence`
+    to ``==`` with this.
+    """
+    p, q = _as_distribution(p), _as_distribution(q)
+    if p.is_empty() or q.is_empty():
+        return MAX_JS_DIVERGENCE
+    mixture = p.mixture(q, weight=0.5)
+    value = 0.5 * kl_divergence(p, mixture, base=base) + 0.5 * kl_divergence(q, mixture, base=base)
+    return min(max(value, 0.0), MAX_JS_DIVERGENCE)
 
 
 @pytest.fixture(scope="session")

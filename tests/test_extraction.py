@@ -1,6 +1,8 @@
 """Tests for the DOM parser, table extraction and the web-page attribute extractor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.webstore import PageNotFoundError, WebStore
 from repro.extraction.dom import parse_html
@@ -114,6 +116,75 @@ class TestTableExtraction:
     def test_overlong_cells_dropped(self):
         html = f"<table><tr><td>{'x' * 300}</td><td>value</td></tr></table>"
         assert extract_pairs_from_tables(parse_html(html)) == []
+
+
+    def test_script_and_style_text_stays_out_of_cells(self):
+        html = (
+            "<table><tr><td>Brand<script>var x=1;</script></td>"
+            "<td>Hitachi<style>.a{color:red}</style></td></tr></table>"
+        )
+        pairs = extract_pairs_from_tables(parse_html(html))
+        assert [(pair.name, pair.value) for pair in pairs] == [("Brand", "Hitachi")]
+
+    def test_self_closing_row_opens_a_row(self):
+        html = "<table><tr><td>A</td><td>1</td><tr/><td>B</td><td>2</td></tr></table>"
+        pairs = extract_pairs_from_tables(parse_html(html))
+        assert [(pair.name, pair.value) for pair in pairs] == [("A", "1"), ("B", "2")]
+
+    def test_self_closing_void_element_still_nests_nothing(self):
+        root = parse_html("<table><tr><td>Hard<br/>Drive</td><td>500<img/> GB</td></tr></table>")
+        assert table_to_rows(find_tables(root)[0]) == [["Hard Drive", "500 GB"]]
+
+
+def _reference_table_to_rows(table):
+    """``table_to_rows`` by definition: every ``tr`` whose ancestors below ``table``
+    include no other table, cells by the same rule, found by full ``find_all`` walks."""
+
+    def find_all(node, tag):
+        return [descendant for descendant in node.iter_descendants() if descendant.tag == tag]
+
+    nested = {id(node) for node in find_all(table, "table")}
+    rows = []
+    for row in find_all(table, "tr"):
+        node = row.parent
+        while node is not None and node is not table and id(node) not in nested:
+            node = node.parent
+        if node is not None and node is not table:
+            continue
+        cells = [cell.text_content() for cell in row.children if cell.tag in ("td", "th")]
+        if not cells:
+            cells = [cell.text_content() for cell in find_all(row, "td") + find_all(row, "th")]
+        if cells:
+            rows.append(cells)
+    return rows
+
+
+_MARKUP = st.lists(
+    st.sampled_from(
+        ["<table>", "</table>", "<tr>", "</tr>", "<tr/>", "<td>", "</td>", "<th>", "</th>",
+         "<div>", "</div>", "</span>", "<br>", "<p>", "x", "y 1", "Brand", " "]
+    ),
+    max_size=40,
+)
+
+
+class TestOneWalkTableRows:
+    @given(fragments=_MARKUP)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_find_all_definition(self, fragments):
+        root = parse_html("<table>" + "".join(fragments))
+        tables = [node for node in root.iter_descendants() if node.tag == "table"]
+        assert find_tables(root) == tables
+        for table in tables:
+            assert table_to_rows(table) == _reference_table_to_rows(table)
+
+    def test_nested_and_cell_less_rows(self):
+        root = parse_html(
+            "<table><tr><div><td>a</td></div></tr><tr></tr>"
+            "<tr><td>b<table><tr><td>in</td></tr></table></td><td>c</td></tr></table>"
+        )
+        outer = find_tables(root)[0]
+        assert table_to_rows(outer) == _reference_table_to_rows(outer) == [["a"], ["b in", "c"]]
 
 
 class TestWebPageAttributeExtractor:

@@ -1,7 +1,12 @@
 """Tests for automated training-set construction, correspondences and the OfflineLearner."""
 
+from collections import Counter
+
 import pytest
-from conftest import run_in_fresh_interpreter
+from conftest import reference_jensen_shannon, run_in_fresh_interpreter
+
+import repro.matching.features as features_module
+import repro.text.divergence as divergence_module
 
 from repro.matching.candidates import CandidateTuple
 from repro.matching.correspondence import (
@@ -9,10 +14,25 @@ from repro.matching.correspondence import (
     CorrespondenceSet,
     ScoredCandidate,
 )
-from repro.matching.features import DistributionalFeatureExtractor
-from repro.matching.grouping import MatchedValueIndex
+from repro.matching.features import FEATURE_NAMES, DistributionalFeatureExtractor
+from repro.matching.grouping import C, M, MC, MatchedValueIndex
 from repro.matching.learner import OfflineLearner
 from repro.matching.training import build_training_set, label_candidates
+from repro.text.setsim import jaccard_coefficient
+
+_GROUPING_OF_LEVEL = {"MC": MC, "C": C, "M": M}
+
+
+def _bags(index, feature_name, candidate):
+    """(measure, product bag, offer bag) a Table 1 feature compares for ``candidate``."""
+    measure, level = feature_name.split("-")
+    grouping = _GROUPING_OF_LEVEL[level]
+    where = (grouping, candidate.merchant_id, candidate.category_id)
+    return (
+        measure,
+        index.product_bag(*where, candidate.catalog_attribute),
+        index.offer_bag(*where, candidate.offer_attribute),
+    )
 
 
 class TestAutomaticLabels:
@@ -202,3 +222,63 @@ def test_learned_scores_do_not_depend_on_the_hash_seed():
     )
     assert first.count("\n") > 100
     assert first == second
+
+
+class TestLearnPaysOnce:
+    def test_extract_many_equals_a_naive_loop(self, tiny_harness):
+        result = tiny_harness.offline_result
+        candidates = [scored.candidate for scored in result.scored_candidates]
+        expected = []
+        for candidate in candidates:
+            vector = []
+            for name in FEATURE_NAMES:
+                measure, product_bag, offer_bag = _bags(result.index, name, candidate)
+                if not product_bag or not offer_bag:
+                    vector.append(0.0)
+                elif measure == "JS":
+                    vector.append(1.0 - reference_jensen_shannon(product_bag, offer_bag))
+                else:
+                    vector.append(jaccard_coefficient(product_bag, offer_bag))
+            expected.append(vector)
+        extractor = DistributionalFeatureExtractor(result.index)
+        assert extractor.extract_many(candidates) == expected
+
+    def test_each_bag_pair_is_scored_once(self, tiny_harness, monkeypatch):
+        calls = {"JS": Counter(), "Jaccard": Counter()}
+        evaluations = Counter()
+        real_js = divergence_module.jensen_shannon_divergence
+        real_jaccard = features_module.jaccard_coefficient
+        real_feature_value = DistributionalFeatureExtractor._feature_value
+
+        def counted_js(p, q, base=2.0):
+            calls["JS"][(id(p), id(q))] += 1
+            return real_js(p, q, base=base)
+
+        def counted_jaccard(a, b):
+            calls["Jaccard"][(id(a), id(b))] += 1
+            return real_jaccard(a, b)
+
+        def counted_feature_value(self, feature_name, candidate):
+            evaluations[feature_name] += 1
+            return real_feature_value(self, feature_name, candidate)
+
+        monkeypatch.setattr(divergence_module, "jensen_shannon_divergence", counted_js)
+        monkeypatch.setattr(features_module, "jaccard_coefficient", counted_jaccard)
+        monkeypatch.setattr(
+            DistributionalFeatureExtractor, "_feature_value", counted_feature_value
+        )
+        learner = OfflineLearner(tiny_harness.corpus.catalog)
+        result = learner.learn(tiny_harness.historical_offers, tiny_harness.corpus.matches)
+
+        candidates = [scored.candidate for scored in result.scored_candidates]
+        assert result.training_set.num_positive() > 0
+        assert sum(evaluations.values()) == len(candidates) * len(learner.feature_names)
+        distinct = {"JS": set(), "Jaccard": set()}
+        for candidate in candidates:
+            for name in learner.feature_names:
+                measure, product_bag, offer_bag = _bags(result.index, name, candidate)
+                if product_bag and offer_bag:
+                    distinct[measure].add((id(product_bag), id(offer_bag)))
+        for measure, counted in calls.items():
+            assert set(counted) == distinct[measure]
+            assert set(counted.values()) == {1}

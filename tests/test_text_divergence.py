@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import reference_jensen_shannon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,3 +138,47 @@ class TestJensenShannonProperties:
         if dist.is_empty():
             return
         assert jensen_shannon_divergence(dist, dist) == pytest.approx(0.0, abs=1e-9)
+
+
+term_counts = st.dictionaries(
+    st.text(alphabet="abcdefg", min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=40),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def count_pairs(draw):
+    """Two term-count maps: unrelated, disjoint, identical, single-term or a subset."""
+    left = draw(term_counts)
+    shape = draw(st.sampled_from(["unrelated", "disjoint", "identical", "single", "subset"]))
+    if shape == "unrelated":
+        right = draw(term_counts)
+    elif shape == "disjoint":
+        right = {term.upper(): count for term, count in draw(term_counts).items()}
+    elif shape == "identical":
+        scale = draw(st.integers(min_value=1, max_value=5))
+        right = {term: count * scale for term, count in left.items()}
+    elif shape == "single":
+        left = {draw(st.sampled_from(sorted(left))): draw(st.integers(1, 40))}
+        right = draw(st.sampled_from([dict(left), {"zz": 3}, draw(term_counts)]))
+    else:
+        kept = draw(st.lists(st.sampled_from(sorted(left)), min_size=1, unique=True))
+        right = {term: draw(st.integers(1, 40)) for term in kept}
+    return left, right
+
+
+class TestFusedJensenShannonEqualsTheMixtureDefinition:
+    @pytest.mark.parametrize("base", [2.0, math.e, 10.0])
+    @given(pair=count_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_two_kls_against_the_mixture(self, base, pair):
+        p, q = (TermDistribution.from_counts(counts) for counts in pair)
+        assert jensen_shannon_divergence(p, q, base=base) == reference_jensen_shannon(p, q, base)
+        assert jensen_shannon_divergence(q, p, base=base) == reference_jensen_shannon(q, p, base)
+
+    def test_invalid_base_raises(self):
+        dist = TermDistribution.from_values(["a"])
+        with pytest.raises(ValueError):
+            jensen_shannon_divergence(dist, dist, base=1.0)
