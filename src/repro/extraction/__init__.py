@@ -6,22 +6,12 @@ selects the attribute-value pairs from the tables, i.e., rows with two
 columns, where we consider the first column to be the attribute name and
 the second column to be the attribute value."
 
-The package contains a lightweight DOM built on the standard library's
-``html.parser`` (:mod:`repro.extraction.dom`), table discovery and
-attribute-value harvesting (:mod:`repro.extraction.tables`) and the
-user-facing :class:`~repro.extraction.extractor.WebPageAttributeExtractor`.
+Here that is one forward scan that tokenises and harvests rows without
+building the tree (:func:`~repro.extraction.harvest.extract_pairs`, whose
+docstring gives the rules), behind :class:`WebPageAttributeExtractor`.
 """
 
-from repro.extraction.dom import DomNode, parse_html
 from repro.extraction.extractor import ExtractionResult, WebPageAttributeExtractor
-from repro.extraction.tables import extract_pairs_from_tables, find_tables, table_to_rows
+from repro.extraction.harvest import extract_pairs
 
-__all__ = [
-    "DomNode",
-    "parse_html",
-    "ExtractionResult",
-    "WebPageAttributeExtractor",
-    "extract_pairs_from_tables",
-    "find_tables",
-    "table_to_rows",
-]
+__all__ = ["ExtractionResult", "WebPageAttributeExtractor", "extract_pairs"]

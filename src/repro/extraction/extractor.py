@@ -1,10 +1,8 @@
-"""The Web-page Attribute Extraction component.
+"""The Web-page Attribute Extraction component (paper Figure 4).
 
-Used in both phases of the architecture (paper Figure 4): during Offline
-Learning it supplies attribute-value pairs for historical offers, and in
-the Run-Time Offer Processing pipeline it supplies them for incoming
-offers.  The extractor is deliberately simple and noisy — the paper's key
-claim is that schema reconciliation downstream filters the noise out.
+It supplies attribute-value pairs for historical offers in Offline
+Learning and for incoming offers at run time.  It is deliberately simple
+and noisy: the paper's claim is that schema reconciliation filters it.
 """
 
 from __future__ import annotations
@@ -12,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from repro.corpus.webstore import PageNotFoundError, WebStore
-from repro.extraction.dom import parse_html
-from repro.extraction.tables import extract_pairs_from_tables
+from repro.corpus.webstore import WebStore
+from repro.extraction.harvest import extract_pairs
 from repro.model.attributes import Specification
 from repro.model.offers import Offer
 
@@ -38,15 +35,8 @@ class ExtractionResult:
 
 
 class WebPageAttributeExtractor:
-    """Extract offer specifications from merchant landing pages.
+    """Extract offer specifications from the landing pages in ``web``.
 
-    Parameters
-    ----------
-    web:
-        The page store used to resolve offer URLs.
-
-    Examples
-    --------
     >>> from repro.corpus.webstore import WebStore
     >>> store = WebStore()
     >>> store.put("http://m.example.com/1",
@@ -59,12 +49,9 @@ class WebPageAttributeExtractor:
     def __init__(self, web: WebStore) -> None:
         self._web = web
 
-    # -- single page ---------------------------------------------------------
-
     def extract_from_html(self, html_text: str) -> Specification:
         """Extract attribute-value pairs from raw HTML."""
-        root = parse_html(html_text)
-        return Specification(extract_pairs_from_tables(root))
+        return Specification(extract_pairs(html_text))
 
     def extract_from_url(self, url: str) -> Specification:
         """Extract attribute-value pairs from the page behind ``url``.
@@ -72,22 +59,15 @@ class WebPageAttributeExtractor:
         Returns an empty specification when the page is missing — a real
         crawler faces dead links too, and the pipeline must tolerate them.
         """
-        try:
-            html_text = self._web.fetch(url)
-        except PageNotFoundError:
-            return Specification()
-        return self.extract_from_html(html_text)
-
-    # -- batches ---------------------------------------------------------------
+        html_text = self._web.fetch_or_none(url)
+        return Specification() if html_text is None else self.extract_from_html(html_text)
 
     def extract_offer(self, offer: Offer) -> Offer:
         """Return a copy of ``offer`` with its specification extracted."""
         specification = self.extract_from_url(offer.url)
         return offer.with_specification(specification)
 
-    def extract_offers(
-        self, offers: Iterable[Offer]
-    ) -> "tuple[List[Offer], ExtractionResult]":
+    def extract_offers(self, offers: Iterable[Offer]) -> "tuple[List[Offer], ExtractionResult]":
         """Extract specifications for a batch of offers.
 
         Returns the enriched offers (same order) and the run statistics.
@@ -96,11 +76,12 @@ class WebPageAttributeExtractor:
         result = ExtractionResult()
         for offer in offers:
             result.offers_processed += 1
-            if not self._web.has(offer.url):
+            html_text = self._web.fetch_or_none(offer.url)
+            if html_text is None:
                 result.offers_missing_page += 1
-                enriched.append(offer.with_specification(Specification()))
-                continue
-            specification = self.extract_from_url(offer.url)
+                specification = Specification()
+            else:
+                specification = self.extract_from_html(html_text)
             if len(specification) > 0:
                 result.offers_with_pairs += 1
                 result.total_pairs += len(specification)

@@ -416,10 +416,7 @@ class SynthesisEngine:
         """Extract landing-page specifications for offers that need them.
 
         Strictly per-offer: an offer that already carries a specification
-        keeps it verbatim, only empty ones are extracted.  (The batch
-        pipeline instead re-extracts a whole batch when any offer lacks a
-        specification — a per-call decision that would make engine output
-        depend on how the stream was micro-batched.)
+        keeps it verbatim, only empty ones are extracted.
         """
         extractor = self._pipeline.extractor
         if extractor is None:

@@ -161,13 +161,18 @@ class ProductSynthesisPipeline:
     def _extract_specifications(
         self, offers: Sequence[Offer]
     ) -> "tuple[List[Offer], Optional[ExtractionResult]]":
-        if self.extractor is None:
-            return list(offers), None
+        """Extract a specification for each offer that carries none.
+
+        Strictly per offer: an offer that carries a specification keeps it
+        verbatim, and the statistics count only the offers extracted.
+        """
         missing = [offer for offer in offers if len(offer.specification) == 0]
-        if not missing:
+        if self.extractor is None or not missing:
             return list(offers), None
-        enriched, stats = self.extractor.extract_offers(list(offers))
-        return enriched, stats
+        extracted, stats = self.extractor.extract_offers(missing)
+        filled = iter(extracted)
+        merged = [next(filled) if len(offer.specification) == 0 else offer for offer in offers]
+        return merged, stats
 
     # -- main entry point ----------------------------------------------------------
 

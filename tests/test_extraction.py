@@ -1,13 +1,21 @@
-"""Tests for the DOM parser, table extraction and the web-page attribute extractor."""
+"""Tests for the one-pass extractor, its conformance to the tree oracle, and the web store."""
+
+import hashlib
+import json
+import time
 
 import pytest
+from extraction_oracle import oracle_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.webstore import PageNotFoundError, WebStore
-from repro.extraction.dom import parse_html
-from repro.extraction.extractor import WebPageAttributeExtractor
-from repro.extraction.tables import extract_pairs_from_tables, find_tables, table_to_rows
+from repro.extraction import WebPageAttributeExtractor, extract_pairs
+from repro.runtime import SynthesisEngine
+
+
+def pairs_of(html):
+    return [(pair.name, pair.value) for pair in extract_pairs(html)]
 
 
 SPEC_PAGE = """
@@ -46,145 +54,206 @@ MESSY_PAGE = """
 """
 
 
-class TestDomParser:
-    def test_find_all_and_text_content(self):
-        root = parse_html(SPEC_PAGE)
-        cells = [cell.text_content() for cell in root.find_all("td")]
-        assert "Hitachi" in cells and "500 GB" in cells
+class TestExtractPairs:
+    def test_spec_page(self):
+        assert pairs_of(SPEC_PAGE) == [
+            ("Home", "Cart"),
+            ("Brand", "Hitachi"),
+            ("Capacity", "500 GB"),
+            ("Interface", "Serial ATA-300"),
+        ]
 
-    def test_find_first(self):
-        root = parse_html(SPEC_PAGE)
-        assert root.find_first("h1").text_content() == "Hitachi Deskstar T7K500"
-        assert root.find_first("video") is None
-
-    def test_attributes_are_parsed(self):
-        root = parse_html(SPEC_PAGE)
-        tables = root.find_all("table")
-        assert tables[0].get_attribute("class") == "nav"
-        assert tables[1].get_attribute("class") == "specs"
-
-    def test_void_elements_do_not_break_nesting(self):
-        root = parse_html(MESSY_PAGE)
-        assert root.find_all("img")
-        assert root.find_all("br")
+    def test_only_two_column_rows_and_nested_tables_after_their_parent(self):
+        assert pairs_of(MESSY_PAGE) == [("Brand", "Hitachi"), ("Nested Attr", "Nested Value")]
 
     def test_unclosed_tags_tolerated(self):
-        root = parse_html("<table><tr><td>A<td>B")
-        cells = [cell.text_content() for cell in root.find_all("td")]
-        assert cells == ["A", "B"]
+        assert pairs_of("<table><tr><td>A<td>B") == [("A", "B")]
 
     def test_empty_document(self):
-        root = parse_html("")
-        assert root.find_all("table") == []
+        assert pairs_of("") == []
 
-    def test_text_content_normalises_whitespace(self):
-        root = parse_html("<p>  lots \n of   space </p>")
-        assert root.find_first("p").text_content() == "lots of space"
+    def test_text_is_whitespace_normalised(self):
+        html = "<table><tr><td>  lots \n of   space </td><td>x&nbsp; y</td></tr></table>"
+        assert pairs_of(html) == [("lots of space", "x y")]
 
-    def test_stray_end_tag_ignored(self):
-        root = parse_html("</div><p>ok</p>")
-        assert root.find_first("p").text_content() == "ok"
-
-
-class TestTableExtraction:
-    def test_find_tables(self):
-        root = parse_html(SPEC_PAGE)
-        assert len(find_tables(root)) == 2
-
-    def test_table_to_rows(self):
-        root = parse_html(SPEC_PAGE)
-        specs_table = find_tables(root)[1]
-        rows = table_to_rows(specs_table)
-        assert ["Brand", "Hitachi"] in rows
-        assert ["Capacity", "500 GB"] in rows
-
-    def test_extract_pairs_only_two_column_rows(self):
-        root = parse_html(MESSY_PAGE)
-        pairs = extract_pairs_from_tables(root)
-        names = [pair.name for pair in pairs]
-        assert "Brand" in names
-        assert "Nested Attr" in names
-        assert "Only one cell" not in names
-        assert "Three" not in names
-
-    def test_extract_pairs_from_spec_page(self):
-        root = parse_html(SPEC_PAGE)
-        pairs = {pair.name: pair.value for pair in extract_pairs_from_tables(root)}
-        assert pairs["Brand"] == "Hitachi"
-        assert pairs["Interface"] == "Serial ATA-300"
+    def test_stray_end_tags_ignored_and_end_tags_close_what_is_above(self):
+        html = "</div><table><tr><td>a</span></td><td><b>b</tr><tr><td>c</td><td>d</td></table>"
+        assert pairs_of(html) == [("a", "b"), ("c", "d")]
 
     def test_overlong_cells_dropped(self):
-        html = f"<table><tr><td>{'x' * 300}</td><td>value</td></tr></table>"
-        assert extract_pairs_from_tables(parse_html(html)) == []
-
+        assert pairs_of(f"<table><tr><td>{'x' * 61}</td><td>value</td></tr></table>") == []
+        assert pairs_of(f"<table><tr><td>{'x' * 60}</td><td>{'v' * 200}</td></tr></table>")
 
     def test_script_and_style_text_stays_out_of_cells(self):
         html = (
-            "<table><tr><td>Brand<script>var x=1;</script></td>"
-            "<td>Hitachi<style>.a{color:red}</style></td></tr></table>"
+            "<table><tr><td>Brand<script>var x = '</td><td>';</script></td>"
+            "<td>Hitachi<style>.a > td {color:red}</style></td></tr></table>"
         )
-        pairs = extract_pairs_from_tables(parse_html(html))
-        assert [(pair.name, pair.value) for pair in pairs] == [("Brand", "Hitachi")]
+        assert pairs_of(html) == [("Brand", "Hitachi")]
 
     def test_self_closing_row_opens_a_row(self):
         html = "<table><tr><td>A</td><td>1</td><tr/><td>B</td><td>2</td></tr></table>"
-        pairs = extract_pairs_from_tables(parse_html(html))
-        assert [(pair.name, pair.value) for pair in pairs] == [("A", "1"), ("B", "2")]
+        assert pairs_of(html) == [("A", "1"), ("B", "2")]
 
     def test_self_closing_void_element_still_nests_nothing(self):
-        root = parse_html("<table><tr><td>Hard<br/>Drive</td><td>500<img/> GB</td></tr></table>")
-        assert table_to_rows(find_tables(root)[0]) == [["Hard Drive", "500 GB"]]
+        html = "<table><tr><td>Hard<br/>Drive</td><td>500<img/> GB</td></tr></table>"
+        assert pairs_of(html) == [("Hard Drive", "500 GB")]
+
+    def test_cells_below_other_elements_are_tds_then_ths(self):
+        html = "<table><tr><div><th>v</th><td>n</td></div></tr></table>"
+        assert pairs_of(html) == [("n", "v")]
+
+    def test_a_cell_holds_the_text_of_a_table_nested_in_it(self):
+        html = "<table><tr><td>b<table><tr><td>in</td><td>x</td></tr></table></td><td>c</td></tr>"
+        assert pairs_of(html) == [("b in x", "c"), ("in", "x")]
+
+    def test_tag_names_case_attributes_and_entities(self):
+        html = (
+            "<TABLE class='specs' data-x=\"1>2\"><TR id=r1><TD title='a>b'>Size &amp; fit</TD>"
+            "<td>5&#39; tall</Td ></tr></table>"
+        )
+        assert pairs_of(html) == [("Size & fit", "5' tall")]
+
+    def test_comments_declarations_and_instructions_are_skipped(self):
+        html = (
+            "<!DOCTYPE html><?xml version='1.0'?><table><!-- <tr><td>no</td><td>no</td></tr> -->"
+            "<tr><td>A<!-- x --></td><td>B</td></tr></table>"
+        )
+        assert pairs_of(html) == [("A", "B")]
+
+    def test_a_lone_angle_bracket_is_its_own_text_fragment(self):
+        assert pairs_of("<table><tr><td>1<2</td><td>< 3</td></tr></table>") == [("1 < 2", "< 3")]
 
 
-def _reference_table_to_rows(table):
-    """``table_to_rows`` by definition: every ``tr`` whose ancestors below ``table``
-    include no other table, cells by the same rule, found by full ``find_all`` walks."""
-
-    def find_all(node, tag):
-        return [descendant for descendant in node.iter_descendants() if descendant.tag == tag]
-
-    nested = {id(node) for node in find_all(table, "table")}
-    rows = []
-    for row in find_all(table, "tr"):
-        node = row.parent
-        while node is not None and node is not table and id(node) not in nested:
-            node = node.parent
-        if node is not None and node is not table:
-            continue
-        cells = [cell.text_content() for cell in row.children if cell.tag in ("td", "th")]
-        if not cells:
-            cells = [cell.text_content() for cell in find_all(row, "td") + find_all(row, "th")]
-        if cells:
-            rows.append(cells)
-    return rows
-
-
+#: The tokens of ordinary markup, on which ``html.parser`` (every CI version)
+#: and the harvester's tokeniser agree: no raw ``<`` in text, nothing left
+#: unterminated at the end.
 _MARKUP = st.lists(
     st.sampled_from(
-        ["<table>", "</table>", "<tr>", "</tr>", "<tr/>", "<td>", "</td>", "<th>", "</th>",
-         "<div>", "</div>", "</span>", "<br>", "<p>", "x", "y 1", "Brand", " "]
+        [
+            "<table>",
+            "</table>",
+            "<tr>",
+            "</tr>",
+            "<tr/>",
+            "<td>",
+            "</td>",
+            "<th>",
+            "</th>",
+            "<div>",
+            "</div>",
+            "</span>",
+            "<br>",
+            "<p>",
+            "x",
+            "y 1",
+            "Brand",
+            " ",
+            "\n",
+            "<TABLE>",
+            "<TR>",
+            "<Td>",
+            "</TD>",
+            "<td class='a'>",
+            '<table border="1">',
+            "<tr id=r1>",
+            "<td title='a>b'>",
+            '<th data-x="1>2">',
+            "<td/>",
+            "<div/>",
+            "<br/>",
+            "</td >",
+            "<!-- c -->",
+            "<!DOCTYPE html>",
+            "&amp;",
+            "&#39;",
+            "&nbsp;",
+            "<script>if (a < b) { s = '</div>'; }</script>",
+            "<style>td > p { x: 1 }</style>",
+        ]
     ),
     max_size=40,
 )
 
 
-class TestOneWalkTableRows:
+class TestConformance:
+    """``extract_pairs`` equals the html.parser tree oracle on well-formed markup."""
+
     @given(fragments=_MARKUP)
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_find_all_definition(self, fragments):
-        root = parse_html("<table>" + "".join(fragments))
-        tables = [node for node in root.iter_descendants() if node.tag == "table"]
-        assert find_tables(root) == tables
-        for table in tables:
-            assert table_to_rows(table) == _reference_table_to_rows(table)
+    def test_equals_the_oracle_on_ordinary_markup(self, fragments):
+        html = "<table>" + "".join(fragments)
+        assert pairs_of(html) == oracle_pairs(html)
 
-    def test_nested_and_cell_less_rows(self):
-        root = parse_html(
-            "<table><tr><div><td>a</td></div></tr><tr></tr>"
-            "<tr><td>b<table><tr><td>in</td></tr></table></td><td>c</td></tr></table>"
-        )
-        outer = find_tables(root)[0]
-        assert table_to_rows(outer) == _reference_table_to_rows(outer) == [["a"], ["b in", "c"]]
+    def test_equals_the_oracle_on_every_tiny_page(self, tiny_corpus):
+        for offer in tiny_corpus.offers:
+            html = tiny_corpus.web.fetch_or_none(offer.url)
+            if html is not None:
+                assert pairs_of(html) == oracle_pairs(html), offer.offer_id
+
+    def test_tiny_corpus_pairs_digest_is_pinned(self, tiny_corpus):
+        """sha256 of TINY's (offer id, pairs), taken from the tree-building extractor."""
+        rows = []
+        for offer in tiny_corpus.offers:
+            html = tiny_corpus.web.fetch_or_none(offer.url)
+            if html is not None:
+                rows.append([offer.offer_id, [list(pair) for pair in pairs_of(html)]])
+        assert (len(rows), sum(len(pairs) for _, pairs in rows)) == (202, 2366)
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "3b1b3c1baa39a4e7c9bd226338fdab6655706e0d14470a4214af79481b5ff16f"
+
+
+_HOSTILE = ["<![", "<!--", "<?", "</", "<a b='", "&#", "'", '"', "<a", "<", ">", "=", "x"]
+
+
+class TestHostilePages:
+    @given(html=st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises_on_any_text(self, html):
+        extract_pairs(html)
+
+    @given(fragments=st.lists(st.sampled_from(_HOSTILE + ["<table>", "<tr>", "<td>"])))
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises_on_broken_constructs(self, fragments):
+        extract_pairs("".join(fragments))
+
+    @pytest.mark.parametrize("pattern", ["<![", "<!--", "<?", "</", "<a b='", "&#", "'\""])
+    def test_extraction_is_linear_in_page_length(self, pattern):
+        def best_seconds(size):
+            page = pattern * (size // len(pattern))
+            timings = []
+            for _ in range(3):
+                started = time.perf_counter()
+                extract_pairs(page)
+                timings.append(time.perf_counter() - started)
+            return min(timings)
+
+        single = best_seconds(100_000)
+        assert single < 0.5
+        # A 2 ms floor keeps timer noise on sub-millisecond runs from deciding.
+        assert best_seconds(200_000) <= 2.5 * max(single, 0.002)
+
+    def test_one_broken_page_does_not_fail_its_batch(self, tiny_harness):
+        """A page ending in ``<![ foo`` made ``html.parser`` raise out of ``ingest``."""
+        offers = tiny_harness.corpus.unmatched_offers()[:10]
+
+        def ingest(broken):
+            web = WebStore()
+            for offer in offers:
+                web.put(offer.url, tiny_harness.corpus.web.fetch(offer.url))
+            if broken:
+                web.put(offers[3].url, web.fetch(offers[3].url) + "<![ foo")
+            engine = SynthesisEngine(
+                catalog=tiny_harness.corpus.catalog,
+                correspondences=tiny_harness.offline_result.correspondences,
+                extractor=WebPageAttributeExtractor(web),
+                category_classifier=tiny_harness.category_classifier,
+            )
+            return engine.ingest(offers), engine.products()
+
+        report, products = ingest(broken=True)
+        assert report.offers_new == 10
+        assert products and products == ingest(broken=False)[1]
 
 
 class TestWebPageAttributeExtractor:

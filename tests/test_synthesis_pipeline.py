@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end run-time synthesis pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.synthesis.pipeline import ProductSynthesisPipeline
@@ -119,3 +121,32 @@ class TestPipelineConfiguration:
         assert result.num_products() == 0
         assert result.num_attributes() == 0
         assert result.average_attributes_per_product() == 0.0
+
+    def test_offer_carrying_a_specification_keeps_it_beside_raw_offers(self, tiny_harness):
+        """Extraction is per offer: a raw neighbour does not re-extract a carried spec."""
+        carried = max(tiny_harness.unmatched_offers, key=lambda offer: len(offer.specification))
+        dead = replace(carried, url="http://gone.example.com/offer")
+        category = tiny_harness.corpus.ground_truth.offer_true_category
+        raw = next(
+            offer
+            for offer in tiny_harness.corpus.unmatched_offers()
+            if category[offer.offer_id] != category[carried.offer_id]
+        )
+        pipeline = ProductSynthesisPipeline(
+            catalog=tiny_harness.corpus.catalog,
+            correspondences=tiny_harness.offline_result.correspondences,
+            extractor=tiny_harness.extractor,
+            category_classifier=tiny_harness.category_classifier,
+        )
+
+        def product_of(result):
+            return [
+                product for product in result.products if dead.offer_id in product.source_offer_ids
+            ]
+
+        alone = pipeline.synthesize([dead])
+        together = pipeline.synthesize([dead, raw])
+        assert alone.extraction_stats is None
+        assert product_of(alone) and product_of(alone)[0].num_attributes() > 0
+        assert product_of(together) == product_of(alone)
+        assert together.extraction_stats.offers_processed == 1
