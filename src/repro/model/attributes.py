@@ -31,10 +31,21 @@ class AttributeValue:
         Attribute value as a string; numeric values keep their original
         formatting (``"500 GB"``) because format variation is part of the
         problem the pipeline solves.
+
+    The most numerous object of every process, so it carries no
+    ``__dict__``: the slots are declared by hand (``dataclass(slots=True)``
+    needs Python 3.10), and ``__reduce__`` rebuilds a pair through its
+    constructor, because unpickling slot state would go through the frozen
+    ``__setattr__`` and fail.
     """
+
+    __slots__ = ("name", "value")
 
     name: str
     value: str
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, str]]:
+        return (AttributeValue, (self.name, self.value))
 
     def normalized_name(self) -> str:
         """The attribute name canonicalised for identity comparison."""

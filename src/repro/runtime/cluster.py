@@ -83,7 +83,6 @@ from repro.synthesis.category_classifier import TitleCategoryClassifier
 from repro.synthesis.clustering import KeyAttributeClusterer
 from repro.synthesis.fusion import CentroidValueFusion
 from repro.synthesis.reconciliation import ReconciliationStats
-from repro.text.tfidf import IncrementalTfIdf
 
 __all__ = [
     "ShardLease",
@@ -344,26 +343,6 @@ class FencedStoreView(CatalogStore):
         """Number of clusters tracked cluster-wide."""
         with self._lock:
             return self._base.num_clusters()
-
-    # -- per-category statistics -----------------------------------------------
-
-    def category_stats_for_update(self, category_id: str) -> IncrementalTfIdf:
-        # The returned object is mutated lock-free by the engine: safe,
-        # because one category belongs to one shard and so to one node.
-        """Mutable TF-IDF statistics of an owned category (fence-checked)."""
-        with self._lock:
-            self._check_writable()
-            return self._base.category_stats_for_update(category_id)
-
-    def category_stats(self, category_id: str) -> Optional[IncrementalTfIdf]:
-        """Read-only TF-IDF statistics of one category (or ``None``)."""
-        with self._lock:
-            return self._base.category_stats(category_id)
-
-    def category_vocabulary(self) -> Dict[str, int]:
-        """category_id -> vocabulary size, cluster-wide."""
-        with self._lock:
-            return self._base.category_vocabulary()
 
     # -- reconciliation stats --------------------------------------------------
 
@@ -994,7 +973,6 @@ class ClusterEngine:
         num_nodes: int = 2,
         num_shards: int = 8,
         max_workers: Optional[int] = None,
-        track_category_statistics: bool = True,
         auto_recover: bool = True,
         auto_rebalance_skew: Optional[float] = None,
         auto_rebalance_patience: int = 2,
@@ -1036,7 +1014,6 @@ class ClusterEngine:
                 fusion=fusion,
                 min_cluster_size=min_cluster_size,
                 max_workers=max_workers,
-                track_category_statistics=track_category_statistics,
             ),
             **transport_options,
         )
@@ -1690,10 +1667,6 @@ class ClusterEngine:
         """Number of clusters tracked so far (including sub-threshold ones)."""
         return self._view().num_clusters()
 
-    def category_statistics(self, category_id: str) -> Optional[IncrementalTfIdf]:
-        """The incremental TF-IDF statistics of one category (or ``None``)."""
-        return self._view().category_stats(category_id)
-
     def snapshot(self) -> EngineSnapshot:
         """A consistent summary of everything ingested so far."""
         store = self._view()
@@ -1703,7 +1676,6 @@ class ClusterEngine:
             offers_ingested=store.num_seen(),
             reconciliation_stats=store.reconciliation_stats(),
             assigned_categories=store.assigned_categories(),
-            category_vocabulary=store.category_vocabulary(),
         )
 
     def _coordinator_stats(self) -> TransportStats:

@@ -9,8 +9,8 @@ touched are re-fused — by category shard, in parallel when a thread- or
 process-pool executor is plugged in.
 
 All engine state — clusters, cached fusion results, seen-offer ids,
-per-category TF-IDF statistics, reconciliation counters — lives behind a
-pluggable :class:`~repro.runtime.state.CatalogStore`:
+reconciliation counters — lives behind a pluggable
+:class:`~repro.runtime.state.CatalogStore`:
 
 * ``store="memory"`` (default) keeps the original zero-copy in-process
   behaviour;
@@ -27,10 +27,8 @@ share the store's memory directly and need no deltas.
 
 Compared with looping ``pipeline.synthesize()`` over a stream (which must
 re-run every stage over all offers seen so far to keep the product set
-current), the engine does O(batch) work per batch instead of O(total),
-reuses memoised text statistics (:mod:`repro.text.memo`), and maintains
-per-category TF-IDF statistics (:class:`repro.text.tfidf.IncrementalTfIdf`)
-without ever rebuilding them.
+current), the engine does O(batch) work per batch instead of O(total) and
+reuses memoised text statistics (:mod:`repro.text.memo`).
 
 Product identifiers are content-derived
 (:func:`repro.synthesis.pipeline.stable_product_id`), so the same cluster
@@ -74,7 +72,6 @@ from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster
 from repro.synthesis.fusion import CentroidValueFusion, MemoizedValueFusion
 from repro.synthesis.pipeline import ProductSynthesisPipeline, build_product_from_cluster
 from repro.synthesis.reconciliation import ReconciliationStats
-from repro.text.tfidf import IncrementalTfIdf
 
 __all__ = ["CommitEvent", "IngestReport", "EngineSnapshot", "SynthesisEngine"]
 
@@ -153,8 +150,6 @@ class EngineSnapshot:
     reconciliation_stats: ReconciliationStats
     #: offer_id -> category assigned by the classifier (or carried in).
     assigned_categories: Dict[str, str] = field(default_factory=dict)
-    #: category_id -> distinct value-token vocabulary size accumulated so far.
-    category_vocabulary: Dict[str, int] = field(default_factory=dict)
 
     def num_products(self) -> int:
         """Number of currently synthesized products."""
@@ -203,12 +198,6 @@ class SynthesisEngine:
         no product *yet* and may still grow past it in a later batch.
     num_shards:
         Number of category shards; clusters never span shards.
-    track_category_statistics:
-        Maintain per-category :class:`~repro.text.tfidf.IncrementalTfIdf`
-        statistics over ingested values (exposed via
-        :meth:`category_statistics` and the snapshot).  Disable to shave
-        per-offer tokenisation off the hot path when the statistics are
-        not consumed.
     executor:
         ``"serial"`` (default), ``"thread"``, ``"process"``, or a
         pre-built executor instance.  Executor choice never changes the
@@ -246,7 +235,6 @@ class SynthesisEngine:
         num_shards: int = 4,
         executor: Union[str, ShardExecutor, None] = "serial",
         max_workers: Optional[int] = None,
-        track_category_statistics: bool = True,
         store: Union[str, CatalogStore, None] = None,
         store_path: Optional[str] = None,
     ) -> None:
@@ -266,7 +254,6 @@ class SynthesisEngine:
         self._min_cluster_size = max(
             min_cluster_size, getattr(self._pipeline.clusterer, "min_cluster_size", 1)
         )
-        self._track_category_statistics = track_category_statistics
         self._num_shards = num_shards
         self._executor = resolve_executor(executor, max_workers=max_workers)
 
@@ -445,7 +432,6 @@ class SynthesisEngine:
             if key is None:
                 report.offers_without_key += 1
                 continue
-            self._update_category_stats(offer)
             cluster_id: ClusterId = (offer.category_id, key)
             entry = pending.get(cluster_id)
             if entry is None:
@@ -617,15 +603,6 @@ class SynthesisEngine:
                 refreshed += 1
         return refreshed
 
-    # -- statistics ------------------------------------------------------------
-
-    def _update_category_stats(self, offer: Offer) -> None:
-        if not self._track_category_statistics:
-            return
-        stats = self._store.category_stats_for_update(offer.category_id or "")
-        for pair in offer.specification:
-            stats.add(pair.value)
-
     # -- views ----------------------------------------------------------------
 
     def products(self) -> List[Product]:
@@ -640,10 +617,6 @@ class SynthesisEngine:
     def num_clusters(self) -> int:
         """Number of clusters tracked so far (including sub-threshold ones)."""
         return self._store.num_clusters()
-
-    def category_statistics(self, category_id: str) -> Optional[IncrementalTfIdf]:
-        """The incremental TF-IDF statistics of one category (or ``None``)."""
-        return self._store.category_stats(category_id)
 
     @property
     def store(self) -> CatalogStore:
@@ -711,7 +684,6 @@ class SynthesisEngine:
             # mutating with later ingests.
             reconciliation_stats=self._store.reconciliation_stats(),
             assigned_categories=self._store.assigned_categories(),
-            category_vocabulary=self._store.category_vocabulary(),
         )
 
     # -- lifecycle -------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The pluggable catalog state layer of the run-time engine.
 
 :class:`~repro.runtime.engine.SynthesisEngine` used to keep all of its
-state — clusters, cached fusion results, seen-offer ids, per-category
-TF-IDF statistics, reconciliation counters — in private in-memory dicts.
+state — clusters, cached fusion results, seen-offer ids, reconciliation
+counters — in private in-memory dicts.
 This module factorises that implicit state behind an explicit
 :class:`CatalogStore` interface so backends can be swapped:
 
@@ -33,7 +33,6 @@ from repro.model.products import Product
 from repro.obs import get_registry
 from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
-from repro.text.tfidf import IncrementalTfIdf
 
 __all__ = [
     "ClusterId",
@@ -334,24 +333,6 @@ class CatalogStore(abc.ABC):
         """
         yield from self.sorted_products()
 
-    # -- per-category statistics -----------------------------------------------
-
-    @abc.abstractmethod
-    def category_stats_for_update(self, category_id: str) -> IncrementalTfIdf:
-        """Get-or-create the mutable TF-IDF statistics of one category.
-
-        The returned object may be mutated in place; durable backends
-        persist it at the next :meth:`commit`.
-        """
-
-    @abc.abstractmethod
-    def category_stats(self, category_id: str) -> Optional[IncrementalTfIdf]:
-        """The TF-IDF statistics of one category, or ``None``."""
-
-    @abc.abstractmethod
-    def category_vocabulary(self) -> Dict[str, int]:
-        """category_id -> distinct value-token vocabulary size, sorted by id."""
-
     # -- reconciliation stats --------------------------------------------------
 
     @abc.abstractmethod
@@ -579,7 +560,6 @@ class _InMemoryState:
     shard_index: Dict[int, List[ClusterId]] = field(default_factory=dict)
     seen_offer_ids: set = field(default_factory=set)
     assigned_categories: Dict[str, str] = field(default_factory=dict)
-    category_stats: Dict[str, IncrementalTfIdf] = field(default_factory=dict)
     reconciliation_stats: ReconciliationStats = field(default_factory=ReconciliationStats)
     shard_versions: Dict[int, int] = field(default_factory=dict)
     shard_epochs: Dict[int, int] = field(default_factory=dict)

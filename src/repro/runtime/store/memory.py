@@ -17,7 +17,6 @@ from repro.model.products import Product
 from repro.runtime.state import CatalogStore, ClusterId, ClusterState, _InMemoryState
 from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
-from repro.text.tfidf import IncrementalTfIdf
 
 __all__ = ["MemoryCatalogStore"]
 
@@ -184,27 +183,6 @@ class MemoryCatalogStore(CatalogStore):
     def num_clusters(self) -> int:
         """Number of clusters tracked so far."""
         return len(self._state.clusters)
-
-    # -- per-category statistics -----------------------------------------------
-
-    def category_stats_for_update(self, category_id: str) -> IncrementalTfIdf:
-        """Get-or-create the mutable TF-IDF statistics of one category."""
-        stats = self._state.category_stats.get(category_id)
-        if stats is None:
-            stats = IncrementalTfIdf()
-            self._state.category_stats[category_id] = stats
-        return stats
-
-    def category_stats(self, category_id: str) -> Optional[IncrementalTfIdf]:
-        """The TF-IDF statistics of one category, or ``None``."""
-        return self._state.category_stats.get(category_id)
-
-    def category_vocabulary(self) -> Dict[str, int]:
-        """category_id -> distinct value-token vocabulary size, by id."""
-        return {
-            category_id: stats.vocabulary_size
-            for category_id, stats in sorted(self._state.category_stats.items())
-        }
 
     # -- reconciliation stats --------------------------------------------------
 

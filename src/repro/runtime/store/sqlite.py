@@ -8,7 +8,6 @@ Layout (one row per fact, JSON payloads via the
     assigned_categories(offer_id, ...)    -- classifier output
     clusters(category_id, cluster_key, product)
     cluster_offers(category_id, cluster_key, position, offer)
-    category_stats(category_id, stats)    -- IncrementalTfIdf state dicts
     shard_versions(shard, version)        -- delta-protocol counters
     shard_epochs(shard, epoch)            -- multi-node fencing epochs
     reconciliation_stats(id=1, ...)       -- running totals
@@ -71,7 +70,6 @@ from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, ClusterState, _InMemoryState
 from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
-from repro.text.tfidf import IncrementalTfIdf
 
 __all__ = ["SqliteCatalogStore", "load_shard_clusters", "read_product_page"]
 
@@ -103,6 +101,7 @@ CREATE TABLE IF NOT EXISTS cluster_offers (
     offer TEXT NOT NULL,
     PRIMARY KEY (category_id, cluster_key, position)
 ) WITHOUT ROWID;
+-- Never written or read; format-1 code that still restores it opens our files.
 CREATE TABLE IF NOT EXISTS category_stats (
     category_id TEXT PRIMARY KEY,
     stats TEXT NOT NULL
@@ -266,7 +265,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_clusters: List[ClusterId] = []
         self._new_offers: List[Tuple[str, str, int, str]] = []
         self._dirty_products: Dict[ClusterId, Optional[Product]] = {}
-        self._dirty_stats: set = set()
         self._dirty_versions: set = set()
         self._stats_dirty = False
         self._restore()
@@ -333,12 +331,6 @@ class SqliteCatalogStore(CatalogStore):
         ):
             state.clusters[(category_id, cluster_key)].cluster.offers.append(
                 offer_from_dict(json.loads(offer_json))
-            )
-        for category_id, stats_json in self._connection.execute(
-            "SELECT category_id, stats FROM category_stats"
-        ):
-            state.category_stats[category_id] = IncrementalTfIdf.from_state_dict(
-                json.loads(stats_json)
             )
         for shard, version in self._connection.execute(
             "SELECT shard, version FROM shard_versions"
@@ -445,24 +437,24 @@ class SqliteCatalogStore(CatalogStore):
                 " (category_id, cluster_key, position, offer) VALUES (?, ?, ?, ?)",
                 self._new_offers,
             )
+        # Each product is encoded once per commit: the same text goes to
+        # ``clusters`` here and to ``commit_journal`` below.
+        encoded: Dict[int, str] = {}
+
+        def encode(product: Optional[Product]) -> Optional[str]:
+            if product is None:
+                return None
+            text = encoded.get(id(product))
+            if text is None:
+                text = encoded[id(product)] = json.dumps(product_to_dict(product))
+            return text
+
         if self._dirty_products:
             connection.executemany(
                 "UPDATE clusters SET product = ? WHERE category_id = ? AND cluster_key = ?",
                 [
-                    (
-                        None if product is None else json.dumps(product_to_dict(product)),
-                        category_id,
-                        cluster_key,
-                    )
+                    (encode(product), category_id, cluster_key)
                     for (category_id, cluster_key), product in self._dirty_products.items()
-                ],
-            )
-        if self._dirty_stats:
-            connection.executemany(
-                "INSERT OR REPLACE INTO category_stats (category_id, stats) VALUES (?, ?)",
-                [
-                    (category_id, json.dumps(self._state.category_stats[category_id].state_dict()))
-                    for category_id in sorted(self._dirty_stats)
                 ],
             )
         if self._dirty_versions:
@@ -538,15 +530,10 @@ class SqliteCatalogStore(CatalogStore):
                             commit_id,
                             cluster_id[0],
                             cluster_id[1],
-                            None
-                            if state.product is None
-                            else json.dumps(product_to_dict(state.product)),
+                            encode(self._state.clusters[cluster_id].product),
                         )
-                        for cluster_id, state in (
-                            (cluster_id, self._state.clusters[cluster_id])
-                            for cluster_id in self._touched_clusters
-                            if cluster_id in self._state.clusters
-                        )
+                        for cluster_id in self._touched_clusters
+                        if cluster_id in self._state.clusters
                     ],
                 )
         connection.commit()
@@ -558,7 +545,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_clusters = []
         self._new_offers = []
         self._dirty_products = {}
-        self._dirty_stats = set()
         self._dirty_versions = set()
         self._stats_dirty = False
 
@@ -582,7 +568,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_clusters = []
         self._new_offers = []
         self._dirty_products = {}
-        self._dirty_stats = set()
         self._dirty_versions = set()
         self._stats_dirty = False
         self._touched_clusters.clear()
@@ -595,7 +580,6 @@ class SqliteCatalogStore(CatalogStore):
             or self._new_clusters
             or self._new_offers
             or self._dirty_products
-            or self._dirty_stats
             or self._dirty_versions
             or self._stats_dirty
         )
@@ -644,11 +628,11 @@ class SqliteCatalogStore(CatalogStore):
         """Reload selected shards' committed state into the mirror.
 
         Used on shard handoff: the new owner's mirror predates whatever
-        the previous owner committed, so its clusters, products,
-        category statistics and delta-protocol version counters for the
-        moved shards are re-read from the file.  The caller must
-        guarantee the previous owner has committed (membership changes
-        happen between batch barriers, so it has).
+        the previous owner committed, so its clusters, products and
+        delta-protocol version counters for the moved shards are re-read
+        from the file.  The caller must guarantee the previous owner has
+        committed (membership changes happen between batch barriers, so
+        it has).
         """
         connection = self._require_open()
         targets = {shard for shard in shard_indices if shard >= 0}
@@ -685,13 +669,6 @@ class SqliteCatalogStore(CatalogStore):
             self._state.clusters[(category_id, cluster_key)].cluster.offers.extend(
                 offer_from_dict(json.loads(row[0])) for row in rows
             )
-        for category_id, stats_json in connection.execute(
-            "SELECT category_id, stats FROM category_stats"
-        ).fetchall():
-            if shard_for_category(category_id, self._num_shards) in targets:
-                self._state.category_stats[category_id] = IncrementalTfIdf.from_state_dict(
-                    json.loads(stats_json)
-                )
         for shard, version in connection.execute(
             "SELECT shard, version FROM shard_versions"
         ).fetchall():
@@ -955,29 +932,6 @@ class SqliteCatalogStore(CatalogStore):
             for _, product in page:
                 yield product
             after = page[-1][0]
-
-    # -- per-category statistics -----------------------------------------------
-
-    def category_stats_for_update(self, category_id: str) -> IncrementalTfIdf:
-        """Get-or-create mutable TF-IDF stats (persisted at commit)."""
-        self._require_open()
-        stats = self._state.category_stats.get(category_id)
-        if stats is None:
-            stats = IncrementalTfIdf()
-            self._state.category_stats[category_id] = stats
-        self._dirty_stats.add(category_id)
-        return stats
-
-    def category_stats(self, category_id: str) -> Optional[IncrementalTfIdf]:
-        """The mirrored TF-IDF statistics of one category, or ``None``."""
-        return self._state.category_stats.get(category_id)
-
-    def category_vocabulary(self) -> Dict[str, int]:
-        """category_id -> distinct value-token vocabulary size, by id."""
-        return {
-            category_id: stats.vocabulary_size
-            for category_id, stats in sorted(self._state.category_stats.items())
-        }
 
     # -- reconciliation stats --------------------------------------------------
 

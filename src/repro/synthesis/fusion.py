@@ -63,57 +63,57 @@ class CentroidValueFusion:
     of terms appearing in any candidate; the representative value is the
     one closest (Euclidean distance) to the centroid of all vectors.  Ties
     are broken towards the value containing more terms, then
-    lexicographically, so fusion is deterministic.
+    lexicographically, then towards the first-listed value, so fusion is
+    deterministic.
+
+    Nothing is materialised per value: a binary vector's squared distance
+    to the centroid ``c`` has, per vocabulary term, either ``(1 - c)²`` or
+    ``(0 - c)²`` as its addend, so both are computed once per term and each
+    *distinct* value sums its picks — the same addends in the same
+    (first-seen vocabulary) order as the vector definition, hence the same
+    float.
     """
 
     def select(self, values: Sequence[str]) -> Optional[str]:
         """The centroid-nearest value of ``values``."""
         if not values:
             return None
-        tokenised: List[Tuple[str, Sequence[str]]] = []
-        vocabulary: List[str] = []
-        seen_terms = set()
-        for value in values:
-            tokens = cached_tokenize_value(value)
-            if not tokens:
+        # term -> how many values hold it, keyed in first-seen order.
+        counts: Dict[str, int] = {}
+        candidates: List[Tuple[str, Tuple[str, ...]]] = []
+        num_vectors = 0
+        for value, repeats in Counter(values).items():
+            terms = tuple(dict.fromkeys(cached_tokenize_value(value)))
+            if not terms:
                 continue
-            tokenised.append((value, tokens))
-            for token in tokens:
-                if token not in seen_terms:
-                    seen_terms.add(token)
-                    vocabulary.append(token)
-        if not tokenised:
+            candidates.append((value, terms))
+            num_vectors += repeats
+            for term in terms:
+                counts[term] = counts.get(term, 0) + repeats
+        if not candidates:
             return None
-        if len(tokenised) == 1:
-            return tokenised[0][0]
+        if len(candidates) == 1:
+            return candidates[0][0]
 
-        index_of = {term: position for position, term in enumerate(vocabulary)}
-        vectors: List[Tuple[str, List[float]]] = []
-        for value, tokens in tokenised:
-            vector = [0.0] * len(vocabulary)
-            for token in tokens:
-                vector[index_of[token]] = 1.0
-            vectors.append((value, vector))
+        position_of = {term: position for position, term in enumerate(counts)}
+        centroid = [count / num_vectors for count in counts.values()]
+        absent = [(0.0 - share) ** 2 for share in centroid]
+        present = [(1.0 - share) ** 2 for share in centroid]
 
-        centroid = [
-            sum(vector[position] for _, vector in vectors) / len(vectors)
-            for position in range(len(vocabulary))
-        ]
-
-        def distance(vector: List[float]) -> float:
-            """Euclidean distance from the cluster centroid."""
-            return math.sqrt(
-                sum(
-                    (component - centroid[position]) ** 2
-                    for position, component in enumerate(vector)
-                )
-            )
-
-        ranked = sorted(
-            vectors,
-            key=lambda item: (distance(item[1]), -sum(item[1]), cached_normalize_value(item[0])),
-        )
-        return ranked[0][0]
+        best_key: Optional[Tuple[float, int, str]] = None
+        best = None
+        for value, terms in candidates:
+            addends = absent.copy()
+            for term in terms:
+                position = position_of[term]
+                addends[position] = present[position]
+            # The builtin sum, not a loop: it is what the vector definition
+            # sums with, and it is compensated from Python 3.12 on.
+            key = (math.sqrt(sum(addends)), -len(terms), cached_normalize_value(value))
+            # Strict "<": the first of equal keys wins, as a stable sort's head.
+            if best_key is None or key < best_key:
+                best_key, best = key, value
+        return best
 
 
 class MemoizedValueFusion:

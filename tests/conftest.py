@@ -6,6 +6,7 @@ are session-scoped so the whole suite pays for them once.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from repro.model.products import Product
 from repro.model.schema import AttributeKind, CategorySchema
 from repro.model.taxonomy import Taxonomy
 from repro.text.divergence import MAX_JS_DIVERGENCE, _as_distribution, kl_divergence
+from repro.text.memo import cached_normalize_value, cached_tokenize_value
 
 
 # Re-exported so test modules share the canonical byte-identity oracle.
@@ -62,6 +64,57 @@ def reference_jensen_shannon(p, q, base: float = 2.0) -> float:
     mixture = p.mixture(q, weight=0.5)
     value = 0.5 * kl_divergence(p, mixture, base=base) + 0.5 * kl_divergence(q, mixture, base=base)
     return min(max(value, 0.0), MAX_JS_DIVERGENCE)
+
+
+def reference_centroid_select(values):
+    """Appendix A's centroid vote by its definition: one binary term vector per value.
+
+    Every token-bearing value becomes a 0/1 vector over the first-seen
+    vocabulary, the centroid is their mean, and the value with the least
+    ``(Euclidean distance, -terms, normalised value)`` wins, first listed on
+    a full tie.  The equivalence tests hold
+    :meth:`repro.synthesis.fusion.CentroidValueFusion.select` to ``==`` with this.
+    """
+    if not values:
+        return None
+    tokenised = []
+    vocabulary = []
+    seen_terms = set()
+    for value in values:
+        tokens = cached_tokenize_value(value)
+        if not tokens:
+            continue
+        tokenised.append((value, tokens))
+        for token in tokens:
+            if token not in seen_terms:
+                seen_terms.add(token)
+                vocabulary.append(token)
+    if not tokenised:
+        return None
+    if len(tokenised) == 1:
+        return tokenised[0][0]
+    index_of = {term: position for position, term in enumerate(vocabulary)}
+    vectors = []
+    for value, tokens in tokenised:
+        vector = [0.0] * len(vocabulary)
+        for token in tokens:
+            vector[index_of[token]] = 1.0
+        vectors.append((value, vector))
+    centroid = [
+        sum(vector[position] for _, vector in vectors) / len(vectors)
+        for position in range(len(vocabulary))
+    ]
+
+    def distance(vector):
+        return math.sqrt(
+            sum((component - centroid[position]) ** 2 for position, component in enumerate(vector))
+        )
+
+    ranked = sorted(
+        vectors,
+        key=lambda item: (distance(item[1]), -sum(item[1]), cached_normalize_value(item[0])),
+    )
+    return ranked[0][0]
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,16 @@
 """Tests for attribute-value pairs and specifications."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.attributes import AttributeValue, Specification
+from repro.model.offers import Offer
+from repro.model.products import Product, product_fingerprint
 from repro.text.normalize import normalize_attribute_name
 
 
@@ -25,6 +31,54 @@ class TestAttributeValue:
         pair = AttributeValue("Brand", "Hitachi")
         with pytest.raises(AttributeError):
             pair.value = "Seagate"  # type: ignore[misc]
+
+
+class TestSlottedAttributeValue:
+    def test_no_instance_dict(self):
+        pair = AttributeValue("Brand", "Hitachi")
+        assert not hasattr(pair, "__dict__")
+        with pytest.raises(AttributeError):
+            pair.extra = "x"  # type: ignore[attr-defined]
+
+    def test_assignment_raises_frozen_instance_error(self):
+        pair = AttributeValue("Brand", "Hitachi")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.name = "Make"  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del pair.value
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        pair = AttributeValue("Mfr. Part #", "HDT725050")
+        clone = pickle.loads(pickle.dumps(pair, protocol))
+        assert clone == pair
+        assert hash(clone) == hash(pair)
+        assert clone.as_tuple() == ("Mfr. Part #", "HDT725050")
+
+    def test_deepcopy(self):
+        pair = AttributeValue("Brand", "Hitachi")
+        clone = copy.deepcopy(pair)
+        assert clone == pair
+        assert hash(clone) == hash(pair)
+
+    def test_offer_and_product_pickle_round_trip(self):
+        """The process-node frame path pickles whole offers and products."""
+        spec = Specification([("Brand", "Hitachi"), ("Capacity", "500 GB")])
+        offer = Offer(
+            offer_id="o-1",
+            merchant_id="m-1",
+            title="Hitachi Deskstar 500GB",
+            category_id="computing.hdd",
+            specification=spec,
+        )
+        product = Product(product_id="p-1", category_id="computing.hdd", specification=spec)
+        for original in (offer, product):
+            clone = pickle.loads(pickle.dumps(original, pickle.HIGHEST_PROTOCOL))
+            assert clone.specification == original.specification
+            assert clone.specification.pairs() == spec.pairs()
+        assert product_fingerprint([pickle.loads(pickle.dumps(product))]) == (
+            product_fingerprint([product])
+        )
 
 
 class TestSpecification:

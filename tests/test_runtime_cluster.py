@@ -568,7 +568,7 @@ class TestCrashInjection:
         cluster.close()
 
 
-#: The 26 members MultiNodeEngine and MultiProcessEngine each used to
+#: The members MultiNodeEngine and MultiProcessEngine each used to
 #: define for themselves (862 lines counting both copies).
 SHARED_MEMBERS = [
     "__enter__",
@@ -579,7 +579,6 @@ SHARED_MEMBERS = [
     "_route_categories",
     "add_node",
     "barrier_wait_seconds",
-    "category_statistics",
     "close",
     "coordinator",
     "coordinator_seconds",
@@ -621,6 +620,12 @@ class TestOneCoordinator:
             (SynthesisEngine, {"delta_refusion": False}),
             (MultiNodeEngine, {"delta_refusion": False}),
             (MultiProcessEngine, {"node_executor": "serial", "store_path": "unused.sqlite3"}),
+            (SynthesisEngine, {"track_category_statistics": True}),
+            (MultiNodeEngine, {"track_category_statistics": True}),
+            (
+                MultiProcessEngine,
+                {"track_category_statistics": True, "store_path": "unused.sqlite3"},
+            ),
         ],
     )
     def test_removed_and_foreign_options_are_rejected(self, tiny_harness, engine, option):
@@ -651,7 +656,6 @@ class TestClusterFacade:
         assert cluster_snapshot.num_clusters == single_snapshot.num_clusters
         assert cluster_snapshot.offers_ingested == single_snapshot.offers_ingested
         assert cluster_snapshot.assigned_categories == single_snapshot.assigned_categories
-        assert cluster_snapshot.category_vocabulary == single_snapshot.category_vocabulary
         assert cluster_snapshot.reconciliation_stats == single_snapshot.reconciliation_stats
         single.close()
 
@@ -707,7 +711,6 @@ class TestClusterFacade:
             cluster.products,
             cluster.num_clusters,
             cluster.snapshot,
-            lambda: cluster.category_statistics("computing.hdd"),
             cluster.add_node,
             lambda: cluster.remove_node("node-2"),
             lambda: cluster.fence_node("node-1"),

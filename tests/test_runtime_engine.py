@@ -118,22 +118,6 @@ class TestEngineBasics:
             assert engine.snapshot().offers_ingested == seen
         snapshot = engine.snapshot()
         assert snapshot.reconciliation_stats.offers_processed == seen
-        assert snapshot.category_vocabulary
-        for size in snapshot.category_vocabulary.values():
-            assert size > 0
-
-    def test_category_statistics_incremental_not_rebuilt(self, tiny_harness):
-        engine = make_engine(tiny_harness)
-        batches = stream(tiny_harness.unmatched_offers, 3)
-        engine.ingest(batches[0])
-        category_id = next(iter(engine.snapshot().category_vocabulary))
-        stats = engine.category_statistics(category_id)
-        documents_before = stats.num_documents
-        for batch in batches[1:]:
-            engine.ingest(batch)
-        # Same statistics object, grown in place — never rebuilt.
-        assert engine.category_statistics(category_id) is stats
-        assert stats.num_documents >= documents_before
 
     def test_min_cluster_size_applied_at_emission(self, tiny_harness):
         strict = make_engine(tiny_harness, min_cluster_size=2)
@@ -171,12 +155,6 @@ class TestEngineBasics:
         engine.ingest(batches[1])
         assert snap.reconciliation_stats.offers_processed == processed_then
         assert engine.snapshot().reconciliation_stats.offers_processed > processed_then
-
-    def test_category_statistics_opt_out(self, tiny_harness):
-        engine = make_engine(tiny_harness, track_category_statistics=False)
-        engine.ingest(tiny_harness.unmatched_offers)
-        assert engine.snapshot().category_vocabulary == {}
-        assert engine.products()  # synthesis itself is unaffected
 
 
 class TestExecutorParity:

@@ -6,6 +6,9 @@ protocol's resync paths (worker restart with and without a durable
 store to reload from).
 """
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.model.offers import Offer
@@ -16,6 +19,7 @@ from repro.runtime import (
     resolve_store,
 )
 from repro.synthesis.reconciliation import ReconciliationStats
+from repro.text.tfidf import IncrementalTfIdf
 
 
 from conftest import product_fingerprint as fingerprint
@@ -155,8 +159,6 @@ class TestCatalogStoreBasics:
         with pytest.raises(RuntimeError, match="closed"):
             store.set_product(cluster_id, None)
         with pytest.raises(RuntimeError, match="closed"):
-            store.category_stats_for_update("computing.hdd")
-        with pytest.raises(RuntimeError, match="closed"):
             store.merge_reconciliation_stats(ReconciliationStats())
         with pytest.raises(RuntimeError, match="closed"):
             store.advance_shard_version(0)
@@ -199,15 +201,7 @@ class TestSqliteRestore:
         assert restored.num_clusters() == snapshot.num_clusters
         assert restored_snapshot.offers_ingested == snapshot.offers_ingested
         assert restored_snapshot.assigned_categories == snapshot.assigned_categories
-        assert restored_snapshot.category_vocabulary == snapshot.category_vocabulary
-        stats = restored_snapshot.reconciliation_stats
-        assert stats == snapshot.reconciliation_stats
-        # TF-IDF statistics restore exactly (same document counts => same IDF).
-        category_id = next(iter(snapshot.category_vocabulary))
-        original = engine.store.category_stats(category_id)
-        rebuilt = restored.store.category_stats(category_id)
-        assert rebuilt.num_documents == original.num_documents
-        assert rebuilt.idf("seagate") == pytest.approx(original.idf("seagate"))
+        assert restored_snapshot.reconciliation_stats == snapshot.reconciliation_stats
         restored.close()
 
     def test_replayed_offers_deduplicated_after_restore(self, tmp_path, tiny_harness):
@@ -297,6 +291,92 @@ class TestSnapshotDurability:
         assert fingerprint(durable.products()) == expected_products
         memory.close()
         durable.close()
+
+
+class TestOneEncodePerCommit:
+    """A commit encodes each product once; ``clusters`` and the journal share the text."""
+
+    def test_commit_dumps_each_touched_product_once(self, tmp_path, tiny_harness, monkeypatch):
+        store = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
+        engine = make_engine(tiny_harness, num_shards=4, store=store)
+        real_dumps, real_commit = json.dumps, store.commit
+        calls = []
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(1)
+            return real_dumps(*args, **kwargs)
+
+        def guarded_commit():
+            calls.clear()
+            monkeypatch.setattr(json, "dumps", counting_dumps)
+            try:
+                real_commit()
+            finally:
+                monkeypatch.setattr(json, "dumps", real_dumps)
+
+        store.commit = guarded_commit
+        connection = sqlite3.connect(store.path)
+        products_seen = 0
+        for batch in stream(tiny_harness.unmatched_offers, 4):
+            engine.ingest(batch)
+            (touched,) = connection.execute(
+                "SELECT COUNT(*) FROM commit_journal WHERE commit_id = ? AND product IS NOT NULL",
+                (store.commit_count,),
+            ).fetchone()
+            assert len(calls) == touched
+            products_seen += touched
+        assert products_seen > 0
+        connection.close()
+        engine.close()
+
+    def test_journal_rows_equal_the_commits_cluster_rows(self, tmp_path, tiny_harness):
+        path = str(tmp_path / "cat.sqlite3")
+        engine = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        connection = sqlite3.connect(path)
+        rows_checked = 0
+        for batch in stream(tiny_harness.unmatched_offers, 6):
+            engine.ingest(batch)
+            rows = connection.execute(
+                "SELECT j.product, c.product FROM commit_journal AS j"
+                " JOIN clusters AS c USING (category_id, cluster_key)"
+                " WHERE j.commit_id = ?",
+                (engine.store.commit_count,),
+            ).fetchall()
+            assert rows
+            for journal_text, cluster_text in rows:
+                assert journal_text == cluster_text
+            rows_checked += len(rows)
+        assert rows_checked >= len(engine.products())
+        connection.close()
+        engine.close()
+
+    def test_file_with_legacy_category_stats_row_resumes(
+        self, tmp_path, tiny_harness, expected_products
+    ):
+        """Files that carry the former per-category TF-IDF rows open and resume."""
+        path = str(tmp_path / "cat.sqlite3")
+        batches = stream(tiny_harness.unmatched_offers, 4)
+        first = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        for batch in batches[:2]:
+            first.ingest(batch)
+        first.close()
+        connection = sqlite3.connect(path)
+        legacy = IncrementalTfIdf(["Seagate Barracuda 500 GB", "WD Raptor"])
+        connection.execute(
+            "INSERT OR REPLACE INTO category_stats (category_id, stats) VALUES (?, ?)",
+            ("computing.hdd", json.dumps(legacy.state_dict())),
+        )
+        connection.commit()
+        connection.close()
+
+        second = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        for batch in batches[2:]:
+            second.ingest(batch)
+        assert fingerprint(second.products()) == expected_products
+        second.close()
+        connection = sqlite3.connect(path)
+        assert connection.execute("SELECT COUNT(*) FROM category_stats").fetchone() == (1,)
+        connection.close()
 
 
 class TestDeltaProtocol:

@@ -4,12 +4,14 @@ clustering and value fusion."""
 import pickle
 
 import pytest
+from conftest import reference_centroid_select
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching.correspondence import AttributeCorrespondence, CorrespondenceSet
 from repro.model.attributes import Specification
 from repro.model.offers import Offer
+from repro.runtime import SynthesisEngine
 from repro.synthesis.category_classifier import TitleCategoryClassifier
 from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster, TitleClusterer
 from repro.synthesis.fusion import (
@@ -335,3 +337,82 @@ class TestFuseClusterGather:
         fused = fuse_cluster(cluster, ["Color", "Brand", "Capacity"], fusion=fusion)
         assert fusion.seen == [["Black", "Silver", "Black"], ["Seagate"], []]
         assert fused.pairs() == Specification([("Color", "Black"), ("Brand", "Seagate")]).pairs()
+
+
+# --- the centroid kernel equals the binary-vector definition -----------------
+
+# Token-bearing values, values with no token at all, raw spellings that
+# normalise equal (the tie-break), and values repeating a term.
+_FUSION_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            "Windows Vista",
+            "Microsoft Windows Vista",
+            "Microsoft Vista",
+            "500 GB",
+            "500GB",
+            "500 gb",
+            "7200 rpm",
+            "7200",
+            "Black",
+            "black",
+            "BLACK.",
+            "alpha beta",
+            "beta alpha",
+            "a a b",
+            "",
+            "-",
+            "  ",
+        ]
+    ),
+    st.text(alphabet="ab 5G-.", max_size=8),
+)
+
+
+@st.composite
+def _value_lists(draw):
+    """Candidate lists: free-form, with duplicates shuffled in, or one value repeated."""
+    shape = draw(st.sampled_from(["free", "duplicates", "single"]))
+    if shape == "single":
+        return [draw(_FUSION_VALUES)] * draw(st.integers(min_value=1, max_value=6))
+    values = draw(st.lists(_FUSION_VALUES, max_size=10))
+    if shape == "duplicates" and values:
+        values = values + draw(st.lists(st.sampled_from(values), min_size=1, max_size=6))
+        values = draw(st.permutations(values))
+    return list(values)
+
+
+class TestCentroidKernelEqualsTheVectorDefinition:
+    @given(values=_value_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_binary_vector_reference(self, values):
+        assert CentroidValueFusion().select(values) == reference_centroid_select(values)
+
+    def test_full_ties_go_to_the_first_listed_value(self):
+        fusion = CentroidValueFusion()
+        assert fusion.select(["Black", "black", "white"]) == "Black"
+        assert fusion.select(["black", "Black", "white"]) == "black"
+        # Same terms, different normalised text: the lexicographic key decides.
+        assert fusion.select(["BLACK.", "Black"]) == "Black"
+
+    def test_token_less_values_are_not_candidates(self):
+        fusion = CentroidValueFusion()
+        assert fusion.select(["", "-", "  "]) is None
+        assert fusion.select(["-", "500 GB", ""]) == "500 GB"
+
+    def test_every_list_the_tiny_stream_selects_from(self, tiny_harness):
+        recording = _RecordingFusion(CentroidValueFusion())
+        engine = SynthesisEngine(
+            catalog=tiny_harness.corpus.catalog,
+            correspondences=tiny_harness.offline_result.correspondences,
+            extractor=tiny_harness.extractor,
+            category_classifier=tiny_harness.category_classifier,
+            fusion=recording,
+        )
+        offers = tiny_harness.unmatched_offers
+        for start in range(0, len(offers), 25):
+            engine.ingest(offers[start : start + 25])
+        assert len(recording.seen) > 100
+        kernel = CentroidValueFusion()
+        for values in recording.seen:
+            assert kernel.select(values) == reference_centroid_select(values)
