@@ -21,39 +21,41 @@ Quickstart
 True
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro.corpus.config import CorpusConfig, CorpusPreset
-from repro.corpus.generator import CorpusGenerator, SyntheticCorpus
-from repro.evaluation.oracle import EvaluationOracle, SynthesisEvaluation
-from repro.extraction.extractor import WebPageAttributeExtractor
-from repro.matching.learner import OfflineLearner, OfflineLearningResult
-from repro.model import Catalog, Offer, Product
-from repro.runtime import EngineSnapshot, IngestReport, SynthesisEngine
-from repro.synthesis.category_classifier import TitleCategoryClassifier
-from repro.synthesis.pipeline import ProductSynthesisPipeline, SynthesisResult
 
-__version__ = "1.1.0"
+if TYPE_CHECKING:
+    from repro.corpus.generator import SyntheticCorpus
+    from repro.evaluation.oracle import SynthesisEvaluation
+    from repro.matching.learner import OfflineLearningResult
+    from repro.synthesis.pipeline import SynthesisResult
 
+__version__ = "1.4.0"
+
+# Resolved on first access: ``import repro`` (which every ``repro.*``
+# import runs first) must not load the corpus, the learner or numpy.
+_exports, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.corpus.generator": ("CorpusGenerator", "SyntheticCorpus"),
+        "repro.evaluation.oracle": ("EvaluationOracle", "SynthesisEvaluation"),
+        "repro.extraction.extractor": ("WebPageAttributeExtractor",),
+        "repro.matching.learner": ("OfflineLearner", "OfflineLearningResult"),
+        "repro.model": ("Catalog", "Offer", "Product"),
+        "repro.synthesis.category_classifier": ("TitleCategoryClassifier",),
+        "repro.synthesis.pipeline": ("ProductSynthesisPipeline", "SynthesisResult"),
+        "repro.runtime.engine": ("SynthesisEngine", "IngestReport", "EngineSnapshot"),
+    },
+)
 __all__ = [
     "CorpusConfig",
     "CorpusPreset",
-    "CorpusGenerator",
-    "SyntheticCorpus",
-    "EvaluationOracle",
-    "SynthesisEvaluation",
-    "WebPageAttributeExtractor",
-    "OfflineLearner",
-    "OfflineLearningResult",
-    "Catalog",
-    "Offer",
-    "Product",
-    "TitleCategoryClassifier",
-    "ProductSynthesisPipeline",
-    "SynthesisResult",
-    "SynthesisEngine",
-    "IngestReport",
-    "EngineSnapshot",
+    *_exports,
     "SynthesisOutcome",
     "synthesize_catalog",
     "__version__",
@@ -81,6 +83,13 @@ def synthesize_catalog(
     one-call entry point used by the quickstart example; the individual
     components are available for finer-grained use.
     """
+    from repro.corpus.generator import CorpusGenerator
+    from repro.evaluation.oracle import EvaluationOracle
+    from repro.extraction.extractor import WebPageAttributeExtractor
+    from repro.matching.learner import OfflineLearner
+    from repro.synthesis.category_classifier import TitleCategoryClassifier
+    from repro.synthesis.pipeline import ProductSynthesisPipeline
+
     corpus = CorpusGenerator(preset.config(seed=seed)).generate()
     extractor = WebPageAttributeExtractor(corpus.web)
 

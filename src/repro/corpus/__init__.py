@@ -26,21 +26,17 @@ The generator's knobs reproduce the structural properties the paper's
 algorithms rely on rather than any particular absolute numbers.
 """
 
-from repro.corpus.config import CorpusConfig, CorpusPreset
-from repro.corpus.generator import CorpusGenerator, SyntheticCorpus
-from repro.corpus.ground_truth import GroundTruth
-from repro.corpus.landing_pages import LandingPageRenderer
-from repro.corpus.merchants import MerchantDialect, MerchantDialectFactory
-from repro.corpus.webstore import WebStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CorpusConfig",
-    "CorpusPreset",
-    "CorpusGenerator",
-    "SyntheticCorpus",
-    "GroundTruth",
-    "LandingPageRenderer",
-    "MerchantDialect",
-    "MerchantDialectFactory",
-    "WebStore",
-]
+# Resolved on first access: ``CorpusPreset`` must not load the generator.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.corpus.config": ("CorpusConfig", "CorpusPreset"),
+        "repro.corpus.generator": ("CorpusGenerator", "SyntheticCorpus"),
+        "repro.corpus.ground_truth": ("GroundTruth",),
+        "repro.corpus.landing_pages": ("LandingPageRenderer",),
+        "repro.corpus.merchants": ("MerchantDialect", "MerchantDialectFactory"),
+        "repro.corpus.webstore": ("WebStore",),
+    },
+)

@@ -18,6 +18,10 @@ them all and prints the tables, and ``benchmarks/`` wraps each driver in a
 pytest-benchmark case that also asserts the qualitative claims.
 """
 
-from repro.experiments.harness import ExperimentHarness, get_harness
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentHarness", "get_harness"]
+# Resolved on first access: the CLI's ``runtime-serve`` path must not load
+# the harness (and the whole offline stack behind it).
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(), {"repro.experiments.harness": ("ExperimentHarness", "get_harness")}
+)

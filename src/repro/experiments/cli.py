@@ -36,39 +36,24 @@ gating benchmark under ``bench/`` (``BENCHMARK.json``), not from here.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sqlite3
 import sys
 import time
-from typing import Callable, Dict, Optional, Sequence
-
-from repro.corpus.config import CorpusPreset
-from repro.experiments import (
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    table2,
-    table3,
-    table4,
-)
-from repro.experiments.harness import ExperimentHarness
+from typing import Optional, Sequence
 
 __all__ = ["main", "EXPERIMENTS"]
 
-#: Experiment name -> runner taking the shared harness.
-EXPERIMENTS: Dict[str, Callable[[ExperimentHarness], object]] = {
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "figure6": figure6.run,
-    "figure7": figure7.run,
-    "figure8": figure8.run,
-    "figure9": figure9.run,
-}
+#: Experiment names; each is the ``repro.experiments`` module whose
+#: ``run(harness)`` drives it.  Imported only when the experiments run:
+#: ``runtime-serve`` must not load the harness, the corpus or numpy.
+EXPERIMENTS = ("table2", "table3", "table4", "figure6", "figure7", "figure8", "figure9")
 
 
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    from repro.corpus.config import CorpusPreset
+
     parser = argparse.ArgumentParser(
         prog="repro-synthesize",
         description="Reproduce the evaluation of 'Synthesizing Products for Online Catalogs'",
@@ -285,6 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_runtime_serve(list(argv[1:]))
     if argv and argv[0] == "runtime-obs":
         return _run_runtime_obs(list(argv[1:]))
+    from repro.corpus.config import CorpusPreset
+    from repro.experiments.harness import ExperimentHarness
+
     args = _parse_args(argv)
     preset = CorpusPreset(args.preset)
     harness = ExperimentHarness(preset.config(seed=args.seed))
@@ -300,7 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print()
 
     for name in args.experiments:
-        runner = EXPERIMENTS[name]
+        runner = importlib.import_module(f"repro.experiments.{name}").run
         start = time.time()
         result = runner(harness)
         elapsed = time.time() - start

@@ -8,26 +8,22 @@ blocks are implemented here from first principles on top of numpy so that
 the reproduction has no opaque ML dependencies.
 """
 
-from repro.learning.datasets import LabeledDataset
-from repro.learning.logistic import LogisticRegressionClassifier
-from repro.learning.matching_lp import max_weight_bipartite_matching
-from repro.learning.metrics import (
-    accuracy_score,
-    confusion_counts,
-    f1_score,
-    precision_score,
-    recall_score,
-)
-from repro.learning.naive_bayes import MultinomialNaiveBayes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LabeledDataset",
-    "LogisticRegressionClassifier",
-    "max_weight_bipartite_matching",
-    "accuracy_score",
-    "confusion_counts",
-    "f1_score",
-    "precision_score",
-    "recall_score",
-    "MultinomialNaiveBayes",
-]
+# Resolved on first access: importing one metric must not load numpy.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.learning.datasets": ("LabeledDataset",),
+        "repro.learning.logistic": ("LogisticRegressionClassifier",),
+        "repro.learning.matching_lp": ("max_weight_bipartite_matching",),
+        "repro.learning.metrics": (
+            "accuracy_score",
+            "confusion_counts",
+            "f1_score",
+            "precision_score",
+            "recall_score",
+        ),
+        "repro.learning.naive_bayes": ("MultinomialNaiveBayes",),
+    },
+)

@@ -18,36 +18,28 @@ historical offers and their offer-to-product matches, it
    :mod:`repro.matching.learner`.
 """
 
-from repro.matching.candidates import CandidateTuple, generate_candidates
-from repro.matching.correspondence import (
-    AttributeCorrespondence,
-    CorrespondenceSet,
-    ScoredCandidate,
-)
-from repro.matching.features import (
-    EXTENDED_FEATURE_NAMES,
-    FEATURE_NAMES,
-    NAME_FEATURE,
-    DistributionalFeatureExtractor,
-    attribute_name_similarity,
-)
-from repro.matching.grouping import MatchedValueIndex
-from repro.matching.learner import OfflineLearner, OfflineLearningResult
-from repro.matching.training import build_training_set
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CandidateTuple",
-    "generate_candidates",
-    "AttributeCorrespondence",
-    "CorrespondenceSet",
-    "ScoredCandidate",
-    "FEATURE_NAMES",
-    "EXTENDED_FEATURE_NAMES",
-    "NAME_FEATURE",
-    "DistributionalFeatureExtractor",
-    "attribute_name_similarity",
-    "MatchedValueIndex",
-    "OfflineLearner",
-    "OfflineLearningResult",
-    "build_training_set",
-]
+# Resolved on first access: correspondences are read by persistence and
+# reconciliation, which must not load the learner (and numpy with it).
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.matching.candidates": ("CandidateTuple", "generate_candidates"),
+        "repro.matching.correspondence": (
+            "AttributeCorrespondence",
+            "CorrespondenceSet",
+            "ScoredCandidate",
+        ),
+        "repro.matching.features": (
+            "FEATURE_NAMES",
+            "EXTENDED_FEATURE_NAMES",
+            "NAME_FEATURE",
+            "DistributionalFeatureExtractor",
+            "attribute_name_similarity",
+        ),
+        "repro.matching.grouping": ("MatchedValueIndex",),
+        "repro.matching.learner": ("OfflineLearner", "OfflineLearningResult"),
+        "repro.matching.training": ("build_training_set",),
+    },
+)

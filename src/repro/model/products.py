@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from repro.model.attributes import Specification
 
-__all__ = ["Product", "product_fingerprint"]
+__all__ = ["Product", "product_fingerprint", "stable_product_id"]
 
 
 @dataclass
@@ -93,3 +93,23 @@ def product_fingerprint(products: List["Product"]) -> List[Tuple[object, ...]]:
         )
         for product in products
     ]
+
+
+def stable_product_id(category_id: str, cluster_key: str) -> str:
+    """A stable, collision-free identifier for a synthesized product.
+
+    Derived from the cluster identity (category + clustering key), so the
+    same cluster — whether it was built in one monolithic ``synthesize()``
+    call or grew across several engine micro-batches — always yields the
+    same product id, and clusters from different batches can never
+    collide.  (The previous ``synth-{index:06d}`` scheme restarted at 1 on
+    every call, so two batches produced colliding ids.)  It lives with the
+    model because both sides use it: synthesis names products with it and
+    serving maps a removed cluster back to the product to drop.
+    """
+    # Imported on first call: hashlib maps OpenSSL (~3.6 MiB resident),
+    # which a serving process needs only once a commit removes a cluster.
+    import hashlib
+
+    digest = hashlib.sha1(f"{category_id}|{cluster_key}".encode("utf-8")).hexdigest()
+    return f"synth-{digest[:12]}"

@@ -20,6 +20,7 @@ from repro.obs.metrics import (
     snapshot_fragment,
 )
 from repro.obs.percentiles import nearest_rank, percentile
+from repro.obs.process import process_memory, register_process_gauges
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -33,6 +34,8 @@ __all__ = [
     "merge_snapshot",
     "nearest_rank",
     "percentile",
+    "process_memory",
+    "register_process_gauges",
     "render_snapshot",
     "series_key",
     "set_registry",

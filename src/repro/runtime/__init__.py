@@ -45,53 +45,43 @@ that practical at scale:
     Stable (cross-process deterministic) category sharding.
 """
 
-from repro.runtime.cluster import (
-    FencedStoreView,
-    LoadSkewWatcher,
-    MultiNodeEngine,
-    NodeDeadError,
-    NodeStats,
-    ShardCoordinator,
-    ShardLease,
-)
-from repro.runtime.delta import TransportStats
-from repro.runtime.procnode import MultiProcessEngine, ProcessNode
-from repro.runtime.engine import CommitEvent, EngineSnapshot, IngestReport, SynthesisEngine
-from repro.runtime.executors import (
-    ProcessPoolShardExecutor,
-    SerialExecutor,
-    ThreadPoolShardExecutor,
-    resolve_executor,
-)
-from repro.runtime.sharding import partition_by_shard, shard_for_category
-from repro.runtime.state import CatalogStore, ClusterState, StaleEpochError, resolve_store
-from repro.runtime.store import MemoryCatalogStore, SqliteCatalogStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SynthesisEngine",
-    "CommitEvent",
-    "IngestReport",
-    "EngineSnapshot",
-    "MultiNodeEngine",
-    "MultiProcessEngine",
-    "ProcessNode",
-    "NodeDeadError",
-    "ShardCoordinator",
-    "ShardLease",
-    "FencedStoreView",
-    "LoadSkewWatcher",
-    "NodeStats",
-    "StaleEpochError",
-    "SerialExecutor",
-    "ThreadPoolShardExecutor",
-    "ProcessPoolShardExecutor",
-    "resolve_executor",
-    "partition_by_shard",
-    "shard_for_category",
-    "CatalogStore",
-    "ClusterState",
-    "resolve_store",
-    "MemoryCatalogStore",
-    "SqliteCatalogStore",
-    "TransportStats",
-]
+# Resolved on first access: the serving reader imports ``runtime.state``
+# and ``runtime.store`` and must not load the engine or the cluster.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.runtime.engine": (
+            "SynthesisEngine",
+            "CommitEvent",
+            "IngestReport",
+            "EngineSnapshot",
+        ),
+        "repro.runtime.cluster": (
+            "MultiNodeEngine",
+            "NodeDeadError",
+            "ShardCoordinator",
+            "ShardLease",
+            "FencedStoreView",
+            "LoadSkewWatcher",
+            "NodeStats",
+        ),
+        "repro.runtime.procnode": ("MultiProcessEngine", "ProcessNode"),
+        "repro.runtime.executors": (
+            "SerialExecutor",
+            "ThreadPoolShardExecutor",
+            "ProcessPoolShardExecutor",
+            "resolve_executor",
+        ),
+        "repro.runtime.sharding": ("partition_by_shard", "shard_for_category"),
+        "repro.runtime.state": (
+            "StaleEpochError",
+            "CatalogStore",
+            "ClusterState",
+            "resolve_store",
+        ),
+        "repro.runtime.store": ("MemoryCatalogStore", "SqliteCatalogStore"),
+        "repro.runtime.delta": ("TransportStats",),
+    },
+)

@@ -31,7 +31,7 @@ current), the engine does O(batch) work per batch instead of O(total) and
 reuses memoised text statistics (:mod:`repro.text.memo`).
 
 Product identifiers are content-derived
-(:func:`repro.synthesis.pipeline.stable_product_id`), so the same cluster
+(:func:`repro.model.products.stable_product_id`), so the same cluster
 keeps the same id no matter how the stream was batched, and ids never
 collide across batches.
 

@@ -49,13 +49,15 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.model.persistence import product_to_dict
 from repro.obs import get_registry, series_key, snapshot_fragment
-from repro.runtime.engine import SynthesisEngine
 from repro.serving.index import SearchResult
 from repro.serving.service import CatalogSearchService
+
+if TYPE_CHECKING:  # the serving tier never imports the write path
+    from repro.runtime.engine import SynthesisEngine
 
 __all__ = ["FleetSearchResponse", "FleetUnavailableError", "ServingFleet"]
 

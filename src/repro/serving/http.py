@@ -11,7 +11,8 @@ occupy) that answers
 * ``GET /health`` — liveness: fleet/replica health, 503 when no replica
   can serve,
 * ``GET /lag`` — per-replica pinned ``commit_count`` vs the store head,
-* ``GET /stats`` — service, index, and snapshot statistics,
+* ``GET /stats`` — service, index, and snapshot statistics, plus the
+  serving process's memory under ``"process"``,
 * ``GET /metrics`` — the process metrics registry in Prometheus text
   exposition format (scrape target; see docs/observability.md),
 * ``GET /metrics.json`` — the same snapshot as JSON (what the
@@ -55,7 +56,13 @@ import traceback
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
-from repro.obs import Histogram, MetricsRegistry, get_registry
+from repro.obs import (
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+    process_memory,
+    register_process_gauges,
+)
 from repro.serving.fleet import FleetUnavailableError, ServingFleet
 from repro.serving.service import CatalogSearchService
 
@@ -299,7 +306,7 @@ class CatalogRequestHandler:
         if path == "/lag":
             return _json(200, fleet.lag())
         if path == "/stats":
-            return _json(200, fleet.stats())
+            return _json(200, dict(fleet.stats(), process=process_memory()))
         if path == "/metrics":
             body = registry.render().encode("utf-8")
             return 200, b"text/plain; version=0.0.4; charset=utf-8", body
@@ -388,6 +395,7 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
         self._open = self.registry.gauge(
             "http_connections_open", help="Client connections currently open."
         )
+        register_process_gauges(self.registry)
         self._request_seconds: Dict[str, Histogram] = {}
         self._stamps: Tuple[int, bytes, str] = (0, b"", "")
         self._ready: Optional["queue.SimpleQueue[Optional[CatalogRequestHandler]]"] = None

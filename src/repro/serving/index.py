@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.model.products import Product
-from repro.runtime.engine import CommitEvent
-from repro.synthesis.pipeline import stable_product_id
+from repro.model.products import Product, stable_product_id
 from repro.text.normalize import normalize_attribute_name, normalize_value
 from repro.text.tfidf import IncrementalTfIdf
 from repro.text.tokenize import tokenize_title, tokenize_value
+
+if TYPE_CHECKING:  # the serving tier never imports the write path
+    from repro.runtime.engine import CommitEvent
 
 __all__ = ["CatalogIndex", "SearchResult"]
 

@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.model.products import Product
+from repro.model.products import Product, stable_product_id
 from repro.obs import get_registry, series_key, snapshot_fragment
-from repro.runtime.engine import CommitEvent, SynthesisEngine
 from repro.runtime.state import ClusterId
 from repro.serving.index import CatalogIndex, SearchResult
 from repro.serving.reader import CatalogReader
-from repro.synthesis.pipeline import stable_product_id
+
+if TYPE_CHECKING:  # the serving tier never imports the write path
+    from repro.runtime.engine import CommitEvent, SynthesisEngine
 
 __all__ = ["CatalogSearchService"]
 

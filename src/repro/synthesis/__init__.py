@@ -19,20 +19,17 @@ product, the pipeline
 steps together.
 """
 
-from repro.synthesis.category_classifier import TitleCategoryClassifier
-from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster, TitleClusterer
-from repro.synthesis.fusion import CentroidValueFusion, MajorityValueFusion
-from repro.synthesis.pipeline import ProductSynthesisPipeline, SynthesisResult
-from repro.synthesis.reconciliation import SchemaReconciler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TitleCategoryClassifier",
-    "KeyAttributeClusterer",
-    "TitleClusterer",
-    "OfferCluster",
-    "CentroidValueFusion",
-    "MajorityValueFusion",
-    "ProductSynthesisPipeline",
-    "SynthesisResult",
-    "SchemaReconciler",
-]
+# Resolved on first access: the store reads clusters and reconciliation
+# stats, which must not load the classifier, extraction or fusion.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.synthesis.category_classifier": ("TitleCategoryClassifier",),
+        "repro.synthesis.clustering": ("KeyAttributeClusterer", "TitleClusterer", "OfferCluster"),
+        "repro.synthesis.fusion": ("CentroidValueFusion", "MajorityValueFusion"),
+        "repro.synthesis.pipeline": ("ProductSynthesisPipeline", "SynthesisResult"),
+        "repro.synthesis.reconciliation": ("SchemaReconciler",),
+    },
+)

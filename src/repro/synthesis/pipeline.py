@@ -7,7 +7,6 @@ value fusion to turn unmatched offers into new structured products.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -15,7 +14,7 @@ from repro.extraction.extractor import ExtractionResult, WebPageAttributeExtract
 from repro.matching.correspondence import CorrespondenceSet
 from repro.model.catalog import Catalog
 from repro.model.offers import Offer
-from repro.model.products import Product
+from repro.model.products import Product, stable_product_id
 from repro.synthesis.category_classifier import TitleCategoryClassifier
 from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster
 from repro.synthesis.fusion import CentroidValueFusion, fuse_cluster
@@ -27,20 +26,6 @@ __all__ = [
     "stable_product_id",
     "build_product_from_cluster",
 ]
-
-
-def stable_product_id(category_id: str, cluster_key: str) -> str:
-    """A stable, collision-free identifier for a synthesized product.
-
-    Derived from the cluster identity (category + clustering key), so the
-    same cluster — whether it was built in one monolithic ``synthesize()``
-    call or grew across several engine micro-batches — always yields the
-    same product id, and clusters from different batches can never
-    collide.  (The previous ``synth-{index:06d}`` scheme restarted at 1 on
-    every call, so two batches produced colliding ids.)
-    """
-    digest = hashlib.sha1(f"{category_id}|{cluster_key}".encode("utf-8")).hexdigest()
-    return f"synth-{digest[:12]}"
 
 
 def build_product_from_cluster(

@@ -10,6 +10,7 @@ never lost.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -29,6 +30,8 @@ from repro.obs import (
     merge_snapshot,
     nearest_rank,
     percentile,
+    process_memory,
+    register_process_gauges,
     render_snapshot,
     series_key,
     set_registry,
@@ -279,6 +282,48 @@ class TestExposition:
         assert 'requests_total{endpoint="/search"}' in text
         assert "p95" in text
         assert format_snapshot(MetricsRegistry().snapshot()) == "(empty metrics snapshot)\n"
+
+
+class TestProcessMemory:
+    """``process_memory``: /proc first, the getrusage peak next, else nothing."""
+
+    @staticmethod
+    def _no_proc(monkeypatch):
+        import repro.obs.process as process_module
+
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/status")
+
+        monkeypatch.setattr(process_module, "open", missing, raising=False)
+
+    def test_reads_resident_and_peak(self):
+        memory = process_memory()
+        assert set(memory) == {"resident_bytes", "peak_resident_bytes"}
+        assert 0 < memory["resident_bytes"] <= memory["peak_resident_bytes"]
+
+    def test_without_proc_only_the_rusage_peak(self, monkeypatch):
+        self._no_proc(monkeypatch)
+        memory = process_memory()
+        assert set(memory) == {"peak_resident_bytes"}
+        assert memory["peak_resident_bytes"] > 0
+
+    def test_without_either_source_nothing_is_reported(self, monkeypatch):
+        self._no_proc(monkeypatch)
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource -> ImportError
+        assert process_memory() == {}
+        registry = MetricsRegistry()
+        register_process_gauges(registry)
+        assert registry.snapshot()["gauges"] == {}
+
+    def test_gauges_read_at_collection_time(self):
+        registry = MetricsRegistry()
+        register_process_gauges(registry)
+        gauges = registry.snapshot()["gauges"]
+        assert set(gauges) == {"process_resident_bytes", "process_peak_resident_bytes"}
+        assert 0 < gauges["process_resident_bytes"] <= gauges["process_peak_resident_bytes"]
+        parsed = parse(registry.render())
+        assert parsed.types["process_resident_bytes"] == "gauge"
+        assert parsed.types["process_peak_resident_bytes"] == "gauge"
 
 
 class TestConcurrency:

@@ -268,6 +268,16 @@ class TestMetricsEndpoints:
         assert parsed.value("http_connections_accepted_total") == 3
         assert parsed.value("http_connections_open") >= 1  # this scrape's own
 
+    def test_process_memory_in_metrics_and_stats(self, metrics_server):
+        base, _ = metrics_server
+        with urllib.request.urlopen(f"{base}/metrics") as response:
+            parsed = parse(response.read().decode("utf-8"))
+        _, stats = get_json(f"{base}/stats")
+        for key in ("resident_bytes", "peak_resident_bytes"):
+            assert parsed.types[f"process_{key}"] == "gauge"
+            assert parsed.value(f"process_{key}") > 0
+            assert stats["process"][key] > 0
+
     def test_metrics_json_is_the_registry_snapshot(self, metrics_server):
         base, registry = metrics_server
         get_json(f"{base}/health")
