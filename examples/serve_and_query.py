@@ -1,14 +1,14 @@
 """Drill: ingest a stream, serve it over HTTP, query it while ingesting.
 
-Demonstrates the ISSUE 5 serving subsystem end to end on the tiny
-corpus:
+Demonstrates the serving subsystem end to end on the tiny corpus:
 
 1. a ``SynthesisEngine`` ingests merchant-feed batches into a durable
    SQLite store;
-2. a feed-driven ``CatalogSearchService`` keeps an inverted index
-   current from the engine's per-commit changed-product feed;
-3. a *second*, reader-driven service opens the same WAL file read-only
-   (the cross-process serving deployment) and answers identically;
+2. a ``CatalogSearchService`` opens the same WAL file read-only (what a
+   separate serving process runs) and keeps its inverted index current
+   from the store's commit journal, one delta per query that finds the
+   head moved;
+3. its answers equal an index built from the engine's own products;
 4. the stdlib HTTP server exposes ``/search``, ``/product/<id>`` and
    ``/stats`` on an ephemeral port, queried here with ``urllib``.
 
@@ -27,7 +27,7 @@ import urllib.request
 from repro.corpus.config import CorpusPreset
 from repro.experiments.harness import ExperimentHarness
 from repro.runtime import SynthesisEngine
-from repro.serving import CatalogHTTPServer, CatalogSearchService
+from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService
 
 
 def main() -> None:
@@ -44,27 +44,29 @@ def main() -> None:
         store="sqlite",
         store_path=store_path,
     )
-    service = CatalogSearchService.from_engine(engine)
-
-    # Ingest the stream in batches; the index follows the commit feed.
     batch_size = max(1, len(offers) // 4)
-    for start in range(0, len(offers), batch_size):
-        engine.ingest(offers[start : start + batch_size])
+    batches = [offers[start : start + batch_size] for start in range(0, len(offers), batch_size)]
+    engine.ingest(batches[0])
+    # The read side opens the store file read-only and primes its index
+    # with one full read; every later commit reaches it as a journal delta.
+    service = CatalogSearchService.from_store_path(store_path)
+    probe = engine.products()[0].title
+    for batch in batches[1:]:
+        engine.ingest(batch)
+        service.search(probe, top_k=3)  # finds the head moved and catches up
         print(
             f"ingested batch -> snapshot {service.snapshot_commit_count}, "
             f"{service.num_products} products indexed"
         )
 
-    # A second service over the same file, read-only — what a separate
-    # serving process would run.  It must answer identically.
-    reader_service = CatalogSearchService.from_store_path(store_path)
-    probe = engine.products()[0].title
-    feed_ids = [r.product.product_id for r in service.search(probe, top_k=3)]
-    reader_ids = [r.product.product_id for r in reader_service.search(probe, top_k=3)]
-    assert feed_ids == reader_ids, "feed- and reader-driven services diverged"
-    print(f"feed and reader services agree on {probe!r} -> {feed_ids}")
+    # The maintained index answers exactly like one built from scratch.
+    served_ids = [r.product.product_id for r in service.search(probe, top_k=3)]
+    rebuilt = CatalogIndex(engine.products())
+    rebuilt_ids = [r.product.product_id for r in rebuilt.search(probe, top_k=3)]
+    assert served_ids == rebuilt_ids, "journal-maintained index diverged from a rebuild"
+    print(f"served and rebuilt indexes agree on {probe!r} -> {served_ids}")
 
-    # Serve the feed-driven service over HTTP on an ephemeral port.
+    # Serve it over HTTP on an ephemeral port.
     server = CatalogHTTPServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -86,15 +88,16 @@ def main() -> None:
     with urllib.request.urlopen(f"{base}/stats") as response:
         stats = json.loads(response.read())
     replica = stats["replicas"][0]["stats"]
+    resync = replica["resync"]
     print(
         f"GET /stats -> {stats['num_replicas']} replica, "
         f"{replica['index']['num_products']} products, "
-        f"{stats['queries_served']} queries served, mode={replica['mode']}"
+        f"{stats['queries_served']} queries served, "
+        f"{resync['delta_resyncs']} delta / {resync['full_resyncs']} full resyncs"
     )
 
     server.shutdown()
     server.server_close()
-    reader_service.close()
     service.close()
     engine.close()
     print("serve-and-query drill complete")

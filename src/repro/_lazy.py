@@ -9,7 +9,7 @@ module ``__getattr__`` the first time it is read, caching the value in
 the package's globals so later reads are plain dict hits::
 
     __all__, __getattr__, __dir__ = lazy_exports(
-        globals(), {"repro.runtime.engine": ("SynthesisEngine", "CommitEvent")}
+        globals(), {"repro.runtime.engine": ("SynthesisEngine", "IngestReport")}
     )
 
 ``from package import Name``, ``package.Name`` and ``from package import

@@ -63,10 +63,6 @@ class SyntheticCorpus:
     ground_truth: GroundTruth
     dialects: Dict[str, MerchantDialect] = field(default_factory=dict)
 
-    def offers_by_id(self) -> Dict[str, Offer]:
-        """Offers indexed by id."""
-        return {offer.offer_id: offer for offer in self.offers}
-
     def matched_offers(self) -> List[Offer]:
         """Offers with a historical offer-to-product match."""
         return [offer for offer in self.offers if self.matches.is_matched(offer.offer_id)]

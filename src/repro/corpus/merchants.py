@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.corpus.config import CorpusConfig
 from repro.corpus.vocabulary import ATTRIBUTE_SYNONYMS, BRANDS, JUNK_ATTRIBUTES
 from repro.model.merchants import Merchant
-from repro.text.normalize import normalize_attribute_name
 
 __all__ = ["MerchantDialect", "MerchantDialectFactory"]
 
@@ -61,11 +60,6 @@ class MerchantDialect:
         (e.g. for categories added after the dialect was created).
         """
         return self.attribute_aliases.get((category_id, catalog_attribute), catalog_attribute)
-
-    def uses_identity_for(self, category_id: str, catalog_attribute: str) -> bool:
-        """Whether the merchant uses the catalog attribute name verbatim."""
-        alias = self.alias_for(category_id, catalog_attribute)
-        return normalize_attribute_name(alias) == normalize_attribute_name(catalog_attribute)
 
     def carries_brand(self, domain: str, brand: str) -> bool:
         """Whether the merchant's assortment includes ``brand`` for ``domain``."""

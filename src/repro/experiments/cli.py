@@ -126,12 +126,6 @@ def _parse_runtime_serve_args(argv: Sequence[str]) -> argparse.Namespace:
         "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--page-size",
-        type=int,
-        default=256,
-        help="products per disk page of the reader (default: 256)",
-    )
-    parser.add_argument(
         "--replicas",
         type=int,
         default=1,
@@ -160,8 +154,6 @@ def _parse_runtime_serve_args(argv: Sequence[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not 0 <= args.port <= 65_535:
         parser.error(f"--port must be in [0, 65535], got {args.port}")
-    if args.page_size < 1:
-        parser.error("--page-size must be >= 1")
     if args.replicas < 1:
         parser.error("--replicas must be >= 1")
     if args.threads is not None and args.threads < 1:
@@ -185,7 +177,6 @@ def _run_runtime_serve(argv: Sequence[str]) -> int:
     fleet = ServingFleet.from_store_path(
         args.store_path,
         num_replicas=args.replicas,
-        page_size=args.page_size,
         max_lag_commits=args.max_lag_commits,
         watch_head=True,
     )

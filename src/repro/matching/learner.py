@@ -57,10 +57,6 @@ class OfflineLearningResult:
         """Number of accepted correspondences."""
         return len(self.correspondences)
 
-    def candidates_above(self, threshold: float) -> List[ScoredCandidate]:
-        """Scored candidates with score strictly greater than ``threshold``."""
-        return [sc for sc in self.scored_candidates if sc.score > threshold]
-
 
 class OfflineLearner:
     """Learn attribute correspondences from historical offer-product matches.

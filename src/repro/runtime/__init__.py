@@ -39,8 +39,8 @@ that practical at scale:
     cluster state and receive only new offers per batch, resyncing from
     the store when they restart or fall behind.
 ``executors``
-    Pluggable shard executors (serial / thread pool / process pool) with
-    identical outputs and different wall-clock profiles.
+    Pluggable shard executors (serial / process pool) with identical
+    outputs and different wall-clock profiles.
 ``sharding``
     Stable (cross-process deterministic) category sharding.
 """
@@ -54,7 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "repro.runtime.engine": (
             "SynthesisEngine",
-            "CommitEvent",
             "IngestReport",
             "EngineSnapshot",
         ),
@@ -70,7 +69,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.runtime.procnode": ("MultiProcessEngine", "ProcessNode"),
         "repro.runtime.executors": (
             "SerialExecutor",
-            "ThreadPoolShardExecutor",
             "ProcessPoolShardExecutor",
             "resolve_executor",
         ),

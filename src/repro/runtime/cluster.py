@@ -180,8 +180,8 @@ class FencedStoreView(CatalogStore):
         The view never counts commits itself: with ``deferred_commit``
         its ``commit`` only validates the lease, and either way the
         snapshot identity readers care about is the shared store's.  A
-        node engine's commit listeners therefore see the same counter a
-        reader of the shared file would.
+        node engine therefore sees the same counter a reader of the
+        shared file would.
         """
         return self._base.commit_count
 

@@ -5,7 +5,7 @@
 sharded, micro-batched executor: offers arrive in repeated
 :meth:`SynthesisEngine.ingest` calls (a merchant feed stream), clusters
 grow *incrementally* across batches, and only the clusters a batch
-touched are re-fused — by category shard, in parallel when a thread- or
+touched are re-fused — by category shard, in parallel when a
 process-pool executor is plugged in.
 
 All engine state — clusters, cached fusion results, seen-offer ids,
@@ -22,8 +22,8 @@ With a process-pool executor the engine speaks the *delta re-fusion
 protocol* (:mod:`repro.runtime.delta`): workers keep shard-resident
 cluster state and each batch ships only the new offers plus touched
 cluster ids, with a per-shard version counter so a worker that restarted
-or fell behind resyncs from the store.  Serial and thread execution
-share the store's memory directly and need no deltas.
+or fell behind resyncs from the store.  Serial execution shares the
+store's memory directly and needs no deltas.
 
 Compared with looping ``pipeline.synthesize()`` over a stream (which must
 re-run every stage over all offers seen so far to keep the product set
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.extraction.extractor import WebPageAttributeExtractor
 from repro.matching.correspondence import CorrespondenceSet
@@ -73,7 +73,7 @@ from repro.synthesis.fusion import CentroidValueFusion, MemoizedValueFusion
 from repro.synthesis.pipeline import ProductSynthesisPipeline, build_product_from_cluster
 from repro.synthesis.reconciliation import ReconciliationStats
 
-__all__ = ["CommitEvent", "IngestReport", "EngineSnapshot", "SynthesisEngine"]
+__all__ = ["IngestReport", "EngineSnapshot", "SynthesisEngine"]
 
 
 @dataclass
@@ -110,34 +110,6 @@ class IngestReport:
         self.offers_uncategorised += other.offers_uncategorised
         self.clusters_touched += other.clusters_touched
         self.products_refreshed += other.products_refreshed
-
-
-@dataclass
-class CommitEvent:
-    """One committed ingest batch, as delivered to commit listeners.
-
-    The per-commit changed-product feed of the read side
-    (:mod:`repro.serving`): after every successful commit barrier the
-    engine tells its listeners exactly which clusters' products the
-    batch created, refreshed, or left below the emission threshold, so a
-    serving index can stay current incrementally instead of re-reading
-    the whole catalog.  Events are emitted strictly *after* the store
-    commit, so a listener only ever observes committed prefixes of the
-    stream — the snapshot-isolation contract queries rely on.
-    """
-
-    #: The store's commit counter after this barrier (identifies the
-    #: committed stream prefix the event completes).
-    commit_count: int
-    #: (cluster id, fused product) per cluster the batch touched;
-    #: ``None`` marks a cluster still below the emission threshold.
-    changed: List[Tuple[ClusterId, Optional[Product]]]
-    #: The ingest report of the batch that produced this commit.
-    report: IngestReport
-
-    def num_changed(self) -> int:
-        """Number of clusters the committed batch touched."""
-        return len(self.changed)
 
 
 @dataclass
@@ -199,7 +171,7 @@ class SynthesisEngine:
     num_shards:
         Number of category shards; clusters never span shards.
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or a
+        ``"serial"`` (default), ``"process"``, or a
         pre-built executor instance.  Executor choice never changes the
         synthesized products, only the wall-clock time.
     max_workers:
@@ -264,7 +236,6 @@ class SynthesisEngine:
         self._store.bind(num_shards)
 
         self._transport_stats = TransportStats()
-        self._commit_listeners: List[Callable[[CommitEvent], None]] = []
         self._closed = False
 
         # Observability: handles are resolved once (per-batch increments
@@ -302,8 +273,8 @@ class SynthesisEngine:
         self._obs_provider = registry.add_provider(_transport_provider)
 
         # Delta workers get the plain fusion and wrap it in their own
-        # shard-resident memo.  Full-state re-fusion (serial and thread
-        # execution) shares one memo across batches, so unchanged
+        # shard-resident memo.  Full-state re-fusion (serial execution)
+        # shares one memo across batches, so unchanged
         # attribute-value lists are selected once.  Either way the
         # selected values are identical — the memo is transparent.
         self._base_fusion = self._pipeline.fusion
@@ -355,7 +326,6 @@ class SynthesisEngine:
             self._obs_batches.inc()
             if report.offers_duplicate:
                 self._obs_offers_dup.inc(report.offers_duplicate)
-            self._notify_commit(report, [])
             return report
 
         with self._obs.span("ingest.classify"):
@@ -383,7 +353,6 @@ class SynthesisEngine:
             self._obs_offers_dup.inc(report.offers_duplicate)
         self._obs_clusters.inc(report.clusters_touched)
         self._obs_products.inc(report.products_refreshed)
-        self._notify_commit(report, list(pending))
         return report
 
     def classify_offers(self, offers: Sequence[Offer]) -> List[Offer]:
@@ -636,43 +605,6 @@ class SynthesisEngine:
         frames twice in every later snapshot.
         """
         self._obs.remove_provider(self._obs_provider)
-
-    # -- commit feed -----------------------------------------------------------
-
-    def add_commit_listener(self, listener: Callable[[CommitEvent], None]) -> None:
-        """Subscribe to the per-commit changed-product feed.
-
-        ``listener`` is invoked synchronously at the end of every
-        successful :meth:`ingest`, strictly after the store commit, with
-        a :class:`CommitEvent` describing the clusters the batch touched
-        and their (re-)fused products.  Because the call happens after
-        the commit barrier, a listener that maintains derived state (the
-        serving index) only ever observes fully committed batches — it
-        can never see a torn prefix.  A listener that raises propagates
-        out of :meth:`ingest`; the batch itself is already committed.
-        """
-        self._commit_listeners.append(listener)
-
-    def remove_commit_listener(self, listener: Callable[[CommitEvent], None]) -> None:
-        """Unsubscribe a previously added commit listener (idempotent)."""
-        try:
-            self._commit_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_commit(self, report: IngestReport, changed_ids: List[ClusterId]) -> None:
-        """Deliver one :class:`CommitEvent` to every subscribed listener."""
-        if not self._commit_listeners:
-            return
-        changed: List[Tuple[ClusterId, Optional[Product]]] = [
-            (cluster_id, self._store.get_cluster(cluster_id).product)
-            for cluster_id in changed_ids
-        ]
-        event = CommitEvent(
-            commit_count=self._store.commit_count, changed=changed, report=report
-        )
-        for listener in list(self._commit_listeners):
-            listener(event)
 
     def snapshot(self) -> EngineSnapshot:
         """A consistent summary of everything ingested so far."""

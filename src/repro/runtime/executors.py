@@ -2,8 +2,8 @@
 
 The engine hands each executor a pure function plus one payload per
 shard; the executor returns the results **in payload order**, which is
-what lets serial, thread-pool and process-pool execution produce
-byte-identical engine output — the only difference is wall-clock time.
+what lets serial and process-pool execution produce byte-identical
+engine output — the only difference is wall-clock time.
 
 ``ProcessPoolShardExecutor`` requires the mapped function and payloads to
 be picklable (the engine's shard-fusion function is a module-level
@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "SerialExecutor",
-    "ThreadPoolShardExecutor",
     "ProcessPoolShardExecutor",
     "ShardExecutor",
     "resolve_executor",
@@ -43,52 +42,7 @@ class SerialExecutor:
         """Nothing to release."""
 
 
-class _PoolExecutorBase:
-    """Shared lazy-pool plumbing for thread and process executors."""
-
-    name = "pool"
-    supports_pinning = False
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = max_workers
-        self._pool: Optional[concurrent.futures.Executor] = None
-
-    def _make_pool(self) -> concurrent.futures.Executor:
-        raise NotImplementedError
-
-    def map_shards(self, function: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
-        """Apply ``function`` to each payload concurrently, preserving order."""
-        if len(payloads) <= 1:
-            # Not worth the dispatch overhead — and keeps single-shard
-            # engines usable even where worker processes cannot start.
-            return [function(payload) for payload in payloads]
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return list(self._pool.map(function, payloads))
-
-    def close(self) -> None:
-        """Shut the pool down (it is re-created lazily if used again)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-class ThreadPoolShardExecutor(_PoolExecutorBase):
-    """Fan shards out over a thread pool.
-
-    Threads share the in-process memo caches, so this executor benefits
-    most from warm caches; CPU-bound fusion still contends on the GIL.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> concurrent.futures.Executor:
-        return concurrent.futures.ThreadPoolExecutor(max_workers=self._max_workers)
-
-
-class ProcessPoolShardExecutor(_PoolExecutorBase):
+class ProcessPoolShardExecutor:
     """Fan shards out over a process pool (true CPU parallelism).
 
     Besides the plain ``map_shards`` pool, this executor maintains a set
@@ -104,14 +58,24 @@ class ProcessPoolShardExecutor(_PoolExecutorBase):
     supports_pinning = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers=max_workers)
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        self._max_workers = max_workers
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._pinned_pools: Dict[int, concurrent.futures.ProcessPoolExecutor] = {}
-
-    def _make_pool(self) -> concurrent.futures.Executor:
-        return concurrent.futures.ProcessPoolExecutor(max_workers=self._max_workers)
 
     def _num_slots(self) -> int:
         return self._max_workers or os.cpu_count() or 1
+
+    def map_shards(self, function: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
+        """Apply ``function`` to each payload concurrently, preserving order."""
+        if len(payloads) <= 1:
+            # Not worth the dispatch overhead — and keeps single-shard
+            # engines usable even where worker processes cannot start.
+            return [function(payload) for payload in payloads]
+        if self._pool is None:
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self._max_workers)
+        return list(self._pool.map(function, payloads))
 
     def map_pinned(
         self,
@@ -145,18 +109,19 @@ class ProcessPoolShardExecutor(_PoolExecutorBase):
 
     def close(self) -> None:
         """Shut all pools down (they are re-created lazily if used again)."""
-        super().close()
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         pinned, self._pinned_pools = self._pinned_pools, {}
         for pool in pinned.values():
             pool.shutdown()
 
 
 #: Anything accepted by :func:`resolve_executor`.
-ShardExecutor = Union[SerialExecutor, ThreadPoolShardExecutor, ProcessPoolShardExecutor]
+ShardExecutor = Union[SerialExecutor, ProcessPoolShardExecutor]
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadPoolShardExecutor,
     "process": ProcessPoolShardExecutor,
 }
 
@@ -167,8 +132,8 @@ def resolve_executor(
 ) -> ShardExecutor:
     """Turn an executor name (or instance, or ``None``) into an executor.
 
-    ``None`` and ``"serial"`` give the serial executor; ``"thread"`` and
-    ``"process"`` give the corresponding pool executor.
+    ``None`` and ``"serial"`` give the serial executor; ``"process"``
+    gives the process-pool executor.
     """
     if executor is None:
         return SerialExecutor()

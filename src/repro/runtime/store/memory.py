@@ -1,7 +1,7 @@
 """The in-memory catalog store (the engine's original behaviour).
 
 Everything lives in plain dicts; cluster payloads handed to the engine
-are live references, so serial and thread execution stay zero-copy.
+are live references, so serial execution stays zero-copy.
 ``commit`` is a no-op and nothing survives the process — use
 :class:`~repro.runtime.store.sqlite.SqliteCatalogStore` for durability.
 """

@@ -10,19 +10,19 @@ propagation from the transactional side):
     :class:`~repro.serving.index.CatalogIndex` — an inverted TF-IDF
     keyword index over product titles and attribute values with top-k
     ranked search, category/attribute filters, and faceted counts;
-    maintained incrementally from the engine's commit feed with a
+    maintained incrementally from the store's commit journal with a
     full-rebuild fallback.
 ``reader``
     :class:`~repro.serving.reader.CatalogReader` — a read-only WAL
     connection onto the shared store file, so queries run concurrently
     with a live ingesting engine and observe only committed batches
-    (keyset-paged disk reads, LRU page cache, snapshot identity via the
-    store's persistent commit counter, and journal deltas via
-    ``read_delta`` so resyncs cost O(changed), not O(catalog)).
+    (keyset-paged disk reads, snapshot identity via the store's
+    persistent commit counter, and journal deltas via ``read_delta`` so
+    resyncs cost O(changed), not O(catalog)).
 ``service``
     :class:`~repro.serving.service.CatalogSearchService` — the facade
-    gluing index to feed or reader, with the snapshot-isolation
-    guarantee: a query never sees a half-applied batch.
+    gluing index to reader, with the snapshot-isolation guarantee: a
+    query never sees a half-applied batch.
 ``fleet``
     :class:`~repro.serving.fleet.ServingFleet` — N replicated services
     over one shared store behind a least-in-flight front: per-request
@@ -39,14 +39,13 @@ propagation from the transactional side):
 from repro.serving.fleet import FleetSearchResponse, FleetUnavailableError, ServingFleet
 from repro.serving.http import CatalogHTTPServer, serve
 from repro.serving.index import CatalogIndex, SearchResult
-from repro.serving.reader import CatalogReader, StaleSnapshotError
+from repro.serving.reader import CatalogReader
 from repro.serving.service import CatalogSearchService
 
 __all__ = [
     "CatalogIndex",
     "SearchResult",
     "CatalogReader",
-    "StaleSnapshotError",
     "CatalogSearchService",
     "ServingFleet",
     "FleetSearchResponse",

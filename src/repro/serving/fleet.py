@@ -4,7 +4,7 @@ One :class:`~repro.serving.service.CatalogSearchService` caps out at a
 single index and a single lock — fine for a drill, not for heavy
 traffic.  :class:`ServingFleet` runs ``N`` replica services over the
 same catalog (each with its **own** read-only WAL connection and its
-own index copy, or each subscribed to the same engine commit feed) and
+own index copy, kept current from the store's commit journal) and
 load-balances queries across them:
 
 * **Per-request snapshot pinning** — every query executes atomically
@@ -20,7 +20,7 @@ load-balances queries across them:
   and the request transparently retries on the survivors;
   :meth:`health` (and the HTTP ``/health`` endpoint) flips immediately.
   :meth:`restart_replica` stands a dead replica back up from the store
-  file (or the engine feed) and re-admits it.
+  file and re-admits it.
 * **Head watcher** — an optional thread (``watch_head=True``) probes
   the store head every :data:`HEAD_WATCH_TICK_SECONDS`, publishes it,
   and the moment it moves resyncs every lagging healthy replica,
@@ -49,15 +49,12 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.model.persistence import product_to_dict
 from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.serving.index import SearchResult
 from repro.serving.service import CatalogSearchService
-
-if TYPE_CHECKING:  # the serving tier never imports the write path
-    from repro.runtime.engine import SynthesisEngine
 
 __all__ = ["FleetSearchResponse", "FleetUnavailableError", "ServingFleet"]
 
@@ -115,11 +112,10 @@ class _Replica:
 class ServingFleet:
     """Load-balancing front over N replicated catalog search services.
 
-    Build one with :meth:`from_store_path` (reader-driven replicas over
-    a shared WAL file — the cross-process deployment) or
-    :meth:`from_engine` (feed-driven replicas co-located with a live
-    engine).  The direct constructor accepts pre-built services, with
-    ``head`` supplying the store-head commit counter for lag reporting.
+    Build one with :meth:`from_store_path` (replicas over a shared WAL
+    file, each kept current from the store's commit journal).  The
+    direct constructor accepts pre-built services, with ``head``
+    supplying the store-head commit counter for lag reporting.
 
     ``watch_head=True`` starts the head watcher (see the module
     docstring).  A watching fleet with ``max_lag_commits > 0`` bounds
@@ -132,9 +128,6 @@ class ServingFleet:
         services: Sequence[CatalogSearchService],
         head: Optional[Callable[[], int]] = None,
         store_path: Optional[str] = None,
-        engine: Optional[SynthesisEngine] = None,
-        page_size: int = 256,
-        max_cached_pages: int = 64,
         max_lag_commits: int = 0,
         watch_head: bool = False,
     ) -> None:
@@ -146,9 +139,6 @@ class ServingFleet:
             _Replica(replica_id, service) for replica_id, service in enumerate(services)
         ]
         self._store_path = store_path
-        self._engine = engine
-        self._page_size = page_size
-        self._max_cached_pages = max_cached_pages
         self._max_lag_commits = max_lag_commits
         self._lock = threading.Lock()
         self._cursor = 0
@@ -204,50 +194,26 @@ class ServingFleet:
         cls,
         path: str,
         num_replicas: int = 2,
-        page_size: int = 256,
-        max_cached_pages: int = 64,
         max_lag_commits: int = 0,
         watch_head: bool = False,
     ) -> "ServingFleet":
-        """N reader-driven replicas over one shared WAL store file.
+        """N replicas over one shared WAL store file.
 
         Every replica opens its own read-only connection (and builds its
         own index), so replicas resync — and fail — independently.
         """
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        services = [
-            CatalogSearchService.from_store_path(
-                path, page_size=page_size, max_cached_pages=max_cached_pages
-            )
-            for _ in range(num_replicas)
-        ]
+        services = [CatalogSearchService.from_store_path(path) for _ in range(num_replicas)]
         return cls(
             services,
             store_path=path,
-            page_size=page_size,
-            max_cached_pages=max_cached_pages,
             max_lag_commits=max_lag_commits,
             watch_head=watch_head,
         )
 
-    @classmethod
-    def from_engine(cls, engine: SynthesisEngine, num_replicas: int = 2) -> "ServingFleet":
-        """N feed-driven replicas subscribed to one live engine.
-
-        Feed replicas are maintained synchronously at each commit, so
-        their divergence bound is effectively zero; the fleet still adds
-        N-way lock parallelism and route-around.
-        """
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        services = [CatalogSearchService.from_engine(engine) for _ in range(num_replicas)]
-        return cls(services, engine=engine)
-
     def _default_head(self) -> int:
         """Store-head commit counter when no explicit ``head`` was given."""
-        if self._engine is not None:
-            return self._engine.store.commit_count
         best = 0
         for replica in self._replicas:
             try:
@@ -265,7 +231,7 @@ class ServingFleet:
 
     @property
     def store_path(self) -> Optional[str]:
-        """Shared store file of reader-driven fleets (``None`` for feed)."""
+        """Shared store file (``None`` for a fleet of detached services)."""
         return self._store_path
 
     def close(self) -> None:
@@ -582,28 +548,20 @@ class ServingFleet:
     def restart_replica(self, replica_id: int) -> None:
         """Replace one replica with a freshly opened service and re-admit it.
 
-        The replacement is built first (from the store file, or from the
-        engine feed), then swapped in atomically.  An in-flight request
-        on the retired service either finishes against its pinned
-        snapshot or — if the close catches it mid-resync — retries
-        transparently on a live replica, without flagging the fresh
-        one.  Fault hooks do not survive a restart, matching a real
-        process replacement.
+        The replacement is built first from the store file, then
+        swapped in atomically.  An in-flight request on the retired
+        service either finishes against its pinned snapshot or — if the
+        close catches it mid-resync — retries transparently on a live
+        replica, without flagging the fresh one.  Fault hooks do not
+        survive a restart, matching a real process replacement.
         """
         replica = self._replica(replica_id)
-        if self._store_path is not None:
-            fresh = CatalogSearchService.from_store_path(
-                self._store_path,
-                page_size=self._page_size,
-                max_cached_pages=self._max_cached_pages,
-            )
-        elif self._engine is not None:
-            fresh = CatalogSearchService.from_engine(self._engine)
-        else:
+        if self._store_path is None:
             raise RuntimeError(
                 "this fleet was built from detached services; there is no "
-                "store path or engine to restart a replica from"
+                "store path to restart a replica from"
             )
+        fresh = CatalogSearchService.from_store_path(self._store_path)
         with self._lock:
             stale = replica.service
             replica.service = fresh
@@ -784,8 +742,8 @@ class ServingFleet:
         """JSON-compatible fleet statistics (the ``/stats`` body).
 
         The nested ``resync`` key sums the replicas' resync-mode
-        counters; each replica's own service statistics (index, page
-        cache, category facet) sit under ``replicas[i]["stats"]``.
+        counters; each replica's own service statistics (index, reader,
+        category facet) sit under ``replicas[i]["stats"]``.
         """
         health = self.health()
         with self._lock:

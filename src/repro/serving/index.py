@@ -9,13 +9,13 @@ stack (:class:`repro.text.tfidf.IncrementalTfIdf`) the write path
 already maintains per category, here maintained over the product corpus
 so document frequencies stay exact under incremental updates.
 
-Maintenance is incremental by design: :meth:`CatalogIndex.apply_commit`
-consumes the engine's per-commit changed-product feed
-(:class:`repro.runtime.CommitEvent`), upserting re-fused products in
-place — product ids are content-derived from the cluster identity, so a
-growing cluster keeps one document that is replaced, never duplicated.
-:meth:`CatalogIndex.rebuild` is the full-rebuild fallback used when no
-feed is available (a reader process resyncing from the store file).
+Maintenance is incremental by design: the serving layer folds each
+journal delta in with :meth:`CatalogIndex.upsert` and
+:meth:`CatalogIndex.remove`, replacing re-fused products in place —
+product ids are content-derived from the cluster identity, so a growing
+cluster keeps one document that is replaced, never duplicated.
+:meth:`CatalogIndex.rebuild` is the full-rebuild fallback for the
+priming read and for a journal that cannot cover the gap.
 
 The index itself is not thread-safe; the serving layer
 (:class:`repro.serving.service.CatalogSearchService`) serialises
@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.model.products import Product, stable_product_id
+from repro.model.products import Product
 from repro.text.normalize import normalize_attribute_name, normalize_value
 from repro.text.tfidf import IncrementalTfIdf
 from repro.text.tokenize import tokenize_title, tokenize_value
-
-if TYPE_CHECKING:  # the serving tier never imports the write path
-    from repro.runtime.engine import CommitEvent
 
 __all__ = ["CatalogIndex", "SearchResult"]
 
@@ -85,8 +82,8 @@ class CatalogIndex:
 
     Supports top-k ranked :meth:`search`, point lookups by product id
     (:meth:`get_product`), and the :meth:`count_by_category` facet.
-    Updates are incremental (:meth:`upsert` / :meth:`remove` /
-    :meth:`apply_commit`) with a full :meth:`rebuild` fallback.
+    Updates are incremental (:meth:`upsert` / :meth:`remove`) with a
+    full :meth:`rebuild` fallback.
     """
 
     def __init__(self, products: Iterable[Product] = ()) -> None:
@@ -164,32 +161,13 @@ class CatalogIndex:
         self._norm_cache = {}
         return True
 
-    def apply_commit(self, event: CommitEvent) -> int:
-        """Fold one committed batch's changed products into the index.
-
-        The incremental maintenance path: the engine's commit feed names
-        every cluster the batch touched; clusters still below the
-        emission threshold carry ``None`` and are dropped from the index
-        (a no-op until they ever emitted).  Returns the number of
-        documents upserted.
-        """
-        upserted = 0
-        for cluster_id, product in event.changed:
-            if product is None:
-                self.remove(stable_product_id(*cluster_id))
-            else:
-                self.upsert(product)
-                upserted += 1
-        return upserted
-
     def rebuild(self, products: Iterable[Product]) -> None:
         """Replace the whole index with a fresh product snapshot.
 
-        The full-rebuild fallback of the maintenance protocol — used by
-        readers that have no commit feed (a separate serving process
-        over the store file), mirroring how delta-protocol workers
-        resync from the durable store when incremental state is
-        unavailable.
+        The full-rebuild fallback of the maintenance protocol — used for
+        a service's priming read and whenever the store's journal cannot
+        cover the gap, mirroring how delta-protocol workers resync from
+        the durable store when incremental state is unavailable.
         """
         self._documents = {}
         self._postings = {}

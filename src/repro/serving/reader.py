@@ -12,9 +12,9 @@ read transaction observes a committed stream prefix and nothing else.
 The reader tags each read with the store's persistent ``commit_count``
 (which committed prefix it saw), pages products from disk with keyset
 pagination (:func:`repro.runtime.store.sqlite.read_product_page` — no
-in-memory mirror required), and keeps a small LRU page cache keyed by
-(commit count, page) so repeated scans of an unchanged snapshot stay in
-memory.
+in-memory mirror required), and hands out the store's changed-cluster
+commit journal (:meth:`CatalogReader.read_delta`), the one way a
+serving index is kept current after its priming read.
 """
 
 from __future__ import annotations
@@ -23,60 +23,30 @@ import json
 import os
 import sqlite3
 import threading
-from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.persistence import product_from_dict
 from repro.model.products import Product
 from repro.runtime.state import ClusterId
 from repro.runtime.store.sqlite import read_product_page
 
-__all__ = ["CatalogReader", "StaleSnapshotError"]
+__all__ = ["CatalogReader"]
 
-#: One cached page: the cluster ids + products read_product_page returned.
-_Page = List[Tuple[ClusterId, Product]]
+#: Products per keyset page of :meth:`CatalogReader.read_products`.
+PAGE_SIZE = 256
 
-
-class StaleSnapshotError(RuntimeError):
-    """A paged iteration crossed a writer commit and was abandoned.
-
-    Raised by :meth:`CatalogReader.iter_products` when the store's
-    commit counter changes between two pages of one iteration: the
-    remaining pages belong to a *newer* snapshot, and silently mixing
-    them with the pages already yielded would be exactly the torn read
-    the serving layer promises never to produce.  Callers retry (the
-    new snapshot is immediately readable) or fall back to
-    :meth:`CatalogReader.read_products`, which holds one read
-    transaction for the whole scan.
-    """
+#: How long a read waits for a writer's transaction before failing.
+BUSY_TIMEOUT_MS = 30_000
 
 
 class CatalogReader:
     """Query-side handle on a catalog store file (read-only, concurrent).
 
-    Parameters
-    ----------
-    path:
-        The SQLite store file an engine or cluster writes (the file must
-        exist; the reader never creates or mutates it).
-    page_size:
-        Products per keyset page.
-    max_cached_pages:
-        LRU capacity of the page cache; one snapshot's pages stay cached
-        until a writer commit invalidates them.
-    busy_timeout_ms:
-        How long reads wait for a writer's transaction before failing.
+    ``path`` is the SQLite store file an engine or cluster writes; the
+    file must exist (the reader never creates or mutates it).
     """
 
-    def __init__(
-        self,
-        path: str,
-        page_size: int = 256,
-        max_cached_pages: int = 64,
-        busy_timeout_ms: int = 30_000,
-    ) -> None:
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
+    def __init__(self, path: str) -> None:
         self._path = os.path.abspath(path)
         if not os.path.exists(self._path):
             raise FileNotFoundError(
@@ -93,21 +63,8 @@ class CatalogReader:
             isolation_level=None,
             check_same_thread=False,
         )
-        self._connection.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
-        self._page_size = page_size
-        self._max_cached_pages = max_cached_pages
+        self._connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         self._lock = threading.Lock()
-        #: (commit_count, after-key) -> page; entries of dead snapshots
-        #: are evicted as soon as a newer commit is observed, and the
-        #: LRU bound caps residency across *all* snapshots.
-        self._page_cache: "OrderedDict[Tuple[int, Optional[ClusterId]], _Page]" = (
-            OrderedDict()
-        )
-        self._cache_snapshot = -1
-        self._page_cache_hits = 0
-        self._page_cache_misses = 0
-        self._pages_evicted = 0
-        self._peak_cached_pages = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -135,7 +92,6 @@ class CatalogReader:
                 return
             self._connection.close()
             self._connection = None
-            self._page_cache.clear()
 
     def __enter__(self) -> "CatalogReader":
         return self
@@ -161,57 +117,11 @@ class CatalogReader:
 
         Monotonic; a change means a writer completed a commit barrier
         since the last look, i.e. a new committed prefix is visible.
-        Observing a newer commit also evicts cached pages of the now
-        dead snapshot — a lag-bounded replica that only *checks* the
-        head for a while must not keep a stale snapshot's pages pinned
-        in memory on top of the fresh ones.
         """
         with self._lock:
-            head = self._read_commit_count(self._require_open())
-            self._evict_dead_pages(head)
-            return head
+            return self._read_commit_count(self._require_open())
 
     # -- reads -----------------------------------------------------------------
-
-    def _evict_dead_pages(self, snapshot: int) -> None:
-        """Drop every cached page that belongs to a snapshot other than
-        ``snapshot`` (the caller holds the lock; a no-op while the
-        observed snapshot has not changed).
-
-        The cache key carries the snapshot, so without this sweep the
-        pages of superseded snapshots would linger until LRU pressure
-        pushed them out — across many resyncs that is memory held for
-        catalogs nobody can read any more.
-        """
-        if snapshot == self._cache_snapshot:
-            return
-        dead = [key for key in self._page_cache if key[0] != snapshot]
-        for key in dead:
-            del self._page_cache[key]
-        self._pages_evicted += len(dead)
-        self._cache_snapshot = snapshot
-
-    def _cached_page(
-        self,
-        connection: sqlite3.Connection,
-        snapshot: int,
-        after: Optional[ClusterId],
-    ) -> _Page:
-        """One page of ``snapshot``, via the LRU cache."""
-        self._evict_dead_pages(snapshot)
-        key = (snapshot, after)
-        page = self._page_cache.get(key)
-        if page is not None:
-            self._page_cache.move_to_end(key)
-            self._page_cache_hits += 1
-            return page
-        page = read_product_page(connection, after, self._page_size)
-        self._page_cache_misses += 1
-        self._page_cache[key] = page
-        while len(self._page_cache) > self._max_cached_pages:
-            self._page_cache.popitem(last=False)
-        self._peak_cached_pages = max(self._peak_cached_pages, len(self._page_cache))
-        return page
 
     def read_products(self) -> Tuple[int, List[Product]]:
         """The full committed catalog, atomically, as ``(commit_count, products)``.
@@ -230,7 +140,7 @@ class CatalogReader:
                 products: List[Product] = []
                 after: Optional[ClusterId] = None
                 while True:
-                    page = self._cached_page(connection, snapshot, after)
+                    page = read_product_page(connection, after, PAGE_SIZE)
                     if not page:
                         break
                     products.extend(product for _, product in page)
@@ -238,46 +148,6 @@ class CatalogReader:
                 return snapshot, products
             finally:
                 connection.execute("COMMIT")
-
-    def iter_products(self, page_size: Optional[int] = None) -> Iterator[Product]:
-        """Stream one committed snapshot's products page by page.
-
-        Unlike :meth:`read_products` this does not hold a transaction
-        across the whole scan (a consumer that pauses mid-iteration
-        would otherwise pin the WAL); instead every page re-reads the
-        commit counter in its own transaction and the iteration fails
-        with :class:`StaleSnapshotError` if a writer committed since the
-        first page — the caller retries against the new snapshot.
-        """
-        size = self._page_size if page_size is None else page_size
-        if size < 1:
-            raise ValueError(f"page_size must be >= 1, got {size}")
-        snapshot: Optional[int] = None
-        after: Optional[ClusterId] = None
-        while True:
-            with self._lock:
-                connection = self._require_open()
-                connection.execute("BEGIN")
-                try:
-                    current = self._read_commit_count(connection)
-                    if snapshot is None:
-                        snapshot = current
-                    elif current != snapshot:
-                        raise StaleSnapshotError(
-                            f"catalog advanced from commit {snapshot} to "
-                            f"{current} mid-iteration; restart the scan"
-                        )
-                    if size == self._page_size:
-                        page = self._cached_page(connection, snapshot, after)
-                    else:
-                        page = read_product_page(connection, after, size)
-                finally:
-                    connection.execute("COMMIT")
-            if not page:
-                return
-            for _, product in page:
-                yield product
-            after = page[-1][0]
 
     def read_delta(
         self, since: int
@@ -296,18 +166,13 @@ class CatalogReader:
         compacted past ``since``, or ``since`` is from another store's
         history (ahead of this head).  The caller must then fall back to
         :meth:`read_products` + a full index rebuild.  ``head == since``
-        returns an empty delta (nothing to apply).  Like
-        :meth:`commit_count`, observing a head other than the cached
-        snapshot evicts that snapshot's pages.
+        returns an empty delta (nothing to apply).
         """
         with self._lock:
             connection = self._require_open()
             connection.execute("BEGIN")
             try:
                 head = self._read_commit_count(connection)
-                # A replica kept current by deltas alone never calls
-                # commit_count(); its priming read's pages die here.
-                self._evict_dead_pages(head)
                 if head == since:
                     return head, {}
                 try:
@@ -368,14 +233,3 @@ class CatalogReader:
                 "SELECT COUNT(*) FROM clusters WHERE product IS NOT NULL"
             ).fetchone()
             return int(row[0])
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Page-cache accounting (hits, misses, residency, evictions)."""
-        with self._lock:
-            return {
-                "page_cache_hits": self._page_cache_hits,
-                "page_cache_misses": self._page_cache_misses,
-                "cached_pages": len(self._page_cache),
-                "pages_evicted": self._pages_evicted,
-                "peak_cached_pages": self._peak_cached_pages,
-            }

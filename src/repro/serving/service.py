@@ -1,26 +1,21 @@
 """The catalog serving facade: one index, one snapshot discipline.
 
-:class:`CatalogSearchService` owns a :class:`~repro.serving.index.CatalogIndex`
-and keeps it current through one of two maintenance modes:
+:class:`CatalogSearchService` owns a :class:`~repro.serving.index.CatalogIndex`.
+A service opened with :meth:`CatalogSearchService.from_store_path`
+watches a store file that other processes write, through a read-only
+:class:`~repro.serving.reader.CatalogReader`, and keeps its index
+current from the store's changed-cluster commit journal: when the
+commit counter moves, the journal names exactly the clusters every
+commit touched, so the service applies O(changed) upserts/removes
+instead of rebuilding.  Only when the journal cannot prove coverage
+(legacy file, compacted rows) does it fall back to the full rebuild —
+and the two paths are reported distinctly (``delta_resyncs`` /
+``full_resyncs`` / ``journal_truncations`` in :meth:`stats`).  The
+direct constructor wraps a prebuilt index that nothing maintains.
 
-* **feed-driven** (:meth:`CatalogSearchService.from_engine`) — the
-  service subscribes to the engine's per-commit changed-product feed
-  and applies each :class:`~repro.runtime.CommitEvent` atomically, so a
-  co-located deployment pays O(changed) index work per commit;
-* **reader-driven** (:meth:`CatalogSearchService.from_store_path`) — a
-  separate serving process watches the store file through a read-only
-  :class:`~repro.serving.reader.CatalogReader`.  When the commit
-  counter moves it first tries a **journal-delta resync**: the store's
-  changed-cluster commit journal names exactly the clusters every
-  commit touched, so the service applies O(changed) upserts/removes
-  instead of rebuilding.  Only when the journal cannot prove coverage
-  (legacy file, compacted rows) does it fall back to the full rebuild —
-  and the two paths are reported distinctly (``delta_resyncs`` /
-  ``full_resyncs`` / ``journal_truncations`` in :meth:`stats`).
-
-Either way the service guarantees **snapshot isolation**: every query
-runs under the service lock against an index state that corresponds to
-exactly one committed prefix of the ingest stream (reported as
+The service guarantees **snapshot isolation**: every query runs under
+the service lock against an index state that corresponds to exactly one
+committed prefix of the ingest stream (reported as
 ``snapshot_commit_count``), never to a half-applied batch.
 """
 
@@ -28,16 +23,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.products import Product, stable_product_id
 from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.runtime.state import ClusterId
 from repro.serving.index import CatalogIndex, SearchResult
 from repro.serving.reader import CatalogReader
-
-if TYPE_CHECKING:  # the serving tier never imports the write path
-    from repro.runtime.engine import CommitEvent, SynthesisEngine
 
 __all__ = ["CatalogSearchService"]
 
@@ -48,7 +40,6 @@ class CatalogSearchService:
     def __init__(self, index: Optional[CatalogIndex] = None) -> None:
         self._index = index if index is not None else CatalogIndex()
         self._lock = threading.RLock()
-        self._engine: Optional[SynthesisEngine] = None
         self._reader: Optional[CatalogReader] = None
         self._snapshot_commit_count = 0
         self._queries_served = 0
@@ -63,11 +54,11 @@ class CatalogSearchService:
         self._obs = registry
         self._obs_index_upserts = registry.counter(
             "serving_index_upserts_total",
-            help="Products upserted into serving indexes (feed or delta).",
+            help="Products upserted into serving indexes by journal deltas.",
         )
         self._obs_index_removes = registry.counter(
             "serving_index_removes_total",
-            help="Products removed from serving indexes (feed or delta).",
+            help="Products removed from serving indexes by journal deltas.",
         )
         service_ref = weakref.ref(self)
 
@@ -82,28 +73,7 @@ class CatalogSearchService:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_engine(cls, engine: SynthesisEngine) -> "CatalogSearchService":
-        """Serve a live engine's catalog, maintained by its commit feed.
-
-        The initial index is built from the engine's current product
-        listing; afterwards every committed ingest batch is folded in
-        incrementally.  Call :meth:`close` to unsubscribe.
-        """
-        service = cls()
-        service._engine = engine
-        with service._lock:
-            service._index.rebuild(engine.products())
-            service._snapshot_commit_count = engine.store.commit_count
-        engine.add_commit_listener(service._on_commit)
-        return service
-
-    @classmethod
-    def from_store_path(
-        cls,
-        path: str,
-        page_size: int = 256,
-        max_cached_pages: int = 64,
-    ) -> "CatalogSearchService":
+    def from_store_path(cls, path: str) -> "CatalogSearchService":
         """Serve a store file written by another process (read-only).
 
         Opens a :class:`~repro.serving.reader.CatalogReader` over the
@@ -112,18 +82,13 @@ class CatalogSearchService:
         :meth:`maybe_resync`.
         """
         service = cls()
-        service._reader = CatalogReader(
-            path, page_size=page_size, max_cached_pages=max_cached_pages
-        )
+        service._reader = CatalogReader(path)
         service.resync()
         return service
 
     def close(self) -> None:
-        """Detach from the feed / close the reader (idempotent)."""
+        """Close the reader (idempotent)."""
         self._obs.remove_provider(self._obs_provider)
-        if self._engine is not None:
-            self._engine.remove_commit_listener(self._on_commit)
-            self._engine = None
         if self._reader is not None:
             self._reader.close()
             self._reader = None
@@ -135,18 +100,6 @@ class CatalogSearchService:
         self.close()
 
     # -- maintenance -----------------------------------------------------------
-
-    def _on_commit(self, event: CommitEvent) -> None:
-        """Feed-driven maintenance: apply one committed batch atomically."""
-        with self._lock:
-            self._index.apply_commit(event)
-            self._snapshot_commit_count = event.commit_count
-        upserts = sum(1 for _, product in event.changed if product is not None)
-        removes = len(event.changed) - upserts
-        if upserts:
-            self._obs_index_upserts.inc(upserts)
-        if removes:
-            self._obs_index_removes.inc(removes)
 
     def _apply_delta(
         self, delta: Dict[ClusterId, Optional[Product]]
@@ -168,8 +121,8 @@ class CatalogSearchService:
     def resync(self) -> int:
         """Catch the index up to the store's committed head.
 
-        Reader-driven mode only; returns the commit count of the
-        snapshot now served.  Two paths, reported distinctly in
+        Services opened with :meth:`from_store_path` only; returns the
+        commit count of the snapshot now served.  Two paths, reported distinctly in
         :meth:`stats`:
 
         * **journal delta** — once primed, the service asks the reader
@@ -185,7 +138,7 @@ class CatalogSearchService:
         """
         if self._reader is None:
             raise RuntimeError(
-                "resync() requires a reader-driven service "
+                "resync() requires a service over a store file "
                 "(CatalogSearchService.from_store_path)"
             )
         with self._obs.span("serving.resync"):
@@ -233,8 +186,8 @@ class CatalogSearchService:
         runs with so index rebuilds stay off the request path.  Cheap
         when within bound — one ``meta`` row read (a fleet with a head
         watcher and a positive bound skips even that: it compares the
-        snapshot with the head the watcher published).  Feed-driven
-        services are always current and return ``False``.
+        snapshot with the head the watcher published).  A service with
+        no store file has nothing to resync and returns ``False``.
         """
         if self._reader is None:
             return False
@@ -255,7 +208,7 @@ class CatalogSearchService:
     ) -> List[SearchResult]:
         """Top-k ranked products for ``query`` (see :meth:`CatalogIndex.search`).
 
-        Reader-driven services first fold in any newly committed
+        Services over a store file first fold in any newly committed
         snapshot, so a query never serves state older than the store's
         last commit barrier at call time — and never anything newer or
         torn either.
@@ -275,8 +228,8 @@ class CatalogSearchService:
         """Like :meth:`search`, returning ``(snapshot, results)`` atomically.
 
         The snapshot is read under the same lock hold that executes the
-        search, so under concurrent maintenance (commit feed, resyncs,
-        a fleet's head watcher) the pair is guaranteed consistent —
+        search, so under concurrent maintenance (resyncs, a fleet's
+        head watcher) the pair is guaranteed consistent —
         reading :attr:`snapshot_commit_count` *after* :meth:`search` is
         not.  ``auto_resync=False`` skips the head check entirely (a
         fleet holds its replicas to its own lag bound before it calls).
@@ -323,15 +276,11 @@ class CatalogSearchService:
     def head_commit_count(self) -> int:
         """The newest committed snapshot available to this service.
 
-        Reader-driven: the store file's persistent counter (one ``meta``
-        row read).  Feed-driven: the engine store's counter — the feed
-        applies commits synchronously, so head and served snapshot only
-        diverge for the instant a commit listener is running.
+        The store file's persistent counter (one ``meta`` row read); a
+        service with no store file serves its own snapshot.
         """
         if self._reader is not None:
             return self._reader.commit_count()
-        if self._engine is not None:
-            return self._engine.store.commit_count
         return self.snapshot_commit_count
 
     def lag(self) -> int:
@@ -405,7 +354,6 @@ class CatalogSearchService:
         """
         with self._lock:
             payload: Dict[str, object] = {
-                "mode": "reader" if self._reader is not None else "feed",
                 "snapshot_commit_count": self._snapshot_commit_count,
                 "queries_served": self._queries_served,
                 "resync": self.resync_stats(),
@@ -413,6 +361,8 @@ class CatalogSearchService:
                 "count_by_category": self._index.count_by_category(),
             }
         if self._reader is not None:
-            payload["reader"] = self._reader.cache_stats()
+            # The reader has no page cache; the two keys stay at 0 because
+            # bench/ledger.py reads them for ``reader.page_cache_hit_ratio``.
+            payload["reader"] = {"page_cache_hits": 0, "page_cache_misses": 0}
             payload["store_path"] = self._reader.path
         return payload

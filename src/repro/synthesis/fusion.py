@@ -128,9 +128,9 @@ class MemoizedValueFusion:
 
     The cache is a bounded FIFO (insertion-ordered dict); fusion value
     lists are small, so even the full cache stays modest in memory.  A
-    lock guards the cache, so one instance can be shared by thread-pool
-    shard workers; pickling (process-pool payloads) drops the cache and
-    recreates the lock on the other side.
+    lock guards the cache, so one instance can be shared across threads;
+    pickling (process-pool payloads) drops the cache and recreates the
+    lock on the other side.
     """
 
     def __init__(

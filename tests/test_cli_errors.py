@@ -1,10 +1,11 @@
 """CLI hardening: bad flags, store paths and artifacts fail clearly.
 
-ISSUE 5 satellite: every rejected combination exits through
-``parser.error`` (status 2, one-line message on stderr) instead of
-surfacing as a deep traceback from the store or serving layers.  Only
-parsing is exercised — every case here errors before any corpus, engine
-or socket work starts.
+Every rejected combination exits through ``parser.error`` (status 2,
+one-line message on stderr) instead of surfacing as a deep traceback
+from the store or serving layers.  Only parsing is exercised — every
+case here errors before any corpus, engine or socket work starts.  The
+removed serving knobs and constructors are pinned here too, so none of
+them comes back half-wired.
 """
 
 import json
@@ -12,7 +13,8 @@ import json
 import pytest
 
 from repro.experiments import cli
-from repro.runtime import SqliteCatalogStore
+from repro.runtime import SqliteCatalogStore, resolve_executor
+from repro.serving import CatalogReader, CatalogSearchService, ServingFleet
 
 
 def expect_cli_error(capsys, argv, *fragments):
@@ -39,6 +41,57 @@ class TestRemovedSubcommands:
         """Deleted with the pre-gate harness (ISSUE 19): no half-removed dispatch."""
         expect_cli_error(capsys, [command], "unrecognized arguments", command)
         expect_cli_error(capsys, [command, "--offers", "600"], "unrecognized arguments")
+
+
+def _reader_page_size(capsys, store_file):
+    with pytest.raises(TypeError):
+        CatalogReader(store_file, page_size=8)
+
+
+def _reader_max_cached_pages(capsys, store_file):
+    with pytest.raises(TypeError):
+        CatalogReader(store_file, max_cached_pages=8)
+
+
+def _service_from_engine(capsys, store_file):
+    assert not hasattr(CatalogSearchService, "from_engine")
+
+
+def _fleet_from_engine(capsys, store_file):
+    assert not hasattr(ServingFleet, "from_engine")
+
+
+def _serve_page_size(capsys, store_file):
+    expect_cli_error(
+        capsys,
+        ["runtime-serve", "--store-path", store_file, "--page-size", "8"],
+        "unrecognized arguments: --page-size 8",
+    )
+
+
+def _thread_executor(capsys, store_file):
+    with pytest.raises(ValueError) as excinfo:
+        resolve_executor("thread")
+    assert str(excinfo.value).endswith("expected one of ['process', 'serial']")
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            _reader_page_size,
+            _reader_max_cached_pages,
+            _service_from_engine,
+            _fleet_from_engine,
+            _serve_page_size,
+            _thread_executor,
+        ],
+        ids=lambda check: check.__name__.lstrip("_"),
+    )
+    def test_removed_knob_stays_removed(self, capsys, store_file, check):
+        """One way to keep a replica current (the store's commit journal), a
+        reader with no page cache or page-size knob, and two shard executors."""
+        check(capsys, store_file)
 
 
 class TestStorePathValidation:
@@ -77,13 +130,6 @@ class TestRuntimeServeErrors:
             capsys,
             ["runtime-serve", "--store-path", store_file, "--port", "70000"],
             "--port",
-        )
-
-    def test_page_size_positive(self, capsys, store_file):
-        expect_cli_error(
-            capsys,
-            ["runtime-serve", "--store-path", store_file, "--page-size", "0"],
-            "--page-size",
         )
 
     @pytest.mark.parametrize("replicas", [1, 3])

@@ -1,12 +1,15 @@
-"""Docs sanity: every relative link in README/docs resolves (ISSUE 4).
+"""Docs sanity: every relative link and API reference in README/docs resolves.
 
 A tiny stand-in for a lychee run that needs no network: collects
 markdown links from ``README.md`` and ``docs/*.md``, skips external
 URLs and badge endpoints, and asserts every repository-relative target
-exists.  Also pins the docs site's minimum shape (architecture +
-operations pages) and that every example script at least compiles.
+exists.  Every backticked ``Class.attr`` whose class is defined under
+``src/repro`` must name an attribute that class still has.  Also pins
+the docs site's minimum shape (architecture + operations pages) and
+that every example script at least compiles.
 """
 
+import ast
 import pathlib
 import re
 
@@ -19,6 +22,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Link targets that are not repository files.
 _EXTERNAL = ("http://", "https://", "mailto:")
+
+#: A backticked span that starts with ``Class.attr``.
+_API_REFERENCE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
 
 
 def _markdown_files():
@@ -36,6 +42,71 @@ def _relative_links(path: pathlib.Path):
         if target.startswith("../../actions/"):
             continue
         yield target.split("#", 1)[0]
+
+
+def _class_definitions():
+    """``name -> [(members, bases)]`` for every class under ``src/repro``.
+
+    Members are what the class body defines (methods, properties, class
+    attributes, dataclass fields) plus every ``self.<name> = ...`` in
+    its methods; bases are the base-class names as written.
+    """
+    classes = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members = set()
+            for statement in node.body:
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    members.add(statement.name)
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                members.update(target.id for target in targets if isinstance(target, ast.Name))
+            for child in ast.walk(node):
+                if (
+                    isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "self"
+                ):
+                    members.add(child.attr)
+            bases = [ast.unparse(base) for base in node.bases]
+            classes.setdefault(node.name, []).append((members, bases))
+    return classes
+
+
+def _members(classes, name):
+    """Every attribute of class ``name``, inherited ones included; ``None``
+    when a base class is defined outside ``repro`` (its attributes are
+    unknown here)."""
+    found = set()
+    for members, bases in classes[name]:
+        found |= members
+        for base in bases:
+            if base not in classes:
+                return None
+            inherited = _members(classes, base)
+            if inherited is None:
+                return None
+            found |= inherited
+    return found
+
+
+def test_api_references_name_attributes_that_exist():
+    classes = _class_definitions()
+    dead = []
+    for path in _markdown_files():
+        text = path.read_text(encoding="utf-8")
+        for match in _API_REFERENCE.finditer(text):
+            name, attribute = match.groups()
+            if name not in classes:
+                continue
+            members = _members(classes, name)
+            if members is not None and attribute not in members:
+                line = text.count("\n", 0, match.start()) + 1
+                dead.append(f"{path.name}:{line}: {name}.{attribute}")
+    assert not dead, f"docs name attributes their classes do not have: {dead}"
 
 
 def test_docs_directory_has_the_operator_pages():

@@ -12,11 +12,13 @@ import pytest
 
 from repro.model.products import product_fingerprint as fingerprint
 from repro.runtime import (
+    FencedStoreView,
     LoadSkewWatcher,
     MemoryCatalogStore,
     MultiNodeEngine,
     MultiProcessEngine,
     ShardCoordinator,
+    ShardLease,
     StaleEpochError,
     SynthesisEngine,
 )
@@ -343,6 +345,22 @@ class TestVersionFencing:
         for shard, epoch in epochs.items():
             assert reopened.shard_epoch(shard) == epoch
         reopened.close()
+
+
+def test_fenced_view_reports_the_base_stores_commit_count():
+    """A node engine's store view must expose the *shared* snapshot
+    counter, so a node engine's commits carry real commit ids instead
+    of a forever-zero view-local counter."""
+    base = MemoryCatalogStore()
+    base.bind(4)
+    view = FencedStoreView(base, ShardLease(node_id="node-1"), deferred_commit=True)
+    assert view.commit_count == 0
+    base.commit()
+    base.commit()
+    assert view.commit_count == 2
+    # The deferred-commit view only validates; the counter stays the base's.
+    view.commit()
+    assert view.commit_count == base.commit_count == 2
 
 
 class TestMembership:

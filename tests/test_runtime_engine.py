@@ -158,10 +158,9 @@ class TestEngineBasics:
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_byte_identical_to_serial(self, tiny_harness, executor):
+    def test_parallel_byte_identical_to_serial(self, tiny_harness):
         serial = make_engine(tiny_harness, num_shards=4, executor="serial")
-        parallel = make_engine(tiny_harness, num_shards=4, executor=executor)
+        parallel = make_engine(tiny_harness, num_shards=4, executor="process")
         for batch in stream(tiny_harness.unmatched_offers, 3):
             serial.ingest(batch)
             parallel.ingest(batch)
@@ -184,16 +183,16 @@ class TestExecutorParity:
         assert fingerprint(streamed.products()) == fingerprint(one_shot.products())
 
     def test_engine_context_manager_closes_executor(self, tiny_harness):
-        with make_engine(tiny_harness, executor="thread") as engine:
+        with make_engine(tiny_harness, executor="process") as engine:
             engine.ingest(tiny_harness.unmatched_offers[:20])
             assert engine.products() or engine.num_clusters() >= 0
 
     def test_engine_close_is_idempotent(self, tiny_harness):
-        engine = make_engine(tiny_harness, executor="thread")
+        engine = make_engine(tiny_harness, executor="process")
         engine.ingest(tiny_harness.unmatched_offers[:20])
         engine.close()
         engine.close()  # safe to call twice
-        with make_engine(tiny_harness, executor="thread") as context_engine:
+        with make_engine(tiny_harness, executor="process") as context_engine:
             context_engine.ingest(tiny_harness.unmatched_offers[:20])
         context_engine.close()  # and after __exit__
 
@@ -202,7 +201,7 @@ class TestExecutorParity:
             resolve_executor("gpu")
         # The error lists the valid executor names.
         message = str(excinfo.value)
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert name in message
         assert isinstance(resolve_executor(None), SerialExecutor)
 

@@ -252,7 +252,7 @@ class TestSqliteRestore:
 class TestSnapshotDurability:
     """ISSUE 2 satellite: kill mid-stream, reopen, finish, byte-identical."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_kill_and_resume_matches_uninterrupted_run(
         self, tmp_path, tiny_harness, expected_products, executor
     ):
@@ -275,7 +275,7 @@ class TestSnapshotDurability:
         assert fingerprint(second.products()) == expected_products
         second.close()
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_memory_and_sqlite_stores_byte_identical(
         self, tmp_path, tiny_harness, expected_products, executor
     ):

@@ -97,15 +97,18 @@ class TestFleetRouting:
         assert snapshot == engine.store.commit_count
         assert product is not None and product.product_id == product_id
 
-    def test_feed_driven_fleet_serves_current_snapshot(self, tiny_harness):
-        engine = make_engine(tiny_harness)
-        fleet = ServingFleet.from_engine(engine, num_replicas=2)
+    def test_unbounded_fleet_serves_the_current_snapshot(self, tiny_harness, tmp_path):
+        path = str(tmp_path / "current.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
         first, second = halves(tiny_harness.unmatched_offers)
         engine.ingest(first)
+        fleet = ServingFleet.from_store_path(path, num_replicas=2)
         assert fleet.search("hard drive").snapshot_commit_count == 1
         engine.ingest(second)
-        response = fleet.search("hard drive")
-        assert response.snapshot_commit_count == 2
+        # Bound 0: every request catches its replica up to the head first.
+        responses = [fleet.search("hard drive") for _ in range(2)]
+        assert {response.replica_id for response in responses} == {0, 1}
+        assert {response.snapshot_commit_count for response in responses} == {2}
         assert fleet.lag()["max_lag"] == 0
         fleet.close()
         engine.close()
@@ -207,6 +210,23 @@ class TestRestartAndRefresh:
         fleet.restart_replica(2)
         snapshots = [entry["snapshot_commit_count"] for entry in fleet.lag()["replicas"]]
         assert snapshots[2] == engine.store.commit_count
+
+    def test_restarted_replica_follows_the_journal_afterwards(self, sqlite_fleet):
+        engine, fleet, second = sqlite_fleet
+        fleet.set_fault_hook(1, crash)
+        for _ in range(3):
+            fleet.search("hard drive")
+        fleet.restart_replica(1)
+        # The restart primes a fresh replica with one full rebuild; the
+        # next commit reaches it as a journal delta.
+        assert fleet.lag()["replicas"][1]["resync"]["full_resyncs"] == 1
+        engine.ingest(second)
+        for _ in range(3):
+            fleet.refresh_once()
+        entry = fleet.lag()["replicas"][1]
+        assert entry["snapshot_commit_count"] == engine.store.commit_count
+        assert entry["resync"]["delta_resyncs"] == 1
+        assert entry["resync"]["full_resyncs"] == 1
 
     def test_restart_requires_a_rebuildable_source(self, tiny_harness, tmp_path):
         path = str(tmp_path / "detached.sqlite3")

@@ -10,9 +10,9 @@ divergence bound is drawn per example) and one replica is restarted in
 the middle of the run; neither may ever produce a result list that
 mixes two prefixes.
 
-The memory backend exercises feed-driven replicas (commit-listener
-maintenance), the SQLite backend reader-driven replicas whose read-only
-connections race the live writer on the WAL file.
+Replicas read the SQLite store file through read-only connections that
+race the live writer on the WAL file, and catch up from the store's
+commit journal.
 """
 
 import itertools
@@ -79,29 +79,23 @@ def test_concurrent_fleet_queries_equal_their_pinned_prefix(
     indices, cut_points = data.draw(stream_and_cuts(len(offers)))
     stream = [offers[index] for index in indices]
     batches = split_batches(stream, cut_points)
-    backend = data.draw(st.sampled_from(["memory", "sqlite"]))
     max_lag = data.draw(st.integers(0, 2))
     restart_before = data.draw(st.integers(0, max(0, len(batches) - 1)))
     queries = probe_queries(stream)
 
-    store_path = None
-    if backend == "sqlite":
-        store_dir = tmp_path_factory.mktemp("fleet")
-        store_path = str(store_dir / f"fleet-{next(_STORE_COUNTER)}.sqlite3")
+    store_dir = tmp_path_factory.mktemp("fleet")
+    store_path = str(store_dir / f"fleet-{next(_STORE_COUNTER)}.sqlite3")
     engine = SynthesisEngine(
-        store=backend, store_path=store_path, **engine_kwargs(tiny_harness)
+        store="sqlite", store_path=store_path, **engine_kwargs(tiny_harness)
     )
-    if backend == "sqlite":
-        # With a head watcher, resyncs race the queries and the restart
-        # from a third thread instead of running between the waves.
-        fleet = ServingFleet.from_store_path(
-            store_path,
-            num_replicas=2,
-            max_lag_commits=max_lag,
-            watch_head=data.draw(st.booleans()),
-        )
-    else:
-        fleet = ServingFleet.from_engine(engine, num_replicas=2)
+    # With a head watcher, resyncs race the queries and the restart
+    # from a third thread instead of running between the waves.
+    fleet = ServingFleet.from_store_path(
+        store_path,
+        num_replicas=2,
+        max_lag_commits=max_lag,
+        watch_head=data.draw(st.booleans()),
+    )
 
     #: commit_count -> products of that exact committed prefix.
     prefix_products = {engine.store.commit_count: list(engine.products())}

@@ -156,7 +156,6 @@ class TestStatsAndRouting:
         assert (payload["max_lag_commits"], payload["watch_head"]) == (0, False)
         assert payload["queries_served"] >= 1
         (replica,) = payload["replicas"]
-        assert replica["stats"]["mode"] == "feed"
         assert replica["stats"]["index"]["num_products"] == len(PRODUCTS)
         assert replica["stats"]["count_by_category"] == {
             "cameras.digital": 2,

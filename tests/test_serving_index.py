@@ -10,9 +10,7 @@ import pytest
 
 from repro.model.attributes import Specification
 from repro.model.products import Product
-from repro.runtime.engine import CommitEvent, IngestReport
 from repro.serving import CatalogIndex
-from repro.synthesis.pipeline import stable_product_id
 from repro.text.tfidf import IncrementalTfIdf
 
 
@@ -103,28 +101,6 @@ class TestIndexMaintenance:
         assert index.num_products == 1
         assert not index.search("kodak")
         assert index.count_by_category() == {"computing.hdd": 1}
-
-    def test_apply_commit_upserts_and_removes(self, hdd_products):
-        index = CatalogIndex()
-        cluster_ids = [("computing.hdd", "k1"), ("computing.hdd", "k2")]
-        products = [
-            make_product(stable_product_id(*cluster_ids[0]), "computing.hdd", "Seagate"),
-            make_product(stable_product_id(*cluster_ids[1]), "computing.hdd", "Raptor"),
-        ]
-        event = CommitEvent(
-            commit_count=1,
-            changed=list(zip(cluster_ids, products)),
-            report=IngestReport(),
-        )
-        assert index.apply_commit(event) == 2
-        assert index.num_products == 2
-        # A later event carrying None drops the cluster's document.
-        removal = CommitEvent(
-            commit_count=2, changed=[(cluster_ids[0], None)], report=IngestReport()
-        )
-        assert index.apply_commit(removal) == 0
-        assert index.num_products == 1
-        assert index.get_product(products[0].product_id) is None
 
 
 class TestSearch:

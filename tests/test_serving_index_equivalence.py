@@ -3,8 +3,9 @@
 For random document sets drawn from the corpus generator's own
 synthesized products (plus hand-built edge cases: diacritics, decimal
 sizes, untokenisable titles), a stream of maintenance operations —
-interleaved ``upsert``, ``remove`` and ``apply_commit`` — is applied to
-one long-lived :class:`~repro.serving.index.CatalogIndex`, and after
+interleaved ``upsert``, ``remove`` and journal deltas, applied the way a
+serving replica resyncs — is applied to one long-lived
+:class:`~repro.serving.index.CatalogIndex`, and after
 every step it must be indistinguishable from a fresh
 ``CatalogIndex(products)`` built from the products it should now hold:
 an identical query stream (plain searches, category filters, attribute
@@ -25,8 +26,7 @@ from hypothesis import strategies as st
 from repro.model.attributes import Specification
 from repro.model.products import Product
 from repro.runtime import SynthesisEngine
-from repro.runtime.engine import CommitEvent, IngestReport
-from repro.serving import CatalogIndex
+from repro.serving import CatalogIndex, CatalogSearchService
 from repro.synthesis.pipeline import stable_product_id
 from repro.text.tokenize import tokenize_title
 
@@ -64,18 +64,15 @@ def entry_pool(tiny_harness):
         category_classifier=tiny_harness.category_classifier,
         num_shards=4,
     )
-    events = []
-    engine.add_commit_listener(events.append)
     try:
         engine.ingest(tiny_harness.unmatched_offers)
+        emitted = {
+            cluster_id: state.product
+            for cluster_id, state in engine.store.iter_clusters()
+            if state.product is not None
+        }
     finally:
         engine.close()
-    emitted = {
-        cluster_id: product
-        for event in events
-        for cluster_id, product in event.changed
-        if product is not None
-    }
     assert emitted
     assert all(product.product_id == stable_product_id(*cid) for cid, product in emitted.items())
     return sorted(emitted.items()) + EDGE_ENTRIES
@@ -148,10 +145,10 @@ def scenario(draw, pool_size):
         st.lists(
             st.one_of(
                 st.tuples(st.sampled_from(["upsert", "remove"]), member),
-                # One commit event: clusters (re-)emitting a product, and
-                # clusters the batch left without one.
+                # One journal delta: clusters (re-)emitting a product, and
+                # clusters a commit left without one.
                 st.tuples(
-                    st.just("commit"),
+                    st.just("delta"),
                     st.lists(st.tuples(member, st.booleans()), max_size=4),
                 ),
             ),
@@ -174,8 +171,10 @@ def test_incremental_maintenance_is_byte_identical_to_a_rebuild(entry_pool, data
     #: product id -> product the index must hold after each step.
     held = {pool[index][1].product_id: pool[index][1] for index in initial}
     maintained = CatalogIndex(pool[index][1] for index in initial)
+    # The replica's resync path folds journal deltas into the index.
+    service = CatalogSearchService(maintained)
     assert_equals_a_rebuild(maintained, held, queries, categories, attribute_filters)
-    for commit_count, (action, argument) in enumerate(operations, start=1):
+    for action, argument in operations:
         if action == "upsert":
             product = pool[argument][1]
             maintained.upsert(product)
@@ -188,9 +187,7 @@ def test_incremental_maintenance_is_byte_identical_to_a_rebuild(entry_pool, data
             changed = [
                 (pool[index][0], pool[index][1] if emits else None) for index, emits in argument
             ]
-            event = CommitEvent(commit_count=commit_count, changed=changed, report=IngestReport())
-            upserted = maintained.apply_commit(event)
-            assert upserted == sum(1 for _, product in changed if product is not None)
+            service._apply_delta(dict(changed))
             for cluster_id, product in changed:  # in order: the last entry wins
                 if product is None:
                     held.pop(stable_product_id(*cluster_id), None)
@@ -206,6 +203,7 @@ def test_incremental_maintenance_is_byte_identical_to_a_rebuild(entry_pool, data
             assert hit.product_id == product.product_id
             assert hit.title == product.title
     assert maintained.get_product("no-such-id") is None
+    service.close()
 
 
 def test_rebuild_matches_an_incrementally_grown_index(entry_pool):

@@ -1,8 +1,8 @@
 """Property-based proof: queries never see a half-applied batch (ISSUE 5).
 
-For random streams and micro-batch splits, engine ingests are
-interleaved with serving-layer queries on both store backends — and
-additionally *inside* the ingest itself, from a store fault hook fired
+For random streams and micro-batch splits, engine ingests over a SQLite
+store are interleaved with serving-layer queries — and additionally
+*inside* the ingest itself, from a store fault hook fired
 between the mirror mutations and the commit barrier, where a torn read
 would happen if one could.  Every query's full ranked result (ids and
 scores) must equal the same query executed against a reference index
@@ -12,9 +12,9 @@ built from the products of one exact committed stream prefix:
   the in-flight batch is mutating the store mirror at that very moment;
 * queries issued after the ingest returns must serve the *new* prefix.
 
-The memory backend exercises the feed-driven service (commit-listener
-maintenance); the SQLite backend the reader-driven service, whose
-read-only connection queries concurrently with the live writer.
+The service reads the store file through its own read-only connection,
+concurrently with the live writer, and catches up from the store's
+commit journal.
 """
 
 import itertools
@@ -99,22 +99,16 @@ def test_interleaved_queries_serve_exact_committed_prefixes(
     indices, cut_points = data.draw(stream_and_cuts(len(offers)))
     stream = [offers[index] for index in indices]
     batches = split_batches(stream, cut_points)
-    backend = data.draw(st.sampled_from(["memory", "sqlite"]))
     queries = probe_queries(stream)
 
-    store_path = None
-    if backend == "sqlite":
-        store_dir = tmp_path_factory.mktemp("serving")
-        store_path = str(store_dir / f"catalog-{next(_STORE_COUNTER)}.sqlite3")
+    store_dir = tmp_path_factory.mktemp("serving")
+    store_path = str(store_dir / f"catalog-{next(_STORE_COUNTER)}.sqlite3")
     engine = SynthesisEngine(
-        store=backend,
+        store="sqlite",
         store_path=store_path,
         **engine_kwargs(tiny_harness),
     )
-    if backend == "sqlite":
-        service = CatalogSearchService.from_store_path(store_path)
-    else:
-        service = CatalogSearchService.from_engine(engine)
+    service = CatalogSearchService.from_store_path(store_path)
 
     #: Query fingerprints captured *inside* each ingest by the fault
     #: hook, to be checked against the pre-ingest prefix afterwards.

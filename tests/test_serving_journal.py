@@ -7,11 +7,13 @@ applying per-commit deltas instead of rebuilding.  Covered here:
 * the memory store's bounded ring (entries, newest-wins folding,
   eviction raising the floor, compaction) and the SQLite store's
   ``commit_journal`` table (persistence across reopen, folding);
-* journal/commit-feed agreement on single-engine runs over both store
+* per-commit journal entries on single-engine runs over both store
   backends, and journal coverage of multi-node and multi-process
   cluster runs (every flavor commits through the same barrier);
 * crash injection at the ``journal`` fault point: the failed commit
   rolls back to a consistent journal and a replay lands intact;
+* the service's delta apply: a re-fused product is upserted and a
+  withdrawn one leaves the index, without a rebuild;
 * the serving fallback: a compacted (truncated) journal forces a full
   index rebuild, reported distinctly from delta resyncs; legacy store
   files without the journal table degrade to the same fallback.
@@ -32,6 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.serving import CatalogReader, CatalogSearchService
+from repro.synthesis.pipeline import stable_product_id
 
 
 def make_product(pid, category, title, pairs=()):
@@ -227,35 +230,108 @@ class TestSqliteJournal:
             reopened.close()
 
 
-class TestJournalMatchesCommitFeed:
+class TestJournalPerCommit:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_journal_agrees_with_the_commit_feed(
+    def test_each_commit_journals_the_clusters_it_touched(
         self, tiny_harness, tmp_path, backend
     ):
         store_path = (
-            str(tmp_path / "feed.sqlite3") if backend == "sqlite" else None
+            str(tmp_path / "journal.sqlite3") if backend == "sqlite" else None
         )
         engine = make_engine(tiny_harness, store=backend, store_path=store_path)
-        events = []
-        engine.add_commit_listener(events.append)
         for batch in feed_stream(tiny_harness):
-            engine.ingest(batch)
-
-        entries = engine.store.journal_entries(0)
-        assert entries is not None
-        by_commit = {commit_id: dict(touched) for commit_id, touched in entries}
-        for event in events:
-            journal = by_commit.get(event.commit_count, {})
-            changed = dict(event.changed)
-            # The journal names at least every cluster the feed reported
-            # changed, with the same post-commit product.
-            assert set(changed) <= set(journal)
-            for cluster_id, product in changed.items():
-                recorded = journal[cluster_id]
+            report = engine.ingest(batch)
+            commit = engine.store.commit_count
+            entries = engine.store.journal_entries(commit - 1)
+            assert entries is not None
+            journal = dict(dict(entries).get(commit, []))
+            # The commit's journal entry names at least every cluster the
+            # batch touched, each with the store's post-commit product.
+            assert len(journal) >= report.clusters_touched
+            for cluster_id, recorded in journal.items():
+                product = engine.store.get_cluster(cluster_id).product
                 assert (recorded is None) == (product is None)
                 if product is not None:
                     assert fingerprint([recorded]) == fingerprint([product])
         assert_journal_folds_to_catalog(engine.store, engine.products())
+        engine.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_every_ingest_is_one_commit_and_the_newest_entry_wins(
+        self, tiny_harness, tmp_path, backend
+    ):
+        store_path = (
+            str(tmp_path / "newest.sqlite3") if backend == "sqlite" else None
+        )
+        engine = make_engine(tiny_harness, store=backend, store_path=store_path)
+        batches = feed_stream(tiny_harness)
+        commit_counts = []
+        for batch in batches:
+            engine.ingest(batch)
+            commit_counts.append(engine.store.commit_count)
+        assert commit_counts == list(range(1, len(batches) + 1))
+
+        entries = engine.store.journal_entries(0)
+        assert entries is not None
+        assert {commit_id for commit_id, _ in entries} <= set(commit_counts)
+        latest = {}
+        for _, touched in entries:
+            for cluster_id, product in touched:
+                if product is not None:
+                    assert product.product_id == stable_product_id(*cluster_id)
+                latest[cluster_id] = product
+        # The newest entry per cluster carries the store's post-commit
+        # product (earlier entries carried since-replaced generations).
+        for cluster_id, recorded in latest.items():
+            state = engine.store.get_cluster(cluster_id)
+            assert state is not None
+            assert (recorded is None) == (state.product is None)
+            if recorded is not None:
+                assert fingerprint([recorded]) == fingerprint([state.product])
+        engine.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_replayed_batch_commits_without_a_journal_entry(
+        self, tiny_harness, tmp_path, backend
+    ):
+        store_path = (
+            str(tmp_path / "replay.sqlite3") if backend == "sqlite" else None
+        )
+        engine = make_engine(tiny_harness, store=backend, store_path=store_path)
+        batch = tiny_harness.unmatched_offers[:10]
+        engine.ingest(batch)
+        report = engine.ingest(batch)  # full replay: deduplicated, still committed
+        assert report.offers_duplicate == len(batch)
+        assert report.clusters_touched == 0
+        assert engine.store.commit_count == 2
+        assert engine.store.journal_entries(1) == []
+        assert engine.store.read_journal_delta(1) == {}
+        engine.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_folding_every_entry_reconstructs_the_catalog(
+        self, tiny_harness, tmp_path, backend
+    ):
+        """Applying each commit's entry, oldest first, to a plain dict
+        reproduces products() — the contract the serving index builds on."""
+        store_path = (
+            str(tmp_path / "fold.sqlite3") if backend == "sqlite" else None
+        )
+        engine = make_engine(tiny_harness, store=backend, store_path=store_path)
+        for batch in feed_stream(tiny_harness, num_batches=4):
+            engine.ingest(batch)
+        mirror = {}
+        for _, touched in engine.store.journal_entries(0):
+            for cluster_id, product in touched:
+                if product is None:
+                    mirror.pop(cluster_id, None)
+                else:
+                    mirror[cluster_id] = product
+        expected = {p.product_id: p for p in engine.products()}
+        rebuilt = {p.product_id: p for p in mirror.values()}
+        assert rebuilt.keys() == expected.keys()
+        for product_id, product in rebuilt.items():
+            assert fingerprint([product]) == fingerprint([expected[product_id]])
         engine.close()
 
 
@@ -483,6 +559,63 @@ class TestServiceFallback:
             assert service.search("gamma")
             assert service.num_products == 3
             assert service.stats()["resync"] == stats
+        finally:
+            service.close()
+            store.close()
+
+
+class TestServiceDeltaApply:
+    """A journal delta upserts re-fused products and drops withdrawn ones."""
+
+    @staticmethod
+    def put_stable(store, key, title, category="cat.widgets"):
+        cluster_id = (category, key)
+        if store.get_cluster(cluster_id) is None:
+            store.create_cluster(0, cluster_id)
+        store.set_product(
+            cluster_id, make_product(stable_product_id(*cluster_id), category, title)
+        )
+        return cluster_id
+
+    def test_a_delta_upserts_a_refused_product(self, tmp_path):
+        path = str(tmp_path / "upsert.sqlite3")
+        store = SqliteCatalogStore(path)
+        cluster_id = self.put_stable(store, "a", "seagate barracuda drive")
+        store.commit()
+        service = CatalogSearchService.from_store_path(path)
+        try:
+            assert service.search("seagate")
+            self.put_stable(store, "a", "western digital raptor drive")
+            store.commit()
+            assert service.resync() == 2
+            assert service.resync_stats()["delta_resyncs"] == 1
+            assert service.num_products == 1
+            assert not service.search("seagate")
+            assert service.search("raptor")
+            product = service.get_product(stable_product_id(*cluster_id))
+            assert product is not None and product.title == "western digital raptor drive"
+        finally:
+            service.close()
+            store.close()
+
+    def test_a_delta_removes_a_withdrawn_product(self, tmp_path):
+        path = str(tmp_path / "withdraw.sqlite3")
+        store = SqliteCatalogStore(path)
+        kept = self.put_stable(store, "a", "seagate barracuda drive")
+        withdrawn = self.put_stable(store, "b", "kodak film camera", "photo.cameras")
+        store.commit()
+        service = CatalogSearchService.from_store_path(path)
+        try:
+            assert service.num_products == 2
+            store.set_product(withdrawn, None)
+            store.commit()
+            assert service.resync() == 2
+            assert service.resync_stats()["delta_resyncs"] == 1
+            assert service.num_products == 1
+            assert service.get_product(stable_product_id(*withdrawn)) is None
+            assert service.get_product(stable_product_id(*kept)) is not None
+            assert not service.search("kodak")
+            assert service.count_by_category() == {"cat.widgets": 1}
         finally:
             service.close()
             store.close()

@@ -1,16 +1,16 @@
 """Tests for the read-only catalog reader and the streaming store reads.
 
-Covers the ISSUE 5 satellite (disk-paged ``iter_products`` without the
-mirror) and the reader half of the tentpole: snapshot atomicity under a
-live writer, commit-count tagging, the LRU page cache, and the
-mid-iteration staleness guard.
+Covers the store's disk-paged ``iter_products`` (no mirror needed) and
+the serving reader: snapshot atomicity under a live writer, keyset
+paging of ``read_products``, commit-count tagging, and the service's
+reader-driven resync.
 """
 
 import pytest
 
 from repro.model.products import product_fingerprint as fingerprint
 from repro.runtime import MemoryCatalogStore, SynthesisEngine
-from repro.serving import CatalogReader, CatalogSearchService, StaleSnapshotError
+from repro.serving import CatalogReader, CatalogSearchService, reader as reader_module
 
 
 def make_engine(harness, **kwargs):
@@ -136,45 +136,52 @@ class TestCatalogReader:
         reader.close()
         engine.close()
 
-    def test_page_cache_serves_repeated_scans(self, populated):
-        _, path, _ = populated
-        reader = CatalogReader(path, page_size=8)
-        first = reader.read_products()
-        second = reader.read_products()
-        assert first == second
-        stats = reader.cache_stats()
-        assert stats["page_cache_hits"] > 0
-        assert stats["cached_pages"] > 0
-        reader.close()
-
-    def test_page_cache_invalidated_by_writer_commit(self, populated):
-        engine, path, batches = populated
-        reader = CatalogReader(path, page_size=8)
-        reader.read_products()
-        misses_before = reader.cache_stats()["page_cache_misses"]
-        # Replaying an already-seen batch still commits (a new snapshot
-        # id), so the cache generation moves even though nothing changed.
-        engine.ingest(batches[0])
-        reader.read_products()
-        assert reader.cache_stats()["page_cache_misses"] > misses_before
-        reader.close()
-
-    def test_iter_products_pages_through_everything(self, populated):
+    def test_read_products_pages_through_everything(self, populated, monkeypatch):
         engine, path, _ = populated
-        with CatalogReader(path, page_size=3) as reader:
-            streamed = list(reader.iter_products())
-        assert fingerprint(streamed) == fingerprint(engine.products())
+        monkeypatch.setattr(reader_module, "PAGE_SIZE", 3)
+        with CatalogReader(path) as reader:
+            snapshot, products = reader.read_products()
+        assert len(products) > 3 * 3  # several keyset pages, not one
+        assert snapshot == engine.store.commit_count
+        assert fingerprint(products) == fingerprint(engine.products())
 
-    def test_iter_products_raises_on_mid_scan_commit(self, populated):
+    def test_read_products_holds_one_snapshot_across_pages(self, populated, monkeypatch):
+        """A writer committing between two pages changes nothing the scan sees."""
         engine, path, batches = populated
-        reader = CatalogReader(path, page_size=1)
-        iterator = reader.iter_products()
-        next(iterator)
-        engine.ingest(batches[0])  # replay: commits, bumping the snapshot
-        with pytest.raises(StaleSnapshotError, match="restart"):
-            for _ in iterator:
-                pass
+        monkeypatch.setattr(reader_module, "PAGE_SIZE", 1)
+        reader = CatalogReader(path)
+        expected = (engine.store.commit_count, fingerprint(engine.products()))
+        real_read_page = reader_module.read_product_page
+        pages = []
+
+        def read_page_then_commit(connection, after, page_size):
+            pages.append(after)
+            if len(pages) == 2:
+                engine.ingest(batches[0])  # replay: a new snapshot id
+            return real_read_page(connection, after, page_size)
+
+        monkeypatch.setattr(reader_module, "read_product_page", read_page_then_commit)
+        snapshot, products = reader.read_products()
+        assert (snapshot, fingerprint(products)) == expected
+        assert reader.commit_count() == expected[0] + 1
         reader.close()
+
+    def test_readers_on_one_file_see_the_same_delta(self, populated):
+        """Two replicas reading the same journal range get the same delta."""
+        engine, path, _ = populated
+        with CatalogReader(path) as first, CatalogReader(path) as second:
+            head, delta = first.read_delta(1)
+            assert head == engine.store.commit_count
+            assert delta
+            assert second.read_delta(1) == (head, delta)
+
+    def test_read_delta_is_empty_at_head_and_absent_beyond_it(self, populated):
+        engine, path, _ = populated
+        head = engine.store.commit_count
+        with CatalogReader(path) as reader:
+            assert reader.read_delta(head) == (head, {})
+            # A snapshot from another store's history proves no coverage.
+            assert reader.read_delta(head + 5) == (head, None)
 
     def test_count_by_category_aggregates_on_disk(self, populated):
         engine, path, _ = populated
@@ -195,15 +202,6 @@ class TestCatalogReader:
         with pytest.raises(RuntimeError, match="closed"):
             reader.read_products()
 
-    def test_rejects_bad_page_size(self, populated):
-        _, path, _ = populated
-        with pytest.raises(ValueError, match="page_size"):
-            CatalogReader(path, page_size=0)
-        with CatalogReader(path) as reader:
-            with pytest.raises(ValueError, match="page_size"):
-                list(reader.iter_products(page_size=0))
-
-
 class TestReaderDrivenService:
     def test_service_resyncs_on_writer_commits(self, tiny_harness, tmp_path):
         path = str(tmp_path / "svc.sqlite3")
@@ -220,7 +218,7 @@ class TestReaderDrivenService:
         assert service.snapshot_commit_count == 2
         assert sum(service.count_by_category().values()) >= sum(prefix_1.values())
         stats = service.stats()
-        assert stats["mode"] == "reader"
+        assert stats["reader"] == {"page_cache_hits": 0, "page_cache_misses": 0}
         assert stats["resync"]["resyncs"] >= 2
         service.close()
         engine.close()
@@ -263,9 +261,6 @@ class TestReaderDrivenService:
             def commit_count(self):
                 return real_reader.commit_count()
 
-            def cache_stats(self):
-                return real_reader.cache_stats()
-
         service._reader = StaleReader()
         assert service.resync() == 2
         assert service.snapshot_commit_count == 2
@@ -273,80 +268,38 @@ class TestReaderDrivenService:
         service.close()
         engine.close()
 
-    def test_resync_requires_reader_mode(self, tiny_harness):
-        engine = make_engine(tiny_harness)
-        service = CatalogSearchService.from_engine(engine)
-        with pytest.raises(RuntimeError, match="reader-driven"):
+    def test_resync_requires_a_store_file(self):
+        service = CatalogSearchService()
+        with pytest.raises(RuntimeError, match="store file"):
             service.resync()
+        assert not service.maybe_resync()
         service.close()
-        engine.close()
 
 
-class TestPageCacheBoundedAcrossSnapshots:
-    """ISSUE 8 satellite: dead-snapshot pages must not accumulate."""
-
-    def test_memory_flat_across_100_resyncs(self, tiny_harness, tmp_path):
+class TestResyncStaysFlat:
+    def test_100_replay_commits_resync_by_delta_without_growth(
+        self, tiny_harness, tmp_path
+    ):
+        """A replica that primes once and then follows 100 commits only
+        applies journal deltas; its index neither grows nor rebuilds."""
         path = str(tmp_path / "resyncs.sqlite3")
         engine = make_engine(tiny_harness, store="sqlite", store_path=path)
         offers = tiny_harness.unmatched_offers
         engine.ingest(offers)
-
-        reader = CatalogReader(path, page_size=4, max_cached_pages=1000)
-        snapshot, products = reader.read_products()
-        # One full scan's footprint: every product page plus the empty
-        # terminator page that ends the keyset walk.
-        pages_per_scan = len(products) // 4 + 1 + (1 if len(products) % 4 else 0)
-        assert reader.cache_stats()["cached_pages"] == pages_per_scan
-        assert pages_per_scan > 3  # the bound below must be meaningful
-
+        service = CatalogSearchService.from_store_path(path)
+        index_stats = service.stats()["index"]
         for round_number in range(100):
-            # Replaying seen offers still commits: a fresh snapshot id
-            # per round, with identical page contents under new keys.
+            # Replaying a seen offer still commits: a fresh snapshot id
+            # per round with an unchanged catalog.
             engine.ingest([offers[round_number % len(offers)]])
-            head = reader.commit_count()
-            resynced, _ = reader.read_products()
-            assert resynced == head
-            stats = reader.cache_stats()
-            # Flat memory: never more than one snapshot's pages resident,
-            # even though the LRU bound (1000) would allow ~25 snapshots.
-            assert stats["cached_pages"] <= pages_per_scan
-            assert stats["peak_cached_pages"] <= pages_per_scan
-
-        stats = reader.cache_stats()
-        assert stats["pages_evicted"] >= 100 * (pages_per_scan - 1)
-        reader.close()
-        engine.close()
-
-    def test_lag_polling_alone_evicts_dead_snapshot_pages(self, tiny_harness, tmp_path):
-        """commit_count() — what a lag probe calls — must already evict."""
-        path = str(tmp_path / "lagpoll.sqlite3")
-        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
-        engine.ingest(tiny_harness.unmatched_offers)
-        reader = CatalogReader(path, page_size=8)
-        reader.read_products()
-        assert reader.cache_stats()["cached_pages"] > 0
-        engine.ingest([tiny_harness.unmatched_offers[0]])
-        reader.commit_count()  # no page read, just the head probe
-        stats = reader.cache_stats()
-        assert stats["cached_pages"] == 0
-        assert stats["pages_evicted"] > 0
-        reader.close()
-        engine.close()
-
-    def test_a_delta_read_alone_evicts_dead_snapshot_pages(self, tiny_harness, tmp_path):
-        """A replica that primes, then only delta-resyncs, never calls commit_count()."""
-        path = str(tmp_path / "deltaonly.sqlite3")
-        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
-        engine.ingest(tiny_harness.unmatched_offers)
-        reader = CatalogReader(path, page_size=8)
-        primed, _ = reader.read_products()
-        before = reader.cache_stats()
-        assert before["cached_pages"] > 0
-        engine.ingest([tiny_harness.unmatched_offers[0]])
-        head, delta = reader.read_delta(primed)
-        assert head == primed + 1 and delta is not None
-        stats = reader.cache_stats()
-        assert stats["cached_pages"] == 0
-        assert stats["pages_evicted"] == before["pages_evicted"] + before["cached_pages"]
-        reader.close()
+            assert service.maybe_resync()
+            assert service.snapshot_commit_count == engine.store.commit_count
+        assert service.resync_stats() == {
+            "resyncs": 101,
+            "delta_resyncs": 100,
+            "full_resyncs": 1,
+            "journal_truncations": 0,
+        }
+        assert service.stats()["index"] == index_stats
+        service.close()
         engine.close()

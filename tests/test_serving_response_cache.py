@@ -1,9 +1,9 @@
 """The fleet's snapshot-keyed response cache: never stale, never over its bound.
 
-The hypothesis suite drives random ingest streams through the HTTP front
-(a fleet of one and a 3-replica fleet; feed-driven memory stores and
-reader-driven SQLite stores) with requests interleaved between commits
-and racing them.  Every body must be byte-equal to an **uncached**
+The hypothesis suite drives random ingest streams into a SQLite store
+and requests through the HTTP front (a fleet of one and a 3-replica
+fleet over the store file), interleaved between commits and racing
+them.  Every body must be byte-equal to an **uncached**
 render of the committed prefix it reports, a repeated request is
 rendered once per snapshot however many replicas answer it, and the
 cached bytes never exceed the one bound the whole fleet has.  The
@@ -126,19 +126,18 @@ def stream_and_cuts(draw, max_offers):
     return indices, cut_points
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("num_replicas", [1, 3])
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
 def test_bodies_through_http_equal_an_uncached_render_of_their_snapshot(
-    tiny_harness, tmp_path_factory, num_replicas, backend, data
+    tiny_harness, tmp_path_factory, num_replicas, data
 ):
     offers = tiny_harness.unmatched_offers
     indices, cut_points = data.draw(stream_and_cuts(len(offers)))
     stream = [offers[index] for index in indices]
     batches = split_batches(stream, cut_points)
     # A fleet of one reads its last commit, like the bare service the front
-    # wraps; lag bound 1 lets reader-driven replicas sit on different snapshots.
+    # wraps; lag bound 1 lets replicas sit on different snapshots.
     max_lag_commits = 0 if num_replicas == 1 else 1
     # A bound small enough that these few queries overflow it, so the
     # property also covers bodies that were evicted and rendered again.
@@ -149,17 +148,12 @@ def test_bodies_through_http_equal_an_uncached_render_of_their_snapshot(
     queries = [
         " ".join(tokens[:2]) for tokens in (tokenize_title(o.title) for o in stream[:4]) if tokens
     ] or ["hard drive"]
-    store_path = None
-    if backend == "sqlite":
-        store_dir = tmp_path_factory.mktemp("cache")
-        store_path = str(store_dir / f"cache-{next(_STORE_COUNTER)}.sqlite3")
-    engine = SynthesisEngine(store=backend, store_path=store_path, **engine_kwargs(tiny_harness))
-    if backend == "sqlite":
-        fleet = ServingFleet.from_store_path(
-            store_path, num_replicas=num_replicas, max_lag_commits=max_lag_commits
-        )
-    else:
-        fleet = ServingFleet.from_engine(engine, num_replicas=num_replicas)
+    store_dir = tmp_path_factory.mktemp("cache")
+    store_path = str(store_dir / f"cache-{next(_STORE_COUNTER)}.sqlite3")
+    engine = SynthesisEngine(store="sqlite", store_path=store_path, **engine_kwargs(tiny_harness))
+    fleet = ServingFleet.from_store_path(
+        store_path, num_replicas=num_replicas, max_lag_commits=max_lag_commits
+    )
     served = Served(fleet)
     prefix_products = {engine.store.commit_count: list(engine.products())}
     #: (path, query-or-product-id, body) of every response, racing or not.
@@ -224,12 +218,12 @@ def test_bodies_through_http_equal_an_uncached_render_of_their_snapshot(
             racer.join(timeout=60)
             assert not racer.is_alive()
             head = engine.store.commit_count
-            # One refresh moves at most one replica: a lag-bounded reader
-            # fleet now answers from two snapshots at once, and each of
-            # them renders the request once.
+            # One refresh moves at most one replica: a lag-bounded fleet
+            # now answers from two snapshots at once, and each of them
+            # renders the request once.
             fleet.refresh_once()
             snapshots, _ = six_times(f"{queries[0]} split {position}")
-            if backend == "sqlite" and num_replicas > 1 and head > previous:
+            if num_replicas > 1 and head > previous:
                 assert snapshots == {previous, head}
             else:
                 assert snapshots == {head}
@@ -268,14 +262,15 @@ def test_bodies_through_http_equal_an_uncached_render_of_their_snapshot(
             assert body == uncached_product_body(products, snapshot, subject, replica)
 
 
-def test_cache_accounting_survives_more_threads_than_cores(tiny_harness):
+def test_cache_accounting_survives_more_threads_than_cores(tiny_harness, tmp_path):
     """Eight keep-alive clients on a 3-worker front, a 10 us switch
     interval and a committing engine: no request is lost or double
     counted, no body is stale, and the byte total matches the bodies."""
     offers = tiny_harness.unmatched_offers
-    engine = SynthesisEngine(**engine_kwargs(tiny_harness))
+    path = str(tmp_path / "threads.sqlite3")
+    engine = SynthesisEngine(store="sqlite", store_path=path, **engine_kwargs(tiny_harness))
     engine.ingest(offers[:10])
-    fleet = ServingFleet.from_engine(engine, num_replicas=2)
+    fleet = ServingFleet.from_store_path(path, num_replicas=2)
     served = Served(fleet)
     prefix_products = {engine.store.commit_count: list(engine.products())}
     queries = [" ".join(tokenize_title(offer.title)[:2]) for offer in offers[:5]]
@@ -428,9 +423,10 @@ class TestSnapshotMoves:
     """An entry belongs to its snapshot: once the replica moves, the old
     entry is never served again (it ages out), whatever moved the replica."""
 
-    def test_feed_commit_is_answered_from_the_new_snapshot(self, tiny_harness):
-        engine = SynthesisEngine(**engine_kwargs(tiny_harness))
-        fleet = ServingFleet.from_engine(engine, num_replicas=1)
+    def test_writer_commit_is_answered_from_the_new_snapshot(self, tiny_harness, tmp_path):
+        path = str(tmp_path / "writer.sqlite3")
+        engine = SynthesisEngine(store="sqlite", store_path=path, **engine_kwargs(tiny_harness))
+        fleet = ServingFleet.from_store_path(path, num_replicas=1)
         try:
             offers = tiny_harness.unmatched_offers
             engine.ingest(offers[:10])
