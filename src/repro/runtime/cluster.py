@@ -59,8 +59,8 @@ import itertools
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.extraction.extractor import WebPageAttributeExtractor
 from repro.matching.correspondence import CorrespondenceSet
@@ -71,18 +71,12 @@ from repro.obs import get_registry, merge_snapshot
 from repro.runtime.delta import TransportStats
 from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine
 from repro.runtime.executors import ShardExecutor
+from repro.runtime.node import FencedStoreView, NodeProtocol, NodeVote, ShardLease
 from repro.runtime.sharding import shard_for_category
-from repro.runtime.state import (
-    CatalogStore,
-    ClusterId,
-    ClusterState,
-    StaleEpochError,
-    resolve_store,
-)
+from repro.runtime.state import CatalogStore, resolve_store
 from repro.synthesis.category_classifier import TitleCategoryClassifier
 from repro.synthesis.clustering import KeyAttributeClusterer
 from repro.synthesis.fusion import CentroidValueFusion
-from repro.synthesis.reconciliation import ReconciliationStats
 
 __all__ = [
     "ShardLease",
@@ -100,287 +94,6 @@ __all__ = [
     "InProcessTransport",
     "MultiNodeEngine",
 ]
-
-
-@dataclass
-class ShardLease:
-    """The shards one node currently holds, with their granted epochs.
-
-    The coordinator mutates the lease in place on every grant or
-    revocation, so the node's :class:`FencedStoreView` always writes with
-    the epochs it actually holds.  When a node is *fenced* the lease is
-    deliberately left stale instead: its epochs no longer match the
-    store, which is exactly what makes the node's writes bounce.
-    """
-
-    node_id: str
-    #: shard index -> epoch the store had when the shard was granted.
-    epochs: Dict[int, int] = field(default_factory=dict)
-    #: Set (never cleared) when the coordinator forcibly fences the node.
-    #: The in-process fast path: a fenced node's very first write raises,
-    #: before it can touch even the globally-scoped state.  The epochs
-    #: above stay authoritative for writers the coordinator cannot reach
-    #: (a lagging node fenced by someone else hits the store-side check).
-    fenced: bool = False
-
-    def shards(self) -> List[int]:
-        """The shard indices this lease covers, ascending."""
-        return sorted(self.epochs)
-
-
-class FencedStoreView(CatalogStore):
-    """One node's epoch-carrying, lock-serialised view of a shared store.
-
-    Reads and global writes delegate to the base store under the cluster
-    lock; cluster-scoped writes (create/append/product/version) first
-    present the leased epoch of the target shard for validation, so a
-    fenced-out node fails fast instead of corrupting reassigned shards.
-    Global writes are fenced at the commit barrier: ``commit`` validates
-    the whole lease before anything is flushed.
-
-    With ``deferred_commit=True`` (how every cluster node mounts
-    it) the view's ``commit`` only validates — the cluster engine flushes
-    the base store once per cluster batch, giving all nodes one shared
-    commit barrier.
-    """
-
-    def __init__(
-        self,
-        base: CatalogStore,
-        lease: ShardLease,
-        lock: Optional[threading.RLock] = None,
-        deferred_commit: bool = False,
-    ) -> None:
-        super().__init__()
-        self._base = base
-        self._lease = lease
-        self._lock = lock if lock is not None else threading.RLock()
-        self._deferred_commit = deferred_commit
-        # The delta protocol keys worker-resident caches on the token:
-        # views must share the base store's generation, or every node
-        # restart would needlessly orphan worker state.
-        self.token = base.token
-        self.name = f"fenced-{base.name}"
-        self._num_shards = base.num_shards
-
-    @property
-    def lease(self) -> ShardLease:
-        """The shard lease this view writes under."""
-        return self._lease
-
-    @property
-    def base(self) -> CatalogStore:
-        """The shared store this view delegates to."""
-        return self._base
-
-    @property
-    def commit_count(self) -> int:
-        """The *base* store's snapshot counter.
-
-        The view never counts commits itself: with ``deferred_commit``
-        its ``commit`` only validates the lease, and either way the
-        snapshot identity readers care about is the shared store's.  A
-        node engine therefore sees the same counter a reader of the
-        shared file would.
-        """
-        return self._base.commit_count
-
-    # -- fencing ---------------------------------------------------------------
-
-    def _check_writable(self) -> None:
-        if self._lease.fenced:
-            raise StaleEpochError(
-                f"node {self._lease.node_id!r} was fenced: its lease is "
-                "revoked and no write of it may reach the shared store"
-            )
-
-    def _check_shard(self, shard_index: int) -> None:
-        self._check_writable()
-        epoch = self._lease.epochs.get(shard_index)
-        if epoch is None:
-            raise StaleEpochError(
-                f"node {self._lease.node_id!r} holds no lease on shard "
-                f"{shard_index}: the shard was reassigned (or never granted)"
-            )
-        self._base.check_shard_epoch(shard_index, epoch)
-
-    def validate_lease(self) -> None:
-        """Raise :class:`StaleEpochError` unless every held epoch is current."""
-        self._check_writable()
-        for shard_index, epoch in self._lease.epochs.items():
-            self._base.check_shard_epoch(shard_index, epoch)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def bind(self, num_shards: int) -> None:
-        """Validate the engine's shard count against the cluster store's."""
-        if num_shards != self._base.num_shards:
-            raise ValueError(
-                f"node engine wants {num_shards} shards but the cluster "
-                f"store is bound to {self._base.num_shards}"
-            )
-        self._num_shards = num_shards
-
-    def commit(self) -> None:
-        """Validate the whole lease; flush the base unless deferred."""
-        with self._lock:
-            self.validate_lease()
-            if not self._deferred_commit:
-                self._base.commit()
-
-    def close(self) -> None:
-        """Views release nothing: the cluster owns the base store.
-
-        Best-effort commit only — ``close`` must stay safe on any path
-        (the ``CatalogStore`` contract), and a fenced node has nothing
-        it is allowed to flush anyway.
-        """
-        try:
-            self.commit()
-        except StaleEpochError:
-            pass
-
-    @property
-    def closed(self) -> bool:
-        """Whether the shared base store can no longer accept writes."""
-        return self._base.closed
-
-    def worker_resync_path(self) -> Optional[str]:
-        """The base store's durable resync location (or ``None``)."""
-        return self._base.worker_resync_path()
-
-    # -- changed-cluster commit journal (delegated) ----------------------------
-    # Mutations delegate to the base store, so the touched-cluster set —
-    # and therefore the journal written at the barrier — lives there;
-    # the read API follows it.
-
-    def journal_floor(self) -> int:
-        """The shared base store's journal floor."""
-        with self._lock:
-            return self._base.journal_floor()
-
-    def journal_entries(self, since: int):
-        """The shared base store's per-commit deltas after ``since``."""
-        with self._lock:
-            return self._base.journal_entries(since)
-
-    def compact_journal(self, retain_commits: int = 0, auto: bool = False) -> int:
-        """Compact the shared base store's journal."""
-        with self._lock:
-            return self._base.compact_journal(retain_commits, auto=auto)
-
-    # -- seen offers -----------------------------------------------------------
-
-    def is_seen(self, offer_id: str) -> bool:
-        """Whether an offer id was absorbed, read under the cluster lock."""
-        with self._lock:
-            return self._base.is_seen(offer_id)
-
-    def mark_seen(self, offer_id: str) -> bool:
-        """Record an offer id (global write; fence flag checked first)."""
-        with self._lock:
-            self._check_writable()
-            return self._base.mark_seen(offer_id)
-
-    def num_seen(self) -> int:
-        """Distinct offer ids absorbed cluster-wide."""
-        with self._lock:
-            return self._base.num_seen()
-
-    # -- assigned categories ---------------------------------------------------
-
-    def record_category(self, offer_id: str, category_id: str) -> None:
-        """Remember an offer's category (global, fence-flag-checked write)."""
-        with self._lock:
-            self._check_writable()
-            self._base.record_category(offer_id, category_id)
-
-    def assigned_categories(self) -> Dict[str, str]:
-        """A copy of the cluster-wide offer-id -> category-id map."""
-        with self._lock:
-            return self._base.assigned_categories()
-
-    # -- clusters (epoch-checked writes) ---------------------------------------
-
-    def get_cluster(self, cluster_id: ClusterId) -> Optional[ClusterState]:
-        """One cluster's shared state, read under the cluster lock."""
-        with self._lock:
-            return self._base.get_cluster(cluster_id)
-
-    def create_cluster(self, shard_index: int, cluster_id: ClusterId) -> ClusterState:
-        """Create a cluster after validating this node's shard epoch."""
-        with self._lock:
-            self._check_shard(shard_index)
-            return self._base.create_cluster(shard_index, cluster_id)
-
-    def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
-        """Append offers after validating the owning shard's epoch."""
-        with self._lock:
-            state = self._base.get_cluster(cluster_id)
-            if state is not None:
-                self._check_shard(state.shard_index)
-            self._base.append_offers(cluster_id, offers)
-
-    def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
-        """Record a fused product after validating the shard's epoch."""
-        with self._lock:
-            state = self._base.get_cluster(cluster_id)
-            if state is not None:
-                self._check_shard(state.shard_index)
-            self._base.set_product(cluster_id, product)
-
-    def iter_clusters(self) -> Iterator[Tuple[ClusterId, ClusterState]]:
-        """Iterate over a stable copy of every tracked cluster."""
-        with self._lock:
-            return iter(list(self._base.iter_clusters()))
-
-    def shard_cluster_ids(self, shard_index: int) -> List[ClusterId]:
-        """Ids of every cluster living in one shard."""
-        with self._lock:
-            return self._base.shard_cluster_ids(shard_index)
-
-    def num_clusters(self) -> int:
-        """Number of clusters tracked cluster-wide."""
-        with self._lock:
-            return self._base.num_clusters()
-
-    # -- reconciliation stats --------------------------------------------------
-
-    def merge_reconciliation_stats(self, stats: ReconciliationStats) -> None:
-        """Fold batch counters into the shared totals (fence-checked)."""
-        with self._lock:
-            self._check_writable()
-            self._base.merge_reconciliation_stats(stats)
-
-    def reconciliation_stats(self) -> ReconciliationStats:
-        """A copy of the cluster-wide reconciliation totals."""
-        with self._lock:
-            return self._base.reconciliation_stats()
-
-    # -- shard versions / epochs -----------------------------------------------
-
-    def shard_version(self, shard_index: int) -> int:
-        """The delta-protocol version counter of one shard."""
-        with self._lock:
-            return self._base.shard_version(shard_index)
-
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump an owned shard's version counter (epoch-checked)."""
-        with self._lock:
-            self._check_shard(shard_index)
-            return self._base.advance_shard_version(shard_index)
-
-    def shard_epoch(self, shard_index: int) -> int:
-        """The authoritative fencing epoch of one shard."""
-        with self._lock:
-            return self._base.shard_epoch(shard_index)
-
-    def advance_shard_epoch(self, shard_index: int) -> int:
-        """Always refused: only the shard coordinator fences shards."""
-        raise RuntimeError(
-            "only the shard coordinator advances fencing epochs; a node "
-            "bumping its own epoch would un-fence itself"
-        )
 
 
 class ShardCoordinator:
@@ -660,129 +373,6 @@ class NodeDeadError(RuntimeError):
         self.reason = reason
 
 
-@dataclass
-class NodeVote:
-    """A node's answer to one ``ingest`` / ``apply`` message (its barrier vote)."""
-
-    #: Whether the sub-batch was absorbed (into the node's journal, or
-    #: the shared store for an in-process node).
-    ready: bool
-    #: ``repr`` of the node-side exception when ``ready`` is false.
-    error: Optional[str] = None
-    #: The node engine's report for the sub-batch (when ready).
-    report: Optional[IngestReport] = None
-    #: Seconds the node spent in ``engine.ingest`` for this sub-batch.
-    busy_seconds: float = 0.0
-    #: The node engine's *cumulative* executor-payload accounting.
-    transport: TransportStats = field(default_factory=TransportStats)
-    #: The live node-side exception: what an in-process cluster
-    #: re-raises.  Never crosses a pipe — only ``error`` does.
-    cause: Optional[BaseException] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        del state["cause"]
-        return state
-
-
-# Votes have always crossed the node pipes pickled under this path
-# (procnode re-exports the class, so the lookup resolves); moving it
-# with the class would change every vote frame's bytes, which the
-# gating benchmark pins as the proof the wire protocol is unchanged.
-NodeVote.__module__ = "repro.runtime.procnode"
-
-
-class NodeProtocol:
-    """The node half of the cluster's message protocol, written once.
-
-    ``ingest`` absorbs a routed sub-batch and answers with a
-    :class:`NodeVote`.  The hint-routing rounds: ``classify`` runs the
-    real classifier over a hinted, position-tagged sub-batch, retains
-    what this node truly owns and answers with the misrouted remainder;
-    ``apply`` merges the retained offers with the misroutes other nodes
-    sent back, in original batch order, and ingests — so placement and
-    order (and every output byte) match coordinator-side classification.
-
-    A process node's pipe loop calls :meth:`handle` once per frame; an
-    in-process node calls it directly.  Both clusters therefore run the
-    same node-side code, whatever carries the messages.
-    """
-
-    def __init__(self, node_id: str, num_shards: int, engine: SynthesisEngine) -> None:
-        self._node_id = node_id
-        self._num_shards = num_shards
-        self._engine = engine
-        # Offers retained from a ``classify`` round, position-tagged,
-        # until the following ``apply`` (or a :meth:`discard`).
-        self._retained: List[Tuple[int, Offer]] = []
-
-    def handle(self, kind: str, payload: object) -> Tuple[str, object]:
-        """Answer one protocol message with its ``(reply kind, reply)``."""
-        if kind == "ingest":
-            return "vote", self._vote(payload)
-        if kind == "classify":
-            return self._classify(payload["offers"], payload["assignment"], payload["fallback"])
-        if kind == "apply":
-            merged = self._retained + list(payload["incoming"])
-            self._retained = []
-            merged.sort(key=lambda item: item[0])
-            return "vote", self._vote([offer for _, offer in merged])
-        return "error", f"unknown message kind {kind!r}"
-
-    def discard(self) -> None:
-        """Drop the retained offers of an aborted batch."""
-        self._retained = []
-
-    def _vote(self, sub_batch: Sequence[Offer]) -> NodeVote:
-        """Ingest one routed sub-batch and build the vote reply."""
-        started = time.perf_counter()
-        report = cause = None
-        try:
-            report = self._engine.ingest(sub_batch)
-        except Exception as exc:  # noqa: BLE001 - shipped to the coordinator
-            cause = exc
-        return NodeVote(
-            ready=cause is None,
-            error=None if cause is None else repr(cause),
-            report=report,
-            busy_seconds=time.perf_counter() - started,
-            transport=self._engine.transport_stats(),
-            cause=cause,
-        )
-
-    def _classify(
-        self,
-        positioned: Sequence[Tuple[int, Offer]],
-        assignment: Dict[int, str],
-        fallback: str,
-    ) -> Tuple[str, object]:
-        """Classify a hinted sub-batch; keep what is owned, return the rest."""
-        started = time.perf_counter()
-        try:
-            categorised = self._engine.classify_offers([offer for _, offer in positioned])
-            owned: List[Tuple[int, Offer]] = []
-            outgoing: Dict[str, List[Tuple[int, Offer]]] = {}
-            for (position, _), offer in zip(positioned, categorised):
-                if offer.category_id is None:
-                    destination = fallback
-                else:
-                    destination = assignment[
-                        shard_for_category(offer.category_id, self._num_shards)
-                    ]
-                if destination == self._node_id:
-                    owned.append((position, offer))
-                else:
-                    outgoing.setdefault(destination, []).append((position, offer))
-        except Exception as exc:  # noqa: BLE001 - shipped to the coordinator
-            self._retained = []
-            return "classify-error", repr(exc)
-        self._retained = owned
-        return "classified", {
-            "outgoing": outgoing,
-            "busy_seconds": time.perf_counter() - started,
-        }
-
-
 class ClusterNode:
     """Coordinator-side handle of one cluster member.
 
@@ -854,10 +444,8 @@ class NodeTransport:
         #: messages are direct calls).
         self.stats = TransportStats()
 
-    def start_node(
-        self, node_id: str, lease: ShardLease, peers: Sequence[ClusterNode]
-    ) -> ClusterNode:
-        """Bring up the node that holds ``lease``; ``peers`` already run."""
+    def start_nodes(self, leases: Dict[str, ShardLease]) -> Dict[str, ClusterNode]:
+        """Bring up one node per ``{node id: lease}``; returns them once all are up."""
         raise NotImplementedError
 
     def abort(self, answered: Sequence[ClusterNode], failures: Dict[str, BaseException]) -> bool:
@@ -1087,8 +675,7 @@ class ClusterEngine:
             for node_id in node_ids:
                 self._coordinator.register_node(node_id, rebalance=False)
             self._coordinator.apply_layout()
-            for node_id in node_ids:
-                self._start(node_id)
+            self._start(node_ids)
             leftover = self._transport.leftover_batch()
             if leftover is not None:
                 # Replay is idempotent — only the offers absent from
@@ -1101,10 +688,12 @@ class ClusterEngine:
             self._teardown()
             raise
 
-    def _start(self, node_id: str) -> None:
-        """Start the node for an already-registered lease."""
-        self._nodes[node_id] = self._transport.start_node(
-            node_id, self._coordinator.lease_for(node_id), list(self._nodes.values())
+    def _start(self, node_ids: Sequence[str]) -> None:
+        """Start the nodes of already-registered leases, together."""
+        self._nodes.update(
+            self._transport.start_nodes(
+                {node_id: self._coordinator.lease_for(node_id) for node_id in node_ids}
+            )
         )
 
     def _ensure_open(self) -> None:
@@ -1190,7 +779,9 @@ class ClusterEngine:
         process, shares) *after* the epochs were bumped, so it starts
         current.  The survivors learn their new leases: the modulo
         layout can move shards *between* survivors on a join (shard i ->
-        node i mod N reshuffles most owners).
+        node i mod N reshuffles most owners).  A joiner that fails to
+        start raises :class:`NodeDeadError` and leaves the membership as
+        it was, its shards re-fenced back to the members.
         """
         self._ensure_open()
         self.flush()
@@ -1198,7 +789,14 @@ class ClusterEngine:
             node_id = f"node-{next(self._node_counter)}"
         before = self._coordinator.assignment()
         self._coordinator.register_node(node_id)
-        self._start(node_id)
+        try:
+            self._start([node_id])
+        except NodeDeadError:
+            # The joiner never ran: hand its shards back and tell the
+            # members their epochs, which the registration bumped.
+            self._coordinator.retire_node(node_id, fence=True)
+            self._fence_unreachable(self._push_layout(before))
+            raise
         self._fence_unreachable(self._push_layout(before, exclude=node_id))
         return node_id
 
@@ -1838,13 +1436,14 @@ class InProcessTransport(NodeTransport):
         self._engine_kwargs = dict(engine_kwargs, executor=executor)
         self._lock = threading.RLock()
 
-    def start_node(
-        self, node_id: str, lease: ShardLease, peers: Sequence[ClusterNode]
-    ) -> _EngineNode:
-        """Build the node's fenced view and engine."""
-        view = FencedStoreView(self.store, lease, self._lock, deferred_commit=True)
-        engine = SynthesisEngine(num_shards=self._num_shards, store=view, **self._engine_kwargs)
-        return _EngineNode(node_id, lease, view, engine)
+    def start_nodes(self, leases: Dict[str, ShardLease]) -> Dict[str, _EngineNode]:
+        """Build each node's fenced view and engine."""
+        nodes = {}
+        for node_id, lease in leases.items():
+            view = FencedStoreView(self.store, lease, self._lock, deferred_commit=True)
+            engine = SynthesisEngine(num_shards=self._num_shards, store=view, **self._engine_kwargs)
+            nodes[node_id] = _EngineNode(node_id, lease, view, engine)
+        return nodes
 
     def _restore_barrier(self) -> bool:
         """Roll the shared store back to the last commit, where the backend can."""

@@ -14,9 +14,11 @@ the engine as a context manager) to release workers.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    import concurrent.futures
 
 __all__ = [
     "SerialExecutor",
@@ -74,6 +76,10 @@ class ProcessPoolShardExecutor:
             # engines usable even where worker processes cannot start.
             return [function(payload) for payload in payloads]
         if self._pool is None:
+            # Imported on first use: a serial engine (every cluster node's)
+            # never loads the pool machinery.
+            import concurrent.futures
+
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self._max_workers)
         return list(self._pool.map(function, payloads))
 
@@ -102,6 +108,8 @@ class ProcessPoolShardExecutor:
             slot = key % num_slots
             pool = self._pinned_pools.get(slot)
             if pool is None:
+                import concurrent.futures
+
                 pool = concurrent.futures.ProcessPoolExecutor(max_workers=1)
                 self._pinned_pools[slot] = pool
             futures.append(pool.submit(function, payload))

@@ -11,13 +11,27 @@ mirror over the shared WAL file, and nothing on the ingest critical
 path crosses a shared lock — real multi-core scaling, bounded only by
 the coordinator's routing work.
 
+**Starting a node.**  A node process is a fresh interpreter: its launch
+fork-execs ``sys.executable`` with a boot line that sets this process's
+``sys.path`` and calls :func:`repro.runtime.node.serve` on the node's
+pipe end.  It maps none of the coordinator's heap and never re-imports
+the caller's ``__main__`` (a script needs no ``__main__`` guard), yet it
+is a :mod:`multiprocessing` child: ``active_children()`` lists it and
+``join`` reaps it.  The constructor launches every node first, pickles
+the engine components once, sends the same bytes to each node, and
+returns only after every node answered ``ready`` (store opened, engine
+built) — so the boot is paid in parallel and before the first ingest.
+:meth:`~repro.runtime.cluster.ClusterEngine.add_node` boots its node
+the same way.  A node that dies or fails before ``ready`` fails the
+call at once with :class:`~repro.runtime.cluster.NodeDeadError`.
+
 The coordinator and its nodes speak a small message protocol over pipes
 (one duplex pipe per node, strictly request/reply per node, fanned out
 across nodes — every send of a round goes out before any receive):
 
 ``ingest`` / ``classify`` / ``apply``
     The node half of the cluster protocol —
-    :class:`~repro.runtime.cluster.NodeProtocol`, the same code an
+    :class:`~repro.runtime.node.NodeProtocol`, the same code an
     in-process node runs.  A node's mutations land in its store's
     *journal*, nothing touches the file; its ``vote`` carries the ingest
     report, busy time and transport counters on success, the error
@@ -72,22 +86,22 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import sys
+from multiprocessing import popen_fork, util
+from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import repro
 from repro.model.offers import Offer
-from repro.obs import get_registry
 from repro.runtime.cluster import (
     ClusterEngine,
     ClusterNode,
-    FencedStoreView,
     NodeDeadError,
-    NodeProtocol,
     NodeTransport,
     NodeVote,
     ShardLease,
 )
 from repro.runtime.delta import TransportStats
-from repro.runtime.engine import SynthesisEngine
 from repro.runtime.store.sqlite import SqliteCatalogStore
 
 __all__ = [
@@ -99,127 +113,71 @@ __all__ = [
 ]
 
 
-def _node_main(
-    channel: multiprocessing.connection.Connection,
-    store_path: str,
-    node_id: str,
-    num_shards: int,
-    epochs: Dict[int, int],
-    engine_kwargs: Dict[str, object],
-    inherited_channels: Sequence[multiprocessing.connection.Connection] = (),
-) -> None:
-    """Entry point of one node process: serve protocol messages forever.
+def _boot_command(channel_fd: int) -> List[str]:
+    """The command line of a node process serving the pipe end ``channel_fd``.
 
-    The node owns a private store connection + mirror over the shared
-    WAL file, partitioned under its node id, and a private
-    :class:`~repro.runtime.engine.SynthesisEngine` writing through a
-    :class:`~repro.runtime.cluster.FencedStoreView` with deferred
-    commits — the flush happens only on an explicit ``commit`` message.
-    A vanished coordinator (``EOFError``) means exit *without* flushing:
-    whatever the journal holds was never barrier-committed.
-
-    ``inherited_channels`` are the coordinator-side pipe ends of the
-    *other* nodes that a fork-started child inherits: they are closed
-    immediately, because a sibling holding a duplicate write end would
-    keep every node's pipe open after a coordinator hard crash — no
-    node would ever see the EOF that tells it to exit.
+    A fresh interpreter with this one's flags, without ``site`` (its
+    ``.pth`` files are start-up time a node has no use for), on this
+    process's ``sys.path`` — with the directory ``repro`` was imported
+    from in front when an import hook rather than a path entry found it.
     """
-    for sibling_channel in inherited_channels:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = [os.fsdecode(entry) for entry in sys.path]  # entries may be path objects
+    if root not in path:
+        path.insert(0, root)
+    source = (
+        f"import sys; sys.path[:] = {path!r}; "
+        f"from repro.runtime.node import serve; serve({channel_fd})"
+    )
+    return [sys.executable, *util._args_from_interpreter_flags(), "-S", "-c", source]
+
+
+class _ExecPopen(popen_fork.Popen):
+    """Start the child by fork-exec of a new interpreter.
+
+    The fork half of ``popen_fork`` (waiting, signals, the sentinel) with
+    the launch replaced by :func:`multiprocessing.util.spawnv_passfds`:
+    the child maps none of this process's heap, re-imports no
+    ``__main__``, and inherits only the descriptors passed to it — its
+    pipe end and the write end of the sentinel pipe, which it holds
+    until it exits.  No resource tracker or fork server is started.
+    """
+
+    method = "exec"
+
+    def _launch(self, process_obj: "_NodeProcess") -> None:
+        channel_fd = process_obj.channel_fd
+        sentinel, child_sentinel = os.pipe()
         try:
-            sibling_channel.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    store = SqliteCatalogStore(store_path, partition=node_id)
-    store.bind(num_shards)
-    lease = ShardLease(node_id=node_id, epochs=dict(epochs))
-    view = FencedStoreView(store, lease, deferred_commit=True)
-    engine = SynthesisEngine(num_shards=num_shards, store=view, **engine_kwargs)
-    protocol = NodeProtocol(node_id, num_shards, engine)
-    try:
-        while True:
-            kind, payload = channel.recv()
-            if kind == "commit":
-                try:
-                    view.validate_lease()
-                    store.commit()
-                except Exception as exc:  # noqa: BLE001 - shipped to coordinator
-                    channel.send(("commit-error", repr(exc)))
-                else:
-                    channel.send(("committed", None))
-            elif kind == "abort":
-                store.rollback()
-                protocol.discard()
-                channel.send(("aborted", None))
-            elif kind == "lease":
-                lease.epochs.clear()
-                lease.epochs.update(payload["epochs"])
-                store.refresh_shards(payload["refresh"])
-                channel.send(("lease-ok", None))
-            elif kind == "stats":
-                # The node's whole registry snapshot (engine counters,
-                # spans, its store series, the bridged transport stats)
-                # rides the pipe back; the coordinator folds the live
-                # nodes' fragments into one fleet view with
-                # merge_snapshot (counters sum across processes).
-                channel.send(("stats", get_registry().snapshot()))
-            elif kind == "crash":
-                _arm_fault(
-                    store,
-                    payload["operation"],
-                    payload["countdown"],
-                    payload.get("hard", True),
-                )
-                channel.send(("crash-armed", None))
-            elif kind == "shutdown":
-                engine.release_workers()
-                store.close()
-                channel.send(("bye", None))
-                return
-            else:
-                channel.send(protocol.handle(kind, payload))
-    except (EOFError, OSError, KeyboardInterrupt):
-        # The coordinator went away: exit without flushing anything.
-        engine.release_workers()
+            self.pid = util.spawnv_passfds(
+                os.fsencode(sys.executable),
+                _boot_command(channel_fd),
+                (channel_fd, child_sentinel),
+            )
+        except BaseException:
+            os.close(sentinel)
+            raise
+        finally:
+            os.close(child_sentinel)
+        self.sentinel = sentinel
+        self.finalizer = util.Finalize(self, util.close_fds, (sentinel,))
 
 
-def _arm_fault(
-    store: SqliteCatalogStore, operation: str, countdown: int, hard: bool
-) -> None:
-    """Install a fault hook that fails this node at the Nth store op.
+class _NodeProcess(BaseProcess):
+    """A ``multiprocessing`` child that is a fresh interpreter running one node.
 
-    ``hard=True`` hard-kills the process with ``os._exit`` — no journal
-    flush, no reply, no cleanup — a genuine mid-batch death.
-    ``hard=False`` raises instead (one-shot): the process survives, its
-    engine fails mid-ingest, and the node votes not-ready — the
-    alive-but-failed path whose partial journal the coordinator must
-    abort.
+    Being a ``multiprocessing`` process, it is listed by
+    :func:`multiprocessing.active_children`, reaped by ``join`` and, as
+    a daemon, terminated at interpreter exit if still running.
     """
-    remaining = {"count": countdown}
 
-    def hook(name: str) -> None:
-        """Fail (hard or soft) at the armed store operation."""
-        if name != operation:
-            return
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            if hard:
-                os._exit(17)
-            store.set_fault_hook(None)
-            raise RuntimeError(f"injected node fault at {operation}")
+    def __init__(self, channel_fd: int, name: str) -> None:
+        super().__init__(name=name, daemon=True)
+        self.channel_fd = channel_fd
 
-    store.set_fault_hook(hook)
-
-
-def _start_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing start method for node processes.
-
-    ``fork`` when the platform offers it: node processes inherit the
-    pipeline components (catalog, classifier, extractor) without
-    pickling them.  Elsewhere ``spawn`` is used and those components
-    must be picklable.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    @staticmethod
+    def _Popen(process_obj: "_NodeProcess") -> _ExecPopen:
+        return _ExecPopen(process_obj)
 
 
 class ProcessNode(ClusterNode):
@@ -232,54 +190,35 @@ class ProcessNode(ClusterNode):
     travels as one explicitly pickled frame, and every frame and its
     payload bytes are counted into ``pipe_stats`` — the engine-level
     :class:`~repro.runtime.delta.TransportStats` that makes the pipe
-    protocol's cost measurable (and regressions visible).
+    protocol's cost measurable (and regressions visible).  The boot
+    frames of :meth:`boot` are set-up, not protocol, and are not counted.
     """
 
     def __init__(
         self,
         node_id: str,
         lease: ShardLease,
-        store_path: str,
-        num_shards: int,
-        engine_kwargs: Dict[str, object],
-        context: multiprocessing.context.BaseContext,
         timeout: float,
-        sibling_channels: Sequence[multiprocessing.connection.Connection],
         pipe_stats: TransportStats,
     ) -> None:
-        """Spawn the node process with its initial lease epochs.
+        """Launch the node process; it waits for :meth:`boot`.
 
-        ``sibling_channels`` — the coordinator-side pipe ends of nodes
-        that already exist — travel to the child only so it can close
-        its inherited duplicates (see :func:`_node_main`).
         ``pipe_stats`` is the frame-accounting sink shared by every
         node of one engine.
         """
         super().__init__(node_id, lease)
         self.pipe_stats = pipe_stats
         self._timeout = timeout
-        parent_end, child_end = context.Pipe(duplex=True)
-        self._channel = parent_end
-        # The child closes every coordinator-side duplicate it inherits:
-        # the siblings' parent ends AND its own (created before the
-        # fork) — any one left open would mask the EOF that tells nodes
-        # a crashed coordinator is gone.
-        self._process = context.Process(
-            target=_node_main,
-            args=(
-                child_end,
-                store_path,
-                node_id,
-                num_shards,
-                dict(lease.epochs),
-                engine_kwargs,
-                list(sibling_channels) + [parent_end],
-            ),
-            name=f"repro-{node_id}",
-            daemon=True,
-        )
-        self._process.start()
-        child_end.close()
+        self._channel, child_end = multiprocessing.Pipe(duplex=True)
+        try:
+            self._process = _NodeProcess(child_end.fileno(), name=f"repro-{node_id}")
+            self._process.start()
+        except BaseException:
+            self._channel.close()
+            raise
+        finally:
+            # Only the child holds its end now, so its exit is our EOF.
+            child_end.close()
 
     @property
     def channel(self) -> multiprocessing.connection.Connection:
@@ -295,6 +234,41 @@ class ProcessNode(ClusterNode):
         """OS process id of the node (``None`` before start)."""
         return self._process.pid
 
+    def boot(self, store_path: str, num_shards: int, components: bytes) -> None:
+        """Send the node its header, then the engine components pickled once.
+
+        ``components`` are the same bytes for every node started
+        together.  Raises :class:`~repro.runtime.cluster.NodeDeadError`
+        when the node died before it read them.
+        """
+        header = {
+            "node_id": self.node_id,
+            "store_path": store_path,
+            "num_shards": num_shards,
+            "epochs": dict(self.lease.epochs),
+        }
+        try:
+            self._channel.send_bytes(pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL))
+            self._channel.send_bytes(components)
+        except OSError as exc:
+            raise self._boot_failure(f"send failed: {exc!r}") from exc
+
+    def await_ready(self) -> None:
+        """Wait for the node's ``ready``; :class:`NodeDeadError` if it failed to boot."""
+        try:
+            kind, reply = pickle.loads(self._read_frame())
+        except NodeDeadError as exc:
+            raise self._boot_failure(exc.reason) from exc
+        if kind != "ready":
+            raise self._boot_failure(f"{kind}: {reply}")
+
+    def _boot_failure(self, reason: str) -> NodeDeadError:
+        """The error of a node that did not boot, with its exit code once it has one."""
+        self._process.join(timeout=1)
+        if self._process.exitcode is not None:
+            reason = f"{reason} (exit code {self._process.exitcode})"
+        return NodeDeadError(self.node_id, f"failed to boot: {reason}")
+
     def send(self, kind: str, payload: object = None) -> None:
         """Ship one protocol message as one pickled frame.
 
@@ -308,7 +282,7 @@ class ProcessNode(ClusterNode):
         frame = pickle.dumps((kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
         try:
             self._channel.send_bytes(frame)
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise NodeDeadError(self.node_id, f"send failed: {exc!r}") from exc
         self.pipe_stats.frames_sent += 1
         self.pipe_stats.frame_bytes_sent += len(frame)
@@ -316,17 +290,21 @@ class ProcessNode(ClusterNode):
     def recv(self) -> Tuple[str, object]:
         """Await one reply frame; raises
         :class:`~repro.runtime.cluster.NodeDeadError` on death/timeout."""
+        frame = self._read_frame()
+        self.pipe_stats.frames_received += 1
+        self.pipe_stats.frame_bytes_received += len(frame)
+        return pickle.loads(frame)
+
+    def _read_frame(self) -> bytes:
+        """One reply frame; :class:`NodeDeadError` on death or timeout."""
         try:
             if not self._channel.poll(self._timeout):
                 raise NodeDeadError(
                     self.node_id, f"no reply within {self._timeout:.0f}s"
                 )
-            frame = self._channel.recv_bytes()
-        except (EOFError, ConnectionResetError, BrokenPipeError, OSError) as exc:
+            return self._channel.recv_bytes()
+        except (EOFError, OSError) as exc:
             raise NodeDeadError(self.node_id, f"connection lost: {exc!r}") from exc
-        self.pipe_stats.frames_received += 1
-        self.pipe_stats.frame_bytes_received += len(frame)
-        return pickle.loads(frame)
 
     def request(self, kind: str, payload: object = None) -> object:
         """Send one message and await its reply, checking the reply kind.
@@ -409,10 +387,8 @@ class ProcessTransport(NodeTransport):
         self.store = SqliteCatalogStore(store_path)
         self.store.bind(num_shards)
         self._num_shards = num_shards
-        # The node processes are the parallelism: each runs a serial
-        # engine (daemonic children could not spawn a worker pool).
+        # The node processes are the parallelism: each runs a serial engine.
         self._engine_kwargs = dict(engine_kwargs, executor="serial")
-        self._context = _start_context()
         self._timeout = node_timeout
         self._intent_sequence = itertools.count(1)
         # The open commit round: voters whose ack is outstanding, and
@@ -420,21 +396,30 @@ class ProcessTransport(NodeTransport):
         self._awaiting: List[ProcessNode] = []
         self._lost: Dict[str, str] = {}
 
-    def start_node(
-        self, node_id: str, lease: ShardLease, peers: Sequence[ClusterNode]
-    ) -> ProcessNode:
-        """Spawn the node process; it restores the whole file at startup."""
-        return ProcessNode(
-            node_id=node_id,
-            lease=lease,
-            store_path=self.store.path,
-            num_shards=self._num_shards,
-            engine_kwargs=self._engine_kwargs,
-            context=self._context,
-            timeout=self._timeout,
-            sibling_channels=[peer.channel for peer in peers],
-            pipe_stats=self.stats,
-        )
+    def start_nodes(self, leases: Dict[str, ShardLease]) -> Dict[str, ProcessNode]:
+        """Boot one node process per lease; returns once every one is ready.
+
+        Every process is launched first, so the interpreters boot in
+        parallel; the engine components are pickled once and the same
+        bytes go to each node, which restores the whole file and builds
+        its engine.  If any node fails to boot, every node of the call
+        is taken down before :class:`NodeDeadError` propagates.
+        """
+        nodes: Dict[str, ProcessNode] = {}
+        try:
+            for node_id, lease in leases.items():
+                nodes[node_id] = ProcessNode(node_id, lease, self._timeout, self.stats)
+            components = pickle.dumps(self._engine_kwargs, protocol=pickle.HIGHEST_PROTOCOL)
+            for node in nodes.values():
+                node.boot(self.store.path, self._num_shards, components)
+            del components
+            for node in nodes.values():
+                node.await_ready()
+        except BaseException:
+            for node in nodes.values():
+                node.destroy()
+            raise
+        return nodes
 
     def abort(self, answered: Sequence[ClusterNode], failures: Dict[str, BaseException]) -> bool:
         """Roll every answering node's journal (and retained offers) back.

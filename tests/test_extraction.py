@@ -9,6 +9,7 @@ from extraction_oracle import oracle_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.extraction.harvest as harvest
 from repro.corpus.webstore import PageNotFoundError, WebStore
 from repro.extraction import WebPageAttributeExtractor, extract_pairs
 from repro.runtime import SynthesisEngine
@@ -206,6 +207,42 @@ class TestConformance:
 _HOSTILE = ["<![", "<!--", "<?", "</", "<a b='", "&#", "'", '"', "<a", "<", ">", "=", "x"]
 
 
+class CountingPage(str):
+    """A page whose ``find`` / ``startswith`` add their work to ``steps[0]``."""
+
+    def __new__(cls, text, steps):
+        page = super().__new__(cls, text)
+        page.steps = steps
+        return page
+
+    def find(self, sub, start=0, *end):
+        found = str.find(self, sub, start, *end)
+        self.steps[0] += 1 + (found + len(sub) if found >= 0 else len(self)) - start
+        return found
+
+    def startswith(self, prefix, *bounds):
+        self.steps[0] += 1
+        return str.startswith(self, prefix, *bounds)
+
+
+class CountingPattern:
+    """A compiled pattern whose ``match`` / ``search`` add their work to ``steps[0]``."""
+
+    def __init__(self, pattern, steps):
+        self._pattern = pattern
+        self._steps = steps
+
+    def match(self, string, pos=0):
+        found = self._pattern.match(string, pos)
+        self._steps[0] += 1 + (found.end() - pos if found else 0)
+        return found
+
+    def search(self, string, pos=0):
+        found = self._pattern.search(string, pos)
+        self._steps[0] += 1 + (found.end() if found else len(string)) - pos
+        return found
+
+
 class TestHostilePages:
     @given(html=st.text())
     @settings(max_examples=300, deadline=None)
@@ -218,20 +255,39 @@ class TestHostilePages:
         extract_pairs("".join(fragments))
 
     @pytest.mark.parametrize("pattern", ["<![", "<!--", "<?", "</", "<a b='", "&#", "'\""])
-    def test_extraction_is_linear_in_page_length(self, pattern):
-        def best_seconds(size):
-            page = pattern * (size // len(pattern))
-            timings = []
-            for _ in range(3):
-                started = time.perf_counter()
-                extract_pairs(page)
-                timings.append(time.perf_counter() - started)
-            return min(timings)
+    def test_extraction_is_linear_in_page_length(self, pattern, monkeypatch):
+        """Twice the page costs at most 2.5x the scanner's steps.
 
-        single = best_seconds(100_000)
-        assert single < 0.5
-        # A 2 ms floor keeps timer noise on sub-millisecond runs from deciding.
-        assert best_seconds(200_000) <= 2.5 * max(single, 0.002)
+        The steps are every search the scanner makes plus the characters
+        that search walks over (a failed ``search`` or ``find`` walks to
+        the end of the page): a count that repeats exactly, where a
+        wall-clock ratio moved with the load of the machine.  The wall
+        clock still caps a 100 KB page at 0.5 s.
+        """
+
+        def page(size):
+            return pattern * (size // len(pattern))
+
+        timings = []
+        for _ in range(3):
+            started = time.perf_counter()
+            extract_pairs(page(100_000))
+            timings.append(time.perf_counter() - started)
+        assert min(timings) < 0.5
+
+        steps = [0]
+        for name in ("_PLAIN_TAG", "_START_TAG", "_ATTRIBUTE", "_END_TAG"):
+            monkeypatch.setattr(harvest, name, CountingPattern(getattr(harvest, name), steps))
+        for tag, body_end in harvest._SKIPPED.items():
+            if body_end is not None:
+                monkeypatch.setitem(harvest._SKIPPED, tag, CountingPattern(body_end, steps))
+
+        def scanner_steps(size):
+            steps[0] = 0
+            extract_pairs(CountingPage(page(size), steps))
+            return steps[0]
+
+        assert scanner_steps(200_000) <= 2.5 * scanner_steps(100_000)
 
     def test_one_broken_page_does_not_fail_its_batch(self, tiny_harness):
         """A page ending in ``<![ foo`` made ``html.parser`` raise out of ``ingest``."""

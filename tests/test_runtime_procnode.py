@@ -7,21 +7,31 @@ refresh, crash recovery after both a SIGKILL between batches and a
 hard ``os._exit`` mid-ingest (injected inside the node process), the
 shared-row partition strategy for the global tables, the coordinator's
 automatic load-skew rebalance, and kill-and-resume of the whole cluster
-against the shared WAL file.
+against the shared WAL file — and the node process lifecycle: every
+node is a ``multiprocessing`` child while the cluster runs, and none
+outlives ``close()``, a failed constructor or the script that started it.
 """
 
+import glob
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import time
 
 import pytest
 
 from conftest import product_fingerprint as fingerprint
+from conftest import run_in_fresh_interpreter
 from repro.runtime import (
     MultiProcessEngine,
+    NodeDeadError,
     SqliteCatalogStore,
     StaleEpochError,
     SynthesisEngine,
 )
+from repro.runtime import procnode
 
 
 def make_single(harness, **kwargs):
@@ -52,6 +62,33 @@ def feed_stream(harness, num_batches=4):
     return [offers[start : start + size] for start in range(0, len(offers), size)]
 
 
+def child_pids():
+    """Pids of every child of this process that is not reaped yet, zombies included.
+
+    Read from the kernel's per-thread children lists, so it also sees
+    children that ``multiprocessing`` does not know about.
+    """
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path, encoding="ascii") as handle:
+            pids.update(int(pid) for pid in handle.read().split())
+    return pids
+
+
+def session_members(session_id):
+    """Pids of every process in the session ``session_id`` (the kernel's view)."""
+    members = set()
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path, encoding="utf-8", errors="replace") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:  # the process exited while we looked
+            continue
+        if int(fields[3]) == session_id:
+            members.add(int(path.split("/")[2]))
+    return members
+
+
 @pytest.fixture(scope="module")
 def feed_expected(tiny_harness):
     """Products of an uninterrupted single-engine run over the feed stream."""
@@ -72,8 +109,8 @@ class TestMultiProcessBasics:
             )
 
     def test_rejects_process_node_executor(self, tmp_path, tiny_harness):
-        """Daemonic node processes cannot spawn worker pools, so a
-        process cluster takes no executor at all: the single engine's
+        """Node processes are the parallelism and each runs a serial
+        engine, so a process cluster takes no executor at all: the single engine's
         option is refused at construction, before a store file or a
         node process exists, instead of failing opaquely mid-ingest."""
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -82,8 +119,8 @@ class TestMultiProcessBasics:
 
     def test_node_processes_exit_when_coordinator_vanishes(self, tmp_path, tiny_harness):
         """Closing the coordinator-side pipe ends (what a coordinator
-        hard crash does) must EOF every node, including earlier-spawned
-        ones whose pipe a forked sibling inherited a duplicate of."""
+        hard crash does) must EOF every node: no node holds a duplicate
+        of another node's pipe end that would keep it open."""
         cluster = make_cluster(tiny_harness, tmp_path, num_nodes=3, num_shards=8)
         cluster.ingest(feed_stream(tiny_harness)[0])
         nodes = [cluster._nodes[node_id] for node_id in cluster.node_ids()]
@@ -399,6 +436,7 @@ class TestCommitIntent:
         store.write_commit_intent(1, pickle.dumps(offers))
         store.close()
         before = set(multiprocessing.active_children())
+        before_pids = child_pids()
         with pytest.raises(ValueError, match="trained category classifier"):
             MultiProcessEngine(
                 catalog=tiny_harness.corpus.catalog,
@@ -411,6 +449,7 @@ class TestCommitIntent:
             )
         leaked = [child for child in multiprocessing.active_children() if child not in before]
         assert leaked == [], f"node processes outlived the failed constructor: {leaked}"
+        assert child_pids() <= before_pids, "a child process outlived the failed constructor"
         # The intent is still there, and a cluster that *can* route it
         # replays it on open.
         reopened = make_cluster(tiny_harness, tmp_path, name="leak.sqlite3", num_nodes=2)
@@ -453,3 +492,157 @@ class TestAutoRebalance:
         assert cluster.skew_watcher is not None
         assert sorted(fingerprint(cluster.products())) == feed_expected
         cluster.close()
+
+
+class FailsToUnpickle:
+    """A component that pickles but raises when a node process unpickles it."""
+
+    def __reduce__(self):
+        return int, ("not a component",)
+
+
+GUARDLESS_SCRIPT = """
+import multiprocessing, sys
+from repro.corpus.config import CorpusPreset
+from repro.experiments.harness import get_harness
+from repro.runtime import MultiProcessEngine
+
+harness = get_harness(CorpusPreset.TINY)
+engine = MultiProcessEngine(
+    catalog=harness.corpus.catalog,
+    correspondences=harness.offline_result.correspondences,
+    extractor=harness.extractor,
+    category_classifier=harness.category_classifier,
+    store_path=sys.argv[1],
+    num_nodes=2,
+)
+print(" ".join(str(child.pid) for child in multiprocessing.active_children()), flush=True)
+engine.ingest(harness.unmatched_offers)
+engine.close()
+"""
+
+
+class TestNodeLifecycle:
+    def test_nodes_are_multiprocessing_children_and_close_reaps_them(self, tmp_path, tiny_harness):
+        before = child_pids()
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
+        try:
+            cluster.ingest(feed_stream(tiny_harness)[0])
+            pids = {cluster._nodes[node_id].pid for node_id in cluster.node_ids()}
+            assert len(pids) == 2
+            assert pids <= {child.pid for child in multiprocessing.active_children()}
+            assert pids <= child_pids()
+        finally:
+            cluster.close()
+        assert child_pids() <= before, "a node process outlived close()"
+        assert not pids & {child.pid for child in multiprocessing.active_children()}
+
+    def test_a_node_process_imports_only_the_node_half(self):
+        """What a node's boot line imports: the engine and the stores, not
+        the coordinator, the pool machinery, the learner or the corpus."""
+        run_in_fresh_interpreter(
+            "import sys; import repro.runtime.node; "
+            "loaded = [m for m in ('repro.runtime.cluster', 'repro.runtime.procnode', "
+            "'concurrent.futures', 'repro.matching.learner', 'repro.corpus.generator') "
+            "if m in sys.modules]; assert not loaded, loaded"
+        )
+
+    def test_joined_node_boots_through_the_handshake(self, tmp_path, tiny_harness):
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=1, num_shards=8)
+        try:
+            # Boot frames are set-up, not protocol: the wire counters start at zero.
+            stats = cluster.transport_stats()
+            assert stats.frames_sent == stats.frames_received == 0
+            joined = cluster.add_node()
+            assert cluster._nodes[joined].alive()
+            assert cluster._nodes[joined].pid in {
+                child.pid for child in multiprocessing.active_children()
+            }
+            report = cluster.ingest(feed_stream(tiny_harness)[0])
+            assert report.offers_new > 0
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("failure", ["component", "interpreter"])
+    def test_node_that_fails_to_boot_fails_the_constructor_fast(
+        self, tmp_path, tiny_harness, monkeypatch, failure
+    ):
+        """A node that dies before ``ready`` — a component that does not
+        unpickle there, or an interpreter that cannot even import the
+        node — fails the constructor within seconds (not after the 300 s
+        reply timeout), names the node and leaves no process behind."""
+        kwargs = {}
+        if failure == "component":
+            kwargs["fusion"] = FailsToUnpickle()
+        else:
+            monkeypatch.setattr(
+                procnode,
+                "_boot_command",
+                lambda channel_fd: [sys.executable, "-S", "-c", "import no_such_node_module"],
+            )
+        before = child_pids()
+        started = time.monotonic()
+        with pytest.raises(NodeDeadError, match="node-1.*failed to boot") as raised:
+            make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8, **kwargs)
+        assert time.monotonic() - started < 30
+        if failure == "component":
+            assert "not a component" in str(raised.value)
+        assert "exit code 1" in str(raised.value)
+        assert child_pids() <= before, "a node process outlived the failed constructor"
+
+    def test_join_that_fails_to_boot_leaves_the_cluster_as_it_was(
+        self, tmp_path, tiny_harness, feed_expected, monkeypatch
+    ):
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
+        try:
+            batches = feed_stream(tiny_harness)
+            cluster.ingest(batches[0])
+            before = child_pids()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    procnode,
+                    "_boot_command",
+                    lambda channel_fd: [sys.executable, "-S", "-c", "raise SystemExit(3)"],
+                )
+                with pytest.raises(NodeDeadError, match="node-3.*exit code 3"):
+                    cluster.add_node()
+            assert child_pids() <= before
+            assert cluster.node_ids() == ["node-1", "node-2"]
+            assert sorted(cluster.coordinator.assignment().values()) == sorted(
+                ["node-1", "node-2"] * 4
+            )
+            for batch in batches[1:]:
+                cluster.ingest(batch)
+            assert sorted(fingerprint(cluster.products())) == feed_expected
+        finally:
+            cluster.close()
+
+    def test_script_without_main_guard_runs_and_leaves_nothing(self, tmp_path):
+        """Nodes never re-run the caller's ``__main__``: a script with no
+        ``if __name__ == "__main__":`` guard builds, ingests, closes and
+        exits, and no process it started (a node, a resource tracker, a
+        fork server) is left in its session afterwards."""
+        script = tmp_path / "guardless.py"
+        script.write_text(GUARDLESS_SCRIPT, encoding="utf-8")
+        source_root = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        process = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path / "guardless.sqlite3")],
+            env=dict(os.environ, PYTHONPATH=source_root),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=120)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, 9)
+                process.wait()
+        assert process.returncode == 0, stderr
+        node_pids = {int(pid) for pid in stdout.split()}
+        assert len(node_pids) == 2
+        deadline = time.monotonic() + 10
+        while session_members(process.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_members(process.pid) == set(), "the script left processes behind"
