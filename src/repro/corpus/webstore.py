@@ -54,6 +54,10 @@ class WebStore:
         """Return the page behind ``url`` or ``None`` when missing."""
         return self._pages.get(url)
 
+    def clear(self) -> None:
+        """Drop every stored page."""
+        self._pages.clear()
+
     def has(self, url: str) -> bool:
         """Whether the store contains a page for ``url``."""
         return url in self._pages

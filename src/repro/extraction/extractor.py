@@ -49,6 +49,11 @@ class WebPageAttributeExtractor:
     def __init__(self, web: WebStore) -> None:
         self._web = web
 
+    @property
+    def web(self) -> WebStore:
+        """The landing pages this extractor fetches from."""
+        return self._web
+
     def extract_from_html(self, html_text: str) -> Specification:
         """Extract attribute-value pairs from raw HTML."""
         return Specification(extract_pairs(html_text))

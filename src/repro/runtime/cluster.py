@@ -184,12 +184,15 @@ class ShardCoordinator:
         """Reassign shards greedily by observed load (largest first).
 
         ``loads`` maps shard index to any monotone load measure (offers
-        held, ingest seconds); unknown or zero-load shards weigh 1 so
-        they still spread.  Deterministic: ties break on shard index and
-        node id.  Every shard that changes owner is re-fenced exactly as
-        in a membership change, so in-flight holders are cut off and the
-        new owner's workers resync through the delta protocol.  Returns
-        the new assignment.
+        held, ingest seconds); unknown or zero-load shards are placed
+        last and weigh 1 each, so they fill the lightest node until it
+        catches up with the measured loads — they do not spread: after
+        one batch that touched a single shard of 40 offers, every other
+        shard lands on one node.  Deterministic: ties break on shard
+        index and node id.  Every shard that changes owner is re-fenced
+        exactly as in a membership change, so in-flight holders are cut
+        off and the new owner's workers resync through the delta
+        protocol.  Returns the new assignment.
         """
         nodes = self.nodes()
         bins = {node_id: 0.0 for node_id in nodes}
@@ -429,11 +432,13 @@ class NodeTransport:
 
     One instance per cluster engine.  It opens the coordinator's store,
     starts nodes (:class:`ClusterNode` handles), and implements the
-    commit barrier and the two consequences of the coordinator's store
-    not being the nodes' store (aborting a failed wave, refreshing a
-    stale mirror).  Constructors take ``(num_shards, engine_kwargs,
-    **options)``; the options are the transport-specific constructor
-    arguments of the public engine class that selects the transport.
+    commit barrier, the abort of a failed wave, and what a node needs
+    sent beside its offers (:meth:`pages_for`).  The coordinator reads
+    its views from the store's committed rows, so no transport keeps the
+    coordinator's mirror current.  Constructors take ``(num_shards,
+    engine_kwargs, **options)``; the options are the transport-specific
+    constructor arguments of the public engine class that selects the
+    transport.
     """
 
     #: The coordinator's store: epochs, dedup and the view surface.
@@ -476,8 +481,8 @@ class NodeTransport:
         """The batch of a barrier a previous coordinator died in, if any."""
         raise NotImplementedError
 
-    def refresh_mirror(self) -> None:
-        """Fold what the nodes committed into the coordinator's store."""
+    def pages_for(self, offers: Sequence[Offer]) -> Dict[str, str]:
+        """The landing pages to send with ``offers`` to the node that ingests them."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -615,12 +620,11 @@ class ClusterEngine:
         self._hint_stats = TransportStats()
         self._routing_seconds = 0.0
         self._barrier_seconds = 0.0
-        # Coordinator-side dedup: offers absorbed since the store last
-        # reflected every node commit.  Updated only once a batch's
-        # barrier began, so a recovered or replayed batch is never
-        # half-seen; the store's own seen set covers the rest.
+        # Coordinator-side dedup: offers absorbed since open.  Updated
+        # only once a batch's barrier began, so a recovered or replayed
+        # batch is never half-seen; the store's mirror, restored at
+        # open and never rebuilt, covers what was committed before.
         self._seen = set()
-        self._dirty = False
         # The batch whose commit barrier is begun but not finished.
         self._pending: Optional[List[Offer]] = None
         self._closed = False
@@ -717,7 +721,13 @@ class ClusterEngine:
 
     @property
     def store(self) -> CatalogStore:
-        """The coordinator's catalog store (the shared one, or its connection to it)."""
+        """The coordinator's catalog store (the shared one, or its connection to it).
+
+        Over a process cluster its mirror holds what was committed when
+        the cluster opened; the views read the committed rows instead
+        (:meth:`~repro.runtime.state.CatalogStore.iter_products` and the
+        ``committed_*`` reads).
+        """
         return self._store
 
     @property
@@ -859,18 +869,16 @@ class ClusterEngine:
         """Reassign shards by load between batches; returns the layout.
 
         With ``loads=None`` the observed load is read from the shared
-        store (offers held per shard, including everything the nodes
-        committed) — the modulo layout membership starts from ignores
-        how skewed the category distribution is, and a warm cluster can
-        pull its busiest shards apart this way.  Moved shards are
+        store's committed rows (offers held per shard, including
+        everything the nodes committed) — the modulo layout membership
+        starts from ignores how skewed the category distribution is,
+        and a warm cluster can pull its busiest shards apart this way.  Moved shards are
         re-fenced and handed over exactly like a membership change.
         """
         self._ensure_open()
         self.flush()
         if loads is None:
-            loads = {}
-            for _, state in self._view().iter_clusters():
-                loads[state.shard_index] = loads.get(state.shard_index, 0.0) + state.size()
+            loads = self._store.committed_shard_loads()
         before = self._coordinator.assignment()
         layout = self._coordinator.rebalance_by_load(loads)
         self._fence_unreachable(self._push_layout(before))
@@ -1011,7 +1019,12 @@ class ClusterEngine:
                     categorised = self._route_categories(fresh)
                 routed = self._partition(categorised)
                 return self._vote_round(
-                    "ingest", routed, {node_id: len(batch) for node_id, batch in routed.items()}
+                    "ingest",
+                    {
+                        node_id: {"offers": batch, "pages": self._transport.pages_for(batch)}
+                        for node_id, batch in routed.items()
+                    },
+                    {node_id: len(batch) for node_id, batch in routed.items()},
                 )
             except _BatchFailure as failure:
                 attempts += 1
@@ -1103,10 +1116,11 @@ class ClusterEngine:
         :class:`NodeProtocol`): ``classify`` ships each hinted,
         position-tagged sub-batch plus the shard assignment to its
         guessed owner and collects the offers that belong elsewhere;
-        ``apply`` delivers those to their true owners, which ingest.
-        The per-offer classification sweep — the dominant serial cost
-        of coordinator routing — thus runs on the nodes, and only
-        misrouted offers are shipped twice.
+        ``apply`` delivers those to their true owners, which ingest,
+        with the pages of both the offers a node kept and the ones it
+        receives.  The per-offer classification sweep — the dominant
+        serial cost of coordinator routing — thus runs on the nodes, and
+        only misrouted offers are shipped twice.
         """
         # Same error contract as coordinator routing, checked up front
         # so no node sees a doomed batch.
@@ -1139,23 +1153,24 @@ class ClusterEngine:
             "classified",
         )
         incoming: Dict[str, List[Tuple[int, Offer]]] = {}
-        owned_counts: Dict[str, int] = {}
+        kept: Dict[str, List[Offer]] = {}
         for node_id, reply in classified.items():
             self._nodes[node_id].busy_seconds += reply["busy_seconds"]
-            moved = 0
+            moved = set()
             for destination, items in reply["outgoing"].items():
                 incoming.setdefault(destination, []).extend(items)
-                moved += len(items)
-            self._hint_stats.misrouted_offers += moved
-            owned_counts[node_id] = len(hinted[node_id]) - moved
+                moved.update(position for position, _ in items)
+            self._hint_stats.misrouted_offers += len(moved)
+            kept[node_id] = [offer for position, offer in hinted[node_id] if position not in moved]
         if failures:
             self._fail_round(answered, failures)
         payloads: Dict[str, object] = {}
         routed_counts: Dict[str, int] = {}
-        for node_id in {n for n, count in owned_counts.items() if count} | set(incoming):
+        for node_id in {n for n, offers in kept.items() if offers} | set(incoming):
             items = sorted(incoming.get(node_id, ()), key=lambda item: item[0])
-            payloads[node_id] = {"incoming": items}
-            routed_counts[node_id] = owned_counts.get(node_id, 0) + len(items)
+            ingesting = kept.get(node_id, []) + [offer for _, offer in items]
+            payloads[node_id] = {"incoming": items, "pages": self._transport.pages_for(ingesting)}
+            routed_counts[node_id] = len(ingesting)
         return self._vote_round("apply", payloads, routed_counts)
 
     # -- commit barrier --------------------------------------------------------
@@ -1165,7 +1180,6 @@ class ClusterEngine:
         self._transport.barrier_begin([self._nodes[node_id] for node_id in voters], fresh)
         self._pending = list(fresh)
         self._seen.update(offer.offer_id for offer in fresh)
-        self._dirty = True
 
     def flush(self) -> None:
         """Finish the begun commit barrier (no-op when none is open).
@@ -1203,12 +1217,12 @@ class ClusterEngine:
 
         Only possible because the transport made the batch durable
         before the round and every node's commit is atomic: after
-        fencing, the coordinator refreshes its store — the only
-        authority on which sub-batches landed — and re-runs the batch's
-        *unseen* offers through a normal dispatch + barrier.  Node-side
-        dedup could not replace the refresh: fencing just moved shards,
-        and a surviving node's mirror may predate another node's
-        committed sub-batch.
+        fencing, the coordinator reads which of the batch's offers the
+        store's committed rows hold — the only authority on which
+        sub-batches landed — and re-runs the others through a normal
+        dispatch + barrier.  Node-side dedup could not replace that
+        read: fencing just moved shards, and a surviving node's mirror
+        may predate another node's committed sub-batch.
         """
         if not self._auto_recover:
             raise RuntimeError(
@@ -1219,16 +1233,17 @@ class ClusterEngine:
                 + "; ".join(lost.values())
             )
         self._fence_unreachable([node_id for node_id in lost if node_id in self._nodes])
-        self._refresh_store()
         self._replay_offers(offers)
 
     def _replay_offers(self, offers: Sequence[Offer]) -> None:
         """Re-dispatch and durably commit whichever offers never landed.
 
         Shared by barrier recovery and the startup replay of a leftover
-        batch; idempotent because the store's seen set filters first.
+        batch; idempotent because the store's committed seen rows filter
+        first.
         """
-        remainder = [offer for offer in offers if not self._store.is_seen(offer.offer_id)]
+        landed = self._store.committed_seen([offer.offer_id for offer in offers])
+        remainder = [offer for offer in offers if offer.offer_id not in landed]
         if not remainder:
             self._transport.barrier_end()
             return
@@ -1238,42 +1253,34 @@ class ClusterEngine:
 
     # -- views ----------------------------------------------------------------
 
-    def _refresh_store(self) -> None:
-        """Make the coordinator's store reflect every node commit.
-
-        Once refreshed, the store's own seen set covers everything the
-        side set accumulated, so the side set is dropped — the
-        coordinator never holds the stream's offer ids twice.
-        """
-        self._transport.refresh_mirror()
-        self._dirty = False
-        self._seen.clear()
-
     def _view(self) -> CatalogStore:
-        """The coordinator's store, open, flushed and current."""
+        """The coordinator's store, open, with every begun barrier finished.
+
+        Views read its committed rows: the nodes of a process cluster
+        commit through their own connections, and the coordinator's
+        mirror is never rebuilt after open.
+        """
         self._ensure_open()
         self.flush()
-        if self._dirty:
-            self._refresh_store()
         return self._store
 
     def products(self) -> List[Product]:
         """All current synthesized products (same order as a single engine)."""
-        return self._view().sorted_products()
+        return list(self._view().iter_products())
 
     def num_clusters(self) -> int:
         """Number of clusters tracked so far (including sub-threshold ones)."""
-        return self._view().num_clusters()
+        return self._view().committed_num_clusters()
 
     def snapshot(self) -> EngineSnapshot:
         """A consistent summary of everything ingested so far."""
         store = self._view()
         return EngineSnapshot(
-            products=store.sorted_products(),
-            num_clusters=store.num_clusters(),
-            offers_ingested=store.num_seen(),
-            reconciliation_stats=store.reconciliation_stats(),
-            assigned_categories=store.assigned_categories(),
+            products=list(store.iter_products()),
+            num_clusters=store.committed_num_clusters(),
+            offers_ingested=store.committed_num_seen(),
+            reconciliation_stats=store.committed_reconciliation_stats(),
+            assigned_categories=store.committed_assigned_categories(),
         )
 
     def _coordinator_stats(self) -> TransportStats:
@@ -1414,10 +1421,10 @@ class InProcessTransport(NodeTransport):
     """Nodes as engines in this process, writing through fenced views.
 
     Every node writes straight into the one shared store (under one
-    cluster lock, through its :class:`FencedStoreView`), so a message is
-    a direct call, the barrier is one store commit, and the
-    coordinator's store is always current.  Dispatch is sequential: a
-    ``send`` runs the node to completion.
+    cluster lock, through its :class:`FencedStoreView`) with the
+    caller's extractor, so a message is a direct call, the barrier is
+    one store commit, and the coordinator's store is always current.
+    Dispatch is sequential: a ``send`` runs the node to completion.
     """
 
     def __init__(
@@ -1474,8 +1481,9 @@ class InProcessTransport(NodeTransport):
         """Never: a store commit is atomic, no barrier is left half-done."""
         return None
 
-    def refresh_mirror(self) -> None:
-        """Nothing to refresh: the nodes write into the coordinator's store."""
+    def pages_for(self, offers: Sequence[Offer]) -> Dict[str, str]:
+        """None: the nodes share the caller's extractor and its pages."""
+        return {}
 
     def close(self) -> None:
         """Close an owned store; commit (and leave open) a caller's."""

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.corpus.webstore import WebStore
 from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.obs import get_registry
@@ -352,15 +353,30 @@ class NodeProtocol:
     sent back, in original batch order, and ingests — so placement and
     order (and every output byte) match coordinator-side classification.
 
+    An ``ingest`` or ``apply`` frame also carries ``pages``: the landing
+    page of every offer it makes this node ingest that has no
+    specification (a missing page is simply absent).  They go into
+    ``pages`` — the page map the node engine's extractor reads — for the
+    one ingest, and are dropped before the vote is sent.  A node that
+    shares the caller's extractor (an in-process node) has ``pages=None``
+    and is sent none.
+
     A process node's pipe loop calls :meth:`handle` once per frame; an
     in-process node calls it directly.  Both clusters therefore run the
     same node-side code, whatever carries the messages.
     """
 
-    def __init__(self, node_id: str, num_shards: int, engine: SynthesisEngine) -> None:
+    def __init__(
+        self,
+        node_id: str,
+        num_shards: int,
+        engine: SynthesisEngine,
+        pages: Optional[WebStore] = None,
+    ) -> None:
         self._node_id = node_id
         self._num_shards = num_shards
         self._engine = engine
+        self._pages = pages
         # Offers retained from a ``classify`` round, position-tagged,
         # until the following ``apply`` (or a :meth:`discard`).
         self._retained: List[Tuple[int, Offer]] = []
@@ -368,28 +384,33 @@ class NodeProtocol:
     def handle(self, kind: str, payload: object) -> Tuple[str, object]:
         """Answer one protocol message with its ``(reply kind, reply)``."""
         if kind == "ingest":
-            return "vote", self._vote(payload)
+            return "vote", self._vote(payload["offers"], payload["pages"])
         if kind == "classify":
             return self._classify(payload["offers"], payload["assignment"], payload["fallback"])
         if kind == "apply":
             merged = self._retained + list(payload["incoming"])
             self._retained = []
             merged.sort(key=lambda item: item[0])
-            return "vote", self._vote([offer for _, offer in merged])
+            return "vote", self._vote([offer for _, offer in merged], payload["pages"])
         return "error", f"unknown message kind {kind!r}"
 
     def discard(self) -> None:
         """Drop the retained offers of an aborted batch."""
         self._retained = []
 
-    def _vote(self, sub_batch: Sequence[Offer]) -> NodeVote:
-        """Ingest one routed sub-batch and build the vote reply."""
+    def _vote(self, sub_batch: Sequence[Offer], pages: Dict[str, str]) -> NodeVote:
+        """Ingest one routed sub-batch over the pages it came with; build the vote."""
         started = time.perf_counter()
         report = cause = None
         try:
+            for url, html in pages.items():
+                self._pages.put(url, html)
             report = self._engine.ingest(sub_batch)
         except Exception as exc:  # noqa: BLE001 - shipped to the coordinator
             cause = exc
+        finally:
+            if pages:
+                self._pages.clear()
         return NodeVote(
             ready=cause is None,
             error=None if cause is None else repr(cause),
@@ -438,10 +459,12 @@ def serve(channel_fd: int) -> None:
     The boot handshake comes first.  The coordinator sends two frames:
     the node's header (id, store path, shard count, lease epochs), then
     the pickled engine components, the same bytes for every node it
-    starts.  The node opens a private store connection and mirror over
-    the shared WAL file, partitioned under its node id, builds its
-    engine over a :class:`FencedStoreView` with deferred commits, and
-    answers ``ready``.  A failure on the way (a component that does not
+    starts, with the extractor over an empty page map (the pages an
+    ingest needs travel in its frame, see :class:`NodeProtocol`).  The
+    node opens a private store connection and mirror over the shared
+    WAL file, partitioned under its node id, builds its engine over a
+    :class:`FencedStoreView` with deferred commits, and answers
+    ``ready``.  A failure on the way (a component that does not
     unpickle here, a store that does not open) is answered with
     ``boot-error`` and ends the process with exit code 1, so the
     coordinator's constructor fails at once instead of waiting out its
@@ -471,7 +494,12 @@ def serve(channel_fd: int) -> None:
         channel.send(("boot-error", repr(exc)))
         raise SystemExit(1) from exc
     channel.send(("ready", None))
-    protocol = NodeProtocol(node_id, num_shards, engine)
+    # The coordinator sent the extractor over an empty page map; the
+    # pages an ingest needs arrive in its frame.
+    extractor = engine_kwargs.get("extractor")
+    protocol = NodeProtocol(
+        node_id, num_shards, engine, pages=None if extractor is None else extractor.web
+    )
     try:
         while True:
             kind, payload = channel.recv()

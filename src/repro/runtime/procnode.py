@@ -18,9 +18,10 @@ pipe end.  It maps none of the coordinator's heap and never re-imports
 the caller's ``__main__`` (a script needs no ``__main__`` guard), yet it
 is a :mod:`multiprocessing` child: ``active_children()`` lists it and
 ``join`` reaps it.  The constructor launches every node first, pickles
-the engine components once, sends the same bytes to each node, and
-returns only after every node answered ``ready`` (store opened, engine
-built) — so the boot is paid in parallel and before the first ingest.
+the engine components once — the extractor over an empty page map —
+sends the same bytes to each node, and returns only after every node
+answered ``ready`` (store opened, engine built) — so the boot is paid in
+parallel and before the first ingest.
 :meth:`~repro.runtime.cluster.ClusterEngine.add_node` boots its node
 the same way.  A node that dies or fails before ``ready`` fails the
 call at once with :class:`~repro.runtime.cluster.NodeDeadError`.
@@ -32,10 +33,12 @@ across nodes — every send of a round goes out before any receive):
 ``ingest`` / ``classify`` / ``apply``
     The node half of the cluster protocol —
     :class:`~repro.runtime.node.NodeProtocol`, the same code an
-    in-process node runs.  A node's mutations land in its store's
-    *journal*, nothing touches the file; its ``vote`` carries the ingest
-    report, busy time and transport counters on success, the error
-    otherwise.
+    in-process node runs.  An ``ingest`` or ``apply`` frame carries the
+    landing page of every offer without a specification that it makes
+    the node ingest; the node extracts from them and drops them before
+    it votes.  A node's mutations land in its store's *journal*, nothing
+    touches the file; its ``vote`` carries the ingest report, busy time
+    and transport counters on success, the error otherwise.
 ``commit`` / ``abort``
     The cluster commit barrier.  When every involved node voted ready,
     the coordinator durably records a *commit intent* (the batch's
@@ -67,6 +70,12 @@ across nodes — every send of a round goes out before any receive):
 ``shutdown``
     Graceful leave; the node releases its workers and closes its store.
 
+**Reading.**  The coordinator's connection restores the file once, at
+open, and never rebuilds its mirror: ``products()``, ``snapshot()``,
+``num_clusters()``, ``rebalance()``'s loads and barrier recovery read
+the committed rows (``iter_products`` and the store's ``committed_*``
+reads).
+
 **Safety.**  The shared-row strategy keeps cross-process writes
 race-free: each offer is routed to exactly one node (seen-set rows are
 disjoint), each shard has exactly one owner (cluster rows are disjoint),
@@ -92,6 +101,8 @@ from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro
+from repro.corpus.webstore import WebStore
+from repro.extraction.extractor import WebPageAttributeExtractor
 from repro.model.offers import Offer
 from repro.runtime.cluster import (
     ClusterEngine,
@@ -366,9 +377,11 @@ class ProcessTransport(NodeTransport):
 
     The file is the only state the processes share: the coordinator
     keeps its own connection (epochs as the authoritative writer, the
-    initial restore, and a mirror refreshed on read), every node a
+    restore at open, and reads of the committed rows), every node a
     private one.  A message is one pickled frame per direction, and the
     barrier is a durable *commit intent* followed by a ``commit`` round.
+    Nodes get the extractor over an empty page map; the coordinator
+    keeps the caller's and sends each ingest the pages it needs.
     """
 
     def __init__(
@@ -387,8 +400,15 @@ class ProcessTransport(NodeTransport):
         self.store = SqliteCatalogStore(store_path)
         self.store.bind(num_shards)
         self._num_shards = num_shards
-        # The node processes are the parallelism: each runs a serial engine.
-        self._engine_kwargs = dict(engine_kwargs, executor="serial")
+        extractor = engine_kwargs.get("extractor")
+        self._web = None if extractor is None else extractor.web
+        # The node processes are the parallelism: each runs a serial
+        # engine, whose extractor reads only the pages sent with an ingest.
+        self._engine_kwargs = dict(
+            engine_kwargs,
+            executor="serial",
+            extractor=None if extractor is None else WebPageAttributeExtractor(WebStore()),
+        )
         self._timeout = node_timeout
         self._intent_sequence = itertools.count(1)
         # The open commit round: voters whose ack is outstanding, and
@@ -474,9 +494,22 @@ class ProcessTransport(NodeTransport):
         pending = self.store.pending_commit_intent()
         return None if pending is None else pickle.loads(pending[1])
 
-    def refresh_mirror(self) -> None:
-        """Rebuild the coordinator's mirror from what the nodes committed."""
-        self.store.refresh()
+    def pages_for(self, offers: Sequence[Offer]) -> Dict[str, str]:
+        """The stored page of every offer that has no specification.
+
+        Those are the offers the node engine extracts; an offer whose
+        page is missing gets none, and so an empty specification, as it
+        would from the caller's extractor.
+        """
+        pages: Dict[str, str] = {}
+        if self._web is None:
+            return pages
+        for offer in offers:
+            if len(offer.specification) == 0:
+                html = self._web.fetch_or_none(offer.url)
+                if html is not None:
+                    pages[offer.url] = html
+        return pages
 
     def close(self) -> None:
         """Close the coordinator's connection (the file stays)."""

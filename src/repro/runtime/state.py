@@ -26,7 +26,7 @@ import itertools
 import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.model.offers import Offer
 from repro.model.products import Product
@@ -197,18 +197,6 @@ class CatalogStore(abc.ABC):
         """
         return False
 
-    def refresh(self) -> None:
-        """Fold in state committed by *other* writers of the same backing.
-
-        A multi-process cluster has several store instances (one per node
-        process plus the coordinator's) over one durable file; a reader
-        calls ``refresh`` after a commit barrier to see what the other
-        connections flushed.  The default is a no-op: a single-writer
-        in-memory store is always current.  Durable backends raise
-        :class:`RuntimeError` when uncommitted local mutations would be
-        lost by the re-read.
-        """
-
     def rollback(self) -> None:
         """Discard every mutation since the last :meth:`commit`.
 
@@ -328,10 +316,43 @@ class CatalogStore(abc.ABC):
         writer materialising it twice.  The default serves from the
         in-memory state (``page_size`` is advisory there); the SQLite
         backend overrides it to read committed pages straight from disk,
-        the first step toward a read-through mode that does not require
-        the full in-memory mirror.
+        which is how a cluster coordinator lists the products its
+        process nodes committed.
         """
         yield from self.sorted_products()
+
+    # -- committed reads -------------------------------------------------------
+    # What the last commit holds, for a reader that is not the writer: a
+    # cluster coordinator, whose process nodes commit through their own
+    # connections.  The defaults read the in-memory state, which a single
+    # writer keeps current; the SQLite backend reads its committed rows.
+
+    def committed_num_clusters(self) -> int:
+        """Clusters in the last commit (including sub-threshold ones)."""
+        return self.num_clusters()
+
+    def committed_num_seen(self) -> int:
+        """Distinct offer ids in the last commit."""
+        return self.num_seen()
+
+    def committed_seen(self, offer_ids: Iterable[str]) -> Set[str]:
+        """Which of ``offer_ids`` the last commit holds."""
+        return {offer_id for offer_id in offer_ids if self.is_seen(offer_id)}
+
+    def committed_assigned_categories(self) -> Dict[str, str]:
+        """The offer-id -> category-id map of the last commit."""
+        return self.assigned_categories()
+
+    def committed_reconciliation_stats(self) -> ReconciliationStats:
+        """The reconciliation totals of the last commit, every writer's included."""
+        return self.reconciliation_stats()
+
+    def committed_shard_loads(self) -> Dict[int, float]:
+        """Offers held per shard in the last commit (shards holding none are absent)."""
+        loads: Dict[int, float] = {}
+        for _, state in self.iter_clusters():
+            loads[state.shard_index] = loads.get(state.shard_index, 0.0) + state.size()
+        return loads
 
     # -- reconciliation stats --------------------------------------------------
 

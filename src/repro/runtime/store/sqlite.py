@@ -40,10 +40,13 @@ coordinator's.  Three mechanisms make that safe:
   processes ever update the same row), and reads fencing epochs straight
   from the file — the coordinator advances them from another process, so
   the mirror cannot be trusted for fencing decisions;
-* :meth:`refresh` / :meth:`refresh_shards` rebuild (all of, or selected
-  shards of) the mirror from the last committed snapshot, which is how
-  the coordinator observes the nodes' barrier commits and how a shard's
-  new owner picks up state the previous owner wrote.
+* :meth:`refresh_shards` reloads selected shards of the mirror from the
+  last committed snapshot, which is how a shard's new owner picks up
+  state the previous owner wrote;
+* :meth:`iter_products` and the ``committed_*`` reads query the
+  committed rows without the mirror, which is how the coordinator
+  observes the nodes' barrier commits (its mirror is restored once, at
+  open, and never rebuilt).
 
 The seen-offer and cluster tables need no partitioning: routing sends
 each offer to exactly one node and each shard has exactly one owner, so
@@ -55,7 +58,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.model.offers import Offer
 from repro.model.persistence import (
@@ -572,18 +575,6 @@ class SqliteCatalogStore(CatalogStore):
         self._stats_dirty = False
         self._touched_clusters.clear()
 
-    def _has_pending_mutations(self) -> bool:
-        """Whether the journal holds mutations a mirror rebuild would lose."""
-        return bool(
-            self._new_seen
-            or self._new_categories
-            or self._new_clusters
-            or self._new_offers
-            or self._dirty_products
-            or self._dirty_versions
-            or self._stats_dirty
-        )
-
     def _rebuild_mirror(self) -> None:
         """Re-read the full persisted snapshot into a fresh mirror."""
         self._state = _InMemoryState()
@@ -605,23 +596,6 @@ class SqliteCatalogStore(CatalogStore):
         connection = self._require_open()
         connection.rollback()
         self._clear_journal()
-        self._rebuild_mirror()
-
-    def refresh(self) -> None:
-        """Rebuild the mirror from the last *committed* snapshot.
-
-        The multi-process read path: after a cluster commit barrier the
-        coordinator refreshes to observe what the node processes flushed
-        through their own connections.  Refusing to refresh over pending
-        local mutations (:class:`RuntimeError`) keeps the call safe —
-        refresh between barriers, never mid-batch.
-        """
-        self._require_open()
-        if self._has_pending_mutations():
-            raise RuntimeError(
-                "cannot refresh the catalog store mirror: uncommitted local "
-                "mutations would be lost (commit or roll back first)"
-            )
         self._rebuild_mirror()
 
     def refresh_shards(self, shard_indices: List[int]) -> None:
@@ -918,10 +892,10 @@ class SqliteCatalogStore(CatalogStore):
         Unlike :meth:`sorted_products` (which serves the mirror and
         therefore includes uncommitted batch state), this reads the last
         *committed* snapshot via keyset pagination and never needs the
-        mirror — the first concrete piece of the planned read-through
-        mode for catalogs larger than RAM.  Uncommitted journal entries
-        are invisible by construction: the journal lives Python-side
-        until :meth:`commit` flushes it.
+        mirror: it is how a cluster coordinator lists what its process
+        nodes committed.  Uncommitted journal entries are invisible by
+        construction: the journal lives Python-side until :meth:`commit`
+        flushes it.
         """
         connection = self._require_open()
         after: Optional[ClusterId] = None
@@ -932,6 +906,69 @@ class SqliteCatalogStore(CatalogStore):
             for _, product in page:
                 yield product
             after = page[-1][0]
+
+    # -- committed reads -------------------------------------------------------
+    # Straight from the file, never the mirror: what every connection
+    # committed, and nothing of this instance's own journal.
+
+    def _count_rows(self, table: str) -> int:
+        """Rows of one table in the last commit."""
+        connection = self._require_open()
+        return int(connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
+
+    def committed_num_clusters(self) -> int:
+        """Clusters in the last commit, read from the file."""
+        return self._count_rows("clusters")
+
+    def committed_num_seen(self) -> int:
+        """Distinct offer ids in the last commit, read from the file."""
+        return self._count_rows("seen_offers")
+
+    def committed_seen(self, offer_ids: Iterable[str]) -> Set[str]:
+        """Which of ``offer_ids`` the file's seen set holds."""
+        connection = self._require_open()
+        return {
+            offer_id
+            for offer_id in offer_ids
+            if connection.execute(
+                "SELECT 1 FROM seen_offers WHERE offer_id = ?", (offer_id,)
+            ).fetchone()
+            is not None
+        }
+
+    def committed_assigned_categories(self) -> Dict[str, str]:
+        """The offer-id -> category-id map of the last commit, read from the file."""
+        connection = self._require_open()
+        return dict(
+            connection.execute("SELECT offer_id, category_id FROM assigned_categories")
+        )
+
+    def committed_reconciliation_stats(self) -> ReconciliationStats:
+        """The global row plus every node partition row of the last commit."""
+        connection = self._require_open()
+        totals = ReconciliationStats()
+        for processed, seen, mapped, discarded in connection.execute(
+            "SELECT offers_processed, pairs_seen, pairs_mapped, pairs_discarded"
+            " FROM reconciliation_stats"
+            " UNION ALL SELECT offers_processed, pairs_seen, pairs_mapped, pairs_discarded"
+            " FROM node_reconciliation_stats"
+        ):
+            totals.offers_processed += processed
+            totals.pairs_seen += seen
+            totals.pairs_mapped += mapped
+            totals.pairs_discarded += discarded
+        return totals
+
+    def committed_shard_loads(self) -> Dict[int, float]:
+        """Offers held per shard in the last commit, counted in the file."""
+        connection = self._require_open()
+        loads: Dict[int, float] = {}
+        for category_id, held in connection.execute(
+            "SELECT category_id, COUNT(*) FROM cluster_offers GROUP BY category_id"
+        ):
+            shard = shard_for_category(category_id, self._num_shards)
+            loads[shard] = loads.get(shard, 0.0) + held
+        return loads
 
     # -- reconciliation stats --------------------------------------------------
 
@@ -958,7 +995,8 @@ class SqliteCatalogStore(CatalogStore):
     def reconciliation_stats(self) -> ReconciliationStats:
         """A copy of the accumulated totals (all partitions merged).
 
-        May lag other processes' partitions until :meth:`refresh`.
+        Other processes' partitions count as of this instance's restore;
+        :meth:`committed_reconciliation_stats` reads the file.
         """
         totals = self._state.reconciliation_stats
         return ReconciliationStats(

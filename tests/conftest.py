@@ -7,9 +7,11 @@ are session-scoped so the whole suite pays for them once.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -115,6 +117,35 @@ def reference_centroid_select(values):
         key=lambda item: (distance(item[1]), -sum(item[1]), cached_normalize_value(item[0])),
     )
     return ranked[0][0]
+
+
+#: Seconds a test's leftover ``multiprocessing`` children get to exit on their own.
+CHILD_EXIT_GRACE_S = 3.0
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a ``multiprocessing`` child it started running.
+
+    Children alive before the test are not its own.  The rest get a short
+    join (a node that was just asked to shut down may still be exiting);
+    whatever is still alive after it is killed, so later tests start
+    clean, and the test fails naming it.
+    """
+    before = set(multiprocessing.active_children())
+    yield
+    deadline = time.monotonic() + CHILD_EXIT_GRACE_S
+    leftover = []
+    for child in multiprocessing.active_children():
+        if child in before:
+            continue
+        child.join(timeout=max(0.0, deadline - time.monotonic()))
+        if child.is_alive():
+            leftover.append(f"{child.name} (pid {child.pid})")
+            child.kill()
+            child.join(timeout=10)
+    if leftover:
+        pytest.fail(f"the test left processes running: {', '.join(leftover)}")
 
 
 @pytest.fixture(scope="session")

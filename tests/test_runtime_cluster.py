@@ -19,6 +19,7 @@ from repro.runtime import (
     MultiProcessEngine,
     ShardCoordinator,
     ShardLease,
+    SqliteCatalogStore,
     StaleEpochError,
     SynthesisEngine,
 )
@@ -653,6 +654,37 @@ class TestOneCoordinator:
                 correspondences=tiny_harness.offline_result.correspondences,
                 **option,
             )
+
+
+class TestCoordinatorReadsCommittedRows:
+    @pytest.mark.parametrize("hint_routing", [False, True], ids=["classify", "hint"])
+    def test_views_never_rebuild_the_coordinators_mirror(
+        self, tiny_harness, any_cluster, tmp_path, monkeypatch, hint_routing
+    ):
+        """After open, no ingest or view restores the coordinator's SQLite
+        mirror, and every view equals the single engine's after every batch."""
+        options = {}
+        if any_cluster.kind == "threads":
+            options = dict(store="sqlite", store_path=str(tmp_path / "views.sqlite3"))
+        cluster = any_cluster(num_nodes=2, num_shards=8, hint_routing=hint_routing, **options)
+        restores = []
+        original = SqliteCatalogStore._restore
+
+        def counted(store):
+            restores.append(store.path)
+            original(store)
+
+        monkeypatch.setattr(SqliteCatalogStore, "_restore", counted)
+        single = make_single(tiny_harness, num_shards=8)
+        for batch in feed_stream(tiny_harness):
+            single.ingest(batch)
+            cluster.ingest(batch)
+            cluster.rebalance()
+            assert cluster.products() == single.products()
+            assert cluster.num_clusters() == single.num_clusters()
+            assert cluster.snapshot() == single.snapshot()
+        single.close()
+        assert restores == []
 
 
 class TestClusterFacade:

@@ -12,6 +12,7 @@ node is a ``multiprocessing`` child while the cluster runs, and none
 outlives ``close()``, a failed constructor or the script that started it.
 """
 
+import dataclasses
 import glob
 import multiprocessing
 import os
@@ -24,6 +25,7 @@ import pytest
 
 from conftest import product_fingerprint as fingerprint
 from conftest import run_in_fresh_interpreter
+from repro.model.attributes import Specification
 from repro.runtime import (
     MultiProcessEngine,
     NodeDeadError,
@@ -98,6 +100,108 @@ def feed_expected(tiny_harness):
     result = sorted(fingerprint(engine.products()))
     engine.close()
     return result
+
+
+def raw_stream(harness, num_batches=4):
+    """The feed stream as raw rows: every specification stripped, so each
+    offer is extracted from its landing page on the write path."""
+    return [
+        [offer.with_specification(Specification()) for offer in batch]
+        for batch in feed_stream(harness, num_batches)
+    ]
+
+
+@pytest.fixture(scope="module")
+def raw_expected(tiny_harness):
+    """Products of one serial engine, with the caller's extractor, over the raw stream."""
+    engine = make_single(tiny_harness, num_shards=8)
+    for batch in raw_stream(tiny_harness):
+        engine.ingest(batch)
+    products = engine.products()
+    engine.close()
+    return products
+
+
+class TestPagesTravelWithOffers:
+    @pytest.mark.parametrize("hint_routing", [False, True], ids=["classify", "hint"])
+    def test_nodes_extract_raw_rows_from_the_pages_they_are_sent(
+        self, tmp_path, tiny_harness, raw_expected, hint_routing
+    ):
+        cluster = make_cluster(
+            tiny_harness, tmp_path, num_nodes=2, num_shards=8, hint_routing=hint_routing
+        )
+        try:
+            for batch in raw_stream(tiny_harness):
+                cluster.ingest(batch)
+            assert cluster.products() == raw_expected
+        finally:
+            cluster.close()
+
+    def test_an_offer_whose_page_is_missing_gets_an_empty_specification(
+        self, tmp_path, tiny_harness
+    ):
+        """No page travels for it, nothing raises, and the node treats it
+        as the caller's extractor would: an empty specification, so no
+        clustering key."""
+        batches = raw_stream(tiny_harness)
+        victim = dataclasses.replace(batches[1][0], url="http://missing.example.com/no-page")
+        assert victim.url not in tiny_harness.corpus.web
+        batches[1][0] = victim
+        single = make_single(tiny_harness, num_shards=8)
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
+        try:
+            for position, batch in enumerate(batches):
+                expected = single.ingest(batch)
+                report = cluster.ingest(batch)
+                assert report.offers_without_key == expected.offers_without_key
+                assert report.offers_clustered == expected.offers_clustered
+                if position == 1:
+                    assert report.offers_without_key >= 1
+            assert cluster.products() == single.products()
+            assert cluster.snapshot() == single.snapshot()
+            assert victim.offer_id in cluster.snapshot().assigned_categories
+        finally:
+            single.close()
+            cluster.close()
+
+    @pytest.mark.parametrize("failure", ["kill_between_batches", "crash_at_commit"])
+    def test_recovery_replay_extracts_again(
+        self, tmp_path, tiny_harness, raw_expected, failure
+    ):
+        """The replay of a batch a node died in sends the pages again."""
+        batches = raw_stream(tiny_harness)
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
+        try:
+            cluster.ingest(batches[0])
+            victim = cluster.node_ids()[-1]
+            if failure == "kill_between_batches":
+                cluster.kill_node(victim)
+            else:
+                cluster.inject_crash(victim, "commit", countdown=1, hard=True)
+            for batch in batches[1:]:
+                cluster.ingest(batch)
+            assert victim not in cluster.node_ids()
+            assert cluster.products() == raw_expected
+        finally:
+            cluster.close()
+
+    def test_node_components_carry_no_page_text(self, tmp_path, tiny_harness, monkeypatch):
+        sent = []
+        original = procnode.ProcessNode.boot
+
+        def recording(node, store_path, num_shards, components):
+            sent.append(components)
+            original(node, store_path, num_shards, components)
+
+        monkeypatch.setattr(procnode.ProcessNode, "boot", recording)
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
+        cluster.close()
+        assert len(sent) == 2 and sent[0] == sent[1]
+        web = tiny_harness.corpus.web
+        assert len(web) > 0
+        assert pickle.loads(sent[0])["extractor"].web.urls() == []
+        leaked = [url for url in web if web.fetch(url).encode("utf-8") in sent[0]]
+        assert leaked == []
 
 
 class TestMultiProcessBasics:

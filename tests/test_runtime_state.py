@@ -12,12 +12,14 @@ import sqlite3
 import pytest
 
 from repro.model.offers import Offer
+from repro.model.products import Product
 from repro.runtime import (
     MemoryCatalogStore,
     SqliteCatalogStore,
     SynthesisEngine,
     resolve_store,
 )
+from repro.runtime.sharding import shard_for_category
 from repro.synthesis.reconciliation import ReconciliationStats
 from repro.text.tfidf import IncrementalTfIdf
 
@@ -561,31 +563,59 @@ class TestPartitionedSharedStore:
             assert reopened.reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
             reopened.close()
 
-    def test_refresh_sees_other_connections_commits(self, tmp_path):
-        path = str(tmp_path / "refresh.sqlite3")
+    def test_committed_reads_see_other_connections_commits(self, tmp_path):
+        """A reader's committed reads show what another connection
+        committed after the reader opened; its own mirror does not."""
+        path = str(tmp_path / "committed.sqlite3")
         writer = SqliteCatalogStore(path, partition="node-1")
         writer.bind(2)
         reader = SqliteCatalogStore(path)
         reader.bind(2)
+        cluster_id = ("cat", "key")
+        product = Product(product_id="p-1", category_id="cat", title="a product")
+        offer = Offer(offer_id="offer-1", merchant_id="m", title="an offer", price=1.0, url="u")
         assert writer.mark_seen("offer-1")
         writer.record_category("offer-1", "cat")
+        writer.create_cluster(shard_for_category("cat", 2), cluster_id)
+        writer.append_offers(cluster_id, [offer])
+        writer.set_product(cluster_id, product)
+        writer.merge_reconciliation_stats(ReconciliationStats(1, 4, 3, 1))
         writer.commit()
-        assert not reader.is_seen("offer-1")  # stale mirror, by design
-        reader.refresh()
-        assert reader.is_seen("offer-1")
-        assert reader.assigned_categories() == {"offer-1": "cat"}
+
+        assert not reader.is_seen("offer-1")  # the mirror is as of open, by design
+        assert reader.committed_seen(["offer-1", "offer-2"]) == {"offer-1"}
+        assert reader.committed_num_seen() == 1
+        assert reader.committed_assigned_categories() == {"offer-1": "cat"}
+        assert reader.committed_num_clusters() == 1
+        assert reader.committed_shard_loads() == {shard_for_category("cat", 2): 1.0}
+        assert reader.committed_reconciliation_stats() == ReconciliationStats(1, 4, 3, 1)
+        assert list(reader.iter_products()) == [product]
         writer.close()
         reader.close()
 
-    def test_refresh_refuses_to_drop_pending_mutations(self, tmp_path):
+    def test_committed_reads_skip_the_readers_own_journal(self, tmp_path):
+        """Mutations journalled but not committed are invisible to the
+        committed reads of the very instance that holds them."""
         store = SqliteCatalogStore(str(tmp_path / "pending.sqlite3"))
         store.bind(2)
+        cluster_id = ("cat", "key")
         store.mark_seen("offer-1")
-        with pytest.raises(RuntimeError, match="uncommitted"):
-            store.refresh()
+        store.record_category("offer-1", "cat")
+        store.create_cluster(0, cluster_id)
+        store.set_product(cluster_id, Product(product_id="p-1", category_id="cat", title="t"))
+        store.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 0))
+        assert store.is_seen("offer-1") and store.num_clusters() == 1  # the mirror has them
+        assert store.committed_seen(["offer-1"]) == set()
+        assert store.committed_num_seen() == 0
+        assert store.committed_assigned_categories() == {}
+        assert store.committed_num_clusters() == 0
+        assert store.committed_shard_loads() == {}
+        assert store.committed_reconciliation_stats() == ReconciliationStats()
+        assert list(store.iter_products()) == []
         store.commit()
-        store.refresh()  # journal flushed: refresh is safe again
-        assert store.is_seen("offer-1")
+        assert store.committed_seen(["offer-1"]) == {"offer-1"}
+        assert store.committed_num_clusters() == 1
+        assert store.committed_reconciliation_stats() == ReconciliationStats(1, 1, 1, 0)
         store.close()
 
     def test_refresh_shards_is_idempotent_over_engine_state(self, tmp_path, tiny_harness):
