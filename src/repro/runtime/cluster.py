@@ -17,8 +17,9 @@ node was given.  Every cluster write a node issues travels through its
 against the store's authoritative epoch
 (:meth:`~repro.runtime.state.CatalogStore.check_shard_epoch`).  A node
 that lags, restarts, or loses a shard to reassignment therefore cannot
-commit stale cluster state: its next write (or at latest its commit)
-raises :class:`~repro.runtime.state.StaleEpochError`.
+commit stale cluster state: its next write, or at the latest the
+barrier write of its batch (where a process node's journal epochs are
+checked), raises :class:`~repro.runtime.state.StaleEpochError`.
 
 :class:`ClusterEngine` is the one coordinator: it exposes the same
 ``ingest`` / ``products`` / ``snapshot`` API as a single engine, routes
@@ -432,10 +433,10 @@ class NodeTransport:
 
     One instance per cluster engine.  It opens the coordinator's store,
     starts nodes (:class:`ClusterNode` handles), and implements the
-    commit barrier, the abort of a failed wave, and what a node needs
-    sent beside its offers (:meth:`pages_for`).  The coordinator reads
-    its views from the store's committed rows, so no transport keeps the
-    coordinator's mirror current.  Constructors take ``(num_shards,
+    barrier's one store commit, the abort of a failed wave, and what a
+    node needs sent beside its offers (:meth:`pages_for`).  The
+    coordinator reads its views from the store's committed rows, so no
+    transport keeps the coordinator's mirror current.  Constructors take ``(num_shards,
     engine_kwargs, **options)``; the options are the transport-specific
     constructor arguments of the public engine class that selects the
     transport.
@@ -464,21 +465,12 @@ class NodeTransport:
         """
         raise NotImplementedError
 
-    def barrier_begin(self, voters: Sequence[ClusterNode], fresh: Sequence[Offer]) -> None:
-        """Start committing the batch ``fresh`` that ``voters`` absorbed."""
-        raise NotImplementedError
+    def commit(self, votes: Dict[str, NodeVote]) -> None:
+        """Commit the batch whose ``votes`` (by node id) all came back ready.
 
-    def barrier_end(self) -> Dict[str, str]:
-        """Finish the begun barrier; returns ``{node id: error}`` of lost voters.
-
-        An empty result means the batch is durably committed.  With no
-        barrier begun it only settles what a replay found already done.
-        Raises when the store itself fails (nothing was committed).
+        One commit of the coordinator's store: the batch lands whole, or
+        this raises and nothing of it landed.
         """
-        raise NotImplementedError
-
-    def leftover_batch(self) -> Optional[List[Offer]]:
-        """The batch of a barrier a previous coordinator died in, if any."""
         raise NotImplementedError
 
     def pages_for(self, offers: Sequence[Offer]) -> Dict[str, str]:
@@ -535,10 +527,10 @@ class ClusterEngine:
     pipeline_depth:
         ``1`` (default) finishes every batch's commit barrier before
         ``ingest`` returns.  ``2`` leaves it open until the next ingest
-        (after that batch's dedup and routing) or any view/membership
-        call — see :meth:`flush` — so a barrier that takes real time
-        overlaps the coordinator's serial work.  Products are
-        byte-identical either way.
+        or any view/membership call — see :meth:`flush` — so the
+        barrier's store write overlaps the next batch's work: its
+        routing, and with ``hint_routing`` the nodes' classify round.
+        Products are byte-identical either way.
     hint_routing:
         Route each batch on a cheap :class:`CategoryHinter` guess and
         run the real per-offer classifier on the nodes instead of the
@@ -573,12 +565,7 @@ class ClusterEngine:
         hint_routing: bool = False,
         **transport_options: object,
     ) -> None:
-        """Open the store, compute the layout, start the nodes.
-
-        Replays the batch of a barrier a previous coordinator died in
-        (where the transport keeps one) before returning, so the resumed
-        catalog equals an uninterrupted run's.
-        """
+        """Open the store, compute the layout, start the nodes."""
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         if num_shards < 1:
@@ -625,8 +612,9 @@ class ClusterEngine:
         # batch is never half-seen; the store's mirror, restored at
         # open and never rebuilt, covers what was committed before.
         self._seen = set()
-        # The batch whose commit barrier is begun but not finished.
-        self._pending: Optional[List[Offer]] = None
+        # The batch whose barrier is begun but not written: its offers
+        # and its voters' votes.
+        self._pending: Optional[Tuple[List[Offer], Dict[str, NodeVote]]] = None
         self._closed = False
         # Observability: the coordinator publishes its *own* accounting
         # (retired nodes, hint counters, wire frames) plus the cached
@@ -680,14 +668,8 @@ class ClusterEngine:
                 self._coordinator.register_node(node_id, rebalance=False)
             self._coordinator.apply_layout()
             self._start(node_ids)
-            leftover = self._transport.leftover_batch()
-            if leftover is not None:
-                # Replay is idempotent — only the offers absent from
-                # the store are re-dispatched.
-                self._replay_offers(leftover)
         except BaseException:
-            # Nothing started may outlive a failed constructor; what the
-            # store durably holds (a commit intent) stays for the next open.
+            # Nothing started may outlive a failed constructor.
             self._closed = True
             self._teardown()
             raise
@@ -858,10 +840,8 @@ class ClusterEngine:
         """
         self._ensure_open()
         self._member(node_id)
-        # Finish an open barrier first: no commit ack may be in flight
-        # when the survivors are told their new leases.  If that
-        # barrier's own recovery already fenced the target, the fence
-        # below is a no-op.
+        # Write an open barrier first: the batch the target voted for
+        # lands whole before its shards move.
         self.flush()
         self._fence_unreachable([node_id])
 
@@ -945,8 +925,10 @@ class ClusterEngine:
         barrier where the backend allows, so the caller can retry.
 
         With ``pipeline_depth=2`` the previous batch's barrier is
-        finished here, *after* this batch's dedup and routing — the
-        overlap that hides the coordinator's serial work behind it.
+        written here, *after* this batch's dedup and routing, and with
+        ``hint_routing`` while the nodes classify this batch — the
+        overlap that hides the barrier's write behind the batch's work.
+        A failed write surfaces from this call, and neither batch landed.
         """
         self._ensure_open()
         report = IngestReport(offers_in_batch=len(offers))
@@ -967,22 +949,23 @@ class ClusterEngine:
         if not fresh:
             return report
 
-        # Classify before finishing the previous batch's barrier: this
-        # is the pipelining overlap.  (In hint mode there is nothing
-        # heavy to overlap here; classification runs on the nodes.)
-        categorised = None if self._hint_routing else self._route_categories(fresh)
         # The previous barrier must land before this batch mutates any
         # node: recovery returns to the last barrier, and that barrier
-        # must never straddle two batches.
-        self.flush()
+        # must never straddle two batches.  Coordinator routing writes
+        # it after classifying this batch; hint routing while the nodes
+        # classify it (their classify round mutates no store).
+        categorised = None
+        if not self._hint_routing:
+            categorised = self._route_categories(fresh)
+            self.flush()
         busy_before = {node_id: node.busy_seconds for node_id, node in self._nodes.items()}
-        reports = self._dispatch_with_retry(fresh, categorised)
+        votes = self._dispatch_with_retry(fresh, categorised)
 
-        for _, node_report in sorted(reports.items()):
-            report.merge(node_report)
+        for _, vote in sorted(votes.items()):
+            report.merge(vote.report)
         # merge() summed the sub-batch sizes; the batch is the caller's.
         report.offers_in_batch = len(offers)
-        self._begin_barrier(sorted(reports), fresh)
+        self._begin_barrier(votes, fresh)
         if self._pipeline_depth == 1:
             self.flush()
         self._obs_cluster_batches.inc()
@@ -999,10 +982,10 @@ class ClusterEngine:
 
     def _dispatch_with_retry(
         self, fresh: Sequence[Offer], categorised: Optional[List[Offer]] = None
-    ) -> Dict[str, IngestReport]:
+    ) -> Dict[str, NodeVote]:
         """Dispatch one batch, fencing and re-dispatching on node failure.
 
-        Returns the voters' reports by node id.  ``categorised`` carries
+        Returns the voters' votes by node id.  ``categorised`` carries
         a pre-computed classification (the pipelined overlap); it stays
         valid across retries because classification does not depend on
         the layout — only the partition is recomputed against the
@@ -1038,14 +1021,18 @@ class ClusterEngine:
                 self._fence_unreachable([failure.node_id])
 
     def _round(
-        self, kind: str, payloads: Dict[str, object], expected: str
+        self, kind: str, payloads: Dict[str, object], expected: str, write_barrier: bool = False
     ) -> Tuple[Dict[str, object], List[str], Dict[str, BaseException]]:
         """One message round: ``kind`` to every listed node, one reply each.
 
         All sends go out before any receive, so nodes that run on their
-        own genuinely overlap.  Returns the ``expected``-kind replies by
-        node id, the ids of every node that answered at all, and the
-        failures (dead nodes, wrong reply kinds) by node id.
+        own genuinely overlap.  ``write_barrier`` writes the open
+        barrier between the sends and the receives, overlapping the
+        write with the nodes' work; if the write fails, every node is
+        rolled back once it replied and the write's error is raised.
+        Returns the ``expected``-kind replies by node id, the ids of
+        every node that answered at all, and the failures (dead nodes,
+        wrong reply kinds) by node id.
         """
         failures: Dict[str, BaseException] = {}
         dispatched: List[str] = []
@@ -1055,6 +1042,12 @@ class ClusterEngine:
                 dispatched.append(node_id)
             except NodeDeadError as exc:
                 failures[node_id] = exc
+        write_error: Optional[Exception] = None
+        if write_barrier:
+            try:
+                self._write_barrier()
+            except Exception as exc:  # noqa: BLE001 - raised once the replies are in
+                write_error = exc
         replies: Dict[str, object] = {}
         answered: List[str] = []
         for node_id in dispatched:
@@ -1070,6 +1063,9 @@ class ClusterEngine:
                 failures[node_id] = RuntimeError(
                     f"node {node_id!r} answered {reply_kind!r} to {kind!r}: {reply}"
                 )
+        if write_error is not None:
+            self._roll_back_nodes()
+            raise write_error
         return replies, answered, failures
 
     def _fail_round(self, answered: List[str], failures: Dict[str, BaseException]) -> None:
@@ -1081,10 +1077,10 @@ class ClusterEngine:
 
     def _vote_round(
         self, kind: str, payloads: Dict[str, object], routed_counts: Dict[str, int]
-    ) -> Dict[str, IngestReport]:
+    ) -> Dict[str, NodeVote]:
         """The ingesting round of a wave: collect one vote per node.
 
-        Returns the voters' reports on success; on any failure the wave
+        Returns the voters' votes on success; on any failure the wave
         is aborted and :class:`_BatchFailure` carries the first failed
         node for the recovery loop.
         """
@@ -1107,9 +1103,9 @@ class ClusterEngine:
             node = self._nodes[node_id]
             node.offers_routed += count
             node.batches += 1
-        return {node_id: vote.report for node_id, vote in votes.items()}
+        return votes
 
-    def _dispatch_hint(self, fresh: Sequence[Offer]) -> Dict[str, IngestReport]:
+    def _dispatch_hint(self, fresh: Sequence[Offer]) -> Dict[str, NodeVote]:
         """Hint-routed dispatch: nodes classify, misroutes re-ship, owners apply.
 
         Two rounds instead of one (the node half is
@@ -1120,7 +1116,9 @@ class ClusterEngine:
         with the pages of both the offers a node kept and the ones it
         receives.  The per-offer classification sweep — the dominant
         serial cost of coordinator routing — thus runs on the nodes, and
-        only misrouted offers are shipped twice.
+        only misrouted offers are shipped twice.  The classify round
+        mutates no store, so the previous batch's barrier is written
+        while it runs.
         """
         # Same error contract as coordinator routing, checked up front
         # so no node sees a doomed batch.
@@ -1151,6 +1149,7 @@ class ClusterEngine:
                 for node_id, positioned in hinted.items()
             },
             "classified",
+            write_barrier=True,
         )
         incoming: Dict[str, List[Tuple[int, Offer]]] = {}
         kept: Dict[str, List[Offer]] = {}
@@ -1175,90 +1174,64 @@ class ClusterEngine:
 
     # -- commit barrier --------------------------------------------------------
 
-    def _begin_barrier(self, voters: List[str], fresh: Sequence[Offer]) -> None:
-        """Start the commit barrier of a batch its ``voters`` absorbed."""
-        self._transport.barrier_begin([self._nodes[node_id] for node_id in voters], fresh)
-        self._pending = list(fresh)
+    def _begin_barrier(self, votes: Dict[str, NodeVote], fresh: Sequence[Offer]) -> None:
+        """Open the commit barrier of a batch whose voters all voted ready."""
+        self._pending = (list(fresh), votes)
         self._seen.update(offer.offer_id for offer in fresh)
 
     def flush(self) -> None:
-        """Finish the begun commit barrier (no-op when none is open).
+        """Write the open commit barrier (no-op when none is open).
 
         After this returns, every previously ingested batch is durably
         committed.  ``ingest`` at ``pipeline_depth=1``, the next ingest
         at depth 2, and every view or membership operation flush
         implicitly, so the open window is invisible to callers — reads
-        always observe fully committed state.  A failed store flush is
-        a *store* failure, not a node crash: fencing cannot help, so the
-        batch is discarded (where the backend allows) and the error
-        surfaces — the caller may retry the whole batch.  Voters lost
-        at the barrier are fenced and what they did not commit replays.
+        always observe fully committed state.  The barrier is one
+        commit of the coordinator's store, so a batch lands whole or not
+        at all.  A failed write is a *store* failure, not a node crash:
+        fencing cannot help, so every node is rolled back to the last
+        barrier and the error surfaces — the caller may retry the batch.
         """
-        if self._pending is None:
-            return
-        offers, self._pending = self._pending, None
         try:
-            barrier_started = time.perf_counter()
-            try:
-                with self._obs.span("cluster.commit_barrier"):
-                    lost = self._transport.barrier_end()
-            finally:
-                self._barrier_seconds += time.perf_counter() - barrier_started
-            if lost:
-                self._recover_barrier(offers, lost)
+            self._write_barrier()
         except Exception:
-            # The batch did not (provably) land: a retry must not be
-            # deduplicated away coordinator-side.
-            self._seen.difference_update(offer.offer_id for offer in offers)
+            self._roll_back_nodes()
             raise
 
-    def _recover_barrier(self, offers: List[Offer], lost: Dict[str, str]) -> None:
-        """A commit round lost voters: fence them and replay what is missing.
-
-        Only possible because the transport made the batch durable
-        before the round and every node's commit is atomic: after
-        fencing, the coordinator reads which of the batch's offers the
-        store's committed rows hold — the only authority on which
-        sub-batches landed — and re-runs the others through a normal
-        dispatch + barrier.  Node-side dedup could not replace that
-        read: fencing just moved shards, and a surviving node's mirror
-        may predate another node's committed sub-batch.
-        """
-        if not self._auto_recover:
-            raise RuntimeError(
-                "cluster commit barrier failed partway — the shared store "
-                "holds the last fully-voted state of the nodes that "
-                "flushed, plus this batch's durable commit intent; reopen "
-                "the store path (or keep auto_recover on) to replay it: "
-                + "; ".join(lost.values())
-            )
-        self._fence_unreachable([node_id for node_id in lost if node_id in self._nodes])
-        self._replay_offers(offers)
-
-    def _replay_offers(self, offers: Sequence[Offer]) -> None:
-        """Re-dispatch and durably commit whichever offers never landed.
-
-        Shared by barrier recovery and the startup replay of a leftover
-        batch; idempotent because the store's committed seen rows filter
-        first.
-        """
-        landed = self._store.committed_seen([offer.offer_id for offer in offers])
-        remainder = [offer for offer in offers if offer.offer_id not in landed]
-        if not remainder:
-            self._transport.barrier_end()
+    def _write_barrier(self) -> None:
+        """Commit the open barrier's batch; on failure forget it was seen."""
+        if self._pending is None:
             return
-        reports = self._dispatch_with_retry(remainder)
-        self._begin_barrier(sorted(reports), remainder)
-        self.flush()
+        offers, votes = self._pending
+        self._pending = None
+        barrier_started = time.perf_counter()
+        try:
+            with self._obs.span("cluster.commit_barrier"):
+                self._transport.commit(votes)
+        except Exception:
+            # The batch did not land: a retry must not be deduplicated
+            # away coordinator-side.
+            self._seen.difference_update(offer.offer_id for offer in offers)
+            raise
+        finally:
+            self._barrier_seconds += time.perf_counter() - barrier_started
+
+    def _roll_back_nodes(self) -> None:
+        """Return every node to the last barrier after a failed write.
+
+        Their mirrors hold the batch the write did not land.  A node
+        found dead meanwhile is fenced by the next round that reaches it.
+        """
+        self._transport.abort([node for _, node in sorted(self._nodes.items())], {})
 
     # -- views ----------------------------------------------------------------
 
     def _view(self) -> CatalogStore:
-        """The coordinator's store, open, with every begun barrier finished.
+        """The coordinator's store, open, with every begun barrier written.
 
-        Views read its committed rows: the nodes of a process cluster
-        commit through their own connections, and the coordinator's
-        mirror is never rebuilt after open.
+        Views read its committed rows: a process cluster's barrier writes
+        the nodes' journals without applying them to the coordinator's
+        mirror, which is never rebuilt after open.
         """
         self._ensure_open()
         self.flush()
@@ -1301,11 +1274,11 @@ class ClusterEngine:
     def node_metrics(self) -> Dict[str, object]:
         """Fetch and merge the metrics the live nodes hold outside this process.
 
-        One explicit round per node, after finishing an open barrier so
-        it can never race a pending commit ack — which is also why this
-        runs on demand (the benches call it right before ``close``)
-        rather than at scrape time: the merged result is cached, and
-        the registry provider serves the cache.  In-process nodes
+        One explicit round per node, after writing an open barrier, so
+        the fragments count every ingested batch.  It runs on demand
+        (the benches call it right before ``close``) rather than at
+        scrape time, because a scrape must never talk to a node: the
+        merged result is cached, and the registry provider serves it.  In-process nodes
         contribute nothing (their counters already live in this
         registry); dead nodes simply drop out of the merge.
         """
@@ -1360,9 +1333,9 @@ class ClusterEngine:
 
         Idempotent.  Every later ``ingest``, view or membership call
         raises ``RuntimeError``.  A final barrier that fails is
-        reported, but teardown proceeds regardless; what the store
-        durably holds of it is replayed by the next cluster opened over
-        the same store path.
+        reported, but teardown proceeds regardless; nothing of its batch
+        landed, so a cluster opened over the same store path takes it
+        again from the caller.
         """
         if self._closed:
             return
@@ -1423,8 +1396,9 @@ class InProcessTransport(NodeTransport):
     Every node writes straight into the one shared store (under one
     cluster lock, through its :class:`FencedStoreView`) with the
     caller's extractor, so a message is a direct call, the barrier is
-    one store commit, and the coordinator's store is always current.
-    Dispatch is sequential: a ``send`` runs the node to completion.
+    the store's own commit, and the coordinator's store is always
+    current.  Dispatch is sequential: a ``send`` runs the node to
+    completion.
     """
 
     def __init__(
@@ -1465,21 +1439,9 @@ class InProcessTransport(NodeTransport):
             node.protocol.discard()
         return self._restore_barrier()
 
-    def barrier_begin(self, voters: Sequence[ClusterNode], fresh: Sequence[Offer]) -> None:
-        """Nothing to start: the voters already wrote into the shared store."""
-
-    def barrier_end(self) -> Dict[str, str]:
-        """The barrier itself: one commit of the shared store."""
-        try:
-            self.store.commit()
-        except Exception:
-            self._restore_barrier()
-            raise
-        return {}
-
-    def leftover_batch(self) -> Optional[List[Offer]]:
-        """Never: a store commit is atomic, no barrier is left half-done."""
-        return None
+    def commit(self, votes: Dict[str, NodeVote]) -> None:
+        """One commit of the shared store, which the voters wrote into."""
+        self.store.commit()
 
     def pages_for(self, offers: Sequence[Offer]) -> Dict[str, str]:
         """None: the nodes share the caller's extractor and its pages."""

@@ -29,7 +29,7 @@ from repro.runtime.delta import TransportStats
 from repro.runtime.engine import IngestReport, SynthesisEngine
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, ClusterState, StaleEpochError
-from repro.runtime.store.sqlite import SqliteCatalogStore
+from repro.runtime.store.sqlite import SqliteCatalogStore, StoreJournal
 from repro.synthesis.reconciliation import ReconciliationStats
 
 __all__ = ["ShardLease", "FencedStoreView", "NodeVote", "NodeProtocol", "serve"]
@@ -72,9 +72,10 @@ class FencedStoreView(CatalogStore):
     the whole lease before anything is flushed.
 
     With ``deferred_commit=True`` (how every cluster node mounts
-    it) the view's ``commit`` only validates — the cluster engine flushes
-    the base store once per cluster batch, giving all nodes one shared
-    commit barrier.
+    it) the view's ``commit`` only validates — the coordinator commits
+    once per cluster batch (the shared store of an in-process cluster,
+    every process node's drained journal otherwise), giving all nodes
+    one shared commit barrier.
     """
 
     def __init__(
@@ -320,7 +321,7 @@ class FencedStoreView(CatalogStore):
 class NodeVote:
     """A node's answer to one ``ingest`` / ``apply`` message (its barrier vote)."""
 
-    #: Whether the sub-batch was absorbed (into the node's journal, or
+    #: Whether the sub-batch was absorbed (into the node's mirror, or
     #: the shared store for an in-process node).
     ready: bool
     #: ``repr`` of the node-side exception when ``ready`` is false.
@@ -334,12 +335,15 @@ class NodeVote:
     #: The live node-side exception: what an in-process cluster
     #: re-raises.  Never crosses a pipe — only ``error`` does.
     cause: Optional[BaseException] = None
+    #: A process node's ready vote carries the rows its sub-batch adds,
+    #: for the coordinator to write at the barrier.  ``None`` for an
+    #: in-process node, which wrote into the shared store.
+    journal: Optional[StoreJournal] = None
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         del state["cause"]
         return state
-
 
 
 class NodeProtocol:
@@ -461,8 +465,8 @@ def serve(channel_fd: int) -> None:
     the pickled engine components, the same bytes for every node it
     starts, with the extractor over an empty page map (the pages an
     ingest needs travel in its frame, see :class:`NodeProtocol`).  The
-    node opens a private store connection and mirror over the shared
-    WAL file, partitioned under its node id, builds its engine over a
+    node opens the shared WAL file as a read-only mirror
+    (``partition=`` its node id), builds its engine over a
     :class:`FencedStoreView` with deferred commits, and answers
     ``ready``.  A failure on the way (a component that does not
     unpickle here, a store that does not open) is answered with
@@ -470,10 +474,13 @@ def serve(channel_fd: int) -> None:
     coordinator's constructor fails at once instead of waiting out its
     reply timeout.
 
-    Then it serves protocol messages until ``shutdown``.  The journal is
-    flushed only on an explicit ``commit``.  A vanished coordinator
-    (``EOFError``) means exit *without* flushing: whatever the journal
-    holds was never barrier-committed.
+    Then it serves protocol messages until ``shutdown``.  The node never
+    writes the file.  A ready vote carries its store's drained journal,
+    with the lease epochs it was written under, and the coordinator
+    writes every voter's journal in one transaction at the barrier.
+    ``abort`` rebuilds the mirror from the file: the wave failed, or the
+    coordinator's write did.  A vanished coordinator (``EOFError``) ends
+    the node, and a batch lands only if the coordinator holds its vote.
     """
     channel = multiprocessing.connection.Connection(channel_fd)
     try:
@@ -503,15 +510,7 @@ def serve(channel_fd: int) -> None:
     try:
         while True:
             kind, payload = channel.recv()
-            if kind == "commit":
-                try:
-                    view.validate_lease()
-                    store.commit()
-                except Exception as exc:  # noqa: BLE001 - shipped to coordinator
-                    channel.send(("commit-error", repr(exc)))
-                else:
-                    channel.send(("committed", None))
-            elif kind == "abort":
+            if kind == "abort":
                 store.rollback()
                 protocol.discard()
                 channel.send(("aborted", None))
@@ -541,9 +540,14 @@ def serve(channel_fd: int) -> None:
                 channel.send(("bye", None))
                 return
             else:
-                channel.send(protocol.handle(kind, payload))
+                reply_kind, reply = protocol.handle(kind, payload)
+                if reply_kind == "vote" and reply.ready:
+                    reply.journal = store.drain_journal(lease.epochs)
+                channel.send((reply_kind, reply))
+                if reply_kind == "vote":
+                    store._fault_point("vote")
     except (EOFError, OSError, KeyboardInterrupt):
-        # The coordinator went away: exit without flushing anything.
+        # The coordinator went away: nothing more of this node lands.
         engine.release_workers()
 
 
@@ -552,12 +556,14 @@ def _arm_fault(
 ) -> None:
     """Install a fault hook that fails this node at the Nth store op.
 
-    ``hard=True`` hard-kills the process with ``os._exit`` — no journal
-    flush, no reply, no cleanup — a genuine mid-batch death.
-    ``hard=False`` raises instead (one-shot): the process survives, its
-    engine fails mid-ingest, and the node votes not-ready — the
-    alive-but-failed path whose partial journal the coordinator must
-    abort.
+    ``operation`` is a store write (``"append_offers"``, ``"mark_seen"``,
+    ``"set_product"``) or ``"vote"``, which fires right after the node
+    sent a vote.  ``hard=True`` hard-kills the process with ``os._exit``
+    — no reply, no cleanup — a genuine death at that point.
+    ``hard=False`` raises instead (one-shot): at a store write the
+    process survives, its engine fails mid-ingest, and the node votes
+    not-ready — the alive-but-failed path whose partial journal the
+    coordinator must abort.
     """
     remaining = {"count": countdown}
 

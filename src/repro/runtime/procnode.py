@@ -5,10 +5,10 @@ the coordinator's process, one after the other.  This module is the
 transport that removes that wall: :class:`MultiProcessEngine` is the
 same :class:`~repro.runtime.cluster.ClusterEngine` coordinator with
 every node in its **own OS process** (:class:`ProcessNode` is the
-coordinator-side handle): each node opens its own
-:class:`~repro.runtime.store.sqlite.SqliteCatalogStore` connection and
-mirror over the shared WAL file, and nothing on the ingest critical
-path crosses a shared lock — real multi-core scaling, bounded only by
+coordinator-side handle): each node opens its own read-only
+:class:`~repro.runtime.store.sqlite.SqliteCatalogStore` mirror of the
+shared WAL file, and nothing on the ingest critical path crosses a
+shared lock — real multi-core scaling, bounded only by
 the coordinator's routing work.
 
 **Starting a node.**  A node process is a fresh interpreter: its launch
@@ -36,26 +36,28 @@ across nodes — every send of a round goes out before any receive):
     in-process node runs.  An ``ingest`` or ``apply`` frame carries the
     landing page of every offer without a specification that it makes
     the node ingest; the node extracts from them and drops them before
-    it votes.  A node's mutations land in its store's *journal*, nothing
-    touches the file; its ``vote`` carries the ingest report, busy time
-    and transport counters on success, the error otherwise.
-``commit`` / ``abort``
-    The cluster commit barrier.  When every involved node voted ready,
-    the coordinator durably records a *commit intent* (the batch's
-    offers, pickled into the store) and tells the voters to flush their
-    journals (each node's flush is one SQLite transaction; WAL + busy
-    timeouts serialise the concurrent writers).  Any failed or dead
-    node instead aborts the others: they roll their journals away and
-    rebuild their mirrors from the last barrier, the coordinator fences
-    the failure, and the whole batch replays on the survivors.  With
-    ``pipeline_depth=2`` the coordinator does not wait for the flush
-    acks: it returns to the caller and collects them at the *next*
-    ingest, overlapping batch N's node-side flushes with batch N+1's
-    coordinator-side dedup and routing.  A death discovered at the
-    barrier is replayed from the intent (only the offers the file does
-    not already hold), and a coordinator that dies mid-barrier leaves
-    the intent behind — a reopened cluster replays it on startup, so
-    the "commit barrier failed partway" state is self-healing.
+    it votes.  A node's mutations land in its read-only mirror and its
+    store's journal; its ``vote`` carries the ingest report, busy time,
+    transport counters and — on success — the drained journal, with
+    the lease epochs it was written under.  A failure votes the error.
+The commit barrier
+    When every involved node voted ready, the coordinator writes all
+    the voters' journals in **one** transaction of its own store
+    (:meth:`~repro.runtime.store.sqlite.SqliteCatalogStore.write_journals`):
+    one ``commit_count`` step and one ``commit_journal`` entry per
+    batch, so a reader never sees half a batch.  Inside it each
+    journal's epochs are checked against the file, so a fenced node's
+    journal raises :class:`~repro.runtime.state.StaleEpochError` and
+    nothing lands.  No barrier message reaches a node.  With
+    ``pipeline_depth=2`` the write of batch N happens at the next
+    ingest: under hint routing after the ``classify`` frames of batch
+    N+1 went out and before their replies are read, so it overlaps the
+    nodes' classification (that round mutates no store).
+``abort``
+    Roll the node back to the last barrier: drop its journal and
+    retained offers and rebuild its mirror from the file.  Sent to every
+    node that answered a failed wave, and to every node after a failed
+    barrier write.
 ``lease``
     Fence/handoff: the new epoch map of the node, plus the shards it
     just gained and must reload from the file
@@ -65,32 +67,32 @@ across nodes — every send of a round goes out before any receive):
     :meth:`~repro.runtime.cluster.ClusterEngine.node_metrics`.
 ``crash``
     Test/drill hook: arm a fault that hard-kills the node process
-    (``os._exit``) at the Nth store operation — a genuine mid-batch
-    death, exercised by the crash suites and the ops example.
+    (``os._exit``) at the Nth store operation, or right after its Nth
+    vote — a genuine death, exercised by the crash suites and the ops
+    example.
 ``shutdown``
     Graceful leave; the node releases its workers and closes its store.
 
 **Reading.**  The coordinator's connection restores the file once, at
 open, and never rebuilds its mirror: ``products()``, ``snapshot()``,
-``num_clusters()``, ``rebalance()``'s loads and barrier recovery read
-the committed rows (``iter_products`` and the store's ``committed_*``
-reads).
+``num_clusters()`` and ``rebalance()``'s loads read the committed rows
+(``iter_products`` and the store's ``committed_*`` reads).
 
-**Safety.**  The shared-row strategy keeps cross-process writes
-race-free: each offer is routed to exactly one node (seen-set rows are
-disjoint), each shard has exactly one owner (cluster rows are disjoint),
-and reconciliation totals live in per-node partition rows merged on
-read.  Fencing is the store-side epoch check every cluster uses — but a
-node process reads epochs *from the file*, so a zombie that the
-coordinator fenced from another process still bounces on its very next
-write.  Because a node journals everything until the barrier, a killed
-node leaves **zero** bytes of the in-flight batch behind; crash recovery
-is: abort survivors, fence, reassign, replay, byte-identical.
+**Safety.**  The file has one writer, the coordinator, and a batch is
+one transaction of it.  Routing sends each offer to exactly one node
+and each shard has exactly one owner, so the voters' journals never
+write the same rows, and reconciliation totals are added to the one
+global row.  A node that dies before its vote arrives leaves nothing
+behind: the survivors abort, the node is fenced, and the batch replays
+on the new layout.  A node that dies after voting has already handed
+its journal over, so its batch lands whole, and the next round fences
+it.  A coordinator that dies mid-write leaves the file at the previous
+barrier.  Either way the resumed catalog is byte-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -320,7 +322,7 @@ class ProcessNode(ClusterNode):
     def request(self, kind: str, payload: object = None) -> object:
         """Send one message and await its reply, checking the reply kind.
 
-        Error replies (``commit-error`` and friends) surface as
+        Error replies (``error`` and ``*-error``) surface as
         :class:`RuntimeError`; transport failures as
         :class:`~repro.runtime.cluster.NodeDeadError`.
         """
@@ -375,13 +377,13 @@ class ProcessNode(ClusterNode):
 class ProcessTransport(NodeTransport):
     """Nodes as OS processes over a shared SQLite WAL file.
 
-    The file is the only state the processes share: the coordinator
-    keeps its own connection (epochs as the authoritative writer, the
-    restore at open, and reads of the committed rows), every node a
-    private one.  A message is one pickled frame per direction, and the
-    barrier is a durable *commit intent* followed by a ``commit`` round.
-    Nodes get the extractor over an empty page map; the coordinator
-    keeps the caller's and sends each ingest the pages it needs.
+    The file is the only state the processes share.  The coordinator's
+    connection is its one writer: epochs, and at every barrier the
+    voters' journals in one transaction.  It also restores the file at
+    open and reads the committed rows.  Every node opens a read-only
+    mirror.  A message is one pickled frame per direction.  Nodes get
+    the extractor over an empty page map; the coordinator keeps the
+    caller's and sends each ingest the pages it needs.
     """
 
     def __init__(
@@ -410,11 +412,6 @@ class ProcessTransport(NodeTransport):
             extractor=None if extractor is None else WebPageAttributeExtractor(WebStore()),
         )
         self._timeout = node_timeout
-        self._intent_sequence = itertools.count(1)
-        # The open commit round: voters whose ack is outstanding, and
-        # the voters already known lost (node id -> error).
-        self._awaiting: List[ProcessNode] = []
-        self._lost: Dict[str, str] = {}
 
     def start_nodes(self, leases: Dict[str, ShardLease]) -> Dict[str, ProcessNode]:
         """Boot one node process per lease; returns once every one is ready.
@@ -456,43 +453,14 @@ class ProcessTransport(NodeTransport):
                 failures.setdefault(node.node_id, exc)
         return True
 
-    def barrier_begin(self, voters: Sequence[ClusterNode], fresh: Sequence[Offer]) -> None:
-        """Record the intent, then tell the voters to flush their journals.
+    def commit(self, votes: Dict[str, NodeVote]) -> None:
+        """Write every voter's journal in one transaction of the coordinator's store.
 
-        The intent — the batch's fresh offers, pickled into the shared
-        store *before* any node flushes — is what turns a mid-barrier
-        death (node or coordinator) from a fatal partway state into a
-        replayable one.
+        The journals' lease epochs are checked inside it, so a journal
+        a fenced node wrote raises
+        :class:`~repro.runtime.state.StaleEpochError` and nothing lands.
         """
-        payload = pickle.dumps(list(fresh), protocol=pickle.HIGHEST_PROTOCOL)
-        self.store.write_commit_intent(next(self._intent_sequence), payload)
-        for node in voters:
-            try:
-                node.send("commit")
-                self._awaiting.append(node)
-            except NodeDeadError as exc:
-                self._lost[node.node_id] = str(exc)
-
-    def barrier_end(self) -> Dict[str, str]:
-        """Await one commit ack per voter; clear the intent when all arrived."""
-        awaiting, self._awaiting = self._awaiting, []
-        lost, self._lost = self._lost, {}
-        for node in awaiting:
-            try:
-                kind, payload = node.recv()
-            except NodeDeadError as exc:
-                lost[node.node_id] = str(exc)
-                continue
-            if kind != "committed":
-                lost[node.node_id] = f"node {node.node_id!r}: {payload}"
-        if not lost:
-            self.store.clear_commit_intent()
-        return lost
-
-    def leftover_batch(self) -> Optional[List[Offer]]:
-        """The offers of a commit intent a dead coordinator left in the file."""
-        pending = self.store.pending_commit_intent()
-        return None if pending is None else pickle.loads(pending[1])
+        self.store.write_journals([vote.journal for _, vote in sorted(votes.items())])
 
     def pages_for(self, offers: Sequence[Offer]) -> Dict[str, str]:
         """The stored page of every offer that has no specification.
@@ -528,13 +496,13 @@ class MultiProcessEngine(ClusterEngine):
 
     * a durable shared store is **required** (``store_path``): the WAL
       file is the only state the processes share;
-    * each node runs a private engine + store connection in its own
-      process — no shared mirror, no cluster lock, true multi-core
-      ingest;
-    * the commit barrier is a vote/commit message round instead of one
-      in-process flush, preceded by a durable *commit intent* in the
-      shared file, so a node or coordinator death at any point of the
-      round is replayable (the module docstring walks through it).
+    * each node runs a private engine over a read-only mirror of the
+      file in its own process — no shared mirror, no cluster lock, true
+      multi-core ingest;
+    * the nodes' votes carry their journals, and the commit barrier is
+      the coordinator writing all of them in one transaction: a batch
+      lands whole or not at all, whoever dies when (the module
+      docstring walks through it).
 
     Parameters are :class:`~repro.runtime.cluster.ClusterEngine`'s, plus:
 
@@ -562,11 +530,13 @@ class MultiProcessEngine(ClusterEngine):
 
         The node fails at the ``countdown``-th occurrence of the named
         store operation (``"append_offers"``, ``"mark_seen"``,
-        ``"set_product"``, ``"commit"``) during a later ingest.
-        ``hard=True`` (default) hard-exits the process (``os._exit``) —
-        a genuine kill at a precise point in the write path;
-        ``hard=False`` raises inside the node instead, so it survives
-        and votes not-ready (the alive-but-failed recovery path).
+        ``"set_product"``) during a later ingest, or right after its
+        ``countdown``-th later vote (``"vote"``, a death after the node
+        handed its journal over).  ``hard=True`` (default) hard-exits
+        the process (``os._exit``) — a genuine kill at a precise point;
+        ``hard=False`` raises inside the node instead, so at a store
+        operation it survives and votes not-ready (the alive-but-failed
+        recovery path).
         """
         self.flush()
         self._member(node_id).request(

@@ -26,7 +26,7 @@ import itertools
 import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.model.offers import Offer
 from repro.model.products import Product
@@ -99,7 +99,6 @@ class CatalogStore(abc.ABC):
         self._num_shards = 0
         self._fault_hook: Optional[Callable[[str], None]] = None
         self._commit_count = 0
-        self._commit_intent: Optional[Tuple[int, bytes]] = None
         # Clusters mutated since the last commit barrier (insertion
         # ordered, deduplicated).  Backends with a commit journal drain
         # this at the barrier to record "commit k touched these clusters".
@@ -322,10 +321,11 @@ class CatalogStore(abc.ABC):
         yield from self.sorted_products()
 
     # -- committed reads -------------------------------------------------------
-    # What the last commit holds, for a reader that is not the writer: a
-    # cluster coordinator, whose process nodes commit through their own
-    # connections.  The defaults read the in-memory state, which a single
-    # writer keeps current; the SQLite backend reads its committed rows.
+    # What the last commit holds, for a reader whose mirror is not kept
+    # current: a process cluster's coordinator, which writes its nodes'
+    # journals without applying them to its own mirror.  The defaults read
+    # the in-memory state, which a single writer keeps current; the SQLite
+    # backend reads its committed rows.
 
     def committed_num_clusters(self) -> int:
         """Clusters in the last commit (including sub-threshold ones)."""
@@ -334,10 +334,6 @@ class CatalogStore(abc.ABC):
     def committed_num_seen(self) -> int:
         """Distinct offer ids in the last commit."""
         return self.num_seen()
-
-    def committed_seen(self, offer_ids: Iterable[str]) -> Set[str]:
-        """Which of ``offer_ids`` the last commit holds."""
-        return {offer_id for offer_id in offer_ids if self.is_seen(offer_id)}
 
     def committed_assigned_categories(self) -> Dict[str, str]:
         """The offer-id -> category-id map of the last commit."""
@@ -532,30 +528,6 @@ class CatalogStore(abc.ABC):
         if auto:
             self._take_auto_floor()
         return self.journal_floor()
-
-    # -- commit intents (cluster barrier bookkeeping) --------------------------
-
-    def write_commit_intent(self, sequence: int, payload: bytes) -> None:
-        """Durably record that a batch is about to enter its commit round.
-
-        A cluster coordinator writes the intent — the batch sequence
-        number plus an opaque payload (the serialised offers) — *before*
-        telling nodes to flush.  If the coordinator or a node dies
-        between vote and flush, a restart finds the intent and replays
-        the batch (idempotently: committed offers dedup away) instead of
-        surfacing an unrecoverable error.  Volatile backends keep it in
-        memory; durable ones must persist it immediately, outside the
-        journalled batch state.
-        """
-        self._commit_intent = (sequence, payload)
-
-    def clear_commit_intent(self) -> None:
-        """Drop the pending intent once its batch fully committed."""
-        self._commit_intent = None
-
-    def pending_commit_intent(self) -> Optional[Tuple[int, bytes]]:
-        """The recorded ``(sequence, payload)`` intent, or ``None``."""
-        return self._commit_intent
 
     # -- worker resync ---------------------------------------------------------
 

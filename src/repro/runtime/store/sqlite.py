@@ -27,30 +27,38 @@ workers of the delta re-fusion protocol can resync a shard straight from
 it (:meth:`worker_resync_path`) instead of having cluster contents
 re-shipped through the task queue.
 
+**One write path.**  What :meth:`SqliteCatalogStore.commit` writes is a
+:class:`StoreJournal`: the batch's rows, already JSON-encoded.
+``commit()`` builds its own journal and hands it to
+:meth:`~SqliteCatalogStore.write_journals`, which writes any number of
+journals as *one* transaction under one commit id.
+
 **Multi-process sharing.**  A multi-process cluster
-(:class:`~repro.runtime.procnode.MultiProcessEngine`) opens one store
-instance *per node process* over the same WAL file, plus the
-coordinator's.  Three mechanisms make that safe:
+(:class:`~repro.runtime.procnode.MultiProcessEngine`) has exactly one
+writer, the coordinator's store instance.  Each node process opens the
+same WAL file as a read-only mirror:
 
-* every connection sets a busy timeout, so the per-node commit
-  transactions at the cluster barrier serialise instead of failing;
-* a store opened with ``partition=<node id>`` journals its
-  reconciliation counters into a per-node row of
-  ``node_reconciliation_stats`` (the shared-row strategy: no two
-  processes ever update the same row), and reads fencing epochs straight
-  from the file — the coordinator advances them from another process, so
-  the mirror cannot be trusted for fencing decisions;
-* :meth:`refresh_shards` reloads selected shards of the mirror from the
-  last committed snapshot, which is how a shard's new owner picks up
-  state the previous owner wrote;
-* :meth:`iter_products` and the ``committed_*`` reads query the
-  committed rows without the mirror, which is how the coordinator
-  observes the nodes' barrier commits (its mirror is restored once, at
-  open, and never rebuilt).
+* a store opened with ``partition=<node id>`` connects ``mode=ro`` (as
+  :class:`~repro.serving.reader.CatalogReader` does); its mutations land
+  in its mirror and journal only, and any write it attempts raises
+  :class:`sqlite3.OperationalError`;
+* after each ingest the node drains its journal
+  (:meth:`~SqliteCatalogStore.drain_journal`) with the lease epochs it
+  wrote under, and ships it in its vote.  The coordinator writes every
+  voter's journal in one transaction, checking those epochs against the
+  file's ``shard_epochs`` inside it, so a batch lands whole or not at
+  all and readers see one commit per batch;
+* :meth:`~SqliteCatalogStore.refresh_shards` reloads selected shards of
+  a mirror (and every fencing epoch) from the last commit, which is how
+  a shard's new owner picks up the state the previous owner voted;
+* :meth:`~SqliteCatalogStore.iter_products` and the ``committed_*``
+  reads query the committed rows without the mirror, which is how the
+  coordinator observes its barrier writes (its mirror is restored once,
+  at open, and never rebuilt).
 
-The seen-offer and cluster tables need no partitioning: routing sends
-each offer to exactly one node and each shard has exactly one owner, so
-cross-process writers never touch the same rows.
+Reconciliation totals are one global row; each commit adds its batch's
+counters to it.  Files written by older clusters also hold per-node
+``node_reconciliation_stats`` rows, which every read still sums in.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import astuple, dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.offers import Offer
 from repro.model.persistence import (
@@ -70,11 +79,17 @@ from repro.model.persistence import (
 from repro.model.products import Product
 from repro.obs import get_registry
 from repro.runtime.sharding import shard_for_category
-from repro.runtime.state import CatalogStore, ClusterId, ClusterState, _InMemoryState
+from repro.runtime.state import (
+    CatalogStore,
+    ClusterId,
+    ClusterState,
+    StaleEpochError,
+    _InMemoryState,
+)
 from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
 
-__all__ = ["SqliteCatalogStore", "load_shard_clusters", "read_product_page"]
+__all__ = ["SqliteCatalogStore", "StoreJournal", "load_shard_clusters", "read_product_page"]
 
 #: Bumped when the table layout changes incompatibly.
 _FORMAT_VERSION = 1
@@ -124,6 +139,7 @@ CREATE TABLE IF NOT EXISTS reconciliation_stats (
     pairs_mapped INTEGER NOT NULL,
     pairs_discarded INTEGER NOT NULL
 );
+-- Written only by older clusters (one row per node); reads still sum it in.
 CREATE TABLE IF NOT EXISTS node_reconciliation_stats (
     node_id TEXT PRIMARY KEY,
     offers_processed INTEGER NOT NULL,
@@ -131,6 +147,7 @@ CREATE TABLE IF NOT EXISTS node_reconciliation_stats (
     pairs_mapped INTEGER NOT NULL,
     pairs_discarded INTEGER NOT NULL
 ) WITHOUT ROWID;
+-- Never written: a row an older coordinator left makes the open fail.
 CREATE TABLE IF NOT EXISTS commit_intents (
     id INTEGER PRIMARY KEY CHECK (id = 1),
     sequence INTEGER NOT NULL,
@@ -213,16 +230,56 @@ def read_product_page(
     ]
 
 
+def _add_stats(total: ReconciliationStats, delta: ReconciliationStats) -> None:
+    """Add ``delta``'s counters to ``total`` in place."""
+    total.offers_processed += delta.offers_processed
+    total.pairs_seen += delta.pairs_seen
+    total.pairs_mapped += delta.pairs_mapped
+    total.pairs_discarded += delta.pairs_discarded
+
+
+@dataclass
+class StoreJournal:
+    """The rows one batch adds to the file, encoded and ready to write.
+
+    Built from a store's pending mutations (:meth:`SqliteCatalogStore.drain_journal`)
+    and written by :meth:`SqliteCatalogStore.write_journals`, possibly
+    over another connection in another process: a cluster node ships its
+    journal to the coordinator inside its vote.
+    """
+
+    seen: List[str] = field(default_factory=list)
+    #: ``(offer id, category id)`` rows of ``assigned_categories``.
+    categories: List[Tuple[str, str]] = field(default_factory=list)
+    #: Clusters created by the batch.
+    clusters: List[ClusterId] = field(default_factory=list)
+    #: ``(category id, cluster key, position, offer json)`` rows of ``cluster_offers``.
+    offers: List[Tuple[str, str, int, str]] = field(default_factory=list)
+    #: ``(product json or None, category id, cluster key)`` product updates.
+    products: List[Tuple[Optional[str], str, str]] = field(default_factory=list)
+    #: ``(shard, version)`` delta-protocol counters.
+    versions: List[Tuple[int, int]] = field(default_factory=list)
+    #: The batch's reconciliation counters, added to the global row.
+    stats: Optional[Tuple[int, int, int, int]] = None
+    #: ``(category id, cluster key, product json or None)`` rows of the
+    #: commit's ``commit_journal`` entry: every cluster the batch touched.
+    touched: List[Tuple[str, str, Optional[str]]] = field(default_factory=list)
+    #: Shard -> fencing epoch the rows were written under; the write is
+    #: refused unless each is the file's current epoch.  Empty for a
+    #: single writer, which holds no lease.
+    epochs: Dict[int, int] = field(default_factory=dict)
+
+
 class SqliteCatalogStore(CatalogStore):
     """Durable catalog store over a single SQLite file (WAL mode).
 
-    ``partition`` opts a store instance into the multi-process sharing
-    contract: reconciliation counters go to the named per-node row,
-    fencing epochs are read authoritatively from the file instead of the
-    mirror, and :meth:`advance_shard_epoch` is refused (only the
-    coordinator — the unpartitioned instance — advances epochs).
-    ``busy_timeout_ms`` bounds how long a write waits for another
-    process's transaction before failing.
+    ``partition=<node id>`` opens the file as a cluster node's read-only
+    mirror: the connection is ``mode=ro``, :meth:`commit` and every
+    other write raise :class:`sqlite3.OperationalError`, and the node
+    hands its batches over with :meth:`drain_journal` instead.  Opening
+    a file that holds a commit intent left by an older cluster
+    coordinator raises ``ValueError``.  ``busy_timeout_ms`` bounds how
+    long a write waits for another process's transaction before failing.
     """
 
     name = "sqlite"
@@ -236,16 +293,17 @@ class SqliteCatalogStore(CatalogStore):
         super().__init__()
         self._path = os.path.abspath(path)
         self._partition = partition
-        self._partition_totals = ReconciliationStats()
         # check_same_thread=False: a multi-node engine dispatches node
         # sub-batches on worker threads; every store call is serialised
-        # by the cluster layer's lock, so cross-thread use is safe.
+        # by the cluster layer's lock, so cross-thread use is safe.  A
+        # node's mirror never writes: its connection is read-only.
         self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
-            self._path, check_same_thread=False
+            self._path if partition is None else f"file:{self._path}?mode=ro",
+            uri=partition is not None,
+            check_same_thread=False,
         )
-        # Before any write (including the schema script): multi-process
-        # clusters open several connections over one file, and their
-        # commits at the barrier must queue, not fail.
+        # Before any statement: a reader must wait out the writer's
+        # checkpoints, and a second writer its transaction, not fail.
         self._connection.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
         # Validate the format marker *before* touching the file: running
         # the schema script against a future-format store would write v1
@@ -258,19 +316,29 @@ class SqliteCatalogStore(CatalogStore):
             raise ValueError(
                 f"unsupported catalog store format version: {stored_version}"
             )
-        self._connection.executescript(_SCHEMA)
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
+        if partition is None:
+            self._connection.executescript(_SCHEMA)
+            self._connection.execute("PRAGMA journal_mode=WAL")
+            self._connection.execute("PRAGMA synchronous=NORMAL")
+            if self._connection.execute("SELECT 1 FROM commit_intents").fetchone():
+                self._connection.close()
+                self._connection = None
+                raise ValueError(
+                    f"catalog store {self._path} holds a commit intent left by an older "
+                    "cluster coordinator; finish that batch with the version that wrote it"
+                )
         self._state = _InMemoryState()
-        # Mutation journals, flushed in one transaction per commit().
+        # The pending mutations; commit() writes them as one journal.
         self._new_seen: List[str] = []
         self._new_categories: List[Tuple[str, str]] = []
         self._new_clusters: List[ClusterId] = []
         self._new_offers: List[Tuple[str, str, int, str]] = []
         self._dirty_products: Dict[ClusterId, Optional[Product]] = {}
         self._dirty_versions: set = set()
-        self._stats_dirty = False
+        self._stats_delta: Optional[ReconciliationStats] = None
         self._restore()
+        if partition is not None:
+            return
         if stored_version is None:
             self._connection.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
@@ -351,24 +419,22 @@ class SqliteCatalogStore(CatalogStore):
             state.reconciliation_stats = ReconciliationStats(*row)
         commit_count = self._meta("commit_count")
         self._commit_count = 0 if commit_count is None else int(commit_count)
-        # Global totals are the single-writer row plus every node
-        # partition; a partitioned store also reloads its own slice so a
-        # restarted node keeps accumulating where it left off.
-        for node_id, *counts in self._connection.execute(
-            "SELECT node_id, offers_processed, pairs_seen, pairs_mapped, pairs_discarded"
+        # Global totals are the global row plus the per-node rows older
+        # clusters wrote.
+        for counts in self._connection.execute(
+            "SELECT offers_processed, pairs_seen, pairs_mapped, pairs_discarded"
             " FROM node_reconciliation_stats"
         ):
-            partial = ReconciliationStats(*counts)
-            state.reconciliation_stats.offers_processed += partial.offers_processed
-            state.reconciliation_stats.pairs_seen += partial.pairs_seen
-            state.reconciliation_stats.pairs_mapped += partial.pairs_mapped
-            state.reconciliation_stats.pairs_discarded += partial.pairs_discarded
-            if node_id == self._partition:
-                self._partition_totals = partial
+            _add_stats(state.reconciliation_stats, ReconciliationStats(*counts))
 
     def bind(self, num_shards: int) -> None:
         """Bind to a shard count; a mismatch with the stored one resets epochs/versions."""
         super().bind(num_shards)
+        if self._partition is not None:
+            # A node's mirror: the coordinator bound the file before
+            # starting it.
+            self._reindex_shards(num_shards)
+            return
         stored = self._meta("num_shards")
         if stored is not None and int(stored) != num_shards:
             # Shard indices (and therefore per-shard version counters and
@@ -414,34 +480,30 @@ class SqliteCatalogStore(CatalogStore):
         return self._connection
 
     def commit(self) -> None:
-        """Flush journalled mutations in one transaction."""
-        connection = self._require_open()
-        self._fault_point("commit")
-        if self._new_seen:
-            connection.executemany(
-                "INSERT OR IGNORE INTO seen_offers (offer_id) VALUES (?)",
-                [(offer_id,) for offer_id in self._new_seen],
-            )
-        if self._new_categories:
-            connection.executemany(
-                "INSERT OR REPLACE INTO assigned_categories (offer_id, category_id)"
-                " VALUES (?, ?)",
-                self._new_categories,
-            )
-        if self._new_clusters:
-            connection.executemany(
-                "INSERT OR IGNORE INTO clusters (category_id, cluster_key, product)"
-                " VALUES (?, ?, NULL)",
-                self._new_clusters,
-            )
-        if self._new_offers:
-            connection.executemany(
-                "INSERT OR REPLACE INTO cluster_offers"
-                " (category_id, cluster_key, position, offer) VALUES (?, ?, ?, ?)",
-                self._new_offers,
-            )
-        # Each product is encoded once per commit: the same text goes to
-        # ``clusters`` here and to ``commit_journal`` below.
+        """Write the pending mutations as one journal, in one transaction.
+
+        The mutations stay pending until the write succeeded, so a
+        failed commit can be retried (or :meth:`rollback` discards them).
+        """
+        self.write_journals([self._journal()])
+        self._clear_journal()
+
+    def drain_journal(self, epochs: Dict[int, int]) -> StoreJournal:
+        """Take the pending mutations as a journal another connection writes.
+
+        ``epochs`` (shard -> epoch) are the lease the mutations were made
+        under; :meth:`write_journals` refuses the journal unless each is
+        still current.  The mirror keeps the mutations: after the write
+        it equals the file again, and after a refused write
+        :meth:`rollback` rebuilds it.
+        """
+        journal = self._journal()
+        journal.epochs = dict(epochs)
+        self._clear_journal()
+        return journal
+
+    def _journal(self) -> StoreJournal:
+        """The pending mutations as rows, each product encoded once."""
         encoded: Dict[int, str] = {}
 
         def encode(product: Optional[Product]) -> Optional[str]:
@@ -452,110 +514,149 @@ class SqliteCatalogStore(CatalogStore):
                 text = encoded[id(product)] = json.dumps(product_to_dict(product))
             return text
 
-        if self._dirty_products:
-            connection.executemany(
-                "UPDATE clusters SET product = ? WHERE category_id = ? AND cluster_key = ?",
-                [
-                    (encode(product), category_id, cluster_key)
-                    for (category_id, cluster_key), product in self._dirty_products.items()
-                ],
-            )
-        if self._dirty_versions:
-            connection.executemany(
-                "INSERT OR REPLACE INTO shard_versions (shard, version) VALUES (?, ?)",
-                [
-                    (shard, self._state.shard_versions.get(shard, 0))
-                    for shard in sorted(self._dirty_versions)
-                ],
-            )
-        if self._stats_dirty:
-            if self._partition is None:
-                totals = self._state.reconciliation_stats
-                connection.execute(
-                    "INSERT OR REPLACE INTO reconciliation_stats"
-                    " (id, offers_processed, pairs_seen, pairs_mapped, pairs_discarded)"
-                    " VALUES (1, ?, ?, ?, ?)",
-                    (
-                        totals.offers_processed,
-                        totals.pairs_seen,
-                        totals.pairs_mapped,
-                        totals.pairs_discarded,
-                    ),
-                )
-                # The mirror total already folded every node partition in
-                # at restore time; leaving those rows behind would count
-                # them twice on the next restore.  An unpartitioned
-                # writer (single engine resumed over a cluster's file)
-                # therefore absorbs the partitions into the global row.
-                connection.execute("DELETE FROM node_reconciliation_stats")
-            else:
-                # Shared-row strategy: a node flushes only its own
-                # partition row, so concurrent barrier commits from
-                # other node processes never collide on a shared total.
-                own = self._partition_totals
-                connection.execute(
-                    "INSERT OR REPLACE INTO node_reconciliation_stats"
-                    " (node_id, offers_processed, pairs_seen, pairs_mapped, pairs_discarded)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    (
-                        self._partition,
-                        own.offers_processed,
-                        own.pairs_seen,
-                        own.pairs_mapped,
-                        own.pairs_discarded,
-                    ),
-                )
-        # The snapshot counter is incremented atomically in SQL (and read
-        # back) rather than written from the mirror: several node-process
-        # connections of a multi-process cluster commit through this same
-        # row, and a mirror-based write would lose their increments.
-        connection.execute(
-            "INSERT INTO meta (key, value) VALUES ('commit_count', '1')"
-            " ON CONFLICT(key) DO UPDATE SET"
-            " value = CAST(CAST(value AS INTEGER) + 1 AS TEXT)"
+        clusters = self._state.clusters
+        stats = self._stats_delta
+        # The lists are handed over, not copied: _clear_journal rebinds
+        # fresh ones rather than emptying these.
+        return StoreJournal(
+            seen=self._new_seen,
+            categories=self._new_categories,
+            clusters=self._new_clusters,
+            offers=self._new_offers,
+            products=[
+                (encode(product), category_id, cluster_key)
+                for (category_id, cluster_key), product in self._dirty_products.items()
+            ],
+            versions=[
+                (shard, self._state.shard_versions.get(shard, 0))
+                for shard in sorted(self._dirty_versions)
+            ],
+            stats=None if stats is None else astuple(stats),
+            touched=[
+                (cluster_id[0], cluster_id[1], encode(clusters[cluster_id].product))
+                for cluster_id in self._touched_clusters
+                if cluster_id in clusters
+            ],
         )
-        # The new commit id is read *inside* the open write transaction:
-        # another process committing concurrently cannot slip between the
-        # increment and the read, so the journal rows below carry exactly
-        # this barrier's id.  This is also why every engine flavor gets a
-        # journal for free — single, multi-node (FencedStoreView
-        # delegates here) and multi-process (each node process commits
-        # through its own instance of this store) all pass this point.
-        commit_id = int(self._meta("commit_count") or 0)
-        self._fault_point("journal")
-        if self._touched_clusters:
-            with get_registry().span("store.journal_write"):
-                connection.executemany(
-                    "INSERT OR REPLACE INTO commit_journal"
-                    " (commit_id, category_id, cluster_key, product) VALUES (?, ?, ?, ?)",
-                    [
-                        (
-                            commit_id,
-                            cluster_id[0],
-                            cluster_id[1],
-                            encode(self._state.clusters[cluster_id].product),
-                        )
-                        for cluster_id in self._touched_clusters
-                        if cluster_id in self._state.clusters
-                    ],
-                )
-        connection.commit()
+
+    def write_journals(self, journals: Sequence[StoreJournal]) -> int:
+        """Write ``journals`` as one commit; returns its commit id.
+
+        One transaction: every journal's rows, one ``commit_count``
+        increment, and one ``commit_journal`` entry naming every cluster
+        the journals touched.  Inside it, each journal's epochs are
+        checked against the file's ``shard_epochs``; a stale one raises
+        :class:`~repro.runtime.state.StaleEpochError`.  On any failure
+        the transaction is rolled back, so nothing of any journal lands.
+        The mirror is not touched: it is whatever built the journals.
+        """
+        connection = self._require_open()
+        try:
+            self._fault_point("commit")
+            for journal in journals:
+                self._write_rows(connection, journal)
+            # The snapshot counter is incremented in SQL and read back
+            # inside the open write transaction, so the journal rows below
+            # carry exactly this commit's id.
+            connection.execute(
+                "INSERT INTO meta (key, value) VALUES ('commit_count', '1')"
+                " ON CONFLICT(key) DO UPDATE SET"
+                " value = CAST(CAST(value AS INTEGER) + 1 AS TEXT)"
+            )
+            commit_id = int(self._meta("commit_count") or 0)
+            if any(journal.epochs for journal in journals):
+                self._check_epochs(connection, journals)
+            self._fault_point("journal")
+            touched = [
+                (commit_id, category_id, cluster_key, product)
+                for journal in journals
+                for category_id, cluster_key, product in journal.touched
+            ]
+            if touched:
+                with get_registry().span("store.journal_write"):
+                    connection.executemany(
+                        "INSERT OR REPLACE INTO commit_journal"
+                        " (commit_id, category_id, cluster_key, product) VALUES (?, ?, ?, ?)",
+                        touched,
+                    )
+            connection.commit()
+        except BaseException:
+            connection.rollback()
+            raise
         self._obs_commits.inc()
         self._commit_count = commit_id
-        self._touched_clusters.clear()
-        self._new_seen = []
-        self._new_categories = []
-        self._new_clusters = []
-        self._new_offers = []
-        self._dirty_products = {}
-        self._dirty_versions = set()
-        self._stats_dirty = False
+        return commit_id
+
+    @staticmethod
+    def _write_rows(connection: sqlite3.Connection, journal: StoreJournal) -> None:
+        """Execute one journal's row writes (inside the caller's transaction)."""
+        if journal.seen:
+            connection.executemany(
+                "INSERT OR IGNORE INTO seen_offers (offer_id) VALUES (?)",
+                [(offer_id,) for offer_id in journal.seen],
+            )
+        if journal.categories:
+            connection.executemany(
+                "INSERT OR REPLACE INTO assigned_categories (offer_id, category_id)"
+                " VALUES (?, ?)",
+                journal.categories,
+            )
+        if journal.clusters:
+            connection.executemany(
+                "INSERT OR IGNORE INTO clusters (category_id, cluster_key, product)"
+                " VALUES (?, ?, NULL)",
+                journal.clusters,
+            )
+        if journal.offers:
+            connection.executemany(
+                "INSERT OR REPLACE INTO cluster_offers"
+                " (category_id, cluster_key, position, offer) VALUES (?, ?, ?, ?)",
+                journal.offers,
+            )
+        if journal.products:
+            connection.executemany(
+                "UPDATE clusters SET product = ? WHERE category_id = ? AND cluster_key = ?",
+                journal.products,
+            )
+        if journal.versions:
+            connection.executemany(
+                "INSERT OR REPLACE INTO shard_versions (shard, version) VALUES (?, ?)",
+                journal.versions,
+            )
+        if journal.stats is not None:
+            connection.execute(
+                "INSERT INTO reconciliation_stats"
+                " (id, offers_processed, pairs_seen, pairs_mapped, pairs_discarded)"
+                " VALUES (1, ?, ?, ?, ?) ON CONFLICT(id) DO UPDATE SET"
+                " offers_processed = offers_processed + excluded.offers_processed,"
+                " pairs_seen = pairs_seen + excluded.pairs_seen,"
+                " pairs_mapped = pairs_mapped + excluded.pairs_mapped,"
+                " pairs_discarded = pairs_discarded + excluded.pairs_discarded",
+                journal.stats,
+            )
+
+    @staticmethod
+    def _check_epochs(connection: sqlite3.Connection, journals: Sequence[StoreJournal]) -> None:
+        """Refuse the write unless every journal's epochs are the file's."""
+        current = dict(connection.execute("SELECT shard, epoch FROM shard_epochs"))
+        for journal in journals:
+            for shard_index, epoch in sorted(journal.epochs.items()):
+                if current.get(shard_index, 0) != epoch:
+                    raise StaleEpochError(
+                        f"journal for shard {shard_index} carries epoch {epoch} but the "
+                        f"store is at epoch {current.get(shard_index, 0)}: the node that "
+                        "wrote it was fenced, and nothing of this batch was written"
+                    )
 
     def close(self) -> None:
-        """Flush pending mutations and close the connection (idempotent)."""
+        """Commit pending mutations and close the connection (idempotent).
+
+        A node's read-only mirror has nothing it may write and just closes.
+        """
         if self._connection is None:
             return
-        self.commit()
+        if self._partition is None:
+            self.commit()
         self._connection.close()
         self._connection = None
 
@@ -565,20 +666,19 @@ class SqliteCatalogStore(CatalogStore):
         return True
 
     def _clear_journal(self) -> None:
-        """Drop every journalled (not yet flushed) mutation."""
+        """Drop every pending (not yet written) mutation."""
         self._new_seen = []
         self._new_categories = []
         self._new_clusters = []
         self._new_offers = []
         self._dirty_products = {}
         self._dirty_versions = set()
-        self._stats_dirty = False
+        self._stats_delta = None
         self._touched_clusters.clear()
 
     def _rebuild_mirror(self) -> None:
         """Re-read the full persisted snapshot into a fresh mirror."""
         self._state = _InMemoryState()
-        self._partition_totals = ReconciliationStats()
         self._restore()
         if self._num_shards:
             self._reindex_shards(self._num_shards)
@@ -599,16 +699,21 @@ class SqliteCatalogStore(CatalogStore):
         self._rebuild_mirror()
 
     def refresh_shards(self, shard_indices: List[int]) -> None:
-        """Reload selected shards' committed state into the mirror.
+        """Reload selected shards' committed state, and every epoch, into the mirror.
 
         Used on shard handoff: the new owner's mirror predates whatever
-        the previous owner committed, so its clusters, products and
+        the previous owner's batches wrote, so its clusters, products and
         delta-protocol version counters for the moved shards are re-read
-        from the file.  The caller must guarantee the previous owner has
-        committed (membership changes happen between batch barriers, so
-        it has).
+        from the file.  The fencing epochs are re-read whole: the
+        coordinator bumped them in the file before it handed the shards
+        over.  The caller must guarantee the previous owner's batches
+        are written (membership changes happen between batch barriers, so
+        they are).
         """
         connection = self._require_open()
+        self._state.shard_epochs = dict(
+            connection.execute("SELECT shard, epoch FROM shard_epochs").fetchall()
+        )
         targets = {shard for shard in shard_indices if shard >= 0}
         if not targets or self._num_shards == 0:
             return
@@ -661,69 +766,16 @@ class SqliteCatalogStore(CatalogStore):
 
     @property
     def partition(self) -> Optional[str]:
-        """Node id this instance journals its global counters under.
+        """The node id of a cluster node's read-only mirror.
 
-        ``None`` for a single-writer (or coordinator) store; a node id
-        for the per-process instances of a multi-process cluster.
+        ``None`` for the file's writer (a single engine or a cluster
+        coordinator).
         """
         return self._partition
 
     def worker_resync_path(self) -> Optional[str]:
         """The SQLite file itself: workers resync straight from it."""
         return self._path
-
-    # -- commit intents --------------------------------------------------------
-
-    def write_commit_intent(self, sequence: int, payload: bytes) -> None:
-        """Durably record a batch's imminent commit round, immediately.
-
-        Like :meth:`advance_shard_epoch`, the intent is flushed right
-        away rather than journalled: it must survive exactly the crashes
-        it guards against (a coordinator or node dying between vote and
-        flush), and it must not be discarded by a batch rollback.  The
-        coordinator's connection carries no journalled batch state —
-        everything else is journalled Python-side — so this commit is
-        precise.  Refused for partitioned (node) stores: only the
-        coordinator runs commit barriers.
-        """
-        if self._partition is not None:
-            raise RuntimeError(
-                "a partitioned node store cannot write commit intents; "
-                "only the coordinator's store instance runs the barrier"
-            )
-        connection = self._require_open()
-        connection.execute(
-            "INSERT OR REPLACE INTO commit_intents (id, sequence, payload)"
-            " VALUES (1, ?, ?)",
-            (sequence, payload),
-        )
-        connection.commit()
-        self._commit_intent = (sequence, payload)
-
-    def clear_commit_intent(self) -> None:
-        """Drop the pending intent once its batch fully committed."""
-        if self._partition is not None:
-            raise RuntimeError(
-                "a partitioned node store cannot clear commit intents; "
-                "only the coordinator's store instance runs the barrier"
-            )
-        connection = self._require_open()
-        connection.execute("DELETE FROM commit_intents WHERE id = 1")
-        connection.commit()
-        self._commit_intent = None
-
-    def pending_commit_intent(self) -> Optional[Tuple[int, bytes]]:
-        """The persisted ``(sequence, payload)`` intent, or ``None``.
-
-        Read straight from the file: a restarted coordinator consults
-        this before its first batch to replay an interrupted barrier.
-        """
-        connection = self._require_open()
-        row = connection.execute(
-            "SELECT sequence, payload FROM commit_intents WHERE id = 1"
-        ).fetchone()
-        self._commit_intent = None if row is None else (int(row[0]), row[1])
-        return self._commit_intent
 
     # -- changed-cluster commit journal ----------------------------------------
 
@@ -924,18 +976,6 @@ class SqliteCatalogStore(CatalogStore):
         """Distinct offer ids in the last commit, read from the file."""
         return self._count_rows("seen_offers")
 
-    def committed_seen(self, offer_ids: Iterable[str]) -> Set[str]:
-        """Which of ``offer_ids`` the file's seen set holds."""
-        connection = self._require_open()
-        return {
-            offer_id
-            for offer_id in offer_ids
-            if connection.execute(
-                "SELECT 1 FROM seen_offers WHERE offer_id = ?", (offer_id,)
-            ).fetchone()
-            is not None
-        }
-
     def committed_assigned_categories(self) -> Dict[str, str]:
         """The offer-id -> category-id map of the last commit, read from the file."""
         connection = self._require_open()
@@ -944,19 +984,16 @@ class SqliteCatalogStore(CatalogStore):
         )
 
     def committed_reconciliation_stats(self) -> ReconciliationStats:
-        """The global row plus every node partition row of the last commit."""
+        """The global row plus older clusters' per-node rows, of the last commit."""
         connection = self._require_open()
         totals = ReconciliationStats()
-        for processed, seen, mapped, discarded in connection.execute(
+        for counts in connection.execute(
             "SELECT offers_processed, pairs_seen, pairs_mapped, pairs_discarded"
             " FROM reconciliation_stats"
             " UNION ALL SELECT offers_processed, pairs_seen, pairs_mapped, pairs_discarded"
             " FROM node_reconciliation_stats"
         ):
-            totals.offers_processed += processed
-            totals.pairs_seen += seen
-            totals.pairs_mapped += mapped
-            totals.pairs_discarded += discarded
+            _add_stats(totals, ReconciliationStats(*counts))
         return totals
 
     def committed_shard_loads(self) -> Dict[int, float]:
@@ -975,27 +1012,19 @@ class SqliteCatalogStore(CatalogStore):
     def merge_reconciliation_stats(self, stats: ReconciliationStats) -> None:
         """Fold one batch's counters into the running totals.
 
-        A partitioned store additionally accumulates its own slice,
-        which is what :meth:`commit` flushes to the per-node row.
+        The counters since the last commit are kept apart too: a commit
+        adds them to the file's global row.
         """
         self._require_open()
-        total = self._state.reconciliation_stats
-        total.offers_processed += stats.offers_processed
-        total.pairs_seen += stats.pairs_seen
-        total.pairs_mapped += stats.pairs_mapped
-        total.pairs_discarded += stats.pairs_discarded
-        if self._partition is not None:
-            own = self._partition_totals
-            own.offers_processed += stats.offers_processed
-            own.pairs_seen += stats.pairs_seen
-            own.pairs_mapped += stats.pairs_mapped
-            own.pairs_discarded += stats.pairs_discarded
-        self._stats_dirty = True
+        _add_stats(self._state.reconciliation_stats, stats)
+        if self._stats_delta is None:
+            self._stats_delta = ReconciliationStats()
+        _add_stats(self._stats_delta, stats)
 
     def reconciliation_stats(self) -> ReconciliationStats:
-        """A copy of the accumulated totals (all partitions merged).
+        """A copy of the totals in the mirror.
 
-        Other processes' partitions count as of this instance's restore;
+        Other connections' commits count as of this instance's restore;
         :meth:`committed_reconciliation_stats` reads the file.
         """
         totals = self._state.reconciliation_stats
@@ -1023,22 +1052,13 @@ class SqliteCatalogStore(CatalogStore):
     # -- shard epochs ----------------------------------------------------------
 
     def shard_epoch(self, shard_index: int) -> int:
-        """The authoritative fencing epoch of one shard.
+        """The fencing epoch of one shard, from the mirror.
 
-        A partitioned (node-process) store reads the epoch straight from
-        the file on every call: the coordinator advances epochs from
-        *another process*, so the local mirror cannot be trusted for
-        fencing decisions — a fenced-out zombie consulting its mirror
-        would happily keep writing.  The unpartitioned instance is the
-        only epoch writer and serves the mirror.
+        Authoritative on the file's writer, the only instance that
+        advances epochs.  A node's mirror holds the epochs of its last
+        restore or :meth:`refresh_shards`; what fences a node process is
+        the coordinator's check of its journal's epochs at the write.
         """
-        if self._partition is not None and self._connection is not None:
-            row = self._connection.execute(
-                "SELECT epoch FROM shard_epochs WHERE shard = ?", (shard_index,)
-            ).fetchone()
-            epoch = 0 if row is None else int(row[0])
-            self._state.shard_epochs[shard_index] = epoch
-            return epoch
         return self._state.shard_epochs.get(shard_index, 0)
 
     def advance_shard_epoch(self, shard_index: int) -> int:
@@ -1048,19 +1068,15 @@ class SqliteCatalogStore(CatalogStore):
         fencing decisions must survive exactly the crashes they guard
         against, and they must not be discarded by a batch rollback.
         (The connection carries no other pending statements — everything
-        else is journalled Python-side — so this commit is precise.)
+        else is journalled Python-side — so this commit is precise.)  The
+        mirror moves only once the file did.
         """
-        if self._partition is not None:
-            raise RuntimeError(
-                "a partitioned node store cannot advance fencing epochs; "
-                "only the coordinator's store instance fences shards"
-            )
         connection = self._require_open()
         epoch = self._state.shard_epochs.get(shard_index, 0) + 1
-        self._state.shard_epochs[shard_index] = epoch
         connection.execute(
             "INSERT OR REPLACE INTO shard_epochs (shard, epoch) VALUES (?, ?)",
             (shard_index, epoch),
         )
         connection.commit()
+        self._state.shard_epochs[shard_index] = epoch
         return epoch

@@ -1,15 +1,17 @@
 """Tests for the true multi-process cluster (`repro.runtime.procnode`).
 
 Covers the whole tentpole surface: byte-identity of 2- and 4-process
-clusters against a single engine, the vote/commit barrier protocol,
-membership churn (join / graceful leave / fence) with shard-handoff
-refresh, crash recovery after both a SIGKILL between batches and a
-hard ``os._exit`` mid-ingest (injected inside the node process), the
-shared-row partition strategy for the global tables, the coordinator's
-automatic load-skew rebalance, and kill-and-resume of the whole cluster
-against the shared WAL file — and the node process lifecycle: every
-node is a ``multiprocessing`` child while the cluster runs, and none
-outlives ``close()``, a failed constructor or the script that started it.
+clusters against a single engine, the commit barrier (one coordinator
+write per batch, carrying every voter's journal, so a reader sees one
+commit per batch and a death anywhere lands the batch whole or not at
+all), membership churn (join / graceful leave / fence) with
+shard-handoff refresh, crash recovery after a SIGKILL between batches,
+a hard ``os._exit`` mid-ingest and one right after a vote (injected
+inside the node process), the coordinator's automatic load-skew
+rebalance, and kill-and-resume of the whole cluster against the shared
+WAL file — and the node process lifecycle: every node is a
+``multiprocessing`` child while the cluster runs, and none outlives
+``close()``, a failed constructor or the script that started it.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import glob
 import multiprocessing
 import os
 import pickle
+import sqlite3
 import subprocess
 import sys
 import time
@@ -34,6 +37,7 @@ from repro.runtime import (
     SynthesisEngine,
 )
 from repro.runtime import procnode
+from repro.serving.reader import CatalogReader
 
 
 def make_single(harness, **kwargs):
@@ -164,7 +168,7 @@ class TestPagesTravelWithOffers:
             single.close()
             cluster.close()
 
-    @pytest.mark.parametrize("failure", ["kill_between_batches", "crash_at_commit"])
+    @pytest.mark.parametrize("failure", ["kill_between_batches", "die_after_vote"])
     def test_recovery_replay_extracts_again(
         self, tmp_path, tiny_harness, raw_expected, failure
     ):
@@ -177,7 +181,7 @@ class TestPagesTravelWithOffers:
             if failure == "kill_between_batches":
                 cluster.kill_node(victim)
             else:
-                cluster.inject_crash(victim, "commit", countdown=1, hard=True)
+                cluster.inject_crash(victim, "vote", countdown=1, hard=True)
             for batch in batches[1:]:
                 cluster.ingest(batch)
             assert victim not in cluster.node_ids()
@@ -463,120 +467,254 @@ class TestCrashRecovery:
         second.close()
 
 
-class TestCommitIntent:
-    """ISSUE 7 satellite: the durable per-batch commit intent makes a
-    death between vote and flush replayable instead of fatal."""
+def commits_per_ingest(engine, batches, path, flush=lambda: None):
+    """Ingest ``batches``; per batch, how many commits a reader of ``path``
+    saw land and the clusters their journal entries named."""
+    reader = CatalogReader(path)
+    try:
+        head = reader.commit_count()
+        steps = []
+        for batch in batches:
+            engine.ingest(batch)
+            flush()
+            now, delta = reader.read_delta(head)
+            steps.append((now - head, set(delta)))
+            head = now
+        return steps
+    finally:
+        reader.close()
 
-    def test_crash_during_flush_recovers_inline(self, tmp_path, tiny_harness, feed_expected):
-        """A node hard-exiting inside its store flush (between vote and
-        commit) is healed at the next barrier drain from the durable
-        intent, and the intent is cleared afterwards."""
-        cluster = make_cluster(
-            tiny_harness,
-            tmp_path,
-            num_nodes=2,
-            num_shards=8,
-            pipeline_depth=2,
-            hint_routing=True,
-        )
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        victim = cluster.node_ids()[-1]
-        cluster.inject_crash(victim, "commit", countdown=1, hard=True)
-        for batch in batches[1:]:
-            cluster.ingest(batch)
-        assert sorted(fingerprint(cluster.products())) == feed_expected
-        assert cluster.store.pending_commit_intent() is None
-        cluster.close()
 
-    def test_coordinator_death_replays_intent_on_reopen(
-        self, tmp_path, tiny_harness, feed_expected
+CLUSTER_DEATH_SCRIPT = """
+import os, sys
+from repro.corpus.config import CorpusPreset
+from repro.experiments.harness import get_harness
+from repro.runtime import MultiProcessEngine
+
+harness = get_harness(CorpusPreset.TINY)
+offers = sorted(harness.unmatched_offers, key=lambda offer: offer.merchant_id)
+size = (len(offers) + 3) // 4
+batches = [offers[start : start + size] for start in range(0, len(offers), size)]
+cluster = MultiProcessEngine(
+    catalog=harness.corpus.catalog,
+    correspondences=harness.offline_result.correspondences,
+    extractor=harness.extractor,
+    category_classifier=harness.category_classifier,
+    store_path=sys.argv[1],
+    num_nodes=2,
+    num_shards=8,
+)
+cluster.ingest(batches[0])
+cluster.ingest(batches[1])
+
+
+def die(operation):
+    if operation == "journal":
+        os._exit(17)  # every row of the batch is written, the commit is not
+
+
+cluster.store.set_fault_hook(die)
+cluster.ingest(batches[2])
+"""
+
+
+class TestBarrierAtomicity:
+    """The barrier is one transaction of the coordinator's store: a
+    batch lands whole or not at all, whoever dies when."""
+
+    @pytest.mark.parametrize("pipeline_depth", [1, 2])
+    @pytest.mark.parametrize("hint_routing", [False, True], ids=["classify", "hint"])
+    def test_a_reader_sees_one_commit_per_batch(
+        self, tmp_path, tiny_harness, pipeline_depth, hint_routing
     ):
-        """Coordinator and a flushing node both die with a commit window
-        in flight: the next cluster opened over the store path replays
-        the durable intent during construction."""
-        path_name = "intent.sqlite3"
+        """Each ingest with fresh offers moves a reader's commit count by
+        exactly 1, and that commit's journal names exactly the clusters
+        the batch touched: those a single engine's commit named."""
         batches = feed_stream(tiny_harness)
+        single_path = str(tmp_path / "single.sqlite3")
+        single = make_single(tiny_harness, num_shards=8, store="sqlite", store_path=single_path)
+        single_steps = commits_per_ingest(single, batches, single_path)
         cluster = make_cluster(
             tiny_harness,
             tmp_path,
-            name=path_name,
             num_nodes=2,
             num_shards=8,
-            pipeline_depth=2,
-            hint_routing=True,
-        )
-        for batch in batches[:-1]:
-            cluster.ingest(batch)
-        victim = cluster.node_ids()[-1]
-        cluster.inject_crash(victim, "commit", countdown=1, hard=True)
-        # The last batch's commit window stays open (depth 2) and the
-        # victim dies mid-flush, leaving the durable intent behind.
-        cluster.ingest(batches[-1])
-        assert cluster.store.pending_commit_intent() is not None
-        # Simulate coordinator death: no drain, no graceful shutdown.
-        for node in cluster._nodes.values():
-            node.kill()
-        cluster._store.close()
-        cluster._closed = True
-
-        reopened = make_cluster(
-            tiny_harness, tmp_path, name=path_name, num_nodes=2, num_shards=8
+            pipeline_depth=pipeline_depth,
+            hint_routing=hint_routing,
         )
         try:
-            assert reopened.store.pending_commit_intent() is None
+            cluster_path = cluster.store.path
+            cluster_steps = commits_per_ingest(cluster, batches, cluster_path, cluster.flush)
+            assert [commits for commits, _ in single_steps] == [1] * len(batches)
+            assert cluster_steps == single_steps
+            assert cluster.products() == single.products()
+        finally:
+            cluster.close()
+            single.close()
+
+    @pytest.mark.parametrize("pipeline_depth", [1, 2])
+    def test_a_node_dying_right_after_its_vote_lands_its_batch_whole(
+        self, tmp_path, tiny_harness, feed_expected, pipeline_depth
+    ):
+        """The vote carried the node's journal, so the barrier writes the
+        batch whole; the next round finds the node dead and fences it."""
+        batches = feed_stream(tiny_harness)
+        cluster = make_cluster(
+            tiny_harness,
+            tmp_path,
+            num_nodes=2,
+            num_shards=8,
+            pipeline_depth=pipeline_depth,
+            hint_routing=True,
+        )
+        reader = CatalogReader(cluster.store.path)
+        try:
+            cluster.ingest(batches[0])
+            cluster.flush()
+            victim = cluster.node_ids()[-1]
+            cluster.inject_crash(victim, "vote", countdown=1, hard=True)
+            cluster.ingest(batches[1])
+            cluster._nodes[victim]._process.join(timeout=30)
+            assert not cluster._nodes[victim].alive()
+            cluster.flush()
+            assert reader.commit_count() == 2
+            landed = {offer.offer_id for batch in batches[:2] for offer in batch}
+            assert cluster.store.committed_num_seen() == len(landed)
+            assert victim in cluster.node_ids()  # nobody noticed yet
+            for batch in batches[2:]:
+                cluster.ingest(batch)
+            assert victim not in cluster.node_ids()
+            assert sorted(fingerprint(cluster.products())) == feed_expected
+        finally:
+            reader.close()
+            cluster.close()
+
+    @pytest.mark.parametrize("pipeline_depth", [1, 2])
+    def test_a_failed_barrier_write_lands_nothing_and_the_retry_does(
+        self, tmp_path, tiny_harness, feed_expected, pipeline_depth
+    ):
+        """The coordinator's write fails after every row of the batch went
+        into its transaction: the file keeps the previous barrier, every
+        node is rolled back (or the retry would find the offers seen in
+        its mirror), and the caller's retry lands the stream."""
+        batches = feed_stream(tiny_harness)
+        cluster = make_cluster(
+            tiny_harness,
+            tmp_path,
+            num_nodes=2,
+            num_shards=8,
+            pipeline_depth=pipeline_depth,
+            hint_routing=True,
+        )
+        reader = CatalogReader(cluster.store.path)
+        try:
+            cluster.ingest(batches[0])
+            cluster.flush()
+            head, seen = reader.commit_count(), cluster.store.committed_num_seen()
+
+            def fail_once(operation):
+                if operation == "journal":
+                    cluster.store.set_fault_hook(None)
+                    raise RuntimeError("injected barrier write fault")
+
+            cluster.store.set_fault_hook(fail_once)
+            with pytest.raises(RuntimeError, match="injected barrier write fault"):
+                # At depth 2 batch 1's write happens inside batch 2's ingest.
+                for batch in batches[1 : 1 + pipeline_depth]:
+                    cluster.ingest(batch)
+            assert reader.commit_count() == head
+            assert cluster.store.committed_num_seen() == seen
+            assert cluster.node_ids() == ["node-1", "node-2"]  # nobody was fenced
+            retried = cluster.ingest(batches[1])
+            assert retried.offers_new > 0 and retried.offers_duplicate == 0
+            for batch in batches[2:]:
+                cluster.ingest(batch)
+            assert sorted(fingerprint(cluster.products())) == feed_expected
+        finally:
+            reader.close()
+            cluster.close()
+
+    def test_a_coordinator_dying_mid_write_leaves_the_earlier_barriers(
+        self, tmp_path, tiny_harness, feed_expected
+    ):
+        """A coordinator process exits inside its third barrier write:
+        the file holds exactly the first two batches, no process of it
+        is left, and a reopened cluster replaying the stream lands it."""
+        path = tmp_path / "died.sqlite3"
+        script = tmp_path / "die_mid_write.py"
+        script.write_text(CLUSTER_DEATH_SCRIPT, encoding="utf-8")
+        source_root = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        process = subprocess.Popen(
+            [sys.executable, str(script), str(path)],
+            env=dict(os.environ, PYTHONPATH=source_root),
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, stderr = process.communicate(timeout=120)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, 9)
+                process.wait()
+        assert process.returncode == 17, stderr
+        deadline = time.monotonic() + 10
+        while session_members(process.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_members(process.pid) == set(), "the dead coordinator's nodes live on"
+
+        batches = feed_stream(tiny_harness)
+        prefix = make_single(tiny_harness, num_shards=8)
+        for batch in batches[:2]:
+            prefix.ingest(batch)
+        with CatalogReader(str(path)) as reader:
+            assert reader.commit_count() == 2
+        reopened = make_cluster(tiny_harness, tmp_path, name=path.name, num_nodes=2, num_shards=8)
+        try:
+            assert reopened.products() == prefix.products()
+            assert reopened.snapshot() == prefix.snapshot()
+            for batch in batches:
+                reopened.ingest(batch)
             assert sorted(fingerprint(reopened.products())) == feed_expected
         finally:
             reopened.close()
+            prefix.close()
 
-    def test_failed_startup_replay_leaves_nothing_running(self, tmp_path, tiny_harness):
-        """A constructor that fails after spawning (here: the replay of
-        a leftover intent cannot be routed) must stop its node processes
-        and release the store, and leave the intent for the next open."""
-        path = str(tmp_path / "leak.sqlite3")
-        offers = feed_stream(tiny_harness)[0]
-        assert all(offer.category_id is None for offer in offers)
-        store = SqliteCatalogStore(path)
-        store.write_commit_intent(1, pickle.dumps(offers))
-        store.close()
+    def test_a_stale_journal_is_refused_and_nothing_lands(self, tmp_path, tiny_harness):
+        """Epochs moved behind the coordinator's back between the votes and
+        the write: the write refuses every voter's journal."""
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8, pipeline_depth=2)
+        reader = CatalogReader(cluster.store.path)
+        try:
+            cluster.ingest(feed_stream(tiny_harness)[0])
+            for shard in range(8):
+                cluster.store.advance_shard_epoch(shard)
+            with pytest.raises(StaleEpochError, match="nothing of this batch was written"):
+                cluster.flush()
+            assert reader.commit_count() == 0
+            assert cluster.store.committed_num_seen() == 0
+            assert list(cluster.store.iter_products()) == []
+        finally:
+            reader.close()
+            cluster.close()
+
+    def test_a_file_with_a_leftover_intent_is_refused_at_open(self, tmp_path, tiny_harness):
+        """An older coordinator's commit intent is never silently ignored:
+        the open fails with one line, before any node process starts."""
+        path = tmp_path / "leftover.sqlite3"
+        SqliteCatalogStore(str(path)).close()
+        connection = sqlite3.connect(str(path))
+        connection.execute("INSERT INTO commit_intents VALUES (1, 3, x'00')")
+        connection.commit()
+        connection.close()
         before = set(multiprocessing.active_children())
         before_pids = child_pids()
-        with pytest.raises(ValueError, match="trained category classifier"):
-            MultiProcessEngine(
-                catalog=tiny_harness.corpus.catalog,
-                correspondences=tiny_harness.offline_result.correspondences,
-                extractor=tiny_harness.extractor,
-                category_classifier=None,
-                store_path=path,
-                num_nodes=2,
-                num_shards=8,
-            )
+        with pytest.raises(ValueError, match="commit intent") as raised:
+            make_cluster(tiny_harness, tmp_path, name=path.name, num_nodes=2, num_shards=8)
+        assert "\n" not in str(raised.value)
         leaked = [child for child in multiprocessing.active_children() if child not in before]
-        assert leaked == [], f"node processes outlived the failed constructor: {leaked}"
-        assert child_pids() <= before_pids, "a child process outlived the failed constructor"
-        # The intent is still there, and a cluster that *can* route it
-        # replays it on open.
-        reopened = make_cluster(tiny_harness, tmp_path, name="leak.sqlite3", num_nodes=2)
-        try:
-            assert reopened.store.pending_commit_intent() is None
-            assert reopened.snapshot().offers_ingested == len({o.offer_id for o in offers})
-        finally:
-            reopened.close()
-
-    def test_crash_without_auto_recover_names_the_intent(self, tmp_path, tiny_harness):
-        """Without auto-recovery the barrier failure still leaves the
-        durable intent behind and the error says how to replay it."""
-        cluster = make_cluster(
-            tiny_harness, tmp_path, num_nodes=2, num_shards=8, auto_recover=False
-        )
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        victim = cluster.node_ids()[-1]
-        cluster.inject_crash(victim, "commit", countdown=1, hard=True)
-        with pytest.raises(RuntimeError, match="commit intent"):
-            cluster.ingest(batches[1])
-        assert cluster.store.pending_commit_intent() is not None
-        cluster.close()
+        assert leaked == [], f"node processes outlived the refused open: {leaked}"
+        assert child_pids() <= before_pids
 
 
 class TestAutoRebalance:

@@ -495,66 +495,110 @@ class TestDeltaProtocol:
 
 
 class TestPartitionedSharedStore:
-    """ISSUE 4: the shared-row / multi-process contract of the SQLite store."""
+    """The multi-process contract of the SQLite store: one writer, and
+    nodes whose ``partition=`` stores are read-only mirrors that hand
+    their batches over as journals."""
 
-    def test_partition_rows_merge_without_races(self, tmp_path):
-        """Two partitioned instances over one file each flush their own
-        reconciliation row; a reader sums the partitions."""
+    def test_node_journals_land_in_one_commit(self, tmp_path):
+        """Two node mirrors journal disjoint rows; the writer lands both
+        in one transaction: one commit id, one journal entry naming both
+        clusters, and the counters added to the one global row."""
         path = str(tmp_path / "shared.sqlite3")
-        node_a = SqliteCatalogStore(path, partition="node-a")
-        node_a.bind(4)
-        node_b = SqliteCatalogStore(path, partition="node-b")
-        node_b.bind(4)
-        node_a.merge_reconciliation_stats(ReconciliationStats(10, 5, 3, 2))
-        node_b.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 1))
-        node_a.commit()
-        node_b.commit()
-        node_a.close()
-        node_b.close()
+        coordinator = SqliteCatalogStore(path)
+        coordinator.bind(4)
+        epochs = {shard: coordinator.advance_shard_epoch(shard) for shard in range(4)}
+        journals = []
+        for node_id, category, stats in [
+            ("node-a", "cat-a", ReconciliationStats(10, 5, 3, 2)),
+            ("node-b", "cat-b", ReconciliationStats(1, 1, 1, 1)),
+        ]:
+            node = SqliteCatalogStore(path, partition=node_id)
+            node.bind(4)
+            cluster_id = (category, "key")
+            node.mark_seen(f"offer-{category}")
+            node.create_cluster(shard_for_category(category, 4), cluster_id)
+            node.set_product(cluster_id, Product(product_id=category, category_id=category))
+            node.merge_reconciliation_stats(stats)
+            journals.append(node.drain_journal(epochs))
+            node.close()
+        assert coordinator.write_journals(journals) == 1
+        assert coordinator.commit_count == 1
+        assert coordinator.committed_num_seen() == 2
+        assert coordinator.committed_reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
+        [(commit_id, touched)] = coordinator.journal_entries(0)
+        assert commit_id == 1
+        assert sorted(cluster_id for cluster_id, _ in touched) == [
+            ("cat-a", "key"),
+            ("cat-b", "key"),
+        ]
+        coordinator.close()
 
         reader = SqliteCatalogStore(path)
         reader.bind(4)
-        totals = reader.reconciliation_stats()
-        assert totals == ReconciliationStats(11, 6, 4, 3)
+        assert reader.reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
         reader.close()
 
-    def test_partitioned_store_reads_epochs_from_disk(self, tmp_path):
-        """The coordinator bumps an epoch in its own connection; the node
-        instance must see it immediately — mirror staleness would let a
-        fenced zombie keep writing."""
+    def test_a_node_mirror_cannot_write_the_file(self, tmp_path):
+        path = str(tmp_path / "readonly.sqlite3")
+        writer = SqliteCatalogStore(path)
+        writer.close()
+        node = SqliteCatalogStore(path, partition="node-1")
+        node.bind(4)
+        node.mark_seen("offer-1")
+        for write in (node.commit, lambda: node.advance_shard_epoch(0)):
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                write()
+        assert node.shard_epoch(0) == 0
+        node.close()
+        reopened = SqliteCatalogStore(path)
+        assert reopened.commit_count == writer.commit_count and reopened.num_seen() == 0
+        reopened.close()
+
+    def test_a_journal_with_a_stale_epoch_is_refused_and_nothing_lands(self, tmp_path):
+        """The node journalled under epoch 1 of shard 2; the coordinator
+        fenced the shard to epoch 2 before writing.  The write refuses
+        the journal inside its transaction and the file is unchanged."""
+        from repro.runtime import StaleEpochError
+
         path = str(tmp_path / "epochs.sqlite3")
         coordinator = SqliteCatalogStore(path)
         coordinator.bind(4)
+        granted = coordinator.advance_shard_epoch(2)
         node = SqliteCatalogStore(path, partition="node-1")
         node.bind(4)
-        assert node.shard_epoch(2) == 0
+        node.mark_seen("offer-1")
+        node.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 1))
+        journal = node.drain_journal({2: granted})
         coordinator.advance_shard_epoch(2)
-        assert node.shard_epoch(2) == 1
-        from repro.runtime import StaleEpochError
-
-        with pytest.raises(StaleEpochError):
-            node.check_shard_epoch(2, 0)
-        with pytest.raises(RuntimeError, match="coordinator"):
-            node.advance_shard_epoch(2)
+        with pytest.raises(StaleEpochError, match="epoch 1 but the store is at epoch 2"):
+            coordinator.write_journals([journal])
+        assert coordinator.commit_count == 0
+        assert coordinator.committed_num_seen() == 0
+        assert coordinator.committed_reconciliation_stats() == ReconciliationStats()
+        journal.epochs = {2: 2}
+        assert coordinator.write_journals([journal]) == 1
+        assert coordinator.committed_num_seen() == 1
         node.close()
         coordinator.close()
 
-    def test_unpartitioned_writer_absorbs_partition_rows(self, tmp_path):
-        """A single engine resumed over a cluster's file folds the node
-        partition rows into the global total exactly once — reopening
-        again must not double-count them."""
+    def test_partition_rows_of_older_clusters_still_count_once(self, tmp_path):
+        """Files older clusters wrote hold per-node reconciliation rows:
+        every read sums them into the totals, and a writer's commits add
+        to the global row beside them, so reopening never double-counts."""
         path = str(tmp_path / "absorb.sqlite3")
-        node = SqliteCatalogStore(path, partition="node-1")
-        node.bind(4)
-        node.merge_reconciliation_stats(ReconciliationStats(10, 5, 3, 2))
-        node.commit()
-        node.close()
+        older = SqliteCatalogStore(path)
+        older.close()
+        connection = sqlite3.connect(path)
+        connection.execute("INSERT INTO node_reconciliation_stats VALUES ('node-1', 10, 5, 3, 2)")
+        connection.commit()
+        connection.close()
 
         resumed = SqliteCatalogStore(path)
         resumed.bind(4)
         assert resumed.reconciliation_stats() == ReconciliationStats(10, 5, 3, 2)
         resumed.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 1))
         resumed.commit()
+        assert resumed.committed_reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
         resumed.close()
 
         for _ in range(2):  # stable across repeated reopens
@@ -563,11 +607,22 @@ class TestPartitionedSharedStore:
             assert reopened.reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
             reopened.close()
 
+    def test_a_leftover_commit_intent_is_refused_at_open(self, tmp_path):
+        path = str(tmp_path / "intent.sqlite3")
+        SqliteCatalogStore(path).close()
+        connection = sqlite3.connect(path)
+        connection.execute("INSERT INTO commit_intents VALUES (1, 7, x'00')")
+        connection.commit()
+        connection.close()
+        with pytest.raises(ValueError, match="commit intent left by an older") as raised:
+            SqliteCatalogStore(path)
+        assert "\n" not in str(raised.value)
+
     def test_committed_reads_see_other_connections_commits(self, tmp_path):
         """A reader's committed reads show what another connection
         committed after the reader opened; its own mirror does not."""
         path = str(tmp_path / "committed.sqlite3")
-        writer = SqliteCatalogStore(path, partition="node-1")
+        writer = SqliteCatalogStore(path)
         writer.bind(2)
         reader = SqliteCatalogStore(path)
         reader.bind(2)
@@ -583,7 +638,6 @@ class TestPartitionedSharedStore:
         writer.commit()
 
         assert not reader.is_seen("offer-1")  # the mirror is as of open, by design
-        assert reader.committed_seen(["offer-1", "offer-2"]) == {"offer-1"}
         assert reader.committed_num_seen() == 1
         assert reader.committed_assigned_categories() == {"offer-1": "cat"}
         assert reader.committed_num_clusters() == 1
@@ -605,7 +659,6 @@ class TestPartitionedSharedStore:
         store.set_product(cluster_id, Product(product_id="p-1", category_id="cat", title="t"))
         store.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 0))
         assert store.is_seen("offer-1") and store.num_clusters() == 1  # the mirror has them
-        assert store.committed_seen(["offer-1"]) == set()
         assert store.committed_num_seen() == 0
         assert store.committed_assigned_categories() == {}
         assert store.committed_num_clusters() == 0
@@ -613,7 +666,7 @@ class TestPartitionedSharedStore:
         assert store.committed_reconciliation_stats() == ReconciliationStats()
         assert list(store.iter_products()) == []
         store.commit()
-        assert store.committed_seen(["offer-1"]) == {"offer-1"}
+        assert store.committed_num_seen() == 1
         assert store.committed_num_clusters() == 1
         assert store.committed_reconciliation_stats() == ReconciliationStats(1, 1, 1, 0)
         store.close()
@@ -644,13 +697,14 @@ class TestPartitionedSharedStore:
         node.close()
 
     def test_refresh_shards_picks_up_new_owner_state(self, tmp_path):
-        """Writer appends to a cluster and commits; a second connection's
-        mirror lags until refresh_shards reloads that shard."""
+        """Writer appends to a cluster, fences the shard and commits; a
+        node's mirror lags until refresh_shards reloads that shard and
+        the epochs."""
         from repro.runtime.sharding import shard_for_category
 
         path = str(tmp_path / "gain.sqlite3")
         num_shards = 4
-        writer = SqliteCatalogStore(path, partition="node-1")
+        writer = SqliteCatalogStore(path)
         writer.bind(num_shards)
         reader = SqliteCatalogStore(path, partition="node-2")
         reader.bind(num_shards)
@@ -672,9 +726,12 @@ class TestPartitionedSharedStore:
             ],
         )
         writer.commit()
+        writer.advance_shard_epoch(shard)
 
         assert reader.get_cluster(cluster_id) is None  # stale, by design
+        assert reader.shard_epoch(shard) == 0
         reader.refresh_shards([shard])
+        assert reader.shard_epoch(shard) == 1
         state = reader.get_cluster(cluster_id)
         assert state is not None
         assert state.size() == 1
