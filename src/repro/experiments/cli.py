@@ -160,8 +160,6 @@ def _parse_runtime_serve_args(argv: Sequence[str]) -> argparse.Namespace:
         parser.error("--threads must be >= 1")
     if args.max_lag_commits < 0:
         parser.error("--max-lag-commits must be >= 0")
-    if args.threads is None:
-        args.threads = 2 * args.replicas
     _validate_store_path(parser, args.store_path)
     return args
 

@@ -11,7 +11,7 @@ and deterministic, which matters for reproducible experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -208,10 +208,6 @@ class LogisticRegressionClassifier:
         assert self._standardizer is not None and self.weights is not None
         X = self._standardizer.transform(features)
         return _sigmoid(X @ self.weights + self.bias)
-
-    def predict_proba_one(self, features: Sequence[float]) -> float:
-        """P(label=1) for a single feature vector."""
-        return float(self.predict_proba(np.asarray(features, dtype=float))[0])
 
     def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions at the given probability threshold."""

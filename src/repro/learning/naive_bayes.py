@@ -158,10 +158,6 @@ class MultinomialNaiveBayes:
         _, likelihoods, unseen = self._class_table(label)
         return likelihoods.get(token, unseen)
 
-    def token_probability(self, label: str, token: str) -> float:
-        """P(token | class), smoothed."""
-        return math.exp(self.token_log_likelihood(label, token))
-
     def log_scores(self, tokens: Sequence[str]) -> Dict[str, float]:
         """Unnormalised log posterior for every class."""
         if not self._class_document_counts:

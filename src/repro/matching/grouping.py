@@ -79,7 +79,6 @@ class MatchedValueIndex:
         self._product_bags: Dict[Tuple[str, GroupKey, str], BagOfWords] = {}
         # (grouping, group key) -> product ids contributing to the group
         self._group_products: Dict[Tuple[str, GroupKey], Set[str]] = {}
-        self._num_offers_indexed = 0
         self._build(offers, matches)
 
     # -- construction -------------------------------------------------------
@@ -105,7 +104,6 @@ class MatchedValueIndex:
                     category_id = self._catalog.product(product_id).category_id
                 if category_id is None:
                     continue
-            self._num_offers_indexed += 1
             groups = self._groups_for(offer.merchant_id, category_id)
             self._index_offer_specification(groups, offer.specification)
             if self._use_matches and product_id is not None:
@@ -152,11 +150,6 @@ class MatchedValueIndex:
 
     # -- lookups --------------------------------------------------------------
 
-    @property
-    def num_offers_indexed(self) -> int:
-        """Number of historical offers that contributed to the index."""
-        return self._num_offers_indexed
-
     def bag_key(self, grouping: str, merchant_id: str, category_id: str, attribute: str) -> BagKey:
         """The key an attribute's bags are stored under at the given grouping."""
         key = self._key_for(grouping, merchant_id, category_id)
@@ -179,13 +172,6 @@ class MatchedValueIndex:
     ) -> Tuple[Optional[BagOfWords], Optional[BagOfWords]]:
         """The product bag and the offer bag stored under two :meth:`bag_key` keys."""
         return self._product_bags.get(product_key), self._offer_bags.get(offer_key)
-
-    def matched_products_in_group(
-        self, grouping: str, merchant_id: str, category_id: str
-    ) -> Set[str]:
-        """Ids of the products contributing to a group's product bags."""
-        key = self._key_for(grouping, merchant_id, category_id)
-        return set(self._group_products.get((grouping, key), set()))
 
     @staticmethod
     def _key_for(grouping: str, merchant_id: str, category_id: str) -> GroupKey:

@@ -10,7 +10,7 @@ catalog schema of its category.  The same container type serves both
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.text.memo import cached_normalize_attribute_name
 from repro.text.normalize import normalize_value
@@ -96,11 +96,6 @@ class Specification:
 
     # -- construction -----------------------------------------------------
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, str]) -> "Specification":
-        """Build a specification from a plain dict (one value per name)."""
-        return cls(list(mapping.items()))
-
     def add(self, name: str, value: str) -> None:
         """Append an attribute-value pair."""
         self._pairs.append(AttributeValue(name, value))
@@ -150,33 +145,6 @@ class Specification:
         for pair in self._pairs:
             result.setdefault(pair.name, pair.value)
         return result
-
-    # -- transformation ---------------------------------------------------
-
-    def rename(self, mapping: Mapping[str, str]) -> "Specification":
-        """Return a new specification with attribute names translated.
-
-        Pairs whose (normalised) name is absent from ``mapping`` are
-        dropped — this mirrors the behaviour of schema reconciliation,
-        which discards attribute-value pairs without a learned
-        correspondence.
-        """
-        normalized_mapping = {
-            cached_normalize_attribute_name(source): target for source, target in mapping.items()
-        }
-        renamed = Specification()
-        for pair in self._pairs:
-            target = normalized_mapping.get(pair.normalized_name())
-            if target is not None:
-                renamed.add(target, pair.value)
-        return renamed
-
-    def filter_names(self, names: Iterable[str]) -> "Specification":
-        """Return a new specification keeping only the listed attribute names."""
-        allowed = {cached_normalize_attribute_name(name) for name in names}
-        return Specification(
-            [pair for pair in self._pairs if pair.normalized_name() in allowed]
-        )
 
     # -- dunder -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ distributions are computed only over matched offers and products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["OfferProductMatch", "MatchStore"]
 
@@ -40,10 +40,10 @@ class OfferProductMatch:
 class MatchStore:
     """An indexed collection of historical offer-to-product matches.
 
-    Provides the lookups the Offline Learning phase needs: products matched
-    by a set of offers, offers matched to a set of products, and the subset
-    of offers that do have a historical match (the rest flow into the
-    run-time synthesis pipeline as "new product" candidates).
+    Provides the lookups the Offline Learning phase needs: the product an
+    offer is matched to, and the subset of offers that do have a historical
+    match (the rest flow into the run-time synthesis pipeline as "new
+    product" candidates).
 
     Examples
     --------
@@ -56,7 +56,6 @@ class MatchStore:
     def __init__(self, matches: Iterable[OfferProductMatch] = ()) -> None:
         self._matches: List[OfferProductMatch] = []
         self._by_offer: Dict[str, OfferProductMatch] = {}
-        self._by_product: Dict[str, List[OfferProductMatch]] = {}
         for match in matches:
             self.add(match)
 
@@ -80,7 +79,6 @@ class MatchStore:
             return
         self._matches.append(match)
         self._by_offer[match.offer_id] = match
-        self._by_product.setdefault(match.product_id, []).append(match)
 
     # -- lookup -----------------------------------------------------------
 
@@ -105,18 +103,6 @@ class MatchStore:
         """The product an offer is matched to, or ``None``."""
         match = self._by_offer.get(offer_id)
         return match.product_id if match else None
-
-    def offers_for_product(self, product_id: str) -> List[str]:
-        """All offers matched to a product."""
-        return [match.offer_id for match in self._by_product.get(product_id, [])]
-
-    def matched_offer_ids(self) -> Set[str]:
-        """Ids of all offers that have a match."""
-        return set(self._by_offer.keys())
-
-    def matched_product_ids(self) -> Set[str]:
-        """Ids of all products that have at least one matched offer."""
-        return set(self._by_product.keys())
 
     def unmatched(self, offer_ids: Iterable[str]) -> List[str]:
         """The subset of ``offer_ids`` without a historical match.

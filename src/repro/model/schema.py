@@ -136,14 +136,6 @@ class CategorySchema:
         definition = self.get(name)
         return definition is not None and definition.is_key
 
-    def non_key_attribute_names(self) -> List[str]:
-        """Names of the non-key attributes."""
-        return [
-            definition.name
-            for definition in self._attributes.values()
-            if not definition.is_key
-        ]
-
     def __len__(self) -> int:
         return len(self._attributes)
 

@@ -111,15 +111,6 @@ class Taxonomy:
         """All categories, in insertion order."""
         return list(self._categories.values())
 
-    def top_level_categories(self) -> List[Category]:
-        """Categories without a parent."""
-        return [category for category in self._categories.values() if category.is_top_level()]
-
-    def children_of(self, category_id: str) -> List[Category]:
-        """Direct children of a category."""
-        self.get(category_id)
-        return [self._categories[child] for child in self._children.get(category_id, [])]
-
     def leaves(self) -> List[Category]:
         """Categories with no children (products/offers attach here)."""
         return [
@@ -131,15 +122,6 @@ class Taxonomy:
     def leaf_ids(self) -> List[str]:
         """Ids of all leaf categories."""
         return [category.category_id for category in self.leaves()]
-
-    def ancestors_of(self, category_id: str) -> List[Category]:
-        """Ancestors from direct parent up to the top-level category."""
-        ancestors: List[Category] = []
-        current = self.get(category_id)
-        while current.parent_id is not None:
-            current = self.get(current.parent_id)
-            ancestors.append(current)
-        return ancestors
 
     def top_level_of(self, category_id: str) -> Category:
         """The top-level (root) ancestor of a category (itself if top-level)."""

@@ -15,10 +15,9 @@ that practical at scale:
     never commit stale cluster state.
     :class:`~repro.runtime.cluster.ClusterEngine` is the one cluster
     coordinator behind the single-engine-compatible facade (routing,
-    commit barrier, join/leave/fence, crash recovery, automatic
-    load-aware rebalancing via
-    :class:`~repro.runtime.cluster.LoadSkewWatcher`); it reaches its
-    nodes through a :class:`~repro.runtime.cluster.NodeTransport`.
+    commit barrier, join/leave/fence, crash recovery, load-aware
+    rebalancing); it reaches its nodes through a
+    :class:`~repro.runtime.cluster.NodeTransport`.
     :class:`~repro.runtime.cluster.MultiNodeEngine` selects the
     in-process transport: the test-and-debug double of the process
     cluster, not a second scaling tier.
@@ -63,7 +62,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ShardCoordinator",
             "ShardLease",
             "FencedStoreView",
-            "LoadSkewWatcher",
             "NodeStats",
         ),
         "repro.runtime.procnode": ("MultiProcessEngine", "ProcessNode"),

@@ -71,7 +71,6 @@ from repro.model.products import Product
 from repro.obs import get_registry, merge_snapshot
 from repro.runtime.delta import TransportStats
 from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine
-from repro.runtime.executors import ShardExecutor
 from repro.runtime.node import FencedStoreView, NodeProtocol, NodeVote, ShardLease
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, resolve_store
@@ -84,7 +83,6 @@ __all__ = [
     "FencedStoreView",
     "ShardCoordinator",
     "CategoryHinter",
-    "LoadSkewWatcher",
     "NodeStats",
     "NodeDeadError",
     "NodeVote",
@@ -288,64 +286,6 @@ class CategoryHinter:
         return min(votes.items(), key=lambda item: (-item[1], item[0]))[0]
 
 
-class LoadSkewWatcher:
-    """Watches per-batch busy-time skew and fires automatic rebalances.
-
-    The coordinator's modulo layout ignores how skewed the category
-    distribution is; this watcher closes the manual-`rebalance` gap.
-    After every cluster batch it observes each node's busy seconds; when
-    the busiest node exceeds ``threshold`` times the mean for
-    ``patience`` *consecutive* batches (the hysteresis — one noisy batch
-    never triggers a layout change), it reports that a load-aware
-    rebalance is due and resets.  Batches with fewer than two nodes or
-    no measurable work reset the streak: there is nothing to balance.
-    """
-
-    def __init__(self, threshold: float = 1.5, patience: int = 2) -> None:
-        """Configure the trigger.
-
-        threshold:
-            Minimum ``max(busy) / mean(busy)`` ratio that counts as a
-            skewed batch; must be >= 1.0 (1.0 = any imbalance counts).
-        patience:
-            Consecutive skewed batches required before firing (>= 1).
-        """
-        if threshold < 1.0:
-            raise ValueError(f"threshold must be >= 1.0, got {threshold}")
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        self.threshold = threshold
-        self.patience = patience
-        self._streak = 0
-
-    @property
-    def streak(self) -> int:
-        """Consecutive skewed batches observed so far (diagnostics)."""
-        return self._streak
-
-    def observe(self, busy_by_node: Dict[str, float]) -> bool:
-        """Record one batch's per-node busy seconds; ``True`` = rebalance.
-
-        Returns whether the skew streak just reached ``patience`` (the
-        caller should run a load-aware rebalance now); the streak resets
-        on firing, so back-to-back triggers need the skew to persist for
-        another full ``patience`` window after the layout change.
-        """
-        total = sum(busy_by_node.values())
-        if len(busy_by_node) < 2 or total <= 0.0:
-            self._streak = 0
-            return False
-        skew = max(busy_by_node.values()) * len(busy_by_node) / total
-        if skew < self.threshold:
-            self._streak = 0
-            return False
-        self._streak += 1
-        if self._streak >= self.patience:
-            self._streak = 0
-            return True
-        return False
-
-
 @dataclass
 class NodeStats:
     """Per-node accounting of one cluster engine."""
@@ -506,24 +446,13 @@ class ClusterEngine:
     :class:`~repro.runtime.procnode.MultiProcessEngine`); this class is
     not instantiated directly.
 
-    Parameters mirror the single engine's; the additional ones:
+    The components (``catalog`` ... ``fusion``) are the single engine's;
+    every node engine runs the serial executor.  The other parameters:
 
     num_nodes:
         Initial cluster size (nodes are named ``node-1`` ... ``node-N``;
         membership can change later via :meth:`add_node` /
         :meth:`remove_node` / :meth:`fence_node`).
-    auto_recover:
-        When a node fails mid-batch (or at the barrier) and the state of
-        the last barrier can be restored, fence the node, reassign its
-        shards and replay the batch on the survivors (default on).
-    auto_rebalance_skew, auto_rebalance_patience:
-        Automatic load-aware rebalancing: when set, a
-        :class:`LoadSkewWatcher` observes every batch's per-node busy
-        seconds and triggers :meth:`rebalance` once the busiest node
-        exceeds ``auto_rebalance_skew`` times the mean for
-        ``auto_rebalance_patience`` consecutive batches.  ``None``
-        (default) keeps rebalancing manual.  Rebalancing never changes
-        the synthesized products, only the layout.
     pipeline_depth:
         ``1`` (default) finishes every batch's commit barrier before
         ``ingest`` returns.  ``2`` leaves it open until the next ingest
@@ -539,8 +468,8 @@ class ClusterEngine:
         stream order — and every output byte — matches coordinator
         routing.
     **transport_options:
-        The constructor arguments of the selected transport (store and
-        executor choices; documented on the public subclasses).
+        The constructor arguments of the selected transport (where the
+        store lives; documented on the public subclasses).
     """
 
     #: The :class:`NodeTransport` subclass this engine's nodes live in.
@@ -554,13 +483,8 @@ class ClusterEngine:
         category_classifier: Optional[TitleCategoryClassifier] = None,
         clusterer: Optional[KeyAttributeClusterer] = None,
         fusion: Optional[CentroidValueFusion] = None,
-        min_cluster_size: int = 1,
         num_nodes: int = 2,
         num_shards: int = 8,
-        max_workers: Optional[int] = None,
-        auto_recover: bool = True,
-        auto_rebalance_skew: Optional[float] = None,
-        auto_rebalance_patience: int = 2,
         pipeline_depth: int = 1,
         hint_routing: bool = False,
         **transport_options: object,
@@ -574,12 +498,6 @@ class ClusterEngine:
             raise ValueError(f"pipeline_depth must be 1 or 2, got {pipeline_depth}")
         self._classifier = category_classifier
         self._num_shards = num_shards
-        self._auto_recover = auto_recover
-        self._skew_watcher: Optional[LoadSkewWatcher] = None
-        if auto_rebalance_skew is not None:
-            self._skew_watcher = LoadSkewWatcher(
-                threshold=auto_rebalance_skew, patience=auto_rebalance_patience
-            )
         self._pipeline_depth = pipeline_depth
         self._hint_routing = hint_routing
         self._hinter: Optional[CategoryHinter] = None
@@ -592,8 +510,6 @@ class ClusterEngine:
                 category_classifier=category_classifier,
                 clusterer=clusterer,
                 fusion=fusion,
-                min_cluster_size=min_cluster_size,
-                max_workers=max_workers,
             ),
             **transport_options,
         )
@@ -711,11 +627,6 @@ class ClusterEngine:
         ``committed_*`` reads).
         """
         return self._store
-
-    @property
-    def skew_watcher(self) -> Optional[LoadSkewWatcher]:
-        """The automatic-rebalance trigger, or ``None`` when manual."""
-        return self._skew_watcher
 
     def _push_layout(self, before: Dict[int, str], exclude: Optional[str] = None) -> List[str]:
         """Tell the members what a layout change means for each of them.
@@ -916,13 +827,14 @@ class ClusterEngine:
         Same contract as the single engine's ``ingest``: idempotent per
         offer id, one commit barrier per batch — a crash loses at most
         the cluster batch in flight.  A node that fails before voting
-        (killed, crashed, engine error) triggers recovery when
-        ``auto_recover`` holds and the barrier state can be restored:
-        the wave is aborted, the node is fenced, and the batch replays
-        on the new layout — products stay byte-identical to an
-        uninterrupted run.  Raises the node-side error when recovery is
-        disabled or impossible; the store is still returned to the
-        barrier where the backend allows, so the caller can retry.
+        (killed, crashed, engine error) triggers recovery when the
+        barrier state can be restored: the wave is aborted, the node is
+        fenced, and the batch replays on the new layout — products stay
+        byte-identical to an uninterrupted run.  Raises the node-side
+        error when recovery is impossible (the barrier cannot be
+        restored, one node is left, or every attempt failed); the store
+        is still returned to the barrier where the backend allows, so
+        the caller can retry.
 
         With ``pipeline_depth=2`` the previous batch's barrier is
         written here, *after* this batch's dedup and routing, and with
@@ -958,7 +870,6 @@ class ClusterEngine:
         if not self._hint_routing:
             categorised = self._route_categories(fresh)
             self.flush()
-        busy_before = {node_id: node.busy_seconds for node_id, node in self._nodes.items()}
         votes = self._dispatch_with_retry(fresh, categorised)
 
         for _, vote in sorted(votes.items()):
@@ -969,15 +880,6 @@ class ClusterEngine:
         if self._pipeline_depth == 1:
             self.flush()
         self._obs_cluster_batches.inc()
-        if self._skew_watcher is not None:
-            # Strictly after the barrier began: a triggered rebalance
-            # behaves exactly like a manual between-batches one.
-            busy = {
-                node_id: node.busy_seconds - busy_before.get(node_id, 0.0)
-                for node_id, node in self._nodes.items()
-            }
-            if self._skew_watcher.observe(busy):
-                self.rebalance()
         return report
 
     def _dispatch_with_retry(
@@ -1011,12 +913,7 @@ class ClusterEngine:
                 )
             except _BatchFailure as failure:
                 attempts += 1
-                if (
-                    not self._auto_recover
-                    or not failure.recoverable
-                    or len(self._nodes) <= 1
-                    or attempts >= max_attempts
-                ):
+                if not failure.recoverable or len(self._nodes) <= 1 or attempts >= max_attempts:
                     raise failure.cause
                 self._fence_unreachable([failure.node_id])
 
@@ -1407,14 +1304,13 @@ class InProcessTransport(NodeTransport):
         engine_kwargs: Dict[str, object],
         store: Union[str, CatalogStore, None] = None,
         store_path: Optional[str] = None,
-        executor: Union[str, ShardExecutor, None] = "serial",
     ) -> None:
         super().__init__()
         self._owns_store = not isinstance(store, CatalogStore)
         self.store = resolve_store(store, path=store_path)
         self.store.bind(num_shards)
         self._num_shards = num_shards
-        self._engine_kwargs = dict(engine_kwargs, executor=executor)
+        self._engine_kwargs = engine_kwargs
         self._lock = threading.RLock()
 
     def start_nodes(self, leases: Dict[str, ShardLease]) -> Dict[str, _EngineNode]:
@@ -1471,10 +1367,6 @@ class MultiNodeEngine(ClusterEngine):
     store, store_path:
         The shared store, as for the single engine (a backend name, an
         instance the caller keeps owning, or ``None`` for memory).
-    executor:
-        As for the single engine; an executor given by name is built
-        *per node*, so ``executor="process"`` gives every node its own
-        worker pool.
     """
 
     _transport_class = InProcessTransport

@@ -162,10 +162,10 @@ class SynthesisEngine:
 
     Parameters
     ----------
-    catalog, correspondences, extractor, category_classifier, fusion,
-    min_cluster_size:
+    catalog, correspondences, extractor, category_classifier, clusterer, fusion:
         As for :class:`~repro.synthesis.pipeline.ProductSynthesisPipeline`,
-        whose stages the engine reuses.  ``min_cluster_size`` is applied at
+        whose stages the engine reuses.  The clusterer's
+        ``min_cluster_size`` (1 for a clusterer without one) is applied at
         product-emission time, so a cluster below the threshold simply has
         no product *yet* and may still grow past it in a later batch.
     num_shards:
@@ -203,7 +203,6 @@ class SynthesisEngine:
         category_classifier: Optional[TitleCategoryClassifier] = None,
         clusterer: Optional[KeyAttributeClusterer] = None,
         fusion: Optional[CentroidValueFusion] = None,
-        min_cluster_size: int = 1,
         num_shards: int = 4,
         executor: Union[str, ShardExecutor, None] = "serial",
         max_workers: Optional[int] = None,
@@ -220,12 +219,9 @@ class SynthesisEngine:
             clusterer=clusterer,
             fusion=fusion,
         )
-        # A user-supplied clusterer may carry its own threshold, which the
-        # pipeline honours at cluster() time; honour it here too so engine
-        # and pipeline keep emitting identical products.
-        self._min_cluster_size = max(
-            min_cluster_size, getattr(self._pipeline.clusterer, "min_cluster_size", 1)
-        )
+        # The clusterer's threshold, which the pipeline applies at
+        # cluster() time: engine and pipeline emit identical products.
+        self._min_cluster_size = getattr(self._pipeline.clusterer, "min_cluster_size", 1)
         self._num_shards = num_shards
         self._executor = resolve_executor(executor, max_workers=max_workers)
 

@@ -125,6 +125,9 @@ __all__ = [
     "MultiProcessEngine",
 ]
 
+#: Seconds the coordinator waits for a node's reply before declaring it dead.
+NODE_TIMEOUT_S = 300.0
+
 
 def _boot_command(channel_fd: int) -> List[str]:
     """The command line of a node process serving the pipe end ``channel_fd``.
@@ -211,7 +214,6 @@ class ProcessNode(ClusterNode):
         self,
         node_id: str,
         lease: ShardLease,
-        timeout: float,
         pipe_stats: TransportStats,
     ) -> None:
         """Launch the node process; it waits for :meth:`boot`.
@@ -221,7 +223,6 @@ class ProcessNode(ClusterNode):
         """
         super().__init__(node_id, lease)
         self.pipe_stats = pipe_stats
-        self._timeout = timeout
         self._channel, child_end = multiprocessing.Pipe(duplex=True)
         try:
             self._process = _NodeProcess(child_end.fileno(), name=f"repro-{node_id}")
@@ -311,10 +312,8 @@ class ProcessNode(ClusterNode):
     def _read_frame(self) -> bytes:
         """One reply frame; :class:`NodeDeadError` on death or timeout."""
         try:
-            if not self._channel.poll(self._timeout):
-                raise NodeDeadError(
-                    self.node_id, f"no reply within {self._timeout:.0f}s"
-                )
+            if not self._channel.poll(NODE_TIMEOUT_S):
+                raise NodeDeadError(self.node_id, f"no reply within {NODE_TIMEOUT_S:.0f}s")
             return self._channel.recv_bytes()
         except (EOFError, OSError) as exc:
             raise NodeDeadError(self.node_id, f"connection lost: {exc!r}") from exc
@@ -391,7 +390,6 @@ class ProcessTransport(NodeTransport):
         num_shards: int,
         engine_kwargs: Dict[str, object],
         store_path: Optional[str] = None,
-        node_timeout: float = 300.0,
     ) -> None:
         super().__init__()
         if store_path is None:
@@ -404,14 +402,11 @@ class ProcessTransport(NodeTransport):
         self._num_shards = num_shards
         extractor = engine_kwargs.get("extractor")
         self._web = None if extractor is None else extractor.web
-        # The node processes are the parallelism: each runs a serial
-        # engine, whose extractor reads only the pages sent with an ingest.
+        # A node engine's extractor reads only the pages sent with an ingest.
         self._engine_kwargs = dict(
             engine_kwargs,
-            executor="serial",
             extractor=None if extractor is None else WebPageAttributeExtractor(WebStore()),
         )
-        self._timeout = node_timeout
 
     def start_nodes(self, leases: Dict[str, ShardLease]) -> Dict[str, ProcessNode]:
         """Boot one node process per lease; returns once every one is ready.
@@ -425,7 +420,7 @@ class ProcessTransport(NodeTransport):
         nodes: Dict[str, ProcessNode] = {}
         try:
             for node_id, lease in leases.items():
-                nodes[node_id] = ProcessNode(node_id, lease, self._timeout, self.stats)
+                nodes[node_id] = ProcessNode(node_id, lease, self.stats)
             components = pickle.dumps(self._engine_kwargs, protocol=pickle.HIGHEST_PROTOCOL)
             for node in nodes.values():
                 node.boot(self.store.path, self._num_shards, components)
@@ -444,7 +439,7 @@ class ProcessTransport(NodeTransport):
         Ready voters and failed-but-alive nodes alike: a node whose
         engine raised mid-ingest holds a *partial* journal; left in
         place it would flush half-processed offers at the next barrier
-        (or survive a caller retry with auto_recover off).
+        (or survive a caller's retry after an unrecoverable failure).
         """
         for node in answered:
             try:
@@ -508,8 +503,9 @@ class MultiProcessEngine(ClusterEngine):
 
     store_path:
         The shared SQLite WAL file (required).
-    node_timeout:
-        Seconds to wait for a node's reply before declaring it dead.
+
+    A node that does not reply within :data:`NODE_TIMEOUT_S` seconds is
+    declared dead.
     """
 
     _transport_class = ProcessTransport

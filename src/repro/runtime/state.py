@@ -516,9 +516,9 @@ class CatalogStore(abc.ABC):
         stats).  Returns the new floor.  No-op for journal-less backends.
 
         ``auto=True`` ignores ``retain_commits`` and instead retains the
-        deepest observed reader lag (ROADMAP 3c): the floor rises at
-        most to the lowest position a reader proved delta coverage from
-        (via :meth:`journal_entries`) since the last auto pass, so a
+        deepest observed reader lag: the floor rises at most to the
+        lowest position a reader proved delta coverage from (via
+        :meth:`journal_entries`) since the last auto pass, so a
         slow-but-polling reader is never forced onto the full-rebuild
         fallback.  With no observed reader the auto pass keeps
         everything.

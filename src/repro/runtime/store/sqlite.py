@@ -94,6 +94,10 @@ __all__ = ["SqliteCatalogStore", "StoreJournal", "load_shard_clusters", "read_pr
 #: Bumped when the table layout changes incompatibly.
 _FORMAT_VERSION = 1
 
+#: How long a connection to the file waits for another connection's
+#: transaction (a writer's lock, a checkpoint) before failing.
+BUSY_TIMEOUT_MS = 30_000
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -278,8 +282,8 @@ class SqliteCatalogStore(CatalogStore):
     other write raise :class:`sqlite3.OperationalError`, and the node
     hands its batches over with :meth:`drain_journal` instead.  Opening
     a file that holds a commit intent left by an older cluster
-    coordinator raises ``ValueError``.  ``busy_timeout_ms`` bounds how
-    long a write waits for another process's transaction before failing.
+    coordinator raises ``ValueError``.  A write waits up to
+    :data:`BUSY_TIMEOUT_MS` for another process's transaction.
     """
 
     name = "sqlite"
@@ -288,7 +292,6 @@ class SqliteCatalogStore(CatalogStore):
         self,
         path: str,
         partition: Optional[str] = None,
-        busy_timeout_ms: int = 30_000,
     ) -> None:
         super().__init__()
         self._path = os.path.abspath(path)
@@ -304,7 +307,7 @@ class SqliteCatalogStore(CatalogStore):
         )
         # Before any statement: a reader must wait out the writer's
         # checkpoints, and a second writer its transaction, not fail.
-        self._connection.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+        self._connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         # Validate the format marker *before* touching the file: running
         # the schema script against a future-format store would write v1
         # tables into it, and restoring would crash with an opaque

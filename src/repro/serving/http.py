@@ -1,9 +1,8 @@
 """JSON-over-HTTP serving endpoints over a request reader of our own.
 
 The ``runtime-serve`` CLI command and the tests/examples both run this
-tiny server: a :class:`CatalogHTTPServer` (HTTP/1.1 keep-alive; a thread
-per connection, or a bounded worker pool that idle connections do not
-occupy) that answers
+tiny server: a :class:`CatalogHTTPServer` (HTTP/1.1 keep-alive over a
+bounded worker pool that idle connections do not occupy) that answers
 
 * ``GET /search?q=<text>&k=<top-k>&category=<id>&attr=<Name=Value>`` —
   ranked top-k search (``attr`` may repeat; every pair must match),
@@ -211,16 +210,6 @@ class CatalogRequestHandler:
         """Whether input (or the end of the stream) is here within ``seconds``: one ``poll``."""
         return bool(self._poll.poll(seconds * 1000.0))
 
-    def serve(self) -> None:
-        """Thread-per-connection: answer requests until the client, or ``timeout``, ends it."""
-        answered = True
-        while not self.close_connection:
-            if not (answered and self.buffer):  # nothing buffered that could be a request
-                wait = self.stamp + self.timeout - time.monotonic()
-                if wait <= 0 or not self.readable_within(wait):
-                    return
-            answered = self.handle_one_request()
-
     def _receive(self) -> None:
         """One ``recv`` into the buffer; a stream that ended or broke closes the connection."""
         try:
@@ -343,7 +332,7 @@ class CatalogRequestHandler:
                 self.connection.setblocking(False)
 
 
-class CatalogHTTPServer(socketserver.ThreadingTCPServer):
+class CatalogHTTPServer(socketserver.TCPServer):
     """An HTTP/1.1 keep-alive server bound to one serving fleet.
 
     A bare :class:`CatalogSearchService` is wrapped as a fleet of one
@@ -355,22 +344,19 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
     ``server_address`` reports the actual one after construction.
     Start it with ``serve_forever()`` (blocking) or on a daemon thread.
 
-    By default every connection gets its own thread while it stays open
-    (``socketserver.ThreadingMixIn``).  ``max_workers=N`` switches to a
-    **bounded worker pool** with one worker per *ready request*, not per
-    connection: open connections wait in a selector, one that turns
-    readable is queued, and one of ``N`` pre-started workers reads what
-    arrived, answers the request if its head is complete, and parks the
-    connection again.  Idle connections and half-sent requests cost no
-    worker, and a burst degrades into queueing delay instead of
-    thousands of threads.  Either way a connection that idles, or takes
-    longer over one head, than ``CatalogRequestHandler.timeout`` is closed.
+    Requests are answered by a **bounded worker pool** with one worker
+    per *ready request*, not per connection: open connections wait in a
+    selector, one that turns readable is queued, and one of
+    ``max_workers`` pre-started workers (default: two per replica of the
+    fleet) reads what arrived, answers the request if its head is
+    complete, and parks the connection again.  Idle connections and
+    half-sent requests cost no worker, and a burst degrades into
+    queueing delay instead of thousands of threads.  A connection that
+    idles, or takes longer over one head, than
+    ``CatalogRequestHandler.timeout`` is closed.
     """
 
     allow_reuse_address = True
-    #: Connection threads die with the process; a hung client never
-    #: blocks shutdown of a drill or test run.
-    daemon_threads = True
 
     def __init__(
         self,
@@ -387,6 +373,8 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
         if isinstance(service, CatalogSearchService):
             service = self._wrapper = ServingFleet([service])
         self.fleet = service
+        #: Size of the worker pool.
+        self.max_workers = 2 * service.num_replicas if max_workers is None else max_workers
         self.registry = registry if registry is not None else get_registry()
         self.log_requests = log_requests
         self._accepted = self.registry.counter(
@@ -398,20 +386,17 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
         register_process_gauges(self.registry)
         self._request_seconds: Dict[str, Histogram] = {}
         self._stamps: Tuple[int, bytes, str] = (0, b"", "")
-        self._ready: Optional["queue.SimpleQueue[Optional[CatalogRequestHandler]]"] = None
-        self._pool: List[threading.Thread] = []
-        if max_workers is not None:
-            self._ready = queue.SimpleQueue()
-            self._parked = selectors.DefaultSelector()
-            self._park_lock = threading.Lock()
-            self._closing = False
-            loops = [self._worker_loop] * max_workers + [self._selector_loop]
-            self._pool = [
-                threading.Thread(target=loop, name=f"http{loop.__name__}-{n}", daemon=True)
-                for n, loop in enumerate(loops)
-            ]
-            for thread in self._pool:
-                thread.start()
+        self._ready: "queue.SimpleQueue[Optional[CatalogRequestHandler]]" = queue.SimpleQueue()
+        self._parked = selectors.DefaultSelector()
+        self._park_lock = threading.Lock()
+        self._closing = False
+        loops = [self._worker_loop] * self.max_workers + [self._selector_loop]
+        self._pool = [
+            threading.Thread(target=loop, name=f"http{loop.__name__}-{n}", daemon=True)
+            for n, loop in enumerate(loops)
+        ]
+        for thread in self._pool:
+            thread.start()
 
     def request_seconds(self, endpoint: str) -> Histogram:
         """The ``http_request_seconds`` series of one endpoint label.
@@ -441,20 +426,13 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
         return self._stamps
 
     def process_request(self, request, client_address) -> None:  # noqa: ANN001
-        """Give the accepted connection a thread, or park it for the pool."""
+        """Park the accepted connection for the pool."""
         self._accepted.inc()
         self._open.inc()
-        if self._ready is None:
-            super().process_request(request, client_address)  # -> finish_request, on a thread
-        else:
-            self._park(CatalogRequestHandler(request, client_address, self))
-
-    def finish_request(self, request, client_address) -> None:  # noqa: ANN001
-        """Serve one connection to its end (the body of a connection thread)."""
-        CatalogRequestHandler(request, client_address, self).serve()
+        self._park(CatalogRequestHandler(request, client_address, self))
 
     def shutdown_request(self, request) -> None:  # noqa: ANN001
-        """Close one client connection (every mode ends a connection here)."""
+        """Close one client connection (every connection ends here)."""
         self._open.dec()
         super().shutdown_request(request)
 
@@ -516,7 +494,7 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
                     else:
                         self._park(handler)
                     continue
-            except Exception:  # noqa: BLE001 - reported like a connection thread's; worker lives
+            except Exception:  # noqa: BLE001 - reported by socketserver; the worker lives
                 self.handle_error(handler.connection, handler.client_address)
             self.shutdown_request(handler.connection)
 
@@ -528,7 +506,7 @@ class CatalogHTTPServer(socketserver.ThreadingTCPServer):
             self._wrapper.close()  # after the pool answered what was queued
 
     def _stop_pool(self) -> None:
-        if self._ready is None or self._closing:
+        if self._closing:
             return
         self._closing = True
         self._pool.pop().join(timeout=5)  # the selector: nothing is queued after it
@@ -560,10 +538,9 @@ def serve(
         registry=registry,
     )
     bound_host, bound_port = server.server_address[:2]
-    pool = f", {max_workers} workers" if max_workers is not None else ""
     print(
         f"runtime-serve: listening on http://{bound_host}:{bound_port} "
-        f"({server.fleet.num_replicas} replica(s){pool})"
+        f"({server.fleet.num_replicas} replica(s), {server.max_workers} workers)"
     )
     print(
         "  endpoints: /search?q=...&k=10  /product/<id>  /health  /lag  /stats"

@@ -28,15 +28,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.model.persistence import product_from_dict
 from repro.model.products import Product
 from repro.runtime.state import ClusterId
-from repro.runtime.store.sqlite import read_product_page
+from repro.runtime.store.sqlite import BUSY_TIMEOUT_MS, read_product_page
 
 __all__ = ["CatalogReader"]
 
 #: Products per keyset page of :meth:`CatalogReader.read_products`.
 PAGE_SIZE = 256
-
-#: How long a read waits for a writer's transaction before failing.
-BUSY_TIMEOUT_MS = 30_000
 
 
 class CatalogReader:

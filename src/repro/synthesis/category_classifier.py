@@ -11,7 +11,7 @@ their matched product) plus the catalog products' own titles.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.learning.naive_bayes import MultinomialNaiveBayes
 from repro.model.catalog import Catalog
@@ -124,12 +124,6 @@ class TitleCategoryClassifier:
         if self._model is None:
             raise RuntimeError("category classifier has not been trained")
         return self._model.predict(self._features(title))
-
-    def classify_with_confidence(self, title: str) -> Tuple[str, float]:
-        """The most likely category and its posterior probability."""
-        if self._model is None:
-            raise RuntimeError("category classifier has not been trained")
-        return self._model.predict_with_confidence(self._features(title))
 
     def assign_categories(self, offers: Sequence[Offer]) -> List[Offer]:
         """Return copies of ``offers`` with ``category_id`` filled in.

@@ -78,13 +78,6 @@ class SynthesisResult:
             return 0.0
         return self.num_attributes() / len(self.products)
 
-    def products_by_category(self) -> Dict[str, List[Product]]:
-        """Synthesized products grouped by leaf category."""
-        grouped: Dict[str, List[Product]] = {}
-        for product in self.products:
-            grouped.setdefault(product.category_id, []).append(product)
-        return grouped
-
 
 class ProductSynthesisPipeline:
     """Synthesize new catalog products from unmatched merchant offers.
@@ -104,11 +97,11 @@ class ProductSynthesisPipeline:
         Title classifier used for offers without a category; optional when
         every offer already has ``category_id`` set.
     clusterer:
-        Offer clustering strategy (defaults to key-attribute clustering).
+        Offer clustering strategy (defaults to key-attribute clustering
+        keeping every cluster; a clusterer's ``min_cluster_size`` is the
+        minimum number of offers a cluster needs to yield a product).
     fusion:
         Value fusion strategy (defaults to centroid voting).
-    min_cluster_size:
-        Minimum number of offers required for a cluster to yield a product.
     """
 
     def __init__(
@@ -119,15 +112,12 @@ class ProductSynthesisPipeline:
         category_classifier: Optional[TitleCategoryClassifier] = None,
         clusterer: Optional[KeyAttributeClusterer] = None,
         fusion: Optional[CentroidValueFusion] = None,
-        min_cluster_size: int = 1,
     ) -> None:
         self.catalog = catalog
         self.correspondences = correspondences
         self.extractor = extractor
         self.category_classifier = category_classifier
-        self.clusterer = clusterer or KeyAttributeClusterer(
-            catalog, min_cluster_size=min_cluster_size
-        )
+        self.clusterer = clusterer or KeyAttributeClusterer(catalog)
         self.fusion = fusion or CentroidValueFusion()
         self.reconciler = SchemaReconciler(correspondences)
 

@@ -11,7 +11,7 @@ paper's evaluation section:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.text.tokenize import tokenize_attribute_name
 
@@ -183,18 +183,3 @@ def token_set_similarity(a: str, b: str) -> float:
     if not union:
         return 0.0
     return len(tokens_a & tokens_b) / len(union)
-
-
-def best_alignment_score(tokens_a: Sequence[str], tokens_b: Sequence[str]) -> float:
-    """Average best Jaro-Winkler alignment of tokens in ``tokens_a`` to ``tokens_b``.
-
-    A light-weight version of the Monge-Elkan similarity used when the
-    COMA++-style combined matcher compares multi-token attribute names.
-    Returns 0.0 when either side is empty.
-    """
-    if not tokens_a or not tokens_b:
-        return 0.0
-    total = 0.0
-    for token_a in tokens_a:
-        total += max(jaro_winkler_similarity(token_a, token_b) for token_b in tokens_b)
-    return total / len(tokens_a)

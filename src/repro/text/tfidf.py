@@ -14,7 +14,7 @@ Jaro-Winkler similarity exceeds a threshold.  This module provides:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 from repro.text.setsim import cosine_similarity
 from repro.text.string_metrics import jaro_winkler_similarity
@@ -297,9 +297,3 @@ class SoftTfIdf:
         # The vectors are already L2-normalised, so the accumulated score is
         # a (soft) cosine and stays within [0, 1] modulo floating point.
         return min(max(total, 0.0), 1.0)
-
-    def pairwise_matrix(
-        self, rows: Sequence[str], columns: Sequence[str]
-    ) -> List[List[float]]:
-        """Similarity matrix between two lists of strings (rows x columns)."""
-        return [[self.similarity(row, column) for column in columns] for row in rows]

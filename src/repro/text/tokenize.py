@@ -20,7 +20,7 @@ Tokenisation rules
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 __all__ = [
     "tokenize",
@@ -118,8 +118,3 @@ def sliding_ngrams(tokens: Sequence[str], n: int) -> List[str]:
     if len(tokens) < n:
         return []
     return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-def join_tokens(tokens: Iterable[str]) -> str:
-    """Join tokens back into a single normalised string."""
-    return " ".join(tokens)

@@ -137,7 +137,7 @@ class TestRuntimeServeErrors:
         argv = ["--store-path", store_file] + (["--replicas", "3"] if replicas == 3 else [])
         args = cli._parse_runtime_serve_args(argv)
         assert args.replicas == replicas
-        assert args.threads == 2 * replicas
+        assert args.threads is None  # the server's pool: two workers per replica
         assert args.max_lag_commits == 2
         assert not hasattr(args, "index_backend")
 

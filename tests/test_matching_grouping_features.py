@@ -90,14 +90,6 @@ class TestMatchedValueIndex:
         with pytest.raises(ValueError):
             index.offer_bag("bogus", "m-1", "computing.hdd", "RPM")
 
-    def test_num_offers_indexed(self, hdd_catalog, hdd_offers, hdd_matches):
-        index = MatchedValueIndex(hdd_catalog, hdd_offers, hdd_matches)
-        assert index.num_offers_indexed == len(hdd_offers)
-
-    def test_matched_products_in_group(self, hdd_catalog, hdd_offers, hdd_matches):
-        index = MatchedValueIndex(hdd_catalog, hdd_offers, hdd_matches)
-        products = index.matched_products_in_group(MC, "m-1", "computing.hdd")
-        assert products == {"p-1", "p-2", "p-3", "p-4"}
 
 
 class TestDistributionalFeatures:

@@ -91,10 +91,6 @@ class TestSpecification:
         spec = Specification([AttributeValue("Brand", "Hitachi")])
         assert spec.get("Brand") == "Hitachi"
 
-    def test_from_mapping(self):
-        spec = Specification.from_mapping({"Brand": "Hitachi"})
-        assert spec.get("brand") == "Hitachi"
-
     def test_get_is_name_insensitive(self):
         spec = Specification([("Mfr. Part #", "HDT725050")])
         assert spec.get("mfr part") == "HDT725050"
@@ -124,23 +120,6 @@ class TestSpecification:
     def test_as_dict_keeps_first_value(self):
         spec = Specification([("Color", "Black"), ("Color", "Silver")])
         assert spec.as_dict() == {"Color": "Black"}
-
-    def test_rename_translates_and_drops(self):
-        spec = Specification([("Hard Disk Size", "500 GB"), ("Warranty", "1 Year")])
-        renamed = spec.rename({"Hard Disk Size": "Capacity"})
-        assert renamed.get("Capacity") == "500 GB"
-        assert not renamed.has("Warranty")
-        assert len(renamed) == 1
-
-    def test_rename_is_name_insensitive(self):
-        spec = Specification([("hard disk size", "500 GB")])
-        renamed = spec.rename({"Hard Disk Size": "Capacity"})
-        assert renamed.get("Capacity") == "500 GB"
-
-    def test_filter_names(self):
-        spec = Specification([("Brand", "Hitachi"), ("Color", "Black")])
-        filtered = spec.filter_names(["Brand"])
-        assert filtered.attribute_names() == ["Brand"]
 
     def test_equality(self):
         assert Specification([("A", "1")]) == Specification([("A", "1")])
@@ -212,14 +191,6 @@ def _assert_matches_reference(spec, pairs, name):
     assert spec.attribute_names() == _reference_names(pairs)
     assert [pair.normalized_name() for pair in spec] == [
         normalize_attribute_name(pair_name) for pair_name, _ in pairs
-    ]
-    assert spec.filter_names([name]).pairs() == [
-        AttributeValue(pair_name, value)
-        for pair_name, value in pairs
-        if normalize_attribute_name(pair_name) == normalize_attribute_name(name)
-    ]
-    assert spec.rename({name: "Target"}).pairs() == [
-        AttributeValue("Target", value) for value in values
     ]
 
 

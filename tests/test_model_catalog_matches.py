@@ -115,7 +115,6 @@ class TestMatchStore:
         store = MatchStore([OfferProductMatch("o-1", "p-1")])
         assert store.is_matched("o-1")
         assert store.product_for_offer("o-1") == "p-1"
-        assert store.offers_for_product("p-1") == ["o-1"]
         assert "o-1" in store
         assert len(store) == 1
 
@@ -134,12 +133,6 @@ class TestMatchStore:
         store = MatchStore([OfferProductMatch("o-1", "p-1")])
         assert store.unmatched(["o-1", "o-2"]) == ["o-2"]
 
-    def test_matched_sets(self):
-        store = MatchStore([OfferProductMatch("o-1", "p-1"), OfferProductMatch("o-2", "p-1")])
-        assert store.matched_offer_ids() == {"o-1", "o-2"}
-        assert store.matched_product_ids() == {"p-1"}
-
     def test_missing_lookup(self):
         store = MatchStore()
         assert store.product_for_offer("o-404") is None
-        assert store.offers_for_product("p-404") == []

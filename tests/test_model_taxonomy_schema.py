@@ -35,21 +35,9 @@ class TestTaxonomy:
         with pytest.raises(ValueError):
             tax.add_category("child", "Child", parent_id="missing")
 
-    def test_top_level_categories(self, taxonomy):
-        ids = {category.category_id for category in taxonomy.top_level_categories()}
-        assert ids == {"computing", "cameras"}
-
-    def test_children_of(self, taxonomy):
-        ids = {c.category_id for c in taxonomy.children_of("computing")}
-        assert ids == {"computing.storage", "computing.laptops"}
-
     def test_leaves(self, taxonomy):
         ids = {c.category_id for c in taxonomy.leaves()}
         assert ids == {"computing.storage.hdd", "computing.laptops", "cameras.digital"}
-
-    def test_ancestors_of(self, taxonomy):
-        ancestors = [c.category_id for c in taxonomy.ancestors_of("computing.storage.hdd")]
-        assert ancestors == ["computing.storage", "computing"]
 
     def test_top_level_of_leaf(self, taxonomy):
         assert taxonomy.top_level_of("computing.storage.hdd").category_id == "computing"
@@ -97,7 +85,6 @@ class TestCategorySchema:
         assert schema.key_attribute_names() == ["Model Part Number"]
         assert schema.is_key_attribute("model part number")
         assert not schema.is_key_attribute("Capacity")
-        assert schema.non_key_attribute_names() == ["Capacity"]
 
     def test_attribute_names_order(self):
         schema = CategorySchema("hdd")

@@ -2,8 +2,8 @@
 
 Covers the ShardCoordinator's deterministic assignment and epoch
 bookkeeping, the FencedStoreView's stale-write rejection (the fencing
-acceptance criterion), node join/leave handoff with delta-protocol
-resync, and crash injection: a node killed mid-batch via the store's
+acceptance criterion), node join/leave handoff and load-aware
+rebalancing, and crash injection: a node killed mid-batch via the store's
 fault hook is fenced, its shards are reassigned, and the recovered
 catalog is byte-identical to an uninterrupted run.
 """
@@ -13,7 +13,6 @@ import pytest
 from repro.model.products import product_fingerprint as fingerprint
 from repro.runtime import (
     FencedStoreView,
-    LoadSkewWatcher,
     MemoryCatalogStore,
     MultiNodeEngine,
     MultiProcessEngine,
@@ -23,6 +22,7 @@ from repro.runtime import (
     StaleEpochError,
     SynthesisEngine,
 )
+from repro.synthesis.pipeline import ProductSynthesisPipeline
 
 
 def make_single(harness, **kwargs):
@@ -201,72 +201,6 @@ class TestRebalanceByLoadEdgeCases:
         assert per_node == {"node-1": 2, "node-2": 2}
 
 
-class TestLoadSkewWatcher:
-    """ISSUE 4 satellite: hysteresis of the auto-rebalance trigger."""
-
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="threshold"):
-            LoadSkewWatcher(threshold=0.5)
-        with pytest.raises(ValueError, match="patience"):
-            LoadSkewWatcher(patience=0)
-
-    def test_balanced_batches_never_fire(self):
-        watcher = LoadSkewWatcher(threshold=1.5, patience=1)
-        for _ in range(10):
-            assert not watcher.observe({"a": 1.0, "b": 1.0})
-        assert watcher.streak == 0
-
-    def test_fires_only_after_patience_consecutive_skewed_batches(self):
-        watcher = LoadSkewWatcher(threshold=1.5, patience=2)
-        skewed = {"a": 3.0, "b": 0.5}
-        assert not watcher.observe(skewed)  # streak 1 of 2
-        assert watcher.streak == 1
-        assert watcher.observe(skewed)  # streak 2 -> fire
-        assert watcher.streak == 0  # reset after firing
-
-    def test_balanced_batch_resets_the_streak(self):
-        watcher = LoadSkewWatcher(threshold=1.5, patience=2)
-        skewed = {"a": 3.0, "b": 0.5}
-        assert not watcher.observe(skewed)
-        assert not watcher.observe({"a": 1.0, "b": 1.0})  # reset
-        assert not watcher.observe(skewed)  # streak restarts at 1
-        assert watcher.observe(skewed)
-
-    def test_single_node_and_idle_batches_never_fire(self):
-        watcher = LoadSkewWatcher(threshold=1.0, patience=1)
-        assert not watcher.observe({"a": 10.0})  # nothing to balance
-        assert not watcher.observe({"a": 0.0, "b": 0.0})  # no work observed
-        assert watcher.streak == 0
-
-    def test_threshold_boundary_is_inclusive(self):
-        watcher = LoadSkewWatcher(threshold=2.0, patience=1)
-        # max=2, mean=1 -> skew exactly 2.0 counts as skewed.
-        assert watcher.observe({"a": 2.0, "b": 0.0})
-
-
-class TestAutoRebalanceIntegration:
-    def test_auto_rebalance_preserves_byte_identity(self, tiny_harness, feed_expected):
-        """threshold=1.0 / patience=1 rebalances after (almost) every
-        batch; the layout churn never changes the products."""
-        cluster = make_cluster(
-            tiny_harness,
-            num_nodes=2,
-            num_shards=8,
-            auto_rebalance_skew=1.0,
-            auto_rebalance_patience=1,
-        )
-        assert cluster.skew_watcher is not None
-        for batch in feed_stream(tiny_harness):
-            cluster.ingest(batch)
-        assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
-
-    def test_manual_mode_has_no_watcher(self, tiny_harness):
-        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8)
-        assert cluster.skew_watcher is None
-        cluster.close()
-
-
 class TestVersionFencing:
     """The acceptance criterion: a stale-epoch write is rejected."""
 
@@ -378,41 +312,13 @@ class TestMembership:
         assert sorted(fingerprint(cluster.products())) == feed_expected
         cluster.close()
 
-    def test_handoff_resyncs_through_delta_protocol(self, tmp_path, tiny_harness):
-        """A new shard owner's workers rebuild state from the shared store."""
-        path = str(tmp_path / "handoff.sqlite3")
-        cluster = make_cluster(
-            tiny_harness,
-            num_nodes=2,
-            num_shards=8,
-            executor="process",
-            store="sqlite",
-            store_path=path,
-        )
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        cluster.ingest(batches[1])
-        cluster.remove_node(cluster.node_ids()[0])
-        for batch in batches[2:]:
+    def test_rebalance_after_every_batch_is_byte_identical(self, tiny_harness, feed_expected):
+        """Layout churn between every two batches never changes the products."""
+        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8)
+        for batch in feed_stream(tiny_harness):
             cluster.ingest(batch)
-        stats = cluster.transport_stats()
-        # The survivor's pinned workers had no state for the transferred
-        # shards and reloaded it straight from the durable store.
-        assert stats.worker_resyncs > 0
-        assert stats.full_retries == 0
-        cluster.close()
-
-    def test_handoff_full_reship_without_durable_store(self, tiny_harness):
-        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8, executor="process")
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        cluster.ingest(batches[1])
-        cluster.remove_node(cluster.node_ids()[0])
-        for batch in batches[2:]:
-            cluster.ingest(batch)
-        stats = cluster.transport_stats()
-        # No durable resync source: the engine re-shipped full contents.
-        assert stats.full_retries > 0
+            cluster.rebalance()
+        assert sorted(fingerprint(cluster.products())) == feed_expected
         cluster.close()
 
     def test_load_aware_rebalance_levels_shards_and_refences(self, tiny_harness, feed_expected):
@@ -521,19 +427,12 @@ class TestCrashInjection:
         assert survivor_stats.offers_routed == expected_routed
         cluster.close()
 
-    def test_crash_with_auto_recover_disabled_propagates_cleanly(
-        self, tmp_path, tiny_harness, feed_expected
-    ):
-        """Without auto-recovery the crash surfaces, but the store is
-        rolled back to the barrier so the caller can retry the batch."""
-        path = str(tmp_path / "crash-manual.sqlite3")
+    def test_crash_of_the_last_node_propagates_cleanly(self, tmp_path, tiny_harness, feed_expected):
+        """With no survivor to replay on, the crash surfaces, but the
+        store is rolled back to the barrier so the caller can retry."""
+        path = str(tmp_path / "crash-last.sqlite3")
         cluster = make_cluster(
-            tiny_harness,
-            num_nodes=2,
-            num_shards=8,
-            store="sqlite",
-            store_path=path,
-            auto_recover=False,
+            tiny_harness, num_nodes=1, num_shards=8, store="sqlite", store_path=path
         )
         batches = feed_stream(tiny_harness)
         cluster.ingest(batches[0])
@@ -544,7 +443,7 @@ class TestCrashInjection:
             cluster.ingest(batches[1])
         # Rolled back: nothing of the failed batch was half-absorbed.
         assert cluster.store.num_seen() == seen_at_barrier
-        assert cluster.node_ids() == ["node-1", "node-2"]
+        assert cluster.node_ids() == ["node-1"]
 
         for batch in batches[1:]:
             cluster.ingest(batch)
@@ -611,7 +510,6 @@ SHARED_MEMBERS = [
     "rebalance",
     "remove_node",
     "routing_seconds",
-    "skew_watcher",
     "snapshot",
     "store",
     "transport_stats",
@@ -634,26 +532,49 @@ class TestOneCoordinator:
         "engine,option",
         [
             (MultiNodeEngine, {"concurrent": True}),
-            (MultiProcessEngine, {"delta_refusion": True, "store_path": "unused.sqlite3"}),
+            (MultiProcessEngine, {"delta_refusion": True}),
             (MultiNodeEngine, {"node_timeout": 5.0}),
             (SynthesisEngine, {"delta_refusion": False}),
             (MultiNodeEngine, {"delta_refusion": False}),
-            (MultiProcessEngine, {"node_executor": "serial", "store_path": "unused.sqlite3"}),
+            (MultiProcessEngine, {"node_executor": "serial"}),
             (SynthesisEngine, {"track_category_statistics": True}),
             (MultiNodeEngine, {"track_category_statistics": True}),
-            (
-                MultiProcessEngine,
-                {"track_category_statistics": True, "store_path": "unused.sqlite3"},
-            ),
+            (MultiProcessEngine, {"track_category_statistics": True}),
+            # Settings only tests ever set: the clusterer holds the
+            # emission threshold, recovery is always on, rebalancing is
+            # manual, every node engine is serial, the timeouts are fixed.
+            (SynthesisEngine, {"min_cluster_size": 2}),
+            (ProductSynthesisPipeline, {"min_cluster_size": 2}),
+            (SqliteCatalogStore, {"busy_timeout_ms": 5_000}),
+            (MultiProcessEngine, {"node_timeout": 5.0}),
+            (MultiNodeEngine, {"executor": "process"}),
+            *[
+                (cluster, option)
+                for cluster in (MultiNodeEngine, MultiProcessEngine)
+                for option in (
+                    {"min_cluster_size": 2},
+                    {"max_workers": 2},
+                    {"auto_recover": False},
+                    {"auto_rebalance_skew": 1.5},
+                    {"auto_rebalance_patience": 2},
+                )
+            ],
         ],
     )
-    def test_removed_and_foreign_options_are_rejected(self, tiny_harness, engine, option):
+    def test_removed_and_foreign_options_are_rejected(self, tiny_harness, tmp_path, engine, option):
+        path = tmp_path / "unused.sqlite3"
+        if engine is SqliteCatalogStore:
+            required = {"path": str(path)}
+        else:
+            required = {
+                "catalog": tiny_harness.corpus.catalog,
+                "correspondences": tiny_harness.offline_result.correspondences,
+            }
+            if engine is MultiProcessEngine:
+                required["store_path"] = str(path)
         with pytest.raises(TypeError, match="unexpected keyword"):
-            engine(
-                catalog=tiny_harness.corpus.catalog,
-                correspondences=tiny_harness.offline_result.correspondences,
-                **option,
-            )
+            engine(**required, **option)
+        assert not path.exists()
 
 
 class TestCoordinatorReadsCommittedRows:
@@ -775,7 +696,7 @@ class TestClusterFacade:
 
 
 class TestHintAccuracyGauge:
-    """ISSUE 8 satellite (ROADMAP 5c): hint accuracy as a first-class gauge."""
+    """Hint accuracy as a first-class gauge."""
 
     def test_transport_stats_gauge_semantics(self):
         from repro.runtime.delta import TransportStats

@@ -119,22 +119,18 @@ class TestEngineBasics:
         snapshot = engine.snapshot()
         assert snapshot.reconciliation_stats.offers_processed == seen
 
-    def test_min_cluster_size_applied_at_emission(self, tiny_harness):
-        strict = make_engine(tiny_harness, min_cluster_size=2)
-        loose = make_engine(tiny_harness)
-        strict.ingest(tiny_harness.unmatched_offers)
-        loose.ingest(tiny_harness.unmatched_offers)
-        assert len(strict.products()) < len(loose.products())
-        # Sub-threshold clusters are tracked, ready to grow past the bar.
-        assert strict.num_clusters() == loose.num_clusters()
-
     def test_clusterer_min_cluster_size_honoured(self, tiny_harness):
-        """Regression: a user-supplied clusterer's threshold was ignored."""
+        """The clusterer's threshold is applied at emission, as the pipeline applies it."""
         from repro.synthesis.clustering import KeyAttributeClusterer
 
         clusterer = KeyAttributeClusterer(tiny_harness.corpus.catalog, min_cluster_size=2)
         engine = make_engine(tiny_harness, clusterer=clusterer)
+        loose = make_engine(tiny_harness)
         engine.ingest(tiny_harness.unmatched_offers)
+        loose.ingest(tiny_harness.unmatched_offers)
+        assert len(engine.products()) < len(loose.products())
+        # Sub-threshold clusters are tracked, ready to grow past the bar.
+        assert engine.num_clusters() == loose.num_clusters()
         pipeline = ProductSynthesisPipeline(
             catalog=tiny_harness.corpus.catalog,
             correspondences=tiny_harness.offline_result.correspondences,

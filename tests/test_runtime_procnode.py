@@ -7,8 +7,7 @@ commit per batch and a death anywhere lands the batch whole or not at
 all), membership churn (join / graceful leave / fence) with
 shard-handoff refresh, crash recovery after a SIGKILL between batches,
 a hard ``os._exit`` mid-ingest and one right after a vote (injected
-inside the node process), the coordinator's automatic load-skew
-rebalance, and kill-and-resume of the whole cluster against the shared
+inside the node process), and kill-and-resume of the whole cluster against the shared
 WAL file — and the node process lifecycle: every node is a
 ``multiprocessing`` child while the cluster runs, and none outlives
 ``close()``, a failed constructor or the script that started it.
@@ -345,20 +344,18 @@ class TestCrashRecovery:
         self, tmp_path, tiny_harness, feed_expected
     ):
         """A node whose *engine* raises mid-ingest stays alive with a
-        partial journal; the coordinator must abort it even with
-        auto-recovery off, so a caller retry is clean (no half-processed
-        offers flushed at a later barrier)."""
-        cluster = make_cluster(
-            tiny_harness, tmp_path, num_nodes=2, num_shards=8, auto_recover=False
-        )
+        partial journal; the coordinator must abort it even when the
+        failure propagates (here: no other node to replay on), so a
+        caller retry is clean (no half-processed offers flushed at a
+        later barrier)."""
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=1, num_shards=8)
         batches = feed_stream(tiny_harness)
         cluster.ingest(batches[0])
-        victim = cluster.node_ids()[1]
-        cluster.inject_crash(victim, "append_offers", countdown=1, hard=False)
+        cluster.inject_crash("node-1", "append_offers", countdown=1, hard=False)
         with pytest.raises(RuntimeError, match="injected node fault"):
             cluster.ingest(batches[1])
-        # Both nodes survived; the failed batch can simply be retried.
-        assert cluster.node_ids() == ["node-1", "node-2"]
+        # The node survived; the failed batch can simply be retried.
+        assert cluster.node_ids() == ["node-1"]
         replay = cluster.ingest(batches[1])
         assert replay.offers_new > 0
         assert replay.offers_duplicate == 0
@@ -433,15 +430,14 @@ class TestCrashRecovery:
         assert cluster.snapshot().offers_ingested == expected_total
         cluster.close()
 
-    def test_crash_without_auto_recover_propagates(self, tmp_path, tiny_harness):
-        cluster = make_cluster(
-            tiny_harness, tmp_path, num_nodes=2, num_shards=8, auto_recover=False
-        )
+    def test_crash_of_the_last_node_propagates(self, tmp_path, tiny_harness):
+        """With no survivor to replay on, the death surfaces from ingest."""
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=1, num_shards=8)
         batches = feed_stream(tiny_harness)
         cluster.ingest(batches[0])
         seen_at_barrier = cluster.snapshot().offers_ingested
-        cluster.kill_node(cluster.node_ids()[0])
-        with pytest.raises(RuntimeError, match="dead"):
+        cluster.kill_node("node-1")
+        with pytest.raises(NodeDeadError, match="dead"):
             cluster.ingest(batches[1])
         # Nothing of the failed batch reached the shared store.
         assert cluster.snapshot().offers_ingested == seen_at_barrier
@@ -715,25 +711,6 @@ class TestBarrierAtomicity:
         leaked = [child for child in multiprocessing.active_children() if child not in before]
         assert leaked == [], f"node processes outlived the refused open: {leaked}"
         assert child_pids() <= before_pids
-
-
-class TestAutoRebalance:
-    def test_skew_watcher_triggers_rebalance(self, tmp_path, tiny_harness, feed_expected):
-        """threshold=1.0 / patience=1 fires on any imbalance: the layout
-        is load-rebalanced mid-stream and products stay identical."""
-        cluster = make_cluster(
-            tiny_harness,
-            tmp_path,
-            num_nodes=2,
-            num_shards=8,
-            auto_rebalance_skew=1.0,
-            auto_rebalance_patience=1,
-        )
-        for batch in feed_stream(tiny_harness):
-            cluster.ingest(batch)
-        assert cluster.skew_watcher is not None
-        assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
 
 
 class FailsToUnpickle:

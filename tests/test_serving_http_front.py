@@ -21,7 +21,7 @@ import pytest
 from repro.model.attributes import Specification
 from repro.model.products import Product
 from repro.obs import MetricsRegistry
-from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService
+from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
 from repro.serving.http import CatalogRequestHandler
 
 PRODUCTS = [
@@ -34,14 +34,11 @@ PRODUCTS = [
     for number in range(1, 4)
 ]
 
-#: Both connection models: a thread per connection, and the worker pool.
-MODES = pytest.mark.parametrize("max_workers", [None, 2], ids=["threads", "pool"])
-
 
 class Front:
     """A served catalog plus the handles the tests poke at."""
 
-    def __init__(self, max_workers, log_requests=False):
+    def __init__(self, max_workers=2, log_requests=False):
         self.registry = MetricsRegistry()
         self.service = CatalogSearchService(CatalogIndex(PRODUCTS))
         self.server = CatalogHTTPServer(
@@ -99,11 +96,10 @@ def read_until_closed(sock, limit=5.0):
         chunks.append(chunk)
 
 
-@MODES
 class TestKeepAlive:
     @pytest.fixture
-    def front(self, max_workers):
-        served = Front(max_workers)
+    def front(self):
+        served = Front()
         yield served
         served.close()
 
@@ -315,6 +311,24 @@ class TestMultiplexedPool:
         finally:
             front.close()
 
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_the_default_pool_has_two_workers_per_replica(self, replicas):
+        services = [CatalogSearchService(CatalogIndex(PRODUCTS)) for _ in range(replicas)]
+        fleet = ServingFleet(services)
+        server = CatalogHTTPServer(("127.0.0.1", 0), fleet, registry=MetricsRegistry())
+        try:
+            assert server.max_workers == 2 * replicas
+            assert len(server._pool) == 2 * replicas + 1  # the workers and the selector
+        finally:
+            server.server_close()
+            fleet.close()
+
+    def test_a_pool_without_workers_is_refused(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            CatalogHTTPServer(
+                ("127.0.0.1", 0), CatalogSearchService(CatalogIndex(PRODUCTS)), max_workers=0
+            )
+
     def test_server_close_joins_with_parked_connections_open(self):
         front = Front(2)
         try:
@@ -397,11 +411,10 @@ class TestMultiplexedPool:
             front.close()
 
 
-@MODES
 class TestBoundedRefusal:
     @pytest.fixture
-    def front(self, max_workers):
-        served = Front(1 if max_workers else None)
+    def front(self):
+        served = Front(1)
         yield served
         served.close()
 
@@ -540,9 +553,8 @@ class TestAccessLog:
         r'127\.0\.0\.1 - - \[\d\d/[A-Z][a-z]{2}/\d{4} \d\d:\d\d:\d\d\] "(.*)" (\d{3}) (\d+)'
     )
 
-    @MODES
-    def test_one_line_per_request_with_control_characters_escaped(self, max_workers, capsys):
-        front = Front(max_workers, log_requests=True)
+    def test_one_line_per_request_with_control_characters_escaped(self, capsys):
+        front = Front(log_requests=True)
         try:
             with front.raw() as sock:
                 sock.sendall(b"GET /health HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\n")

@@ -1,7 +1,7 @@
 """Fuzzing the HTTP front: hostile bytes degrade into bounded, counted refusals.
 
-Hypothesis drives raw sockets against one server per connection model
-(a thread per connection, and the worker pool) with (a) raw bytes,
+Hypothesis drives raw sockets against one server (its worker pool)
+with (a) raw bytes,
 (b) well-formed heads whose method / target / version / header lines /
 line endings are mutated, (c) percent-encodings and oversized ``k`` /
 ``attr`` / ``category`` values, (d) a valid request followed by
@@ -86,9 +86,9 @@ def statuses_of(reply):
     return statuses
 
 
-@pytest.fixture(scope="module", params=[None, 2], ids=["threads", "pool"])
-def front(request):
-    served = Fuzzed(request.param)
+@pytest.fixture(scope="module")
+def front():
+    served = Fuzzed()
     yield served
     served.close()
 
@@ -278,7 +278,7 @@ class TestTheTargetMemoIsInvisible:
         # requests; held still here so every other byte can be compared.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("repro.serving.http.process_memory", lambda: {"resident_bytes": 1})
-            served = Fuzzed(2)
+            served = Fuzzed()
             yield served
             served.close()
 

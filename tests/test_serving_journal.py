@@ -375,7 +375,7 @@ class TestClusterJournalCoverage:
 
 
 class TestAutoCompaction:
-    """ROADMAP 3c: ``compact_journal(auto=True)`` tracks reader lag."""
+    """``compact_journal(auto=True)`` tracks reader lag."""
 
     def test_auto_floor_stops_at_the_deepest_observed_reader(self):
         store = MemoryCatalogStore()

@@ -51,14 +51,6 @@ class TestCategoryClassifier:
         assigned = classifier.assign_categories([offer])
         assert assigned[0].category_id == "preassigned.category"
 
-    def test_classify_with_confidence(self, tiny_harness):
-        classifier = tiny_harness.category_classifier
-        label, confidence = classifier.classify_with_confidence(
-            "Seagate Barracuda 500 GB Hard Drive"
-        )
-        assert isinstance(label, str)
-        assert 0.0 < confidence <= 1.0
-
     def test_training_requires_documents(self, hdd_catalog):
         from repro.model.matches import MatchStore
 

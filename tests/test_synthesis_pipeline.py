@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.synthesis.clustering import KeyAttributeClusterer
 from repro.synthesis.pipeline import ProductSynthesisPipeline
 
 
@@ -60,11 +61,6 @@ class TestPipelineOnTinyCorpus:
         average = tiny_harness.synthesis_result.average_attributes_per_product()
         assert 2.0 < average < 15.0
 
-    def test_products_by_category_partition(self, tiny_harness):
-        result = tiny_harness.synthesis_result
-        grouped = result.products_by_category()
-        assert sum(len(products) for products in grouped.values()) == result.num_products()
-
     def test_oracle_quality(self, tiny_harness):
         evaluation = tiny_harness.evaluate_synthesis()
         assert evaluation.attribute_precision > 0.8
@@ -105,7 +101,7 @@ class TestPipelineConfiguration:
             correspondences=tiny_harness.offline_result.correspondences,
             extractor=tiny_harness.extractor,
             category_classifier=tiny_harness.category_classifier,
-            min_cluster_size=2,
+            clusterer=KeyAttributeClusterer(tiny_harness.corpus.catalog, min_cluster_size=2),
         )
         strict = pipeline.synthesize(tiny_harness.unmatched_offers)
         assert strict.num_products() < base.num_products()

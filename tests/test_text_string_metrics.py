@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.string_metrics import (
-    best_alignment_score,
     character_ngrams,
     jaro_similarity,
     jaro_winkler_similarity,
@@ -110,9 +109,3 @@ class TestTokenSimilarity:
 
     def test_both_empty(self):
         assert token_set_similarity("", "") == 1.0
-
-    def test_best_alignment_empty(self):
-        assert best_alignment_score([], ["a"]) == 0.0
-
-    def test_best_alignment_identical_tokens(self):
-        assert best_alignment_score(["hard", "drive"], ["drive", "hard"]) == pytest.approx(1.0)

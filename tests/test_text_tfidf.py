@@ -77,12 +77,6 @@ class TestSoftTfIdf:
         with pytest.raises(ValueError):
             SoftTfIdf(CORPUS, threshold=0.0)
 
-    def test_pairwise_matrix_shape(self):
-        soft = SoftTfIdf(CORPUS)
-        matrix = soft.pairwise_matrix(CORPUS[:2], CORPUS[:3])
-        assert len(matrix) == 2
-        assert all(len(row) == 3 for row in matrix)
-
     def test_threshold_property(self):
         assert SoftTfIdf(CORPUS, threshold=0.95).threshold == 0.95
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.text.tokenize import (
-    join_tokens,
     sliding_ngrams,
     tokenize,
     tokenize_attribute_name,
@@ -81,11 +80,3 @@ class TestSlidingNgrams:
     def test_invalid_n_raises(self):
         with pytest.raises(ValueError):
             sliding_ngrams(["a"], 0)
-
-
-class TestJoinTokens:
-    def test_round_trip(self):
-        assert join_tokens(["seagate", "barracuda"]) == "seagate barracuda"
-
-    def test_empty(self):
-        assert join_tokens([]) == ""
