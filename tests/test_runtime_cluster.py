@@ -22,6 +22,8 @@ from repro.runtime import (
     StaleEpochError,
     SynthesisEngine,
 )
+from repro.runtime.executors import SerialExecutor
+from repro.synthesis.clustering import KeyAttributeClusterer
 from repro.synthesis.pipeline import ProductSynthesisPipeline
 
 
@@ -312,6 +314,14 @@ class TestMembership:
         assert sorted(fingerprint(cluster.products())) == feed_expected
         cluster.close()
 
+    def test_every_node_engine_runs_the_serial_executor(self, tiny_harness):
+        """The nodes are the parallelism: no node engine starts a worker pool."""
+        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8)
+        cluster.add_node()
+        for node_id in cluster.node_ids():
+            assert isinstance(cluster._member(node_id).engine._executor, SerialExecutor)
+        cluster.close()
+
     def test_rebalance_after_every_batch_is_byte_identical(self, tiny_harness, feed_expected):
         """Layout churn between every two batches never changes the products."""
         cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8)
@@ -444,6 +454,36 @@ class TestCrashInjection:
         # Rolled back: nothing of the failed batch was half-absorbed.
         assert cluster.store.num_seen() == seen_at_barrier
         assert cluster.node_ids() == ["node-1"]
+
+        for batch in batches[1:]:
+            cluster.ingest(batch)
+        assert sorted(fingerprint(cluster.products())) == feed_expected
+        cluster.close()
+
+    def test_a_crash_on_every_survivor_propagates_at_the_last_node(
+        self, tmp_path, tiny_harness, feed_expected
+    ):
+        """Recovery fences one failed node per attempt; a failure that
+        follows the batch onto every survivor surfaces once one node is
+        left, with the store back at the barrier."""
+        path = str(tmp_path / "crash-every.sqlite3")
+        cluster = make_cluster(
+            tiny_harness, num_nodes=3, num_shards=8, store="sqlite", store_path=path
+        )
+        batches = feed_stream(tiny_harness)
+        cluster.ingest(batches[0])
+        seen_at_barrier = cluster.store.num_seen()
+
+        def always(name):
+            if name == "append_offers":
+                raise _SimulatedCrash("injected crash on every node")
+
+        cluster.store.set_fault_hook(always)
+        with pytest.raises(_SimulatedCrash):
+            cluster.ingest(batches[1])
+        cluster.store.set_fault_hook(None)
+        assert len(cluster.node_ids()) == 1
+        assert cluster.store.num_seen() == seen_at_barrier
 
         for batch in batches[1:]:
             cluster.ingest(batch)
@@ -629,6 +669,25 @@ class TestClusterFacade:
         assert cluster_snapshot.assigned_categories == single_snapshot.assigned_categories
         assert cluster_snapshot.reconciliation_stats == single_snapshot.reconciliation_stats
         single.close()
+
+    def test_the_clusterers_threshold_holds_on_every_node(self, tiny_harness, any_cluster):
+        """The emission threshold travels with the clusterer to each node engine."""
+        catalog = tiny_harness.corpus.catalog
+        single = make_single(
+            tiny_harness, num_shards=8, clusterer=KeyAttributeClusterer(catalog, min_cluster_size=2)
+        )
+        cluster = any_cluster(
+            num_nodes=2, num_shards=8, clusterer=KeyAttributeClusterer(catalog, min_cluster_size=2)
+        )
+        loose = make_single(tiny_harness, num_shards=8)
+        for batch in feed_stream(tiny_harness):
+            single.ingest(batch)
+            cluster.ingest(batch)
+            loose.ingest(batch)
+        assert len(cluster.products()) < len(loose.products())
+        assert sorted(fingerprint(cluster.products())) == sorted(fingerprint(single.products()))
+        single.close()
+        loose.close()
 
     def test_node_stats_account_for_every_routed_offer(self, tiny_harness, any_cluster):
         cluster = any_cluster(num_nodes=2, num_shards=8)

@@ -36,6 +36,8 @@ from repro.runtime import (
     SynthesisEngine,
 )
 from repro.runtime import procnode
+from repro.runtime.delta import TransportStats
+from repro.runtime.node import ShardLease
 from repro.serving.reader import CatalogReader
 
 
@@ -269,6 +271,17 @@ class TestMembership:
         cluster.remove_node(cluster.node_ids()[0])
         for batch in batches[2:]:
             cluster.ingest(batch)
+        assert sorted(fingerprint(cluster.products())) == feed_expected
+        cluster.close()
+
+    def test_rebalance_after_every_batch_is_byte_identical(
+        self, tmp_path, tiny_harness, feed_expected
+    ):
+        """Load-aware layout churn between every two batches never changes the products."""
+        cluster = make_cluster(tiny_harness, tmp_path, num_nodes=2, num_shards=8)
+        for batch in feed_stream(tiny_harness):
+            cluster.ingest(batch)
+            cluster.rebalance()
         assert sorted(fingerprint(cluster.products())) == feed_expected
         cluster.close()
 
@@ -765,6 +778,22 @@ class TestNodeLifecycle:
             "'concurrent.futures', 'repro.matching.learner', 'repro.corpus.generator') "
             "if m in sys.modules]; assert not loaded, loaded"
         )
+
+    def test_a_node_silent_past_the_reply_timeout_is_declared_dead(self, monkeypatch):
+        """A node that answers nothing for ``NODE_TIMEOUT_S`` is dead to the coordinator."""
+        monkeypatch.setattr(procnode, "NODE_TIMEOUT_S", 1.0)
+        before = child_pids()
+        node = procnode.ProcessNode("node-1", ShardLease(node_id="node-1"), TransportStats())
+        try:
+            # Never sent its header, the node waits for it and says nothing.
+            started = time.monotonic()
+            with pytest.raises(NodeDeadError, match="node-1.*no reply within 1s"):
+                node.await_ready()
+            assert time.monotonic() - started < 30
+        finally:
+            node.destroy()
+        assert not node.alive()
+        assert child_pids() <= before, "a node process outlived destroy()"
 
     def test_joined_node_boots_through_the_handshake(self, tmp_path, tiny_harness):
         cluster = make_cluster(tiny_harness, tmp_path, num_nodes=1, num_shards=8)

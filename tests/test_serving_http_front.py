@@ -22,7 +22,7 @@ from repro.model.attributes import Specification
 from repro.model.products import Product
 from repro.obs import MetricsRegistry
 from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
-from repro.serving.http import CatalogRequestHandler
+from repro.serving.http import CatalogRequestHandler, serve
 
 PRODUCTS = [
     Product(
@@ -33,6 +33,10 @@ PRODUCTS = [
     )
     for number in range(1, 4)
 ]
+
+#: Both ends of the worker pool: one worker multiplexing every
+#: connection, and the size the server picks (two per replica).
+MODES = pytest.mark.parametrize("max_workers", [1, None], ids=["one-worker", "default"])
 
 
 class Front:
@@ -96,10 +100,11 @@ def read_until_closed(sock, limit=5.0):
         chunks.append(chunk)
 
 
+@MODES
 class TestKeepAlive:
     @pytest.fixture
-    def front(self):
-        served = Front()
+    def front(self, max_workers):
+        served = Front(max_workers)
         yield served
         served.close()
 
@@ -323,6 +328,24 @@ class TestMultiplexedPool:
             server.server_close()
             fleet.close()
 
+    @pytest.mark.parametrize(
+        "replicas,max_workers,workers", [(1, None, 2), (3, None, 6), (3, 2, 2)]
+    )
+    def test_serve_reports_the_pool_the_server_sized(
+        self, monkeypatch, capsys, replicas, max_workers, workers
+    ):
+        """Without ``--threads`` the server sizes the pool; with it, the value given."""
+
+        def interrupted(server, poll_interval=0.5):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CatalogHTTPServer, "serve_forever", interrupted)
+        services = [CatalogSearchService(CatalogIndex(PRODUCTS)) for _ in range(replicas)]
+        serve(ServingFleet(services), port=0, max_workers=max_workers, registry=MetricsRegistry())
+        out = capsys.readouterr().out
+        assert f"({replicas} replica(s), {workers} workers)" in out
+        assert "shutting down" in out
+
     def test_a_pool_without_workers_is_refused(self):
         with pytest.raises(ValueError, match="max_workers"):
             CatalogHTTPServer(
@@ -411,10 +434,11 @@ class TestMultiplexedPool:
             front.close()
 
 
+@MODES
 class TestBoundedRefusal:
     @pytest.fixture
-    def front(self):
-        served = Front(1)
+    def front(self, max_workers):
+        served = Front(max_workers)
         yield served
         served.close()
 
@@ -553,8 +577,9 @@ class TestAccessLog:
         r'127\.0\.0\.1 - - \[\d\d/[A-Z][a-z]{2}/\d{4} \d\d:\d\d:\d\d\] "(.*)" (\d{3}) (\d+)'
     )
 
-    def test_one_line_per_request_with_control_characters_escaped(self, capsys):
-        front = Front(log_requests=True)
+    @MODES
+    def test_one_line_per_request_with_control_characters_escaped(self, max_workers, capsys):
+        front = Front(max_workers, log_requests=True)
         try:
             with front.raw() as sock:
                 sock.sendall(b"GET /health HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\n")

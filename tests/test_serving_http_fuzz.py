@@ -1,7 +1,7 @@
 """Fuzzing the HTTP front: hostile bytes degrade into bounded, counted refusals.
 
-Hypothesis drives raw sockets against one server (its worker pool)
-with (a) raw bytes,
+Hypothesis drives raw sockets against one server per pool size (one
+worker, and the default of two per replica) with (a) raw bytes,
 (b) well-formed heads whose method / target / version / header lines /
 line endings are mutated, (c) percent-encodings and oversized ``k`` /
 ``attr`` / ``category`` values, (d) a valid request followed by
@@ -86,9 +86,9 @@ def statuses_of(reply):
     return statuses
 
 
-@pytest.fixture(scope="module")
-def front():
-    served = Fuzzed()
+@pytest.fixture(scope="module", params=[1, None], ids=["one-worker", "default"])
+def front(request):
+    served = Fuzzed(request.param)
     yield served
     served.close()
 

@@ -9,7 +9,8 @@ reader-driven resync.
 import pytest
 
 from repro.model.products import product_fingerprint as fingerprint
-from repro.runtime import MemoryCatalogStore, SynthesisEngine
+from repro.runtime import MemoryCatalogStore, SqliteCatalogStore, SynthesisEngine
+from repro.runtime.store.sqlite import BUSY_TIMEOUT_MS
 from repro.serving import CatalogReader, CatalogSearchService, reader as reader_module
 
 
@@ -201,6 +202,27 @@ class TestCatalogReader:
         assert reader.closed
         with pytest.raises(RuntimeError, match="closed"):
             reader.read_products()
+
+class TestBusyTimeout:
+    @pytest.mark.parametrize("role", ["writer", "node-mirror", "reader"])
+    def test_every_connection_to_the_file_waits_out_a_lock(self, populated, role):
+        """Writer, node mirror and serving reader all wait ``BUSY_TIMEOUT_MS``, not fail."""
+        engine, path, _ = populated
+        if role == "writer":
+            handle, connection = None, engine.store._connection
+        elif role == "node-mirror":
+            handle = SqliteCatalogStore(path, partition="node-1")
+            connection = handle._connection
+        else:
+            handle = CatalogReader(path)
+            connection = handle._connection
+        try:
+            assert connection.execute("PRAGMA busy_timeout").fetchone()[0] == BUSY_TIMEOUT_MS
+        finally:
+            if handle is not None:
+                handle.close()
+        assert BUSY_TIMEOUT_MS == 30_000
+
 
 class TestReaderDrivenService:
     def test_service_resyncs_on_writer_commits(self, tiny_harness, tmp_path):
