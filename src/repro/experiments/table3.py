@@ -51,13 +51,6 @@ class Table3Result:
 
     rows: List[Table3Row]
 
-    def row_for(self, top_level_id: str) -> Optional[Table3Row]:
-        """The row of one top-level category, or ``None``."""
-        for row in self.rows:
-            if row.top_level_id == top_level_id:
-                return row
-        return None
-
     def to_text(self) -> str:
         """Human-readable rendering."""
         headers = [

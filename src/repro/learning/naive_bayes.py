@@ -126,12 +126,6 @@ class MultinomialNaiveBayes:
             self._tables = tables
         return tables
 
-    def _class_table(self, label: str) -> _ClassTable:
-        try:
-            return self._class_tables()[label]
-        except KeyError:
-            raise KeyError(f"class label {label!r} was never trained") from None
-
     # -- inference --------------------------------------------------------
 
     @property
@@ -143,20 +137,6 @@ class MultinomialNaiveBayes:
     def vocabulary_size(self) -> int:
         """Number of distinct tokens seen during training."""
         return len(self._vocabulary)
-
-    def log_prior(self, label: str) -> float:
-        """log P(class); an untrained ``label`` raises :class:`KeyError`."""
-        if self._total_documents == 0:
-            raise RuntimeError("model has no training data")
-        return self._class_table(label)[0]
-
-    def token_log_likelihood(self, label: str, token: str) -> float:
-        """log P(token | class) with add-alpha smoothing.
-
-        An untrained ``label`` raises :class:`KeyError`.
-        """
-        _, likelihoods, unseen = self._class_table(label)
-        return likelihoods.get(token, unseen)
 
     def log_scores(self, tokens: Sequence[str]) -> Dict[str, float]:
         """Unnormalised log posterior for every class."""
@@ -183,12 +163,6 @@ class MultinomialNaiveBayes:
         """The most probable class for a token sequence."""
         log_scores = self.log_scores(tokens)
         return max(log_scores.items(), key=lambda item: item[1])[0]
-
-    def predict_with_confidence(self, tokens: Sequence[str]) -> Tuple[str, float]:
-        """The most probable class and its posterior probability."""
-        posterior = self.posterior(tokens)
-        label, probability = max(posterior.items(), key=lambda item: item[1])
-        return label, probability
 
     def dominant_class_by_token(self) -> Dict[str, str]:
         """token -> the class where the token was observed most often.

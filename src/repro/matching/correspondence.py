@@ -68,7 +68,6 @@ class CorrespondenceSet:
 
     def __init__(self, correspondences: Iterable[AttributeCorrespondence] = ()) -> None:
         self._by_offer_attribute: Dict[Tuple[str, str, str], AttributeCorrespondence] = {}
-        self._all: List[AttributeCorrespondence] = []
         for correspondence in correspondences:
             self.add(correspondence)
 
@@ -84,7 +83,6 @@ class CorrespondenceSet:
         existing = self._by_offer_attribute.get(key)
         if existing is None or correspondence.score > existing.score:
             self._by_offer_attribute[key] = correspondence
-        self._all.append(correspondence)
 
     @staticmethod
     def _key(merchant_id: str, category_id: str, offer_attribute: str) -> Tuple[str, str, str]:
@@ -118,10 +116,6 @@ class CorrespondenceSet:
     def correspondences(self) -> List[AttributeCorrespondence]:
         """All accepted correspondences (after best-per-attribute resolution)."""
         return list(self._by_offer_attribute.values())
-
-    def all_added(self) -> List[AttributeCorrespondence]:
-        """Every correspondence ever added (before per-attribute resolution)."""
-        return list(self._all)
 
     def __len__(self) -> int:
         return len(self._by_offer_attribute)

@@ -33,10 +33,6 @@ class Category:
     name: str
     parent_id: Optional[str] = None
 
-    def is_top_level(self) -> bool:
-        """Whether this category has no parent."""
-        return self.parent_id is None
-
 
 class Taxonomy:
     """A tree of :class:`Category` nodes with id-based lookups.

@@ -1317,7 +1317,7 @@ class InProcessTransport(NodeTransport):
         """Build each node's fenced view and engine."""
         nodes = {}
         for node_id, lease in leases.items():
-            view = FencedStoreView(self.store, lease, self._lock, deferred_commit=True)
+            view = FencedStoreView(self.store, lease, self._lock)
             engine = SynthesisEngine(num_shards=self._num_shards, store=view, **self._engine_kwargs)
             nodes[node_id] = _EngineNode(node_id, lease, view, engine)
         return nodes

@@ -68,14 +68,12 @@ class FencedStoreView(CatalogStore):
     lock; cluster-scoped writes (create/append/product/version) first
     present the leased epoch of the target shard for validation, so a
     fenced-out node fails fast instead of corrupting reassigned shards.
-    Global writes are fenced at the commit barrier: ``commit`` validates
-    the whole lease before anything is flushed.
+    Global writes are fenced at the commit barrier.
 
-    With ``deferred_commit=True`` (how every cluster node mounts
-    it) the view's ``commit`` only validates — the coordinator commits
-    once per cluster batch (the shared store of an in-process cluster,
-    every process node's drained journal otherwise), giving all nodes
-    one shared commit barrier.
+    The view's ``commit`` only validates the whole lease: the coordinator
+    commits once per cluster batch (the shared store of an in-process
+    cluster, every process node's drained journal otherwise), giving all
+    nodes one shared commit barrier.
     """
 
     def __init__(
@@ -83,13 +81,11 @@ class FencedStoreView(CatalogStore):
         base: CatalogStore,
         lease: ShardLease,
         lock: Optional[threading.RLock] = None,
-        deferred_commit: bool = False,
     ) -> None:
         super().__init__()
         self._base = base
         self._lease = lease
         self._lock = lock if lock is not None else threading.RLock()
-        self._deferred_commit = deferred_commit
         # The delta protocol keys worker-resident caches on the token:
         # views must share the base store's generation, or every node
         # restart would needlessly orphan worker state.
@@ -111,11 +107,10 @@ class FencedStoreView(CatalogStore):
     def commit_count(self) -> int:
         """The *base* store's snapshot counter.
 
-        The view never counts commits itself: with ``deferred_commit``
-        its ``commit`` only validates the lease, and either way the
-        snapshot identity readers care about is the shared store's.  A
-        node engine therefore sees the same counter a reader of the
-        shared file would.
+        The view never counts commits itself: its ``commit`` only
+        validates the lease, and the snapshot identity readers care
+        about is the shared store's.  A node engine therefore sees the
+        same counter a reader of the shared file would.
         """
         return self._base.commit_count
 
@@ -156,23 +151,12 @@ class FencedStoreView(CatalogStore):
         self._num_shards = num_shards
 
     def commit(self) -> None:
-        """Validate the whole lease; flush the base unless deferred."""
+        """Validate the whole lease; the coordinator flushes the base."""
         with self._lock:
             self.validate_lease()
-            if not self._deferred_commit:
-                self._base.commit()
 
     def close(self) -> None:
-        """Views release nothing: the cluster owns the base store.
-
-        Best-effort commit only — ``close`` must stay safe on any path
-        (the ``CatalogStore`` contract), and a fenced node has nothing
-        it is allowed to flush anyway.
-        """
-        try:
-            self.commit()
-        except StaleEpochError:
-            pass
+        """Views release nothing: the cluster owns the base store."""
 
     @property
     def closed(self) -> bool:
@@ -182,26 +166,6 @@ class FencedStoreView(CatalogStore):
     def worker_resync_path(self) -> Optional[str]:
         """The base store's durable resync location (or ``None``)."""
         return self._base.worker_resync_path()
-
-    # -- changed-cluster commit journal (delegated) ----------------------------
-    # Mutations delegate to the base store, so the touched-cluster set —
-    # and therefore the journal written at the barrier — lives there;
-    # the read API follows it.
-
-    def journal_floor(self) -> int:
-        """The shared base store's journal floor."""
-        with self._lock:
-            return self._base.journal_floor()
-
-    def journal_entries(self, since: int):
-        """The shared base store's per-commit deltas after ``since``."""
-        with self._lock:
-            return self._base.journal_entries(since)
-
-    def compact_journal(self, retain_commits: int = 0, auto: bool = False) -> int:
-        """Compact the shared base store's journal."""
-        with self._lock:
-            return self._base.compact_journal(retain_commits, auto=auto)
 
     # -- seen offers -----------------------------------------------------------
 
@@ -467,7 +431,7 @@ def serve(channel_fd: int) -> None:
     ingest needs travel in its frame, see :class:`NodeProtocol`).  The
     node opens the shared WAL file as a read-only mirror
     (``partition=`` its node id), builds its engine over a
-    :class:`FencedStoreView` with deferred commits, and answers
+    :class:`FencedStoreView`, and answers
     ``ready``.  A failure on the way (a component that does not
     unpickle here, a store that does not open) is answered with
     ``boot-error`` and ends the process with exit code 1, so the
@@ -495,7 +459,7 @@ def serve(channel_fd: int) -> None:
         store = SqliteCatalogStore(header["store_path"], partition=node_id)
         store.bind(num_shards)
         lease = ShardLease(node_id=node_id, epochs=header["epochs"])
-        view = FencedStoreView(store, lease, deferred_commit=True)
+        view = FencedStoreView(store, lease)
         engine = SynthesisEngine(num_shards=num_shards, store=view, **engine_kwargs)
     except Exception as exc:  # noqa: BLE001 - shipped to coordinator
         channel.send(("boot-error", repr(exc)))

@@ -10,7 +10,9 @@ This module factorises that implicit state behind an explicit
   zero-copy in-process behaviour (the default);
 * :class:`~repro.runtime.store.sqlite.SqliteCatalogStore` — a durable
   WAL-mode SQLite backend that commits after every ingest and restores
-  the full engine state across process restarts.
+  the full engine state across process restarts.  It alone writes the
+  changed-cluster commit journal that serving replicas follow through
+  :meth:`~repro.serving.reader.CatalogReader.read_delta`.
 
 The store is also the source of truth for the *delta re-fusion protocol*
 (:mod:`repro.runtime.delta`): it tracks a monotonic version counter per
@@ -84,7 +86,8 @@ class CatalogStore(abc.ABC):
     and appends on the hot ingest path, whole-shard iteration for views,
     and an explicit :meth:`commit` barrier at the end of every ingest
     (durable backends flush exactly there, so a killed process loses at
-    most the in-flight batch).
+    most the in-flight batch).  The store carries no journal API: the
+    commit journal is a detail of the SQLite backend's commit.
 
     A store instance carries a ``token`` unique per open; the delta
     protocol keys worker-resident shard caches on it, so state cached for
@@ -99,14 +102,6 @@ class CatalogStore(abc.ABC):
         self._num_shards = 0
         self._fault_hook: Optional[Callable[[str], None]] = None
         self._commit_count = 0
-        # Clusters mutated since the last commit barrier (insertion
-        # ordered, deduplicated).  Backends with a commit journal drain
-        # this at the barrier to record "commit k touched these clusters".
-        self._touched_clusters: Dict[ClusterId, None] = {}
-        # Deepest journal-reader position observed since the last
-        # auto-compaction (the ``compact_journal(auto=True)`` signal);
-        # ``None`` until a reader proves coverage via journal_entries.
-        self._journal_reader_low_water: Optional[int] = None
         # Wrapper views (FencedStoreView) run this before assigning their
         # instance name, so they still resolve the class-level "abstract"
         # here — and they must *not* publish store series: they delegate
@@ -131,20 +126,6 @@ class CatalogStore(abc.ABC):
             help="Commit counter (snapshot identity) of the newest store.",
             labels=labels,
             callback=lambda: (lambda s: 0 if s is None else s.commit_count)(ref()),
-        )
-        registry.gauge(
-            "journal_floor",
-            help="Highest commit id not covered by the commit journal.",
-            labels=labels,
-            callback=lambda: (lambda s: 0 if s is None else s.journal_floor())(ref()),
-        )
-        registry.gauge(
-            "journal_reader_lag_commits",
-            help="Deepest reader lag observed since the last auto-compaction.",
-            labels=labels,
-            callback=lambda: (lambda s: 0 if s is None else s.journal_reader_lag() or 0)(
-                ref()
-            ),
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -402,132 +383,6 @@ class CatalogStore(abc.ABC):
                 f"store is at epoch {current}: the writing node was fenced "
                 "(it lagged, restarted, or lost the shard to reassignment)"
             )
-
-    # -- changed-cluster commit journal ----------------------------------------
-
-    def _journal_touch(self, cluster_id: ClusterId) -> None:
-        """Mark a cluster as touched by the in-flight batch.
-
-        Concrete mutators (:meth:`create_cluster`, :meth:`append_offers`,
-        :meth:`set_product`) call this so the commit barrier knows which
-        clusters the next journal entry must name.  Insertion order is
-        preserved and repeats dedup away.
-        """
-        self._touched_clusters[cluster_id] = None
-
-    def _drain_touched(self) -> List[ClusterId]:
-        """Take (and clear) the touched-cluster set of the in-flight batch."""
-        touched = list(self._touched_clusters)
-        self._touched_clusters.clear()
-        return touched
-
-    def journal_floor(self) -> int:
-        """Highest commit id *not* covered by the commit journal.
-
-        Entries exist only for commits ``floor < commit_id <= commit_count``
-        that touched at least one cluster; a commit in that range with no
-        entry rows touched nothing.  The default (no journal) reports the
-        current :attr:`commit_count`, i.e. nothing is covered and readers
-        must fall back to a full rebuild.
-        """
-        return self._commit_count
-
-    def journal_entries(
-        self, since: int
-    ) -> Optional[List[Tuple[int, List[Tuple[ClusterId, Optional[Product]]]]]]:
-        """Per-commit deltas after snapshot ``since``, oldest first.
-
-        Each element is ``(commit_id, [(cluster_id, product-or-None), ...])``
-        — the product each touched cluster carried *at that barrier*
-        (``None`` = no synthesized product, i.e. an index remove).
-        Returns ``None`` when the journal cannot prove coverage of
-        ``(since, commit_count]`` (journal absent, truncated by
-        compaction, or ``since`` predates the floor): the caller must
-        fall back to a full read.  The default backend has no journal.
-        """
-        return None
-
-    def _observe_journal_read(self, since: int) -> None:
-        """Record a reader's proven journal position.
-
-        Backends call this from :meth:`journal_entries` when coverage of
-        ``(since, head]`` was proven — the reader is guaranteed able to
-        delta-sync from ``since``, so an auto-compaction must not raise
-        the floor above it.  Tracks the *minimum* position seen since
-        the last ``compact_journal(auto=True)``.
-        """
-        low = self._journal_reader_low_water
-        if low is None or since < low:
-            self._journal_reader_low_water = since
-
-    def journal_reader_lag(self) -> Optional[int]:
-        """Deepest observed reader lag in commits, or ``None``.
-
-        The distance between the current head and the lowest journal
-        position a reader proved coverage from since the last
-        auto-compaction — the retention target
-        ``compact_journal(auto=True)`` keeps, and the lag gauge the
-        observability layer exposes.
-        """
-        low = self._journal_reader_low_water
-        if low is None:
-            return None
-        return max(0, self._commit_count - low)
-
-    def _take_auto_floor(self) -> Optional[int]:
-        """Consume the auto-compaction floor target (the reader low water).
-
-        ``None`` means no reader proved journal coverage since the last
-        auto pass — auto-compaction then keeps everything, the safe
-        default.  Consuming resets the window: the next reader poll
-        re-establishes it, so retention follows the *current* slowest
-        reader instead of pinning on one that disappeared.  Run auto
-        compaction at most as often as the slowest reader polls.
-        """
-        low = self._journal_reader_low_water
-        self._journal_reader_low_water = None
-        return low
-
-    def read_journal_delta(
-        self, since: int
-    ) -> Optional[Dict[ClusterId, Optional[Product]]]:
-        """The folded journal delta after ``since``, or ``None`` if uncovered.
-
-        Merges :meth:`journal_entries` newest-wins into one
-        ``cluster_id -> product-or-None`` map — the exact upsert/remove
-        set a reader applies to move an index from snapshot ``since`` to
-        the current head without rebuilding.
-        """
-        entries = self.journal_entries(since)
-        if entries is None:
-            return None
-        delta: Dict[ClusterId, Optional[Product]] = {}
-        for _, touched in entries:
-            for cluster_id, product in touched:
-                delta[cluster_id] = product
-        return delta
-
-    def compact_journal(self, retain_commits: int = 0, auto: bool = False) -> int:
-        """Drop journal entries, keeping at most the last ``retain_commits``.
-
-        Raises the floor accordingly; readers pinned below the new floor
-        are forced onto the full-rebuild fallback (which the serving
-        layer reports distinctly — see ``CatalogSearchService`` resync
-        stats).  Returns the new floor.  No-op for journal-less backends.
-
-        ``auto=True`` ignores ``retain_commits`` and instead retains the
-        deepest observed reader lag: the floor rises at most to the
-        lowest position a reader proved delta coverage from (via
-        :meth:`journal_entries`) since the last auto pass, so a
-        slow-but-polling reader is never forced onto the full-rebuild
-        fallback.  With no observed reader the auto pass keeps
-        everything.
-        """
-        if retain_commits < 0:
-            raise ValueError(f"retain_commits must be >= 0, got {retain_commits}")
-        if auto:
-            self._take_auto_floor()
-        return self.journal_floor()
 
     # -- worker resync ---------------------------------------------------------
 

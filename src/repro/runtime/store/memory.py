@@ -2,15 +2,16 @@
 
 Everything lives in plain dicts; cluster payloads handed to the engine
 are live references, so serial execution stays zero-copy.
-``commit`` is a no-op and nothing survives the process — use
-:class:`~repro.runtime.store.sqlite.SqliteCatalogStore` for durability.
+``commit`` only advances the snapshot counter: there is no commit
+journal and nothing survives the process — use
+:class:`~repro.runtime.store.sqlite.SqliteCatalogStore` for durability
+and for the journal serving replicas follow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.model.offers import Offer
 from repro.model.products import Product
@@ -26,22 +27,9 @@ class MemoryCatalogStore(CatalogStore):
 
     name = "memory"
 
-    def __init__(self, journal_ring_size: int = 256) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if journal_ring_size < 1:
-            raise ValueError(f"journal_ring_size must be >= 1, got {journal_ring_size}")
         self._state = _InMemoryState()
-        #: Commit journal as a bounded ring: the deque's maxlen silently
-        #: drops the oldest entry, which is exactly journal truncation —
-        #: the floor recomputes from the oldest surviving entry.
-        self._journal: Deque[
-            Tuple[int, Tuple[Tuple[ClusterId, Optional[Product]], ...]]
-        ] = deque(maxlen=journal_ring_size)
-        #: Highest commit id no longer provably covered by the ring.
-        #: Raised when the ring evicts (or :meth:`compact_journal` runs);
-        #: empty commits need no entry, so coverage is floor-based rather
-        #: than per-commit.
-        self._journal_floor = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -51,64 +39,11 @@ class MemoryCatalogStore(CatalogStore):
         An installed fault hook fires first, so crash-injection tests
         can cut a batch down before it counts as committed — mirroring
         the durable backends, where a failed flush leaves the counter
-        untouched.  A successful barrier drains the touched-cluster set
-        into the journal ring, capturing each touched cluster's product
-        *as of this commit* (products are replaced wholesale, never
-        mutated, so holding the reference is snapshot-safe).
+        untouched.
         """
         self._fault_point("commit")
         self._commit_count += 1
-        touched = tuple(
-            (cluster_id, self._state.clusters[cluster_id].product)
-            for cluster_id in self._drain_touched()
-            if cluster_id in self._state.clusters
-        )
-        if touched:
-            if len(self._journal) == self._journal.maxlen:
-                # The append below evicts the oldest entry; everything up
-                # to (and including) its commit id stops being covered.
-                self._journal_floor = self._journal[0][0]
-            self._journal.append((self._commit_count, touched))
         self._obs_commits.inc()
-
-    # -- changed-cluster commit journal ----------------------------------------
-
-    def journal_floor(self) -> int:
-        """Highest commit id not covered by the in-memory ring."""
-        return self._journal_floor
-
-    def journal_entries(
-        self, since: int
-    ) -> Optional[List[Tuple[int, List[Tuple[ClusterId, Optional[Product]]]]]]:
-        """Per-commit deltas after ``since`` from the ring (oldest first)."""
-        if since > self._commit_count or since < self._journal_floor:
-            return None
-        self._observe_journal_read(since)
-        return [
-            (commit_id, list(touched))
-            for commit_id, touched in self._journal
-            if commit_id > since
-        ]
-
-    def compact_journal(self, retain_commits: int = 0, auto: bool = False) -> int:
-        """Drop ring entries, keeping at most the last ``retain_commits``.
-
-        ``auto=True`` retains the deepest observed reader lag instead
-        (see :meth:`repro.runtime.state.CatalogStore.compact_journal`).
-        """
-        if retain_commits < 0:
-            raise ValueError(f"retain_commits must be >= 0, got {retain_commits}")
-        if auto:
-            low_water = self._take_auto_floor()
-            if low_water is None:
-                return self._journal_floor
-            floor = max(self._journal_floor, min(low_water, self._commit_count))
-        else:
-            floor = max(self._journal_floor, self._commit_count - retain_commits)
-        while self._journal and self._journal[0][0] <= floor:
-            self._journal.popleft()
-        self._journal_floor = floor
-        return floor
 
     def close(self) -> None:
         """Nothing to release."""
@@ -157,20 +92,17 @@ class MemoryCatalogStore(CatalogStore):
         )
         self._state.clusters[cluster_id] = state
         self._state.shard_index.setdefault(shard_index, []).append(cluster_id)
-        self._journal_touch(cluster_id)
         return state
 
     def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
         """Append reconciled offers to an existing cluster, in place."""
         self._fault_point("append_offers")
         self._state.clusters[cluster_id].cluster.offers.extend(offers)
-        self._journal_touch(cluster_id)
 
     def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
         """Record the (re-)fused product of a cluster."""
         self._fault_point("set_product")
         self._state.clusters[cluster_id].product = product
-        self._journal_touch(cluster_id)
 
     def iter_clusters(self) -> Iterator[Tuple[ClusterId, ClusterState]]:
         """Iterate over every tracked cluster (live references)."""

@@ -66,6 +66,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import weakref
 from dataclasses import astuple, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -294,6 +295,15 @@ class SqliteCatalogStore(CatalogStore):
         partition: Optional[str] = None,
     ) -> None:
         super().__init__()
+        # Weak: a replaced or closed store must not be pinned in memory
+        # by the registry (a closed one reads 0, its callback failing).
+        ref = weakref.ref(self)
+        get_registry().gauge(
+            "journal_floor",
+            help="Highest commit id not covered by the commit journal.",
+            labels={"backend": self.name},
+            callback=lambda: (lambda s: 0 if s is None else s.journal_floor())(ref()),
+        )
         self._path = os.path.abspath(path)
         self._partition = partition
         # check_same_thread=False: a multi-node engine dispatches node
@@ -339,6 +349,9 @@ class SqliteCatalogStore(CatalogStore):
         self._dirty_products: Dict[ClusterId, Optional[Product]] = {}
         self._dirty_versions: set = set()
         self._stats_delta: Optional[ReconciliationStats] = None
+        # Clusters the pending mutations touched (insertion ordered,
+        # deduplicated): the commit's ``commit_journal`` entry.
+        self._touched_clusters: Dict[ClusterId, None] = {}
         self._restore()
         if partition is not None:
             return
@@ -788,64 +801,20 @@ class SqliteCatalogStore(CatalogStore):
         floor = self._meta("journal_floor")
         return self._commit_count if floor is None else int(floor)
 
-    def journal_entries(
-        self, since: int
-    ) -> Optional[List[Tuple[int, List[Tuple[ClusterId, Optional[Product]]]]]]:
-        """Per-commit deltas after ``since`` from ``commit_journal``.
-
-        Head and floor come from the file (not the mirror), so the call
-        is correct even when other processes committed since this
-        instance's last barrier.  Returns ``None`` when coverage of
-        ``(since, head]`` cannot be proven.
-        """
-        connection = self._require_open()
-        head = int(self._meta("commit_count") or 0)
-        floor = self._meta("journal_floor")
-        if floor is None or since < int(floor) or since > head:
-            return None
-        self._observe_journal_read(since)
-        grouped: Dict[int, List[Tuple[ClusterId, Optional[Product]]]] = {}
-        for commit_id, category_id, cluster_key, product_json in connection.execute(
-            "SELECT commit_id, category_id, cluster_key, product FROM commit_journal"
-            " WHERE commit_id > ? ORDER BY commit_id, category_id, cluster_key",
-            (since,),
-        ):
-            product = (
-                None
-                if product_json is None
-                else product_from_dict(json.loads(product_json))
-            )
-            grouped.setdefault(int(commit_id), []).append(
-                ((category_id, cluster_key), product)
-            )
-        return [(commit_id, grouped[commit_id]) for commit_id in sorted(grouped)]
-
-    def compact_journal(self, retain_commits: int = 0, auto: bool = False) -> int:
+    def compact_journal(self, retain_commits: int = 0) -> int:
         """Drop journal rows, keeping coverage of the last ``retain_commits``.
 
         Flushed immediately (like fencing epochs): the raised floor must
         be visible to every reader process at once, or a reader could
         apply a delta the deleted rows no longer back.  Readers pinned
-        below the new floor fall back to a full rebuild.
-
-        ``auto=True`` retains the deepest observed reader lag instead
-        (see :meth:`repro.runtime.state.CatalogStore.compact_journal`);
-        only readers of *this* store instance count — cross-process
-        readers (:class:`~repro.serving.reader.CatalogReader`) read the
-        file directly and are invisible here, so auto-compact from the
-        connection the readers poll through.
+        below the new floor fall back to a full rebuild.  Returns the
+        new floor.
         """
         if retain_commits < 0:
             raise ValueError(f"retain_commits must be >= 0, got {retain_commits}")
         connection = self._require_open()
         head = int(self._meta("commit_count") or 0)
-        if auto:
-            low_water = self._take_auto_floor()
-            if low_water is None:
-                return self.journal_floor()
-            floor = max(self.journal_floor(), min(low_water, head))
-        else:
-            floor = max(self.journal_floor(), head - retain_commits)
+        floor = max(self.journal_floor(), head - retain_commits)
         connection.execute("DELETE FROM commit_journal WHERE commit_id <= ?", (floor,))
         connection.execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES ('journal_floor', ?)",
@@ -904,7 +873,7 @@ class SqliteCatalogStore(CatalogStore):
         self._state.clusters[cluster_id] = state
         self._state.shard_index.setdefault(shard_index, []).append(cluster_id)
         self._new_clusters.append(cluster_id)
-        self._journal_touch(cluster_id)
+        self._touched_clusters[cluster_id] = None
         return state
 
     def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
@@ -919,7 +888,7 @@ class SqliteCatalogStore(CatalogStore):
                 (category_id, cluster_key, position + offset, json.dumps(offer_to_dict(offer)))
             )
         cluster.offers.extend(offers)
-        self._journal_touch(cluster_id)
+        self._touched_clusters[cluster_id] = None
 
     def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
         """Record a cluster's fused product (journalled)."""
@@ -927,7 +896,7 @@ class SqliteCatalogStore(CatalogStore):
         self._fault_point("set_product")
         self._state.clusters[cluster_id].product = product
         self._dirty_products[cluster_id] = product
-        self._journal_touch(cluster_id)
+        self._touched_clusters[cluster_id] = None
 
     def iter_clusters(self) -> Iterator[Tuple[ClusterId, ClusterState]]:
         """Iterate over every mirrored cluster."""

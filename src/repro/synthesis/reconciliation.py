@@ -32,12 +32,6 @@ class ReconciliationStats:
     pairs_mapped: int = 0
     pairs_discarded: int = 0
 
-    def mapping_rate(self) -> float:
-        """Fraction of extracted pairs that survived reconciliation."""
-        if self.pairs_seen == 0:
-            return 0.0
-        return self.pairs_mapped / self.pairs_seen
-
 
 class SchemaReconciler:
     """Apply learned attribute correspondences to offer specifications."""

@@ -54,7 +54,6 @@ class TestTableExperiments:
             for product in tiny_harness.synthesis_result.products
         }
         assert top_levels == expected
-        assert result.row_for("missing") is None
         assert "Table 3" in result.to_text()
 
     def test_table4_strata_partition_products(self, tiny_harness):

@@ -120,7 +120,6 @@ class TestCorrespondenceSet:
         correspondences.add(AttributeCorrespondence("Screen Size", "Size", "m", "c", 0.9))
         assert correspondences.translate("m", "c", "Size") == "Screen Size"
         assert len(correspondences) == 1
-        assert len(correspondences.all_added()) == 2
 
     def test_mapping_for(self):
         correspondences = CorrespondenceSet(
@@ -206,9 +205,10 @@ from repro.corpus.config import CorpusPreset
 from repro.experiments.harness import ExperimentHarness
 
 harness = ExperimentHarness(CorpusPreset.TINY.config())
-for corr in harness.offline_result.correspondences.all_added():
-    print(repr((corr.catalog_attribute, corr.offer_attribute, corr.merchant_id,
-                corr.category_id, corr.score)))
+for scored in harness.offline_result.scored_candidates:
+    candidate = scored.candidate
+    print(repr((candidate.catalog_attribute, candidate.offer_attribute, candidate.merchant_id,
+                candidate.category_id, scored.score)))
 """
 
 

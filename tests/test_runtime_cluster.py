@@ -290,12 +290,12 @@ def test_fenced_view_reports_the_base_stores_commit_count():
     of a forever-zero view-local counter."""
     base = MemoryCatalogStore()
     base.bind(4)
-    view = FencedStoreView(base, ShardLease(node_id="node-1"), deferred_commit=True)
+    view = FencedStoreView(base, ShardLease(node_id="node-1"))
     assert view.commit_count == 0
     base.commit()
     base.commit()
     assert view.commit_count == 2
-    # The deferred-commit view only validates; the counter stays the base's.
+    # The view's commit only validates; the counter stays the base's.
     view.commit()
     assert view.commit_count == base.commit_count == 2
 
@@ -588,6 +588,9 @@ class TestOneCoordinator:
             (SqliteCatalogStore, {"busy_timeout_ms": 5_000}),
             (MultiProcessEngine, {"node_timeout": 5.0}),
             (MultiNodeEngine, {"executor": "process"}),
+            # One commit journal (the SQLite store's), one commit barrier.
+            (MemoryCatalogStore, {"journal_ring_size": 256}),
+            (FencedStoreView, {"deferred_commit": True}),
             *[
                 (cluster, option)
                 for cluster in (MultiNodeEngine, MultiProcessEngine)
@@ -605,6 +608,10 @@ class TestOneCoordinator:
         path = tmp_path / "unused.sqlite3"
         if engine is SqliteCatalogStore:
             required = {"path": str(path)}
+        elif engine is MemoryCatalogStore:
+            required = {}
+        elif engine is FencedStoreView:
+            required = {"base": MemoryCatalogStore(), "lease": ShardLease(node_id="node-1")}
         else:
             required = {
                 "catalog": tiny_harness.corpus.catalog,

@@ -20,6 +20,7 @@ from repro.runtime import (
     resolve_store,
 )
 from repro.runtime.sharding import shard_for_category
+from repro.serving import CatalogReader
 from repro.synthesis.reconciliation import ReconciliationStats
 from repro.text.tfidf import IncrementalTfIdf
 
@@ -525,12 +526,12 @@ class TestPartitionedSharedStore:
         assert coordinator.commit_count == 1
         assert coordinator.committed_num_seen() == 2
         assert coordinator.committed_reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
-        [(commit_id, touched)] = coordinator.journal_entries(0)
-        assert commit_id == 1
-        assert sorted(cluster_id for cluster_id, _ in touched) == [
-            ("cat-a", "key"),
-            ("cat-b", "key"),
-        ]
+        # At head 1, the delta since 0 is exactly commit 1's entry.
+        reader = CatalogReader(path)
+        head, touched = reader.read_delta(0)
+        reader.close()
+        assert head == 1
+        assert sorted(touched) == [("cat-a", "key"), ("cat-b", "key")]
         coordinator.close()
 
         reader = SqliteCatalogStore(path)

@@ -55,7 +55,7 @@ class TestPipelineOnTinyCorpus:
         stats = tiny_harness.synthesis_result.reconciliation_stats
         assert stats.offers_processed == len(tiny_harness.unmatched_offers)
         assert stats.pairs_seen > 0
-        assert 0.0 < stats.mapping_rate() < 1.0
+        assert 0 < stats.pairs_mapped < stats.pairs_seen
 
     def test_average_attributes_reasonable(self, tiny_harness):
         average = tiny_harness.synthesis_result.average_attributes_per_product()
