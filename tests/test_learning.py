@@ -169,6 +169,31 @@ class TestNaiveBayes:
         assert set(nb.classes) == {"a", "b"}
         assert nb.vocabulary_size == 2
 
+    def test_the_predicted_class_holds_the_posterior_majority(self):
+        nb = self._trained()
+        document = ["megapixels", "zoom"]
+        posterior = nb.posterior(document)
+        label = nb.predict(document)
+        assert label == "camera"
+        assert label == max(posterior, key=posterior.get)
+        assert 0.5 < posterior[label] <= 1.0
+
+    def test_reads_leave_the_model_unchanged(self):
+        # The counts live in defaultdicts: a read that indexed one with a
+        # label or token the model never saw would insert it, and a class
+        # with zero documents makes every later predict() raise a math
+        # domain error.
+        nb = self._trained()
+        document = ["seagate", "zoom", "never-seen"]
+        scores_before = nb.log_scores(document)
+        nb.posterior(["never-seen", "also-never-seen"])
+        nb.predict(["never-seen"])
+        nb.dominant_class_by_token()
+        assert nb.classes == ["hdd", "camera"]
+        assert nb.vocabulary_size == 16
+        assert nb.log_scores(document) == scores_before
+        assert nb.predict(["seagate", "rpm"]) == "hdd"
+
 
 _TRAINING_TOKENS = ["seagate", "rpm", "sata", "canon", "zoom", "megapixels", "500", "gb"]
 _DOCUMENTS = st.lists(st.sampled_from(_TRAINING_TOKENS + ["unseen-1", "unseen-2"]), max_size=10)

@@ -306,6 +306,33 @@ class TestJournalPerCommit:
         engine.close()
 
 
+    def test_the_process_executor_journals_what_the_serial_one_does(
+        self, tiny_harness, tmp_path
+    ):
+        """Every commit journals the same clusters, with the same products,
+        whichever executor fused them (the process executor re-fuses
+        through the delta protocol)."""
+
+        def journals(name, **kwargs):
+            path = str(tmp_path / f"{name}.sqlite3")
+            engine = make_engine(tiny_harness, store="sqlite", store_path=path, **kwargs)
+            entries = []
+            for batch in feed_stream(tiny_harness):
+                engine.ingest(batch)
+                head, delta = read_delta(path, engine.store.commit_count - 1)
+                recorded = {
+                    cluster_id: None if product is None else fingerprint([product])
+                    for cluster_id, product in delta.items()
+                }
+                entries.append((head, recorded))
+            engine.close()
+            return entries
+
+        expected = journals("serial")
+        assert [head for head, _ in expected] == [1, 2, 3]
+        assert journals("process", executor="process", max_workers=2) == expected
+
+
 class TestClusterJournalCoverage:
     def test_multi_node_commits_are_journalled(self, tiny_harness, tmp_path):
         path = str(tmp_path / "nodejournal.sqlite3")
@@ -322,6 +349,33 @@ class TestClusterJournalCoverage:
         for batch in feed_stream(tiny_harness):
             cluster.ingest(batch)
         assert_journal_folds_to_catalog(path, cluster.products())
+        cluster.close()
+
+    def test_each_multi_node_batch_is_one_journal_entry(self, tiny_harness, tmp_path):
+        """A cluster batch commits once, however many nodes wrote it: at
+        head *k* the delta since *k - 1* is that batch's clusters, each
+        with the shared store's post-commit product."""
+        path = str(tmp_path / "nodebatches.sqlite3")
+        cluster = MultiNodeEngine(
+            catalog=tiny_harness.corpus.catalog,
+            correspondences=tiny_harness.offline_result.correspondences,
+            extractor=tiny_harness.extractor,
+            category_classifier=tiny_harness.category_classifier,
+            store="sqlite",
+            store_path=path,
+            num_nodes=2,
+            num_shards=8,
+        )
+        for number, batch in enumerate(feed_stream(tiny_harness), start=1):
+            report = cluster.ingest(batch)
+            head, journal = read_delta(path, number - 1)
+            assert head == cluster.store.commit_count == number
+            assert len(journal) >= report.clusters_touched > 0
+            for cluster_id, recorded in journal.items():
+                product = cluster.store.get_cluster(cluster_id).product
+                assert (recorded is None) == (product is None)
+                if product is not None:
+                    assert fingerprint([recorded]) == fingerprint([product])
         cluster.close()
 
     def test_multi_process_commits_are_journalled(self, tiny_harness, tmp_path):
@@ -384,6 +438,82 @@ class TestExplicitRetention:
             store.close()
 
 
+    def test_compaction_never_lowers_the_floor(self, tmp_path):
+        path = str(tmp_path / "monotone.sqlite3")
+        store = SqliteCatalogStore(path)
+        for key in ("a", "b", "c", "d"):
+            put(store, key, f"title {key}")
+            store.commit()
+        assert store.compact_journal(retain_commits=1) == 3
+        # Asking to retain more afterwards cannot bring deleted rows back.
+        assert store.compact_journal(retain_commits=4) == 3
+        assert store.journal_floor() == 3
+        assert read_delta(path, 2) == (4, None)
+        assert set(read_delta(path, 3)[1]) == {("cat.widgets", "d")}
+        store.close()
+
+    def test_retaining_more_than_the_head_keeps_every_commit(self, tmp_path):
+        path = str(tmp_path / "keepall.sqlite3")
+        store = SqliteCatalogStore(path)
+        for key in ("a", "b"):
+            put(store, key, f"title {key}")
+            store.commit()
+        assert store.compact_journal(retain_commits=2) == 0
+        assert store.compact_journal(retain_commits=10) == 0
+        head, delta = read_delta(path, 0)
+        assert head == 2
+        assert set(delta) == {("cat.widgets", "a"), ("cat.widgets", "b")}
+        store.close()
+
+    def test_an_open_reader_sees_the_raised_floor_at_once(self, tmp_path):
+        """Compaction is flushed immediately: a reader connection opened
+        before it never applies a delta the deleted rows no longer back."""
+        path = str(tmp_path / "openreader.sqlite3")
+        store = SqliteCatalogStore(path)
+        put(store, "a", "title a")
+        store.commit()
+        reader = CatalogReader(path)
+        try:
+            assert set(reader.read_delta(0)[1]) == {("cat.widgets", "a")}
+            put(store, "b", "title b")
+            store.commit()
+            assert store.compact_journal(retain_commits=0) == 2
+            assert reader.read_delta(0) == (2, None)
+            assert reader.read_delta(2) == (2, {})
+        finally:
+            reader.close()
+            store.close()
+
+    def test_the_raised_floor_survives_reopen(self, tmp_path):
+        path = str(tmp_path / "durablefloor.sqlite3")
+        store = SqliteCatalogStore(path)
+        for key in ("a", "b", "c"):
+            put(store, key, f"title {key}")
+            store.commit()
+        assert store.compact_journal(retain_commits=1) == 2
+        store.close()  # one more (empty) commit
+        reopened = SqliteCatalogStore(path)
+        try:
+            # Reopening keeps the compacted floor; it neither resets to 0
+            # (claiming deleted commits) nor jumps to the head.
+            assert reopened.journal_floor() == 2
+            assert reopened.commit_count == 4
+            assert read_delta(path, 1) == (4, None)
+            assert set(read_delta(path, 2)[1]) == {("cat.widgets", "c")}
+        finally:
+            reopened.close()
+
+    def test_a_closed_store_refuses_compaction(self, tmp_path):
+        store = SqliteCatalogStore(str(tmp_path / "closed.sqlite3"))
+        put(store, "a", "title a")
+        store.commit()
+        store.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            store.compact_journal(retain_commits=0)
+        with pytest.raises(RuntimeError, match="closed"):
+            store.journal_floor()
+
+
 class TestJournalFloorGauge:
     @pytest.fixture
     def registry(self):
@@ -411,6 +541,18 @@ class TestJournalFloorGauge:
         assert 'journal_floor{backend="memory"}' not in gauges
         assert not [key for key in gauges if key.startswith("journal_reader_lag")]
         store.close()
+
+    def test_a_closed_store_reads_a_zero_floor(self, registry, tmp_path):
+        """The gauge follows the live store; a closed one reads 0 rather
+        than failing the scrape."""
+        store = SqliteCatalogStore(str(tmp_path / "closedgauge.sqlite3"))
+        for key in ("a", "b"):
+            put(store, key, f"title {key}")
+            store.commit()
+        store.compact_journal(retain_commits=0)
+        assert registry.snapshot()["gauges"]['journal_floor{backend="sqlite"}'] == 2
+        store.close()
+        assert registry.snapshot()["gauges"]['journal_floor{backend="sqlite"}'] == 0
 
 
 class TestServiceFallback:
