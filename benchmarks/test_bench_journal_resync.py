@@ -4,7 +4,10 @@ Builds a 100,000-product catalog store directly through the store
 mutators (chunked commits), then measures a reader's full index build
 against a journal-delta resync after a small commit touching ~100
 clusters: the delta path applies O(changed) work and must be far
-cheaper than the rebuild.
+cheaper than the rebuild.  ``extra_info`` also records the primed
+index's size: the bytes a ``CatalogIndex`` over the store's products
+holds (tracemalloc, measured after the timed run, the decoded products
+themselves excluded), per product.
 
 The gating benchmark (``bench/``) reports the same two paths at its
 2,000-offer stream size (``service.prime_ms``, ``service.resync_ms``,
@@ -12,13 +15,15 @@ The gating benchmark (``bench/``) reports the same two paths at its
 size where the difference between O(changed) and O(catalog) is seconds.
 """
 
+import gc
 import time
+import tracemalloc
 
 from conftest import run_once
 
 from repro.model.products import Product
 from repro.runtime.store.sqlite import SqliteCatalogStore
-from repro.serving import CatalogSearchService
+from repro.serving import CatalogIndex, CatalogReader, CatalogSearchService
 
 #: Catalog size, ingest chunking, and the size of the small commit the
 #: delta resync applies.
@@ -89,6 +94,21 @@ def _measure_resync(store_path: str, store: SqliteCatalogStore):
         service.close()
 
 
+def _index_bytes_per_product(store_path: str) -> float:
+    """Traced bytes of an index built as the priming read builds it, per product."""
+    with CatalogReader(store_path) as reader:
+        _, products = reader.read_products()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = CatalogIndex(products)
+        index_bytes, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.num_products == CATALOG_PRODUCTS
+    return index_bytes / CATALOG_PRODUCTS
+
+
 def test_bench_journal_delta_resync_100k(benchmark, tmp_path):
     store_path = str(tmp_path / "bench-journal-100k.sqlite3")
     store = _build_large_store(store_path)
@@ -98,13 +118,16 @@ def test_bench_journal_delta_resync_100k(benchmark, tmp_path):
         )
     finally:
         store.close()
+    index_bytes = _index_bytes_per_product(store_path)
+    benchmark.extra_info["index_bytes_per_product"] = round(index_bytes, 1)
 
     speedup = full_seconds / max(delta_seconds, 1e-9)
     print()
     print(
         f"  full build {full_seconds:6.2f}s, "
         f"delta resync {delta_seconds * 1000:7.1f}ms "
-        f"({speedup:,.0f}x) over {CATALOG_PRODUCTS:,} products"
+        f"({speedup:,.0f}x) over {CATALOG_PRODUCTS:,} products; "
+        f"index {index_bytes:,.0f} bytes per product"
     )
     # The acceptance criterion: the journal turned the resync into
     # O(changed) work — no full rebuild, no journal truncation.

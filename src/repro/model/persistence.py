@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from sys import intern
 from typing import Dict, List, Union
 
 from repro.matching.correspondence import AttributeCorrespondence, CorrespondenceSet
-from repro.model.attributes import Specification
+from repro.model.attributes import AttributeValue, Specification
 from repro.model.catalog import Catalog
 from repro.model.merchants import Merchant
 from repro.model.offers import Offer
@@ -62,12 +63,21 @@ def product_to_dict(product: Product) -> Dict:
 
 
 def product_from_dict(payload: Dict) -> Product:
-    """Deserialise one product previously produced by :func:`product_to_dict`."""
+    """Deserialise one product previously produced by :func:`product_to_dict`.
+
+    Attribute names are interned: a catalog repeats a few dozen names
+    across every product, and a decoded catalog then holds each once.
+    """
     return Product(
         product_id=payload["product_id"],
         category_id=payload["category_id"],
         title=payload.get("title", ""),
-        specification=Specification(payload.get("specification", [])),
+        specification=Specification(
+            [
+                AttributeValue(intern(str(name)), str(value))
+                for name, value in payload.get("specification", [])
+            ]
+        ),
         source_offer_ids=tuple(payload.get("source_offer_ids", [])),
     )
 

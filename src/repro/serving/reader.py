@@ -127,7 +127,8 @@ class CatalogReader:
         every page, so the returned list is exactly the catalog of
         commit ``commit_count`` — a writer committing mid-scan changes
         nothing the transaction observes.  Products come back in the
-        canonical (category, cluster key) order.
+        canonical (category, cluster key) order.  The page cache the
+        scan filled is released before returning.
         """
         with self._lock:
             connection = self._require_open()
@@ -142,9 +143,14 @@ class CatalogReader:
                         break
                     products.extend(product for _, product in page)
                     after = page[-1][0]
-                return snapshot, products
             finally:
                 connection.execute("COMMIT")
+            # The scan left every page of the catalog in this connection's
+            # page cache; the journal reads that follow touch a few pages,
+            # so the cache is handed back rather than held for the
+            # process's lifetime.
+            connection.execute("PRAGMA shrink_memory")
+            return snapshot, products
 
     def read_delta(
         self, since: int

@@ -14,7 +14,7 @@ Jaro-Winkler similarity exceeds a threshold.  This module provides:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Collection, Dict, Iterable, Optional
 
 from repro.text.setsim import cosine_similarity
 from repro.text.string_metrics import jaro_winkler_similarity
@@ -29,11 +29,11 @@ class IncrementalTfIdf:
     Unlike :class:`TfIdfVectorizer`, which freezes its IDF table at
     construction time, this class keeps raw document frequencies and
     derives IDF values on demand, so documents can be appended at any
-    point (``add`` / ``extend``) without rebuilding anything — the
-    statistics the run-time engine maintains per category across
-    micro-batches.  Two instances built on disjoint corpus halves can be
-    combined with :meth:`merge`, which is what lets sharded ingestion
-    compute statistics in parallel and still agree with a serial pass.
+    point (``add`` / ``extend``) and dropped again (``discard``) without
+    rebuilding anything — the statistics the serving-side catalog index
+    maintains over its product documents.  :meth:`add_tokens` and
+    :meth:`discard_tokens` are the same updates for a caller that has
+    already tokenised the document.
 
     Unknown tokens at query time receive the maximum IDF, the conventional
     smoothing for out-of-vocabulary terms.
@@ -57,8 +57,12 @@ class IncrementalTfIdf:
 
     def add(self, text: str) -> None:
         """Account one document's tokens into the statistics."""
+        self.add_tokens(set(tokenize_value(text)))
+
+    def add_tokens(self, tokens: Iterable[str]) -> None:
+        """Account one document given as its distinct tokens."""
         self._num_documents += 1
-        for token in set(tokenize_value(text)):
+        for token in tokens:
             self._document_frequency[token] = self._document_frequency.get(token, 0) + 1
 
     def extend(self, corpus: Iterable[str]) -> None:
@@ -71,9 +75,7 @@ class IncrementalTfIdf:
 
         The exact inverse of :meth:`add`: after ``discard(text)`` the
         statistics are indistinguishable from never having added
-        ``text``.  The serving-side catalog index relies on this to
-        replace a product document in place when a cluster re-fuses
-        (its product id is stable but its title/attributes change).
+        ``text``.
 
         Raises
         ------
@@ -82,9 +84,18 @@ class IncrementalTfIdf:
             a document frequency can never go negative, so this always
             indicates the caller discarding something it never added.
         """
+        self.discard_tokens(set(tokenize_value(text)))
+
+    def discard_tokens(self, tokens: Collection[str]) -> None:
+        """The inverse of :meth:`add_tokens` (``tokens`` distinct).
+
+        The serving-side catalog index relies on this to replace a
+        product document in place when a cluster re-fuses (its product
+        id is stable but its title/attributes change).  Raises
+        ``ValueError`` as :meth:`discard` does.
+        """
         if self._num_documents == 0:
             raise ValueError("cannot discard from empty TF-IDF statistics")
-        tokens = set(tokenize_value(text))
         for token in tokens:
             frequency = self._document_frequency.get(token, 0)
             if frequency == 0:
@@ -98,41 +109,6 @@ class IncrementalTfIdf:
                 del self._document_frequency[token]
             else:
                 self._document_frequency[token] = frequency - 1
-
-    def merge(self, other: "IncrementalTfIdf") -> None:
-        """Fold another statistics object (built on disjoint documents) in."""
-        self._num_documents += other._num_documents
-        for token, frequency in other._document_frequency.items():
-            self._document_frequency[token] = (
-                self._document_frequency.get(token, 0) + frequency
-            )
-
-    # -- persistence -----------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The raw statistics as a JSON-compatible dict (see :meth:`from_state_dict`)."""
-        return {
-            "num_documents": self._num_documents,
-            "document_frequency": dict(self._document_frequency),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: Dict[str, object]) -> "IncrementalTfIdf":
-        """Rebuild statistics previously captured with :meth:`state_dict`.
-
-        The restored object is indistinguishable from the original: same
-        document count, same document frequencies, hence identical IDF
-        values — what lets a durable catalog store resume per-category
-        statistics across process restarts.
-        """
-        stats = cls()
-        stats._num_documents = int(state.get("num_documents", 0))
-        frequencies = state.get("document_frequency", {})
-        stats._document_frequency = {
-            str(token): int(frequency)
-            for token, frequency in frequencies.items()  # type: ignore[union-attr]
-        }
-        return stats
 
     # -- statistics ------------------------------------------------------------
 
@@ -218,18 +194,14 @@ class TfIdfVectorizer(IncrementalTfIdf):
             "use IncrementalTfIdf for updatable statistics"
         )
 
-    def add(self, text: str) -> None:
+    def add_tokens(self, tokens: Iterable[str]) -> None:
         """Refuse updates once the statistics are frozen."""
         if self._frozen:
             raise self._frozen_error()
-        super().add(text)
+        super().add_tokens(tokens)
 
-    def discard(self, text: str) -> None:
+    def discard_tokens(self, tokens: Collection[str]) -> None:
         """Always refuse: frozen statistics cannot drop documents."""
-        raise self._frozen_error()
-
-    def merge(self, other: IncrementalTfIdf) -> None:
-        """Always refuse: frozen statistics cannot absorb another corpus."""
         raise self._frozen_error()
 
     def idf(self, token: str) -> float:

@@ -377,25 +377,12 @@ class TestIncrementalTfIdf:
             assert incremental.idf(token) == pytest.approx(frozen.idf(token))
         assert incremental.transform("Seagate Raptor") == frozen.transform("Seagate Raptor")
 
-    def test_merge_agrees_with_serial(self):
-        left = IncrementalTfIdf(["Seagate Barracuda", "WD Raptor"])
-        right = IncrementalTfIdf(["Seagate Momentus"])
-        left.merge(right)
-        serial = IncrementalTfIdf(
-            ["Seagate Barracuda", "WD Raptor", "Seagate Momentus"]
-        )
-        assert left.num_documents == serial.num_documents
-        assert left.vocabulary_size == serial.vocabulary_size
-        assert left.idf("seagate") == pytest.approx(serial.idf("seagate"))
-
     def test_vectorizer_is_frozen(self):
         frozen = TfIdfVectorizer(["Seagate Barracuda"])
         with pytest.raises(TypeError):
             frozen.add("WD Raptor")
         with pytest.raises(TypeError):
             frozen.extend(["WD Raptor"])
-        with pytest.raises(TypeError):
-            frozen.merge(IncrementalTfIdf(["WD Raptor"]))
         assert frozen.num_documents == 1
 
 

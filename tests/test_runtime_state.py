@@ -22,7 +22,6 @@ from repro.runtime import (
 from repro.runtime.sharding import shard_for_category
 from repro.serving import CatalogReader
 from repro.synthesis.reconciliation import ReconciliationStats
-from repro.text.tfidf import IncrementalTfIdf
 
 
 from conftest import product_fingerprint as fingerprint
@@ -364,10 +363,11 @@ class TestOneEncodePerCommit:
             first.ingest(batch)
         first.close()
         connection = sqlite3.connect(path)
-        legacy = IncrementalTfIdf(["Seagate Barracuda 500 GB", "WD Raptor"])
+        # The row as the former per-category statistics serialised it.
+        legacy = {"num_documents": 1, "document_frequency": {"wd": 1, "raptor": 1}}
         connection.execute(
             "INSERT OR REPLACE INTO category_stats (category_id, stats) VALUES (?, ?)",
-            ("computing.hdd", json.dumps(legacy.state_dict())),
+            ("computing.hdd", json.dumps(legacy)),
         )
         connection.commit()
         connection.close()

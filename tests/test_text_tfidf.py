@@ -1,7 +1,5 @@
 """Tests for TF-IDF vectors and the SoftTFIDF similarity used by DUMAS."""
 
-import json
-
 import pytest
 
 from repro.text.tfidf import SoftTfIdf, TfIdfVectorizer
@@ -79,27 +77,3 @@ class TestSoftTfIdf:
 
     def test_threshold_property(self):
         assert SoftTfIdf(CORPUS, threshold=0.95).threshold == 0.95
-
-
-class TestIncrementalTfIdfPersistence:
-    def test_state_dict_round_trip(self):
-        from repro.text.tfidf import IncrementalTfIdf
-
-        stats = IncrementalTfIdf(CORPUS)
-        restored = IncrementalTfIdf.from_state_dict(
-            json.loads(json.dumps(stats.state_dict()))
-        )
-        assert restored.num_documents == stats.num_documents
-        assert restored.vocabulary_size == stats.vocabulary_size
-        for token in ("seagate", "barracuda", "unseen-token"):
-            assert restored.idf(token) == pytest.approx(stats.idf(token))
-        # The restored object keeps accumulating like the original.
-        restored.add("Seagate Cheetah")
-        assert restored.num_documents == stats.num_documents + 1
-
-    def test_empty_state_dict(self):
-        from repro.text.tfidf import IncrementalTfIdf
-
-        restored = IncrementalTfIdf.from_state_dict({})
-        assert restored.num_documents == 0
-        assert restored.vocabulary_size == 0
