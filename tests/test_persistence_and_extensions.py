@@ -89,6 +89,18 @@ class TestProductAndCorrespondencePersistence:
             assert before.specification == after.specification
             assert before.source_offer_ids == after.source_offer_ids
 
+    def test_decoded_attribute_names_are_shared(self, tiny_harness):
+        products = tiny_harness.synthesis_result.products
+        restored = products_from_dicts(json.loads(json.dumps(products_to_dicts(products))))
+        assert [p.specification for p in restored] == [p.specification for p in products]
+        # JSON decoding makes a fresh string per occurrence; every decoded
+        # occurrence of one attribute name is the same object.
+        by_name = {}
+        for product in restored:
+            for attribute in product.specification:
+                assert by_name.setdefault(attribute.name, attribute.name) is attribute.name
+        assert sum(len(p.specification) for p in restored) > len(by_name)
+
     def test_offer_round_trip_is_exact(self, tiny_harness):
         offers = tiny_harness.unmatched_offers[:10]
         restored = offers_from_dicts(json.loads(json.dumps(offers_to_dicts(offers))))

@@ -190,6 +190,23 @@ class TestTfIdfDiscard:
         for token in ("seagate", "barracuda", "wd", "raptor", "momentus"):
             assert stats.document_frequency(token) == reference.document_frequency(token)
 
+    def test_token_updates_match_text_updates(self):
+        by_text = IncrementalTfIdf(["seagate barracuda"])
+        by_tokens = IncrementalTfIdf(["seagate barracuda"])
+        by_text.add("WD Raptor raptor")
+        by_tokens.add_tokens(("wd", "raptor"))
+        by_text.add("Seagate Momentus")
+        by_tokens.add_tokens(("seagate", "momentus"))
+        by_text.discard("seagate barracuda")
+        by_tokens.discard_tokens(("seagate", "barracuda"))
+        assert by_tokens.num_documents == by_text.num_documents == 2
+        assert by_tokens.vocabulary_size == by_text.vocabulary_size
+        for token in ("seagate", "barracuda", "wd", "raptor", "momentus"):
+            assert by_tokens.document_frequency(token) == by_text.document_frequency(token)
+            assert by_tokens.idf(token) == by_text.idf(token)
+        with pytest.raises(ValueError, match="never added"):
+            by_tokens.discard_tokens(("hitachi",))
+
     def test_discard_rejects_unknown_documents(self):
         stats = IncrementalTfIdf(["seagate barracuda"])
         with pytest.raises(ValueError, match="never added"):
@@ -205,3 +222,14 @@ class TestTfIdfDiscard:
         vectorizer = TfIdfVectorizer(["seagate barracuda"])
         with pytest.raises(TypeError, match="frozen"):
             vectorizer.discard("seagate barracuda")
+
+    def test_frozen_vectorizer_rejects_token_updates(self):
+        from repro.text.tfidf import TfIdfVectorizer
+
+        vectorizer = TfIdfVectorizer(["seagate barracuda"])
+        with pytest.raises(TypeError, match="frozen"):
+            vectorizer.add_tokens(("wd", "raptor"))
+        with pytest.raises(TypeError, match="frozen"):
+            vectorizer.discard_tokens(("seagate", "barracuda"))
+        assert vectorizer.num_documents == 1
+        assert vectorizer.document_frequency("wd") == 0

@@ -167,6 +167,16 @@ class TestCatalogReader:
         assert reader.commit_count() == expected[0] + 1
         reader.close()
 
+    def test_a_primed_reader_reads_as_a_fresh_one(self, populated):
+        """Releasing the page cache after the full scan changes no later read."""
+        engine, path, _ = populated
+        with CatalogReader(path) as primed, CatalogReader(path) as fresh:
+            snapshot, products = primed.read_products()
+            assert primed.read_delta(1) == fresh.read_delta(1)
+            assert primed.read_products() == (snapshot, products)
+            assert primed.num_products() == len(products)
+            assert primed.count_by_category() == fresh.count_by_category()
+
     def test_readers_on_one_file_see_the_same_delta(self, populated):
         """Two replicas reading the same journal range get the same delta."""
         engine, path, _ = populated
