@@ -33,10 +33,6 @@ that practical at scale:
     :class:`~repro.runtime.state.CatalogStore` protocol with an
     in-memory backend (zero-copy default) and a durable WAL-mode SQLite
     backend (per-ingest commits, snapshot/restore across restarts).
-``delta``
-    The delta re-fusion protocol: process workers keep shard-resident
-    cluster state and receive only new offers per batch, resyncing from
-    the store when they restart or fall behind.
 ``executors``
     Pluggable shard executors (serial / process pool) with identical
     outputs and different wall-clock profiles.
@@ -55,6 +51,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "SynthesisEngine",
             "IngestReport",
             "EngineSnapshot",
+            "TransportStats",
         ),
         "repro.runtime.cluster": (
             "MultiNodeEngine",
@@ -78,6 +75,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "resolve_store",
         ),
         "repro.runtime.store": ("MemoryCatalogStore", "SqliteCatalogStore"),
-        "repro.runtime.delta": ("TransportStats",),
     },
 )

@@ -1,16 +1,15 @@
-"""Multi-node shard coordination with per-shard version fencing.
+"""Multi-node shard coordination with per-shard epoch fencing.
 
 One :class:`~repro.runtime.engine.SynthesisEngine` scales vertically
 (sharded executors); this module scales it *horizontally*: a
 :class:`ShardCoordinator` partitions the category shards across N engine
 nodes that cooperate over one shared :class:`~repro.runtime.state.CatalogStore`
 — the paper's catalog-at-web-scale scenario, with the authoritative
-state kept in a single fenced store and only compact per-batch deltas
-moving between processes.
+state kept in a single fenced store and only routed sub-batches and
+their store journals moving between processes.
 
 The safety mechanism is **epoch fencing**.  Every shard carries a
-monotonic *epoch* in the store (distinct from the delta protocol's
-per-dispatch *version* counter): granting a shard to a node bumps the
+monotonic *epoch* in the store: granting a shard to a node bumps the
 epoch, and the grant — a :class:`ShardLease` — records the epoch the
 node was given.  Every cluster write a node issues travels through its
 :class:`FencedStoreView`, carries the leased epoch, and is checked
@@ -69,8 +68,7 @@ from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.obs import get_registry, merge_snapshot
-from repro.runtime.delta import TransportStats
-from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine
+from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine, TransportStats
 from repro.runtime.node import FencedStoreView, NodeProtocol, NodeVote, ShardLease
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, resolve_store
@@ -190,8 +188,7 @@ class ShardCoordinator:
         shard lands on one node.  Deterministic: ties break on shard
         index and node id.  Every shard that changes owner is re-fenced
         exactly as in a membership change, so in-flight holders are cut
-        off and the new owner's workers resync through the delta
-        protocol.  Returns the new assignment.
+        off.  Returns the new assignment.
         """
         nodes = self.nodes()
         bins = {node_id: 0.0 for node_id in nodes}

@@ -18,12 +18,12 @@ reconciliation counters — lives behind a pluggable
   and restores the full engine state across process restarts, so a
   stream can resume exactly where a killed process left off.
 
-With a process-pool executor the engine speaks the *delta re-fusion
-protocol* (:mod:`repro.runtime.delta`): workers keep shard-resident
-cluster state and each batch ships only the new offers plus touched
-cluster ids, with a per-shard version counter so a worker that restarted
-or fell behind resyncs from the store.  Serial execution shares the
-store's memory directly and needs no deltas.
+Every executor re-fuses a batch the same way: each touched cluster's
+full contents go, grouped by shard, through
+:meth:`~repro.runtime.executors.SerialExecutor.map_shards` — in this
+process for the serial executor, over a process pool for
+``executor="process"``.  Fusion is a pure function of the cluster, so
+the executor never changes the products.
 
 Compared with looping ``pipeline.synthesize()`` over a stream (which must
 re-run every stage over all offers seen so far to keep the product set
@@ -57,13 +57,7 @@ from repro.matching.correspondence import CorrespondenceSet
 from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
-from repro.obs import get_registry
-from repro.runtime.delta import (
-    ClusterDelta,
-    DeltaShardTask,
-    TransportStats,
-    fuse_delta_shard,
-)
+from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.runtime.executors import ShardExecutor, resolve_executor
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, resolve_store
@@ -73,7 +67,7 @@ from repro.synthesis.fusion import CentroidValueFusion, MemoizedValueFusion
 from repro.synthesis.pipeline import ProductSynthesisPipeline, build_product_from_cluster
 from repro.synthesis.reconciliation import ReconciliationStats
 
-__all__ = ["IngestReport", "EngineSnapshot", "SynthesisEngine"]
+__all__ = ["IngestReport", "EngineSnapshot", "SynthesisEngine", "TransportStats"]
 
 
 @dataclass
@@ -129,18 +123,151 @@ class EngineSnapshot:
 
 
 @dataclass
+class TransportStats:
+    """Cumulative executor-payload accounting of one engine.
+
+    ``offers_shipped`` counts the offers of every cluster re-fused: each
+    batch ships its touched clusters' full contents to the executor, so
+    it grows with *cluster* sizes, not batch sizes.
+    """
+
+    batches: int = 0
+    shard_tasks: int = 0
+    clusters_shipped: int = 0
+    offers_shipped: int = 0
+    #: Always 0: no worker keeps cluster state to reload.  Kept because
+    #: the benchmark's process-executor pass reads it.
+    worker_resyncs: int = 0
+    #: Pipe-protocol frames a cluster coordinator sent to its nodes.
+    frames_sent: int = 0
+    #: Pipe-protocol frames a cluster coordinator received from nodes.
+    frames_received: int = 0
+    #: Serialized payload bytes of the sent frames.
+    frame_bytes_sent: int = 0
+    #: Serialized payload bytes of the received frames.
+    frame_bytes_received: int = 0
+    #: Offers whose routing hint pointed at the wrong node and that were
+    #: re-shipped to their true owner at the classification barrier.
+    misrouted_offers: int = 0
+    #: Offers that were hint-routed at all (misrouted or not); the
+    #: denominator of :attr:`hint_accuracy`.
+    hinted_offers: int = 0
+
+    @property
+    def hint_accuracy(self) -> Optional[float]:
+        """Fraction of hint-routed offers whose hint was correct.
+
+        ``None`` when hint routing never ran (no denominator) — the
+        gauge the ROADMAP asks for: an accuracy that degrades over a
+        stream is the signal to retrain or widen the hinter's vote
+        table, *before* misroute re-ships start dominating transport.
+        """
+        if self.hinted_offers == 0:
+            return None
+        return 1.0 - self.misrouted_offers / self.hinted_offers
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-compatible summary."""
+        return {
+            "batches": self.batches,
+            "shard_tasks": self.shard_tasks,
+            "clusters_shipped": self.clusters_shipped,
+            "offers_shipped": self.offers_shipped,
+            "worker_resyncs": self.worker_resyncs,
+            "frames_sent": self.frames_sent,
+            "frames_received": self.frames_received,
+            "frame_bytes_sent": self.frame_bytes_sent,
+            "frame_bytes_received": self.frame_bytes_received,
+            "misrouted_offers": self.misrouted_offers,
+            "hinted_offers": self.hinted_offers,
+            "hint_accuracy": self.hint_accuracy,
+        }
+
+    def merge(self, other: "TransportStats") -> None:
+        """Fold another engine's counters into this one.
+
+        A multi-node engine aggregates its per-node transport accounting
+        this way; counters are plain sums, so the merge is order-free.
+        """
+        self.batches += other.batches
+        self.shard_tasks += other.shard_tasks
+        self.clusters_shipped += other.clusters_shipped
+        self.offers_shipped += other.offers_shipped
+        self.worker_resyncs += other.worker_resyncs
+        self.frames_sent += other.frames_sent
+        self.frames_received += other.frames_received
+        self.frame_bytes_sent += other.frame_bytes_sent
+        self.frame_bytes_received += other.frame_bytes_received
+        self.misrouted_offers += other.misrouted_offers
+        self.hinted_offers += other.hinted_offers
+
+    def metrics_fragment(
+        self, labels: Optional[Dict[str, str]] = None
+    ) -> Dict[str, object]:
+        """This accounting as a :mod:`repro.obs` snapshot fragment.
+
+        The registry *reads through* pre-existing stat objects instead of
+        double-writing them: engines and cluster coordinators register a
+        provider that calls this, so ``registry.snapshot()`` and
+        ``/metrics`` expose the same counters ``transport_stats()``
+        reports, under stable family names.
+        """
+        fields = {
+            "transport_batches_total": self.batches,
+            "transport_shard_tasks_total": self.shard_tasks,
+            "transport_clusters_shipped_total": self.clusters_shipped,
+            "transport_offers_shipped_total": self.offers_shipped,
+            "pipe_frames_sent_total": self.frames_sent,
+            "pipe_frames_received_total": self.frames_received,
+            "pipe_frame_bytes_sent_total": self.frame_bytes_sent,
+            "pipe_frame_bytes_received_total": self.frame_bytes_received,
+            "routing_misrouted_offers_total": self.misrouted_offers,
+            "routing_hinted_offers_total": self.hinted_offers,
+        }
+        help_texts = {
+            "transport_batches_total": "Engine batches shipped to shard executors.",
+            "transport_shard_tasks_total": "Per-shard executor tasks dispatched.",
+            "transport_clusters_shipped_total": "Touched clusters shipped to shard executors.",
+            "transport_offers_shipped_total": "Offers serialised into executor payloads.",
+            "pipe_frames_sent_total": "Pipe-protocol frames sent to cluster node processes.",
+            "pipe_frames_received_total": "Pipe-protocol frames received from node processes.",
+            "pipe_frame_bytes_sent_total": "Serialized payload bytes of sent pipe frames.",
+            "pipe_frame_bytes_received_total": "Serialized payload bytes of received pipe frames.",
+            "routing_misrouted_offers_total": "Hint-routed offers re-homed at the classify barrier.",
+            "routing_hinted_offers_total": "Offers routed via category hints at all.",
+        }
+        counters = {
+            series_key(name, labels): float(value)
+            for name, value in fields.items()
+            if value
+        }
+        gauges: Dict[str, float] = {}
+        accuracy = self.hint_accuracy
+        if accuracy is not None:
+            gauges[series_key("routing_hint_accuracy", labels)] = accuracy
+        families = {
+            name: {"type": "counter", "help": help_texts[name]}
+            for name in fields
+            if fields[name]
+        }
+        if accuracy is not None:
+            families["routing_hint_accuracy"] = {
+                "type": "gauge",
+                "help": "Fraction of hint-routed offers whose hint was correct.",
+            }
+        return snapshot_fragment(counters=counters, gauges=gauges, families=families)
+
+
+@dataclass
 class _PendingAppend:
     """This batch's additions to one cluster, before re-fusion."""
 
     shard_index: int
-    #: Cluster size before this batch (what a worker delta applies on top of).
-    base_size: int
     offers: List[Offer] = field(default_factory=list)
 
 
-#: One full-state executor payload: fuse these clusters with these
-#: schema attributes (the non-delta protocol; see repro.runtime.delta
-#: for the incremental one).
+#: One shard's executor payload: fuse these clusters with these schema
+#: attributes.
 _ShardTask = Tuple[List[Tuple[OfferCluster, List[str]]], object]
 
 
@@ -186,13 +313,6 @@ class SynthesisEngine:
         run.  Store choice never changes the synthesized products.
     store_path:
         Filesystem path of the SQLite store (``store="sqlite"`` only).
-
-    The re-fusion protocol follows the executor: one with pinned
-    dispatch (the process pool) gets the delta protocol — workers keep
-    shard-resident clusters and a batch ships only its new offers — and
-    every other executor fuses the touched clusters' full contents in
-    this process.  Either way the products are byte-identical; only the
-    payload volume differs (see :meth:`transport_stats`).
     """
 
     def __init__(
@@ -268,13 +388,10 @@ class SynthesisEngine:
 
         self._obs_provider = registry.add_provider(_transport_provider)
 
-        # Delta workers get the plain fusion and wrap it in their own
-        # shard-resident memo.  Full-state re-fusion (serial execution)
-        # shares one memo across batches, so unchanged
-        # attribute-value lists are selected once.  Either way the
-        # selected values are identical — the memo is transparent.
-        self._base_fusion = self._pipeline.fusion
-        self._worker_fusion = MemoizedValueFusion(self._base_fusion)
+        # One memo across batches, so unchanged attribute-value lists are
+        # selected once (a process pool gets a pickled copy per task).  The
+        # memo is transparent: the selected values are identical.
+        self._fusion = MemoizedValueFusion(self._pipeline.fusion)
 
     # -- streaming ingest ------------------------------------------------------
 
@@ -384,8 +501,7 @@ class SynthesisEngine:
         """Route offers to their clusters; returns this batch's appends.
 
         The returned dict is keyed by cluster id in first-touch order and
-        records, per touched cluster, the pre-batch size plus the new
-        offers — exactly what both re-fusion protocols need.
+        records, per touched cluster, its shard and its new offers.
         """
         clusterer = self._pipeline.clusterer
         pending: Dict[ClusterId, _PendingAppend] = {}
@@ -404,7 +520,7 @@ class SynthesisEngine:
                 state = self._store.get_cluster(cluster_id)
                 if state is None:
                     state = self._store.create_cluster(shard_index, cluster_id)
-                entry = _PendingAppend(shard_index=shard_index, base_size=state.size())
+                entry = _PendingAppend(shard_index=shard_index)
                 pending[cluster_id] = entry
             entry.offers.append(offer)
             report.offers_clustered += 1
@@ -413,21 +529,10 @@ class SynthesisEngine:
         return pending
 
     def _refuse_clusters(self, pending: "Dict[ClusterId, _PendingAppend]") -> int:
-        """Re-fuse the touched clusters (sharded, via the executor)."""
+        """Re-fuse the touched clusters' full contents, one executor task per shard."""
         by_shard: Dict[int, List[ClusterId]] = {}
         for cluster_id, entry in pending.items():
             by_shard.setdefault(entry.shard_index, []).append(cluster_id)
-        if not by_shard:
-            return 0
-        # Pinned workers keep shard-resident clusters: ship them deltas.
-        if getattr(self._executor, "supports_pinning", False):
-            return self._refuse_delta(by_shard, pending)
-        return self._refuse_full(by_shard)
-
-    # -- full-state protocol ---------------------------------------------------
-
-    def _refuse_full(self, by_shard: Dict[int, List[ClusterId]]) -> int:
-        """Ship complete touched-cluster contents (the original protocol)."""
         payloads: List[_ShardTask] = []
         payload_keys: List[List[ClusterId]] = []
         for shard_index in sorted(by_shard):
@@ -445,7 +550,7 @@ class SynthesisEngine:
                 self._transport_stats.clusters_shipped += 1
                 self._transport_stats.offers_shipped += state.size()
             if jobs:
-                payloads.append((jobs, self._worker_fusion))
+                payloads.append((jobs, self._fusion))
                 payload_keys.append(keys)
         self._transport_stats.shard_tasks += len(payloads)
 
@@ -456,116 +561,6 @@ class SynthesisEngine:
                 self._store.set_product(cluster_id, product)
                 if product is not None:
                     refreshed += 1
-        return refreshed
-
-    # -- delta protocol --------------------------------------------------------
-
-    def _delta_for(
-        self, cluster_id: ClusterId, base_size: int, offers: List[Offer]
-    ) -> ClusterDelta:
-        state = self._store.get_cluster(cluster_id)
-        self._transport_stats.clusters_shipped += 1
-        self._transport_stats.offers_shipped += len(offers)
-        return ClusterDelta(
-            cluster_id=cluster_id,
-            attribute_names=self._pipeline.attribute_names_for(state.cluster),
-            base_size=base_size,
-            new_offers=offers,
-            fuse=state.size() >= self._min_cluster_size,
-        )
-
-    def _dispatch_delta_tasks(
-        self, tasks_by_shard: Dict[int, List[ClusterDelta]]
-    ) -> List[ClusterId]:
-        """Dispatch one delta task per shard; returns clusters to re-ship.
-
-        Applies every fused product to the store; clusters a worker could
-        not reconstruct (restart without a durable resync source) are
-        returned for a full-content retry.
-        """
-        payloads: List[DeltaShardTask] = []
-        shards: List[int] = []
-        resync_path = self._store.worker_resync_path()
-        for shard_index in sorted(tasks_by_shard):
-            base_version, new_version = self._store.advance_shard_version(shard_index)
-            payloads.append(
-                DeltaShardTask(
-                    store_token=self._store.token,
-                    shard_index=shard_index,
-                    base_version=base_version,
-                    new_version=new_version,
-                    deltas=tasks_by_shard[shard_index],
-                    fusion=self._base_fusion,
-                    resync_path=resync_path,
-                )
-            )
-            shards.append(shard_index)
-        self._transport_stats.shard_tasks += len(payloads)
-
-        results = self._executor.map_pinned(fuse_delta_shard, payloads, shards)
-        missing: List[ClusterId] = []
-        for task, result in zip(payloads, results):
-            unresolved = set(result.missing)
-            for delta, product in zip(task.deltas, result.products):
-                if delta.cluster_id in unresolved:
-                    continue
-                self._store.set_product(delta.cluster_id, product if delta.fuse else None)
-            self._transport_stats.worker_resyncs += result.resynced
-            missing.extend(result.missing)
-        return missing
-
-    def _refuse_delta(
-        self,
-        by_shard: Dict[int, List[ClusterId]],
-        pending: "Dict[ClusterId, _PendingAppend]",
-    ) -> int:
-        """Ship only new offers per touched cluster (pinned workers)."""
-        tasks_by_shard: Dict[int, List[ClusterDelta]] = {}
-        for shard_index in sorted(by_shard):
-            tasks_by_shard[shard_index] = [
-                self._delta_for(
-                    cluster_id, pending[cluster_id].base_size, pending[cluster_id].offers
-                )
-                for cluster_id in by_shard[shard_index]
-            ]
-        missing = self._dispatch_delta_tasks(tasks_by_shard)
-
-        if missing:
-            # A worker restarted and had no durable store to resync from:
-            # re-ship those clusters in full (base_size=0 = replace).
-            self._transport_stats.full_retries += len(missing)
-            retry_by_shard: Dict[int, List[ClusterDelta]] = {}
-            for cluster_id in missing:
-                state = self._store.get_cluster(cluster_id)
-                delta = ClusterDelta(
-                    cluster_id=cluster_id,
-                    attribute_names=self._pipeline.attribute_names_for(state.cluster),
-                    base_size=0,
-                    new_offers=list(state.cluster.offers),
-                    fuse=state.size() >= self._min_cluster_size,
-                )
-                self._transport_stats.clusters_shipped += 1
-                self._transport_stats.offers_shipped += state.size()
-                retry_by_shard.setdefault(state.shard_index, []).append(delta)
-            still_missing = self._dispatch_delta_tasks(retry_by_shard)
-            # base_size=0 replacements always apply; fuse any leftovers
-            # engine-side so no cluster is ever silently dropped.
-            for cluster_id in still_missing:  # pragma: no cover - defensive
-                state = self._store.get_cluster(cluster_id)
-                product = None
-                if state.size() >= self._min_cluster_size:
-                    product = build_product_from_cluster(
-                        state.cluster,
-                        self._pipeline.attribute_names_for(state.cluster),
-                        self._base_fusion,
-                    )
-                self._store.set_product(cluster_id, product)
-
-        refreshed = 0
-        for cluster_id in pending:
-            state = self._store.get_cluster(cluster_id)
-            if state.product is not None:
-                refreshed += 1
         return refreshed
 
     # -- views ----------------------------------------------------------------

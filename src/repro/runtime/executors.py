@@ -14,8 +14,7 @@ the engine as a context manager) to release workers.
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     import concurrent.futures
@@ -32,9 +31,6 @@ class SerialExecutor:
     """Run shard tasks one after another in the calling thread."""
 
     name = "serial"
-    #: Whether ``map_pinned`` routes equal keys to the same worker across
-    #: calls — the property the delta re-fusion protocol builds on.
-    supports_pinning = False
 
     def map_shards(self, function: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
         """Apply ``function`` to each payload, preserving order."""
@@ -45,29 +41,15 @@ class SerialExecutor:
 
 
 class ProcessPoolShardExecutor:
-    """Fan shards out over a process pool (true CPU parallelism).
-
-    Besides the plain ``map_shards`` pool, this executor maintains a set
-    of *pinned* single-worker pools for :meth:`map_pinned`: payloads with
-    the same key always land in the same worker process across calls.
-    That stable shard→worker affinity is what lets workers keep
-    shard-resident cluster state between batches (the delta re-fusion
-    protocol, :mod:`repro.runtime.delta`) instead of receiving full
-    cluster contents every time.
-    """
+    """Fan shards out over a process pool (true CPU parallelism)."""
 
     name = "process"
-    supports_pinning = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._max_workers = max_workers
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._pinned_pools: Dict[int, concurrent.futures.ProcessPoolExecutor] = {}
-
-    def _num_slots(self) -> int:
-        return self._max_workers or os.cpu_count() or 1
 
     def map_shards(self, function: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
         """Apply ``function`` to each payload concurrently, preserving order."""
@@ -83,46 +65,11 @@ class ProcessPoolShardExecutor:
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self._max_workers)
         return list(self._pool.map(function, payloads))
 
-    def map_pinned(
-        self,
-        function: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        keys: Sequence[int],
-    ) -> List[Any]:
-        """Apply ``function`` to each payload on its key's pinned worker.
-
-        Payloads are dispatched concurrently (one single-worker pool per
-        key slot, created lazily) and results come back in payload order.
-        Equal keys — and keys congruent modulo the worker count — are
-        guaranteed to run in the same OS process across calls, for the
-        lifetime of this executor.
-        """
-        if len(payloads) != len(keys):
-            raise ValueError(
-                f"payloads and keys must parallel each other, "
-                f"got {len(payloads)} payloads and {len(keys)} keys"
-            )
-        num_slots = self._num_slots()
-        futures = []
-        for payload, key in zip(payloads, keys):
-            slot = key % num_slots
-            pool = self._pinned_pools.get(slot)
-            if pool is None:
-                import concurrent.futures
-
-                pool = concurrent.futures.ProcessPoolExecutor(max_workers=1)
-                self._pinned_pools[slot] = pool
-            futures.append(pool.submit(function, payload))
-        return [future.result() for future in futures]
-
     def close(self) -> None:
-        """Shut all pools down (they are re-created lazily if used again)."""
+        """Shut the pool down (it is re-created lazily if used again)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        pinned, self._pinned_pools = self._pinned_pools, {}
-        for pool in pinned.values():
-            pool.shutdown()
 
 
 #: Anything accepted by :func:`resolve_executor`.

@@ -25,8 +25,7 @@ from repro.corpus.webstore import WebStore
 from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.obs import get_registry
-from repro.runtime.delta import TransportStats
-from repro.runtime.engine import IngestReport, SynthesisEngine
+from repro.runtime.engine import IngestReport, SynthesisEngine, TransportStats
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, ClusterState, StaleEpochError
 from repro.runtime.store.sqlite import SqliteCatalogStore, StoreJournal
@@ -65,7 +64,7 @@ class FencedStoreView(CatalogStore):
     """One node's epoch-carrying, lock-serialised view of a shared store.
 
     Reads and global writes delegate to the base store under the cluster
-    lock; cluster-scoped writes (create/append/product/version) first
+    lock; cluster-scoped writes (create/append/product) first
     present the leased epoch of the target shard for validation, so a
     fenced-out node fails fast instead of corrupting reassigned shards.
     Global writes are fenced at the commit barrier.
@@ -86,10 +85,6 @@ class FencedStoreView(CatalogStore):
         self._base = base
         self._lease = lease
         self._lock = lock if lock is not None else threading.RLock()
-        # The delta protocol keys worker-resident caches on the token:
-        # views must share the base store's generation, or every node
-        # restart would needlessly orphan worker state.
-        self.token = base.token
         self.name = f"fenced-{base.name}"
         self._num_shards = base.num_shards
 
@@ -162,10 +157,6 @@ class FencedStoreView(CatalogStore):
     def closed(self) -> bool:
         """Whether the shared base store can no longer accept writes."""
         return self._base.closed
-
-    def worker_resync_path(self) -> Optional[str]:
-        """The base store's durable resync location (or ``None``)."""
-        return self._base.worker_resync_path()
 
     # -- seen offers -----------------------------------------------------------
 
@@ -255,18 +246,7 @@ class FencedStoreView(CatalogStore):
         with self._lock:
             return self._base.reconciliation_stats()
 
-    # -- shard versions / epochs -----------------------------------------------
-
-    def shard_version(self, shard_index: int) -> int:
-        """The delta-protocol version counter of one shard."""
-        with self._lock:
-            return self._base.shard_version(shard_index)
-
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump an owned shard's version counter (epoch-checked)."""
-        with self._lock:
-            self._check_shard(shard_index)
-            return self._base.advance_shard_version(shard_index)
+    # -- shard epochs ----------------------------------------------------------
 
     def shard_epoch(self, shard_index: int) -> int:
         """The authoritative fencing epoch of one shard."""

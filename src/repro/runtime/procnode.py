@@ -114,7 +114,7 @@ from repro.runtime.cluster import (
     NodeVote,
     ShardLease,
 )
-from repro.runtime.delta import TransportStats
+from repro.runtime.engine import TransportStats
 from repro.runtime.store.sqlite import SqliteCatalogStore
 
 __all__ = [
@@ -205,7 +205,7 @@ class ProcessNode(ClusterNode):
     :class:`~repro.runtime.cluster.NodeDeadError`.  Each message
     travels as one explicitly pickled frame, and every frame and its
     payload bytes are counted into ``pipe_stats`` — the engine-level
-    :class:`~repro.runtime.delta.TransportStats` that makes the pipe
+    :class:`~repro.runtime.engine.TransportStats` that makes the pipe
     protocol's cost measurable (and regressions visible).  The boot
     frames of :meth:`boot` are set-up, not protocol, and are not counted.
     """

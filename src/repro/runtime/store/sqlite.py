@@ -8,7 +8,7 @@ Layout (one row per fact, JSON payloads via the
     assigned_categories(offer_id, ...)    -- classifier output
     clusters(category_id, cluster_key, product)
     cluster_offers(category_id, cluster_key, position, offer)
-    shard_versions(shard, version)        -- delta-protocol counters
+    shard_versions(shard, version)        -- unused; kept for format-1 readers
     shard_epochs(shard, epoch)            -- multi-node fencing epochs
     reconciliation_stats(id=1, ...)       -- running totals
     commit_journal(commit_id, category_id, cluster_key, product)
@@ -21,11 +21,6 @@ killed process loses at most the batch that was in flight.  Reopening
 the same path restores the complete engine state; re-fusing restored
 clusters yields byte-identical products because offers round-trip
 exactly through the JSON serialisers.
-
-Because the file is a consistent snapshot after every commit, process
-workers of the delta re-fusion protocol can resync a shard straight from
-it (:meth:`worker_resync_path`) instead of having cluster contents
-re-shipped through the task queue.
 
 **One write path.**  What :meth:`SqliteCatalogStore.commit` writes is a
 :class:`StoreJournal`: the batch's rows, already JSON-encoded.
@@ -90,7 +85,7 @@ from repro.runtime.state import (
 from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
 
-__all__ = ["SqliteCatalogStore", "StoreJournal", "load_shard_clusters", "read_product_page"]
+__all__ = ["SqliteCatalogStore", "StoreJournal", "read_product_page"]
 
 #: Bumped when the table layout changes incompatibly.
 _FORMAT_VERSION = 1
@@ -124,7 +119,7 @@ CREATE TABLE IF NOT EXISTS cluster_offers (
     offer TEXT NOT NULL,
     PRIMARY KEY (category_id, cluster_key, position)
 ) WITHOUT ROWID;
--- Never written or read; format-1 code that still restores it opens our files.
+-- Never written or read; format-1 code that still restores them opens our files.
 CREATE TABLE IF NOT EXISTS category_stats (
     category_id TEXT PRIMARY KEY,
     stats TEXT NOT NULL
@@ -166,36 +161,6 @@ CREATE TABLE IF NOT EXISTS commit_journal (
     PRIMARY KEY (commit_id, category_id, cluster_key)
 ) WITHOUT ROWID;
 """
-
-
-def load_shard_clusters(
-    path: str, cluster_ids: List[ClusterId]
-) -> Dict[ClusterId, List[Offer]]:
-    """Load the committed offer lists of selected clusters from ``path``.
-
-    Used by delta-protocol process workers to resync: the file reflects
-    the last engine commit (= the state *before* the in-flight batch), so
-    the caller applies the current batch's delta on top.  Missing
-    clusters simply have no entry in the result.
-    """
-    # A plain read-only connection per call keeps the worker side free of
-    # connection state; resyncs are rare (worker restart / fresh worker).
-    connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    try:
-        loaded: Dict[ClusterId, List[Offer]] = {}
-        for category_id, cluster_key in cluster_ids:
-            rows = connection.execute(
-                "SELECT offer FROM cluster_offers"
-                " WHERE category_id = ? AND cluster_key = ? ORDER BY position",
-                (category_id, cluster_key),
-            ).fetchall()
-            if rows:
-                loaded[(category_id, cluster_key)] = [
-                    offer_from_dict(json.loads(row[0])) for row in rows
-                ]
-        return loaded
-    finally:
-        connection.close()
 
 
 def read_product_page(
@@ -262,8 +227,6 @@ class StoreJournal:
     offers: List[Tuple[str, str, int, str]] = field(default_factory=list)
     #: ``(product json or None, category id, cluster key)`` product updates.
     products: List[Tuple[Optional[str], str, str]] = field(default_factory=list)
-    #: ``(shard, version)`` delta-protocol counters.
-    versions: List[Tuple[int, int]] = field(default_factory=list)
     #: The batch's reconciliation counters, added to the global row.
     stats: Optional[Tuple[int, int, int, int]] = None
     #: ``(category id, cluster key, product json or None)`` rows of the
@@ -347,7 +310,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_clusters: List[ClusterId] = []
         self._new_offers: List[Tuple[str, str, int, str]] = []
         self._dirty_products: Dict[ClusterId, Optional[Product]] = {}
-        self._dirty_versions: set = set()
         self._stats_delta: Optional[ReconciliationStats] = None
         # Clusters the pending mutations touched (insertion ordered,
         # deduplicated): the commit's ``commit_journal`` entry.
@@ -419,10 +381,6 @@ class SqliteCatalogStore(CatalogStore):
             state.clusters[(category_id, cluster_key)].cluster.offers.append(
                 offer_from_dict(json.loads(offer_json))
             )
-        for shard, version in self._connection.execute(
-            "SELECT shard, version FROM shard_versions"
-        ):
-            state.shard_versions[shard] = version
         for shard, epoch in self._connection.execute(
             "SELECT shard, epoch FROM shard_epochs"
         ):
@@ -444,7 +402,7 @@ class SqliteCatalogStore(CatalogStore):
             _add_stats(state.reconciliation_stats, ReconciliationStats(*counts))
 
     def bind(self, num_shards: int) -> None:
-        """Bind to a shard count; a mismatch with the stored one resets epochs/versions."""
+        """Bind to a shard count; a mismatch with the stored one resets the epochs."""
         super().bind(num_shards)
         if self._partition is not None:
             # A node's mirror: the coordinator bound the file before
@@ -453,14 +411,10 @@ class SqliteCatalogStore(CatalogStore):
             return
         stored = self._meta("num_shards")
         if stored is not None and int(stored) != num_shards:
-            # Shard indices (and therefore per-shard version counters and
-            # fencing epochs) are meaningless under a different shard
-            # count; reset them.  Worker caches are keyed by store token,
-            # so no worker can hold state for this store generation yet.
-            self._state.shard_versions = {}
+            # Shard indices (and therefore fencing epochs) are meaningless
+            # under a different shard count; reset them.
             self._state.shard_epochs = {}
             assert self._connection is not None
-            self._connection.execute("DELETE FROM shard_versions")
             self._connection.execute("DELETE FROM shard_epochs")
         assert self._connection is not None
         self._connection.execute(
@@ -542,10 +496,6 @@ class SqliteCatalogStore(CatalogStore):
             products=[
                 (encode(product), category_id, cluster_key)
                 for (category_id, cluster_key), product in self._dirty_products.items()
-            ],
-            versions=[
-                (shard, self._state.shard_versions.get(shard, 0))
-                for shard in sorted(self._dirty_versions)
             ],
             stats=None if stats is None else astuple(stats),
             touched=[
@@ -634,11 +584,6 @@ class SqliteCatalogStore(CatalogStore):
                 "UPDATE clusters SET product = ? WHERE category_id = ? AND cluster_key = ?",
                 journal.products,
             )
-        if journal.versions:
-            connection.executemany(
-                "INSERT OR REPLACE INTO shard_versions (shard, version) VALUES (?, ?)",
-                journal.versions,
-            )
         if journal.stats is not None:
             connection.execute(
                 "INSERT INTO reconciliation_stats"
@@ -688,7 +633,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_clusters = []
         self._new_offers = []
         self._dirty_products = {}
-        self._dirty_versions = set()
         self._stats_delta = None
         self._touched_clusters.clear()
 
@@ -705,9 +649,6 @@ class SqliteCatalogStore(CatalogStore):
         The file is a consistent snapshot after every commit, so crash
         recovery is exactly a mirror rebuild: drop the journalled
         mutations, re-read the persisted state, and re-index the shards.
-        The store token is deliberately kept — delta-protocol worker
-        caches that ran ahead of the discarded batch are then caught by
-        the version/base-size guards and resync from this same file.
         """
         connection = self._require_open()
         connection.rollback()
@@ -718,9 +659,8 @@ class SqliteCatalogStore(CatalogStore):
         """Reload selected shards' committed state, and every epoch, into the mirror.
 
         Used on shard handoff: the new owner's mirror predates whatever
-        the previous owner's batches wrote, so its clusters, products and
-        delta-protocol version counters for the moved shards are re-read
-        from the file.  The fencing epochs are re-read whole: the
+        the previous owner's batches wrote, so its clusters and products
+        for the moved shards are re-read from the file.  The fencing epochs are re-read whole: the
         coordinator bumped them in the file before it handed the shards
         over.  The caller must guarantee the previous owner's batches
         are written (membership changes happen between batch barriers, so
@@ -764,11 +704,6 @@ class SqliteCatalogStore(CatalogStore):
             self._state.clusters[(category_id, cluster_key)].cluster.offers.extend(
                 offer_from_dict(json.loads(row[0])) for row in rows
             )
-        for shard, version in connection.execute(
-            "SELECT shard, version FROM shard_versions"
-        ).fetchall():
-            if shard in targets:
-                self._state.shard_versions[shard] = version
 
     @property
     def closed(self) -> bool:
@@ -788,10 +723,6 @@ class SqliteCatalogStore(CatalogStore):
         coordinator).
         """
         return self._partition
-
-    def worker_resync_path(self) -> Optional[str]:
-        """The SQLite file itself: workers resync straight from it."""
-        return self._path
 
     # -- changed-cluster commit journal ----------------------------------------
 
@@ -1006,20 +937,6 @@ class SqliteCatalogStore(CatalogStore):
             pairs_mapped=totals.pairs_mapped,
             pairs_discarded=totals.pairs_discarded,
         )
-
-    # -- shard versions --------------------------------------------------------
-
-    def shard_version(self, shard_index: int) -> int:
-        """The delta-protocol version counter of one shard (mirror)."""
-        return self._state.shard_versions.get(shard_index, 0)
-
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump a shard's version (journalled); returns ``(base, new)``."""
-        self._require_open()
-        base = self._state.shard_versions.get(shard_index, 0)
-        self._state.shard_versions[shard_index] = base + 1
-        self._dirty_versions.add(shard_index)
-        return base, base + 1
 
     # -- shard epochs ----------------------------------------------------------
 

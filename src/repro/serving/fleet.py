@@ -159,10 +159,26 @@ class ServingFleet:
         self._stop_watcher = threading.Event()
         self._watcher: Optional[threading.Thread] = None
         # Observability: per-replica pinned-snapshot lag rides the
-        # registry as labelled gauges, read through a weakref provider
-        # (the replica services bridge their own query/resync counters).
+        # registry as labelled gauges, read through a weakref provider.
+        # Counters are registry counters, incremented beside the fields
+        # above, so they outlive the fleet (the replica services count
+        # their own queries and resyncs the same way).
         registry = get_registry()
         self._obs = registry
+        self._obs_failovers = registry.counter(
+            "serving_failovers_total", help="Requests routed around a failed replica."
+        )
+        self._obs_restarts = registry.counter(
+            "serving_replica_restarts_total",
+            help="Replica services replaced via restart_replica.",
+        )
+        self._obs_cache = {
+            event: registry.counter(
+                f"serving_response_cache_{event}_total",
+                help=f"Response-cache {event} (see docs/observability.md).",
+            )
+            for event in ("hits", "misses", "evictions")
+        }
         fleet_ref = weakref.ref(self)
 
         def _fleet_provider() -> Dict[str, object]:
@@ -289,6 +305,7 @@ class ServingFleet:
             replica.healthy = False
             replica.last_error = f"{type(error).__name__}: {error}"
             self._failovers += 1
+            self._obs_failovers.inc()
 
     def _hold_to_bound(self, service: CatalogSearchService) -> None:
         """Resync ``service`` inline if it trails the head by more than the bound.
@@ -380,9 +397,11 @@ class ServingFleet:
                 body = self._bodies.get(key)
                 if body is not None:
                     self._cache_hits += 1
+                    self._obs_cache["hits"].inc()
                     self._bodies.move_to_end(key)
                     return body
                 self._cache_misses += 1
+                self._obs_cache["misses"].inc()
             snapshot, result = pinned(service)
             payload = render(result)
             if payload is None:
@@ -397,6 +416,7 @@ class ServingFleet:
                     while self._body_bytes > RESPONSE_CACHE_MAX_BYTES:
                         self._body_bytes -= _entry_bytes(*self._bodies.popitem(last=False))
                         self._cache_evictions += 1
+                        self._obs_cache["evictions"].inc()
             return body
 
         replica_id, body = self._run(operation, runner)
@@ -569,16 +589,17 @@ class ServingFleet:
             replica.last_error = None
             replica.fault_hook = None
             replica.restarts += 1
+        self._obs_restarts.inc()
         stale.close()
 
     # -- introspection ---------------------------------------------------------
 
     def _metrics_fragment(self) -> Dict[str, object]:
-        """Fleet gauges and counters as a registry snapshot fragment.
+        """Fleet gauges as a registry snapshot fragment.
 
         Per-replica pinned-snapshot lag (against :meth:`_lag_head`)
-        plus health flags as labelled gauges, failover/restart
-        counters, and the response cache's counters and size.
+        plus health flags as labelled gauges, and the response cache's
+        size.
         """
         try:
             head = self._lag_head()
@@ -586,18 +607,11 @@ class ServingFleet:
             head = 0
         with self._lock:
             replicas = list(self._replicas)
-            failovers = self._failovers
-        cache = self.response_cache_stats()
+            cache_bytes = self._body_bytes
         gauges: Dict[str, float] = {
             "serving_fleet_head_commit_count": float(head),
-            "serving_response_cache_bytes": float(cache["bytes"]),
+            "serving_response_cache_bytes": float(cache_bytes),
         }
-        counters: Dict[str, float] = {
-            f"serving_response_cache_{event}_total": float(cache[event])
-            for event in ("hits", "misses", "evictions")
-            if cache[event]
-        }
-        restarts = 0
         for replica in replicas:
             try:
                 snapshot = replica.service.snapshot_commit_count
@@ -613,11 +627,6 @@ class ServingFleet:
             gauges[series_key("serving_replica_healthy", labels)] = (
                 1.0 if replica.healthy else 0.0
             )
-            restarts += replica.restarts
-        if failovers:
-            counters["serving_failovers_total"] = float(failovers)
-        if restarts:
-            counters["serving_replica_restarts_total"] = float(restarts)
         families = {
             "serving_fleet_head_commit_count": {
                 "type": "gauge",
@@ -635,25 +644,12 @@ class ServingFleet:
                 "type": "gauge",
                 "help": "1 when the replica is admitted to routing, else 0.",
             },
-            "serving_failovers_total": {
-                "type": "counter",
-                "help": "Requests routed around a failed replica.",
-            },
-            "serving_replica_restarts_total": {
-                "type": "counter",
-                "help": "Replica services replaced via restart_replica.",
-            },
             "serving_response_cache_bytes": {
                 "type": "gauge",
                 "help": "Bytes of serialised response bodies (and keys) cached.",
             },
         }
-        for event in ("hits", "misses", "evictions"):
-            families[f"serving_response_cache_{event}_total"] = {
-                "type": "counter",
-                "help": f"Response-cache {event} (see docs/observability.md).",
-            }
-        return snapshot_fragment(counters=counters, gauges=gauges, families=families)
+        return snapshot_fragment(gauges=gauges, families=families)
 
     def health(self) -> Dict[str, object]:
         """Fleet and per-replica health (the ``/health`` body).

@@ -22,11 +22,10 @@ committed prefix of the ingest stream (reported as
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.model.products import Product, stable_product_id
-from repro.obs import get_registry, series_key, snapshot_fragment
+from repro.obs import get_registry
 from repro.runtime.state import ClusterId
 from repro.serving.index import CatalogIndex, SearchResult
 from repro.serving.reader import CatalogReader
@@ -47,9 +46,10 @@ class CatalogSearchService:
         self._delta_resyncs = 0
         self._full_resyncs = 0
         self._journal_truncations = 0
-        # Observability: the per-instance counters above stay the source
-        # of truth for stats(); the registry reads them through a weakref
-        # provider, so N replicas naturally sum into fleet-wide series.
+        # Observability: the per-instance counters above are what stats()
+        # reports; each increment is mirrored into a process-wide registry
+        # counter, so the series sum over every replica and keep the counts
+        # of closed or restarted ones.
         registry = get_registry()
         self._obs = registry
         self._obs_index_upserts = registry.counter(
@@ -60,15 +60,21 @@ class CatalogSearchService:
             "serving_index_removes_total",
             help="Products removed from serving indexes by journal deltas.",
         )
-        service_ref = weakref.ref(self)
-
-        def _service_provider() -> Dict[str, object]:
-            service = service_ref()
-            if service is None:
-                return {}
-            return service._metrics_fragment()
-
-        self._obs_provider = registry.add_provider(_service_provider)
+        self._obs_queries = registry.counter(
+            "serving_queries_total",
+            help="Queries served (search, lookup, facet), all replicas.",
+        )
+        resyncs_help = "Index resyncs by mode (journal delta vs full rebuild)."
+        self._obs_delta_resyncs = registry.counter(
+            "serving_resyncs_total", help=resyncs_help, labels={"mode": "delta"}
+        )
+        self._obs_full_resyncs = registry.counter(
+            "serving_resyncs_total", help=resyncs_help, labels={"mode": "full"}
+        )
+        self._obs_journal_truncations = registry.counter(
+            "serving_journal_truncations_total",
+            help="Resyncs forced onto the full rebuild by a truncated journal.",
+        )
 
     # -- construction ----------------------------------------------------------
 
@@ -88,7 +94,6 @@ class CatalogSearchService:
 
     def close(self) -> None:
         """Close the reader (idempotent)."""
-        self._obs.remove_provider(self._obs_provider)
         if self._reader is not None:
             self._reader.close()
             self._reader = None
@@ -158,9 +163,11 @@ class CatalogSearchService:
                             self._snapshot_commit_count = head
                             self._resyncs += 1
                             self._delta_resyncs += 1
+                            self._obs_delta_resyncs.inc()
                         return self._snapshot_commit_count
                 with self._lock:
                     self._journal_truncations += 1
+                    self._obs_journal_truncations.inc()
             snapshot, products = self._reader.read_products()
             with self._lock:
                 # Concurrent resyncs race on the read: if another thread
@@ -174,6 +181,7 @@ class CatalogSearchService:
                     self._snapshot_commit_count = snapshot
                     self._resyncs += 1
                     self._full_resyncs += 1
+                    self._obs_full_resyncs.inc()
                 return self._snapshot_commit_count
 
     def maybe_resync(self, max_lag_commits: int = 0) -> bool:
@@ -238,6 +246,7 @@ class CatalogSearchService:
             self.maybe_resync()
         with self._lock:
             self._queries_served += 1
+            self._obs_queries.inc()
             return self._snapshot_commit_count, self._index.search(
                 query, top_k=top_k, category=category, attributes=attributes
             )
@@ -256,6 +265,7 @@ class CatalogSearchService:
             self.maybe_resync()
         with self._lock:
             self._queries_served += 1
+            self._obs_queries.inc()
             return self._snapshot_commit_count, self._index.get_product(product_id)
 
     def count_by_category(self) -> Dict[str, int]:
@@ -263,6 +273,7 @@ class CatalogSearchService:
         self.maybe_resync()
         with self._lock:
             self._queries_served += 1
+            self._obs_queries.inc()
             return self._index.count_by_category()
 
     # -- introspection ---------------------------------------------------------
@@ -310,41 +321,6 @@ class CatalogSearchService:
                 "full_resyncs": self._full_resyncs,
                 "journal_truncations": self._journal_truncations,
             }
-
-    def _metrics_fragment(self) -> Dict[str, object]:
-        """Service counters as a registry snapshot fragment.
-
-        Counters sum at collection time, so every live service (each
-        fleet replica included) contributes to the same fleet-wide
-        series; zero-valued series are omitted to keep scrapes compact.
-        """
-        with self._lock:
-            values = {
-                "serving_queries_total": float(self._queries_served),
-                series_key("serving_resyncs_total", {"mode": "delta"}): float(
-                    self._delta_resyncs
-                ),
-                series_key("serving_resyncs_total", {"mode": "full"}): float(
-                    self._full_resyncs
-                ),
-                "serving_journal_truncations_total": float(self._journal_truncations),
-            }
-        counters = {key: value for key, value in values.items() if value}
-        families = {
-            "serving_queries_total": {
-                "type": "counter",
-                "help": "Queries served (search, lookup, facet), all replicas.",
-            },
-            "serving_resyncs_total": {
-                "type": "counter",
-                "help": "Index resyncs by mode (journal delta vs full rebuild).",
-            },
-            "serving_journal_truncations_total": {
-                "type": "counter",
-                "help": "Resyncs forced onto the full rebuild by a truncated journal.",
-            },
-        }
-        return snapshot_fragment(counters=counters, families=families)
 
     def stats(self) -> Dict[str, object]:
         """JSON-compatible service + index statistics (the ``/stats`` body).

@@ -61,19 +61,6 @@ class SchemaReconciler:
             mapped += 1
         return reconciled, mapped, discarded
 
-    def reconcile_offer(self, offer: Offer) -> Offer:
-        """Return a copy of ``offer`` with its specification reconciled.
-
-        Offers without an assigned category cannot be reconciled and come
-        back with an empty specification (they carry no usable evidence).
-        """
-        if offer.category_id is None:
-            return offer.with_specification(Specification())
-        reconciled, _, _ = self.reconcile_specification(
-            offer.specification, offer.merchant_id, offer.category_id
-        )
-        return offer.with_specification(reconciled)
-
     def reconcile_offers(
         self, offers: Iterable[Offer]
     ) -> Tuple[List[Offer], ReconciliationStats]:

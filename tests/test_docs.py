@@ -4,12 +4,14 @@ A tiny stand-in for a lychee run that needs no network: collects
 markdown links from ``README.md`` and ``docs/*.md``, skips external
 URLs and badge endpoints, and asserts every repository-relative target
 exists.  Every backticked ``Class.attr`` whose class is defined under
-``src/repro`` must name an attribute that class still has.  Also pins
+``src/repro`` must name an attribute that class still has, and every
+backticked dotted ``repro.…`` path must import and resolve.  Also pins
 the docs site's minimum shape (architecture + operations pages) and
 that every example script at least compiles.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -25,6 +27,9 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 
 #: A backticked span that starts with ``Class.attr``.
 _API_REFERENCE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+#: A backticked span that starts with a dotted ``repro.…`` path.
+_MODULE_PATH = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def _markdown_files():
@@ -107,6 +112,39 @@ def test_api_references_name_attributes_that_exist():
                 line = text.count("\n", 0, match.start()) + 1
                 dead.append(f"{path.name}:{line}: {name}.{attribute}")
     assert not dead, f"docs name attributes their classes do not have: {dead}"
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``, then walk the rest as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as error:
+            if error.name != name:  # the module exists but an import inside it failed
+                raise
+            continue
+        for attribute in parts[split:]:
+            target = getattr(target, attribute)
+        return target
+    raise ModuleNotFoundError(dotted)
+
+
+def test_module_paths_resolve():
+    references = 0
+    unresolved = []
+    for path in _markdown_files():
+        text = path.read_text(encoding="utf-8")
+        for match in _MODULE_PATH.finditer(text):
+            references += 1
+            try:
+                _resolve(match.group(1))
+            except (ImportError, AttributeError):
+                line = text.count("\n", 0, match.start()) + 1
+                unresolved.append(f"{path.name}:{line}: {match.group(1)}")
+    assert references > 0
+    assert not unresolved, f"docs name module paths that do not resolve: {unresolved}"
 
 
 def test_docs_directory_has_the_operator_pages():

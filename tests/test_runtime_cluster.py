@@ -219,8 +219,10 @@ class TestVersionFencing:
         # Every write of the fenced node bounces — cluster-scoped ones...
         with pytest.raises(StaleEpochError, match="fenced"):
             victim_view.create_cluster(victim_shard, ("computing.hdd", "zombie-key"))
+        owned = victim_view.shard_cluster_ids(victim_shard)
+        assert owned
         with pytest.raises(StaleEpochError):
-            victim_view.advance_shard_version(victim_shard)
+            victim_view.set_product(owned[0], None)
         # ...global ones, and the commit barrier.
         with pytest.raises(StaleEpochError):
             victim_view.mark_seen("zombie-offer")
@@ -765,7 +767,7 @@ class TestHintAccuracyGauge:
     """Hint accuracy as a first-class gauge."""
 
     def test_transport_stats_gauge_semantics(self):
-        from repro.runtime.delta import TransportStats
+        from repro.runtime.engine import TransportStats
 
         stats = TransportStats()
         assert stats.hint_accuracy is None  # hint routing never ran

@@ -36,7 +36,7 @@ from repro.runtime import (
     SynthesisEngine,
 )
 from repro.runtime import procnode
-from repro.runtime.delta import TransportStats
+from repro.runtime.engine import TransportStats
 from repro.runtime.node import ShardLease
 from repro.serving.reader import CatalogReader
 

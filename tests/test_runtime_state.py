@@ -1,9 +1,8 @@
-"""Tests for the pluggable catalog state layer and the delta protocol.
+"""Tests for the pluggable catalog state layer.
 
 Covers the CatalogStore backends (memory + durable SQLite), snapshot
-durability across simulated process kills, and the delta re-fusion
-protocol's resync paths (worker restart with and without a durable
-store to reload from).
+durability across simulated process kills, serial/process executor
+parity over both stores, and format-1 compatibility of the store file.
 """
 
 import json
@@ -75,23 +74,11 @@ class TestCatalogStoreBasics:
         assert not store.mark_seen("o-1")
         assert store.mark_seen("o-2")
         assert store.num_seen() == 2
-        assert store.shard_version(3) == 0
-        assert store.advance_shard_version(3) == (0, 1)
-        assert store.advance_shard_version(3) == (1, 2)
-        assert store.shard_version(3) == 2
-        assert store.shard_version(0) == 0
         store.merge_reconciliation_stats(ReconciliationStats(1, 2, 3, 4))
         copy = store.reconciliation_stats()
         copy.offers_processed = 99
         assert store.reconciliation_stats().offers_processed == 1
         store.close()
-
-    def test_store_tokens_unique(self, tmp_path):
-        first = MemoryCatalogStore()
-        second = MemoryCatalogStore()
-        third = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
-        assert len({first.token, second.token, third.token}) == 3
-        third.close()
 
     def test_sqlite_rejects_future_format_untouched(self, tmp_path):
         import sqlite3
@@ -162,8 +149,6 @@ class TestCatalogStoreBasics:
             store.set_product(cluster_id, None)
         with pytest.raises(RuntimeError, match="closed"):
             store.merge_reconciliation_stats(ReconciliationStats())
-        with pytest.raises(RuntimeError, match="closed"):
-            store.advance_shard_version(0)
         with pytest.raises(RuntimeError, match="closed"):
             store.advance_shard_epoch(0)
         with pytest.raises(RuntimeError, match="closed"):
@@ -245,8 +230,6 @@ class TestSqliteRestore:
         products = fingerprint(engine.products())
         engine.close()
         restored = make_engine(tiny_harness, num_shards=2, store="sqlite", store_path=path)
-        # Versions reset with the new shard layout; products unaffected.
-        assert restored.store.shard_version(0) == 0
         assert fingerprint(restored.products()) == products
         restored.close()
 
@@ -382,105 +365,39 @@ class TestOneEncodePerCommit:
         connection.close()
 
 
-class TestDeltaProtocol:
-    def test_delta_and_full_shipping_byte_identical(self, tiny_harness):
-        """The process executor's delta protocol against the serial
-        engine's full-state re-fusion, on the feed-ordered stream (where
-        clusters grow across batches, the case the two differ on)."""
-        delta = make_engine(tiny_harness, num_shards=4, executor="process")
-        full = make_engine(tiny_harness, num_shards=4, executor="serial")
+class TestProcessExecutor:
+    """The process executor re-fuses through the same full-state path as serial."""
+
+    @pytest.mark.parametrize("store", ["memory", "sqlite"])
+    def test_serial_and_process_executors_agree(self, tmp_path, tiny_harness, store):
+        """Feed-ordered stream (clusters grow across batches): equal
+        products and equal payload accounting, over either store."""
+        engines = {
+            executor: make_engine(
+                tiny_harness,
+                num_shards=4,
+                executor=executor,
+                store=store,
+                store_path=str(tmp_path / f"{executor}.sqlite3"),
+            )
+            for executor in ("serial", "process")
+        }
         offers = sorted(tiny_harness.unmatched_offers, key=lambda o: o.merchant_id)
         for batch in stream(offers, 4):
-            delta.ingest(batch)
-            full.ingest(batch)
-        assert delta.products()
-        assert fingerprint(delta.products()) == fingerprint(full.products())
-        # Each offer ships once; full-state re-fusion re-reads grown clusters.
-        assert (
-            delta.transport_stats().offers_shipped
-            < full.transport_stats().offers_shipped
-        )
-        delta.close()
-        full.close()
+            for engine in engines.values():
+                engine.ingest(batch)
+        serial, process = engines["serial"], engines["process"]
+        assert serial.products()
+        assert fingerprint(process.products()) == fingerprint(serial.products())
+        assert process.transport_stats().to_dict() == serial.transport_stats().to_dict()
+        stats = serial.transport_stats()
+        assert stats.batches == 4
+        assert stats.worker_resyncs == 0
+        assert stats.clusters_shipped >= stats.shard_tasks > 0
+        for engine in engines.values():
+            engine.close()
 
-    def test_worker_restart_resyncs_from_sqlite(self, tmp_path, tiny_harness, expected_products):
-        path = str(tmp_path / "resync.sqlite3")
-        engine = make_engine(
-            tiny_harness, num_shards=4, executor="process", store="sqlite", store_path=path
-        )
-        batches = stream(tiny_harness.unmatched_offers, 4)
-        for batch in batches[:2]:
-            engine.ingest(batch)
-        # Kill every pinned worker: their shard-resident caches are gone,
-        # so clusters grown before the restart miss their base state.
-        engine._executor.close()
-        for batch in batches[2:]:
-            engine.ingest(batch)
-        assert fingerprint(engine.products()) == expected_products
-        # Workers reloaded the missing clusters straight from the store.
-        assert engine.transport_stats().worker_resyncs > 0
-        engine.close()
-
-    def test_transport_stats_accounting_under_delta_resync(self, tmp_path, tiny_harness):
-        """ISSUE 3 satellite: pin down every TransportStats field across
-        the worker-restart resync path (previously only asserted
-        indirectly through the bench)."""
-        path = str(tmp_path / "stats.sqlite3")
-        engine = make_engine(
-            tiny_harness, num_shards=4, executor="process", store="sqlite", store_path=path
-        )
-        offers = sorted(tiny_harness.unmatched_offers, key=lambda o: o.merchant_id)
-        batches = stream(offers, 4)
-        for batch in batches[:2]:
-            engine.ingest(batch)
-        mid = engine.transport_stats()
-        assert mid.batches == 2
-        assert mid.worker_resyncs == 0
-        assert mid.full_retries == 0
-        # Delta protocol invariant: every offer ships at most once (the
-        # feed-ordered tiny stream has no resync retries yet).
-        assert mid.offers_shipped <= sum(len(batch) for batch in batches[:2])
-        assert mid.clusters_shipped >= mid.shard_tasks > 0
-
-        # Kill every pinned worker; the next batches force resyncs.
-        engine._executor.close()
-        for batch in batches[2:]:
-            engine.ingest(batch)
-        stats = engine.transport_stats()
-        assert stats.batches == len(batches)
-        assert stats.worker_resyncs > 0
-        # The durable store satisfied every resync: no full re-ship, so
-        # shipped offers still never exceed the stream length.
-        assert stats.full_retries == 0
-        assert stats.offers_shipped <= len(offers)
-        assert stats.shard_tasks >= mid.shard_tasks
-        payload = stats.to_dict()
-        assert payload == {
-            "batches": stats.batches,
-            "shard_tasks": stats.shard_tasks,
-            "clusters_shipped": stats.clusters_shipped,
-            "offers_shipped": stats.offers_shipped,
-            "worker_resyncs": stats.worker_resyncs,
-            "full_retries": stats.full_retries,
-            "frames_sent": stats.frames_sent,
-            "frames_received": stats.frames_received,
-            "frame_bytes_sent": stats.frame_bytes_sent,
-            "frame_bytes_received": stats.frame_bytes_received,
-            "misrouted_offers": stats.misrouted_offers,
-            "hinted_offers": stats.hinted_offers,
-            "hint_accuracy": stats.hint_accuracy,
-        }
-        # merge() is plain summation (the multi-node aggregation path).
-        from repro.runtime import TransportStats
-
-        merged = TransportStats()
-        merged.merge(mid)
-        merged.merge(mid)
-        assert merged.batches == 2 * mid.batches
-        assert merged.offers_shipped == 2 * mid.offers_shipped
-        engine.close()
-
-    def test_worker_restart_falls_back_to_full_reship(self, tiny_harness, expected_products):
+    def test_pool_comes_back_after_close_mid_stream(self, tiny_harness, expected_products):
         engine = make_engine(tiny_harness, num_shards=4, executor="process")
         batches = stream(tiny_harness.unmatched_offers, 4)
         for batch in batches[:2]:
@@ -489,10 +406,49 @@ class TestDeltaProtocol:
         for batch in batches[2:]:
             engine.ingest(batch)
         assert fingerprint(engine.products()) == expected_products
-        # No durable store to resync from: the engine re-shipped the
-        # missing clusters in full instead.
-        assert engine.transport_stats().full_retries > 0
         engine.close()
+
+
+class TestFormatOneShardVersions:
+    """``shard_versions`` is no longer read or written, but format-1 files keep it."""
+
+    def test_a_new_file_still_has_the_shard_versions_table(self, tmp_path, tiny_harness):
+        path = str(tmp_path / "cat.sqlite3")
+        engine = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        engine.ingest(tiny_harness.unmatched_offers)
+        engine.close()
+        connection = sqlite3.connect(path)
+        columns = [row[1] for row in connection.execute("PRAGMA table_info(shard_versions)")]
+        assert columns == ["shard", "version"]
+        assert connection.execute("SELECT COUNT(*) FROM shard_versions").fetchone() == (0,)
+        connection.close()
+
+    def test_a_file_with_shard_versions_rows_resumes(
+        self, tmp_path, tiny_harness, expected_products
+    ):
+        path = str(tmp_path / "cat.sqlite3")
+        batches = stream(tiny_harness.unmatched_offers, 4)
+        first = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        for batch in batches[:2]:
+            first.ingest(batch)
+        first.close()
+        connection = sqlite3.connect(path)
+        # The counters an older process-executor engine left behind.
+        connection.executemany(
+            "INSERT INTO shard_versions (shard, version) VALUES (?, ?)",
+            [(0, 2), (1, 1), (3, 2)],
+        )
+        connection.commit()
+        connection.close()
+
+        second = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        for batch in batches[2:]:
+            second.ingest(batch)
+        assert fingerprint(second.products()) == expected_products
+        second.close()
+        connection = sqlite3.connect(path)
+        assert connection.execute("SELECT COUNT(*) FROM shard_versions").fetchone() == (3,)
+        connection.close()
 
 
 class TestPartitionedSharedStore:

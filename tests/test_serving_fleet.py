@@ -556,6 +556,63 @@ class TestHeadWatcher:
         assert fleet.stats()["watch_head"] is False
 
 
+class TestServingCountersAreMonotonic:
+    """Serving counters live in the registry: retiring a service loses none."""
+
+    def test_serving_counters_survive_restart_and_close(self, tiny_harness, tmp_path):
+        path = str(tmp_path / "counters.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        first, second = halves(tiny_harness.unmatched_offers)
+        engine.ingest(first[:10])
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            fleet = ServingFleet.from_store_path(path, num_replicas=2)
+            for _ in range(4):
+                fleet.search_body("hard drive")  # 1 miss, then hits
+            engine.ingest(first[10:])  # a journal delta for each replica
+            for _ in range(4):
+                fleet.search("hard drive")
+            engine.ingest(second)
+            engine.store.compact_journal()  # no journal covers the replicas any more
+            fleet.count_by_category()
+            fleet.set_fault_hook(0, crash)
+            for _ in range(4):
+                fleet.search("hard drive")
+
+            def serving_counters():
+                counters = registry.snapshot()["counters"]
+                return {key: value for key, value in counters.items() if key.startswith("serving_")}
+
+            before = serving_counters()
+            for name in (
+                "serving_queries_total",
+                'serving_resyncs_total{mode="delta"}',
+                'serving_resyncs_total{mode="full"}',
+                "serving_journal_truncations_total",
+                "serving_failovers_total",
+                "serving_response_cache_hits_total",
+                "serving_response_cache_misses_total",
+            ):
+                assert before[name] > 0, name
+            fleet.restart_replica(0)
+            fleet.restart_replica(1)
+            restarted = serving_counters()
+            fleet.close()
+            closed = serving_counters()
+        finally:
+            set_registry(previous)
+            engine.close()
+        for after in (restarted, closed):
+            for name, value in before.items():
+                assert after.get(name, 0.0) >= value, name
+        # Each replacement's priming build is a full resync of its own.
+        full = 'serving_resyncs_total{mode="full"}'
+        assert restarted[full] == before[full] + 2
+        assert restarted["serving_replica_restarts_total"] == 2
+        assert closed == restarted
+
+
 class TestFleetHTTP:
     @pytest.fixture
     def served(self, sqlite_fleet):

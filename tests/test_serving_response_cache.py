@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.model.attributes import Specification
 from repro.model.persistence import product_to_dict
 from repro.model.products import Product
+from repro.obs import MetricsRegistry, set_registry
 from repro.runtime import SynthesisEngine
 from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
@@ -515,11 +516,18 @@ class TestBound:
             assert key_bytes > stats["max_bytes"] and stats["evictions"] > 0
 
     def test_cache_counters_reach_stats_and_the_registry(self):
-        with one_replica_fleet() as fleet:
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            fleet = one_replica_fleet()
+        finally:
+            set_registry(previous)
+        with fleet:
             fleet.search_body("hard drive")
             fleet.search_body("hard drive")
             assert fleet.stats()["response_cache"]["hits"] == 1
-            fragment = fleet._metrics_fragment()
-            assert fragment["counters"]["serving_response_cache_hits_total"] == 1
-            assert fragment["counters"]["serving_response_cache_misses_total"] == 1
-            assert "serving_response_cache_evictions_total" in fragment["families"]
+            snapshot = registry.snapshot()
+            assert snapshot["counters"]["serving_response_cache_hits_total"] == 1
+            assert snapshot["counters"]["serving_response_cache_misses_total"] == 1
+            assert "serving_response_cache_evictions_total" in snapshot["families"]
+            assert snapshot["gauges"]["serving_response_cache_bytes"] > 0

@@ -94,23 +94,25 @@ class TestSchemaReconciler:
 
     def test_mapped_pairs_translated(self, reconciler):
         offer = _offer("o-1", "m-1", "hdd", [("Hard Disk Size", "500 GB"), ("RPM", "7200")])
-        reconciled = reconciler.reconcile_offer(offer)
+        ((reconciled,), _) = reconciler.reconcile_offers([offer])
         assert reconciled.get("Capacity") == "500 GB"
         assert reconciled.get("Spindle Speed") == "7200"
 
     def test_unmapped_pairs_discarded(self, reconciler):
         offer = _offer("o-1", "m-1", "hdd", [("Warranty", "1 Year"), ("RPM", "7200")])
-        reconciled = reconciler.reconcile_offer(offer)
+        ((reconciled,), _) = reconciler.reconcile_offers([offer])
         assert not reconciled.specification.has("Warranty")
         assert len(reconciled.specification) == 1
 
     def test_unknown_merchant_discards_everything(self, reconciler):
         offer = _offer("o-1", "other-merchant", "hdd", [("RPM", "7200")])
-        assert len(reconciler.reconcile_offer(offer).specification) == 0
+        ((reconciled,), _) = reconciler.reconcile_offers([offer])
+        assert len(reconciled.specification) == 0
 
     def test_offer_without_category(self, reconciler):
         offer = Offer("o-1", "m-1", "title", specification=Specification([("RPM", "7200")]))
-        assert len(reconciler.reconcile_offer(offer).specification) == 0
+        ((reconciled,), _) = reconciler.reconcile_offers([offer])
+        assert len(reconciled.specification) == 0
 
     def test_batch_stats(self, reconciler):
         offers = [
