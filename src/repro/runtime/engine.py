@@ -233,7 +233,9 @@ class TransportStats:
             "pipe_frames_received_total": "Pipe-protocol frames received from node processes.",
             "pipe_frame_bytes_sent_total": "Serialized payload bytes of sent pipe frames.",
             "pipe_frame_bytes_received_total": "Serialized payload bytes of received pipe frames.",
-            "routing_misrouted_offers_total": "Hint-routed offers re-homed at the classify barrier.",
+            "routing_misrouted_offers_total": (
+                "Hint-routed offers re-homed at the classify barrier."
+            ),
             "routing_hinted_offers_total": "Offers routed via category hints at all.",
         }
         counters = {

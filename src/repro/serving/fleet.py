@@ -1,30 +1,36 @@
 """A replicated serving fleet: N snapshot-pinned readers, one front.
 
-One :class:`~repro.serving.service.CatalogSearchService` caps out at a
-single index and a single lock — fine for a drill, not for heavy
-traffic.  :class:`ServingFleet` runs ``N`` replica services over the
-same catalog (each with its **own** read-only WAL connection and its
-own index copy, kept current from the store's commit journal) and
-load-balances queries across them:
+:class:`ServingFleet` runs ``N`` replica services over one catalog and
+load-balances queries across them.  Replicas are routing slots, not
+copies: :meth:`ServingFleet.from_store_path` opens one read-only WAL
+connection and one chain of published index versions
+(:meth:`CatalogSearchService.follower
+<repro.serving.service.CatalogSearchService.follower>`), and each
+replica pins one version of it.  A commit is read, decoded and applied
+once per process, and moving a replica to the new version swaps one
+reference, so the process holds one index however many replicas it
+runs — plus, for a moment, what the versions a lagging replica still
+pins do not share with the latest.
 
 * **Per-request snapshot pinning** — every query executes atomically
   against exactly one replica's served snapshot and reports which
   commit prefix that was (:class:`FleetSearchResponse`).  Replicas may
   trail the store head by a *bounded* number of commits
   (``max_lag_commits``, the Polynesia-style divergence bound), which
-  keeps index rebuilds off the request path; the bound is observable
+  keeps resyncs off the request path; the bound is observable
   per replica through :meth:`lag`.
 * **Routing** — least-in-flight with a rotating tie-break, so a replica
-  busy rebuilding (or hung) is naturally avoided while it is slow.
+  busy resyncing (or hung) is naturally avoided while it is slow.
 * **Route-around** — a replica whose query raises is marked unhealthy
   and the request transparently retries on the survivors;
   :meth:`health` (and the HTTP ``/health`` endpoint) flips immediately.
-  :meth:`restart_replica` stands a dead replica back up from the store
-  file and re-admits it.
+  :meth:`restart_replica` stands a dead replica back up on the latest
+  version and re-admits it.
 * **Head watcher** — an optional thread (``watch_head=True``) probes
   the store head every :data:`HEAD_WATCH_TICK_SECONDS`, publishes it,
   and the moment it moves resyncs every lagging healthy replica,
-  most-lagged first (one resync in flight at a time, fleet-wide).  A
+  most-lagged first (one resync in flight at a time, fleet-wide): the
+  first builds the next version, the rest move to it.  A
   sweep that took *t* seconds is followed by a wait of at least *t*, so
   a back-to-back writer costs about half of one thread and each journal
   delta covers several commits.  With a positive lag bound the request
@@ -112,8 +118,8 @@ class _Replica:
 class ServingFleet:
     """Load-balancing front over N replicated catalog search services.
 
-    Build one with :meth:`from_store_path` (replicas over a shared WAL
-    file, each kept current from the store's commit journal).  The
+    Build one with :meth:`from_store_path` (replicas pinning versions of
+    one index, kept current from the store's commit journal).  The
     direct constructor accepts pre-built services, with ``head``
     supplying the store-head commit counter for lag reporting.
 
@@ -215,12 +221,15 @@ class ServingFleet:
     ) -> "ServingFleet":
         """N replicas over one shared WAL store file.
 
-        Every replica opens its own read-only connection (and builds its
-        own index), so replicas resync — and fail — independently.
+        The first replica opens the store and builds the first version;
+        the others follow it (one reader, one chain of versions).  Each
+        replica still pins its own version and runs its own fault hook,
+        so replicas resync — and fail — independently.
         """
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        services = [CatalogSearchService.from_store_path(path) for _ in range(num_replicas)]
+        services = [CatalogSearchService.from_store_path(path)]
+        services.extend(services[0].follower() for _ in range(num_replicas - 1))
         return cls(
             services,
             store_path=path,
@@ -229,13 +238,21 @@ class ServingFleet:
         )
 
     def _default_head(self) -> int:
-        """Store-head commit counter when no explicit ``head`` was given."""
+        """Store-head commit counter when no explicit ``head`` was given.
+
+        The replicas of a fleet over one store file share its reader, so
+        the first replica that can read the head answers for all; a
+        fleet of detached services takes the largest of theirs.
+        """
         best = 0
         for replica in self._replicas:
             try:
-                best = max(best, replica.service.head_commit_count())
+                head = replica.service.head_commit_count()
             except Exception:  # noqa: BLE001 - a dead replica must not hide the head
                 continue
+            if self._store_path is not None:
+                return head
+            best = max(best, head)
         return best
 
     # -- lifecycle -------------------------------------------------------------
@@ -318,7 +335,7 @@ class ServingFleet:
         if self._watcher is None or self._max_lag_commits == 0:
             service.maybe_resync(self._max_lag_commits)
         elif self._published_head - service.snapshot_commit_count > self._max_lag_commits:
-            service.resync()
+            service.resync(self._published_head)
 
     def _run(self, operation: str, runner):
         """Execute ``runner(service)`` on a healthy replica held to the lag
@@ -473,8 +490,8 @@ class ServingFleet:
         """Healthy replicas pinned behind ``head``, most-lagged first."""
         with self._lock:
             healthy = [replica for replica in self._replicas if replica.healthy]
-        # Snapshots are read outside the fleet lock: a replica applying a
-        # delta holds its own lock, and routing must not wait for that.
+        # Snapshots are read outside the fleet lock: routing never waits
+        # on this sweep.
         behind = [
             (head - replica.service.snapshot_commit_count, replica.replica_id)
             for replica in healthy
@@ -485,18 +502,22 @@ class ServingFleet:
             if lag > 0
         ]
 
-    def _resync(self, replica: _Replica) -> bool:
+    def _resync(self, replica: _Replica, head: int) -> bool:
         """Pull one replica to the store head; a failure marks it unhealthy.
 
         A resync goes all the way to the current head — intermediate
         commits are skipped, which is where a lag-bounded fleet does
-        strictly less index work than per-request resyncing.
+        strictly less index work than per-request resyncing.  ``head``
+        is the head the caller read: once one replica's resync built a
+        version that reaches it, the others move to that version without
+        a store read.  The replica's fault hook runs first, so a replica
+        whose hook raises keeps its old version while the others move on.
         """
         service = replica.service
         try:
             if replica.fault_hook is not None:
                 replica.fault_hook("resync")
-            service.resync()
+            service.resync(head)
         except Exception as error:  # noqa: BLE001 - a broken replica is routed around
             if service is replica.service:  # not one restart_replica just retired
                 self._mark_unhealthy(replica, error)
@@ -513,7 +534,7 @@ class ServingFleet:
         except Exception:  # noqa: BLE001 - head unreadable: nothing to refresh to
             return None
         lagging = self._lagging(head)
-        if lagging and self._resync(lagging[0]):
+        if lagging and self._resync(lagging[0], head):
             return lagging[0].replica_id
         return None
 
@@ -547,10 +568,11 @@ class ServingFleet:
             started = time.monotonic()
             if self._probe_head():
                 self._obs_head_changes.inc()
-            for replica in self._lagging(self._published_head):
+            head = self._published_head
+            for replica in self._lagging(head):
                 if self._stop_watcher.is_set():
                     return
-                if self._resync(replica):
+                if self._resync(replica, head):
                     self._obs_refresh_seconds.observe(time.monotonic() - self._head_changed_at)
             wait = max(HEAD_WATCH_TICK_SECONDS, time.monotonic() - started)
 
@@ -566,14 +588,15 @@ class ServingFleet:
         return self._replicas[replica_id]
 
     def restart_replica(self, replica_id: int) -> None:
-        """Replace one replica with a freshly opened service and re-admit it.
+        """Replace one replica with a fresh service and re-admit it.
 
-        The replacement is built first from the store file, then
+        The replacement follows the retired service's chain of versions
+        and serves its latest version at once — no store read — then is
         swapped in atomically.  An in-flight request on the retired
-        service either finishes against its pinned snapshot or — if the
-        close catches it mid-resync — retries transparently on a live
-        replica, without flagging the fresh one.  Fault hooks do not
-        survive a restart, matching a real process replacement.
+        service finishes against its pinned snapshot or retries
+        transparently on a live replica, without flagging the fresh one.
+        Fault hooks do not survive a restart, matching a real process
+        replacement.
         """
         replica = self._replica(replica_id)
         if self._store_path is None:
@@ -581,7 +604,7 @@ class ServingFleet:
                 "this fleet was built from detached services; there is no "
                 "store path to restart a replica from"
             )
-        fresh = CatalogSearchService.from_store_path(self._store_path)
+        fresh = replica.service.follower()
         with self._lock:
             stale = replica.service
             replica.service = fresh
@@ -742,6 +765,8 @@ class ServingFleet:
         category facet) sit under ``replicas[i]["stats"]``.
         """
         health = self.health()
+        # One entry per replica, in replica order.
+        entries: List[Dict[str, object]] = health["replicas"]  # type: ignore[assignment]
         with self._lock:
             total_queries = sum(replica.queries_served for replica in self._replicas)
         resync_totals: Dict[str, int] = {}
@@ -759,8 +784,8 @@ class ServingFleet:
             "max_lag_commits": self._max_lag_commits,
             "watch_head": self._watcher is not None,
             "replicas": [
-                dict(entry, **{"stats": self._replicas[entry["replica_id"]].service.stats()})  # type: ignore[index]
-                for entry in health["replicas"]  # type: ignore[union-attr]
+                dict(entry, stats=replica.service.stats())
+                for entry, replica in zip(entries, self._replicas)
             ],
         }
         if self._store_path is not None:

@@ -1,22 +1,31 @@
-"""The catalog serving facade: one index, one snapshot discipline.
+"""The catalog serving facade: one pinned index version per service.
 
-:class:`CatalogSearchService` owns a :class:`~repro.serving.index.CatalogIndex`.
-A service opened with :meth:`CatalogSearchService.from_store_path`
-watches a store file that other processes write, through a read-only
-:class:`~repro.serving.reader.CatalogReader`, and keeps its index
-current from the store's changed-cluster commit journal: when the
-commit counter moves, the journal names exactly the clusters every
-commit touched, so the service applies O(changed) upserts/removes
-instead of rebuilding.  Only when the journal cannot prove coverage
-(legacy file, compacted rows) does it fall back to the full rebuild —
-and the two paths are reported distinctly (``delta_resyncs`` /
-``full_resyncs`` / ``journal_truncations`` in :meth:`stats`).  The
-direct constructor wraps a prebuilt index that nothing maintains.
+:class:`CatalogSearchService` answers queries from one published
+:class:`~repro.serving.index.CatalogIndex` version.  A service opened
+with :meth:`CatalogSearchService.from_store_path` watches a store file
+that other processes write, through a read-only
+:class:`~repro.serving.reader.CatalogReader`, and keeps its version
+current from the store's changed-cluster commit journal: when the commit
+counter moves, the journal names exactly the clusters every commit
+touched, so the next version is derived from the last one with
+O(changed) upserts/removes instead of a rebuild.  Only when the journal
+cannot prove coverage (legacy file, compacted rows) does it fall back to
+a full build — and the two paths are reported distinctly
+(``delta_resyncs`` / ``full_resyncs`` / ``journal_truncations`` in
+:meth:`stats`).  The direct constructor wraps a prebuilt index that
+nothing maintains.
 
-The service guarantees **snapshot isolation**: every query runs under
-the service lock against an index state that corresponds to exactly one
-committed prefix of the ingest stream (reported as
-``snapshot_commit_count``), never to a half-applied batch.
+A service's :meth:`~CatalogSearchService.follower` shares its reader and
+its chain of versions: each commit is read, decoded and applied once,
+however many services serve the store, and each service pins the version
+it serves (the replicas of a :class:`~repro.serving.fleet.ServingFleet`).
+
+The service guarantees **snapshot isolation** without a lock on the
+query path: a query reads the pinned version — one reference — and
+searches it.  A published version is never mutated, so it answers for
+exactly one committed prefix of the ingest stream (reported as
+``snapshot_commit_count``), never for a half-applied batch, and a resync
+building the next version never blocks it.
 """
 
 from __future__ import annotations
@@ -33,19 +42,56 @@ from repro.serving.reader import CatalogReader
 __all__ = ["CatalogSearchService"]
 
 
+class _Version:
+    """One index version and the commit prefix it answers for."""
+
+    __slots__ = ("index", "commit_count", "rebuilds", "truncations")
+
+    def __init__(
+        self, index: CatalogIndex, commit_count: int, rebuilds: int, truncations: int
+    ) -> None:
+        self.index = index
+        self.commit_count = commit_count
+        #: Full builds in the chain up to this version, and how many of
+        #: them a truncated journal forced: a service moving between two
+        #: versions made a delta resync only if no full build lies between.
+        self.rebuilds = rebuilds
+        self.truncations = truncations
+
+
+class _Versions:
+    """The chain of published versions the services over one store share.
+
+    ``lock`` serialises the store reads that build the next version and
+    the moves of ``latest``; the shared reader is closed with the last
+    open service.
+    """
+
+    __slots__ = ("reader", "latest", "lock", "open_services")
+
+    def __init__(self, reader: CatalogReader) -> None:
+        self.reader = reader
+        self.latest: Optional[_Version] = None
+        self.lock = threading.Lock()
+        self.open_services = 0
+
+
+_NO_RESYNCS = {"resyncs": 0, "delta_resyncs": 0, "full_resyncs": 0, "journal_truncations": 0}
+
+
 class CatalogSearchService:
-    """Thread-safe query front end over an incrementally maintained index."""
+    """Lock-free query front end over a pinned, incrementally maintained index."""
 
     def __init__(self, index: Optional[CatalogIndex] = None) -> None:
-        self._index = index if index is not None else CatalogIndex()
-        self._lock = threading.RLock()
+        self._version = _Version(index if index is not None else CatalogIndex(), 0, 0, 0)
+        self._versions: Optional[_Versions] = None
         self._reader: Optional[CatalogReader] = None
-        self._snapshot_commit_count = 0
+        # Guards the query counter only: it is never held across index work.
+        self._counter_lock = threading.Lock()
         self._queries_served = 0
-        self._resyncs = 0
-        self._delta_resyncs = 0
-        self._full_resyncs = 0
-        self._journal_truncations = 0
+        #: Resync-mode counters, replaced whole under the versions lock so a
+        #: reader never sees half an update.
+        self._resync_counts: Dict[str, int] = dict(_NO_RESYNCS)
         # Observability: the per-instance counters above are what stats()
         # reports; each increment is mirrored into a process-wide registry
         # counter, so the series sum over every replica and keep the counts
@@ -54,17 +100,19 @@ class CatalogSearchService:
         self._obs = registry
         self._obs_index_upserts = registry.counter(
             "serving_index_upserts_total",
-            help="Products upserted into serving indexes by journal deltas.",
+            help="Products upserted into serving index versions by journal deltas.",
         )
         self._obs_index_removes = registry.counter(
             "serving_index_removes_total",
-            help="Products removed from serving indexes by journal deltas.",
+            help="Products removed from serving index versions by journal deltas.",
         )
         self._obs_queries = registry.counter(
             "serving_queries_total",
             help="Queries served (search, lookup, facet), all replicas.",
         )
-        resyncs_help = "Index resyncs by mode (journal delta vs full rebuild)."
+        resyncs_help = (
+            "Replica moves to a newer index version, by mode (journal delta vs full build)."
+        )
         self._obs_delta_resyncs = registry.counter(
             "serving_resyncs_total", help=resyncs_help, labels={"mode": "delta"}
         )
@@ -83,20 +131,48 @@ class CatalogSearchService:
         """Serve a store file written by another process (read-only).
 
         Opens a :class:`~repro.serving.reader.CatalogReader` over the
-        WAL file and builds the index from the committed snapshot.
-        Queries transparently resync when a writer commits — see
-        :meth:`maybe_resync`.
+        WAL file and builds the first version from the committed
+        snapshot.  Queries transparently resync when a writer commits —
+        see :meth:`maybe_resync`.
         """
-        service = cls()
-        service._reader = CatalogReader(path)
+        service = cls._over(_Versions(CatalogReader(path)))
         service.resync()
         return service
 
+    @classmethod
+    def _over(cls, versions: _Versions) -> "CatalogSearchService":
+        service = cls()
+        service._versions = versions
+        service._reader = versions.reader
+        with versions.lock:
+            versions.open_services += 1
+        return service
+
+    def follower(self) -> "CatalogSearchService":
+        """A new service over this one's reader and chain of versions.
+
+        It serves the latest published version at once, without a store
+        read; that first pin counts as its priming (full) resync.  Later
+        resyncs of either service build each version once for both.
+        """
+        if self._versions is None or self._reader is None:
+            raise RuntimeError("only an open service over a store file has followers")
+        service = self._over(self._versions)
+        with self._versions.lock:
+            service._pin(self._versions.latest, service._version)
+        return service
+
     def close(self) -> None:
-        """Close the reader (idempotent)."""
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
+        """Stop serving the store (idempotent); the last service over a reader closes it."""
+        versions = self._versions
+        if self._reader is None or versions is None:
+            return
+        self._reader = None
+        with versions.lock:
+            versions.open_services -= 1
+            last = versions.open_services == 0
+        if last:
+            versions.reader.close()
 
     def __enter__(self) -> "CatalogSearchService":
         return self
@@ -106,83 +182,117 @@ class CatalogSearchService:
 
     # -- maintenance -----------------------------------------------------------
 
-    def _apply_delta(
-        self, delta: Dict[ClusterId, Optional[Product]]
-    ) -> None:
-        """Apply one journal delta to the index (caller holds the lock)."""
+    def _apply_delta(self, delta: Dict[ClusterId, Optional[Product]]) -> CatalogIndex:
+        """Fold one journal delta into the served index; returns the result.
+
+        A published version is never written: the delta goes into its
+        derived successor, returned unpublished.  An unpublished index
+        (a detached service's) is updated in place and returned.
+        """
+        index = self._version.index
+        if index.published:
+            index = index.derive()
         upserts = removes = 0
         for cluster_id, product in delta.items():
             if product is None:
-                self._index.remove(stable_product_id(*cluster_id))
+                index.remove(stable_product_id(*cluster_id))
                 removes += 1
             else:
-                self._index.upsert(product)
+                index.upsert(product)
                 upserts += 1
         if upserts:
             self._obs_index_upserts.inc(upserts)
         if removes:
             self._obs_index_removes.inc(removes)
+        return index
 
-    def resync(self) -> int:
-        """Catch the index up to the store's committed head.
+    def _pin(self, version: _Version, previous: _Version) -> None:
+        """Serve ``version``, counting the move from ``previous`` by its mode.
 
-        Services opened with :meth:`from_store_path` only; returns the
-        commit count of the snapshot now served.  Two paths, reported distinctly in
-        :meth:`stats`:
+        The caller holds the versions lock.  A service's first pin is
+        its priming (full) resync; later, a move is a full resync when
+        a full build lies between the two versions, else a delta resync.
+        """
+        self._version = version
+        counts = dict(self._resync_counts)
+        primed = counts["resyncs"] > 0
+        if primed and version is previous:
+            return
+        counts["resyncs"] += 1
+        if primed and version.rebuilds == previous.rebuilds:
+            counts["delta_resyncs"] += 1
+            self._obs_delta_resyncs.inc()
+        else:
+            counts["full_resyncs"] += 1
+            self._obs_full_resyncs.inc()
+            if primed and version.truncations != previous.truncations:
+                counts["journal_truncations"] += 1
+                self._obs_journal_truncations.inc()
+        self._resync_counts = counts
 
-        * **journal delta** — once primed, the service asks the reader
-          for the changed-cluster journal entries between its pinned
-          snapshot and the head and applies O(changed) upserts/removes
+    def resync(self, head: Optional[int] = None) -> int:
+        """Catch the served version up to the store's committed head.
+
+        Services opened with :meth:`from_store_path` (or followers)
+        only; returns the commit count of the snapshot now served.  The
+        service first takes the latest version any service over the same
+        store built, then reads the store past it — one read, decode and
+        apply per commit for all of them.  ``head`` is a store head the
+        caller already read: when the latest version has reached it, the
+        service moves to that version without reading the store.  Two
+        paths, reported distinctly in :meth:`stats`:
+
+        * **journal delta** — the reader's changed-cluster journal
+          entries between the latest version and the head, folded into
+          that version's derived successor: O(changed) upserts/removes
           (``delta_resyncs``).  The read is one WAL transaction, so the
-          delta moves the index to exactly the head's catalog.
-        * **full rebuild** — the explicit fallback when the journal
+          new version holds exactly the head's catalog.
+        * **full build** — the explicit fallback when the journal
           cannot prove coverage (store predates the journal, rows were
-          compacted past the pinned snapshot — counted as
-          ``journal_truncations``) and for the initial priming build
+          compacted past the latest version — counted as
+          ``journal_truncations``) and for the priming build
           (``full_resyncs``).
         """
-        if self._reader is None:
+        versions = self._versions
+        if self._reader is None or versions is None:
             raise RuntimeError(
-                "resync() requires a service over a store file "
+                "resync() requires an open service over a store file "
                 "(CatalogSearchService.from_store_path)"
             )
-        with self._obs.span("serving.resync"):
-            with self._lock:
-                since = self._snapshot_commit_count
-                primed = self._resyncs > 0
-            if primed:
-                head, delta = self._reader.read_delta(since)
-                if delta is not None:
-                    with self._lock:
-                        # Apply only if no concurrent resync moved the
-                        # snapshot: the delta is valid on top of `since`
-                        # and nothing else.  A racer that won resynced
-                        # for us.
-                        if self._snapshot_commit_count == since and head > since:
-                            self._apply_delta(delta)
-                            self._snapshot_commit_count = head
-                            self._resyncs += 1
-                            self._delta_resyncs += 1
-                            self._obs_delta_resyncs.inc()
-                        return self._snapshot_commit_count
-                with self._lock:
-                    self._journal_truncations += 1
-                    self._obs_journal_truncations.inc()
-            snapshot, products = self._reader.read_products()
-            with self._lock:
-                # Concurrent resyncs race on the read: if another thread
-                # already swapped in this snapshot (or a newer one),
-                # keeping ours would roll the served index *backwards* —
-                # the non-monotonic read the snapshot contract forbids.
-                if snapshot > self._snapshot_commit_count or (
-                    snapshot == self._snapshot_commit_count and self._resyncs == 0
-                ):
-                    self._index.rebuild(products)
-                    self._snapshot_commit_count = snapshot
-                    self._resyncs += 1
-                    self._full_resyncs += 1
-                    self._obs_full_resyncs.inc()
-                return self._snapshot_commit_count
+        with self._obs.span("serving.resync"), versions.lock:
+            previous = self._version
+            latest = versions.latest
+            truncated = False
+            if latest is not None and (head is None or head > latest.commit_count):
+                head, delta = self._reader.read_delta(latest.commit_count)
+                if delta is None:
+                    truncated = True
+                elif head > latest.commit_count:
+                    self._version = latest  # the delta applies on top of it
+                    latest = _Version(
+                        self._apply_delta(delta).publish(),
+                        head,
+                        latest.rebuilds,
+                        latest.truncations,
+                    )
+            if latest is None or truncated:
+                snapshot, products = self._reader.read_products()
+                # A read older than the latest version (a store file
+                # swapped under the reader) would roll the served catalog
+                # backwards — the non-monotonic read the snapshot
+                # contract forbids — so it is dropped.
+                if latest is None:
+                    latest = _Version(CatalogIndex(products).publish(), snapshot, 1, 0)
+                elif snapshot > latest.commit_count:
+                    latest = _Version(
+                        CatalogIndex(products).publish(),
+                        snapshot,
+                        latest.rebuilds + 1,
+                        latest.truncations + 1,
+                    )
+            versions.latest = latest
+            self._pin(latest, previous)
+            return latest.commit_count
 
     def maybe_resync(self, max_lag_commits: int = 0) -> bool:
         """Resync when the served snapshot trails the store's head too far.
@@ -197,12 +307,13 @@ class CatalogSearchService:
         snapshot with the head the watcher published).  A service with
         no store file has nothing to resync and returns ``False``.
         """
-        if self._reader is None:
+        reader = self._reader
+        if reader is None:
             return False
-        head = self._reader.commit_count()
+        head = reader.commit_count()
         if head - self.snapshot_commit_count <= max_lag_commits:
             return False
-        self.resync()
+        self.resync(head)
         return True
 
     # -- queries ---------------------------------------------------------------
@@ -235,21 +346,20 @@ class CatalogSearchService:
     ) -> Tuple[int, List[SearchResult]]:
         """Like :meth:`search`, returning ``(snapshot, results)`` atomically.
 
-        The snapshot is read under the same lock hold that executes the
-        search, so under concurrent maintenance (resyncs, a fleet's
-        head watcher) the pair is guaranteed consistent —
-        reading :attr:`snapshot_commit_count` *after* :meth:`search` is
-        not.  ``auto_resync=False`` skips the head check entirely (a
-        fleet holds its replicas to its own lag bound before it calls).
+        Both come from the one version the query read, so under
+        concurrent maintenance (resyncs, a fleet's head watcher) the
+        pair is guaranteed consistent — reading
+        :attr:`snapshot_commit_count` *after* :meth:`search` is not.
+        ``auto_resync=False`` skips the head check entirely (a fleet
+        holds its replicas to its own lag bound before it calls).
         """
         if auto_resync:
             self.maybe_resync()
-        with self._lock:
-            self._queries_served += 1
-            self._obs_queries.inc()
-            return self._snapshot_commit_count, self._index.search(
-                query, top_k=top_k, category=category, attributes=attributes
-            )
+        version = self._version
+        self._count_query()
+        return version.commit_count, version.index.search(
+            query, top_k=top_k, category=category, attributes=attributes
+        )
 
     def get_product(self, product_id: str) -> Optional[Product]:
         """Point lookup by product id against the served snapshot."""
@@ -263,26 +373,28 @@ class CatalogSearchService:
         """Point lookup returning ``(snapshot, product)`` atomically."""
         if auto_resync:
             self.maybe_resync()
-        with self._lock:
-            self._queries_served += 1
-            self._obs_queries.inc()
-            return self._snapshot_commit_count, self._index.get_product(product_id)
+        version = self._version
+        self._count_query()
+        return version.commit_count, version.index.get_product(product_id)
 
     def count_by_category(self) -> Dict[str, int]:
         """The category facet of the served snapshot."""
         self.maybe_resync()
-        with self._lock:
+        version = self._version
+        self._count_query()
+        return version.index.count_by_category()
+
+    def _count_query(self) -> None:
+        with self._counter_lock:
             self._queries_served += 1
-            self._obs_queries.inc()
-            return self._index.count_by_category()
+        self._obs_queries.inc()
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def snapshot_commit_count(self) -> int:
         """Commit barrier the served index corresponds to."""
-        with self._lock:
-            return self._snapshot_commit_count
+        return self._version.commit_count
 
     def head_commit_count(self) -> int:
         """The newest committed snapshot available to this service.
@@ -290,8 +402,9 @@ class CatalogSearchService:
         The store file's persistent counter (one ``meta`` row read); a
         service with no store file serves its own snapshot.
         """
-        if self._reader is not None:
-            return self._reader.commit_count()
+        reader = self._reader
+        if reader is not None:
+            return reader.commit_count()
         return self.snapshot_commit_count
 
     def lag(self) -> int:
@@ -301,26 +414,21 @@ class CatalogSearchService:
     @property
     def num_products(self) -> int:
         """Products in the served snapshot."""
-        with self._lock:
-            return self._index.num_products
+        return self._version.index.num_products
 
     def resync_stats(self) -> Dict[str, int]:
-        """Resync-mode counters: how the index has been kept current.
+        """Resync-mode counters: how the served version has been kept current.
 
-        ``delta_resyncs`` counts journal-delta applies, ``full_resyncs``
-        full rebuilds (including the priming build), and
-        ``journal_truncations`` the times a truncated/absent journal
-        forced the fallback; ``resyncs`` is the total.  The fleet's
-        ``/lag`` endpoint surfaces these per replica so operators can
-        tell O(changed) maintenance from O(catalog) rebuild storms.
+        ``delta_resyncs`` counts moves to a version derived by journal
+        deltas only, ``full_resyncs`` the priming pin and moves across a
+        full build, and ``journal_truncations`` the moves across a full
+        build a truncated/absent journal forced; ``resyncs`` is the
+        total.  Services sharing a chain of versions count their own
+        moves, while each version is built once.  The fleet's ``/lag``
+        endpoint surfaces these per replica so operators can tell
+        O(changed) maintenance from O(catalog) rebuild storms.
         """
-        with self._lock:
-            return {
-                "resyncs": self._resyncs,
-                "delta_resyncs": self._delta_resyncs,
-                "full_resyncs": self._full_resyncs,
-                "journal_truncations": self._journal_truncations,
-            }
+        return dict(self._resync_counts)
 
     def stats(self) -> Dict[str, object]:
         """JSON-compatible service + index statistics (the ``/stats`` body).
@@ -328,17 +436,18 @@ class CatalogSearchService:
         Resync counters live under the nested ``resync`` key — the same
         shape the fleet reports per replica.
         """
-        with self._lock:
-            payload: Dict[str, object] = {
-                "snapshot_commit_count": self._snapshot_commit_count,
-                "queries_served": self._queries_served,
-                "resync": self.resync_stats(),
-                "index": self._index.stats(),
-                "count_by_category": self._index.count_by_category(),
-            }
-        if self._reader is not None:
+        version = self._version
+        payload: Dict[str, object] = {
+            "snapshot_commit_count": version.commit_count,
+            "queries_served": self._queries_served,
+            "resync": self.resync_stats(),
+            "index": version.index.stats(),
+            "count_by_category": version.index.count_by_category(),
+        }
+        reader = self._reader
+        if reader is not None:
             # The reader has no page cache; the two keys stay at 0 because
             # bench/ledger.py reads them for ``reader.page_cache_hit_ratio``.
             payload["reader"] = {"page_cache_hits": 0, "page_cache_misses": 0}
-            payload["store_path"] = self._reader.path
+            payload["store_path"] = reader.path
         return payload

@@ -14,7 +14,7 @@ Jaro-Winkler similarity exceeds a threshold.  This module provides:
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, Iterable, Optional
+from typing import Callable, Collection, Dict, Iterable, Optional
 
 from repro.text.setsim import cosine_similarity
 from repro.text.string_metrics import jaro_winkler_similarity
@@ -110,6 +110,13 @@ class IncrementalTfIdf:
             else:
                 self._document_frequency[token] = frequency - 1
 
+    def copy(self) -> "IncrementalTfIdf":
+        """Independent statistics equal to these (the token strings are shared)."""
+        twin = IncrementalTfIdf()
+        twin._num_documents = self._num_documents
+        twin._document_frequency = dict(self._document_frequency)
+        return twin
+
     # -- statistics ------------------------------------------------------------
 
     def _idf_value(self, document_frequency: int) -> float:
@@ -137,8 +144,15 @@ class IncrementalTfIdf:
             return self._idf_value(1) if self._num_documents else 1.0
         return self._idf_value(frequency)
 
-    def transform(self, text: str) -> Dict[str, float]:
-        """Return the L2-normalised TF-IDF vector of ``text``."""
+    def transform(
+        self, text: str, idf: Optional[Callable[[str], float]] = None
+    ) -> Dict[str, float]:
+        """Return the L2-normalised TF-IDF vector of ``text``.
+
+        ``idf`` replaces :meth:`idf` as the per-token lookup — a caller
+        that tabulates these statistics' IDF values passes its table's.
+        """
+        idf = self.idf if idf is None else idf
         tokens = tokenize_value(text)
         if not tokens:
             return {}
@@ -146,7 +160,7 @@ class IncrementalTfIdf:
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
         weights = {
-            token: (count / len(tokens)) * self.idf(token)
+            token: (count / len(tokens)) * idf(token)
             for token, count in counts.items()
         }
         norm = math.sqrt(sum(value * value for value in weights.values()))

@@ -7,9 +7,12 @@ a ``SearchResult`` per scored document before a full sort.  Random
 (untokenisable text, repeated tokens, re-fused products that keep their
 id, attribute names in varying case) are applied to both, and after
 every step searches (scores compared with ``==``), point lookups, facets
-and statistics must agree.  A relative memory guard measures both
-indexes over the SMALL corpus's synthesized products in the same test,
-so the bound does not depend on the interpreter's object sizes.
+and statistics must agree.  Published versions get the same check: every
+version derived by a random delta answers like the oracle at its own
+commit, and still does after later versions were derived from it.  A
+relative memory guard measures both indexes over the SMALL corpus's
+synthesized products in the same test, so the bound does not depend on
+the interpreter's object sizes.
 """
 
 import gc
@@ -105,6 +108,86 @@ def test_every_step_agrees_with_the_former_index(initial, steps):
             index.rebuild(argument)
             oracle.rebuild(argument)
         assert_agrees(index, oracle)
+
+
+def answers(index):
+    """Every search, lookup, facet and statistic ``assert_agrees`` compares."""
+    return (
+        index.stats(),
+        index.count_by_category(),
+        [index.get_product(product_id) for product_id in PRODUCT_IDS + ["no-such-id"]],
+        [
+            index.search(query, top_k=top_k, **filters)
+            for query in QUERIES
+            for filters in FILTERS
+            for top_k in (1, 3, 10)
+        ],
+    )
+
+
+deltas = st.lists(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("upsert"), products),
+            st.tuples(st.just("remove"), st.sampled_from(PRODUCT_IDS + ["no-such-id"])),
+        ),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(initial=st.lists(products, max_size=5), commits=deltas)
+def test_every_published_version_answers_like_the_oracle_at_its_commit(initial, commits):
+    oracle = index_oracle.CatalogIndex(initial)
+    versions = [CatalogIndex(initial).publish()]
+    assert_agrees(versions[0], oracle)
+    answered = [answers(versions[0])]
+    for delta in commits:
+        version = versions[-1].derive()
+        for action, argument in delta:
+            if action == "upsert":
+                version.upsert(argument)
+                oracle.upsert(argument)
+            else:
+                assert version.remove(argument) == oracle.remove(argument)
+        versions.append(version.publish())
+        assert_agrees(version, oracle)
+        answered.append(answers(version))
+    # Deriving never wrote to a published version: each one, its caches
+    # warm or cold, still answers exactly as it did at its own commit.
+    for version, expected in zip(versions, answered):
+        assert answers(version) == expected
+    with pytest.raises(RuntimeError, match="immutable"):
+        versions[0].upsert(Product(product_id="p-0", category_id=CATEGORIES[0], title="wd"))
+    with pytest.raises(RuntimeError, match="immutable"):
+        versions[0].remove("p-0")
+
+
+def test_scores_equal_the_oracle_bit_for_bit(small_products):
+    """The per-version IDF table changes no score, cold or warm, by a single bit."""
+    half = len(small_products) // 2
+    oracle = index_oracle.CatalogIndex(small_products[:half])
+    version = CatalogIndex(small_products[:half]).publish().derive()
+    for product in small_products[half:]:
+        version.upsert(product)
+        oracle.upsert(product)
+    for product in small_products[: half // 2]:
+        assert version.remove(product.product_id) == oracle.remove(product.product_id)
+    version.publish()
+    queries = [" ".join(tokenize_title(product.title)[:3]) for product in small_products[::5]]
+    for _ in range(2):  # cold tables, then warm ones
+        for query in queries:
+            expected = [
+                (result.product.product_id, result.score.hex())
+                for result in oracle.search(query, top_k=10)
+            ]
+            assert [
+                (result.product.product_id, result.score.hex())
+                for result in version.search(query, top_k=10)
+            ] == expected
 
 
 def traced_bytes(build, products):
