@@ -1,7 +1,7 @@
 """Journal-delta resync at 100k products (ISSUE 9).
 
-Builds a 100,000-product catalog store directly through the store
-mutators (chunked commits), then measures a reader's full index build
+Builds a 100,000-product catalog store directly through the store's
+``apply`` (chunked commits), then measures a reader's full index build
 against a journal-delta resync after a small commit touching ~100
 clusters: the delta path applies O(changed) work and must be far
 cheaper than the rebuild.  ``extra_info`` also records the primed
@@ -22,6 +22,7 @@ import tracemalloc
 from conftest import run_once
 
 from repro.model.products import Product
+from repro.runtime.state import StagedBatch
 from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.serving import CatalogIndex, CatalogReader, CatalogSearchService
 
@@ -44,25 +45,24 @@ def _cluster_id(index: int):
 
 
 def _build_large_store(path: str) -> SqliteCatalogStore:
-    """A 100k-product catalog, committed in chunks through the mutators.
+    """A 100k-product catalog, committed in chunks through ``apply``.
 
     The engine pipeline is bypassed on purpose: this measurement is
-    about the *serving* side, and the store mutators reach the same
-    commit barrier (and therefore the same journal) the engines do.
+    about the *serving* side, and ``apply`` reaches the same commit
+    barrier (and therefore the same journal) the engines do.
     """
     store = SqliteCatalogStore(path)
     for start in range(0, CATALOG_PRODUCTS, BUILD_CHUNK):
+        batch = StagedBatch()
         for index in range(start, min(start + BUILD_CHUNK, CATALOG_PRODUCTS)):
             cluster_id = _cluster_id(index)
-            store.create_cluster(index % 64, cluster_id)
-            store.set_product(
-                cluster_id,
-                Product(
-                    product_id=f"p{index}",
-                    category_id=cluster_id[0],
-                    title=_make_title(index),
-                ),
+            batch.clusters.append(cluster_id)
+            batch.products[cluster_id] = Product(
+                product_id=f"p{index}",
+                category_id=cluster_id[0],
+                title=_make_title(index),
             )
+        store.apply(batch)
         store.commit()
     return store
 
@@ -74,15 +74,18 @@ def _measure_resync(store_path: str, store: SqliteCatalogStore):
     full_seconds = time.perf_counter() - started
     assert service.num_products == CATALOG_PRODUCTS
     try:
-        for index in range(TOUCHED_CLUSTERS):
-            store.set_product(
-                _cluster_id(index),
-                Product(
-                    product_id=f"p{index}",
-                    category_id=_cluster_id(index)[0],
-                    title=f"widget model {index} refreshed revision two",
-                ),
+        store.apply(
+            StagedBatch(
+                products={
+                    _cluster_id(index): Product(
+                        product_id=f"p{index}",
+                        category_id=_cluster_id(index)[0],
+                        title=f"widget model {index} refreshed revision two",
+                    )
+                    for index in range(TOUCHED_CLUSTERS)
+                }
             )
+        )
         store.commit()
         started = time.perf_counter()
         service.resync()

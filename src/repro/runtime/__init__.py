@@ -67,11 +67,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ProcessPoolShardExecutor",
             "resolve_executor",
         ),
-        "repro.runtime.sharding": ("partition_by_shard", "shard_for_category"),
+        "repro.runtime.sharding": ("shard_for_category",),
         "repro.runtime.state": (
             "StaleEpochError",
             "CatalogStore",
             "ClusterState",
+            "StagedBatch",
             "resolve_store",
         ),
         "repro.runtime.store": ("MemoryCatalogStore", "SqliteCatalogStore"),

@@ -11,9 +11,10 @@ their store journals moving between processes.
 The safety mechanism is **epoch fencing**.  Every shard carries a
 monotonic *epoch* in the store: granting a shard to a node bumps the
 epoch, and the grant — a :class:`ShardLease` — records the epoch the
-node was given.  Every cluster write a node issues travels through its
-:class:`FencedStoreView`, carries the leased epoch, and is checked
-against the store's authoritative epoch
+node was given.  Every batch a node applies travels through its
+:class:`FencedStoreView`'s one write, ``apply``, which presents the
+leased epoch of each shard the batch touches for a check against the
+store's authoritative epoch
 (:meth:`~repro.runtime.state.CatalogStore.check_shard_epoch`).  A node
 that lags, restarts, or loses a shard to reassignment therefore cannot
 commit stale cluster state: its next write, or at the latest the

@@ -60,7 +60,7 @@ from repro.model.products import Product
 from repro.obs import get_registry, series_key, snapshot_fragment
 from repro.runtime.executors import ShardExecutor, resolve_executor
 from repro.runtime.sharding import shard_for_category
-from repro.runtime.state import CatalogStore, ClusterId, resolve_store
+from repro.runtime.state import CatalogStore, ClusterId, StagedBatch, resolve_store
 from repro.synthesis.category_classifier import TitleCategoryClassifier
 from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster
 from repro.synthesis.fusion import CentroidValueFusion, MemoizedValueFusion
@@ -260,14 +260,6 @@ class TransportStats:
         return snapshot_fragment(counters=counters, gauges=gauges, families=families)
 
 
-@dataclass
-class _PendingAppend:
-    """This batch's additions to one cluster, before re-fusion."""
-
-    shard_index: int
-    offers: List[Offer] = field(default_factory=list)
-
-
 #: One shard's executor payload: fuse these clusters with these schema
 #: attributes.
 _ShardTask = Tuple[List[Tuple[OfferCluster, List[str]]], object]
@@ -421,10 +413,12 @@ class SynthesisEngine:
             self._obs.add_provider(self._obs_provider)
             self._closed = False
         # Filtering against both sets also deduplicates repeats inside a
-        # single batch, not just across batches.  Ids are only *marked*
-        # seen after the fallible pipeline stages below succeed, so a
-        # batch that raises (untrained classifier, extractor failure)
-        # can be retried instead of being silently dropped as duplicate.
+        # single batch, not just across batches.  The batch is staged
+        # without touching the store and applied in one call after its
+        # last fallible stage (fusion included), so a batch that raises
+        # anywhere before the apply — or at one of the apply's own fault
+        # points — leaves the store as it was and can be retried instead
+        # of being silently dropped as duplicate.
         fresh: List[Offer] = []
         with self._obs.span("ingest.dedup"):
             batch_ids = set()
@@ -447,20 +441,25 @@ class SynthesisEngine:
             categorised = self._pipeline._assign_categories(fresh)
         extracted = self._extract_specifications(categorised)
         reconciled, stats = self._pipeline.reconciler.reconcile_offers(extracted)
-        for offer in fresh:
-            self._store.mark_seen(offer.offer_id)
-        self._store.merge_reconciliation_stats(stats)
-        for offer in categorised:
-            if offer.category_id is not None:
-                self._store.record_category(offer.offer_id, offer.category_id)
-
+        batch = StagedBatch(
+            seen=[offer.offer_id for offer in fresh],
+            categories=[
+                (offer.offer_id, offer.category_id)
+                for offer in categorised
+                if offer.category_id is not None
+            ],
+            stats=stats,
+        )
         with self._obs.span("ingest.route"):
-            pending = self._route_to_clusters(reconciled, report)
-        report.clusters_touched = len(pending)
+            self._route_to_clusters(reconciled, report, batch)
+        report.clusters_touched = len(batch.offers)
+        shipped = TransportStats(batches=1)
         with self._obs.span("ingest.fuse"):
-            report.products_refreshed = self._refuse_clusters(pending)
-        self._transport_stats.batches += 1
+            report.products_refreshed = self._refuse_clusters(batch, shipped)
         with self._obs.span("ingest.commit_barrier"):
+            self._store.apply(batch)
+            # Counted once applied: a retried batch is shipped once.
+            self._transport_stats.merge(shipped)
             self._store.commit()
         self._obs_batches.inc()
         self._obs_offers_new.inc(report.offers_new)
@@ -498,15 +497,13 @@ class SynthesisEngine:
         ]
 
     def _route_to_clusters(
-        self, reconciled: Sequence[Offer], report: IngestReport
-    ) -> "Dict[ClusterId, _PendingAppend]":
-        """Route offers to their clusters; returns this batch's appends.
+        self, reconciled: Sequence[Offer], report: IngestReport, batch: StagedBatch
+    ) -> None:
+        """Stage each keyed offer's cluster append (and each new cluster).
 
-        The returned dict is keyed by cluster id in first-touch order and
-        records, per touched cluster, its shard and its new offers.
+        ``batch.offers`` is keyed by cluster id in first-touch order.
         """
         clusterer = self._pipeline.clusterer
-        pending: Dict[ClusterId, _PendingAppend] = {}
         for offer in reconciled:
             if offer.category_id is None:
                 report.offers_uncategorised += 1
@@ -516,51 +513,47 @@ class SynthesisEngine:
                 report.offers_without_key += 1
                 continue
             cluster_id: ClusterId = (offer.category_id, key)
-            entry = pending.get(cluster_id)
-            if entry is None:
-                shard_index = shard_for_category(offer.category_id, self._num_shards)
-                state = self._store.get_cluster(cluster_id)
-                if state is None:
-                    state = self._store.create_cluster(shard_index, cluster_id)
-                entry = _PendingAppend(shard_index=shard_index)
-                pending[cluster_id] = entry
-            entry.offers.append(offer)
+            appended = batch.offers.get(cluster_id)
+            if appended is None:
+                if self._store.get_cluster(cluster_id) is None:
+                    batch.clusters.append(cluster_id)
+                appended = batch.offers[cluster_id] = []
+            appended.append(offer)
             report.offers_clustered += 1
-        for cluster_id, entry in pending.items():
-            self._store.append_offers(cluster_id, entry.offers)
-        return pending
 
-    def _refuse_clusters(self, pending: "Dict[ClusterId, _PendingAppend]") -> int:
-        """Re-fuse the touched clusters' full contents, one executor task per shard."""
-        by_shard: Dict[int, List[ClusterId]] = {}
-        for cluster_id, entry in pending.items():
-            by_shard.setdefault(entry.shard_index, []).append(cluster_id)
+    def _refuse_clusters(self, batch: StagedBatch, shipped: TransportStats) -> int:
+        """Stage every touched cluster's product, one executor task per shard.
+
+        Each cluster is fused over its committed offers plus the batch's
+        new ones, in a cluster object of its own: the store's copy is
+        not touched until :meth:`ingest` applies the batch.  The payload
+        counts go to ``shipped``, which ``ingest`` adds to the engine's
+        totals once the batch is applied.
+        """
+        by_shard: Dict[int, List[OfferCluster]] = {}
+        for (category_id, key), offers in batch.offers.items():
+            state = self._store.get_cluster((category_id, key))
+            committed = [] if state is None else state.cluster.offers
+            cluster = OfferCluster(category_id=category_id, key=key, offers=committed + offers)
+            # Placed now, so the batch lists products in first-touch order.
+            batch.products[(category_id, key)] = None
+            if cluster.size() >= self._min_cluster_size:
+                shard_index = shard_for_category(category_id, self._num_shards)
+                by_shard.setdefault(shard_index, []).append(cluster)
         payloads: List[_ShardTask] = []
-        payload_keys: List[List[ClusterId]] = []
         for shard_index in sorted(by_shard):
-            jobs: List[Tuple[OfferCluster, List[str]]] = []
-            keys: List[ClusterId] = []
-            for cluster_id in by_shard[shard_index]:
-                state = self._store.get_cluster(cluster_id)
-                if state.size() < self._min_cluster_size:
-                    self._store.set_product(cluster_id, None)
-                    continue
-                jobs.append(
-                    (state.cluster, self._pipeline.attribute_names_for(state.cluster))
-                )
-                keys.append(cluster_id)
-                self._transport_stats.clusters_shipped += 1
-                self._transport_stats.offers_shipped += state.size()
-            if jobs:
-                payloads.append((jobs, self._fusion))
-                payload_keys.append(keys)
-        self._transport_stats.shard_tasks += len(payloads)
+            clusters = by_shard[shard_index]
+            jobs = [(cluster, self._pipeline.attribute_names_for(cluster)) for cluster in clusters]
+            shipped.clusters_shipped += len(clusters)
+            shipped.offers_shipped += sum(cluster.size() for cluster in clusters)
+            payloads.append((jobs, self._fusion))
+        shipped.shard_tasks += len(payloads)
 
         refreshed = 0
         results = self._executor.map_shards(_fuse_shard, payloads)
-        for keys, products in zip(payload_keys, results):
-            for cluster_id, product in zip(keys, products):
-                self._store.set_product(cluster_id, product)
+        for (jobs, _), products in zip(payloads, results):
+            for (cluster, _), product in zip(jobs, products):
+                batch.products[(cluster.category_id, cluster.key)] = product
                 if product is not None:
                     refreshed += 1
         return refreshed

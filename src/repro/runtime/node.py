@@ -23,11 +23,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.corpus.webstore import WebStore
 from repro.model.offers import Offer
-from repro.model.products import Product
 from repro.obs import get_registry
 from repro.runtime.engine import IngestReport, SynthesisEngine, TransportStats
 from repro.runtime.sharding import shard_for_category
-from repro.runtime.state import CatalogStore, ClusterId, ClusterState, StaleEpochError
+from repro.runtime.state import CatalogStore, ClusterId, ClusterState, StagedBatch, StaleEpochError
 from repro.runtime.store.sqlite import SqliteCatalogStore, StoreJournal
 from repro.synthesis.reconciliation import ReconciliationStats
 
@@ -63,11 +62,11 @@ class ShardLease:
 class FencedStoreView(CatalogStore):
     """One node's epoch-carrying, lock-serialised view of a shared store.
 
-    Reads and global writes delegate to the base store under the cluster
-    lock; cluster-scoped writes (create/append/product) first
-    present the leased epoch of the target shard for validation, so a
-    fenced-out node fails fast instead of corrupting reassigned shards.
-    Global writes are fenced at the commit barrier.
+    Reads delegate to the base store under the cluster lock.  The one
+    write, :meth:`apply`, first checks the fence flag and presents the
+    leased epoch of every shard the batch touches, so a fenced-out node
+    fails fast, with nothing of its batch applied, instead of corrupting
+    reassigned shards.
 
     The view's ``commit`` only validates the whole lease: the coordinator
     commits once per cluster batch (the shared store of an in-process
@@ -158,88 +157,49 @@ class FencedStoreView(CatalogStore):
         """Whether the shared base store can no longer accept writes."""
         return self._base.closed
 
-    # -- seen offers -----------------------------------------------------------
+    # -- the one write ---------------------------------------------------------
+
+    def apply(self, batch: StagedBatch) -> None:
+        """Apply a batch to the base store once this node may write every shard it touches."""
+        with self._lock:
+            self._check_writable()
+            touched = [*batch.clusters, *batch.offers, *batch.products]
+            shards = {shard_for_category(category, self._num_shards) for category, _ in touched}
+            for shard_index in sorted(shards):
+                self._check_shard(shard_index)
+            self._base.apply(batch)
+
+    # -- reads -----------------------------------------------------------------
 
     def is_seen(self, offer_id: str) -> bool:
         """Whether an offer id was absorbed, read under the cluster lock."""
         with self._lock:
             return self._base.is_seen(offer_id)
 
-    def mark_seen(self, offer_id: str) -> bool:
-        """Record an offer id (global write; fence flag checked first)."""
-        with self._lock:
-            self._check_writable()
-            return self._base.mark_seen(offer_id)
-
     def num_seen(self) -> int:
         """Distinct offer ids absorbed cluster-wide."""
         with self._lock:
             return self._base.num_seen()
-
-    # -- assigned categories ---------------------------------------------------
-
-    def record_category(self, offer_id: str, category_id: str) -> None:
-        """Remember an offer's category (global, fence-flag-checked write)."""
-        with self._lock:
-            self._check_writable()
-            self._base.record_category(offer_id, category_id)
 
     def assigned_categories(self) -> Dict[str, str]:
         """A copy of the cluster-wide offer-id -> category-id map."""
         with self._lock:
             return self._base.assigned_categories()
 
-    # -- clusters (epoch-checked writes) ---------------------------------------
-
     def get_cluster(self, cluster_id: ClusterId) -> Optional[ClusterState]:
         """One cluster's shared state, read under the cluster lock."""
         with self._lock:
             return self._base.get_cluster(cluster_id)
-
-    def create_cluster(self, shard_index: int, cluster_id: ClusterId) -> ClusterState:
-        """Create a cluster after validating this node's shard epoch."""
-        with self._lock:
-            self._check_shard(shard_index)
-            return self._base.create_cluster(shard_index, cluster_id)
-
-    def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
-        """Append offers after validating the owning shard's epoch."""
-        with self._lock:
-            state = self._base.get_cluster(cluster_id)
-            if state is not None:
-                self._check_shard(state.shard_index)
-            self._base.append_offers(cluster_id, offers)
-
-    def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
-        """Record a fused product after validating the shard's epoch."""
-        with self._lock:
-            state = self._base.get_cluster(cluster_id)
-            if state is not None:
-                self._check_shard(state.shard_index)
-            self._base.set_product(cluster_id, product)
 
     def iter_clusters(self) -> Iterator[Tuple[ClusterId, ClusterState]]:
         """Iterate over a stable copy of every tracked cluster."""
         with self._lock:
             return iter(list(self._base.iter_clusters()))
 
-    def shard_cluster_ids(self, shard_index: int) -> List[ClusterId]:
-        """Ids of every cluster living in one shard."""
-        with self._lock:
-            return self._base.shard_cluster_ids(shard_index)
-
     def num_clusters(self) -> int:
         """Number of clusters tracked cluster-wide."""
         with self._lock:
             return self._base.num_clusters()
-
-    # -- reconciliation stats --------------------------------------------------
-
-    def merge_reconciliation_stats(self, stats: ReconciliationStats) -> None:
-        """Fold batch counters into the shared totals (fence-checked)."""
-        with self._lock:
-            self._check_writable()
-            self._base.merge_reconciliation_stats(stats)
 
     def reconciliation_stats(self) -> ReconciliationStats:
         """A copy of the cluster-wide reconciliation totals."""
@@ -500,14 +460,15 @@ def _arm_fault(
 ) -> None:
     """Install a fault hook that fails this node at the Nth store op.
 
-    ``operation`` is a store write (``"append_offers"``, ``"mark_seen"``,
-    ``"set_product"``) or ``"vote"``, which fires right after the node
-    sent a vote.  ``hard=True`` hard-kills the process with ``os._exit``
-    — no reply, no cleanup — a genuine death at that point.
-    ``hard=False`` raises instead (one-shot): at a store write the
-    process survives, its engine fails mid-ingest, and the node votes
-    not-ready — the alive-but-failed path whose partial journal the
-    coordinator must abort.
+    ``operation`` is a fault point of the store's ``apply``
+    (``"append_offers"``, ``"mark_seen"``, ``"set_product"``) or
+    ``"vote"``, which fires right after the node sent a vote.
+    ``hard=True`` hard-kills the process with ``os._exit`` — no reply,
+    no cleanup — a genuine death at that point.  ``hard=False`` raises
+    instead (one-shot): at an ``apply`` fault point the process
+    survives, nothing of its batch is applied, its engine fails the
+    ingest, and the node votes not-ready — the alive-but-failed path
+    whose wave the coordinator aborts.
     """
     remaining = {"count": countdown}
 

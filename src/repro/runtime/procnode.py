@@ -36,8 +36,8 @@ across nodes — every send of a round goes out before any receive):
     in-process node runs.  An ``ingest`` or ``apply`` frame carries the
     landing page of every offer without a specification that it makes
     the node ingest; the node extracts from them and drops them before
-    it votes.  A node's mutations land in its read-only mirror and its
-    store's journal; its ``vote`` carries the ingest report, busy time,
+    it votes.  A node's engine applies each batch to its read-only
+    mirror and its store's queued journal; its ``vote`` carries the ingest report, busy time,
     transport counters and — on success — the drained journal, with
     the lease epochs it was written under.  A failure votes the error.
 The commit barrier
@@ -434,12 +434,12 @@ class ProcessTransport(NodeTransport):
         return nodes
 
     def abort(self, answered: Sequence[ClusterNode], failures: Dict[str, BaseException]) -> bool:
-        """Roll every answering node's journal (and retained offers) back.
+        """Roll every answering node's mirror (and retained offers) back.
 
-        Ready voters and failed-but-alive nodes alike: a node whose
-        engine raised mid-ingest holds a *partial* journal; left in
-        place it would flush half-processed offers at the next barrier
-        (or survive a caller's retry after an unrecoverable failure).
+        Ready voters and failed-but-alive nodes alike: a ready voter's
+        mirror holds the batch its vote carried, which is not written
+        now; a node whose engine raised applied nothing of the batch,
+        and is rebuilt from the same barrier all the same.
         """
         for node in answered:
             try:
@@ -525,8 +525,9 @@ class MultiProcessEngine(ClusterEngine):
         """Arm a mid-batch node failure (tests/drills).
 
         The node fails at the ``countdown``-th occurrence of the named
-        store operation (``"append_offers"``, ``"mark_seen"``,
-        ``"set_product"``) during a later ingest, or right after its
+        fault point of its store's ``apply`` (``"append_offers"``,
+        ``"mark_seen"``, ``"set_product"``, each fired once per item
+        before anything is applied) during a later ingest, or right after its
         ``countdown``-th later vote (``"vote"``, a death after the node
         handed its journal over).  ``hard=True`` (default) hard-exits
         the process (``os._exit``) — a genuine kill at a precise point;

@@ -14,11 +14,8 @@ processes.  CRC-32 is deterministic everywhere.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Sequence, TypeVar
 
-__all__ = ["shard_for_category", "partition_by_shard"]
-
-T = TypeVar("T")
+__all__ = ["shard_for_category"]
 
 
 def shard_for_category(category_id: str, num_shards: int) -> int:
@@ -28,19 +25,3 @@ def shard_for_category(category_id: str, num_shards: int) -> int:
     if num_shards == 1:
         return 0
     return zlib.crc32(category_id.encode("utf-8")) % num_shards
-
-
-def partition_by_shard(
-    items: Iterable[T],
-    category_ids: Sequence[str],
-    num_shards: int,
-) -> Dict[int, List[T]]:
-    """Group ``items`` by the shard of their parallel ``category_ids``.
-
-    Returns only non-empty shards; within a shard, items keep their input
-    order, which is what makes sharded processing deterministic.
-    """
-    shards: Dict[int, List[T]] = {}
-    for item, category_id in zip(items, category_ids):
-        shards.setdefault(shard_for_category(category_id, num_shards), []).append(item)
-    return shards

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.obs import get_registry
+from repro.runtime.sharding import shard_for_category
 from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
 
@@ -32,6 +33,7 @@ __all__ = [
     "ClusterId",
     "ClusterState",
     "CatalogStore",
+    "StagedBatch",
     "StaleEpochError",
     "resolve_store",
 ]
@@ -62,15 +64,42 @@ class ClusterState:
         return self.cluster.size()
 
 
+@dataclass
+class StagedBatch:
+    """One ingest's whole effect on a catalog store, computed before any write.
+
+    :meth:`~repro.runtime.engine.SynthesisEngine.ingest` builds it
+    without touching the store (dedup, classify, extract, reconcile,
+    route, and fusion over each touched cluster's committed offers plus
+    its new ones), then hands it to :meth:`CatalogStore.apply` in one
+    call: a batch that fails before the apply leaves nothing behind.
+    """
+
+    #: Ids of the offers the batch absorbs, in stream order.
+    seen: List[str] = field(default_factory=list)
+    #: ``(offer id, category id)`` of every offer given a category.
+    categories: List[Tuple[str, str]] = field(default_factory=list)
+    #: The batch's reconciliation counters, added to the running totals.
+    stats: Optional[ReconciliationStats] = None
+    #: Clusters the batch creates (empty until :attr:`offers` fills them).
+    clusters: List[ClusterId] = field(default_factory=list)
+    #: New offers per cluster, appended after the cluster's committed ones.
+    offers: Dict[ClusterId, List[Offer]] = field(default_factory=dict)
+    #: Each touched cluster's re-fused product (``None`` = below the bar).
+    products: Dict[ClusterId, Optional[Product]] = field(default_factory=dict)
+
+
 class CatalogStore(abc.ABC):
     """Everything the synthesis engine remembers between ingests.
 
     The contract mirrors the engine's access patterns: membership checks
-    and appends on the hot ingest path, whole-shard iteration for views,
-    and an explicit :meth:`commit` barrier at the end of every ingest
-    (durable backends flush exactly there, so a killed process loses at
-    most the in-flight batch).  The store carries no journal API: the
-    commit journal is a detail of the SQLite backend's commit.
+    and cluster reads while a batch is staged, one write per batch
+    (:meth:`apply`, which takes the batch's whole effect as one
+    :class:`StagedBatch`), and an explicit :meth:`commit` barrier at the
+    end of every ingest (durable backends flush exactly there, so a
+    killed process loses at most the in-flight batch).  The store
+    carries no journal API: the commit journal is a detail of the
+    SQLite backend's commit.
     """
 
     #: Name used by CLI flags and reports ("memory", "sqlite", ...).
@@ -171,12 +200,14 @@ class CatalogStore(abc.ABC):
     # -- fault injection (tests) -----------------------------------------------
 
     def set_fault_hook(self, hook: Optional[Callable[[str], None]]) -> None:
-        """Install a callable invoked before every mutating operation.
+        """Install a callable invoked at every fault point of the write path.
 
-        The hook receives the operation name (``"append_offers"``,
-        ``"commit"``, ...) and may raise to simulate a node crashing
-        mid-batch — the crash-injection tests use this to cut a node
-        down at a precise point in the ingest path.  ``None`` uninstalls.
+        The hook receives the fault point's name (``"mark_seen"``,
+        ``"append_offers"`` and ``"set_product"`` from :meth:`apply`,
+        ``"commit"``, and ``"journal"`` inside a SQLite commit) and may
+        raise to simulate a node crashing mid-batch — the
+        crash-injection tests use this to cut a node down at a precise
+        point in the ingest path.  ``None`` uninstalls.
         """
         self._fault_hook = hook
 
@@ -184,6 +215,24 @@ class CatalogStore(abc.ABC):
         """Give an installed fault hook the chance to fail ``operation``."""
         if self._fault_hook is not None:
             self._fault_hook(operation)
+
+    def _fault_points(self, batch: StagedBatch) -> None:
+        """Fire the write fault points, once per item, before any mutation.
+
+        ``mark_seen`` once per seen id, ``append_offers`` once per
+        cluster that gains offers and ``set_product`` once per product,
+        so a hook counting one of them can fail a precise batch of a
+        stream.
+        """
+        if self._fault_hook is None:
+            return
+        for operation, items in (
+            ("mark_seen", batch.seen),
+            ("append_offers", batch.offers),
+            ("set_product", batch.products),
+        ):
+            for _ in items:
+                self._fault_hook(operation)
 
     @property
     def closed(self) -> bool:
@@ -196,55 +245,38 @@ class CatalogStore(abc.ABC):
         """
         return False
 
-    # -- seen offers -----------------------------------------------------------
+    # -- the one write ---------------------------------------------------------
+
+    @abc.abstractmethod
+    def apply(self, batch: StagedBatch) -> None:
+        """Apply one staged batch; the next :meth:`commit` makes it durable.
+
+        Every installed fault point fires first (:meth:`_fault_points`),
+        so a failure inside ``apply`` leaves the store exactly as it was
+        and the batch can be retried whole.
+        """
+
+    # -- reads -----------------------------------------------------------------
 
     @abc.abstractmethod
     def is_seen(self, offer_id: str) -> bool:
         """Whether an offer id was already absorbed."""
 
     @abc.abstractmethod
-    def mark_seen(self, offer_id: str) -> bool:
-        """Record an offer id; ``False`` when it was already recorded."""
-
-    @abc.abstractmethod
     def num_seen(self) -> int:
         """Distinct offer ids absorbed so far."""
-
-    # -- assigned categories ---------------------------------------------------
-
-    @abc.abstractmethod
-    def record_category(self, offer_id: str, category_id: str) -> None:
-        """Remember which catalog category an offer was assigned to."""
 
     @abc.abstractmethod
     def assigned_categories(self) -> Dict[str, str]:
         """A copy of the offer-id -> category-id assignment map."""
-
-    # -- clusters --------------------------------------------------------------
 
     @abc.abstractmethod
     def get_cluster(self, cluster_id: ClusterId) -> Optional[ClusterState]:
         """The state of one cluster, or ``None`` when it does not exist."""
 
     @abc.abstractmethod
-    def create_cluster(self, shard_index: int, cluster_id: ClusterId) -> ClusterState:
-        """Create (and return) an empty cluster in the given shard."""
-
-    @abc.abstractmethod
-    def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
-        """Append a batch of reconciled offers to an existing cluster."""
-
-    @abc.abstractmethod
-    def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
-        """Record the (re-)fused product of a cluster (``None`` = below bar)."""
-
-    @abc.abstractmethod
     def iter_clusters(self) -> Iterator[Tuple[ClusterId, ClusterState]]:
         """Iterate over every tracked cluster (order unspecified)."""
-
-    @abc.abstractmethod
-    def shard_cluster_ids(self, shard_index: int) -> List[ClusterId]:
-        """Ids of every cluster living in one shard."""
 
     @abc.abstractmethod
     def num_clusters(self) -> int:
@@ -312,10 +344,6 @@ class CatalogStore(abc.ABC):
     # -- reconciliation stats --------------------------------------------------
 
     @abc.abstractmethod
-    def merge_reconciliation_stats(self, stats: ReconciliationStats) -> None:
-        """Fold one batch's reconciliation counters into the running total."""
-
-    @abc.abstractmethod
     def reconciliation_stats(self) -> ReconciliationStats:
         """A copy of the accumulated reconciliation counters."""
 
@@ -340,8 +368,8 @@ class CatalogStore(abc.ABC):
 
         Raises :class:`StaleEpochError` unless ``epoch`` is the current
         epoch of the shard.  This is the store-side half of the fencing
-        contract: every cluster write of a multi-node engine carries the
-        epoch its node holds, and the store refuses stale ones.
+        contract: every batch a cluster node applies carries the epochs
+        its node holds, and the store refuses stale ones.
         """
         current = self.shard_epoch(shard_index)
         if epoch != current:
@@ -352,21 +380,45 @@ class CatalogStore(abc.ABC):
             )
 
 
+def _add_stats(total: ReconciliationStats, delta: ReconciliationStats) -> None:
+    """Add ``delta``'s counters to ``total`` in place."""
+    total.offers_processed += delta.offers_processed
+    total.pairs_seen += delta.pairs_seen
+    total.pairs_mapped += delta.pairs_mapped
+    total.pairs_discarded += delta.pairs_discarded
+
+
 @dataclass
 class _InMemoryState:
     """The dict-shaped state shared by the concrete backends.
 
     :class:`~repro.runtime.store.memory.MemoryCatalogStore` *is* this
     state; :class:`~repro.runtime.store.sqlite.SqliteCatalogStore` keeps
-    it as a read-through mirror and journals mutations to disk at commit.
+    it as a read-through mirror and journals each batch to disk at commit.
     """
 
     clusters: Dict[ClusterId, ClusterState] = field(default_factory=dict)
-    shard_index: Dict[int, List[ClusterId]] = field(default_factory=dict)
     seen_offer_ids: set = field(default_factory=set)
     assigned_categories: Dict[str, str] = field(default_factory=dict)
     reconciliation_stats: ReconciliationStats = field(default_factory=ReconciliationStats)
     shard_epochs: Dict[int, int] = field(default_factory=dict)
+
+    def apply(self, batch: StagedBatch, num_shards: int) -> None:
+        """Mutate the state by one staged batch: the mirror half of every ``apply``."""
+        self.seen_offer_ids.update(batch.seen)
+        self.assigned_categories.update(batch.categories)
+        if batch.stats is not None:
+            _add_stats(self.reconciliation_stats, batch.stats)
+        for category_id, key in batch.clusters:
+            # -1 marks a store not yet bound to a shard count.
+            shard = shard_for_category(category_id, num_shards) if num_shards else -1
+            self.clusters[(category_id, key)] = ClusterState(
+                shard_index=shard, cluster=OfferCluster(category_id=category_id, key=key)
+            )
+        for cluster_id, offers in batch.offers.items():
+            self.clusters[cluster_id].cluster.offers.extend(offers)
+        for cluster_id, product in batch.products.items():
+            self.clusters[cluster_id].product = product
 
 
 def resolve_store(

@@ -15,16 +15,18 @@ Layout (one row per fact, JSON payloads via the
                                           -- changed-cluster journal
 
 The store keeps a full in-memory mirror (reads never touch disk on the
-hot path) and journals mutations, flushing them in one transaction per
-:meth:`commit` — the engine commits at the end of every ingest, so a
-killed process loses at most the batch that was in flight.  Reopening
-the same path restores the complete engine state; re-fusing restored
-clusters yields byte-identical products because offers round-trip
-exactly through the JSON serialisers.
+hot path).  :meth:`~SqliteCatalogStore.apply` encodes each staged batch
+into one queued journal and applies it to the mirror; :meth:`commit`
+writes the queued journal in one transaction — the engine commits at
+the end of every ingest, so a killed process loses at most the batch
+that was in flight.  Reopening the same path restores the complete
+engine state; re-fusing restored clusters yields byte-identical
+products because offers round-trip exactly through the JSON
+serialisers.
 
 **One write path.**  What :meth:`SqliteCatalogStore.commit` writes is a
-:class:`StoreJournal`: the batch's rows, already JSON-encoded.
-``commit()`` builds its own journal and hands it to
+:class:`StoreJournal`: the batch's rows, already JSON-encoded by
+``apply``.  ``commit()`` hands its queued journal to
 :meth:`~SqliteCatalogStore.write_journals`, which writes any number of
 journals as *one* transaction under one commit id.
 
@@ -34,8 +36,8 @@ writer, the coordinator's store instance.  Each node process opens the
 same WAL file as a read-only mirror:
 
 * a store opened with ``partition=<node id>`` connects ``mode=ro`` (as
-  :class:`~repro.serving.reader.CatalogReader` does); its mutations land
-  in its mirror and journal only, and any write it attempts raises
+  :class:`~repro.serving.reader.CatalogReader` does); its batches land
+  in its mirror and queued journal only, and any write it attempts raises
   :class:`sqlite3.OperationalError`;
 * after each ingest the node drains its journal
   (:meth:`~SqliteCatalogStore.drain_journal`) with the lease epochs it
@@ -79,7 +81,9 @@ from repro.runtime.state import (
     CatalogStore,
     ClusterId,
     ClusterState,
+    StagedBatch,
     StaleEpochError,
+    _add_stats,
     _InMemoryState,
 )
 from repro.synthesis.clustering import OfferCluster
@@ -200,20 +204,13 @@ def read_product_page(
     ]
 
 
-def _add_stats(total: ReconciliationStats, delta: ReconciliationStats) -> None:
-    """Add ``delta``'s counters to ``total`` in place."""
-    total.offers_processed += delta.offers_processed
-    total.pairs_seen += delta.pairs_seen
-    total.pairs_mapped += delta.pairs_mapped
-    total.pairs_discarded += delta.pairs_discarded
-
-
 @dataclass
 class StoreJournal:
     """The rows one batch adds to the file, encoded and ready to write.
 
-    Built from a store's pending mutations (:meth:`SqliteCatalogStore.drain_journal`)
-    and written by :meth:`SqliteCatalogStore.write_journals`, possibly
+    Queued by :meth:`SqliteCatalogStore.apply`, taken by ``commit`` or
+    :meth:`SqliteCatalogStore.drain_journal`, and written by
+    :meth:`SqliteCatalogStore.write_journals`, possibly
     over another connection in another process: a cluster node ships its
     journal to the coordinator inside its vote.
     """
@@ -230,7 +227,7 @@ class StoreJournal:
     #: The batch's reconciliation counters, added to the global row.
     stats: Optional[Tuple[int, int, int, int]] = None
     #: ``(category id, cluster key, product json or None)`` rows of the
-    #: commit's ``commit_journal`` entry: every cluster the batch touched.
+    #: commit's ``commit_journal`` entry: every cluster given a product.
     touched: List[Tuple[str, str, Optional[str]]] = field(default_factory=list)
     #: Shard -> fencing epoch the rows were written under; the write is
     #: refused unless each is the file's current epoch.  Empty for a
@@ -304,16 +301,8 @@ class SqliteCatalogStore(CatalogStore):
                     "cluster coordinator; finish that batch with the version that wrote it"
                 )
         self._state = _InMemoryState()
-        # The pending mutations; commit() writes them as one journal.
-        self._new_seen: List[str] = []
-        self._new_categories: List[Tuple[str, str]] = []
-        self._new_clusters: List[ClusterId] = []
-        self._new_offers: List[Tuple[str, str, int, str]] = []
-        self._dirty_products: Dict[ClusterId, Optional[Product]] = {}
-        self._stats_delta: Optional[ReconciliationStats] = None
-        # Clusters the pending mutations touched (insertion ordered,
-        # deduplicated): the commit's ``commit_journal`` entry.
-        self._touched_clusters: Dict[ClusterId, None] = {}
+        # The applied batches not yet written; commit() writes them.
+        self._queued = StoreJournal()
         self._restore()
         if partition is not None:
             return
@@ -426,11 +415,8 @@ class SqliteCatalogStore(CatalogStore):
 
     def _reindex_shards(self, num_shards: int) -> None:
         """Recompute every mirrored cluster's shard assignment."""
-        self._state.shard_index = {}
         for cluster_id, cluster_state in self._state.clusters.items():
-            shard = shard_for_category(cluster_id[0], num_shards)
-            cluster_state.shard_index = shard
-            self._state.shard_index.setdefault(shard, []).append(cluster_id)
+            cluster_state.shard_index = shard_for_category(cluster_id[0], num_shards)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -450,60 +436,26 @@ class SqliteCatalogStore(CatalogStore):
         return self._connection
 
     def commit(self) -> None:
-        """Write the pending mutations as one journal, in one transaction.
+        """Write the queued journal in one transaction.
 
-        The mutations stay pending until the write succeeded, so a
-        failed commit can be retried (or :meth:`rollback` discards them).
+        The journal stays queued until the write succeeded, so a failed
+        commit can be retried (or :meth:`rollback` discards it).
         """
-        self.write_journals([self._journal()])
-        self._clear_journal()
+        self.write_journals([self._queued])
+        self._queued = StoreJournal()
 
     def drain_journal(self, epochs: Dict[int, int]) -> StoreJournal:
-        """Take the pending mutations as a journal another connection writes.
+        """Take the queued journal for another connection to write.
 
-        ``epochs`` (shard -> epoch) are the lease the mutations were made
+        ``epochs`` (shard -> epoch) are the lease the batches were applied
         under; :meth:`write_journals` refuses the journal unless each is
-        still current.  The mirror keeps the mutations: after the write
-        it equals the file again, and after a refused write
+        still current.  The mirror keeps the batches: after the write it
+        equals the file again, and after a refused write
         :meth:`rollback` rebuilds it.
         """
-        journal = self._journal()
+        journal, self._queued = self._queued, StoreJournal()
         journal.epochs = dict(epochs)
-        self._clear_journal()
         return journal
-
-    def _journal(self) -> StoreJournal:
-        """The pending mutations as rows, each product encoded once."""
-        encoded: Dict[int, str] = {}
-
-        def encode(product: Optional[Product]) -> Optional[str]:
-            if product is None:
-                return None
-            text = encoded.get(id(product))
-            if text is None:
-                text = encoded[id(product)] = json.dumps(product_to_dict(product))
-            return text
-
-        clusters = self._state.clusters
-        stats = self._stats_delta
-        # The lists are handed over, not copied: _clear_journal rebinds
-        # fresh ones rather than emptying these.
-        return StoreJournal(
-            seen=self._new_seen,
-            categories=self._new_categories,
-            clusters=self._new_clusters,
-            offers=self._new_offers,
-            products=[
-                (encode(product), category_id, cluster_key)
-                for (category_id, cluster_key), product in self._dirty_products.items()
-            ],
-            stats=None if stats is None else astuple(stats),
-            touched=[
-                (cluster_id[0], cluster_id[1], encode(clusters[cluster_id].product))
-                for cluster_id in self._touched_clusters
-                if cluster_id in clusters
-            ],
-        )
 
     def write_journals(self, journals: Sequence[StoreJournal]) -> int:
         """Write ``journals`` as one commit; returns its commit id.
@@ -626,16 +578,6 @@ class SqliteCatalogStore(CatalogStore):
         """True: the last on-disk commit is a restorable snapshot."""
         return True
 
-    def _clear_journal(self) -> None:
-        """Drop every pending (not yet written) mutation."""
-        self._new_seen = []
-        self._new_categories = []
-        self._new_clusters = []
-        self._new_offers = []
-        self._dirty_products = {}
-        self._stats_delta = None
-        self._touched_clusters.clear()
-
     def _rebuild_mirror(self) -> None:
         """Re-read the full persisted snapshot into a fresh mirror."""
         self._state = _InMemoryState()
@@ -647,12 +589,12 @@ class SqliteCatalogStore(CatalogStore):
         """Discard everything since the last commit; reload from disk.
 
         The file is a consistent snapshot after every commit, so crash
-        recovery is exactly a mirror rebuild: drop the journalled
-        mutations, re-read the persisted state, and re-index the shards.
+        recovery is exactly a mirror rebuild: drop the queued journal,
+        re-read the persisted state, and re-index the shards.
         """
         connection = self._require_open()
         connection.rollback()
-        self._clear_journal()
+        self._queued = StoreJournal()
         self._rebuild_mirror()
 
     def refresh_shards(self, shard_indices: List[int]) -> None:
@@ -673,10 +615,9 @@ class SqliteCatalogStore(CatalogStore):
         targets = {shard for shard in shard_indices if shard >= 0}
         if not targets or self._num_shards == 0:
             return
-        for shard in targets:
-            for cluster_id in self._state.shard_index.get(shard, ()):
-                self._state.clusters.pop(cluster_id, None)
-            self._state.shard_index[shard] = []
+        clusters = self._state.clusters
+        for cluster_id in [key for key, state in clusters.items() if state.shard_index in targets]:
+            del clusters[cluster_id]
         reloaded: List[ClusterId] = []
         for category_id, cluster_key, product_json in connection.execute(
             "SELECT category_id, cluster_key, product FROM clusters"
@@ -688,12 +629,11 @@ class SqliteCatalogStore(CatalogStore):
             if product_json is not None:
                 product = product_from_dict(json.loads(product_json))
             cluster_id = (category_id, cluster_key)
-            self._state.clusters[cluster_id] = ClusterState(
+            clusters[cluster_id] = ClusterState(
                 shard_index=shard,
                 cluster=OfferCluster(category_id=category_id, key=cluster_key),
                 product=product,
             )
-            self._state.shard_index[shard].append(cluster_id)
             reloaded.append(cluster_id)
         for category_id, cluster_key in reloaded:
             rows = connection.execute(
@@ -701,7 +641,7 @@ class SqliteCatalogStore(CatalogStore):
                 " WHERE category_id = ? AND cluster_key = ? ORDER BY position",
                 (category_id, cluster_key),
             ).fetchall()
-            self._state.clusters[(category_id, cluster_key)].cluster.offers.extend(
+            clusters[(category_id, cluster_key)].cluster.offers.extend(
                 offer_from_dict(json.loads(row[0])) for row in rows
             )
 
@@ -754,88 +694,80 @@ class SqliteCatalogStore(CatalogStore):
         connection.commit()
         return floor
 
-    # -- seen offers -----------------------------------------------------------
+    # -- the one write ---------------------------------------------------------
+
+    def apply(self, batch: StagedBatch) -> None:
+        """Encode one staged batch into the queued journal, then apply it to the mirror.
+
+        Every fault point fires before either changes, so a failed apply
+        leaves both as they were.  The next :meth:`commit` writes the
+        journal (a node's read-only mirror hands it over with
+        :meth:`drain_journal` instead).
+        """
+        self._require_open()
+        self._fault_points(batch)
+        journal = self._queued
+        journal.seen.extend(batch.seen)
+        journal.categories.extend(batch.categories)
+        if batch.stats is not None:
+            counts = astuple(batch.stats)
+            if journal.stats is not None:
+                counts = tuple(map(sum, zip(journal.stats, counts)))
+            journal.stats = counts
+        journal.clusters.extend(batch.clusters)
+        for cluster_id, offers in batch.offers.items():
+            self.append_offers(cluster_id, offers)
+        for cluster_id, product in batch.products.items():
+            self.set_product(cluster_id, product)
+        self._state.apply(batch, self._num_shards)
+
+    def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
+        """Queue the encoded rows of offers appended to one cluster.
+
+        A step of :meth:`apply`, kept as a method of its own so a
+        profiler can time it by name.  The rows are positioned after the
+        cluster's mirrored offers; the mirror itself is left to ``apply``.
+        """
+        state = self._state.clusters.get(cluster_id)
+        position = 0 if state is None else state.size()
+        category_id, cluster_key = cluster_id
+        self._queued.offers.extend(
+            (category_id, cluster_key, position + offset, json.dumps(offer_to_dict(offer)))
+            for offset, offer in enumerate(offers)
+        )
+
+    def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
+        """Queue one cluster's product update and journal row, encoded once.
+
+        A step of :meth:`apply`, kept as a method of its own so a
+        profiler can time it by name; the mirror is left to ``apply``.
+        """
+        text = None if product is None else json.dumps(product_to_dict(product))
+        category_id, cluster_key = cluster_id
+        self._queued.products.append((text, category_id, cluster_key))
+        self._queued.touched.append((category_id, cluster_key, text))
+
+    # -- reads -----------------------------------------------------------------
 
     def is_seen(self, offer_id: str) -> bool:
         """Whether an offer id was absorbed (mirror read, no disk I/O)."""
         return offer_id in self._state.seen_offer_ids
 
-    def mark_seen(self, offer_id: str) -> bool:
-        """Record an offer id in mirror + journal; ``False`` when known."""
-        self._require_open()
-        self._fault_point("mark_seen")
-        seen = self._state.seen_offer_ids
-        if offer_id in seen:
-            return False
-        seen.add(offer_id)
-        self._new_seen.append(offer_id)
-        return True
-
     def num_seen(self) -> int:
         """Distinct offer ids absorbed so far (mirror read)."""
         return len(self._state.seen_offer_ids)
-
-    # -- assigned categories ---------------------------------------------------
-
-    def record_category(self, offer_id: str, category_id: str) -> None:
-        """Remember an offer's category (journalled, flushed at commit)."""
-        self._require_open()
-        self._state.assigned_categories[offer_id] = category_id
-        self._new_categories.append((offer_id, category_id))
 
     def assigned_categories(self) -> Dict[str, str]:
         """A copy of the mirrored offer-id -> category-id map."""
         return dict(self._state.assigned_categories)
 
-    # -- clusters --------------------------------------------------------------
-
     def get_cluster(self, cluster_id: ClusterId) -> Optional[ClusterState]:
         """The mirrored state of one cluster, or ``None``."""
         return self._state.clusters.get(cluster_id)
 
-    def create_cluster(self, shard_index: int, cluster_id: ClusterId) -> ClusterState:
-        """Create an empty cluster (journalled, flushed at commit)."""
-        self._require_open()
-        category_id, key = cluster_id
-        state = ClusterState(
-            shard_index=shard_index,
-            cluster=OfferCluster(category_id=category_id, key=key),
-        )
-        self._state.clusters[cluster_id] = state
-        self._state.shard_index.setdefault(shard_index, []).append(cluster_id)
-        self._new_clusters.append(cluster_id)
-        self._touched_clusters[cluster_id] = None
-        return state
-
-    def append_offers(self, cluster_id: ClusterId, offers: List[Offer]) -> None:
-        """Append offers to a cluster (mirror now, disk at commit)."""
-        self._require_open()
-        self._fault_point("append_offers")
-        cluster = self._state.clusters[cluster_id].cluster
-        position = len(cluster.offers)
-        category_id, cluster_key = cluster_id
-        for offset, offer in enumerate(offers):
-            self._new_offers.append(
-                (category_id, cluster_key, position + offset, json.dumps(offer_to_dict(offer)))
-            )
-        cluster.offers.extend(offers)
-        self._touched_clusters[cluster_id] = None
-
-    def set_product(self, cluster_id: ClusterId, product: Optional[Product]) -> None:
-        """Record a cluster's fused product (journalled)."""
-        self._require_open()
-        self._fault_point("set_product")
-        self._state.clusters[cluster_id].product = product
-        self._dirty_products[cluster_id] = product
-        self._touched_clusters[cluster_id] = None
-
     def iter_clusters(self) -> Iterator[Tuple[ClusterId, ClusterState]]:
         """Iterate over every mirrored cluster."""
         return iter(self._state.clusters.items())
-
-    def shard_cluster_ids(self, shard_index: int) -> List[ClusterId]:
-        """Ids of every mirrored cluster living in one shard."""
-        return list(self._state.shard_index.get(shard_index, ()))
 
     def num_clusters(self) -> int:
         """Number of clusters tracked so far."""
@@ -909,20 +841,6 @@ class SqliteCatalogStore(CatalogStore):
             shard = shard_for_category(category_id, self._num_shards)
             loads[shard] = loads.get(shard, 0.0) + held
         return loads
-
-    # -- reconciliation stats --------------------------------------------------
-
-    def merge_reconciliation_stats(self, stats: ReconciliationStats) -> None:
-        """Fold one batch's counters into the running totals.
-
-        The counters since the last commit are kept apart too: a commit
-        adds them to the file's global row.
-        """
-        self._require_open()
-        _add_stats(self._state.reconciliation_stats, stats)
-        if self._stats_delta is None:
-            self._stats_delta = ReconciliationStats()
-        _add_stats(self._stats_delta, stats)
 
     def reconciliation_stats(self) -> ReconciliationStats:
         """A copy of the totals in the mirror.

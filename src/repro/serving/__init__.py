@@ -10,8 +10,8 @@ propagation from the transactional side):
     :class:`~repro.serving.index.CatalogIndex` — an inverted TF-IDF
     keyword index over product titles and attribute values with top-k
     ranked search, category/attribute filters, and faceted counts;
-    maintained incrementally from the store's commit journal with a
-    full-rebuild fallback.
+    maintained incrementally from the store's commit journal, with a
+    fresh index as the full-rebuild fallback.
 ``reader``
     :class:`~repro.serving.reader.CatalogReader` — a read-only WAL
     connection onto the shared store file, so queries run concurrently

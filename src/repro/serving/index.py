@@ -19,8 +19,8 @@ nothing is tokenised twice.
 Maintenance is incremental by design: :meth:`CatalogIndex.upsert` and
 :meth:`CatalogIndex.remove` replace re-fused products in place — product
 ids are content-derived from the cluster identity, so a growing cluster
-keeps one document that is replaced, never duplicated.
-:meth:`CatalogIndex.rebuild` is the full-rebuild fallback.
+keeps one document that is replaced, never duplicated.  The full-rebuild
+fallback is a fresh ``CatalogIndex(products)``.
 
 **Versions.** The serving layer never mutates an index that queries can
 see.  It :meth:`~CatalogIndex.publish`-es each built index, and folds a
@@ -136,9 +136,8 @@ class CatalogIndex:
 
     Supports top-k ranked :meth:`search`, point lookups by product id
     (:meth:`get_product`), and the :meth:`count_by_category` facet.
-    Updates are incremental (:meth:`upsert` / :meth:`remove`) with a
-    full :meth:`rebuild` fallback, until :meth:`publish` freezes the
-    index; :meth:`derive` then starts the next version (see the module
+    Updates are incremental (:meth:`upsert` / :meth:`remove`), until
+    :meth:`publish` freezes the index; :meth:`derive` then starts the next version (see the module
     docstring).
     """
 
@@ -167,7 +166,7 @@ class CatalogIndex:
         return self._published
 
     def publish(self) -> "CatalogIndex":
-        """Freeze this index: from now on ``upsert`` / ``remove`` / ``rebuild`` raise."""
+        """Freeze this index: from now on ``upsert`` / ``remove`` raise."""
         self._published = True
         self._copied = None
         return self
@@ -252,17 +251,6 @@ class CatalogIndex:
         else:
             self._category_counts[category_id] = remaining
         return True
-
-    def rebuild(self, products: Iterable[Product]) -> None:
-        """Replace the whole index with a fresh product snapshot."""
-        self._changed()
-        self._documents = {}
-        self._postings = {}
-        self._copied = None
-        self._stats = IncrementalTfIdf()
-        self._category_counts = {}
-        for product in products:
-            self.upsert(product)
 
     # -- queries ---------------------------------------------------------------
 

@@ -8,6 +8,8 @@ fault hook is fenced, its shards are reassigned, and the recovered
 catalog is byte-identical to an uninterrupted run.
 """
 
+import itertools
+
 import pytest
 
 from repro.model.products import product_fingerprint as fingerprint
@@ -19,10 +21,12 @@ from repro.runtime import (
     ShardCoordinator,
     ShardLease,
     SqliteCatalogStore,
+    StagedBatch,
     StaleEpochError,
     SynthesisEngine,
 )
 from repro.runtime.executors import SerialExecutor
+from repro.runtime.sharding import shard_for_category
 from repro.synthesis.clustering import KeyAttributeClusterer
 from repro.synthesis.pipeline import ProductSynthesisPipeline
 
@@ -218,14 +222,18 @@ class TestVersionFencing:
 
         # Every write of the fenced node bounces — cluster-scoped ones...
         with pytest.raises(StaleEpochError, match="fenced"):
-            victim_view.create_cluster(victim_shard, ("computing.hdd", "zombie-key"))
-        owned = victim_view.shard_cluster_ids(victim_shard)
+            victim_view.apply(StagedBatch(clusters=[("computing.hdd", "zombie-key")]))
+        owned = [
+            cluster_id
+            for cluster_id, state in victim_view.iter_clusters()
+            if state.shard_index == victim_shard
+        ]
         assert owned
         with pytest.raises(StaleEpochError):
-            victim_view.set_product(owned[0], None)
+            victim_view.apply(StagedBatch(products={owned[0]: None}))
         # ...global ones, and the commit barrier.
         with pytest.raises(StaleEpochError):
-            victim_view.mark_seen("zombie-offer")
+            victim_view.apply(StagedBatch(seen=["zombie-offer"]))
         with pytest.raises(StaleEpochError):
             victim_view.commit()
         # An ingest routed through the zombie's whole engine dies on its
@@ -253,8 +261,10 @@ class TestVersionFencing:
         # Someone else re-fences the shard behind the node's back.
         cluster.store.advance_shard_epoch(shard)
         assert not laggard.lease.fenced
+        names = (f"category-{n}" for n in itertools.count())
+        category = next(name for name in names if shard_for_category(name, 8) == shard)
         with pytest.raises(StaleEpochError, match="epoch"):
-            laggard.create_cluster(shard, ("computing.hdd", "laggard-key"))
+            laggard.apply(StagedBatch(clusters=[(category, "laggard-key")]))
         with pytest.raises(StaleEpochError, match="epoch"):
             laggard.commit()
         cluster.close()

@@ -20,6 +20,7 @@ from repro.model.products import product_fingerprint as fingerprint
 from repro.runtime import (
     MultiNodeEngine,
     MultiProcessEngine,
+    StagedBatch,
     StaleEpochError,
     SynthesisEngine,
 )
@@ -323,7 +324,7 @@ class TestFencedEpochRejection:
             shard = view.lease.shards()[0]
             cluster.fence_node(victim)
             with pytest.raises(StaleEpochError):
-                view.create_cluster(shard, ("computing.hdd", "stale-key"))
+                view.apply(StagedBatch(clusters=[("computing.hdd", "stale-key")]))
             with pytest.raises(StaleEpochError):
                 view.commit()
             # And the authoritative store-side check, independent of the

@@ -11,7 +11,6 @@ from repro.model.taxonomy import Taxonomy
 from repro.runtime import (
     SerialExecutor,
     SynthesisEngine,
-    partition_by_shard,
     resolve_executor,
     shard_for_category,
 )
@@ -298,15 +297,6 @@ class TestSharding:
             index = shard_for_category("computing.hdd", num_shards)
             assert 0 <= index < num_shards
             assert shard_for_category("computing.hdd", num_shards) == index
-
-    def test_partition_by_shard_preserves_order(self):
-        items = ["a", "b", "c", "d"]
-        categories = ["x", "y", "x", "y"]
-        shards = partition_by_shard(items, categories, 4)
-        recovered = [item for shard in shards.values() for item in shard]
-        assert sorted(recovered) == items
-        x_shard = shard_for_category("x", 4)
-        assert [item for item in shards[x_shard] if item in ("a", "c")] == ["a", "c"]
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from repro.model.products import Product
 from repro.runtime import (
     MemoryCatalogStore,
     SqliteCatalogStore,
+    StagedBatch,
     SynthesisEngine,
     resolve_store,
 )
@@ -70,11 +71,11 @@ class TestCatalogStoreBasics:
         else:
             store = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
         store.bind(4)
-        assert store.mark_seen("o-1")
-        assert not store.mark_seen("o-1")
-        assert store.mark_seen("o-2")
+        store.apply(StagedBatch(seen=["o-1"]))
+        assert store.is_seen("o-1") and not store.is_seen("o-2")
+        store.apply(StagedBatch(seen=["o-1", "o-2"]))  # a known id counts once
         assert store.num_seen() == 2
-        store.merge_reconciliation_stats(ReconciliationStats(1, 2, 3, 4))
+        store.apply(StagedBatch(stats=ReconciliationStats(1, 2, 3, 4)))
         copy = store.reconciliation_stats()
         copy.offers_processed = 99
         assert store.reconciliation_stats().offers_processed == 1
@@ -121,7 +122,7 @@ class TestCatalogStoreBasics:
     def test_sqlite_close_idempotent(self, tmp_path):
         store = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
         store.bind(2)
-        store.mark_seen("o-1")
+        store.apply(StagedBatch(seen=["o-1"]))
         store.close()
         store.close()
         with pytest.raises(RuntimeError):
@@ -133,22 +134,19 @@ class TestCatalogStoreBasics:
         never be persisted (the old gap: only commit() failed)."""
         store = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
         store.bind(2)
-        store.mark_seen("o-1")
         cluster_id = ("computing.hdd", "key-1")
-        store.create_cluster(0, cluster_id)
+        store.apply(StagedBatch(seen=["o-1"], clusters=[cluster_id]))
         store.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            store.mark_seen("o-2")
-        with pytest.raises(RuntimeError, match="closed"):
-            store.record_category("o-2", "computing.hdd")
-        with pytest.raises(RuntimeError, match="closed"):
-            store.create_cluster(0, ("computing.hdd", "key-2"))
-        with pytest.raises(RuntimeError, match="closed"):
-            store.append_offers(cluster_id, [])
-        with pytest.raises(RuntimeError, match="closed"):
-            store.set_product(cluster_id, None)
-        with pytest.raises(RuntimeError, match="closed"):
-            store.merge_reconciliation_stats(ReconciliationStats())
+        for batch in (
+            StagedBatch(seen=["o-2"]),
+            StagedBatch(categories=[("o-2", "computing.hdd")]),
+            StagedBatch(clusters=[("computing.hdd", "key-2")]),
+            StagedBatch(offers={cluster_id: []}),
+            StagedBatch(products={cluster_id: None}),
+            StagedBatch(stats=ReconciliationStats()),
+        ):
+            with pytest.raises(RuntimeError, match="closed"):
+                store.apply(batch)
         with pytest.raises(RuntimeError, match="closed"):
             store.advance_shard_epoch(0)
         with pytest.raises(RuntimeError, match="closed"):
@@ -279,30 +277,31 @@ class TestSnapshotDurability:
 
 
 class TestOneEncodePerCommit:
-    """A commit encodes each product once; ``clusters`` and the journal share the text."""
+    """A batch encodes each product once; ``clusters`` and the journal share the text."""
 
     def test_commit_dumps_each_touched_product_once(self, tmp_path, tiny_harness, monkeypatch):
         store = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
         engine = make_engine(tiny_harness, num_shards=4, store=store)
-        real_dumps, real_commit = json.dumps, store.commit
+        real_dumps, real_set_product = json.dumps, store.set_product
         calls = []
 
         def counting_dumps(*args, **kwargs):
             calls.append(1)
             return real_dumps(*args, **kwargs)
 
-        def guarded_commit():
-            calls.clear()
+        def guarded_set_product(cluster_id, product):
+            # Products are encoded where apply queues them, not at commit.
             monkeypatch.setattr(json, "dumps", counting_dumps)
             try:
-                real_commit()
+                real_set_product(cluster_id, product)
             finally:
                 monkeypatch.setattr(json, "dumps", real_dumps)
 
-        store.commit = guarded_commit
+        store.set_product = guarded_set_product
         connection = sqlite3.connect(store.path)
         products_seen = 0
         for batch in stream(tiny_harness.unmatched_offers, 4):
+            calls.clear()
             engine.ingest(batch)
             (touched,) = connection.execute(
                 "SELECT COUNT(*) FROM commit_journal WHERE commit_id = ? AND product IS NOT NULL",
@@ -472,10 +471,14 @@ class TestPartitionedSharedStore:
             node = SqliteCatalogStore(path, partition=node_id)
             node.bind(4)
             cluster_id = (category, "key")
-            node.mark_seen(f"offer-{category}")
-            node.create_cluster(shard_for_category(category, 4), cluster_id)
-            node.set_product(cluster_id, Product(product_id=category, category_id=category))
-            node.merge_reconciliation_stats(stats)
+            node.apply(
+                StagedBatch(
+                    seen=[f"offer-{category}"],
+                    stats=stats,
+                    clusters=[cluster_id],
+                    products={cluster_id: Product(product_id=category, category_id=category)},
+                )
+            )
             journals.append(node.drain_journal(epochs))
             node.close()
         assert coordinator.write_journals(journals) == 1
@@ -501,7 +504,7 @@ class TestPartitionedSharedStore:
         writer.close()
         node = SqliteCatalogStore(path, partition="node-1")
         node.bind(4)
-        node.mark_seen("offer-1")
+        node.apply(StagedBatch(seen=["offer-1"]))
         for write in (node.commit, lambda: node.advance_shard_epoch(0)):
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 write()
@@ -523,8 +526,7 @@ class TestPartitionedSharedStore:
         granted = coordinator.advance_shard_epoch(2)
         node = SqliteCatalogStore(path, partition="node-1")
         node.bind(4)
-        node.mark_seen("offer-1")
-        node.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 1))
+        node.apply(StagedBatch(seen=["offer-1"], stats=ReconciliationStats(1, 1, 1, 1)))
         journal = node.drain_journal({2: granted})
         coordinator.advance_shard_epoch(2)
         with pytest.raises(StaleEpochError, match="epoch 1 but the store is at epoch 2"):
@@ -553,7 +555,7 @@ class TestPartitionedSharedStore:
         resumed = SqliteCatalogStore(path)
         resumed.bind(4)
         assert resumed.reconciliation_stats() == ReconciliationStats(10, 5, 3, 2)
-        resumed.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 1))
+        resumed.apply(StagedBatch(stats=ReconciliationStats(1, 1, 1, 1)))
         resumed.commit()
         assert resumed.committed_reconciliation_stats() == ReconciliationStats(11, 6, 4, 3)
         resumed.close()
@@ -586,12 +588,17 @@ class TestPartitionedSharedStore:
         cluster_id = ("cat", "key")
         product = Product(product_id="p-1", category_id="cat", title="a product")
         offer = Offer(offer_id="offer-1", merchant_id="m", title="an offer", price=1.0, url="u")
-        assert writer.mark_seen("offer-1")
-        writer.record_category("offer-1", "cat")
-        writer.create_cluster(shard_for_category("cat", 2), cluster_id)
-        writer.append_offers(cluster_id, [offer])
-        writer.set_product(cluster_id, product)
-        writer.merge_reconciliation_stats(ReconciliationStats(1, 4, 3, 1))
+        writer.apply(
+            StagedBatch(
+                seen=["offer-1"],
+                categories=[("offer-1", "cat")],
+                stats=ReconciliationStats(1, 4, 3, 1),
+                clusters=[cluster_id],
+                offers={cluster_id: [offer]},
+                products={cluster_id: product},
+            )
+        )
+        assert writer.is_seen("offer-1")
         writer.commit()
 
         assert not reader.is_seen("offer-1")  # the mirror is as of open, by design
@@ -610,11 +617,15 @@ class TestPartitionedSharedStore:
         store = SqliteCatalogStore(str(tmp_path / "pending.sqlite3"))
         store.bind(2)
         cluster_id = ("cat", "key")
-        store.mark_seen("offer-1")
-        store.record_category("offer-1", "cat")
-        store.create_cluster(0, cluster_id)
-        store.set_product(cluster_id, Product(product_id="p-1", category_id="cat", title="t"))
-        store.merge_reconciliation_stats(ReconciliationStats(1, 1, 1, 0))
+        store.apply(
+            StagedBatch(
+                seen=["offer-1"],
+                categories=[("offer-1", "cat")],
+                stats=ReconciliationStats(1, 1, 1, 0),
+                clusters=[cluster_id],
+                products={cluster_id: Product(product_id="p-1", category_id="cat", title="t")},
+            )
+        )
         assert store.is_seen("offer-1") and store.num_clusters() == 1  # the mirror has them
         assert store.committed_num_seen() == 0
         assert store.committed_assigned_categories() == {}
@@ -643,7 +654,7 @@ class TestPartitionedSharedStore:
             cluster_id: (state.size(), state.product)
             for cluster_id, state in node.iter_clusters()
         }
-        populated = {shard for shard in range(4) if node.shard_cluster_ids(shard)}
+        populated = {state.shard_index for _, state in node.iter_clusters()}
         assert populated
         node.refresh_shards(sorted(populated))
         after = {
@@ -669,19 +680,14 @@ class TestPartitionedSharedStore:
         category = "computing.hdd"
         shard = shard_for_category(category, num_shards)
         cluster_id = (category, "key-1")
-        writer.create_cluster(shard, cluster_id)
-        writer.append_offers(
-            cluster_id,
-            [
-                Offer(
-                    offer_id="o-1",
-                    merchant_id="m-1",
-                    title="a drive",
-                    price=10.0,
-                    url="http://example.com/o-1",
-                )
-            ],
+        offer = Offer(
+            offer_id="o-1",
+            merchant_id="m-1",
+            title="a drive",
+            price=10.0,
+            url="http://example.com/o-1",
         )
+        writer.apply(StagedBatch(clusters=[cluster_id], offers={cluster_id: [offer]}))
         writer.commit()
         writer.advance_shard_epoch(shard)
 
@@ -693,6 +699,6 @@ class TestPartitionedSharedStore:
         assert state is not None
         assert state.size() == 1
         assert state.cluster.offers[0].offer_id == "o-1"
-        assert cluster_id in reader.shard_cluster_ids(shard)
+        assert state.shard_index == shard
         writer.close()
         reader.close()

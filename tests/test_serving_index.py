@@ -95,9 +95,8 @@ class TestIndexMaintenance:
             right = [(r.product.product_id, r.score) for r in rebuilt.search(query)]
             assert left == right
 
-    def test_rebuild_replaces_everything(self, hdd_products):
-        index = CatalogIndex(hdd_products)
-        index.rebuild(hdd_products[:1])
+    def test_a_fresh_index_holds_only_its_snapshot(self, hdd_products):
+        index = CatalogIndex(hdd_products[:1])
         assert index.num_products == 1
         assert not index.search("kodak")
         assert index.count_by_category() == {"computing.hdd": 1}

@@ -3,7 +3,7 @@
 :mod:`index_oracle` keeps the former :class:`CatalogIndex` — one joined
 text, one term-frequency dict and one set of filter pairs per document,
 a ``SearchResult`` per scored document before a full sort.  Random
-``upsert`` / ``remove`` / ``rebuild`` sequences over hand-built products
+``upsert`` / ``remove`` / rebuild sequences over hand-built products
 (untokenisable text, repeated tokens, re-fused products that keep their
 id, attribute names in varying case) are applied to both, and after
 every step searches (scores compared with ``==``), point lookups, facets
@@ -104,8 +104,8 @@ def test_every_step_agrees_with_the_former_index(initial, steps):
             oracle.upsert(argument)
         elif action == "remove":
             assert index.remove(argument) == oracle.remove(argument)
-        else:
-            index.rebuild(argument)
+        else:  # the full-rebuild fallback: a fresh index over the snapshot
+            index = CatalogIndex(argument)
             oracle.rebuild(argument)
         assert_agrees(index, oracle)
 

@@ -36,6 +36,7 @@ from repro.runtime import (
     MultiProcessEngine,
     SynthesisEngine,
 )
+from repro.runtime.state import StagedBatch
 from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.serving import CatalogReader, CatalogSearchService
 from repro.synthesis.pipeline import stable_product_id
@@ -53,10 +54,11 @@ def make_product(pid, category, title, pairs=()):
 def put(store, key, title, category="cat.widgets"):
     """Create-or-touch one cluster and set its product."""
     cluster_id = (category, key)
-    if store.get_cluster(cluster_id) is None:
-        store.create_cluster(0, cluster_id)
-    store.set_product(
-        cluster_id, make_product(f"p-{key}", category, title)
+    store.apply(
+        StagedBatch(
+            clusters=[] if store.get_cluster(cluster_id) else [cluster_id],
+            products={cluster_id: make_product(f"p-{key}", category, title)},
+        )
     )
     return cluster_id
 
@@ -603,10 +605,13 @@ class TestServiceDeltaApply:
     @staticmethod
     def put_stable(store, key, title, category="cat.widgets"):
         cluster_id = (category, key)
-        if store.get_cluster(cluster_id) is None:
-            store.create_cluster(0, cluster_id)
-        store.set_product(
-            cluster_id, make_product(stable_product_id(*cluster_id), category, title)
+        store.apply(
+            StagedBatch(
+                clusters=[] if store.get_cluster(cluster_id) else [cluster_id],
+                products={
+                    cluster_id: make_product(stable_product_id(*cluster_id), category, title)
+                },
+            )
         )
         return cluster_id
 
@@ -640,7 +645,7 @@ class TestServiceDeltaApply:
         service = CatalogSearchService.from_store_path(path)
         try:
             assert service.num_products == 2
-            store.set_product(withdrawn, None)
+            store.apply(StagedBatch(products={withdrawn: None}))
             store.commit()
             assert service.resync() == 2
             assert service.resync_stats()["delta_resyncs"] == 1

@@ -9,7 +9,7 @@ reader-driven resync.
 import pytest
 
 from repro.model.products import product_fingerprint as fingerprint
-from repro.runtime import MemoryCatalogStore, SqliteCatalogStore, SynthesisEngine
+from repro.runtime import MemoryCatalogStore, SqliteCatalogStore, StagedBatch, SynthesisEngine
 from repro.runtime.store.sqlite import BUSY_TIMEOUT_MS
 from repro.serving import CatalogReader, CatalogSearchService, reader as reader_module
 
@@ -59,7 +59,7 @@ class TestStoreStreamingReads:
             for cluster_id, state in store.iter_clusters()
             if state.product is not None
         )
-        store.set_product(victim, None)
+        store.apply(StagedBatch(products={victim: None}))
         assert len(fingerprint(store.sorted_products())) == len(committed) - 1
         assert fingerprint(list(store.iter_products())) == committed
         store.commit()
@@ -131,7 +131,7 @@ class TestCatalogReader:
             for cluster_id, state in store.iter_clusters()
             if state.product is not None
         )
-        store.set_product(victim, None)
+        store.apply(StagedBatch(products={victim: None}))
         snapshot_3, products_3 = reader.read_products()
         assert (snapshot_3, fingerprint(products_3)) == (2, fingerprint(products_2))
         reader.close()

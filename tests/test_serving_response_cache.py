@@ -26,7 +26,7 @@ from repro.model.attributes import Specification
 from repro.model.persistence import product_to_dict
 from repro.model.products import Product
 from repro.obs import MetricsRegistry, set_registry
-from repro.runtime import SynthesisEngine
+from repro.runtime import StagedBatch, SynthesisEngine
 from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
 from repro.serving import fleet as fleet_module
@@ -342,9 +342,12 @@ PRODUCTS = [
 
 def put(store, key, title):
     cluster_id = ("computing.hdd", key)
-    if store.get_cluster(cluster_id) is None:
-        store.create_cluster(0, cluster_id)
-    store.set_product(cluster_id, make_product(f"id-{key}", title))
+    store.apply(
+        StagedBatch(
+            clusters=[] if store.get_cluster(cluster_id) else [cluster_id],
+            products={cluster_id: make_product(f"id-{key}", title)},
+        )
+    )
 
 
 def one_replica_fleet():
