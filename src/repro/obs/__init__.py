@@ -13,11 +13,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_snapshot,
     get_registry,
-    merge_snapshot,
     render_snapshot,
     series_key,
     set_registry,
-    snapshot_fragment,
 )
 from repro.obs.percentiles import nearest_rank, percentile
 from repro.obs.process import process_memory, register_process_gauges
@@ -31,7 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "format_snapshot",
     "get_registry",
-    "merge_snapshot",
     "nearest_rank",
     "percentile",
     "process_memory",
@@ -39,5 +36,4 @@ __all__ = [
     "render_snapshot",
     "series_key",
     "set_registry",
-    "snapshot_fragment",
 ]

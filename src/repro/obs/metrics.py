@@ -9,17 +9,15 @@ keep the hot path honest:
   once; callers cache the returned handle and pay one lock + one float
   add per increment.  Nothing on the per-offer path touches the
   registry — instrumentation is per batch, per request, per commit.
-* **The registry is the read path, not only the write path.**  Ad-hoc
-  stat objects that predate this module (``TransportStats``,
-  ``pipe_stats``, serving resync counters) are exposed through
-  *providers*: callables that contribute snapshot fragments at
-  collection time, so ``/metrics`` and ``registry.snapshot()`` see one
-  merged truth without double-counting.
+* **A process's registry holds what that process counted.**  Every
+  metric is a registry series, incremented (or, for a callback gauge,
+  read) by the component that does the work, in the process where it
+  runs: there is one way to publish a metric and nothing to fold in or
+  to keep from being counted twice.  A cluster node process keeps its
+  own registry; the coordinator's holds the coordinator's counts.
 * **Snapshots are plain dicts.**  ``snapshot()`` output is
-  JSON-serialisable (bench artifacts embed it verbatim), mergeable
-  (:func:`merge_snapshot` folds node-process fragments in), and
-  renderable to Prometheus text exposition format
-  (:func:`render_snapshot`).
+  JSON-serialisable (bench artifacts embed it verbatim) and renderable
+  to Prometheus text exposition format (:func:`render_snapshot`).
 
 Histograms use fixed log-scale latency buckets (1-2.5-5 per decade from
 10µs to 60s) so every latency metric in the system shares one bucket
@@ -45,7 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "get_registry",
-    "merge_snapshot",
     "render_snapshot",
     "series_key",
     "set_registry",
@@ -302,10 +299,6 @@ class _Family:
         self.children: Dict[str, object] = {}
 
 
-#: Providers contribute snapshot fragments (the ad-hoc stats bridges).
-SnapshotProvider = Callable[[], Dict[str, object]]
-
-
 class MetricsRegistry:
     """Process-wide (but injectable) home of every metric family.
 
@@ -318,7 +311,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._families: Dict[str, _Family] = {}
-        self._providers: List[SnapshotProvider] = []
 
     # -- registration ----------------------------------------------------------
 
@@ -409,23 +401,6 @@ class MetricsRegistry:
         )
         return _SpanTimer(histogram)
 
-    # -- providers (bridges from pre-existing stat objects) --------------------
-
-    def add_provider(self, provider: SnapshotProvider) -> SnapshotProvider:
-        """Register a snapshot-fragment provider; returns it for removal."""
-        with self._lock:
-            if provider not in self._providers:
-                self._providers.append(provider)
-        return provider
-
-    def remove_provider(self, provider: SnapshotProvider) -> None:
-        """Unregister a provider (no-op when unknown)."""
-        with self._lock:
-            try:
-                self._providers.remove(provider)
-            except ValueError:
-                pass
-
     # -- collection ------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -438,14 +413,9 @@ class MetricsRegistry:
              "histograms": {series_key: {count, sum, p50, p95, p99,
                                          buckets: {le: cumulative}}},
              "families":   {name: {"type": ..., "help": ...}}}
-
-        Provider fragments are merged in (counters and histogram buckets
-        sum, gauges overwrite), so the registry's own series and the
-        bridged ad-hoc stats come out as one coherent view.
         """
         with self._lock:
             families = list(self._families.values())
-            providers = list(self._providers)
         result: Dict[str, object] = {
             "counters": {},
             "gauges": {},
@@ -467,12 +437,6 @@ class MetricsRegistry:
                     section[key] = child.snapshot()
                 else:
                     section[key] = child.value  # type: ignore[union-attr]
-        for provider in providers:
-            try:
-                fragment = provider()
-            except Exception:  # noqa: BLE001 - a scrape must never fail
-                continue
-            merge_snapshot(result, fragment)
         return result
 
     def render(self) -> str:
@@ -480,67 +444,9 @@ class MetricsRegistry:
         return render_snapshot(self.snapshot())
 
     def clear(self) -> None:
-        """Drop every family and provider (tests and bench isolation)."""
+        """Drop every family (tests and bench isolation)."""
         with self._lock:
             self._families = {}
-            self._providers = []
-
-
-def snapshot_fragment(
-    counters: Optional[Mapping[str, float]] = None,
-    gauges: Optional[Mapping[str, float]] = None,
-    families: Optional[Mapping[str, Dict[str, str]]] = None,
-) -> Dict[str, object]:
-    """Build a provider return value from plain ``{series_key: value}`` maps."""
-    return {
-        "counters": dict(counters or {}),
-        "gauges": dict(gauges or {}),
-        "histograms": {},
-        "families": dict(families or {}),
-    }
-
-
-def merge_snapshot(base: Dict[str, object], extra: Mapping[str, object]) -> Dict[str, object]:
-    """Fold ``extra`` into ``base`` (in place; returns ``base``).
-
-    Counters sum, gauges overwrite (last writer wins), histograms sum
-    count/sum/cumulative-buckets and recompute their percentiles from
-    the merged buckets.  Family metadata fills gaps only.  This is how
-    node-process fragments (the ``stats`` pipe round) and provider
-    bridges land in one view.
-    """
-    for key, value in (extra.get("counters") or {}).items():
-        counters = base.setdefault("counters", {})
-        counters[key] = counters.get(key, 0) + value
-    gauges = base.setdefault("gauges", {})
-    gauges.update(extra.get("gauges") or {})
-    histograms = base.setdefault("histograms", {})
-    for key, summary in (extra.get("histograms") or {}).items():
-        merged = histograms.get(key)
-        if merged is None:
-            histograms[key] = {
-                "count": summary.get("count", 0),
-                "sum": summary.get("sum", 0.0),
-                "buckets": dict(summary.get("buckets", {})),
-                **{
-                    quantile: summary.get(quantile, 0.0)
-                    for quantile in ("p50", "p95", "p99")
-                },
-            }
-            continue
-        merged["count"] = merged.get("count", 0) + summary.get("count", 0)
-        merged["sum"] = merged.get("sum", 0.0) + summary.get("sum", 0.0)
-        buckets = merged.setdefault("buckets", {})
-        for bound, cumulative in (summary.get("buckets") or {}).items():
-            buckets[bound] = buckets.get(bound, 0) + cumulative
-        for quantile, fraction in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-            merged[quantile] = _bucket_percentile(
-                buckets, merged.get("count", 0), fraction
-            )
-    meta = base.setdefault("families", {})
-    for name, info in (extra.get("families") or {}).items():
-        meta.setdefault(name, info)
-    return base
 
 
 def _sorted_buckets(buckets: Mapping[str, int]) -> List[Tuple[float, int]]:
@@ -549,21 +455,6 @@ def _sorted_buckets(buckets: Mapping[str, int]) -> List[Tuple[float, int]]:
         ((math.inf if le == "+Inf" else float(le), count) for le, count in buckets.items()),
         key=lambda item: item[0],
     )
-
-
-def _bucket_percentile(buckets: Mapping[str, int], count: int, fraction: float) -> float:
-    """Nearest-rank percentile from cumulative bucket counts."""
-    if count <= 0 or not buckets:
-        return 0.0
-    rank = nearest_rank(count, fraction)
-    ordered = _sorted_buckets(buckets)
-    highest_finite = 0.0
-    for bound, cumulative in ordered:
-        if not math.isinf(bound):
-            highest_finite = bound
-        if rank < cumulative:
-            return highest_finite if math.isinf(bound) else bound
-    return highest_finite
 
 
 def render_snapshot(snapshot: Mapping[str, object]) -> str:
@@ -725,10 +616,6 @@ class _NullRegistry(MetricsRegistry):
     def span(self, name):  # noqa: ANN001
         """The shared no-op span timer."""
         return self._span
-
-    def add_provider(self, provider):  # noqa: ANN001
-        """Discard the provider."""
-        return provider
 
 
 #: Shared no-op registry (see :class:`_NullRegistry`).

@@ -68,7 +68,7 @@ from repro.matching.correspondence import CorrespondenceSet
 from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
-from repro.obs import get_registry, merge_snapshot
+from repro.obs import get_registry
 from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine, TransportStats
 from repro.runtime.node import FencedStoreView, NodeProtocol, NodeVote, ShardLease
 from repro.runtime.sharding import shard_for_category
@@ -349,10 +349,6 @@ class ClusterNode:
         """
         raise NotImplementedError
 
-    def metrics(self) -> Dict[str, object]:
-        """The node's metrics that this process's registry does not already hold."""
-        return {}
-
     def shutdown(self) -> bool:
         """Graceful leave; ``False`` when the node did not acknowledge.
 
@@ -530,48 +526,34 @@ class ClusterEngine:
         # and its voters' votes.
         self._pending: Optional[Tuple[List[Offer], Dict[str, NodeVote]]] = None
         self._closed = False
-        # Observability: the coordinator publishes its *own* accounting
-        # (retired nodes, hint counters, wire frames) plus the cached
-        # fragments node_metrics() fetched — an in-process node engine
-        # bridges its transport into the registry itself, and a scrape
-        # must never talk to a node, so the cache is only as fresh as
-        # the last explicit fetch.  Callback gauges hold a weakref only.
+        # Observability: the coordinator's registry holds what the
+        # coordinator counts — batches, hint routing, and (through its
+        # transport's node handles) pipe frames.  Executor payloads are
+        # counted by the node engines, in the process each runs in.
+        # Callback gauges hold a weakref only.
         registry = self._obs = get_registry()
         self._obs_cluster_batches = registry.counter(
             "cluster_batches_total",
             help="Micro-batches absorbed by cluster coordinators.",
         )
-        self._node_metrics: Dict[str, object] = {}
-        cluster_ref = weakref.ref(self)
-
-        def _coordinator_provider() -> Dict[str, object]:
-            cluster = cluster_ref()
-            if cluster is None:
-                return {}
-            fragment = cluster._coordinator_stats().metrics_fragment()
-            merge_snapshot(fragment, cluster._node_metrics)
-            return fragment
-
-        self._obs_provider = registry.add_provider(_coordinator_provider)
-
-        def _gauge(name: str, help_text: str, read) -> None:
-            def callback() -> float:
-                cluster = cluster_ref()
-                return 0.0 if cluster is None else read(cluster)
-
-            registry.gauge(name, help=help_text, callback=callback)
-
-        _gauge(
+        self._obs_hinted = registry.counter(
+            "routing_hinted_offers_total", help="Offers routed via category hints at all."
+        )
+        self._obs_misrouted = registry.counter(
+            "routing_misrouted_offers_total",
+            help="Hint-routed offers re-homed at the classify barrier.",
+        )
+        self._gauge(
             "cluster_routing_seconds",
             "Coordinator time spent deduplicating and routing batches.",
             lambda cluster: cluster._routing_seconds,
         )
-        _gauge(
+        self._gauge(
             "cluster_barrier_wait_seconds",
             "Coordinator time spent waiting on commit barriers.",
             lambda cluster: cluster._barrier_seconds,
         )
-        _gauge("cluster_nodes", "Live cluster members.", lambda cluster: len(cluster._nodes))
+        self._gauge("cluster_nodes", "Live cluster members.", lambda cluster: len(cluster._nodes))
         try:
             # One layout pass for the whole initial membership, then
             # start each node with its final epochs: granting shards
@@ -595,6 +577,16 @@ class ClusterEngine:
                 {node_id: self._coordinator.lease_for(node_id) for node_id in node_ids}
             )
         )
+
+    def _gauge(self, name: str, help_text: str, read) -> None:
+        """Register a callback gauge that reads this cluster through a weakref."""
+        cluster_ref = weakref.ref(self)
+
+        def callback() -> float:
+            cluster = cluster_ref()
+            return 0.0 if cluster is None else read(cluster)
+
+        self._obs.gauge(name, help=help_text, callback=callback)
 
     def _ensure_open(self) -> None:
         """Refuse API calls after :meth:`close` or on a closed store."""
@@ -1031,8 +1023,16 @@ class ClusterEngine:
             owner = self._owner(self._hinter.hint(offer), fallback)
             hinted.setdefault(owner, []).append((position, offer))
         # Every fresh offer is hint-routed; with the misroute counter
-        # below this feeds the hint_accuracy gauge.
+        # below this feeds the hint_accuracy gauge, which exists from the
+        # first hint-routed batch on.
+        if self._hint_stats.hinted_offers == 0:
+            self._gauge(
+                "routing_hint_accuracy",
+                "Fraction of hint-routed offers whose hint was correct.",
+                lambda cluster: cluster._hint_stats.hint_accuracy,
+            )
         self._hint_stats.hinted_offers += len(fresh)
+        self._obs_hinted.inc(len(fresh))
         assignment = {
             shard: self._coordinator.node_for_shard(shard) for shard in range(self._num_shards)
         }
@@ -1055,6 +1055,7 @@ class ClusterEngine:
                 incoming.setdefault(destination, []).extend(items)
                 moved.update(position for position, _ in items)
             self._hint_stats.misrouted_offers += len(moved)
+            self._obs_misrouted.inc(len(moved))
             kept[node_id] = [offer for position, offer in hinted[node_id] if position not in moved]
         if failures:
             self._fail_round(answered, failures)
@@ -1151,38 +1152,13 @@ class ClusterEngine:
             assigned_categories=store.committed_assigned_categories(),
         )
 
-    def _coordinator_stats(self) -> TransportStats:
-        """The coordinator's own accounting: retired nodes, hints, wire frames."""
-        merged = TransportStats()
-        for part in (self._retired_transport, self._hint_stats, self._transport.stats):
-            merged.merge(part)
-        return merged
-
     def transport_stats(self) -> TransportStats:
         """Cluster-wide transport accounting: executor payloads (all
         nodes, ever), hint counters and wire frames."""
-        merged = self._coordinator_stats()
-        for node in self._nodes.values():
-            merged.merge(node.transport)
-        return merged
-
-    def node_metrics(self) -> Dict[str, object]:
-        """Fetch and merge the metrics the live nodes hold outside this process.
-
-        One explicit round per node, after writing an open barrier, so
-        the fragments count every ingested batch.  It runs on demand
-        (the benches call it right before ``close``) rather than at
-        scrape time, because a scrape must never talk to a node: the
-        merged result is cached, and the registry provider serves it.  In-process nodes
-        contribute nothing (their counters already live in this
-        registry); dead nodes simply drop out of the merge.
-        """
-        self._ensure_open()
-        self.flush()
-        merged: Dict[str, object] = {}
-        for _, node in sorted(self._nodes.items()):
-            merge_snapshot(merged, node.metrics())
-        self._node_metrics = merged
+        merged = TransportStats()
+        parts = [self._retired_transport, self._hint_stats, self._transport.stats]
+        for part in parts + [node.transport for node in self._nodes.values()]:
+            merged.merge(part)
         return merged
 
     @property
@@ -1216,8 +1192,7 @@ class ClusterEngine:
     # -- lifecycle -------------------------------------------------------------
 
     def _teardown(self) -> None:
-        """Stop every node and release the store and the metrics provider."""
-        self._obs.remove_provider(self._obs_provider)
+        """Stop every node and release the store."""
         for _, node in sorted(self._nodes.items()):
             node.shutdown()
         self._nodes = {}
@@ -1275,13 +1250,7 @@ class _EngineNode(ClusterNode):
         """Nothing to push: the lease object is shared and so is the store."""
 
     def destroy(self) -> None:
-        """Release the engine's workers and its metrics provider.
-
-        The coordinator's retired totals carry the engine's counters
-        from here on; a provider left registered would count the same
-        frames twice.
-        """
-        self.engine.detach_metrics_provider()
+        """Release the engine's workers."""
         self.engine.release_workers()
 
 

@@ -48,7 +48,6 @@ Examples
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -57,7 +56,7 @@ from repro.matching.correspondence import CorrespondenceSet
 from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
-from repro.obs import get_registry, series_key, snapshot_fragment
+from repro.obs import get_registry
 from repro.runtime.executors import ShardExecutor, resolve_executor
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, StagedBatch, resolve_store
@@ -157,10 +156,12 @@ class TransportStats:
     def hint_accuracy(self) -> Optional[float]:
         """Fraction of hint-routed offers whose hint was correct.
 
-        ``None`` when hint routing never ran (no denominator) — the
-        gauge the ROADMAP asks for: an accuracy that degrades over a
-        stream is the signal to retrain or widen the hinter's vote
-        table, *before* misroute re-ships start dominating transport.
+        ``None`` when hint routing never ran (no denominator).  A
+        cluster coordinator publishes it as the ``routing_hint_accuracy``
+        callback gauge from its first hint-routed batch on: an accuracy
+        that degrades over a stream is the signal to retrain or widen
+        the hinter's vote table, *before* misroute re-ships start
+        dominating transport.
         """
         if self.hinted_offers == 0:
             return None
@@ -200,64 +201,6 @@ class TransportStats:
         self.frame_bytes_received += other.frame_bytes_received
         self.misrouted_offers += other.misrouted_offers
         self.hinted_offers += other.hinted_offers
-
-    def metrics_fragment(
-        self, labels: Optional[Dict[str, str]] = None
-    ) -> Dict[str, object]:
-        """This accounting as a :mod:`repro.obs` snapshot fragment.
-
-        The registry *reads through* pre-existing stat objects instead of
-        double-writing them: engines and cluster coordinators register a
-        provider that calls this, so ``registry.snapshot()`` and
-        ``/metrics`` expose the same counters ``transport_stats()``
-        reports, under stable family names.
-        """
-        fields = {
-            "transport_batches_total": self.batches,
-            "transport_shard_tasks_total": self.shard_tasks,
-            "transport_clusters_shipped_total": self.clusters_shipped,
-            "transport_offers_shipped_total": self.offers_shipped,
-            "pipe_frames_sent_total": self.frames_sent,
-            "pipe_frames_received_total": self.frames_received,
-            "pipe_frame_bytes_sent_total": self.frame_bytes_sent,
-            "pipe_frame_bytes_received_total": self.frame_bytes_received,
-            "routing_misrouted_offers_total": self.misrouted_offers,
-            "routing_hinted_offers_total": self.hinted_offers,
-        }
-        help_texts = {
-            "transport_batches_total": "Engine batches shipped to shard executors.",
-            "transport_shard_tasks_total": "Per-shard executor tasks dispatched.",
-            "transport_clusters_shipped_total": "Touched clusters shipped to shard executors.",
-            "transport_offers_shipped_total": "Offers serialised into executor payloads.",
-            "pipe_frames_sent_total": "Pipe-protocol frames sent to cluster node processes.",
-            "pipe_frames_received_total": "Pipe-protocol frames received from node processes.",
-            "pipe_frame_bytes_sent_total": "Serialized payload bytes of sent pipe frames.",
-            "pipe_frame_bytes_received_total": "Serialized payload bytes of received pipe frames.",
-            "routing_misrouted_offers_total": (
-                "Hint-routed offers re-homed at the classify barrier."
-            ),
-            "routing_hinted_offers_total": "Offers routed via category hints at all.",
-        }
-        counters = {
-            series_key(name, labels): float(value)
-            for name, value in fields.items()
-            if value
-        }
-        gauges: Dict[str, float] = {}
-        accuracy = self.hint_accuracy
-        if accuracy is not None:
-            gauges[series_key("routing_hint_accuracy", labels)] = accuracy
-        families = {
-            name: {"type": "counter", "help": help_texts[name]}
-            for name in fields
-            if fields[name]
-        }
-        if accuracy is not None:
-            families["routing_hint_accuracy"] = {
-                "type": "gauge",
-                "help": "Fraction of hint-routed offers whose hint was correct.",
-            }
-        return snapshot_fragment(counters=counters, gauges=gauges, families=families)
 
 
 #: One shard's executor payload: fuse these clusters with these schema
@@ -349,9 +292,7 @@ class SynthesisEngine:
         self._closed = False
 
         # Observability: handles are resolved once (per-batch increments
-        # only — nothing on the per-offer path touches the registry), and
-        # the pre-existing transport accounting is bridged through a
-        # weakref provider so the registry reads it without double-writes.
+        # only — nothing on the per-offer path touches the registry).
         registry = get_registry()
         self._obs = registry
         self._obs_batches = registry.counter(
@@ -372,15 +313,22 @@ class SynthesisEngine:
             "engine_products_refreshed_total",
             help="Products (re-)fused by ingested batches.",
         )
-        engine_ref = weakref.ref(self)
-
-        def _transport_provider() -> Dict[str, object]:
-            engine = engine_ref()
-            if engine is None:
-                return {}
-            return engine._transport_stats.metrics_fragment()
-
-        self._obs_provider = registry.add_provider(_transport_provider)
+        # The executor-payload counts of ``transport_stats()``, counted
+        # where they are merged.  A cluster node engine counts into the
+        # registry of the process it runs in.
+        self._obs_transport_batches = registry.counter(
+            "transport_batches_total", help="Engine batches shipped to shard executors."
+        )
+        self._obs_shard_tasks = registry.counter(
+            "transport_shard_tasks_total", help="Per-shard executor tasks dispatched."
+        )
+        self._obs_clusters_shipped = registry.counter(
+            "transport_clusters_shipped_total",
+            help="Touched clusters shipped to shard executors.",
+        )
+        self._obs_offers_shipped = registry.counter(
+            "transport_offers_shipped_total", help="Offers serialised into executor payloads."
+        )
 
         # One memo across batches, so unchanged attribute-value lists are
         # selected once (a process pool gets a pickled copy per task).  The
@@ -407,11 +355,8 @@ class SynthesisEngine:
                 "(reopen the store path with a new engine to resume)"
             )
         # Ingesting re-arms a closed engine (memory-store engines stay
-        # usable after close(); executor pools are re-created lazily —
-        # and the transport provider close() unregistered comes back).
-        if self._closed:
-            self._obs.add_provider(self._obs_provider)
-            self._closed = False
+        # usable after close(); executor pools are re-created lazily).
+        self._closed = False
         # Filtering against both sets also deduplicates repeats inside a
         # single batch, not just across batches.  The batch is staged
         # without touching the store and applied in one call after its
@@ -460,6 +405,10 @@ class SynthesisEngine:
             self._store.apply(batch)
             # Counted once applied: a retried batch is shipped once.
             self._transport_stats.merge(shipped)
+            self._obs_transport_batches.inc(shipped.batches)
+            self._obs_shard_tasks.inc(shipped.shard_tasks)
+            self._obs_clusters_shipped.inc(shipped.clusters_shipped)
+            self._obs_offers_shipped.inc(shipped.offers_shipped)
             self._store.commit()
         self._obs_batches.inc()
         self._obs_offers_new.inc(report.offers_new)
@@ -582,16 +531,6 @@ class SynthesisEngine:
         """Cumulative executor-payload accounting (see :class:`TransportStats`)."""
         return self._transport_stats
 
-    def detach_metrics_provider(self) -> None:
-        """Stop contributing transport counters to the metrics registry.
-
-        ``close`` calls this; so does the cluster layer when retiring a
-        node whose transport accounting it folds into its own retired
-        totals — leaving the provider registered would count the same
-        frames twice in every later snapshot.
-        """
-        self._obs.remove_provider(self._obs_provider)
-
     def snapshot(self) -> EngineSnapshot:
         """A consistent summary of everything ingested so far."""
         return EngineSnapshot(
@@ -630,7 +569,6 @@ class SynthesisEngine:
         if self._closed:
             return
         self._closed = True
-        self.detach_metrics_provider()
         self.release_workers()
         if self._owns_store:
             self._store.close()

@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.corpus.webstore import WebStore
 from repro.model.offers import Offer
-from repro.obs import get_registry
 from repro.runtime.engine import IngestReport, SynthesisEngine, TransportStats
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, ClusterState, StagedBatch, StaleEpochError
@@ -423,13 +422,6 @@ def serve(channel_fd: int) -> None:
                 lease.epochs.update(payload["epochs"])
                 store.refresh_shards(payload["refresh"])
                 channel.send(("lease-ok", None))
-            elif kind == "stats":
-                # The node's whole registry snapshot (engine counters,
-                # spans, its store series, the bridged transport stats)
-                # rides the pipe back; the coordinator folds the live
-                # nodes' fragments into one fleet view with
-                # merge_snapshot (counters sum across processes).
-                channel.send(("stats", get_registry().snapshot()))
             elif kind == "crash":
                 _arm_fault(
                     store,

@@ -62,9 +62,6 @@ The commit barrier
     Fence/handoff: the new epoch map of the node, plus the shards it
     just gained and must reload from the file
     (:meth:`~repro.runtime.store.sqlite.SqliteCatalogStore.refresh_shards`).
-``stats``
-    The node's whole metrics-registry snapshot, for
-    :meth:`~repro.runtime.cluster.ClusterEngine.node_metrics`.
 ``crash``
     Test/drill hook: arm a fault that hard-kills the node process
     (``os._exit``) at the Nth store operation, or right after its Nth
@@ -106,6 +103,7 @@ import repro
 from repro.corpus.webstore import WebStore
 from repro.extraction.extractor import WebPageAttributeExtractor
 from repro.model.offers import Offer
+from repro.obs import get_registry
 from repro.runtime.cluster import (
     ClusterEngine,
     ClusterNode,
@@ -206,7 +204,8 @@ class ProcessNode(ClusterNode):
     travels as one explicitly pickled frame, and every frame and its
     payload bytes are counted into ``pipe_stats`` — the engine-level
     :class:`~repro.runtime.engine.TransportStats` that makes the pipe
-    protocol's cost measurable (and regressions visible).  The boot
+    protocol's cost measurable (and regressions visible) — and into the
+    ``pipe_*`` counters of the coordinator's metrics registry.  The boot
     frames of :meth:`boot` are set-up, not protocol, and are not counted.
     """
 
@@ -223,6 +222,22 @@ class ProcessNode(ClusterNode):
         """
         super().__init__(node_id, lease)
         self.pipe_stats = pipe_stats
+        registry = get_registry()
+        self._obs_frames_sent = registry.counter(
+            "pipe_frames_sent_total",
+            help="Pipe-protocol frames sent to cluster node processes.",
+        )
+        self._obs_frames_received = registry.counter(
+            "pipe_frames_received_total",
+            help="Pipe-protocol frames received from node processes.",
+        )
+        self._obs_bytes_sent = registry.counter(
+            "pipe_frame_bytes_sent_total", help="Serialized payload bytes of sent pipe frames."
+        )
+        self._obs_bytes_received = registry.counter(
+            "pipe_frame_bytes_received_total",
+            help="Serialized payload bytes of received pipe frames.",
+        )
         self._channel, child_end = multiprocessing.Pipe(duplex=True)
         try:
             self._process = _NodeProcess(child_end.fileno(), name=f"repro-{node_id}")
@@ -300,6 +315,8 @@ class ProcessNode(ClusterNode):
             raise NodeDeadError(self.node_id, f"send failed: {exc!r}") from exc
         self.pipe_stats.frames_sent += 1
         self.pipe_stats.frame_bytes_sent += len(frame)
+        self._obs_frames_sent.inc()
+        self._obs_bytes_sent.inc(len(frame))
 
     def recv(self) -> Tuple[str, object]:
         """Await one reply frame; raises
@@ -307,6 +324,8 @@ class ProcessNode(ClusterNode):
         frame = self._read_frame()
         self.pipe_stats.frames_received += 1
         self.pipe_stats.frame_bytes_received += len(frame)
+        self._obs_frames_received.inc()
+        self._obs_bytes_received.inc(len(frame))
         return pickle.loads(frame)
 
     def _read_frame(self) -> bytes:
@@ -338,14 +357,6 @@ class ProcessNode(ClusterNode):
         commits never touched this node's mirror.
         """
         self.request("lease", {"epochs": dict(self.lease.epochs), "refresh": gained})
-
-    def metrics(self) -> Dict[str, object]:
-        """One ``stats`` round: the node process's registry snapshot."""
-        try:
-            fragment = self.request("stats")
-        except (NodeDeadError, RuntimeError):
-            return {}
-        return fragment if isinstance(fragment, dict) else {}
 
     def shutdown(self) -> bool:
         """Ask the process to release its workers and store, then reap it."""

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.model.persistence import product_to_dict
-from repro.obs import get_registry, series_key, snapshot_fragment
+from repro.obs import get_registry
 from repro.serving.index import SearchResult
 from repro.serving.service import CatalogSearchService
 
@@ -164,11 +164,12 @@ class ServingFleet:
         self._head_probed_at = self._head_changed_at = time.monotonic()
         self._stop_watcher = threading.Event()
         self._watcher: Optional[threading.Thread] = None
-        # Observability: per-replica pinned-snapshot lag rides the
-        # registry as labelled gauges, read through a weakref provider.
-        # Counters are registry counters, incremented beside the fields
-        # above, so they outlive the fleet (the replica services count
-        # their own queries and resyncs the same way).
+        # Observability: per-replica pinned-snapshot lag and health ride
+        # the registry as labelled callback gauges, which read the fleet
+        # through a weakref (and read 0 once it is closed).  Counters are
+        # registry counters, incremented beside the fields above, so they
+        # outlive the fleet (the replica services count their own queries
+        # and resyncs the same way).
         registry = get_registry()
         self._obs = registry
         self._obs_failovers = registry.counter(
@@ -185,15 +186,38 @@ class ServingFleet:
             )
             for event in ("hits", "misses", "evictions")
         }
-        fleet_ref = weakref.ref(self)
-
-        def _fleet_provider() -> Dict[str, object]:
-            fleet = fleet_ref()
-            if fleet is None:
-                return {}
-            return fleet._metrics_fragment()
-
-        self._obs_provider = registry.add_provider(_fleet_provider)
+        self._gauge(
+            "serving_fleet_head_commit_count",
+            "Store-head commit counter the fleet measures lag against.",
+            lambda fleet: fleet._lag_head(),
+        )
+        self._gauge(
+            "serving_response_cache_bytes",
+            "Bytes of serialised response bodies (and keys) cached.",
+            lambda fleet: fleet._body_bytes,
+        )
+        for index in range(len(self._replicas)):
+            labels = {"replica": str(index)}
+            self._gauge(
+                "serving_replica_lag_commits",
+                "Commits each replica's pinned snapshot trails the head by.",
+                lambda fleet, index=index: max(
+                    0, fleet._lag_head() - fleet._replicas[index].service.snapshot_commit_count
+                ),
+                labels,
+            )
+            self._gauge(
+                "serving_replica_snapshot_commit_count",
+                "Commit prefix each replica currently serves.",
+                lambda fleet, index=index: fleet._replicas[index].service.snapshot_commit_count,
+                labels,
+            )
+            self._gauge(
+                "serving_replica_healthy",
+                "1 when the replica is admitted to routing, else 0.",
+                lambda fleet, index=index: 1.0 if fleet._replicas[index].healthy else 0.0,
+                labels,
+            )
         if watch_head:
             self._obs_refresh_seconds = registry.histogram(
                 "serving_refresh_seconds",
@@ -208,6 +232,26 @@ class ServingFleet:
                 target=self._watch_loop, name="fleet-head-watcher", daemon=True
             )
             self._watcher.start()
+
+    def _gauge(
+        self,
+        name: str,
+        help_text: str,
+        read: Callable[["ServingFleet"], float],
+        labels: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Register a callback gauge that reads this fleet through a weakref.
+
+        It reads 0 once the fleet is closed (or collected), so the
+        registry never pins a fleet in memory.
+        """
+        fleet_ref = weakref.ref(self)
+
+        def callback() -> float:
+            fleet = fleet_ref()
+            return 0.0 if fleet is None or fleet._closed else read(fleet)
+
+        self._obs.gauge(name, help=help_text, labels=labels, callback=callback)
 
     # -- construction ----------------------------------------------------------
 
@@ -276,7 +320,6 @@ class ServingFleet:
         if self._closed:
             return
         self._closed = True
-        self._obs.remove_provider(self._obs_provider)
         self._stop_watcher.set()
         if self._watcher is not None:
             self._watcher.join(timeout=5)
@@ -616,63 +659,6 @@ class ServingFleet:
         stale.close()
 
     # -- introspection ---------------------------------------------------------
-
-    def _metrics_fragment(self) -> Dict[str, object]:
-        """Fleet gauges as a registry snapshot fragment.
-
-        Per-replica pinned-snapshot lag (against :meth:`_lag_head`)
-        plus health flags as labelled gauges, and the response cache's
-        size.
-        """
-        try:
-            head = self._lag_head()
-        except Exception:  # noqa: BLE001 - a scrape must never fail
-            head = 0
-        with self._lock:
-            replicas = list(self._replicas)
-            cache_bytes = self._body_bytes
-        gauges: Dict[str, float] = {
-            "serving_fleet_head_commit_count": float(head),
-            "serving_response_cache_bytes": float(cache_bytes),
-        }
-        for replica in replicas:
-            try:
-                snapshot = replica.service.snapshot_commit_count
-            except Exception:  # noqa: BLE001 - a dead replica still scrapes
-                snapshot = 0
-            labels = {"replica": str(replica.replica_id)}
-            gauges[series_key("serving_replica_lag_commits", labels)] = float(
-                max(0, head - snapshot)
-            )
-            gauges[series_key("serving_replica_snapshot_commit_count", labels)] = float(
-                snapshot
-            )
-            gauges[series_key("serving_replica_healthy", labels)] = (
-                1.0 if replica.healthy else 0.0
-            )
-        families = {
-            "serving_fleet_head_commit_count": {
-                "type": "gauge",
-                "help": "Store-head commit counter the fleet measures lag against.",
-            },
-            "serving_replica_lag_commits": {
-                "type": "gauge",
-                "help": "Commits each replica's pinned snapshot trails the head by.",
-            },
-            "serving_replica_snapshot_commit_count": {
-                "type": "gauge",
-                "help": "Commit prefix each replica currently serves.",
-            },
-            "serving_replica_healthy": {
-                "type": "gauge",
-                "help": "1 when the replica is admitted to routing, else 0.",
-            },
-            "serving_response_cache_bytes": {
-                "type": "gauge",
-                "help": "Bytes of serialised response bodies (and keys) cached.",
-            },
-        }
-        return snapshot_fragment(gauges=gauges, families=families)
 
     def health(self) -> Dict[str, object]:
         """Fleet and per-replica health (the ``/health`` body).

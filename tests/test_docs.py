@@ -178,3 +178,68 @@ def test_examples_compile():
     assert examples
     for script in examples:
         compile(script.read_text(encoding="utf-8"), str(script), "exec")
+
+
+#: Calls whose first argument names a metric family: the registry's own
+#: get-or-create methods, and the ``_gauge`` helpers that forward theirs.
+_METRIC_CALLS = {"counter", "gauge", "histogram", "_gauge"}
+
+#: A backticked family name in the docs, with an optional label set.
+_DOC_FAMILY = re.compile(r"`([a-z][a-z0-9_]*)(?:\{[^`]*\})?`")
+
+#: The series a histogram family renders besides its own name.
+_HISTOGRAM_SERIES = r"(?:_bucket|_sum|_count)?"
+
+
+def _metric_families():
+    """Every family ``src/repro`` registers, as a regex (an f-string's
+    replacement fields read as ``\\w+``)."""
+    families = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            function = node.func
+            name = getattr(function, "attr", getattr(function, "id", None))
+            if name not in _METRIC_CALLS:
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                families.add(re.escape(first.value))
+            elif isinstance(first, ast.JoinedStr):
+                families.add(
+                    "".join(
+                        re.escape(part.value) if isinstance(part, ast.Constant) else r"\w+"
+                        for part in first.values
+                    )
+                )
+    return families
+
+
+def test_the_metric_catalog_names_every_family_and_only_those():
+    """Two ways: each family the code registers is in the catalog of
+    docs/observability.md, and each family the catalog names exists.
+    Catalog names are the backticked snake_case spans of its section
+    that start with a layer prefix some family has (``serving_``, ...)."""
+    families = _metric_families()
+    text = (REPO_ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    catalog = text.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+    prefixes = {family.split("_", 1)[0] for family in families}
+    documented = {
+        name
+        for name in _DOC_FAMILY.findall(catalog)
+        if name.split("_", 1)[0] in prefixes and "_" in name
+    }
+    undocumented = sorted(
+        family
+        for family in families
+        if not any(re.fullmatch(family, name) for name in documented)
+    )
+    unknown = sorted(
+        name
+        for name in documented
+        if not any(re.fullmatch(family + _HISTOGRAM_SERIES, name) for family in families)
+    )
+    assert len(families) > 40
+    assert not undocumented, f"families missing from the metric catalog: {undocumented}"
+    assert not unknown, f"the metric catalog names families no code registers: {unknown}"

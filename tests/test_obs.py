@@ -2,11 +2,10 @@
 
 Covers the metrics core (counter/gauge/histogram semantics, the span
 timer, series identity and label escaping), the registry (get-or-create,
-type conflicts, provider bridges, snapshot/merge/render), the shared
-nearest-rank percentile rule, the Prometheus text exposition output
-validated through the test-only parser in ``tests/exposition_parser.py``,
-and — via hypothesis — that concurrent increments from N threads are
-never lost.
+type conflicts, snapshot/render), the shared nearest-rank percentile
+rule, the Prometheus text exposition output validated through the
+test-only parser in ``tests/exposition_parser.py``, and — via
+hypothesis — that concurrent increments from N threads are never lost.
 """
 
 import json
@@ -27,7 +26,6 @@ from repro.obs import (
     MetricsRegistry,
     format_snapshot,
     get_registry,
-    merge_snapshot,
     nearest_rank,
     percentile,
     process_memory,
@@ -35,7 +33,6 @@ from repro.obs import (
     render_snapshot,
     series_key,
     set_registry,
-    snapshot_fragment,
 )
 
 
@@ -155,23 +152,6 @@ class TestRegistry:
         series = snapshot["histograms"]['span_seconds{span="unit.test_stage"}']
         assert series["count"] == 1
 
-    def test_provider_fragments_merge_without_double_count(self):
-        registry = MetricsRegistry()
-        registry.counter("direct_total").inc(3)
-        provider = registry.add_provider(
-            lambda: snapshot_fragment(counters={"bridged_total": 7})
-        )
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["direct_total"] == 3
-        assert snapshot["counters"]["bridged_total"] == 7
-        registry.remove_provider(provider)
-        assert "bridged_total" not in registry.snapshot()["counters"]
-
-    def test_failing_provider_never_breaks_a_scrape(self):
-        registry = MetricsRegistry()
-        registry.add_provider(lambda: 1 / 0)
-        assert registry.snapshot()["counters"] == {}
-
     def test_snapshot_is_json_serialisable(self):
         registry = MetricsRegistry()
         registry.counter("c_total", help="help").inc()
@@ -201,28 +181,6 @@ class TestRegistry:
         assert snapshot["counters"] == {}
         assert snapshot["gauges"] == {}
         assert snapshot["histograms"] == {}
-
-
-class TestMergeSnapshot:
-    def test_counters_sum_gauges_overwrite_histograms_merge(self):
-        left_registry = MetricsRegistry()
-        left_registry.counter("c_total").inc(2)
-        left_registry.gauge("g").set(1)
-        left_registry.histogram("h_seconds", buckets=[1.0]).observe(0.5)
-        right_registry = MetricsRegistry()
-        right_registry.counter("c_total").inc(3)
-        right_registry.gauge("g").set(9)
-        right_registry.histogram("h_seconds", buckets=[1.0]).observe(2.0)
-
-        merged = merge_snapshot(left_registry.snapshot(), right_registry.snapshot())
-        assert merged["counters"]["c_total"] == 5
-        assert merged["gauges"]["g"] == 9
-        histogram = merged["histograms"]["h_seconds"]
-        assert histogram["count"] == 2
-        assert histogram["sum"] == pytest.approx(2.5)
-        assert histogram["buckets"] == {"1": 1, "+Inf": 2}
-        # Percentiles are recomputed from the merged buckets.
-        assert histogram["p50"] == 1.0
 
 
 class TestExposition:

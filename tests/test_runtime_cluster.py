@@ -744,7 +744,7 @@ class TestClusterFacade:
         """One rule for both engines: ``close`` is final (and idempotent).
 
         A thread cluster over a caller-owned store used to come back to
-        life on the next ``ingest`` — with its metrics provider gone.
+        life on the next ``ingest``.
         """
         options = {}
         if any_cluster.kind == "threads":

@@ -613,6 +613,89 @@ class TestServingCountersAreMonotonic:
         assert closed == restarted
 
 
+class TestFleetGauges:
+    """The fleet's gauges are registry callback gauges read at scrape time."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        yield registry
+        set_registry(previous)
+
+    @staticmethod
+    def gauges(registry):
+        return registry.snapshot()["gauges"]
+
+    def test_a_crashed_replica_reads_unhealthy_until_restarted(self, sqlite_fleet, registry):
+        _, fleet, _ = sqlite_fleet
+        fleet = ServingFleet.from_store_path(fleet.store_path, num_replicas=2)
+        healthy = 'serving_replica_healthy{replica="1"}'
+        try:
+            assert self.gauges(registry)[healthy] == 1
+            fleet.set_fault_hook(1, crash)
+            for _ in range(4):
+                fleet.search("hard drive")
+            assert fleet.health()["replicas"][1]["healthy"] is False
+            assert self.gauges(registry)[healthy] == 0
+            assert self.gauges(registry)['serving_replica_healthy{replica="0"}'] == 1
+            fleet.restart_replica(1)
+            assert self.gauges(registry)[healthy] == 1
+        finally:
+            fleet.close()
+        # A closed fleet's gauges read 0.
+        assert self.gauges(registry)['serving_replica_healthy{replica="0"}'] == 0
+
+    def test_lag_gauges_equal_the_lag_body(self, sqlite_fleet, registry):
+        engine, fleet, second = sqlite_fleet
+        fleet = ServingFleet.from_store_path(fleet.store_path, num_replicas=2, max_lag_commits=5)
+        try:
+            engine.ingest(second[:10])
+            engine.ingest(second[10:])
+            fleet.search("hard drive")  # within the bound: no replica resyncs
+            lag = fleet.lag()
+            gauges = self.gauges(registry)
+            assert gauges["serving_fleet_head_commit_count"] == lag["head_commit_count"]
+            assert lag["max_lag"] > 0
+            for entry in lag["replicas"]:
+                labels = f'{{replica="{entry["replica_id"]}"}}'
+                assert gauges["serving_replica_lag_commits" + labels] == entry["lag"]
+                assert (
+                    gauges["serving_replica_snapshot_commit_count" + labels]
+                    == entry["snapshot_commit_count"]
+                )
+        finally:
+            fleet.close()
+
+    def test_a_watching_fleets_scrape_reads_no_store_file(
+        self, tiny_harness, tmp_path, monkeypatch, registry
+    ):
+        path = str(tmp_path / "scrape.sqlite3")
+        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
+        engine.ingest(tiny_harness.unmatched_offers)
+        readers = []
+        original = CatalogReader.commit_count
+
+        def counting(reader):
+            readers.append(threading.current_thread())
+            return original(reader)
+
+        monkeypatch.setattr(CatalogReader, "commit_count", counting)
+        fleet = ServingFleet.from_store_path(
+            path, num_replicas=2, max_lag_commits=2, watch_head=True
+        )
+        try:
+            del readers[:]  # the constructor's own first probe
+            for _ in range(10):
+                gauges = self.gauges(registry)
+                registry.render()
+            assert gauges["serving_fleet_head_commit_count"] == engine.store.commit_count
+            assert readers.count(threading.current_thread()) == 0
+        finally:
+            fleet.close()
+            engine.close()
+
+
 class TestFleetHTTP:
     @pytest.fixture
     def served(self, sqlite_fleet):

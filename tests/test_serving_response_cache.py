@@ -479,7 +479,13 @@ class TestSnapshotMoves:
 
 class TestBound:
     def test_bytes_never_exceed_the_bound_and_evictions_are_counted(self, monkeypatch):
-        with one_replica_fleet() as fleet:
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            fleet = one_replica_fleet()
+        finally:
+            set_registry(previous)
+        with fleet:
             fleet.search_body("drive 0")
             one = fleet.response_cache_stats()["bytes"]
             bound = 3 * one + one // 2
@@ -491,7 +497,7 @@ class TestBound:
                 assert stats["bytes"] == sum(
                     itertools.starmap(fleet_module._entry_bytes, fleet._bodies.items())
                 )
-                gauges = fleet._metrics_fragment()["gauges"]
+                gauges = registry.snapshot()["gauges"]
                 assert gauges["serving_response_cache_bytes"] == stats["bytes"]
             assert stats["entries"] == 3
             assert stats["evictions"] == 20 - 3
