@@ -9,7 +9,8 @@ Demonstrates the serving subsystem end to end on the tiny corpus:
    from the store's commit journal, one delta per query that finds the
    head moved;
 3. its answers equal an index built from the engine's own products;
-4. the stdlib HTTP server exposes ``/search``, ``/product/<id>`` and
+4. a ``ServingFleet`` of one replica over the same file is served by the
+   stdlib HTTP server, which exposes ``/search``, ``/product/<id>`` and
    ``/stats`` on an ephemeral port, queried here with ``urllib``.
 
 Run it from the repository root::
@@ -27,7 +28,7 @@ import urllib.request
 from repro.corpus.config import CorpusPreset
 from repro.experiments.harness import ExperimentHarness
 from repro.runtime import SynthesisEngine
-from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService
+from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
 
 
 def main() -> None:
@@ -65,9 +66,12 @@ def main() -> None:
     rebuilt_ids = [r.product.product_id for r in rebuilt.search(probe, top_k=3)]
     assert served_ids == rebuilt_ids, "journal-maintained index diverged from a rebuild"
     print(f"served and rebuilt indexes agree on {probe!r} -> {served_ids}")
+    service.close()
 
-    # Serve it over HTTP on an ephemeral port.
-    server = CatalogHTTPServer(("127.0.0.1", 0), service)
+    # Serve the store over HTTP on an ephemeral port: the front serves a
+    # fleet, here of one replica (what `runtime-serve --replicas 1` runs).
+    fleet = ServingFleet.from_store_path(store_path, num_replicas=1)
+    server = CatalogHTTPServer(("127.0.0.1", 0), fleet)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -98,7 +102,7 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
-    service.close()
+    fleet.close()
     engine.close()
     print("serve-and-query drill complete")
 

@@ -1192,9 +1192,10 @@ class ClusterEngine:
     # -- lifecycle -------------------------------------------------------------
 
     def _teardown(self) -> None:
-        """Stop every node and release the store."""
+        """Stop every node and release the store; their payload counts stay retired."""
         for _, node in sorted(self._nodes.items()):
             node.shutdown()
+            self._retired_transport.merge(node.transport)
         self._nodes = {}
         self._transport.close()
 

@@ -22,7 +22,9 @@ propagation from the transactional side):
 ``service``
     :class:`~repro.serving.service.CatalogSearchService` — the facade
     gluing index to reader, with the snapshot-isolation guarantee: a
-    query never sees a half-applied batch.
+    query never sees a half-applied batch.  Every service serves a store
+    file: it is opened with ``from_store_path`` or as a ``follower`` of
+    one that was.
 ``fleet``
     :class:`~repro.serving.fleet.ServingFleet` — N replicated services
     over one shared store behind a least-in-flight front: per-request
@@ -32,8 +34,7 @@ propagation from the transactional side):
 ``http``
     Stdlib JSON endpoints (``/search``, ``/product/<id>``, ``/health``,
     ``/lag``, ``/stats``) behind the ``runtime-serve`` CLI command,
-    fronting a fleet (a single service is a fleet of one), optionally
-    with a bounded worker pool.
+    fronting a fleet over a bounded worker pool.
 """
 
 from repro.serving.fleet import FleetSearchResponse, FleetUnavailableError, ServingFleet

@@ -43,8 +43,8 @@ pins do not share with the latest.
   request)``.  A snapshot names one committed prefix, so an entry never
   goes stale and replicas pinned to the same snapshot share it.
 
-The fleet is the only thing the HTTP layer serves: a single service is
-a fleet of one.
+The fleet is the only thing the HTTP layer serves (``runtime-serve
+--replicas 1`` is a fleet of one).
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ class ServingFleet:
     """Load-balancing front over N replicated catalog search services.
 
     Build one with :meth:`from_store_path` (replicas pinning versions of
-    one index, kept current from the store's commit journal).  The
-    direct constructor accepts pre-built services, with ``head``
-    supplying the store-head commit counter for lag reporting.
+    one index, kept current from the store's commit journal); the
+    keyword-only constructor is for it alone.  The head the fleet
+    measures lag against is the commit counter of the replicas' shared
+    reader.
 
     ``watch_head=True`` starts the head watcher (see the module
     docstring).  A watching fleet with ``max_lag_commits > 0`` bounds
@@ -131,20 +132,15 @@ class ServingFleet:
 
     def __init__(
         self,
+        *,
         services: Sequence[CatalogSearchService],
-        head: Optional[Callable[[], int]] = None,
-        store_path: Optional[str] = None,
-        max_lag_commits: int = 0,
-        watch_head: bool = False,
+        max_lag_commits: int,
+        watch_head: bool,
     ) -> None:
-        if not services:
-            raise ValueError("a serving fleet needs at least one replica service")
-        if max_lag_commits < 0:
-            raise ValueError(f"max_lag_commits must be >= 0, got {max_lag_commits}")
         self._replicas = [
             _Replica(replica_id, service) for replica_id, service in enumerate(services)
         ]
-        self._store_path = store_path
+        self._reader = services[0].reader
         self._max_lag_commits = max_lag_commits
         self._lock = threading.Lock()
         self._cursor = 0
@@ -157,7 +153,6 @@ class ServingFleet:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
-        self._head = head if head is not None else self._default_head
         # The watcher's published state: plain attributes only it writes
         # (after the constructor's first probe), read without a lock.
         self._published_head = 0
@@ -272,32 +267,11 @@ class ServingFleet:
         """
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+        if max_lag_commits < 0:
+            raise ValueError(f"max_lag_commits must be >= 0, got {max_lag_commits}")
         services = [CatalogSearchService.from_store_path(path)]
         services.extend(services[0].follower() for _ in range(num_replicas - 1))
-        return cls(
-            services,
-            store_path=path,
-            max_lag_commits=max_lag_commits,
-            watch_head=watch_head,
-        )
-
-    def _default_head(self) -> int:
-        """Store-head commit counter when no explicit ``head`` was given.
-
-        The replicas of a fleet over one store file share its reader, so
-        the first replica that can read the head answers for all; a
-        fleet of detached services takes the largest of theirs.
-        """
-        best = 0
-        for replica in self._replicas:
-            try:
-                head = replica.service.head_commit_count()
-            except Exception:  # noqa: BLE001 - a dead replica must not hide the head
-                continue
-            if self._store_path is not None:
-                return head
-            best = max(best, head)
-        return best
+        return cls(services=services, max_lag_commits=max_lag_commits, watch_head=watch_head)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -307,9 +281,9 @@ class ServingFleet:
         return len(self._replicas)
 
     @property
-    def store_path(self) -> Optional[str]:
-        """Shared store file (``None`` for a fleet of detached services)."""
-        return self._store_path
+    def store_path(self) -> str:
+        """Absolute path of the store file the replicas serve."""
+        return self._reader.path
 
     def close(self) -> None:
         """Stop the watcher and close every replica (idempotent).
@@ -521,12 +495,6 @@ class ServingFleet:
             lambda product: None if product is None else product_to_dict(product),
         )
 
-    def count_by_category(self) -> Dict[str, int]:
-        """Category facet of one replica's served snapshot."""
-        return self._run(
-            "count_by_category", lambda service: service.count_by_category()
-        )[1]
-
     # -- maintenance -----------------------------------------------------------
 
     def _lagging(self, head: int) -> List[_Replica]:
@@ -573,7 +541,7 @@ class ServingFleet:
         One step of the watcher's sweep, against a head read now.
         """
         try:
-            head = self._head()
+            head = self._reader.commit_count()
         except Exception:  # noqa: BLE001 - head unreadable: nothing to refresh to
             return None
         lagging = self._lagging(head)
@@ -588,7 +556,7 @@ class ServingFleet:
         before the thread starts).
         """
         try:
-            head = self._head()
+            head = self._reader.commit_count()
         except Exception:  # noqa: BLE001 - unreadable now: keep the last head, try next tick
             return False
         self._head_probed_at = now = time.monotonic()
@@ -642,11 +610,6 @@ class ServingFleet:
         replacement.
         """
         replica = self._replica(replica_id)
-        if self._store_path is None:
-            raise RuntimeError(
-                "this fleet was built from detached services; there is no "
-                "store path to restart a replica from"
-            )
         fresh = replica.service.follower()
         with self._lock:
             stale = replica.service
@@ -702,7 +665,9 @@ class ServingFleet:
 
     def _lag_head(self) -> int:
         """The head lag is reported against: the watcher's, else read from the store now."""
-        return self._published_head if self._watcher is not None else self._head()
+        if self._watcher is not None:
+            return self._published_head
+        return self._reader.commit_count()
 
     def lag(self) -> Dict[str, object]:
         """Per-replica divergence from the store head (the ``/lag`` body).
@@ -759,7 +724,7 @@ class ServingFleet:
         for replica in self._replicas:
             for key, value in replica.service.resync_stats().items():
                 resync_totals[key] = resync_totals.get(key, 0) + value
-        payload: Dict[str, object] = {
+        return {
             "mode": "fleet",
             "num_replicas": len(self._replicas),
             "healthy_replicas": health["healthy_replicas"],
@@ -773,7 +738,5 @@ class ServingFleet:
                 dict(entry, stats=replica.service.stats())
                 for entry, replica in zip(entries, self._replicas)
             ],
+            "store_path": self._reader.path,
         }
-        if self._store_path is not None:
-            payload["store_path"] = self._store_path
-        return payload

@@ -27,14 +27,13 @@ one JSON error with ``Connection: close`` and is counted in
 ``http_requests_refused_total{reason=...}``; every request, refused or
 not, is timed into ``http_request_seconds``, labelled by endpoint.
 
-The server fronts a :class:`~repro.serving.fleet.ServingFleet` (a bare
-:class:`~repro.serving.service.CatalogSearchService` becomes a fleet of
-one when the server is built), which hands ``/search`` and ``/product``
-back as serialised bodies (from its response cache when the pinned
-snapshot already answered the request) and builds the ``/health``,
-``/lag`` and ``/stats`` payloads.  All query semantics (ranking,
-filters, snapshot discipline, load balancing, route-around) live below
-the HTTP layer.
+The server fronts a :class:`~repro.serving.fleet.ServingFleet` over a
+store file and nothing else.  The fleet hands ``/search`` and
+``/product`` back as serialised bodies (from its response cache when the
+pinned snapshot already answered the request) and builds the
+``/health``, ``/lag`` and ``/stats`` payloads.  All query semantics
+(ranking, filters, snapshot discipline, load balancing, route-around)
+live below the HTTP layer.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from repro.obs import (
     register_process_gauges,
 )
 from repro.serving.fleet import FleetUnavailableError, ServingFleet
-from repro.serving.service import CatalogSearchService
 
 __all__ = ["CatalogHTTPServer", "CatalogRequestHandler", "serve"]
 
@@ -335,10 +333,7 @@ class CatalogRequestHandler:
 class CatalogHTTPServer(socketserver.TCPServer):
     """An HTTP/1.1 keep-alive server bound to one serving fleet.
 
-    A bare :class:`CatalogSearchService` is wrapped as a fleet of one
-    (lag bound 0, no head watcher: every request reads its last commit);
-    the wrapper, and the service with it, is closed by
-    :meth:`server_close`.  A fleet handed in stays the caller's to close.
+    The fleet stays the caller's to close.
 
     ``port=0`` binds an ephemeral port (tests and examples);
     ``server_address`` reports the actual one after construction.
@@ -361,7 +356,7 @@ class CatalogHTTPServer(socketserver.TCPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        service: Union[CatalogSearchService, ServingFleet],
+        fleet: ServingFleet,
         log_requests: bool = False,
         max_workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -369,12 +364,9 @@ class CatalogHTTPServer(socketserver.TCPServer):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         super().__init__(address, CatalogRequestHandler)
-        self._wrapper: Optional[ServingFleet] = None
-        if isinstance(service, CatalogSearchService):
-            service = self._wrapper = ServingFleet([service])
-        self.fleet = service
+        self.fleet = fleet
         #: Size of the worker pool.
-        self.max_workers = 2 * service.num_replicas if max_workers is None else max_workers
+        self.max_workers = 2 * fleet.num_replicas if max_workers is None else max_workers
         self.registry = registry if registry is not None else get_registry()
         self.log_requests = log_requests
         self._accepted = self.registry.counter(
@@ -502,8 +494,6 @@ class CatalogHTTPServer(socketserver.TCPServer):
         """Stop the listener and the pool; close every parked connection."""
         super().server_close()
         self._stop_pool()
-        if self._wrapper is not None:
-            self._wrapper.close()  # after the pool answered what was queued
 
     def _stop_pool(self) -> None:
         if self._closing:
@@ -522,17 +512,17 @@ class CatalogHTTPServer(socketserver.TCPServer):
 
 
 def serve(
-    service: Union[CatalogSearchService, ServingFleet],
+    fleet: ServingFleet,
     host: str = "127.0.0.1",
     port: int = 8080,
     log_requests: bool = True,
     max_workers: Optional[int] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Run the serving endpoints until interrupted (the CLI entry point)."""
+    """Serve ``fleet`` until interrupted, then close it (the CLI entry point)."""
     server = CatalogHTTPServer(
         (host, port),
-        service,
+        fleet,
         log_requests=log_requests,
         max_workers=max_workers,
         registry=registry,
@@ -552,4 +542,4 @@ def serve(
         print("\nruntime-serve: shutting down")
     finally:
         server.server_close()
-        service.close()
+        fleet.close()

@@ -1,19 +1,17 @@
 """The catalog serving facade: one pinned index version per service.
 
-:class:`CatalogSearchService` answers queries from one published
-:class:`~repro.serving.index.CatalogIndex` version.  A service opened
-with :meth:`CatalogSearchService.from_store_path` watches a store file
-that other processes write, through a read-only
-:class:`~repro.serving.reader.CatalogReader`, and keeps its version
-current from the store's changed-cluster commit journal: when the commit
-counter moves, the journal names exactly the clusters every commit
-touched, so the next version is derived from the last one with
-O(changed) upserts/removes instead of a rebuild.  Only when the journal
-cannot prove coverage (legacy file, compacted rows) does it fall back to
-a full build — and the two paths are reported distinctly
-(``delta_resyncs`` / ``full_resyncs`` / ``journal_truncations`` in
-:meth:`stats`).  The direct constructor wraps a prebuilt index that
-nothing maintains.
+Every :class:`CatalogSearchService` serves a store file that other
+processes write, through a read-only
+:class:`~repro.serving.reader.CatalogReader`: it answers queries from
+one published :class:`~repro.serving.index.CatalogIndex` version and
+keeps that version current from the store's changed-cluster commit
+journal.  When the commit counter moves, the journal names exactly the
+clusters every commit touched, so the next version is derived from the
+last one with O(changed) upserts/removes instead of a rebuild.  Only
+when the journal cannot prove coverage (legacy file, compacted rows)
+does it fall back to a full build — and the two paths are reported
+distinctly (``delta_resyncs`` / ``full_resyncs`` /
+``journal_truncations`` in :meth:`~CatalogSearchService.stats`).
 
 A service's :meth:`~CatalogSearchService.follower` shares its reader and
 its chain of versions: each commit is read, decoded and applied once,
@@ -76,16 +74,35 @@ class _Versions:
         self.open_services = 0
 
 
+def _fold_delta(index: CatalogIndex, delta: Dict[ClusterId, Optional[Product]]) -> Tuple[int, int]:
+    """Fold one journal delta into an unpublished index; returns ``(upserts, removes)``."""
+    upserts = removes = 0
+    for cluster_id, product in delta.items():
+        if product is None:
+            index.remove(stable_product_id(*cluster_id))
+            removes += 1
+        else:
+            index.upsert(product)
+            upserts += 1
+    return upserts, removes
+
+
 _NO_RESYNCS = {"resyncs": 0, "delta_resyncs": 0, "full_resyncs": 0, "journal_truncations": 0}
 
 
 class CatalogSearchService:
-    """Lock-free query front end over a pinned, incrementally maintained index."""
+    """Lock-free query front end over a pinned, incrementally maintained index.
 
-    def __init__(self, index: Optional[CatalogIndex] = None) -> None:
-        self._version = _Version(index if index is not None else CatalogIndex(), 0, 0, 0)
-        self._versions: Optional[_Versions] = None
-        self._reader: Optional[CatalogReader] = None
+    Open one with :meth:`from_store_path`, or with :meth:`follower` of an
+    open one; the keyword-only constructor is theirs.
+    """
+
+    def __init__(self, *, versions: _Versions) -> None:
+        self._versions = versions
+        self._reader = versions.reader
+        self._closed = False
+        # Replaced by the priming pin at the end of the constructor.
+        self._version = _Version(CatalogIndex(), 0, 0, 0)
         # Guards the query counter only: it is never held across index work.
         self._counter_lock = threading.Lock()
         self._queries_served = 0
@@ -123,6 +140,12 @@ class CatalogSearchService:
             "serving_journal_truncations_total",
             help="Resyncs forced onto the full rebuild by a truncated journal.",
         )
+        with versions.lock:
+            versions.open_services += 1
+            latest = versions.latest
+        # The first service over a reader builds the first version; a
+        # follower pins the latest one without a store read.
+        self.resync(None if latest is None else latest.commit_count)
 
     # -- construction ----------------------------------------------------------
 
@@ -135,18 +158,7 @@ class CatalogSearchService:
         snapshot.  Queries transparently resync when a writer commits —
         see :meth:`maybe_resync`.
         """
-        service = cls._over(_Versions(CatalogReader(path)))
-        service.resync()
-        return service
-
-    @classmethod
-    def _over(cls, versions: _Versions) -> "CatalogSearchService":
-        service = cls()
-        service._versions = versions
-        service._reader = versions.reader
-        with versions.lock:
-            versions.open_services += 1
-        return service
+        return cls(versions=_Versions(CatalogReader(path)))
 
     def follower(self) -> "CatalogSearchService":
         """A new service over this one's reader and chain of versions.
@@ -155,19 +167,21 @@ class CatalogSearchService:
         read; that first pin counts as its priming (full) resync.  Later
         resyncs of either service build each version once for both.
         """
-        if self._versions is None or self._reader is None:
-            raise RuntimeError("only an open service over a store file has followers")
-        service = self._over(self._versions)
-        with self._versions.lock:
-            service._pin(self._versions.latest, service._version)
-        return service
+        if self._closed:
+            raise RuntimeError("a closed service has no followers")
+        return type(self)(versions=self._versions)
+
+    @property
+    def reader(self) -> CatalogReader:
+        """The read-only store handle this service shares with its followers."""
+        return self._reader
 
     def close(self) -> None:
         """Stop serving the store (idempotent); the last service over a reader closes it."""
-        versions = self._versions
-        if self._reader is None or versions is None:
+        if self._closed:
             return
-        self._reader = None
+        self._closed = True
+        versions = self._versions
         with versions.lock:
             versions.open_services -= 1
             last = versions.open_services == 0
@@ -181,30 +195,6 @@ class CatalogSearchService:
         self.close()
 
     # -- maintenance -----------------------------------------------------------
-
-    def _apply_delta(self, delta: Dict[ClusterId, Optional[Product]]) -> CatalogIndex:
-        """Fold one journal delta into the served index; returns the result.
-
-        A published version is never written: the delta goes into its
-        derived successor, returned unpublished.  An unpublished index
-        (a detached service's) is updated in place and returned.
-        """
-        index = self._version.index
-        if index.published:
-            index = index.derive()
-        upserts = removes = 0
-        for cluster_id, product in delta.items():
-            if product is None:
-                index.remove(stable_product_id(*cluster_id))
-                removes += 1
-            else:
-                index.upsert(product)
-                upserts += 1
-        if upserts:
-            self._obs_index_upserts.inc(upserts)
-        if removes:
-            self._obs_index_removes.inc(removes)
-        return index
 
     def _pin(self, version: _Version, previous: _Version) -> None:
         """Serve ``version``, counting the move from ``previous`` by its mode.
@@ -233,8 +223,7 @@ class CatalogSearchService:
     def resync(self, head: Optional[int] = None) -> int:
         """Catch the served version up to the store's committed head.
 
-        Services opened with :meth:`from_store_path` (or followers)
-        only; returns the commit count of the snapshot now served.  The
+        Returns the commit count of the snapshot now served.  The
         service first takes the latest version any service over the same
         store built, then reads the store past it — one read, decode and
         apply per commit for all of them.  ``head`` is a store head the
@@ -254,11 +243,6 @@ class CatalogSearchService:
           (``full_resyncs``).
         """
         versions = self._versions
-        if self._reader is None or versions is None:
-            raise RuntimeError(
-                "resync() requires an open service over a store file "
-                "(CatalogSearchService.from_store_path)"
-            )
         with self._obs.span("serving.resync"), versions.lock:
             previous = self._version
             latest = versions.latest
@@ -268,13 +252,13 @@ class CatalogSearchService:
                 if delta is None:
                     truncated = True
                 elif head > latest.commit_count:
-                    self._version = latest  # the delta applies on top of it
-                    latest = _Version(
-                        self._apply_delta(delta).publish(),
-                        head,
-                        latest.rebuilds,
-                        latest.truncations,
-                    )
+                    index = latest.index.derive()
+                    upserts, removes = _fold_delta(index, delta)
+                    if upserts:
+                        self._obs_index_upserts.inc(upserts)
+                    if removes:
+                        self._obs_index_removes.inc(removes)
+                    latest = _Version(index.publish(), head, latest.rebuilds, latest.truncations)
             if latest is None or truncated:
                 snapshot, products = self._reader.read_products()
                 # A read older than the latest version (a store file
@@ -304,13 +288,9 @@ class CatalogSearchService:
         runs with so index rebuilds stay off the request path.  Cheap
         when within bound — one ``meta`` row read (a fleet with a head
         watcher and a positive bound skips even that: it compares the
-        snapshot with the head the watcher published).  A service with
-        no store file has nothing to resync and returns ``False``.
+        snapshot with the head the watcher published).
         """
-        reader = self._reader
-        if reader is None:
-            return False
-        head = reader.commit_count()
+        head = self._reader.commit_count()
         if head - self.snapshot_commit_count <= max_lag_commits:
             return False
         self.resync(head)
@@ -396,21 +376,6 @@ class CatalogSearchService:
         """Commit barrier the served index corresponds to."""
         return self._version.commit_count
 
-    def head_commit_count(self) -> int:
-        """The newest committed snapshot available to this service.
-
-        The store file's persistent counter (one ``meta`` row read); a
-        service with no store file serves its own snapshot.
-        """
-        reader = self._reader
-        if reader is not None:
-            return reader.commit_count()
-        return self.snapshot_commit_count
-
-    def lag(self) -> int:
-        """Commits between the store head and the served snapshot (>= 0)."""
-        return max(0, self.head_commit_count() - self.snapshot_commit_count)
-
     @property
     def num_products(self) -> int:
         """Products in the served snapshot."""
@@ -437,17 +402,14 @@ class CatalogSearchService:
         shape the fleet reports per replica.
         """
         version = self._version
-        payload: Dict[str, object] = {
+        return {
             "snapshot_commit_count": version.commit_count,
             "queries_served": self._queries_served,
             "resync": self.resync_stats(),
             "index": version.index.stats(),
             "count_by_category": version.index.count_by_category(),
-        }
-        reader = self._reader
-        if reader is not None:
             # The reader has no page cache; the two keys stay at 0 because
             # bench/ledger.py reads them for ``reader.page_cache_hit_ratio``.
-            payload["reader"] = {"page_cache_hits": 0, "page_cache_misses": 0}
-            payload["store_path"] = reader.path
-        return payload
+            "reader": {"page_cache_hits": 0, "page_cache_misses": 0},
+            "store_path": self._reader.path,
+        }

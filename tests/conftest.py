@@ -28,6 +28,8 @@ from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.model.schema import AttributeKind, CategorySchema
 from repro.model.taxonomy import Taxonomy
+from repro.runtime import StagedBatch
+from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.text.divergence import MAX_JS_DIVERGENCE, _as_distribution, kl_divergence
 from repro.text.memo import cached_normalize_value, cached_tokenize_value
 
@@ -117,6 +119,42 @@ def reference_centroid_select(values):
         key=lambda item: (distance(item[1]), -sum(item[1]), cached_normalize_value(item[0])),
     )
     return ranked[0][0]
+
+
+def put(store, key, product):
+    """Apply one staged batch to ``store``: cluster ``(category, key)`` now holds ``product``.
+
+    A title stands for a product: a hard drive with id ``id-<key>``.
+    """
+    if isinstance(product, str):
+        product = Product(
+            product_id=f"id-{key}",
+            category_id="computing.hdd",
+            title=product,
+            specification=Specification([]),
+        )
+    cluster_id = (product.category_id, key)
+    store.apply(
+        StagedBatch(
+            clusters=[] if store.get_cluster(cluster_id) else [cluster_id],
+            products={cluster_id: product},
+        )
+    )
+
+
+def write_store(path, products):
+    """Commit ``products`` into a new store file at ``path``, in one commit; returns ``path``.
+
+    What the serving stack serves when a test has a hand-built catalog:
+    each product is its own cluster, keyed by its id.
+    """
+    store = SqliteCatalogStore(str(path))
+    try:
+        for product in products:
+            put(store, product.product_id, product)
+    finally:
+        store.close()  # the one commit
+    return str(path)
 
 
 #: Seconds a test's leftover ``multiprocessing`` children get to exit on their own.

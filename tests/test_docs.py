@@ -98,19 +98,63 @@ def _members(classes, name):
     return found
 
 
+#: A Sphinx role naming a member: ``:meth:`member` ``, ``:attr:`~repro.pkg.Class.member` ``
+#: or ``:meth:`text <target>` ``; group 1 is the target, without ``~`` and ``()``.
+_ROLE = re.compile(r":(?:meth|attr):`(?:[^`<]*<)?~?([\w.]+?)(?:\(\))?>?`")
+
+
+def _docstring_roles():
+    """``(file, line, class or None, target)`` for each member role in a ``src/repro`` docstring.
+
+    The class is the one whose body holds the docstring (its own, or a
+    method's): the class a bare ``:meth:`member` `` names a member of.
+    """
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(tree, None)]
+        while scopes:
+            node, owner = scopes.pop()
+            docstring = None
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                docstring = ast.get_docstring(node, clean=False)
+            if isinstance(node, ast.ClassDef):
+                owner = node.name
+            if docstring:
+                for match in _ROLE.finditer(docstring):
+                    line = node.body[0].lineno + docstring.count("\n", 0, match.start())
+                    yield path.name, line, owner, match.group(1)
+            scopes.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
 def test_api_references_name_attributes_that_exist():
+    """Backticked ``Class.attr`` spans in the docs, and member roles in docstrings.
+
+    A qualified role (``Class.member``, with any package path before it)
+    is checked when ``Class`` is defined under ``src/repro``; a bare one
+    against the class whose body the docstring is in.  A bare role
+    outside any class names a module-level function: not checked here.
+    """
     classes = _class_definitions()
-    dead = []
+    references = []
     for path in _markdown_files():
         text = path.read_text(encoding="utf-8")
         for match in _API_REFERENCE.finditer(text):
-            name, attribute = match.groups()
-            if name not in classes:
-                continue
-            members = _members(classes, name)
-            if members is not None and attribute not in members:
-                line = text.count("\n", 0, match.start()) + 1
-                dead.append(f"{path.name}:{line}: {name}.{attribute}")
+            line = text.count("\n", 0, match.start()) + 1
+            references.append((path.name, line, *match.groups()))
+    roles = 0
+    for name, line, owner, target in _docstring_roles():
+        parts = target.split(".")
+        cls = parts[-2] if len(parts) > 1 else owner
+        references.append((name, line, cls, parts[-1]))
+        roles += cls in classes
+    assert roles > 0
+    dead = []
+    for name, line, cls, attribute in references:
+        if cls not in classes:
+            continue
+        members = _members(classes, cls)
+        if members is not None and attribute not in members:
+            dead.append(f"{name}:{line}: {cls}.{attribute}")
     assert not dead, f"docs name attributes their classes do not have: {dead}"
 
 

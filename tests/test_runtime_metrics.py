@@ -156,3 +156,28 @@ def test_a_process_cluster_coordinator_holds_only_its_own_counts(
         assert registry.snapshot()["gauges"]["routing_hint_accuracy"] == stats.hint_accuracy
     finally:
         cluster.close()
+
+
+@pytest.mark.parametrize("engine_type", [MultiNodeEngine, MultiProcessEngine])
+def test_transport_stats_keep_the_live_nodes_counts_after_close(
+    tiny_harness, tmp_path, registry, engine_type
+):
+    """Closing retires the nodes still live: their executor payloads and
+    the coordinator's hint counts read the same before and after."""
+    cluster = engine_type(
+        num_nodes=2,
+        num_shards=8,
+        hint_routing=True,
+        store_path=str(tmp_path / "closing.sqlite3"),
+        **components(tiny_harness),
+    )
+    try:
+        for batch in feed_stream(tiny_harness)[:3]:
+            cluster.ingest(batch)
+        before = cluster.transport_stats()
+    finally:
+        cluster.close()
+    after = cluster.transport_stats()
+    assert before.offers_shipped > 0
+    for field in list(TRANSPORT.values()) + list(ROUTING.values()):
+        assert getattr(after, field) == getattr(before, field), field

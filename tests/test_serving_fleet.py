@@ -14,6 +14,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from conftest import write_store
 from exposition_parser import parse, validate_histograms
 
 from repro.obs import MetricsRegistry, set_registry
@@ -66,9 +67,12 @@ def fingerprints(results):
 
 
 class TestFleetRouting:
-    def test_requires_at_least_one_service(self):
-        with pytest.raises(ValueError, match="at least one replica"):
-            ServingFleet([])
+    def test_requires_at_least_one_service(self, tmp_path):
+        never_opened = str(tmp_path / "never-opened.sqlite3")
+        with pytest.raises(ValueError, match="num_replicas"):
+            ServingFleet.from_store_path(never_opened, num_replicas=0)
+        with pytest.raises(ValueError, match="max_lag_commits"):
+            ServingFleet.from_store_path(never_opened, max_lag_commits=-1)
 
     def test_sequential_queries_rotate_across_replicas(self, sqlite_fleet):
         _, fleet, _ = sqlite_fleet
@@ -228,18 +232,11 @@ class TestRestartAndRefresh:
         assert entry["resync"]["delta_resyncs"] == 1
         assert entry["resync"]["full_resyncs"] == 1
 
-    def test_restart_requires_a_rebuildable_source(self, tiny_harness, tmp_path):
-        path = str(tmp_path / "detached.sqlite3")
-        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
-        engine.ingest(tiny_harness.unmatched_offers)
-        services = [CatalogSearchService.from_store_path(path) for _ in range(2)]
-        fleet = ServingFleet(services)
-        with pytest.raises(RuntimeError, match="detached"):
-            fleet.restart_replica(0)
+    def test_restart_of_an_unknown_replica_is_refused(self, sqlite_fleet):
+        _, fleet, _ = sqlite_fleet
         with pytest.raises(KeyError):
             fleet.restart_replica(9)
-        fleet.close()
-        engine.close()
+        assert fleet.health()["healthy_replicas"] == 3
 
     def test_lag_reports_divergence_and_refresh_converges(self, sqlite_fleet):
         engine, fleet, second = sqlite_fleet
@@ -283,20 +280,28 @@ class TestRestartAndRefresh:
         fleet.close()
         fleet.close()
 
-    def test_refresh_interval_is_gone(self, tiny_harness, tmp_path):
-        """A fleet watches the head or it does not; there is no interval to pick."""
-        path = str(tmp_path / "removed-option.sqlite3")
-        engine = make_engine(tiny_harness, store="sqlite", store_path=path)
-        engine.ingest(tiny_harness.unmatched_offers[:5])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # A fleet watches the head or it does not; there is no interval to pick.
+            lambda path, service: ServingFleet.from_store_path(path, refresh_interval=0.1),
+            # Every service serves a store file: none wraps a prebuilt index,
+            lambda path, service: CatalogSearchService(CatalogIndex([])),
+            # no fleet gathers services it did not open,
+            lambda path, service: ServingFleet([service]),
+            # and the head is the store file's commit counter.
+            lambda path, service: ServingFleet.from_store_path(path, head=lambda: 0),
+        ],
+        ids=["refresh_interval", "prebuilt-index", "services", "head"],
+    )
+    def test_removed_serving_options_are_rejected(self, tmp_path, build):
+        path = write_store(tmp_path / "removed-option.sqlite3", [])
         service = CatalogSearchService.from_store_path(path)
         try:
-            with pytest.raises(TypeError, match="refresh_interval"):
-                ServingFleet([service], refresh_interval=0.1)
-            with pytest.raises(TypeError, match="refresh_interval"):
-                ServingFleet.from_store_path(path, refresh_interval=0.1)
+            with pytest.raises(TypeError):
+                build(path, service)
         finally:
             service.close()
-            engine.close()
 
 
 def snapshots(fleet):
@@ -382,18 +387,19 @@ class TestHeadWatcher:
             fleet.close()
             engine.close()
 
-    def test_the_bound_still_bites_when_the_watcher_is_stuck(self, tiny_harness, tmp_path):
+    def test_the_bound_still_bites_when_the_watcher_is_stuck(
+        self, tiny_harness, tmp_path, monkeypatch
+    ):
         path = str(tmp_path / "stuck.sqlite3")
         engine = make_engine(tiny_harness, store="sqlite", store_path=path)
         first, second = halves(tiny_harness.unmatched_offers)
         engine.ingest(first)
         head = [engine.store.commit_count]
-        fleet = ServingFleet(
-            [CatalogSearchService.from_store_path(path)],
-            head=lambda: head[0],
-            max_lag_commits=2,
-            watch_head=True,
+        fleet = ServingFleet.from_store_path(
+            path, num_replicas=1, max_lag_commits=2, watch_head=True
         )
+        # The watcher publishes the head once all three commits are in.
+        monkeypatch.setattr(fleet._reader, "commit_count", lambda: head[0])
         entered, release = threading.Event(), threading.Event()
 
         def stuck(operation):
@@ -482,7 +488,7 @@ class TestHeadWatcher:
         assert {fleet.search("hard drive").replica_id for _ in range(6)} == {0, 1}
 
     def test_an_unreadable_head_ages_and_the_watcher_survives_it(
-        self, tiny_harness, tmp_path
+        self, tiny_harness, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "unreadable.sqlite3")
         engine = make_engine(tiny_harness, store="sqlite", store_path=path)
@@ -495,12 +501,10 @@ class TestHeadWatcher:
                 raise OSError("store unreachable")
             return engine.store.commit_count
 
-        fleet = ServingFleet(
-            [CatalogSearchService.from_store_path(path)],
-            head=head,
-            max_lag_commits=2,
-            watch_head=True,
+        fleet = ServingFleet.from_store_path(
+            path, num_replicas=1, max_lag_commits=2, watch_head=True
         )
+        monkeypatch.setattr(fleet._reader, "commit_count", head)
         try:
             time.sleep(0.02)
             assert fleet.lag()["head_age_ms"] < 20  # re-read every tick
@@ -575,7 +579,7 @@ class TestServingCountersAreMonotonic:
                 fleet.search("hard drive")
             engine.ingest(second)
             engine.store.compact_journal()  # no journal covers the replicas any more
-            fleet.count_by_category()
+            fleet.search("hard drive")  # a full resync for the replica it lands on
             fleet.set_fault_hook(0, crash)
             for _ in range(4):
                 fleet.search("hard drive")
@@ -772,15 +776,14 @@ class TestFleetHTTP:
         path = str(tmp_path / "single.sqlite3")
         engine = make_engine(tiny_harness, store="sqlite", store_path=path)
         engine.ingest(tiny_harness.unmatched_offers)
-        service = CatalogSearchService.from_store_path(path)
-        server = CatalogHTTPServer(("127.0.0.1", 0), service)
+        fleet = ServingFleet.from_store_path(path, num_replicas=1)
+        server = CatalogHTTPServer(("127.0.0.1", 0), fleet)
         host, port = server.server_address[:2]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         base = f"http://{host}:{port}"
         try:
-            # A bare service is served as a fleet of one: the payloads are
-            # the fleet's own, key for key.
+            # A fleet of one: the payloads are the fleet's own, key for key.
             status, payload = self.get_json(f"{base}/health")
             assert status == 200
             assert payload == server.fleet.health()
@@ -790,13 +793,15 @@ class TestFleetHTTP:
             assert status == 200
             assert payload == server.fleet.lag()
             assert payload["max_lag_commits"] == 0
+            assert payload["head_commit_count"] == engine.store.commit_count
             assert [entry["lag"] for entry in payload["replicas"]] == [0]
             status, payload = self.get_json(f"{base}/search?q=hard+drive")
             assert (status, payload["replica"]) == (200, 0)
+            assert payload["snapshot_commit_count"] == engine.store.commit_count
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
+            fleet.close()
             engine.close()
 
 
@@ -844,8 +849,8 @@ class TestResyncModeReporting:
         engine = make_engine(tiny_harness, store="sqlite", store_path=path)
         first, second = halves(tiny_harness.unmatched_offers)
         engine.ingest(first)
-        service = CatalogSearchService.from_store_path(path)
-        server = CatalogHTTPServer(("127.0.0.1", 0), service)
+        fleet = ServingFleet.from_store_path(path, num_replicas=1)
+        server = CatalogHTTPServer(("127.0.0.1", 0), fleet)
         host, port = server.server_address[:2]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -857,7 +862,7 @@ class TestResyncModeReporting:
             assert entry["resync"]["full_resyncs"] == 1
             assert entry["resync"]["delta_resyncs"] == 0
             engine.ingest(second)
-            service.resync()
+            assert fleet.refresh_once() == 0
             status, payload = TestFleetHTTP.get_json(f"{base}/lag")
             entry = payload["replicas"][0]
             assert entry["resync"]["delta_resyncs"] == 1
@@ -867,5 +872,5 @@ class TestResyncModeReporting:
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
+            fleet.close()
             engine.close()

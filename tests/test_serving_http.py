@@ -1,7 +1,7 @@
 """Tests for the runtime-serve HTTP endpoints (stdlib client + server).
 
-The server binds an ephemeral port with a hand-built catalog behind a
-:class:`~repro.serving.service.CatalogSearchService`, so these stay
+The server binds an ephemeral port in front of a fleet of one over a
+store file holding a hand-built catalog (one commit), so these stay
 fast and hermetic: routing, parameter validation, JSON shapes, and the
 error paths.
 """
@@ -14,11 +14,12 @@ import urllib.request
 
 import pytest
 
+from conftest import write_store
 from exposition_parser import parse, validate_histograms
 from repro.model.attributes import Specification
 from repro.model.products import Product
 from repro.obs import MetricsRegistry
-from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService
+from repro.serving import CatalogHTTPServer, ServingFleet
 
 
 def make_product(pid, category, title, pairs=()):
@@ -49,15 +50,22 @@ PRODUCTS = [
 
 
 @pytest.fixture(scope="module")
-def server_url():
-    service = CatalogSearchService(CatalogIndex(PRODUCTS))
-    server = CatalogHTTPServer(("127.0.0.1", 0), service)
+def store_path(tmp_path_factory):
+    """A store file holding ``PRODUCTS``: its commit count is 1."""
+    return write_store(tmp_path_factory.mktemp("http") / "catalog.sqlite3", PRODUCTS)
+
+
+@pytest.fixture(scope="module")
+def server_url(store_path):
+    fleet = ServingFleet.from_store_path(store_path, num_replicas=1)
+    server = CatalogHTTPServer(("127.0.0.1", 0), fleet)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     yield f"http://{host}:{port}"
     server.shutdown()
     server.server_close()
+    fleet.close()
 
 
 def get_json(url):
@@ -80,7 +88,7 @@ class TestSearchEndpoint:
         assert payload["results"][0]["product_id"] == "p-1"
         assert payload["results"][0]["score"] > 0
         assert payload["top_k"] == 2
-        assert "snapshot_commit_count" in payload
+        assert payload["snapshot_commit_count"] == 1  # the store file's one commit
 
     def test_category_and_attribute_filters(self, server_url):
         query = urllib.parse.quote("hard drive")
@@ -172,6 +180,12 @@ class TestStatsAndRouting:
         assert cache["hits"] >= 1 and cache["misses"] >= 1
         assert 0 < cache["bytes"] <= cache["max_bytes"] == 2 * 1024 * 1024
 
+    def test_lag_reports_the_store_files_commit_count(self, server_url):
+        status, payload = get_json(f"{server_url}/lag")
+        assert status == 200
+        assert (payload["head_commit_count"], payload["max_lag"]) == (1, 0)
+        assert [entry["snapshot_commit_count"] for entry in payload["replicas"]] == [1]
+
     def test_unknown_route_is_404(self, server_url):
         code, payload = get_error(f"{server_url}/nope")
         assert code == 404
@@ -225,10 +239,10 @@ class TestMetricsEndpoints:
     """/metrics (Prometheus text) and /metrics.json on an injected registry."""
 
     @pytest.fixture()
-    def metrics_server(self):
+    def metrics_server(self, store_path):
         registry = MetricsRegistry()
-        service = CatalogSearchService(CatalogIndex(PRODUCTS))
-        server = CatalogHTTPServer(("127.0.0.1", 0), service, registry=registry)
+        fleet = ServingFleet.from_store_path(store_path, num_replicas=1)
+        server = CatalogHTTPServer(("127.0.0.1", 0), fleet, registry=registry)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -237,7 +251,7 @@ class TestMetricsEndpoints:
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
+            fleet.close()
 
     def test_metrics_renders_valid_exposition_text(self, metrics_server):
         base, _ = metrics_server

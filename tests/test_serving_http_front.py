@@ -12,16 +12,19 @@ counted JSON error for every head the reader does not accept.
 import http.client
 import json
 import re
+import os
 import socket
+import tempfile
 import threading
 import time
 
 import pytest
 
+from conftest import write_store
 from repro.model.attributes import Specification
 from repro.model.products import Product
 from repro.obs import MetricsRegistry
-from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
+from repro.serving import CatalogHTTPServer, ServingFleet
 from repro.serving.http import CatalogRequestHandler, serve
 
 PRODUCTS = [
@@ -39,15 +42,22 @@ PRODUCTS = [
 MODES = pytest.mark.parametrize("max_workers", [1, None], ids=["one-worker", "default"])
 
 
+def catalog_fleet(directory, replicas=1):
+    """A fleet of ``replicas`` over a new store file in ``directory`` holding ``PRODUCTS``."""
+    path = write_store(os.path.join(directory, "catalog.sqlite3"), PRODUCTS)
+    return ServingFleet.from_store_path(path, num_replicas=replicas)
+
+
 class Front:
     """A served catalog plus the handles the tests poke at."""
 
     def __init__(self, max_workers=2, log_requests=False):
         self.registry = MetricsRegistry()
-        self.service = CatalogSearchService(CatalogIndex(PRODUCTS))
+        self._directory = tempfile.TemporaryDirectory()
+        self.fleet = catalog_fleet(self._directory.name)
         self.server = CatalogHTTPServer(
             ("127.0.0.1", 0),
-            self.service,
+            self.fleet,
             log_requests=log_requests,
             max_workers=max_workers,
             registry=self.registry,
@@ -77,7 +87,8 @@ class Front:
             client.close()
         self.server.shutdown()
         self.server.server_close()
-        self.service.close()
+        self.fleet.close()
+        self._directory.cleanup()
 
 
 def get(connection, path):
@@ -227,14 +238,14 @@ class TestKeepAlive:
 
     def test_a_response_larger_than_the_socket_buffer_arrives_whole(self, front, monkeypatch):
         """The one send is not the only one when the client reads slowly."""
-        monkeypatch.setattr(front.service, "stats", lambda: {"padding": "x" * 8_000_000})
+        monkeypatch.setattr(front.fleet, "stats", lambda: {"padding": "x" * 8_000_000})
         with front.raw() as sock:
             sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
             time.sleep(0.2)  # the server has filled the socket buffers by now
             reply = read_until_closed(sock)
         head, _, body = reply.partition(b"\r\n\r\n")
         assert b"200 OK" in head.splitlines()[0]
-        assert len(body) > 8_000_000 and json.loads(body)["replicas"]
+        assert len(body) > 8_000_000 and json.loads(body)["padding"]
         response, _ = get(front.connect(), "/health")
         assert response.status == 200
 
@@ -317,9 +328,8 @@ class TestMultiplexedPool:
             front.close()
 
     @pytest.mark.parametrize("replicas", [1, 3])
-    def test_the_default_pool_has_two_workers_per_replica(self, replicas):
-        services = [CatalogSearchService(CatalogIndex(PRODUCTS)) for _ in range(replicas)]
-        fleet = ServingFleet(services)
+    def test_the_default_pool_has_two_workers_per_replica(self, tmp_path, replicas):
+        fleet = catalog_fleet(tmp_path, replicas)
         server = CatalogHTTPServer(("127.0.0.1", 0), fleet, registry=MetricsRegistry())
         try:
             assert server.max_workers == 2 * replicas
@@ -332,7 +342,7 @@ class TestMultiplexedPool:
         "replicas,max_workers,workers", [(1, None, 2), (3, None, 6), (3, 2, 2)]
     )
     def test_serve_reports_the_pool_the_server_sized(
-        self, monkeypatch, capsys, replicas, max_workers, workers
+        self, tmp_path, monkeypatch, capsys, replicas, max_workers, workers
     ):
         """Without ``--threads`` the server sizes the pool; with it, the value given."""
 
@@ -340,17 +350,16 @@ class TestMultiplexedPool:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(CatalogHTTPServer, "serve_forever", interrupted)
-        services = [CatalogSearchService(CatalogIndex(PRODUCTS)) for _ in range(replicas)]
-        serve(ServingFleet(services), port=0, max_workers=max_workers, registry=MetricsRegistry())
+        fleet = catalog_fleet(tmp_path, replicas)
+        serve(fleet, port=0, max_workers=max_workers, registry=MetricsRegistry())
         out = capsys.readouterr().out
         assert f"({replicas} replica(s), {workers} workers)" in out
         assert "shutting down" in out
+        assert fleet._reader.closed  # serve closed the fleet it served
 
-    def test_a_pool_without_workers_is_refused(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            CatalogHTTPServer(
-                ("127.0.0.1", 0), CatalogSearchService(CatalogIndex(PRODUCTS)), max_workers=0
-            )
+    def test_a_pool_without_workers_is_refused(self, tmp_path):
+        with catalog_fleet(tmp_path) as fleet, pytest.raises(ValueError, match="max_workers"):
+            CatalogHTTPServer(("127.0.0.1", 0), fleet, max_workers=0)
 
     def test_server_close_joins_with_parked_connections_open(self):
         front = Front(2)
@@ -382,7 +391,7 @@ class TestMultiplexedPool:
             return {}
 
         front = Front(1)
-        monkeypatch.setattr(front.service, "stats", slow_stats)
+        monkeypatch.setattr(front.fleet, "stats", slow_stats)
         try:
             flooder, replies = front.raw(), []
             reader = threading.Thread(target=lambda: replies.append(read_until_closed(flooder)))
@@ -446,7 +455,7 @@ class TestBoundedRefusal:
         def boom():
             raise RuntimeError("index on fire")
 
-        monkeypatch.setattr(front.service, "stats", boom)
+        monkeypatch.setattr(front.fleet, "stats", boom)
         connection = front.connect()
         response, body = get(connection, "/stats")
         assert response.status == 500

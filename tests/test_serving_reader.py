@@ -300,12 +300,19 @@ class TestReaderDrivenService:
         service.close()
         engine.close()
 
-    def test_resync_requires_a_store_file(self):
-        service = CatalogSearchService()
-        with pytest.raises(RuntimeError, match="store file"):
-            service.resync()
-        assert not service.maybe_resync()
+    def test_a_closed_service_has_no_followers(self, populated):
+        _, path, _ = populated
+        service = CatalogSearchService.from_store_path(path)
+        follower = service.follower()
         service.close()
+        service.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            service.follower()
+        # The follower keeps the shared reader open, and closes it last.
+        assert not follower.reader.closed
+        assert follower.resync() == follower.snapshot_commit_count
+        follower.close()
+        assert follower.reader.closed
 
 
 class TestResyncStaysFlat:

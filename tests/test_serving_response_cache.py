@@ -22,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import put, write_store
 from repro.model.attributes import Specification
 from repro.model.persistence import product_to_dict
 from repro.model.products import Product
 from repro.obs import MetricsRegistry, set_registry
-from repro.runtime import StagedBatch, SynthesisEngine
+from repro.runtime import SynthesisEngine
 from repro.runtime.store.sqlite import SqliteCatalogStore
-from repro.serving import CatalogHTTPServer, CatalogIndex, CatalogSearchService, ServingFleet
+from repro.serving import CatalogHTTPServer, CatalogIndex, ServingFleet
 from repro.serving import fleet as fleet_module
 from repro.text.tokenize import tokenize_title
 
@@ -137,8 +138,8 @@ def test_bodies_through_http_equal_an_uncached_render_of_their_snapshot(
     indices, cut_points = data.draw(stream_and_cuts(len(offers)))
     stream = [offers[index] for index in indices]
     batches = split_batches(stream, cut_points)
-    # A fleet of one reads its last commit, like the bare service the front
-    # wraps; lag bound 1 lets replicas sit on different snapshots.
+    # A fleet of one reads its last commit on every request; lag bound 1
+    # lets replicas sit on different snapshots.
     max_lag_commits = 0 if num_replicas == 1 else 1
     # A bound small enough that these few queries overflow it, so the
     # property also covers bodies that were evicted and rendered again.
@@ -340,25 +341,20 @@ PRODUCTS = [
 ]
 
 
-def put(store, key, title):
-    cluster_id = ("computing.hdd", key)
-    store.apply(
-        StagedBatch(
-            clusters=[] if store.get_cluster(cluster_id) else [cluster_id],
-            products={cluster_id: make_product(f"id-{key}", title)},
-        )
-    )
+#: The snapshot a store file holding ``PRODUCTS`` serves: its one commit.
+SNAPSHOT = 1
 
 
-def one_replica_fleet():
-    """What the HTTP front makes of a bare service: a fleet of one."""
-    return ServingFleet([CatalogSearchService(CatalogIndex(PRODUCTS))])
+def one_replica_fleet(directory):
+    """A fleet of one over a new store file in ``directory`` holding ``PRODUCTS``."""
+    path = write_store(directory / "products.sqlite3", PRODUCTS)
+    return ServingFleet.from_store_path(path, num_replicas=1)
 
 
 class TestCacheKey:
     @pytest.fixture
-    def fleet(self):
-        with one_replica_fleet() as fleet:
+    def fleet(self, tmp_path):
+        with one_replica_fleet(tmp_path) as fleet:
             yield fleet
 
     def test_second_identical_request_is_a_hit_with_the_same_bytes(self, fleet):
@@ -367,9 +363,9 @@ class TestCacheKey:
         stats = fleet.response_cache_stats()
         assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
         # Charged: the body without its replica field, plus the key.
-        key = (0, "search", "hard drive", 3, None, ())
+        key = (SNAPSHOT, "search", "hard drive", 3, None, ())
         assert stats["bytes"] == len(first) - len(b'{"replica": 0, ') + len(repr(key))
-        assert first == uncached_search_body(PRODUCTS, 0, "hard drive", 3, 0)
+        assert first == uncached_search_body(PRODUCTS, SNAPSHOT, "hard drive", 3, 0)
 
     def test_attribute_order_does_not_split_the_entry(self, fleet):
         first = fleet.search_body("drive", attributes={"Brand": "Seagate", "Size": "500GB"})
@@ -388,7 +384,7 @@ class TestCacheKey:
             dict(query="hard drive", attributes={"Brand": "WD"}),
         ]
         for request in requests:
-            expected = dict(request, top_k=request.get("top_k", 10), snapshot=0, replica=0)
+            expected = dict(request, top_k=request.get("top_k", 10), snapshot=SNAPSHOT, replica=0)
             assert fleet.search_body(**request) == uncached_search_body(PRODUCTS, **expected)
         stats = fleet.response_cache_stats()
         assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 6, 6)
@@ -418,7 +414,7 @@ class TestCacheKey:
         stats = fleet.response_cache_stats()
         assert (stats["entries"], stats["bytes"], stats["misses"]) == (0, 0, 2)
         body = fleet.product_body("p-1")
-        assert body == uncached_product_body(PRODUCTS, 0, "p-1", 0)
+        assert body == uncached_product_body(PRODUCTS, SNAPSHOT, "p-1", 0)
         assert fleet.product_body("p-1") == body
         assert fleet.response_cache_stats()["hits"] == 1
 
@@ -478,11 +474,11 @@ class TestSnapshotMoves:
 
 
 class TestBound:
-    def test_bytes_never_exceed_the_bound_and_evictions_are_counted(self, monkeypatch):
+    def test_bytes_never_exceed_the_bound_and_evictions_are_counted(self, tmp_path, monkeypatch):
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            fleet = one_replica_fleet()
+            fleet = one_replica_fleet(tmp_path)
         finally:
             set_registry(previous)
         with fleet:
@@ -508,10 +504,10 @@ class TestBound:
             assert fleet.response_cache_stats()["hits"] == 1
             assert [key[2] for key in fleet._bodies] == ["drive 19", "drive 17", "drive 20"]
 
-    def test_long_unique_filters_are_charged_for_their_keys(self):
+    def test_long_unique_filters_are_charged_for_their_keys(self, tmp_path):
         """A zero-hit body is ~85 bytes whatever the filters say; the key
         holds every filter as typed, so the key is what must be bounded."""
-        with one_replica_fleet() as fleet:
+        with one_replica_fleet(tmp_path) as fleet:
             key_bytes = 0
             for number in range(64):
                 filters = {"Brand": f"{number:04d}" + "x" * 65536}
@@ -524,11 +520,11 @@ class TestBound:
                 assert held <= stats["bytes"]
             assert key_bytes > stats["max_bytes"] and stats["evictions"] > 0
 
-    def test_cache_counters_reach_stats_and_the_registry(self):
+    def test_cache_counters_reach_stats_and_the_registry(self, tmp_path):
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            fleet = one_replica_fleet()
+            fleet = one_replica_fleet(tmp_path)
         finally:
             set_registry(previous)
         with fleet:
